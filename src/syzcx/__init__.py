@@ -6,6 +6,7 @@ strongly connected components with exact Perron roots (`spectra`), and read
 off the poly-exponential growth class (`complexity`). `curvature` decides
 which bases are realizable and constructs witnesses; `oracle` is the
 brute-force linear-algebra ground truth; `cli` is the command-line surface.
+`graph` holds the component and reachability traversals they share.
 """
 
 from .algebra import (

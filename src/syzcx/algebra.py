@@ -23,6 +23,7 @@ from .errors import (
     RelationTooShortError,
     ValidationError,
 )
+from .graph import tarjan
 
 IDENT_RE = re.compile(r"[A-Za-z0-9_]+\Z")
 
@@ -210,14 +211,14 @@ class MonomialAlgebra:
 
     Holds the normalized relation set, the longest relation length R, and the
     full nonzero-path basis ordered by (length, arrow declaration indices).
+    Only validate_algebra builds one; the basis is empty until it is set.
     """
 
-    def __init__(self, name, quiver, relations, modules, nonzero_paths):
+    def __init__(self, name, quiver, relations, modules):
         self.name = name
         self.quiver = quiver
         self.relations = relations
         self.modules = modules
-        self.nonzero_paths = nonzero_paths
         self.max_relation_length = max((len(r) for r in relations), default=1)
         grouped: dict[int, set] = {len(r): set() for r in relations}
         for r in relations:
@@ -225,7 +226,11 @@ class MonomialAlgebra:
         self._rel_by_len: dict[int, frozenset[tuple[str, ...]]] = {
             k: frozenset(v) for k, v in grouped.items()
         }
-        from_v: dict[str, list[Path]] = {v: [] for v in quiver.vertices}
+        self._set_basis(())
+
+    def _set_basis(self, nonzero_paths: tuple[Path, ...]):
+        self.nonzero_paths = nonzero_paths
+        from_v: dict[str, list[Path]] = {v: [] for v in self.quiver.vertices}
         for p in nonzero_paths:
             from_v[p.source].append(p)
         self._paths_from = {v: tuple(ps) for v, ps in from_v.items()}
@@ -319,49 +324,46 @@ def validate_algebra(spec: MonomialAlgebraSpec) -> MonomialAlgebra:
                 "relations must be paths of length >= 2"
             )
     relations = _normalize_relations(spec.relations)
-    alg = MonomialAlgebra(spec.name, spec.quiver, relations, dict(spec.modules), ())
-
-    R = alg.max_relation_length
+    alg = MonomialAlgebra(spec.name, spec.quiver, relations, dict(spec.modules))
     quiver = spec.quiver
-    # Iterative 3-color DFS over automaton states (vertex, last <= R-1 arrows).
-    WHITE, GRAY, BLACK = 0, 1, 2
-    color: dict[tuple, int] = {}
+    keep = alg.max_relation_length - 1
 
-    def transitions(state):
-        vertex, word = state
+    # Materialize the automaton reachable from the trivial paths. States are
+    # (vertex, last <= R-1 arrows); moves[i] lists (successor, arrow name).
+    index = {(v, ()): i for i, v in enumerate(quiver.vertices)}
+    states = list(index)
+    moves: list[list[tuple[int, str]]] = []
+    for vertex, word in states:  # grows while it is scanned
+        out = []
         for a in quiver.arrows_from(vertex):
             new = word + (a.name,)
             if alg.has_relation_suffix(new):
                 continue
-            yield (a.target, new[max(0, len(new) - (R - 1)):]), a.name
+            key = (a.target, new[max(0, len(new) - keep):])
+            if key not in index:
+                index[key] = len(states)
+                states.append(key)
+            out.append((index[key], a.name))
+        moves.append(out)
 
-    for v in quiver.vertices:
-        root = (v, ())
-        if color.get(root, WHITE) != WHITE:
+    succ = [[j for j, _ in out] for out in moves]
+    for comp in tarjan(succ):
+        x = comp[0]
+        if len(comp) == 1 and x not in succ[x]:
             continue
-        stack = [(root, iter(transitions(root)), None)]
-        color[root] = GRAY
-        while stack:
-            state, it, _via = stack[-1]
-            advanced = False
-            for nxt, via in it:
-                c = color.get(nxt, WHITE)
-                if c == GRAY:
-                    names = [s for s, _, _ in stack]
-                    i = names.index(nxt)
-                    cycle = [entry[2] for entry in stack[i + 1:]] + [via]
-                    raise InfiniteDimensionalError(
-                        "the algebra is infinite dimensional: nonzero cycle "
-                        + ".".join(cycle)
-                    )
-                if c == WHITE:
-                    color[nxt] = GRAY
-                    stack.append((nxt, iter(transitions(nxt)), via))
-                    advanced = True
-                    break
-            if not advanced:
-                color[state] = BLACK
-                stack.pop()
+        # Every state of a cyclic component has a move inside it; follow such
+        # moves until a state repeats, and name the loop between the visits.
+        members = set(comp)
+        visited_at: dict[int, int] = {}
+        walk: list[str] = []
+        while x not in visited_at:
+            visited_at[x] = len(walk)
+            x, name = next((j, a) for j, a in moves[x] if j in members)
+            walk.append(name)
+        raise InfiniteDimensionalError(
+            "the algebra is infinite dimensional: nonzero cycle "
+            + ".".join(walk[visited_at[x]:])
+        )
 
     # Acyclic: the language is finite; enumerate by length layers.
     paths: list[Path] = [Path(v, v, ()) for v in quiver.vertices]
@@ -376,10 +378,8 @@ def validate_algebra(spec: MonomialAlgebraSpec) -> MonomialAlgebra:
                 nxt.append(Path(p.source, a.target, names))
         paths.extend(nxt)
         layer = nxt
-
-    return MonomialAlgebra(
-        spec.name, quiver, relations, dict(spec.modules), tuple(paths)
-    )
+    alg._set_basis(tuple(paths))
+    return alg
 
 
 _LINE_RES = {

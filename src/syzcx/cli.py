@@ -53,12 +53,11 @@ from .errors import (
     ValidationError,
 )
 from .oracle import (
+    agreed_dim_sequence,
     builtin_table,
     crosscheck,
-    dim_sequence,
     rep_of,
     table_rep,
-    PRIMES,
 )
 from .polynomials import (
     IntPolynomial,
@@ -184,7 +183,10 @@ def _parse_class_literal(text: str):
                 f"unknown base {base_text!r}: use an integer, a bracketed "
                 "coefficient list, or a known 12-digit decimal"
             ) from None
-    return polyexp_class(base, degree)
+    try:
+        return polyexp_class(base, degree)
+    except ValueError as e:
+        raise InputParseError(f"bad class literal {text!r}: {e}") from None
 
 
 # -- subcommand bodies ----------------------------------------------------------
@@ -294,6 +296,8 @@ def _cmd_curvature_realize(args) -> int:
 
 
 def _cmd_realize_class(args) -> int:
+    if args.ell < 0:
+        raise UsageError("--ell must be >= 0")
     spec = parse_algebra_file(args.quiver)
     text, _names = realize_class(spec.quiver, args.ell)
     sys.stdout.write(text)
@@ -317,26 +321,19 @@ def _cmd_oracle_dims(args) -> int:
         raise UsageError("-n must be >= 0")
     if args.builtin:
         table = builtin_table(args.builtin)
-        reps = [table_rep(table, args.module, p) for p in PRIMES]
+        dims = agreed_dim_sequence(
+            lambda p: table_rep(table, args.module, p), args.n)
         source = f"builtin:{args.builtin}"
     else:
         A = load_algebra(args.file)
         M = resolve_module(A, args.module)
-        reps = [rep_of(M, A, p) for p in PRIMES]
+        dims = agreed_dim_sequence(lambda p: rep_of(M, A, p), args.n)
         source = f"algebra:{A.name}"
-    sequences = [dim_sequence(r, args.n) for r in reps]
-    if sequences[1] != sequences[0]:
-        i = next(
-            i for i, (a, b) in enumerate(zip(*sequences)) if a != b
-        )
-        raise PrimeDisagreementError(
-            f"oracle dimension sequences differ between primes at n={i}"
-        )
     _emit({
         "source": source,
         "module": args.module,
         "n": args.n,
-        "dims": sequences[0],
+        "dims": dims,
     })
     return EXIT_OK
 
@@ -459,7 +456,7 @@ def main(argv=None) -> int:
     except AlgebraSyntaxError as e:
         _diag(e.code, str(e))
         return EXIT_PARSE
-    except FileNotFoundError as e:
+    except (OSError, UnicodeDecodeError) as e:
         _diag("io", str(e))
         return EXIT_PARSE
     except ValidationError as e:

@@ -41,7 +41,13 @@ DEFAULT_DIM_CAP = 200_000
 def _dim_cap(cap: int | None) -> int:
     if cap is not None:
         return cap
-    return int(os.environ.get("SYZCX_DIM_CAP", DEFAULT_DIM_CAP))
+    raw = os.environ.get("SYZCX_DIM_CAP", DEFAULT_DIM_CAP)
+    try:
+        return int(raw)
+    except ValueError:
+        raise ValidationError(
+            f"SYZCX_DIM_CAP must be an integer, got {raw!r}"
+        ) from None
 
 
 # -- dense linear algebra mod p ------------------------------------------------
@@ -94,10 +100,6 @@ def _rref(mat: np.ndarray, p: int) -> tuple[np.ndarray, list[int]]:
     return a[:r], pivots
 
 
-def _rank(mat: np.ndarray, p: int) -> int:
-    return len(_rref(mat, p)[1])
-
-
 def _kernel_from_rref(r: np.ndarray, pivots: list[int], cols: int,
                       p: int) -> tuple[np.ndarray, np.ndarray]:
     """Nullspace basis read off an rref, plus the free-coordinate rows. The
@@ -115,20 +117,16 @@ def _kernel_from_rref(r: np.ndarray, pivots: list[int], cols: int,
     return out, free
 
 
-def _nullspace_support(mat: np.ndarray, p: int) -> tuple[np.ndarray, np.ndarray]:
-    """Columns spanning {x : mat @ x = 0} over GF(p), plus the free rows."""
-    r, pivots = _rref(mat, p)
-    return _kernel_from_rref(r, pivots, mat.shape[1], p)
-
-
 def _nullspace(mat: np.ndarray, p: int) -> np.ndarray:
-    return _nullspace_support(mat, p)[0]
+    """Columns spanning {x : mat @ x = 0} over GF(p)."""
+    r, pivots = _rref(mat, p)
+    return _kernel_from_rref(r, pivots, mat.shape[1], p)[0]
 
 
 def _coords_in_kernel(basis: np.ndarray, free: np.ndarray, targets: np.ndarray,
                       p: int) -> np.ndarray:
     """Coordinates X with basis @ X = targets, where basis came from
-    _nullspace_support with free rows `free`. Membership is verified on
+    _kernel_from_rref with free rows `free`. Membership is verified on
     random probe vectors (seeded, so runs are reproducible): a target
     outside the span survives one probe with probability 1/p, both with
     probability 1/p^2, and the whole computation is repeated at a second
@@ -621,12 +619,11 @@ class CrosscheckReport:
         }
 
 
-def crosscheck(A: MonomialAlgebra, M: ModuleExpr, N: int,
-               primes=PRIMES, cap: int | None = None) -> CrosscheckReport:
-    """dim of every syzygy up to N, two ways: oracle iteration over two
-    primes (which must agree with each other) versus weighted path counts on
-    the syzygy quiver. Reports the first discrepancy, if any."""
-    sequences = [dim_sequence(rep_of(M, A, p), N, cap) for p in primes]
+def agreed_dim_sequence(rep_at, N: int, primes=PRIMES,
+                        cap: int | None = None) -> list[int]:
+    """dim_sequence of the representation rep_at(p) at every prime; the
+    sequences must agree, since a disagreement is a rank drop mod p."""
+    sequences = [dim_sequence(rep_at(p), N, cap) for p in primes]
     for other in sequences[1:]:
         if other != sequences[0]:
             i = next(i for i, (a, b) in enumerate(zip(sequences[0], other)) if a != b)
@@ -634,7 +631,15 @@ def crosscheck(A: MonomialAlgebra, M: ModuleExpr, N: int,
                 f"oracle dimension sequences differ between primes at n={i}; "
                 "rank drop mod p, retry with larger primes"
             )
-    oracle_dims = sequences[0]
+    return sequences[0]
+
+
+def crosscheck(A: MonomialAlgebra, M: ModuleExpr, N: int,
+               primes=PRIMES, cap: int | None = None) -> CrosscheckReport:
+    """dim of every syzygy up to N, two ways: oracle iteration over two
+    primes (which must agree with each other) versus weighted path counts on
+    the syzygy quiver. Reports the first discrepancy, if any."""
+    oracle_dims = agreed_dim_sequence(lambda p: rep_of(M, A, p), N, primes, cap)
     quiver_dims = quiver_dim_sequence(build_syzygy_quiver(M, A), N)
     mismatch = next(
         (i for i, (a, b) in enumerate(zip(quiver_dims, oracle_dims)) if a != b),

@@ -135,22 +135,8 @@ class IntPolynomial:
         """Polynomial division over the rationals: (quotient, remainder)."""
         if other.is_zero:
             raise ZeroPolynomialError("division by the zero polynomial")
-        rem = [Fraction(c) for c in self.coeffs]
-        quo = [Fraction(0)] * max(0, len(rem) - len(other.coeffs) + 1)
-        d = other.degree
-        lc = Fraction(other.lc)
-        while len(rem) - 1 >= d and any(rem):
-            while rem and rem[-1] == 0:
-                rem.pop()
-            if len(rem) - 1 < d:
-                break
-            k = len(rem) - 1 - d
-            f = rem[-1] / lc
-            quo[k] = f
-            for i, c in enumerate(other.coeffs):
-                rem[k + i] -= f * c
-            rem.pop()
-        return quo, rem
+        return _divmod_frac([Fraction(c) for c in self.coeffs],
+                            [Fraction(c) for c in other.coeffs])
 
     def div_exact(self, other: "IntPolynomial") -> "IntPolynomial":
         """Exact division: raises if the quotient is not an integer polynomial."""
@@ -160,6 +146,26 @@ class IntPolynomial:
         if any(q.denominator != 1 for q in quo):
             raise ValueError("division is not exact (non-integer quotient)")
         return IntPolynomial(int(q) for q in quo)
+
+
+def _divmod_frac(u, v) -> tuple[list[Fraction], list[Fraction]]:
+    """Quotient and remainder of u by v over Q, as lists. u and v are
+    ascending Fraction sequences without trailing zeros, v nonempty; the
+    remainder comes back without trailing zeros too."""
+    rem = list(u)
+    d = len(v) - 1
+    lc = v[-1]
+    quo = [Fraction(0)] * max(0, len(rem) - d)
+    while len(rem) - 1 >= d:
+        f = rem[-1] / lc
+        k = len(rem) - 1 - d
+        quo[k] = f
+        for i, c in enumerate(v):
+            rem[k + i] -= f * c
+        rem.pop()
+        while rem and rem[-1] == 0:
+            rem.pop()
+    return quo, rem
 
 
 def poly(*coeffs) -> IntPolynomial:
@@ -176,25 +182,8 @@ def poly_gcd_q(a: IntPolynomial, b: IntPolynomial) -> IntPolynomial:
     """Monic-free gcd over Q, returned primitive with positive leading coeff."""
     fa = [Fraction(c) for c in a.coeffs]
     fb = [Fraction(c) for c in b.coeffs]
-
-    def rem(u, v):
-        u = list(u)
-        d = len(v) - 1
-        lc = v[-1]
-        while len(u) - 1 >= d:
-            f = u[-1] / lc
-            k = len(u) - 1 - d
-            for i, c in enumerate(v):
-                u[k + i] -= f * c
-            u.pop()
-            while u and u[-1] == 0:
-                u.pop()
-        return u
-
     while fb:
-        fa, fb = fb, rem(fa, fb)
-        while fb and fb[-1] == 0:
-            fb.pop()
+        fa, fb = fb, _divmod_frac(fa, fb)[1]
     if not fa:
         return IntPolynomial()
     from math import lcm
@@ -227,23 +216,8 @@ def _sturm_chain(p: IntPolynomial) -> tuple[tuple[Fraction, ...], ...]:
     d = tuple(Fraction(c) for c in p.derivative().coeffs)
     if d:
         chain.append(d)
-
-    def rem(u, v):
-        u = list(u)
-        dv = len(v) - 1
-        lc = v[-1]
-        while len(u) - 1 >= dv and u:
-            f = u[-1] / lc
-            k = len(u) - 1 - dv
-            for i, c in enumerate(v):
-                u[k + i] -= f * c
-            u.pop()
-            while u and u[-1] == 0:
-                u.pop()
-        return u
-
     while len(chain[-1]) > 1:
-        r = rem(chain[-2], chain[-1])
+        r = _divmod_frac(chain[-2], chain[-1])[1]
         if not r:
             break
         chain.append(tuple(-c for c in r))

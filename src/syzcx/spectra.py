@@ -8,6 +8,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import InternalInconsistencyError
+from .graph import reachable, tarjan
 from .polynomials import (
     AlgebraicReal,
     IntPolynomial,
@@ -27,12 +28,15 @@ def mat_from_rows(rows) -> IntMatrix:
     return tuple(tuple(int(c) for c in row) for row in rows)
 
 
+def _digraph_of(graph, edges=None) -> tuple[int, list[tuple[int, int]]]:
+    if edges is not None:
+        return int(graph), list(edges)
+    return graph.digraph()
+
+
 def adjacency_matrix(graph, edges=None) -> IntMatrix:
     """Arrow-count matrix of (n, edges) or of any object with .digraph()."""
-    if edges is None:
-        n, edge_list = graph.digraph()
-    else:
-        n, edge_list = int(graph), list(edges)
+    n, edge_list = _digraph_of(graph, edges)
     mat = [[0] * n for _ in range(n)]
     for u, v in edge_list:
         mat[u][v] += 1
@@ -119,30 +123,21 @@ class SCC:
 class Condensation:
     """SCC condensation. Components are listed in reverse topological order
     (every component precedes the components that reach it), so a forward scan
-    visits each component after all of its successors."""
+    visits each component after all of its successors. `succ[ci]` lists the
+    successors of component ci, ascending."""
 
     n_vertices: int
     components: tuple[SCC, ...]
     vertex_component: tuple[int, ...]
     edges: frozenset[tuple[int, int]]
+    succ: tuple[tuple[int, ...], ...]
 
     def successors(self, ci: int) -> tuple[int, ...]:
-        return tuple(sorted(cj for (a, cj) in self.edges if a == ci))
+        return self.succ[ci]
 
     def reachable_components(self, ci: int) -> tuple[int, ...]:
         """Components reachable from ci, itself included, ascending order."""
-        succ: dict[int, list[int]] = {}
-        for a, b in self.edges:
-            succ.setdefault(a, []).append(b)
-        seen = {ci}
-        stack = [ci]
-        while stack:
-            c = stack.pop()
-            for nxt in succ.get(c, ()):
-                if nxt not in seen:
-                    seen.add(nxt)
-                    stack.append(nxt)
-        return tuple(sorted(seen))
+        return tuple(sorted(reachable(self.succ, (ci,))))
 
     def to_json(self) -> dict:
         return {
@@ -160,12 +155,6 @@ class Condensation:
         }
 
 
-def _digraph_of(graph, edges=None) -> tuple[int, list[tuple[int, int]]]:
-    if edges is not None:
-        return int(graph), list(edges)
-    return graph.digraph()
-
-
 def scc_condense(graph, edges=None) -> Condensation:
     """Tarjan condensation. Accepts (n, edges) or any object with .digraph().
 
@@ -176,73 +165,32 @@ def scc_condense(graph, edges=None) -> Condensation:
     adj: list[list[int]] = [[] for _ in range(n)]
     for u, v in edge_list:
         adj[u].append(v)
+    comp_members = tarjan(adj)
 
-    index_of = [-1] * n
-    lowlink = [0] * n
-    on_stack = [False] * n
-    stack: list[int] = []
-    counter = 0
-    comp_members: list[list[int]] = []
-    comp_of = [-1] * n
-
-    for root in range(n):
-        if index_of[root] != -1:
-            continue
-        work = [(root, 0)]
-        while work:
-            v, ptr = work[-1]
-            if ptr == 0:
-                index_of[v] = lowlink[v] = counter
-                counter += 1
-                stack.append(v)
-                on_stack[v] = True
-            advanced = False
-            for i in range(ptr, len(adj[v])):
-                w = adj[v][i]
-                if index_of[w] == -1:
-                    work[-1] = (v, i + 1)
-                    work.append((w, 0))
-                    advanced = True
-                    break
-                if on_stack[w]:
-                    lowlink[v] = min(lowlink[v], index_of[w])
-            if advanced:
-                continue
-            work.pop()
-            if work:
-                parent = work[-1][0]
-                lowlink[parent] = min(lowlink[parent], lowlink[v])
-            if lowlink[v] == index_of[v]:
-                members = []
-                while True:
-                    w = stack.pop()
-                    on_stack[w] = False
-                    members.append(w)
-                    if w == v:
-                        break
-                ci = len(comp_members)
-                members.sort()
-                comp_members.append(members)
-                for w in members:
-                    comp_of[w] = ci
-
-    comps: list[SCC] = []
-    for members in comp_members:
-        pos = {v: i for i, v in enumerate(members)}
-        size = len(members)
-        mat = [[0] * size for _ in range(size)]
-        for u, v in edge_list:
-            if u in pos and v in pos:
-                mat[pos[u]][pos[v]] += 1
-        matrix = mat_from_rows(mat)
-        comps.append(SCC(tuple(members), matrix, perron_root(matrix)))
-
+    comp_of = [0] * n
+    pos = [0] * n
+    for ci, members in enumerate(comp_members):
+        for i, v in enumerate(members):
+            comp_of[v] = ci
+            pos[v] = i
+    mats = [[[0] * len(m) for _ in m] for m in comp_members]
     dag_edges = set()
     for u, v in edge_list:
-        if comp_of[u] != comp_of[v]:
-            dag_edges.add((comp_of[u], comp_of[v]))
+        cu, cv = comp_of[u], comp_of[v]
+        if cu == cv:
+            mats[cu][pos[u]][pos[v]] += 1
+        else:
+            dag_edges.add((cu, cv))
+    succ: list[list[int]] = [[] for _ in comp_members]
+    for a, b in sorted(dag_edges):
+        succ[a].append(b)
 
-    return Condensation(n, tuple(comps), tuple(comp_of), frozenset(dag_edges))
+    comps: list[SCC] = []
+    for members, mat in zip(comp_members, mats):
+        matrix = mat_from_rows(mat)
+        comps.append(SCC(tuple(members), matrix, perron_root(matrix)))
+    return Condensation(n, tuple(comps), tuple(comp_of), frozenset(dag_edges),
+                        tuple(tuple(s) for s in succ))
 
 
 # -- exact comparisons -------------------------------------------------------

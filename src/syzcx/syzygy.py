@@ -27,6 +27,8 @@ from .errors import (
     ValidationError,
     ZeroPathError,
 )
+from .graph import reachable, tarjan
+from .spectra import adjacency_matrix
 
 
 def _is_prefix(short: Path, long: Path) -> bool:
@@ -257,11 +259,7 @@ class SyzygyQuiver:
         return self.n_vertices, list(self.arrows)
 
     def adjacency(self) -> tuple[tuple[int, ...], ...]:
-        n = self.n_vertices
-        mat = [[0] * n for _ in range(n)]
-        for i, j in self.arrows:
-            mat[i][j] += 1
-        return tuple(tuple(row) for row in mat)
+        return adjacency_matrix(self)
 
     def out_expr(self, i: int) -> ModuleExpr:
         """Direct sum of out-neighbor labels with arrow multiplicities."""
@@ -270,20 +268,6 @@ class SyzygyQuiver:
             if a == i:
                 out = out + self.labels[b]
         return out
-
-    def reachable_from(self, starts) -> tuple[int, ...]:
-        seen = set(starts)
-        work = list(seen)
-        succ: dict[int, list[int]] = {}
-        for a, b in self.arrows:
-            succ.setdefault(a, []).append(b)
-        while work:
-            v = work.pop()
-            for w in succ.get(v, ()):
-                if w not in seen:
-                    seen.add(w)
-                    work.append(w)
-        return tuple(sorted(seen))
 
     def to_json(self) -> dict:
         vertices = []
@@ -358,72 +342,33 @@ def count_paths(Q: SyzygyQuiver, v: int, N: int) -> list[int]:
         raise ValueError(f"vertex {v} not in quiver")
     if N < 0:
         raise ValueError("N must be >= 0")
-    adj = Q.adjacency()
     vec = [0] * n
     vec[v] = 1
-    out = [1]
-    for _ in range(N):
-        vec = [sum(vec[i] * adj[i][j] for i in range(n)) for j in range(n)]
-        out.append(sum(vec))
-    return out
+    return _weighted_walks(Q, vec, [1] * n, N)
 
 
 def quiver_dim_sequence(Q: SyzygyQuiver, N: int) -> list[int]:
     """dim of the n-th syzygy of the start module, n = 0..N, via weighted
     path counts: sum over endpoints of (paths from start) * (label dim)."""
-    n = Q.n_vertices
-    adj = Q.adjacency()
-    dims = Q.dims
-    vec = [0] * n
+    vec = [0] * Q.n_vertices
     for i, m in Q.start:
         vec[i] += m
-    out = [sum(vec[i] * dims[i] for i in range(n))]
+    return _weighted_walks(Q, vec, Q.dims, N)
+
+
+def _weighted_walks(Q: SyzygyQuiver, vec, weights, N: int) -> list[int]:
+    """sum_j vec_n[j] * weights[j] for n = 0..N, where vec_n = vec * adj^n
+    counts the length-n walks from the vertices weighted by vec."""
+    n = Q.n_vertices
+    adj = Q.adjacency()
+    out = [sum(vec[i] * weights[i] for i in range(n))]
     for _ in range(N):
         vec = [sum(vec[i] * adj[i][j] for i in range(n)) for j in range(n)]
-        out.append(sum(vec[i] * dims[i] for i in range(n)))
+        out.append(sum(vec[i] * weights[i] for i in range(n)))
     return out
 
 
 # -- sink-free reduction -----------------------------------------------------
-
-def _cycle_reachable(n: int, edges, v: int) -> bool:
-    succ: dict[int, list[int]] = {}
-    for a, b in edges:
-        succ.setdefault(a, []).append(b)
-    seen = {v}
-    work = [v]
-    while work:
-        x = work.pop()
-        for y in succ.get(x, ()):
-            if y not in seen:
-                seen.add(y)
-                work.append(y)
-    # cycle detection inside the reachable set
-    WHITE, GRAY, BLACK = 0, 1, 2
-    color = {x: WHITE for x in seen}
-    for root in seen:
-        if color[root] != WHITE:
-            continue
-        stack = [(root, iter(succ.get(root, ())))]
-        color[root] = GRAY
-        while stack:
-            x, it = stack[-1]
-            advanced = False
-            for y in it:
-                if y not in color:
-                    continue
-                if color[y] == GRAY:
-                    return True
-                if color[y] == WHITE:
-                    color[y] = GRAY
-                    stack.append((y, iter(succ.get(y, ()))))
-                    advanced = True
-                    break
-            if not advanced:
-                color[x] = BLACK
-                stack.pop()
-    return False
-
 
 def sinkfree_reduce(Q: SyzygyQuiver, v: int) -> tuple[SyzygyQuiver, int]:
     """Delete sinks until none remain, keeping the complexity class at v.
@@ -437,7 +382,11 @@ def sinkfree_reduce(Q: SyzygyQuiver, v: int) -> tuple[SyzygyQuiver, int]:
     n = Q.n_vertices
     if not 0 <= v < n:
         raise ValueError(f"vertex {v} not in quiver")
-    if not _cycle_reachable(n, Q.arrows, v):
+    succ: list[list[int]] = [[] for _ in range(n)]
+    for a, b in Q.arrows:
+        succ[a].append(b)
+    on_cycle = {x for comp in tarjan(succ) if len(comp) > 1 for x in comp}
+    if not any(x in on_cycle or x in succ[x] for x in reachable(succ, (v,))):
         raise FiniteProjectiveDimensionError(
             "no cycle is reachable: the module has finite projective dimension"
         )
@@ -543,10 +492,13 @@ def syzygy_quiver_from_json(data: dict, A: MonomialAlgebra) -> SyzygyQuiver:
 
     start: list[tuple[int, int]] = []
     for entry in data.get("start", []):
-        if isinstance(entry, dict):
-            i, m = int(entry.get("id", -1)), int(entry.get("mult", 1))
-        else:
-            i, m = int(entry), 1
+        try:
+            if isinstance(entry, dict):
+                i, m = int(entry.get("id", -1)), int(entry.get("mult", 1))
+            else:
+                i, m = int(entry), 1
+        except (TypeError, ValueError):
+            raise InvalidPartialError(f"bad start entry: {entry!r}") from None
         if i not in labels_by_id or m < 1:
             raise InvalidPartialError(f"bad start entry: {entry!r}")
         start.append((i, m))

@@ -157,6 +157,26 @@ def test_validate_rejects_unrelated_two_cycle():
     assert "nonzero cycle" in str(exc.value)
 
 
+def test_named_cycle_is_closed_and_nonzero():
+    # a.b.c is the only cycle; the relation only cuts off the side arrow s.
+    text = ("algebra x\nvertex 1\nvertex 2\nvertex 3\nvertex 4\n"
+            "arrow a : 1 -> 2\narrow b : 2 -> 3\narrow c : 3 -> 1\n"
+            "arrow s : 3 -> 4\nrelation b.s\n")
+    spec = parse_algebra(text)
+    with pytest.raises(InfiniteDimensionalError) as exc:
+        validate_algebra(spec)
+    message = str(exc.value)
+    assert "nonzero cycle " in message
+    names = message.rsplit("nonzero cycle ", 1)[1].split(".")
+    cycle = spec.quiver.path(names)  # raises unless composable
+    assert cycle.source == cycle.target
+    cube = tuple(names) * 3
+    for r in spec.relations:
+        L = len(r.arrows)
+        assert all(cube[i:i + L] != r.arrows
+                   for i in range(len(cube) - L + 1))
+
+
 def test_two_cycle_with_one_composition_killed_is_finite():
     # Killing a.b also kills every longer alternating word, since each word
     # of length >= 3 on this cycle contains a.b as a factor.

@@ -4,12 +4,14 @@ diagnostics."""
 import contextlib
 import io
 import json
+import os
 import subprocess
 import sys
 from pathlib import Path
 
 import pytest
 
+import syzcx
 from syzcx import cli
 from syzcx.cli import main
 
@@ -20,6 +22,16 @@ GOLDEN = HERE / "golden"
 FIB = str(DATA / "fib.alg")
 LOOP3 = str(DATA / "loop3.alg")
 A2 = str(DATA / "a2.alg")
+
+
+def cli_process(argv, **env):
+    """Run `python -m syzcx.cli argv` with this checkout's syzcx importable."""
+    src = str(Path(syzcx.__file__).resolve().parents[1])
+    full_env = dict(os.environ, **env)
+    full_env["PYTHONPATH"] = os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")]))
+    return subprocess.run([sys.executable, "-m", "syzcx.cli"] + argv,
+                          capture_output=True, text=True, env=full_env)
 
 
 def run_cli(argv):
@@ -70,10 +82,7 @@ def test_golden(golden, argv):
 
 
 def test_module_entry_point():
-    proc = subprocess.run(
-        [sys.executable, "-m", "syzcx.cli", "validate", FIB],
-        capture_output=True, text=True,
-    )
+    proc = cli_process(["validate", FIB])
     assert proc.returncode == 0
     assert json.loads(proc.stdout)["algebra"] == "fib"
 
@@ -221,6 +230,39 @@ def test_internal_prime_disagreement(monkeypatch):
                           "--module", "S1", "-n", "4"])
     assert rc == 5
     assert "error[prime_disagreement]" in err
+
+
+# -- one diagnostic line, never a traceback --------------------------------------
+
+BAD_INPUT_CASES = [
+    ("negative_ell", ["realize-class", "--quiver",
+                      str(DATA / "loopquiver.alg"), "--ell", "-1"], {}, 1),
+    ("base_below_one", ["convolve", "[0,1]^n", "2^n"], {}, 2),
+    ("negative_degree", ["convolve", "2^n*n^-1", "2^n"], {}, 2),
+    ("directory", ["validate", str(DATA)], {}, 2),
+    ("not_utf8", ["validate", "{tmp}/latin1.alg"], {}, 2),
+    ("start_not_int", ["lower-bound", FIB, "--partial",
+                       "{tmp}/start_str.json", "--vertex", "0"], {}, 3),
+    ("start_id_not_int", ["lower-bound", FIB, "--partial",
+                          "{tmp}/start_dict.json", "--vertex", "0"], {}, 3),
+    ("dim_cap_not_int", ["oracle", "dims", FIB, "--module", "S1", "-n", "2"],
+     {"SYZCX_DIM_CAP": "abc"}, 3),
+]
+
+
+@pytest.mark.parametrize("argv,env,code", [c[1:] for c in BAD_INPUT_CASES],
+                         ids=[c[0] for c in BAD_INPUT_CASES])
+def test_bad_input_gives_one_error_line(tmp_path, argv, env, code):
+    (tmp_path / "latin1.alg").write_bytes("algebra \xe9\n".encode("latin-1"))
+    partial = json.loads((DATA / "partial_fib.json").read_text())
+    for name, start in (("start_str.json", ["x"]),
+                        ("start_dict.json", [{"id": "x"}])):
+        (tmp_path / name).write_text(json.dumps(dict(partial, start=start)))
+    proc = cli_process([a.format(tmp=tmp_path) for a in argv], **env)
+    assert proc.returncode == code, proc.stderr
+    assert "Traceback" not in proc.stderr
+    lines = proc.stderr.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error["), proc.stderr
 
 
 # -- help text ----------------------------------------------------------------------

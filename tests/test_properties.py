@@ -2,8 +2,9 @@
 promises: multiplication in a monomial algebra is associative with zero as an
 absorbing element, nonzero paths are closed under contiguous subwords, exact
 comparisons form a total order, growth-class operations obey semiring-style
-laws, partial resolution data never overstates complexity, and the two
-independent dimension pipelines agree."""
+laws, partial resolution data never overstates complexity, the graph
+traversals match a brute-force transitive closure, and the two independent
+dimension pipelines agree."""
 
 import json
 import random
@@ -21,6 +22,7 @@ from syzcx.complexity import (
     polyexp_class,
     zero_class,
 )
+from syzcx.graph import reachable, tarjan
 from syzcx.oracle import crosscheck
 from syzcx.polynomials import (
     algebraic_real,
@@ -43,6 +45,49 @@ from syzcx.syzygy import (
 from conftest import random_rsz_algebras
 
 SEED = 0x5EED
+
+
+# -- graph traversals -----------------------------------------------------------
+
+def _closure(succ):
+    """reach[u][v]: v is reachable from u by a path of length >= 0."""
+    n = len(succ)
+    reach = [[u == v for v in range(n)] for u in range(n)]
+    for u in range(n):
+        for v in succ[u]:
+            reach[u][v] = True
+    for k in range(n):
+        for u in range(n):
+            if reach[u][k]:
+                for v in range(n):
+                    if reach[k][v]:
+                        reach[u][v] = True
+    return reach
+
+
+def test_tarjan_and_reachable_match_transitive_closure():
+    rng = random.Random(SEED + 4)
+    for _ in range(50):
+        n = rng.randint(1, 12)
+        succ = [[] for _ in range(n)]
+        for _ in range(rng.randint(0, 3 * n)):
+            # self-loops and parallel edges are both allowed
+            succ[rng.randrange(n)].append(rng.randrange(n))
+        reach = _closure(succ)
+
+        comps = tarjan(succ)
+        classes = {
+            tuple(v for v in range(n) if reach[u][v] and reach[v][u])
+            for u in range(n)
+        }
+        assert all(c == sorted(c) for c in comps)
+        assert sorted(tuple(c) for c in comps) == sorted(classes)
+
+        comp_of = {v: ci for ci, c in enumerate(comps) for v in c}
+        for u in range(n):
+            for v in succ[u]:
+                assert comp_of[v] <= comp_of[u]
+            assert reachable(succ, [u]) == {v for v in range(n) if reach[u][v]}
 
 
 # -- path arithmetic -------------------------------------------------------------
