@@ -74,7 +74,6 @@ from .errors import (
 from .oracle import (
     AlgebraTable,
     CrosscheckReport,
-    MonoRepresentation,
     TableRepresentation,
     builtin_table,
     crosscheck,

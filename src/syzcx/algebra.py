@@ -14,6 +14,7 @@ then `b`, and requires target(a) == source(b).
 
 from __future__ import annotations
 
+import errno
 import re
 from dataclasses import dataclass, field
 
@@ -497,9 +498,19 @@ def parse_algebra(text: str) -> MonomialAlgebraSpec:
     return MonomialAlgebraSpec(name, quiver, rel_paths, modules)
 
 
+def read_text(path) -> str:
+    """The file's text. A file that is not UTF-8 raises an OSError (EILSEQ)
+    that names it."""
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            return fh.read()
+    except UnicodeDecodeError as e:
+        raise OSError(errno.EILSEQ, f"not UTF-8 ({e.reason} at byte {e.start})",
+                      str(path)) from None
+
+
 def parse_algebra_file(path) -> MonomialAlgebraSpec:
-    with open(path, "r", encoding="utf-8") as fh:
-        return parse_algebra(fh.read())
+    return parse_algebra(read_text(path))
 
 
 def load_algebra(path) -> MonomialAlgebra:

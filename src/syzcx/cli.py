@@ -29,7 +29,7 @@ import argparse
 import json
 import sys
 
-from .algebra import load_algebra, parse_algebra_file
+from .algebra import load_algebra, parse_algebra_file, read_text
 from .complexity import (
     convolve,
     lower_bound_report,
@@ -234,8 +234,7 @@ def _cmd_complexity(args) -> int:
 
 def _cmd_lower_bound(args) -> int:
     A = load_algebra(args.file)
-    with open(args.partial, "r", encoding="utf-8") as fh:
-        data = json.load(fh)
+    data = json.loads(read_text(args.partial))
     Q = syzygy_quiver_from_json(data, A)
     if not (0 <= args.vertex < Q.n_vertices):
         raise ValidationError(
@@ -456,7 +455,7 @@ def main(argv=None) -> int:
     except AlgebraSyntaxError as e:
         _diag(e.code, str(e))
         return EXIT_PARSE
-    except (OSError, UnicodeDecodeError) as e:
+    except OSError as e:
         _diag("io", str(e))
         return EXIT_PARSE
     except ValidationError as e:

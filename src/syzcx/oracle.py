@@ -10,6 +10,10 @@ Non-monomial algebras enter through an explicit multiplication table on a
 fixed basis (products of basis elements are basis elements or zero). The one
 built-in table, id "xyz-local", is the five-dimensional local commutative
 algebra with basis 1, x, y, z, xy and relations x^2 = y^2 = z^2 = xz = yz = 0.
+
+Both kinds of algebra compile to a GradedTable (a monomial algebra through
+its nonzero paths), and one syzygy step, syzygy_rep, serves every
+representation.
 """
 
 from __future__ import annotations
@@ -100,20 +104,25 @@ def _rref(mat: np.ndarray, p: int) -> tuple[np.ndarray, list[int]]:
     return a[:r], pivots
 
 
+def _unit_columns(pivots: list[int], cols: int) -> tuple[np.ndarray, np.ndarray]:
+    """The unit vectors of GF(p)^cols at the coordinates that are not
+    pivots, as columns, plus those coordinates."""
+    free = np.ones(cols, dtype=bool)
+    free[pivots] = False
+    free = np.nonzero(free)[0]
+    out = np.zeros((cols, free.size), dtype=np.int64)
+    out[free, np.arange(free.size)] = 1
+    return out, free
+
+
 def _kernel_from_rref(r: np.ndarray, pivots: list[int], cols: int,
                       p: int) -> tuple[np.ndarray, np.ndarray]:
     """Nullspace basis read off an rref, plus the free-coordinate rows. The
     free rows of the basis form an identity block, so coordinates with
     respect to the basis can be read off a vector at those rows."""
-    in_piv = np.zeros(cols, dtype=bool)
-    piv = np.array(pivots, dtype=np.int64)
-    if piv.size:
-        in_piv[piv] = True
-    free = np.nonzero(~in_piv)[0]
-    out = np.zeros((cols, free.size), dtype=np.int64)
-    out[free, np.arange(free.size)] = 1
-    if piv.size and free.size:
-        out[piv, :] = (-r[:, free]) % p
+    out, free = _unit_columns(pivots, cols)
+    if pivots and free.size:
+        out[pivots, :] = (-r[:, free]) % p
     return out, free
 
 
@@ -154,254 +163,57 @@ def _coords_in_kernel(basis: np.ndarray, free: np.ndarray, targets: np.ndarray,
 
 def _complement_columns(span_cols: np.ndarray, dim: int, p: int) -> np.ndarray:
     """Identity columns completing the column span of `span_cols` to GF(p)^dim."""
-    _, pivots = _rref(span_cols.T, p)
-    in_piv = np.zeros(dim, dtype=bool)
-    if pivots:
-        in_piv[np.array(pivots)] = True
-    free = np.nonzero(~in_piv)[0]
-    out = np.zeros((dim, free.size), dtype=np.int64)
-    out[free, np.arange(free.size)] = 1
-    return out
+    return _unit_columns(_rref(span_cols.T, p)[1], dim)[0]
 
 
-# -- representations of monomial algebras --------------------------------------
+# -- graded tables ----------------------------------------------------------------
 
-@dataclass
-class MonoRepresentation:
-    """Explicit module over a monomial algebra: a GF(p) space per vertex and
-    a matrix per arrow (target space x source space). The action of a path is
-    the ordered product of its arrow matrices. An arrow whose action is the
-    zero map stores None instead of a dense zero block, so that semisimple
-    modules (every arrow acting by zero) cost nothing to multiply."""
+@dataclass(frozen=True)
+class GradedTable:
+    """An algebra on a multiplicative basis (a product of two basis elements
+    is a basis element or zero), in the form the syzygy step reads.
 
-    algebra: MonomialAlgebra
-    p: int
-    dims: dict[str, int]
-    mats: dict[str, np.ndarray | None]
+    Every basis element j lies between two vertex idempotents, ends[j] =
+    (source, target) as positions in `vertices`. The generators `gens` (basis
+    indices) generate the radical. A non-idempotent j has a parent (j', k)
+    with j = j' * gens[k], and parents come before their children; an
+    idempotent has parent None. right[k][j] is j * gens[k], or -1 for zero.
+    Modules are right modules: a generator from vertex s to vertex t maps the
+    space at s to the space at t."""
 
-    @property
-    def total_dim(self) -> int:
-        return sum(self.dims.values())
+    basis: tuple[str, ...]
+    vertices: tuple[str, ...]
+    ends: tuple[tuple[int, int], ...]
+    gens: tuple[int, ...]
+    parent: tuple[tuple[int, int] | None, ...]
+    right: tuple[tuple[int, ...], ...]
 
     @property
-    def is_semisimple(self) -> bool:
-        return all(m is None for m in self.mats.values())
-
-    def mat(self, name: str) -> np.ndarray:
-        """The arrow's matrix, materialized densely even when zero."""
-        m = self.mats[name]
-        if m is not None:
-            return m
-        a = self.algebra.quiver.arrow_by_name[name]
-        return np.zeros((self.dims[a.target], self.dims[a.source]),
-                        dtype=np.int64)
-
-    def path_action(self, arrow_names, vecs: np.ndarray) -> np.ndarray:
-        out = vecs % self.p
-        for name in arrow_names:
-            m = self.mats[name]
-            if m is None:
-                end = self.algebra.quiver.arrow_by_name[arrow_names[-1]].target
-                return np.zeros((self.dims[end], out.shape[1]), dtype=np.int64)
-            out = _matmul_mod(m, out, self.p)
-        return out
-
-    def check_relations(self):
-        for rel in self.algebra.relations:
-            src = rel.source
-            m = np.eye(self.dims[src], dtype=np.int64)
-            m = self.path_action(rel.arrows, m)
-            if m.size and np.any(m % self.p):
-                raise InternalInconsistencyError(
-                    f"relation {rel.literal()} does not vanish on the module"
-                )
-
-    def syzygy(self) -> "MonoRepresentation":
-        return syzygy_rep(self)
+    def gen_names(self) -> list[str]:
+        return [self.basis[g] for g in self.gens]
 
 
-def rep_of(M: ModuleExpr, A: MonomialAlgebra, p: int) -> MonoRepresentation:
-    """Representation of a module expression: one basis vector per path in
-    each summand's key basis, graded by the path's endpoint; arrows act by
-    path extension inside the basis, zero when the extension leaves it."""
-    entries: list[tuple[int, frozenset, object]] = []
-    for tid, (key, mult) in enumerate(M.terms):
-        basis = key_basis(key, A)
-        allowed = frozenset(q.arrows for q in basis)
-        for copy in range(mult):
-            for q in basis:
-                entries.append(((tid, copy), allowed, q))
-
-    dims = {v: 0 for v in A.quiver.vertices}
-    index: dict[tuple, int] = {}
-    for owner, _, q in entries:
-        index[(owner, q.arrows)] = dims[q.target]
-        dims[q.target] += 1
-
-    mats: dict[str, np.ndarray | None] = {
-        a.name: np.zeros((dims[a.target], dims[a.source]), dtype=np.int64)
-        for a in A.quiver.arrows
-    }
-    for owner, allowed, q in entries:
-        for a in A.quiver.arrows_from(q.target):
-            ext = q.arrows + (a.name,)
-            if ext in allowed:
-                mats[a.name][index[(owner, ext)], index[(owner, q.arrows)]] = 1
-    mats = {name: (m if m is not None and m.any() else None)
-            for name, m in mats.items()}
-    rep = MonoRepresentation(A, p, dims, mats)
-    rep.check_relations()
-    return rep
-
-
-def _semisimple_syzygy(R: MonoRepresentation) -> MonoRepresentation:
-    """Syzygy of a module on which every arrow acts by zero.
-
-    Such a module is a direct sum of simples, its radical is zero, and its
-    projective cover is P = (+) P(w)^dims[w] mapping each generator to a
-    basis vector. The kernel is exactly rad P, whose basis is the positive
-    paths of the cover's path basis, and an arrow acts on that basis by
-    extend-or-die. No linear algebra is needed."""
-    A, p = R.algebra, R.p
+@lru_cache(maxsize=1)
+def compile_paths(A: MonomialAlgebra) -> GradedTable:
+    """The nonzero paths of A as a graded table: the generators are the
+    arrows, and the parent of a path is the path without its last arrow.
+    Cached for the last algebra, since crosscheck and the CLI build one
+    representation per prime of the same algebra."""
     Q = A.quiver
+    paths = A.nonzero_paths
+    at = {(q.source, q.arrows): j for j, q in enumerate(paths)}
+    return GradedTable(
+        basis=tuple(q.literal() for q in paths),
+        vertices=Q.vertices,
+        ends=tuple((Q.vertex_index[q.source], Q.vertex_index[q.target])
+                   for q in paths),
+        gens=tuple(at[(a.source, (a.name,))] for a in Q.arrows),
+        parent=tuple((at[(q.source, q.arrows[:-1])], Q.arrow_index[q.arrows[-1]])
+                     if q.arrows else None for q in paths),
+        right=tuple(tuple(at.get((q.source, q.arrows + (a.name,)), -1)
+                          for q in paths) for a in Q.arrows),
+    )
 
-    new_dims = {v: 0 for v in Q.vertices}
-    kbase: dict[tuple, int] = {}
-    for w in Q.vertices:
-        d = R.dims[w]
-        if d == 0:
-            continue
-        for q in A.paths_from(w):
-            if not q.arrows:
-                continue
-            kbase[(w, q.arrows)] = new_dims[q.target]
-            new_dims[q.target] += d
-
-    new_mats: dict[str, np.ndarray | None] = {}
-    for a in Q.arrows:
-        pairs: list[tuple[int, int, int]] = []
-        for (w, arrs), j0 in kbase.items():
-            if Q.arrow_by_name[arrs[-1]].target != a.source:
-                continue
-            j2 = kbase.get((w, arrs + (a.name,)))
-            if j2 is not None:
-                pairs.append((j2, j0, R.dims[w]))
-        if not pairs:
-            new_mats[a.name] = None
-            continue
-        m = np.zeros((new_dims[a.target], new_dims[a.source]), dtype=np.int64)
-        for j2, j0, d in pairs:
-            m[np.arange(j2, j2 + d), np.arange(j0, j0 + d)] = 1
-        new_mats[a.name] = m
-    return MonoRepresentation(A, p, new_dims, new_mats)
-
-
-def syzygy_rep(R: MonoRepresentation) -> MonoRepresentation:
-    """Kernel of a projective cover of R, as a representation.
-
-    top R = R / (sum of arrow images); the cover stacks one projective per
-    lifted top vector; the kernel is read off per vertex and the arrow action
-    is re-expressed in kernel coordinates. The projective left action of an
-    arrow permutes the path basis (extend or die), so it is applied as a row
-    scatter rather than a matrix product. Semisimple input short-circuits to
-    the combinatorial rad P description."""
-    A, p = R.algebra, R.p
-    Q = A.quiver
-
-    if R.is_semisimple:
-        return _semisimple_syzygy(R)
-
-    arrows_into: dict[str, list] = {v: [] for v in Q.vertices}
-    for a in Q.arrows:
-        arrows_into[a.target].append(a)
-
-    lifts: dict[str, np.ndarray] = {}
-    for w in Q.vertices:
-        cols = [R.mats[a.name] for a in arrows_into[w]
-                if R.mats[a.name] is not None]
-        if cols:
-            rad = np.concatenate(cols, axis=1)
-        else:
-            rad = np.zeros((R.dims[w], 0), dtype=np.int64)
-        lifts[w] = _complement_columns(rad, R.dims[w], p)
-
-    # Projective cover basis: (generator vertex w, copy c, path q from w),
-    # graded by the endpoint of q. Copies are contiguous: the column of
-    # (w, c, q) is base(w, q) + c.
-    pdims = {v: 0 for v in Q.vertices}
-    pbase: dict[tuple, int] = {}
-    for w in Q.vertices:
-        ncopies = lifts[w].shape[1]
-        if ncopies == 0:
-            continue
-        for q in A.paths_from(w):
-            pbase[(w, q.arrows)] = pdims[q.target]
-            pdims[q.target] += ncopies
-
-    # Cover map: column block of (w, *, q) at vertex t(q) is (action of q
-    # applied to all lifted top vectors of w), built by extending along the
-    # path tree.
-    cover: dict[str, np.ndarray] = {
-        u: np.zeros((R.dims[u], pdims[u]), dtype=np.int64) for u in Q.vertices
-    }
-    for w in Q.vertices:
-        ncopies = lifts[w].shape[1]
-        if ncopies == 0:
-            continue
-        blocks: dict[tuple, np.ndarray | None] = {(): lifts[w]}
-        for q in A.paths_from(w):
-            if q.arrows:
-                parent = blocks[q.arrows[:-1]]
-                last = R.mats[q.arrows[-1]]
-                if parent is None or last is None:
-                    blocks[q.arrows] = None
-                else:
-                    blocks[q.arrows] = _matmul_mod(last, parent, p)
-            blk = blocks[q.arrows]
-            if blk is None:
-                continue
-            j0 = pbase[(w, q.arrows)]
-            cover[q.target][:, j0:j0 + ncopies] = blk
-
-    kernels: dict[str, np.ndarray] = {}
-    frees: dict[str, np.ndarray] = {}
-    for u in Q.vertices:
-        r, pivots = _rref(cover[u], p)
-        if len(pivots) != R.dims[u]:
-            raise InternalInconsistencyError(
-                f"projective cover is not surjective at vertex {u}"
-            )
-        kernels[u], frees[u] = _kernel_from_rref(r, pivots, pdims[u], p)
-
-    # Row scatter describing the arrow action on the cover: column (w, c, q)
-    # maps to (w, c, q.a) when q.a is still a nonzero path, else to zero.
-    new_dims = {u: kernels[u].shape[1] for u in Q.vertices}
-    new_mats: dict[str, np.ndarray | None] = {}
-    for a in Q.arrows:
-        u, u2 = a.source, a.target
-        src_rows: list[np.ndarray] = []
-        dst_rows: list[np.ndarray] = []
-        for (w, arrs), j0 in pbase.items():
-            q_target = Q.arrow_by_name[arrs[-1]].target if arrs else w
-            if q_target != u:
-                continue
-            j2 = pbase.get((w, arrs + (a.name,)))
-            if j2 is None:
-                continue
-            ncopies = lifts[w].shape[1]
-            src_rows.append(np.arange(j0, j0 + ncopies))
-            dst_rows.append(np.arange(j2, j2 + ncopies))
-        moved = np.zeros((pdims[u2], new_dims[u]), dtype=np.int64)
-        if src_rows:
-            src = np.concatenate(src_rows)
-            dst = np.concatenate(dst_rows)
-            moved[dst, :] = kernels[u][src, :]
-        coords = _coords_in_kernel(kernels[u2], frees[u2], moved, p)
-        new_mats[a.name] = coords if coords.any() else None
-    return MonoRepresentation(A, p, new_dims, new_mats)
-
-
-# -- multiplication tables ------------------------------------------------------
 
 @dataclass(frozen=True)
 class AlgebraTable:
@@ -462,6 +274,37 @@ class AlgebraTable:
         return tuple(i for i in range(self.dim) if i not in self.idempotents)
 
 
+def compile_table(t: AlgebraTable) -> GradedTable:
+    """A local table as a graded table with one vertex. The generators are
+    the radical elements that are not a product of two radical elements;
+    the basis is renumbered in breadth-first order from the identity, so
+    that parents come first."""
+    rad = t.radical_indices
+    products = {t.product(a, b) for a in rad for b in rad}
+    gens = [i for i in rad if i not in products]
+    order = [t.idempotents[0]]
+    parent = {order[0]: None}
+    for j in order:
+        for k, g in enumerate(gens):
+            jg = t.product(j, g)
+            if jg >= 0 and jg not in parent:
+                parent[jg] = (j, k)
+                order.append(jg)
+    if len(order) != t.dim:
+        raise ValidationError("the radical generators do not span the table")
+    pos = {j: i for i, j in enumerate(order)}
+    return GradedTable(
+        basis=tuple(t.basis[j] for j in order),
+        vertices=(t.basis[order[0]],),
+        ends=((0, 0),) * t.dim,
+        gens=tuple(pos[g] for g in gens),
+        parent=tuple(None if parent[j] is None
+                     else (pos[parent[j][0]], parent[j][1]) for j in order),
+        right=tuple(tuple(pos.get(t.product(j, g), -1) for j in order)
+                    for g in gens),
+    )
+
+
 @lru_cache(maxsize=None)
 def xyz_local_table() -> AlgebraTable:
     """k[X,Y,Z] / (X^2, Y^2, Z^2, XZ, YZ): basis 1, x, y, z, xy."""
@@ -489,75 +332,207 @@ def builtin_table(table_id: str) -> AlgebraTable:
     )
 
 
+# -- representations and the syzygy step ------------------------------------------
+
+def _along_parents(T: GradedTable, acts, p: int, starts) -> list:
+    """For every basis element j, the action of j applied to the columns
+    starts[source of j] (None where the source has none), built along the
+    parent tree: j = j' * g acts as g after j'. None stands for zero."""
+    out: list[np.ndarray | None] = []
+    for j, par in enumerate(T.parent):
+        if par is None:
+            out.append(starts[T.ends[j][0]])
+            continue
+        prev, m = out[par[0]], acts[par[1]]
+        out.append(None if prev is None or m is None
+                   else _matmul_mod(m, prev, p))
+    return out
+
+
+def syzygy_rep(R: "TableRepresentation") -> "TableRepresentation":
+    """Kernel of a projective cover of R, as a representation.
+
+    At each vertex the top of R is a complement of the generator images. The
+    cover stacks one projective e_w A per lifted top vector at w; its basis
+    is (j, copy) for the basis elements j from w, graded by the target of j,
+    and its map sends (j, copy) to the lift acted on by j. The kernel is read
+    off one rref per vertex, and a generator g acts on the cover by j -> j*g,
+    a row scatter accumulated over j because table products may collide.
+    When every generator acts by zero, R is semisimple and the kernel is
+    rad P, the cover basis without its idempotents: then no matrix beyond
+    the new actions is built."""
+    T, p = R.table, R.p
+    dims = [R.dims[v] for v in T.vertices]
+    acts = [R.mats[name] for name in T.gen_names]
+    semisimple = R.is_semisimple
+    if semisimple:
+        copies = dims
+    else:
+        lifts = []
+        for v, d in enumerate(dims):
+            cols = [m for m, g in zip(acts, T.gens)
+                    if m is not None and T.ends[g][1] == v]
+            rad = (np.concatenate(cols, axis=1) if cols
+                   else np.zeros((d, 0), dtype=np.int64))
+            lifts.append(_complement_columns(rad, d, p))
+        copies = [lift.shape[1] for lift in lifts]
+
+    # Cover basis, or rad P when semisimple: the copies of j are the rows
+    # start[j] .. start[j] + copies[source of j] of the space at its target.
+    start = [-1] * len(T.basis)
+    pdims = [0] * len(dims)
+    for j, (w, t) in enumerate(T.ends):
+        if copies[w] and not (semisimple and T.parent[j] is None):
+            start[j] = pdims[t]
+            pdims[t] += copies[w]
+    # Right multiplication by generator k: row blocks (from, to, length).
+    blocks = [[(start[j], start[jg], copies[T.ends[j][0]])
+               for j, jg in enumerate(T.right[k])
+               if jg >= 0 and start[j] >= 0]
+              for k in range(len(T.gens))]
+
+    if semisimple:
+        new_dims = pdims
+    else:
+        images = _along_parents(T, acts, p,
+                                [lift if lift.shape[1] else None
+                                 for lift in lifts])
+        covers = [np.zeros((d, pd), dtype=np.int64) for d, pd in zip(dims, pdims)]
+        for j, (w, t) in enumerate(T.ends):
+            if start[j] >= 0 and images[j] is not None:
+                covers[t][:, start[j]:start[j] + copies[w]] = images[j]
+        kernels, frees = [], []
+        for v, cover in enumerate(covers):
+            r, pivots = _rref(cover, p)
+            if len(pivots) != dims[v]:
+                raise InternalInconsistencyError(
+                    f"projective cover is not surjective at vertex {T.vertices[v]}"
+                )
+            kernel, free = _kernel_from_rref(r, pivots, pdims[v], p)
+            kernels.append(kernel)
+            frees.append(free)
+        new_dims = [kernel.shape[1] for kernel in kernels]
+
+    new_mats: list[np.ndarray | None] = []
+    for k, g in enumerate(T.gens):
+        s, t = T.ends[g]
+        if not blocks[k]:
+            new_mats.append(None)
+            continue
+        m = np.zeros((pdims[t], new_dims[s]), dtype=np.int64)
+        for a, b, c in blocks[k]:
+            if semisimple:  # the kernel basis is the rad P basis itself
+                np.fill_diagonal(m[b:b + c, a:a + c], 1)
+            else:
+                m[b:b + c] += kernels[s][a:a + c]
+        if not semisimple:
+            m = _coords_in_kernel(kernels[t], frees[t], m, p)
+        new_mats.append(m if m.any() else None)
+    return TableRepresentation(T, p, dict(zip(T.vertices, new_dims)),
+                               dict(zip(T.gen_names, new_mats)))
+
+
 @dataclass
 class TableRepresentation:
-    """Module over a table algebra: one GF(p) space plus the action matrix of
-    each basis element (action of u takes m to m*u; composing actions follows
-    the same traversal order as path composition)."""
+    """Right module over a graded table: a GF(p) space per vertex and the
+    matrix of each generator (target space x source space); the action of a
+    basis element is the ordered product along its parent chain. A generator
+    whose action is the zero map stores None instead of a dense zero block,
+    so that semisimple modules cost nothing to multiply."""
 
-    table: AlgebraTable
+    table: GradedTable
     p: int
-    mats: dict[int, np.ndarray]
+    dims: dict[str, int]
+    mats: dict[str, np.ndarray | None]
+
+    syzygy = syzygy_rep
 
     @property
     def total_dim(self) -> int:
-        e = self.table.idempotents[0]
-        return self.mats[e].shape[0]
+        return sum(self.dims.values())
 
-    def syzygy(self) -> "TableRepresentation":
-        t, p = self.table, self.p
-        dim = self.total_dim
-        rad_cols = [self.mats[i] for i in t.radical_indices]
-        if rad_cols:
-            rad = np.concatenate(rad_cols, axis=1)
-        else:
-            rad = np.zeros((dim, 0), dtype=np.int64)
-        lifts = _complement_columns(rad, dim, p)
-        tdim = lifts.shape[1]
-        nb = t.dim
-        # cover = free module of rank tdim, basis (copy c, table basis j),
-        # column index c * nb + j
-        cover = np.zeros((dim, tdim * nb), dtype=np.int64)
-        for j in range(nb):
-            cover[:, j::nb] = _matmul_mod(self.mats[j], lifts, p)
-        r, pivots = _rref(cover, p)
-        if len(pivots) != dim:
-            raise InternalInconsistencyError("projective cover is not surjective")
-        kernel, free = _kernel_from_rref(r, pivots, tdim * nb, p)
-        # Right multiplication by basis element u sends cover basis (c, j) to
-        # (c, j*u) or zero; apply as a row scatter with accumulation (distinct
-        # j may collide on the same product).
-        copies = np.arange(tdim) * nb
-        new_mats: dict[int, np.ndarray] = {}
-        for u in range(nb):
-            moved = np.zeros((tdim * nb, kernel.shape[1]), dtype=np.int64)
-            for j in range(nb):
-                ju = t.product(j, u)
-                if ju >= 0:
-                    np.add.at(moved, copies + ju, kernel[copies + j, :])
-            moved %= p
-            new_mats[u] = _coords_in_kernel(kernel, free, moved, p)
-        return TableRepresentation(t, p, new_mats)
+    @property
+    def is_semisimple(self) -> bool:
+        return all(m is None for m in self.mats.values())
+
+    def mat(self, name: str) -> np.ndarray:
+        """The generator's matrix, materialized densely even when zero."""
+        m = self.mats[name]
+        if m is not None:
+            return m
+        T = self.table
+        s, t = T.ends[T.basis.index(name)]
+        return np.zeros((self.dims[T.vertices[t]], self.dims[T.vertices[s]]),
+                        dtype=np.int64)
+
+    def check_relations(self):
+        """The action of j * g is the action of j followed by that of g, for
+        every basis element j and generator g (zero where j * g is zero)."""
+        T, p = self.table, self.p
+        acts = [self.mats[name] for name in T.gen_names]
+        images = _along_parents(T, acts, p, [np.eye(self.dims[v], dtype=np.int64)
+                                             for v in T.vertices])
+        for k, g in enumerate(T.gens):
+            for j, jg in enumerate(T.right[k]):
+                if T.ends[j][1] != T.ends[g][0] or (
+                        jg >= 0 and T.parent[jg] == (j, k)):
+                    continue  # not composable, or true by construction
+                lhs = (0 if acts[k] is None or images[j] is None
+                       else _matmul_mod(acts[k], images[j], p))
+                rhs = images[jg] if jg >= 0 and images[jg] is not None else 0
+                if np.any((lhs - rhs) % p):
+                    raise InternalInconsistencyError(
+                        f"{T.basis[j]} * {T.basis[g]} = "
+                        f"{T.basis[jg] if jg >= 0 else 0} does not hold on the module"
+                    )
+
+
+def _span_rep(T: GradedTable, p: int, summands) -> TableRepresentation:
+    """Direct sum of the modules spanned by each list of basis elements in
+    `summands`: a generator sends j to j * g when that stays in j's
+    summand, and to zero otherwise."""
+    dims = [0] * len(T.vertices)
+    row: dict[tuple[int, int], int] = {}
+    for i, members in enumerate(summands):
+        for j in members:
+            t = T.ends[j][1]
+            row[(i, j)] = dims[t]
+            dims[t] += 1
+    mats = [np.zeros((dims[T.ends[g][1]], dims[T.ends[g][0]]), dtype=np.int64)
+            for g in T.gens]
+    for i, members in enumerate(summands):
+        for j in members:
+            for k, right in enumerate(T.right):
+                to = row.get((i, right[j]))
+                if to is not None:
+                    mats[k][to, row[(i, j)]] = 1
+    rep = TableRepresentation(
+        T, p, dict(zip(T.vertices, dims)),
+        {name: (m if m.any() else None) for name, m in zip(T.gen_names, mats)})
+    rep.check_relations()
+    return rep
+
+
+def rep_of(M: ModuleExpr, A: MonomialAlgebra, p: int) -> TableRepresentation:
+    """Representation of a module expression: one basis vector per path in
+    each summand's key basis, graded by the path's endpoint; arrows act by
+    path extension inside the basis, zero when the extension leaves it."""
+    T = compile_paths(A)
+    at = {name: j for j, name in enumerate(T.basis)}
+    summands = []
+    for key, mult in M.terms:
+        summands += [[at[q.literal()] for q in key_basis(key, A)]] * mult
+    return _span_rep(T, p, summands)
 
 
 def table_rep(table: AlgebraTable, module_name: str, p: int) -> TableRepresentation:
     """Built-in table modules: "k" (the unique simple) and "regular" (the
     algebra as a module over itself)."""
-    nb = table.dim
+    T = compile_table(table)
     if module_name == "k":
-        mats = {i: np.zeros((1, 1), dtype=np.int64) for i in range(nb)}
-        mats[table.idempotents[0]] = np.ones((1, 1), dtype=np.int64)
-        return TableRepresentation(table, p, mats)
+        return _span_rep(T, p, [[0]])
     if module_name == "regular":
-        mats = {}
-        for u in range(nb):
-            m = np.zeros((nb, nb), dtype=np.int64)
-            for j in range(nb):
-                ju = table.product(j, u)
-                if ju >= 0:
-                    m[ju, j] = 1
-            mats[u] = m
-        return TableRepresentation(table, p, mats)
+        return _span_rep(T, p, [range(len(T.basis))])
     raise ValidationError(
         f"unknown table module {module_name!r} (available: k, regular)"
     )
@@ -585,8 +560,9 @@ def xyz_local_expected_dims(N: int) -> list[int]:
 def dim_sequence(R, N: int, cap: int | None = None) -> list[int]:
     """[dim R, dim syzygy(R), ..., dim syzygy^N(R)]. Refuses to take the
     syzygy of a representation larger than the cap (default 200000, override
-    with the cap argument or SYZCX_DIM_CAP); the partial list rides on the
-    error."""
+    with the cap argument or SYZCX_DIM_CAP), and reports a step that runs out
+    of memory the same way; the partial list rides on the error and is
+    named in its message."""
     if N < 0:
         raise ValueError("N must be >= 0")
     limit = _dim_cap(cap)
@@ -596,9 +572,16 @@ def dim_sequence(R, N: int, cap: int | None = None) -> list[int]:
         if cur.total_dim > limit:
             raise DimensionCapExceededError(
                 f"representation dimension {cur.total_dim} exceeds the cap "
-                f"{limit}", dims=dims,
+                f"{limit}; dimensions so far {dims}", dims=dims,
             )
-        cur = cur.syzygy()
+        try:
+            cur = cur.syzygy()
+        except MemoryError:
+            raise DimensionCapExceededError(
+                f"out of memory taking the syzygy of a representation of "
+                f"dimension {cur.total_dim}; dimensions so far {dims}",
+                dims=dims,
+            ) from None
         dims.append(cur.total_dim)
     return dims
 

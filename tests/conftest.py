@@ -164,3 +164,46 @@ def random_rsz_algebras(seed, count, bound=100_000):
             continue
         out.append(make_algebra(text))
     return out
+
+
+def random_monomial_text(rng: random.Random, max_vertices=6):
+    """Random monomial algebra file with relations of length 3 to 5: a
+    random quiver, every composable path of length L (drawn from 3..5) a
+    relation, so the algebra is finite dimensional, plus a few random
+    composable paths of length 3..L-1 as further relations."""
+    nv = rng.randint(1, max_vertices)
+    arrows = [(f"a{i}", rng.randrange(nv), rng.randrange(nv))
+              for i in range(rng.randint(1, nv + 2))]
+    out: dict[int, list] = {}
+    for a in arrows:
+        out.setdefault(a[1], []).append(a)
+
+    def walks(length):
+        layer = [[a] for a in arrows]
+        for _ in range(length - 1):
+            layer = [w + [b] for w in layer for b in out.get(w[-1][2], ())]
+        return layer
+
+    L = rng.randint(3, 5)
+    relations = {tuple(a[0] for a in w) for w in walks(L)}
+    for length in range(3, L):
+        shorter = walks(length)
+        for w in rng.sample(shorter, min(len(shorter), rng.randint(0, 2))):
+            relations.add(tuple(a[0] for a in w))
+    lines = ["algebra mono"]
+    lines += [f"vertex v{i}" for i in range(nv)]
+    lines += [f"arrow {n} : v{s} -> v{t}" for n, s, t in arrows]
+    lines += [f"relation {'.'.join(r)}" for r in sorted(relations)]
+    return "\n".join(lines) + "\n"
+
+
+def random_monomial_algebras(seed, count):
+    """Deterministic stream of validated algebras from random_monomial_text;
+    draws without a relation (no path of length L) are skipped."""
+    rng = random.Random(seed)
+    out = []
+    while len(out) < count:
+        text = random_monomial_text(rng)
+        if "relation" in text:
+            out.append(make_algebra(text))
+    return out

@@ -5,6 +5,7 @@ import contextlib
 import io
 import json
 import os
+import random
 import subprocess
 import sys
 from pathlib import Path
@@ -236,24 +237,30 @@ def test_internal_prime_disagreement(monkeypatch):
 
 BAD_INPUT_CASES = [
     ("negative_ell", ["realize-class", "--quiver",
-                      str(DATA / "loopquiver.alg"), "--ell", "-1"], {}, 1),
-    ("base_below_one", ["convolve", "[0,1]^n", "2^n"], {}, 2),
-    ("negative_degree", ["convolve", "2^n*n^-1", "2^n"], {}, 2),
-    ("directory", ["validate", str(DATA)], {}, 2),
-    ("not_utf8", ["validate", "{tmp}/latin1.alg"], {}, 2),
+                      str(DATA / "loopquiver.alg"), "--ell", "-1"], {}, 1, ""),
+    ("base_below_one", ["convolve", "[0,1]^n", "2^n"], {}, 2, ""),
+    ("negative_degree", ["convolve", "2^n*n^-1", "2^n"], {}, 2, ""),
+    ("directory", ["validate", str(DATA)], {}, 2, ""),
+    ("not_utf8", ["validate", "{tmp}/latin1.alg"], {}, 2, "{tmp}/latin1.alg"),
+    ("partial_not_utf8", ["lower-bound", FIB, "--partial", "{tmp}/latin1.json",
+                          "--vertex", "0"], {}, 2, "{tmp}/latin1.json"),
     ("start_not_int", ["lower-bound", FIB, "--partial",
-                       "{tmp}/start_str.json", "--vertex", "0"], {}, 3),
+                       "{tmp}/start_str.json", "--vertex", "0"], {}, 3, ""),
     ("start_id_not_int", ["lower-bound", FIB, "--partial",
-                          "{tmp}/start_dict.json", "--vertex", "0"], {}, 3),
+                          "{tmp}/start_dict.json", "--vertex", "0"], {}, 3, ""),
     ("dim_cap_not_int", ["oracle", "dims", FIB, "--module", "S1", "-n", "2"],
-     {"SYZCX_DIM_CAP": "abc"}, 3),
+     {"SYZCX_DIM_CAP": "abc"}, 3, ""),
+    ("dim_cap_partial", ["oracle", "dims", FIB, "--module", "S1", "-n", "20"],
+     {"SYZCX_DIM_CAP": "50"}, 4, "[1, 1, 2, 3, 5, 8, 13, 21, 34, 55]"),
 ]
 
 
-@pytest.mark.parametrize("argv,env,code", [c[1:] for c in BAD_INPUT_CASES],
+@pytest.mark.parametrize("argv,env,code,needle",
+                         [c[1:] for c in BAD_INPUT_CASES],
                          ids=[c[0] for c in BAD_INPUT_CASES])
-def test_bad_input_gives_one_error_line(tmp_path, argv, env, code):
+def test_bad_input_gives_one_error_line(tmp_path, argv, env, code, needle):
     (tmp_path / "latin1.alg").write_bytes("algebra \xe9\n".encode("latin-1"))
+    (tmp_path / "latin1.json").write_bytes('{"x": "\xe9"}'.encode("latin-1"))
     partial = json.loads((DATA / "partial_fib.json").read_text())
     for name, start in (("start_str.json", ["x"]),
                         ("start_dict.json", [{"id": "x"}])):
@@ -263,6 +270,130 @@ def test_bad_input_gives_one_error_line(tmp_path, argv, env, code):
     assert "Traceback" not in proc.stderr
     lines = proc.stderr.splitlines()
     assert len(lines) == 1 and lines[0].startswith("error["), proc.stderr
+    assert needle.format(tmp=tmp_path) in lines[0]
+
+
+def test_memory_error_in_a_syzygy_step_keeps_the_partial_result(monkeypatch):
+    from syzcx import oracle
+
+    def step(R):
+        if R.total_dim > 2:
+            raise MemoryError
+        return oracle.syzygy_rep(R)
+
+    monkeypatch.setattr(oracle.TableRepresentation, "syzygy", step)
+    rc, out, err = run_cli(["oracle", "dims", FIB, "--module", "S1", "-n", "8"])
+    assert rc == 4 and out == ""
+    assert err.startswith("error[dimension_cap_exceeded]: out of memory")
+    assert err.count("\n") == 1 and "[1, 1, 2, 3]" in err
+
+
+# -- fuzzing: every call ends with an exit code, never an exception ------------------
+
+def _mutate_text(rng, text):
+    chars = list(text)
+    for _ in range(rng.randint(1, 4)):
+        i = rng.randrange(len(chars))
+        if rng.random() < 0.5:
+            del chars[i]
+        else:
+            chars[i] = rng.choice(".:->=*()\n 0123ab")
+    return "".join(chars)
+
+
+def _fuzz_files(rng, tmp_path):
+    """Algebra and partial-quiver files: good ones, mutated ones, random
+    bytes, a missing file and a directory."""
+    algebras = [FIB, LOOP3, A2, str(DATA / "infinite.alg"), str(DATA)]
+    partials = [str(DATA / n) for n in ("partial_fib.json", "partial_bogus.json",
+                                        "notjson.json")]
+    fib_text = (DATA / "fib.alg").read_text()
+    partial_text = (DATA / "partial_fib.json").read_text()
+    for i in range(6):
+        for kind, text, out in (("alg", fib_text, algebras),
+                                ("json", partial_text, partials)):
+            path = tmp_path / f"mutated{i}.{kind}"
+            path.write_text(_mutate_text(rng, text))
+            out.append(str(path))
+            path = tmp_path / f"bytes{i}.{kind}"
+            path.write_bytes(rng.randbytes(rng.randint(0, 40)))
+            out.append(str(path))
+    missing = str(tmp_path / "missing.alg")
+    return algebras + [missing], partials + [missing]
+
+
+def _fuzz_argv(rng, algebras, partials):
+    def num():
+        return str(rng.choice([-1, 0, 1, 2, 3, 4]))
+
+    def coeffs(most=4):
+        body = ",".join(str(rng.randint(-3, 3)) for _ in range(rng.randint(0, most)))
+        return rng.choice(["[{}]", "{}", "[{}", "{},x"]).format(body)
+
+    def klass():
+        base = rng.choice(["2", "0", "1", "-1", "[-1,-1,1]", "[0,1]", "[1]",
+                           "1.618033988750", "1.5", "x", coeffs()])
+        return rng.choice(["{}^n", "{}^n*n^" + num(), "{}", "0", "0:" + num(),
+                           "0:x"]).format(base)
+
+    def module():
+        return rng.choice(["S1", "S2", "P1", "Mix", "nope"])
+
+    def alg():  # the three good algebras half of the time
+        return rng.choice(algebras[:3] if rng.random() < 0.5 else algebras)
+
+    def partial():
+        return rng.choice(partials[:1] if rng.random() < 0.5 else partials)
+
+    templates = [
+        lambda: ["validate", alg()],
+        lambda: ["paths", alg()],
+        lambda: ["syzquiver", alg(), "--module", module(),
+                 rng.choice(["--dot", "--json"])],
+        lambda: ["complexity", alg(), "--module", module()],
+        lambda: ["lower-bound", alg(), "--partial", partial(),
+                 "--vertex", num()],
+        lambda: ["curvature", "check", coeffs(5), "--assume-irreducible"][
+            :rng.randint(3, 4)],
+        lambda: ["curvature", "combine", "--op",
+                 rng.choice(["sum", "product", "root", "max"]), coeffs(3),
+                 rng.choice([coeffs(3), num()])],
+        lambda: ["curvature", "realize",
+                 ",".join(num().lstrip("-") for _ in range(rng.randint(1, 4)))],
+        lambda: ["realize-class", "--quiver", alg(), "--ell", num()],
+        lambda: ["convolve", klass(), klass()],
+        lambda: ["oracle", "dims", alg(), "--module", module(), "-n", num()],
+        lambda: ["oracle", "dims", "--builtin",
+                 rng.choice(["xyz-local", "nope"]), "--module",
+                 rng.choice(["k", "regular", "x"]), "-n", num()],
+        lambda: ["oracle", "crosscheck", alg(), "--module", module(),
+                 "-n", num()],
+    ]
+    argv = rng.choice(templates)()
+    for _ in range(rng.choice([0, 0, 0, 1, 2])):
+        i = rng.randrange(len(argv) + 1)
+        op = rng.randrange(3)
+        if op == 0 and argv:
+            del argv[min(i, len(argv) - 1)]
+        elif op == 1:
+            argv.insert(i, rng.choice(["--module", "-n", "x", "", "--dot",
+                                       num(), alg()]))
+        elif len(argv) > 1:
+            j = rng.randrange(len(argv))
+            argv[j], argv[i - 1] = argv[i - 1], argv[j]
+    return argv
+
+
+def test_fuzzed_arguments_exit_cleanly(tmp_path):
+    rng = random.Random(0xF022)
+    algebras, partials = _fuzz_files(rng, tmp_path)
+    for _ in range(300):
+        argv = _fuzz_argv(rng, algebras, partials)
+        rc, _, err = run_cli(argv)
+        assert 0 <= rc <= 5, (argv, rc, err)
+        if rc:
+            lines = err.splitlines()
+            assert len(lines) == 1 and lines[0].startswith("error["), (argv, err)
 
 
 # -- help text ----------------------------------------------------------------------

@@ -7,13 +7,14 @@ of k alternate between dimensions 2 and 1; over the two-vertex Fibonacci
 algebra dim P(1) = 2 and dim P(2) = 3 force the Fibonacci recursion; the
 local commutative table algebra satisfies f(n+1) = 3 f(n) - f(n-1)."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
 from syzcx.oracle import (
     PRIMES,
     DEFAULT_DIM_CAP,
-    MonoRepresentation,
     rep_of,
     syzygy_rep,
     AlgebraTable,
@@ -21,6 +22,7 @@ from syzcx.oracle import (
     BUILTIN_TABLE_IDS,
     builtin_table,
     TableRepresentation,
+    compile_table,
     table_rep,
     xyz_local_expected_dims,
     dim_sequence,
@@ -40,7 +42,7 @@ from syzcx.errors import (
     ValidationError,
 )
 
-from conftest import fibonacci_numbers
+from conftest import fibonacci_numbers, make_algebra
 
 P = PRIMES[0]
 
@@ -97,7 +99,7 @@ def test_rep_checks_relations(loop3):
     bad = np.zeros((3, 3), dtype=np.int64)
     bad[1, 0] = bad[2, 1] = 1
     bad[0, 2] = 1
-    broken = MonoRepresentation(loop3, P, dict(r.dims), {"x": bad})
+    broken = TableRepresentation(r.table, P, dict(r.dims), {"x": bad})
     with pytest.raises(InternalInconsistencyError):
         broken.check_relations()
 
@@ -125,19 +127,44 @@ def test_projective_resolution_stops(fib):
 def test_semisimple_shortcut_matches_dense_path(fib, chain):
     # Feed the same semisimple module through the combinatorial shortcut and
     # through the dense-kernel path (zero matrices materialized) and compare.
-    for A, v in ((fib, "1"), (chain, "2")):
-        fast = rep_of(singleton(simple_key(A, v)), A, P)
-        dense_mats = {
-            a.name: np.zeros((fast.dims[a.target], fast.dims[a.source]),
-                             dtype=np.int64)
-            for a in A.quiver.arrows
-        }
-        slow = MonoRepresentation(A, P, dict(fast.dims), dense_mats)
+    cases = [rep_of(singleton(simple_key(A, v)), A, P)
+             for A, v in ((fib, "1"), (chain, "2"))]
+    cases.append(table_rep(xyz_local_table(), "k", P))
+    for fast in cases:
+        dense_mats = {name: fast.mat(name) for name in fast.mats}
+        slow = TableRepresentation(fast.table, P, dict(fast.dims), dense_mats)
         assert fast.is_semisimple and not slow.is_semisimple
         f, s = fast, slow
         for _ in range(4):
             f, s = syzygy_rep(f), syzygy_rep(s)
             assert f.dims == s.dims
+
+
+def test_semisimple_shortcut_stays_small(fib):
+    # Every syzygy of S1 over fib is semisimple, up to dimension 10946 at
+    # n = 20; a dense kernel at that size would take gigabytes.
+    tracemalloc.start()
+    try:
+        rpt = crosscheck(fib, resolve_module(fib, "S1"), 20)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert rpt.agree
+    assert peak < 100 * 2**20
+
+
+def test_oracle_never_calls_the_symbolic_syzygy_rule(fib, monkeypatch):
+    import syzcx.oracle as oracle
+    import syzcx.syzygy as syzygy
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("the oracle used the symbolic syzygy rule")
+
+    for name in ("syzygy_key", "syzygy_step"):
+        assert not hasattr(oracle, name)
+        monkeypatch.setattr(syzygy, name, forbidden)
+    r = rep_of(resolve_module(fib, "Mix"), fib, P)
+    assert dim_sequence(r, 6) == [5, 2, 4, 6, 10, 16, 26]
 
 
 def test_dim_sequence_rejects_negative(fib):
@@ -177,14 +204,48 @@ def test_xyz_table_shape():
     t.check()
 
 
+# 1, x, y with x*x = y and everything longer zero: k[x]/(x^3).
+KX3 = AlgebraTable("kx3", ("1", "x", "y"), ((0, 1, 2), (1, 2, -1), (2, -1, -1)),
+                   (0,))
+
+
 def test_table_check_accepts_truncated_polynomial_ring():
-    # 1, x, y with x*x = y and everything longer zero: k[x]/(x^3).
-    good = AlgebraTable(
-        "kx3", ("1", "x", "y"),
-        ((0, 1, 2), (1, 2, -1), (2, -1, -1)),
-        (0,),
-    )
-    good.check()
+    KX3.check()
+
+
+def test_compile_table_generators():
+    # The generators are the radical elements that are not products.
+    assert compile_table(KX3).gen_names == ["x"]
+    assert compile_table(xyz_local_table()).gen_names == ["x", "y", "z"]
+
+
+def test_table_and_path_compilations_agree(loop3):
+    # k[x]/(x^3) as a table and as the monomial algebra loop3.
+    for p in PRIMES:
+        assert (dim_sequence(table_rep(KX3, "k", p), 8)
+                == dim_sequence(rep_of(singleton(simple_key(loop3, "1")),
+                                       loop3, p), 8))
+        assert (dim_sequence(table_rep(KX3, "regular", p), 3)
+                == dim_sequence(rep_of(singleton(projective_key(loop3, "1")),
+                                       loop3, p), 3)
+                == [3, 0, 0, 0])
+
+
+def test_colliding_table_products_accumulate():
+    # x*x = x*y = y*x = y*y = w: right multiplication by x sends both x and
+    # y to w. With u = x - y this is the monomial algebra on two loops x, u
+    # with relations u.x, x.u, u.u, x.x.x, so both must give the same dims.
+    t = [[0, 1, 2, 3], [1, 3, 3, -1], [2, 3, 3, -1], [3, -1, -1, -1]]
+    table = AlgebraTable("xxw", ("1", "x", "y", "w"),
+                         tuple(tuple(r) for r in t), (0,))
+    table.check()
+    loops = make_algebra("algebra xu\nvertex 1\narrow x : 1 -> 1\n"
+                         "arrow u : 1 -> 1\nrelation u.x\nrelation x.u\n"
+                         "relation u.u\nrelation x.x.x\n")
+    want = dim_sequence(rep_of(singleton(simple_key(loops, "1")), loops, P), 6)
+    assert want[:3] == [1, 3, 5]
+    for p in PRIMES:
+        assert dim_sequence(table_rep(table, "k", p), 6) == want
 
 
 def test_table_check_rejects_non_associative():
@@ -219,6 +280,16 @@ def test_table_rep_modules():
     assert reg.total_dim == 5
     with pytest.raises(ValidationError):
         table_rep(t, "nope", P)
+
+
+def test_table_rep_checks_products():
+    # sabotage: let y send x to zero, so x*y and y*x no longer agree
+    r = table_rep(xyz_local_table(), "regular", P)
+    y = r.mats["y"].copy()
+    y[4, 1] = 0
+    broken = TableRepresentation(r.table, P, dict(r.dims), dict(r.mats, y=y))
+    with pytest.raises(InternalInconsistencyError):
+        broken.check_relations()
 
 
 def test_xyz_dim_sequence():

@@ -35,6 +35,8 @@ from syzcx.spectra import char_poly, compare_algebraic, equal_radius
 from syzcx.syzygy import (
     SyzygyQuiver,
     build_syzygy_quiver,
+    projective_key,
+    quiver_dim_sequence,
     resolve_module,
     simple_key,
     singleton,
@@ -42,7 +44,7 @@ from syzcx.syzygy import (
     syzygy_step,
 )
 
-from conftest import random_rsz_algebras
+from conftest import random_monomial_algebras, random_rsz_algebras
 
 SEED = 0x5EED
 
@@ -340,6 +342,26 @@ def test_pipelines_agree_on_random_algebras():
         for v in A.quiver.vertices:
             report = crosscheck(A, singleton(simple_key(A, v)), 8)
             assert report.agree, (A.name, v, report)
+
+
+def test_pipelines_agree_beyond_radical_square_zero():
+    # Relations of length 3 to 5 give modules that are not semisimple, so the
+    # oracle's general syzygy step is compared with the syzygy quiver. Each
+    # module goes as deep (up to 8) as its reference dimensions stay <= 2000.
+    deep = 0  # modules with a nonzero second syzygy
+    for A in random_monomial_algebras(seed=SEED + 4, count=16):
+        for v in A.quiver.vertices:
+            for key in (simple_key(A, v), projective_key(A, v)):
+                M = singleton(key)
+                dims = quiver_dim_sequence(build_syzygy_quiver(M, A), 8)
+                depth = 0
+                while depth < 8 and max(dims[:depth + 2]) <= 2000:
+                    depth += 1
+                report = crosscheck(A, M, depth)
+                assert report.agree, (A.name, v, key, report)
+                assert list(report.dims_oracle) == dims[:depth + 1]
+                deep += depth >= 2 and report.dims_oracle[2] > 0
+    assert deep >= 10
 
 
 def test_pipelines_agree_on_fixture_algebras(fib, chain, loop3, twostep):
