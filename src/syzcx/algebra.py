@@ -291,7 +291,9 @@ class MonomialAlgebra:
 
 def _normalize_relations(relations: tuple[Path, ...]) -> tuple[Path, ...]:
     """Minimal relation set: dedupe, then drop any relation containing another
-    as a contiguous factor (same ideal, smaller generating set)."""
+    as a contiguous factor (same ideal, smaller generating set). Relations
+    have length >= 2, so each factor of length >= 2 is looked up among the
+    kept words."""
     uniq: list[Path] = []
     seen = set()
     for r in relations:
@@ -299,15 +301,14 @@ def _normalize_relations(relations: tuple[Path, ...]) -> tuple[Path, ...]:
             seen.add(r.arrows)
             uniq.append(r)
     uniq.sort(key=lambda r: len(r.arrows))
-
-    def contains(big: tuple[str, ...], small: tuple[str, ...]) -> bool:
-        L = len(small)
-        return any(big[i:i + L] == small for i in range(len(big) - L + 1))
-
     kept: list[Path] = []
+    kept_words: set[tuple[str, ...]] = set()
     for r in uniq:
-        if not any(contains(r.arrows, k.arrows) for k in kept):
+        w = r.arrows
+        if not any(w[i:j] in kept_words
+                   for i in range(len(w)) for j in range(i + 2, len(w) + 1)):
             kept.append(r)
+            kept_words.add(w)
     return tuple(kept)
 
 

@@ -1,10 +1,12 @@
 """Exact integer-polynomial arithmetic and certified real algebraic numbers.
 
 Coefficient lists are ascending: [c0, c1, ..., cn] is c0 + c1 x + ... + cn x^n.
-Real roots are located by Sturm sequences over exact rationals and carried
-around as an integer defining polynomial plus an isolating rational interval
-containing exactly one distinct real root. Intervals are refined to width
-<= 2^-48 at construction so the printed 12-decimal approximation is stable.
+Real roots are located by Sturm sequences of primitive integer polynomials and
+carried around as an integer defining polynomial plus an isolating rational
+interval containing exactly one distinct real root. Intervals are refined to
+width <= 2^-48 at construction so the printed 12-decimal approximation is
+stable. Divisions and sign evaluations run on integers only: one
+pseudo-division loop and homogeneous Horner at rational points.
 """
 
 from __future__ import annotations
@@ -13,6 +15,7 @@ from dataclasses import dataclass
 from decimal import Decimal, ROUND_HALF_UP, localcontext
 from fractions import Fraction
 from functools import lru_cache
+from math import gcd
 
 from .errors import ZeroPolynomialError
 
@@ -106,6 +109,10 @@ class IntPolynomial:
             acc = acc * x + c
         return acc
 
+    def sign_at(self, x) -> int:
+        """Sign (-1, 0 or 1) of the value at a rational x, in integers."""
+        return _sign_at(self.coeffs, x.numerator, x.denominator)
+
     def derivative(self) -> "IntPolynomial":
         return IntPolynomial(i * c for i, c in enumerate(self.coeffs) if i > 0)
 
@@ -124,10 +131,7 @@ class IntPolynomial:
         """Divide out the content; normalize the leading coefficient positive."""
         if self.is_zero:
             return self
-        from math import gcd
-        g = 0
-        for c in self.coeffs:
-            g = gcd(g, abs(c))
+        g = gcd(*self.coeffs)
         sign = 1 if self.coeffs[-1] > 0 else -1
         return IntPolynomial(c * sign // g for c in self.coeffs)
 
@@ -135,37 +139,76 @@ class IntPolynomial:
         """Polynomial division over the rationals: (quotient, remainder)."""
         if other.is_zero:
             raise ZeroPolynomialError("division by the zero polynomial")
-        return _divmod_frac([Fraction(c) for c in self.coeffs],
-                            [Fraction(c) for c in other.coeffs])
+        scale, quo, rem = _pseudo_divmod(self.coeffs, other.coeffs)
+        return ([Fraction(c, scale) for c in quo],
+                [Fraction(c, scale) for c in rem])
 
     def div_exact(self, other: "IntPolynomial") -> "IntPolynomial":
         """Exact division: raises if the quotient is not an integer polynomial."""
-        quo, rem = self.divmod_q(other)
-        if any(rem):
+        if other.is_zero:
+            raise ZeroPolynomialError("division by the zero polynomial")
+        scale, quo, rem = _pseudo_divmod(self.coeffs, other.coeffs)
+        if rem:
             raise ValueError("division is not exact (nonzero remainder)")
-        if any(q.denominator != 1 for q in quo):
+        if any(q % scale for q in quo):
             raise ValueError("division is not exact (non-integer quotient)")
-        return IntPolynomial(int(q) for q in quo)
+        return IntPolynomial(q // scale for q in quo)
 
 
-def _divmod_frac(u, v) -> tuple[list[Fraction], list[Fraction]]:
-    """Quotient and remainder of u by v over Q, as lists. u and v are
-    ascending Fraction sequences without trailing zeros, v nonempty; the
-    remainder comes back without trailing zeros too."""
-    rem = list(u)
-    d = len(v) - 1
+def _pseudo_divmod(u, v) -> tuple[int, list[int], list[int]]:
+    """Pseudo-division over the integers: (s, quo, rem) with
+    s*u == quo*v + rem, s > 0 and deg rem < deg v, so quo/s and rem/s are
+    the quotient and remainder over Q. u and v are ascending int sequences
+    without trailing zeros, v nonempty; rem comes back without trailing
+    zeros. The divisor is normalised to a positive leading coefficient, and
+    the remainder is scaled only when its top coefficient is not divisible,
+    by the least factor that makes it so; s is the product of those factors,
+    so rem keeps the signs of the remainder over Q."""
+    negate = v[-1] < 0
+    if negate:
+        v = [-c for c in v]
     lc = v[-1]
-    quo = [Fraction(0)] * max(0, len(rem) - d)
-    while len(rem) - 1 >= d:
-        f = rem[-1] / lc
+    d = len(v) - 1
+    rem = list(u)
+    quo = [0] * max(0, len(rem) - d)
+    scale = 1
+    while len(rem) > d:
+        top = rem[-1]
+        if top % lc:
+            m = lc // gcd(top, lc)
+            rem = [c * m for c in rem]
+            quo = [c * m for c in quo]
+            scale *= m
+            top = rem[-1]
+        f = top // lc
         k = len(rem) - 1 - d
         quo[k] = f
-        for i, c in enumerate(v):
-            rem[k + i] -= f * c
+        for i in range(d):
+            rem[k + i] -= f * v[i]
         rem.pop()
         while rem and rem[-1] == 0:
             rem.pop()
-    return quo, rem
+    if negate:
+        quo = [-c for c in quo]
+    return scale, quo, rem
+
+
+def _content_free(cs) -> tuple[int, ...]:
+    """cs divided by the gcd of its entries; signs are kept."""
+    g = gcd(*cs)
+    return tuple(c // g for c in cs) if g > 1 else tuple(cs)
+
+
+def _sign_at(coeffs, n: int, d: int) -> int:
+    """Sign of the polynomial at n/d, d > 0: the sign of the homogeneous
+    integer value sum c_i n^i d^(deg-i), by Horner in n."""
+    it = reversed(coeffs)
+    acc = next(it, 0)
+    dp = 1
+    for c in it:
+        dp *= d
+        acc = acc * n + c * dp
+    return (acc > 0) - (acc < 0)
 
 
 def poly(*coeffs) -> IntPolynomial:
@@ -179,19 +222,14 @@ def monomial_minus(m) -> IntPolynomial:
 
 
 def poly_gcd_q(a: IntPolynomial, b: IntPolynomial) -> IntPolynomial:
-    """Monic-free gcd over Q, returned primitive with positive leading coeff."""
-    fa = [Fraction(c) for c in a.coeffs]
-    fb = [Fraction(c) for c in b.coeffs]
-    while fb:
-        fa, fb = fb, _divmod_frac(fa, fb)[1]
-    if not fa:
-        return IntPolynomial()
-    from math import lcm
-    den = 1
-    for c in fa:
-        den = lcm(den, c.denominator)
-    ints = IntPolynomial(int(c * den) for c in fa)
-    return ints.primitive()
+    """Monic-free gcd over Q, returned primitive with positive leading coeff.
+
+    Primitive polynomial remainder sequence: each pseudo-remainder is divided
+    by its content, so coefficients stay near the size of the inputs."""
+    u, v = _content_free(a.coeffs), _content_free(b.coeffs)
+    while v:
+        u, v = v, _content_free(_pseudo_divmod(u, v)[2])
+    return IntPolynomial(u).primitive()
 
 
 @lru_cache(maxsize=None)
@@ -211,33 +249,29 @@ def squarefree_part(p: IntPolynomial) -> IntPolynomial:
 # -- Sturm machinery --------------------------------------------------------
 
 @lru_cache(maxsize=None)
-def _sturm_chain(p: IntPolynomial) -> tuple[tuple[Fraction, ...], ...]:
-    chain = [tuple(Fraction(c) for c in p.coeffs)]
-    d = tuple(Fraction(c) for c in p.derivative().coeffs)
+def _sturm_chain(p: IntPolynomial) -> tuple[tuple[int, ...], ...]:
+    """Sturm chain of p as primitive integer tuples. Each entry is a positive
+    multiple of the classical entry (p, p', -rem, ...), so every sign, and
+    with it every variation count, is the same."""
+    chain = [_content_free(p.coeffs)]
+    d = p.derivative().coeffs
     if d:
-        chain.append(d)
+        chain.append(_content_free(d))
     while len(chain[-1]) > 1:
-        r = _divmod_frac(chain[-2], chain[-1])[1]
+        r = _pseudo_divmod(chain[-2], chain[-1])[2]
         if not r:
             break
-        chain.append(tuple(-c for c in r))
+        chain.append(tuple(-c for c in _content_free(r)))
     return tuple(chain)
 
 
-def _eval_frac(coeffs, x: Fraction):
-    acc = Fraction(0)
-    for c in reversed(coeffs):
-        acc = acc * x + c
-    return acc
-
-
-def _variations(chain, x: Fraction) -> int:
-    signs = []
-    for coeffs in chain:
-        v = _eval_frac(coeffs, x)
-        if v != 0:
-            signs.append(1 if v > 0 else -1)
-    return sum(1 for a, b in zip(signs, signs[1:]) if a != b)
+def _variations(chain, x) -> tuple[int, int]:
+    """Sign variations of the chain at the rational x, and the sign of its
+    first entry there."""
+    n, d = x.numerator, x.denominator
+    signs = [_sign_at(coeffs, n, d) for coeffs in chain]
+    nonzero = [sgn for sgn in signs if sgn]
+    return sum(a != b for a, b in zip(nonzero, nonzero[1:])), signs[0]
 
 
 def count_real_roots_open(p: IntPolynomial, a: Fraction, b: Fraction) -> int:
@@ -247,12 +281,12 @@ def count_real_roots_open(p: IntPolynomial, a: Fraction, b: Fraction) -> int:
     multiplicities never inflate the count.
     """
     s = squarefree_part(p)
-    if s.evaluate(a) == 0 or s.evaluate(b) == 0:
+    if s.sign_at(a) == 0 or s.sign_at(b) == 0:
         raise ValueError("endpoint is a root; Sturm count needs nonroot endpoints")
     if a >= b:
         return 0
     chain = _sturm_chain(s)
-    return _variations(chain, a) - _variations(chain, b)
+    return _variations(chain, a)[0] - _variations(chain, b)[0]
 
 
 def cauchy_bound(p: IntPolynomial) -> Fraction:
@@ -272,36 +306,36 @@ def isolate_largest_real_root(p: IntPolynomial):
     if s.degree <= 0:
         return None
     chain = _sturm_chain(s)
-
-    def count_half_open(a: Fraction, b: Fraction) -> int:
-        # Roots in (a, b]; valid whenever s(b) != 0, even if s(a) == 0.
-        return _variations(chain, a) - _variations(chain, b)
-
+    # V(x) = variations of the chain at x; V(a) - V(b) counts the roots in
+    # (a, b] whenever s(b) != 0, even if s(a) == 0. Each point is evaluated
+    # once: V and the sign of s are kept for both ends.
     B = cauchy_bound(s)
     lo, hi = -B, B  # s(+-B) != 0 and every real root lies strictly inside
-    if count_half_open(lo, hi) == 0:
+    vlo, slo = _variations(chain, lo)
+    vhi, shi = _variations(chain, hi)
+    if vlo == vhi:
         return None
     # Invariant: the largest root lies in (lo, hi] and s(hi) != 0, so in fact
     # in (lo, hi). lo is allowed to be a root (a smaller one).
-    while count_half_open(lo, hi) > 1:
+    while vlo - vhi > 1:
         mid = (lo + hi) / 2
-        if s.evaluate(mid) == 0:
-            if count_half_open(mid, hi) == 0:
-                return mid, mid
-            lo = mid
-        elif count_half_open(mid, hi) >= 1:
-            lo = mid
-        else:
-            hi = mid
-    # One root in (lo, hi); tighten until a sign change certifies it.
-    while s.evaluate(lo) == 0 or s.evaluate(lo) * s.evaluate(hi) > 0:
-        mid = (lo + hi) / 2
-        if s.evaluate(mid) == 0:
+        vmid, smid = _variations(chain, mid)
+        if smid == 0 and vmid == vhi:
             return mid, mid
-        if count_half_open(mid, hi) >= 1:
-            lo = mid
+        if vmid - vhi >= 1 or smid == 0:
+            lo, vlo, slo = mid, vmid, smid
         else:
-            hi = mid
+            hi, vhi, shi = mid, vmid, smid
+    # One root in (lo, hi); tighten until a sign change certifies it.
+    while slo == 0 or slo == shi:
+        mid = (lo + hi) / 2
+        vmid, smid = _variations(chain, mid)
+        if smid == 0:
+            return mid, mid
+        if vmid - vhi >= 1:
+            lo, vlo, slo = mid, vmid, smid
+        else:
+            hi, vhi, shi = mid, vmid, smid
     return lo, hi
 
 
@@ -310,16 +344,16 @@ def refine_interval(p: IntPolynomial, lo: Fraction, hi: Fraction, width: Fractio
     if lo == hi:
         return lo, hi
     s = squarefree_part(p)
-    slo = s.evaluate(lo)
-    shi = s.evaluate(hi)
-    if slo == 0 or shi == 0 or (slo > 0) == (shi > 0):
+    slo = s.sign_at(lo)
+    shi = s.sign_at(hi)
+    if slo == 0 or shi == 0 or slo == shi:
         raise ValueError("refine_interval needs a sign-change isolating interval")
     while hi - lo > width:
         mid = (lo + hi) / 2
-        v = s.evaluate(mid)
+        v = s.sign_at(mid)
         if v == 0:
             return mid, mid
-        if (v > 0) == (shi > 0):
+        if v == shi:
             hi = mid
         else:
             lo = mid
@@ -384,11 +418,11 @@ def algebraic_real(p: IntPolynomial, lo, hi, check: bool = True) -> AlgebraicRea
         raise ValueError("empty interval")
     if check:
         if lo == hi:
-            if p.evaluate(lo) != 0:
+            if p.sign_at(lo) != 0:
                 raise ValueError("degenerate interval is not a root")
         else:
             s = squarefree_part(p)
-            if s.evaluate(lo) == 0 or s.evaluate(hi) == 0:
+            if s.sign_at(lo) == 0 or s.sign_at(hi) == 0:
                 raise ValueError("interval endpoint is a root; not isolating")
             if count_real_roots_open(p, lo, hi) != 1:
                 raise ValueError("interval does not isolate exactly one root")

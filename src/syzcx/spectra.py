@@ -47,16 +47,6 @@ def identity_matrix(n: int) -> IntMatrix:
     return tuple(tuple(1 if i == j else 0 for j in range(n)) for i in range(n))
 
 
-def mat_mul(a: IntMatrix, b: IntMatrix) -> IntMatrix:
-    n, m = len(a), len(b[0]) if b else 0
-    k = len(b)
-    bt = list(zip(*b)) if b else []
-    return tuple(
-        tuple(sum(a[i][t] * bt[j][t] for t in range(k)) for j in range(m))
-        for i in range(n)
-    )
-
-
 def mat_trace(a: IntMatrix) -> int:
     return sum(a[i][i] for i in range(len(a)))
 
@@ -65,21 +55,26 @@ def char_poly(m: IntMatrix) -> IntPolynomial:
     """Monic characteristic polynomial det(xI - M), exact over the integers.
 
     Uses the trace recursion M_k = M (M_{k-1} + c_{k-1} I), c_k = -tr(M_k)/k,
-    whose divisions are exact; each is asserted.
+    whose divisions are exact; each is asserted. M is held as sparse rows of
+    (column, count) pairs, so each step costs O(nnz(M) n) rather than O(n^3).
     """
     n = len(m)
     if n == 0:
         return IntPolynomial([1])
-    coeffs_desc = [1]
-    mk = m
+    rows = [[(j, c) for j, c in enumerate(row) if c] for row in m]
+    mk = [list(row) for row in m]
     ck = -mat_trace(mk)
-    coeffs_desc.append(ck)
+    coeffs_desc = [1, ck]
     for k in range(2, n + 1):
-        shifted = tuple(
-            tuple(mk[i][j] + (ck if i == j else 0) for j in range(n))
-            for i in range(n)
-        )
-        mk = mat_mul(m, shifted)
+        for i in range(n):
+            mk[i][i] += ck
+        nxt = []
+        for row in rows:
+            acc = [0] * n
+            for j, c in row:
+                acc = [a + c * b for a, b in zip(acc, mk[j])]
+            nxt.append(acc)
+        mk = nxt
         tr = mat_trace(mk)
         if tr % k:
             raise InternalInconsistencyError(
@@ -210,10 +205,10 @@ def equal_radius(r1: AlgebraicReal, r2: AlgebraicReal) -> bool:
             return a.lo == b.lo
         if a.lo == a.hi:
             q = a.lo
-            return b.lo <= q <= b.hi and b.poly.evaluate(q) == 0
+            return b.lo <= q <= b.hi and b.poly.sign_at(q) == 0
         if b.lo == b.hi:
             q = b.lo
-            return a.lo <= q <= a.hi and a.poly.evaluate(q) == 0
+            return a.lo <= q <= a.hi and a.poly.sign_at(q) == 0
         g = poly_gcd_q(squarefree_part(a.poly), squarefree_part(b.poly))
         if g.degree <= 0:
             return False
@@ -221,7 +216,7 @@ def equal_radius(r1: AlgebraicReal, r2: AlgebraicReal) -> bool:
         y = min(a.hi, b.hi)
         if x >= y:
             return False
-        if g.evaluate(x) != 0 and g.evaluate(y) != 0:
+        if g.sign_at(x) != 0 and g.sign_at(y) != 0:
             return count_real_roots_open(g, x, y) >= 1
         a = a.refined((a.hi - a.lo) / 4)
         b = b.refined((b.hi - b.lo) / 4)
@@ -280,7 +275,7 @@ def algebraic_power(r: AlgebraicReal, k: int) -> AlgebraicReal:
     for _ in range(200):
         lo, hi = cur.lo ** k, cur.hi ** k
         sq = squarefree_part(q)
-        if (sq.evaluate(lo) != 0 and sq.evaluate(hi) != 0
+        if (sq.sign_at(lo) != 0 and sq.sign_at(hi) != 0
                 and count_real_roots_open(q, lo, hi) == 1):
             return algebraic_real(q, lo, hi, check=False).refined(
                 Fraction(1, 2 ** 48)

@@ -1,5 +1,7 @@
 """Parsing, validation, and the nonzero-path calculus of monomial algebras."""
 
+import random
+
 import pytest
 
 from syzcx.algebra import (
@@ -7,6 +9,7 @@ from syzcx.algebra import (
     Quiver,
     Path,
     PathZero,
+    _normalize_relations,
     contiguous_subpaths,
     parse_algebra,
     parse_algebra_file,
@@ -201,6 +204,42 @@ def test_relation_normalization_drops_redundant():
     A = validate_algebra(parse_algebra(text))
     assert [r.literal() for r in A.relations] == ["l.l"]
     assert A.max_relation_length == 2
+
+
+def _normalize_pairwise(relations):
+    """The definition: dedupe, sort by length, then test every relation
+    against every kept one for a contiguous factor."""
+    uniq = []
+    for r in relations:
+        if all(u.arrows != r.arrows for u in uniq):
+            uniq.append(r)
+    uniq.sort(key=lambda r: len(r.arrows))
+
+    def contains(big, small):
+        L = len(small)
+        return any(big[i:i + L] == small for i in range(len(big) - L + 1))
+
+    kept = []
+    for r in uniq:
+        if not any(contains(r.arrows, k.arrows) for k in kept):
+            kept.append(r)
+    return tuple(kept)
+
+
+def test_relation_normalization_matches_pairwise_definition():
+    rng = random.Random(0x5EED)
+    Q = Quiver(("1",), tuple(Arrow(a, "1", "1") for a in "abc"))
+    for _ in range(600):
+        words = [tuple(rng.choice("abc") for _ in range(rng.randint(2, 5)))
+                 for _ in range(rng.randint(1, 10))]
+        for _ in range(rng.randint(0, 4)):
+            w = rng.choice(words)
+            i = rng.randrange(len(w) - 1)
+            words.append(w[i:rng.randint(i + 2, len(w))])  # nested factor
+            words.append(rng.choice(words))  # duplicate
+        rng.shuffle(words)
+        relations = tuple(Q.path(list(w)) for w in words)
+        assert _normalize_relations(relations) == _normalize_pairwise(relations)
 
 
 def test_extend_traversal_order():

@@ -25,11 +25,17 @@ from syzcx.complexity import (
 from syzcx.graph import reachable, tarjan
 from syzcx.oracle import crosscheck
 from syzcx.polynomials import (
+    IntPolynomial,
     algebraic_real,
+    count_real_roots_open,
+    det_bareiss_int,
     det_bareiss_poly,
+    isolate_largest_real_root,
     monomial_minus,
     poly,
+    poly_gcd_q,
     rational_algebraic,
+    squarefree_part,
 )
 from syzcx.spectra import char_poly, compare_algebraic, equal_radius
 from syzcx.syzygy import (
@@ -314,6 +320,180 @@ def test_char_poly_matches_direct_determinant():
             for i in range(n)
         ]
         assert det_bareiss_poly(rows) == char_poly(m)
+
+
+def test_char_poly_matches_bareiss_determinant_at_integers():
+    """char_poly(M)(t) == det(tI - M), the determinant by fraction-free
+    elimination, on seeded dense and sparse nonnegative matrices."""
+    rng = random.Random(SEED)
+    for trial in range(40):
+        n = rng.randint(1, 20)
+        density = 0.8 if trial % 2 else 0.15
+        m = [[rng.randint(1, 3) if rng.random() < density else 0
+              for _ in range(n)] for _ in range(n)]
+        p = char_poly(m)
+        assert p.is_monic and p.degree == n
+        for t in (-3, -1, 0, 1, 2, 5):
+            shifted = [[(t if i == j else 0) - m[i][j] for j in range(n)]
+                       for i in range(n)]
+            assert p.evaluate(t) == det_bareiss_int(shifted)
+
+
+# -- the exact layer against rational long division --------------------------------
+
+def _divmod_rational(u, v):
+    """Schoolbook division over Q of ascending coefficient lists."""
+    rem = [Fraction(c) for c in u]
+    quo = [Fraction(0)] * max(0, len(u) - len(v) + 1)
+    while len(rem) >= len(v):
+        f = rem[-1] / v[-1]
+        k = len(rem) - len(v)
+        quo[k] = f
+        for i, c in enumerate(v):
+            rem[k + i] -= f * c
+        rem.pop()
+        while rem and rem[-1] == 0:
+            rem.pop()
+    return quo, rem
+
+
+def _rational_sturm_count(p, a, b):
+    """Distinct roots of p in (a, b), p(a) p(b) != 0, by the classical Sturm
+    sequence of p / gcd(p, p') over Q."""
+    def value(cs, x):
+        acc = Fraction(0)
+        for c in reversed(cs):
+            acc = acc * x + c
+        return acc
+
+    u, v = list(p.coeffs), list(p.derivative().coeffs)
+    g_u, g_v = u, v
+    while g_v:
+        g_u, g_v = g_v, _divmod_rational(g_u, g_v)[1]
+    s = _divmod_rational(u, g_u)[0]
+    chain = [s, [i * c for i, c in enumerate(s) if i]]
+    while len(chain[-1]) > 1:
+        r = _divmod_rational(chain[-2], chain[-1])[1]
+        if not r:
+            break
+        chain.append([-c for c in r])
+
+    def variations(x):
+        signs = [y > 0 for y in (value(cs, x) for cs in chain) if y != 0]
+        return sum(1 for t, w in zip(signs, signs[1:]) if t != w)
+    return variations(a) - variations(b)
+
+
+def test_integer_division_and_sturm_counts_match_rational_arithmetic():
+    """Random integer polynomials, negative leading coefficients included:
+    divmod_q equals schoolbook division over Q, and Sturm counts equal the
+    classical rational Sturm sequence."""
+    rng = random.Random(SEED)
+    for _ in range(250):
+        p = poly(*[rng.randint(-6, 6) for _ in range(rng.randint(2, 9))])
+        q = poly(*[rng.randint(-6, 6) for _ in range(rng.randint(1, 6))])
+        if p.degree < 1 or q.is_zero:
+            continue
+        quo, rem = p.divmod_q(q)
+        assert all(isinstance(c, Fraction) for c in quo + rem)
+        assert (quo, rem) == _divmod_rational(p.coeffs, q.coeffs)
+        for _ in range(3):
+            a = Fraction(rng.randint(-40, 40), rng.randint(1, 6))
+            b = a + Fraction(rng.randint(1, 40), rng.randint(1, 6))
+            if p.evaluate(a) == 0 or p.evaluate(b) == 0:
+                continue
+            assert count_real_roots_open(p, a, b) == _rational_sturm_count(p, a, b)
+
+
+# -- the exact layer against polynomials with known roots ----------------------------
+
+def _mul(a, b):
+    """Product of ascending integer coefficient lists."""
+    out = [0] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        for j, y in enumerate(b):
+            out[i + j] += x * y
+    return out
+
+
+def _product(factors):
+    out = [1]
+    for f in factors:
+        out = _mul(out, f)
+    return IntPolynomial(out)
+
+
+def _linear(r: Fraction):
+    return [-r.numerator, r.denominator]  # d*x - n, primitive
+
+
+# Primitive quadratics without real roots: x^2 + 1, 2x^2 + 3, 3x^2 + 2x + 1,
+# x^2 - 2x + 5.
+NO_REAL_ROOTS = ([1, 0, 1], [3, 0, 2], [1, 2, 3], [5, -2, 1])
+
+
+def _known_roots_poly(rng, roots, quads):
+    """(p, multiplicities, has_quads): p = c * prod (d x - n)^m, times quads
+    (a product of quadratics without real roots) with probability 0.6 or
+    when roots is empty, and a random nonzero integer c, possibly negative."""
+    mult = {r: rng.randint(1, 3) for r in roots}
+    has_quads = rng.random() < 0.6 or not roots
+    factors = [_linear(r) for r in roots for _ in range(mult[r])]
+    if has_quads:
+        factors.append(quads)
+    c = rng.choice([-3, -2, -1, 1, 2, 5])
+    return _product(factors + [[c]]), mult, has_quads
+
+
+def _random_roots(rng, count):
+    roots = set()
+    while len(roots) < count:
+        roots.add(Fraction(rng.randint(-12, 12), rng.randint(1, 5)))
+    return sorted(roots)
+
+
+def test_exact_layer_on_polynomials_with_known_roots():
+    rng = random.Random(SEED)
+    for _ in range(150):
+        roots = _random_roots(rng, rng.randint(0, 5))
+        quads = _product(rng.sample(NO_REAL_ROOTS, rng.randint(1, 2))).to_list()
+        p, mult, p_quads = _known_roots_poly(rng, roots, quads)
+        if rng.random() < 0.3:
+            p = IntPolynomial(-c for c in p.coeffs)
+
+        for _ in range(6):
+            a = Fraction(rng.randint(-60, 60), rng.randint(1, 7))
+            b = a + Fraction(rng.randint(1, 60), rng.randint(1, 7))
+            if a in mult or b in mult:
+                continue
+            expected = sum(1 for r in roots if a < r < b)
+            assert count_real_roots_open(p, a, b) == expected
+
+        iso = isolate_largest_real_root(p)
+        if not roots:
+            assert iso is None
+        else:
+            top = roots[-1]
+            lo, hi = iso
+            if lo == hi:
+                assert lo == top
+            else:
+                assert lo < top < hi
+                assert not any(lo <= r <= hi for r in roots[:-1])
+
+        sqf = _product([_linear(r) for r in roots] + ([quads] if p_quads else []))
+        assert squarefree_part(p) == sqf.primitive()
+
+        # A second polynomial sharing some of the roots.
+        shared = [r for r in roots if rng.random() < 0.5]
+        extra = [r for r in _random_roots(rng, 3) if r not in mult]
+        q, qmult, q_quads = _known_roots_poly(rng, shared + extra, quads)
+        common = [_linear(r) for r in shared
+                  for _ in range(min(mult[r], qmult[r]))]
+        if p_quads and q_quads:
+            common.append(quads)
+        assert poly_gcd_q(p, q) == _product(common).primitive()
+        assert poly_gcd_q(q, p) == _product(common).primitive()
 
 
 # -- structural coherence on random algebras ----------------------------------------------

@@ -1,15 +1,16 @@
 """Characteristic polynomials, condensations, and exact radius comparisons."""
 
 from fractions import Fraction
+from time import perf_counter
 
 import pytest
 
+from syzcx.curvature import companion_polynomial, realize_companion
 from syzcx.polynomials import poly, largest_real_root, rational_algebraic
 from syzcx.spectra import (
     mat_from_rows,
     adjacency_matrix,
     identity_matrix,
-    mat_mul,
     mat_trace,
     char_poly,
     perron_root,
@@ -28,8 +29,8 @@ def test_matrix_helpers():
     m = mat_from_rows([[1, 2], [3, 4]])
     assert mat_trace(m) == 5
     i = identity_matrix(2)
-    assert mat_mul(m, i) == m
-    assert mat_mul(i, m) == m
+    assert i == ((1, 0), (0, 1))
+    assert mat_trace(i) == 2
 
 
 def test_adjacency_matrix():
@@ -46,6 +47,17 @@ def test_char_poly_by_hand():
     assert char_poly(mat_from_rows([[0]])) == poly(0, 1)
     # empty matrix: the constant 1
     assert char_poly(mat_from_rows([])) == poly(1)
+
+
+def test_char_poly_of_large_companion_quiver():
+    # 97 vertices; the sparse trace recursion keeps this well under a second.
+    c = range(1, 98)
+    m = adjacency_matrix(realize_companion(c))
+    t0 = perf_counter()
+    p = char_poly(m)
+    elapsed = perf_counter() - t0
+    assert p == companion_polynomial(c)
+    assert elapsed < 1.0, f"char_poly took {elapsed:.2f}s"
 
 
 def test_char_poly_monic_and_trace():
