@@ -105,7 +105,6 @@ from .spectra import (
     char_poly,
     compare_algebraic,
     equal_radius,
-    max_algebraic,
     perron_root,
     scc_condense,
 )

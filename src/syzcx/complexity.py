@@ -34,7 +34,6 @@ from .syzygy import (
 )
 
 _ONE = rational_algebraic(1)
-_ZERO = rational_algebraic(0)
 
 
 @dataclass(frozen=True)
@@ -135,43 +134,24 @@ def convolve(c1: ComplexityClass, c2: ComplexityClass) -> ComplexityClass:
     return c1 if compare_algebraic(c1.base, c2.base) > 0 else c2
 
 
-# -- the condensation dynamic program ----------------------------------------
+# -- vertex classes -----------------------------------------------------------
 
 def vertex_complexity(C: Condensation, v: int) -> ComplexityClass:
     """Growth class of path counts from vertex v, off the condensation.
 
-    b = max spectral radius over components reachable from v's component.
-    If b = 0 the reachable region is acyclic and the class is Zero with
-    pd = the longest path length from v. Otherwise the degree is one less
-    than the longest chain of radius-b components along a reachability path,
-    computed by a DP over the component DAG (components are listed with
-    successors first, so one ascending pass suffices).
+    b = max spectral radius over components reachable from v's component, and
+    the degree is one less than the longest chain of radius-b components along
+    a reachability path; scc_condense records both per component (`top`,
+    `chain`). If b = 0 the reachable region is acyclic and the class is Zero
+    with pd = the longest path length from v.
     """
     if not 0 <= v < C.n_vertices:
         raise ValueError(f"vertex {v} not in quiver")
-    c0 = C.vertex_component[v]
-    reach = C.reachable_components(c0)
-    b = C.components[reach[0]].rho
-    for ci in reach[1:]:
-        r = C.components[ci].rho
-        if compare_algebraic(r, b) > 0:
-            b = r
-
-    if compare_algebraic(b, _ZERO) == 0:
-        longest = [0] * len(C.components)
-        for ci in range(len(C.components)):
-            for s in C.successors(ci):
-                longest[ci] = max(longest[ci], 1 + longest[s])
-        return zero_class(longest[c0])
-
-    is_b = [equal_radius(c.rho, b) for c in C.components]
-    chain = [0] * len(C.components)
-    for ci in range(len(C.components)):
-        best = 0
-        for s in C.successors(ci):
-            best = max(best, chain[s])
-        chain[ci] = best + (1 if is_b[ci] else 0)
-    return polyexp_class(b, chain[c0] - 1)
+    ci = C.vertex_component[v]
+    top = C.components[C.top[ci]]
+    if top.is_trivial:
+        return zero_class(C.chain[ci] - 1)
+    return polyexp_class(top.rho, C.chain[ci] - 1)
 
 
 @dataclass(frozen=True)

@@ -19,7 +19,6 @@ from __future__ import annotations
 import cmath
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 
 from .algebra import Arrow, Quiver
 from .errors import (
@@ -32,8 +31,6 @@ from .errors import (
 from .polynomials import (
     AlgebraicReal,
     IntPolynomial,
-    algebraic_real,
-    isolate_largest_real_root,
     largest_real_root,
     poly,
     rational_algebraic,
@@ -315,12 +312,9 @@ def check_condition_c(p: IntPolynomial,
     best: AlgebraicReal | None = None
     best_factor: IntPolynomial | None = None
     for f in factors:
-        iso = isolate_largest_real_root(f)
-        if iso is None:
+        r = largest_real_root(f)
+        if r is None:
             continue
-        r = algebraic_real(f, iso[0], iso[1], check=False).refined(
-            Fraction(1, 2 ** 48)
-        )
         if best is None or compare_algebraic(r, best) > 0:
             best, best_factor = r, f
     if best is None:

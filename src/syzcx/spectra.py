@@ -5,16 +5,16 @@ and comparison of the resulting algebraic numbers."""
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
+from functools import cmp_to_key
 
 from .errors import InternalInconsistencyError
-from .graph import reachable, tarjan
+from .graph import tarjan
 from .polynomials import (
     AlgebraicReal,
     IntPolynomial,
     algebraic_real,
     count_real_roots_open,
-    isolate_largest_real_root,
+    largest_real_root,
     poly_gcd_q,
     rational_algebraic,
     resultant_y,
@@ -90,14 +90,12 @@ def perron_root(component) -> AlgebraicReal:
     matrix) as a certified algebraic number: the largest real root of the
     characteristic polynomial. Trivial loopless vertices get 0 (poly x)."""
     m = getattr(component, "matrix", component)
-    p = char_poly(m)
-    iso = isolate_largest_real_root(p)
-    if iso is None:
+    r = largest_real_root(char_poly(m))
+    if r is None:
         raise InternalInconsistencyError(
             "adjacency characteristic polynomial has no real root"
         )
-    lo, hi = iso
-    return algebraic_real(p, lo, hi, check=False).refined(Fraction(1, 2 ** 48))
+    return r
 
 
 @dataclass(frozen=True)
@@ -119,20 +117,19 @@ class Condensation:
     """SCC condensation. Components are listed in reverse topological order
     (every component precedes the components that reach it), so a forward scan
     visits each component after all of its successors. `succ[ci]` lists the
-    successors of component ci, ascending."""
+    successors of component ci, ascending.
+
+    `top[ci]` is the lowest-numbered component of the largest radius reachable
+    from ci (ci included), and `chain[ci]` the largest number of components of
+    that radius on one path from ci."""
 
     n_vertices: int
     components: tuple[SCC, ...]
     vertex_component: tuple[int, ...]
     edges: frozenset[tuple[int, int]]
     succ: tuple[tuple[int, ...], ...]
-
-    def successors(self, ci: int) -> tuple[int, ...]:
-        return self.succ[ci]
-
-    def reachable_components(self, ci: int) -> tuple[int, ...]:
-        """Components reachable from ci, itself included, ascending order."""
-        return tuple(sorted(reachable(self.succ, (ci,))))
+    top: tuple[int, ...]
+    chain: tuple[int, ...]
 
     def to_json(self) -> dict:
         return {
@@ -184,8 +181,23 @@ def scc_condense(graph, edges=None) -> Condensation:
     for members, mat in zip(comp_members, mats):
         matrix = mat_from_rows(mat)
         comps.append(SCC(tuple(members), matrix, perron_root(matrix)))
+
+    # Rank the radii (equal radii share a rank), then one forward pass:
+    # everything reachable from ci is ci or reachable from a successor.
+    key = cmp_to_key(compare_algebraic)
+    order = sorted(range(len(comps)), key=lambda ci: key(comps[ci].rho))
+    rank = [0] * len(comps)
+    for a, b in zip(order, order[1:]):
+        rank[b] = rank[a] + (not equal_radius(comps[a].rho, comps[b].rho))
+    top: list[int] = []
+    chain: list[int] = []
+    for ci, out in enumerate(succ):
+        t = max([ci] + [top[s] for s in out], key=lambda c: (rank[c], -c))
+        top.append(t)
+        chain.append((rank[ci] == rank[t]) + max(
+            (chain[s] for s in out if rank[top[s]] == rank[t]), default=0))
     return Condensation(n, tuple(comps), tuple(comp_of), frozenset(dag_edges),
-                        tuple(tuple(s) for s in succ))
+                        tuple(tuple(s) for s in succ), tuple(top), tuple(chain))
 
 
 # -- exact comparisons -------------------------------------------------------
@@ -242,17 +254,6 @@ def compare_algebraic(r1: AlgebraicReal, r2: AlgebraicReal) -> int:
     raise InternalInconsistencyError("compare_algebraic failed to separate values")
 
 
-def max_algebraic(values) -> AlgebraicReal:
-    vals = list(values)
-    if not vals:
-        raise ValueError("max of empty sequence")
-    best = vals[0]
-    for v in vals[1:]:
-        if compare_algebraic(v, best) > 0:
-            best = v
-    return best
-
-
 def algebraic_power(r: AlgebraicReal, k: int) -> AlgebraicReal:
     """r^k as a certified algebraic number, for nonnegative r and k >= 1.
 
@@ -277,8 +278,6 @@ def algebraic_power(r: AlgebraicReal, k: int) -> AlgebraicReal:
         sq = squarefree_part(q)
         if (sq.sign_at(lo) != 0 and sq.sign_at(hi) != 0
                 and count_real_roots_open(q, lo, hi) == 1):
-            return algebraic_real(q, lo, hi, check=False).refined(
-                Fraction(1, 2 ** 48)
-            )
+            return algebraic_real(q, lo, hi, check=False)
         cur = cur.refined((cur.hi - cur.lo) / 4)
     raise InternalInconsistencyError("algebraic_power failed to isolate")

@@ -24,7 +24,6 @@ from .algebra import MonomialAlgebra, Path, PathZero
 from .errors import (
     FiniteProjectiveDimensionError,
     InvalidPartialError,
-    ValidationError,
     ZeroPathError,
 )
 from .graph import reachable, tarjan
@@ -145,26 +144,25 @@ def simple_key(A: MonomialAlgebra, vertex: str) -> CyclicKey:
 def minimal_killers(p: Path, A: MonomialAlgebra) -> tuple[Path, ...]:
     """Prefix-minimal nonzero paths w with p.w zero, in canonical order.
 
-    Depth-first search over forward extensions of p, pruned at zero paths;
+    Depth-first search over forward extensions w of p, pruned at zero paths;
     recording stops at the first zero product, which makes the result an
     antichain. Every killer ends inside the relation that kills it, so killer
-    length is bounded by the longest relation length minus one.
+    length is bounded by the longest relation length minus one. Since p.w is
+    nonzero, p.w.a (and w.a) is zero exactly when it has a relation suffix.
     """
     if isinstance(p, PathZero) or not A.is_nonzero(p):
         raise ZeroPathError(f"path is zero in {A.name}")
     out: list[Path] = []
 
-    def walk(w: Path):
-        for a in A.quiver.arrows_from(w.target):
-            wa = A.extend(w, A.quiver.path([a.name]))
-            if isinstance(wa, PathZero):
-                continue
-            if isinstance(A.extend(p, wa), PathZero):
-                out.append(wa)
-            else:
-                walk(wa)
+    def walk(target: str, w: tuple[str, ...]):
+        for a in A.quiver.arrows_from(target):
+            wa = w + (a.name,)
+            if not A.has_relation_suffix(p.arrows + wa):
+                walk(a.target, wa)
+            elif not A.has_relation_suffix(wa):
+                out.append(Path(p.target, a.target, wa))
 
-    walk(A.quiver.trivial_path(p.target))
+    walk(p.target, ())
     return tuple(sorted(out, key=lambda k: (len(k.arrows), k.arrows)))
 
 

@@ -1,10 +1,11 @@
 """Seeded randomized property tests for the algebraic invariants the library
 promises: multiplication in a monomial algebra is associative with zero as an
-absorbing element, nonzero paths are closed under contiguous subwords, exact
-comparisons form a total order, growth-class operations obey semiring-style
-laws, partial resolution data never overstates complexity, the graph
-traversals match a brute-force transitive closure, and the two independent
-dimension pipelines agree."""
+absorbing element, nonzero paths are closed under contiguous subwords,
+killers match their definition, exact comparisons form a total order,
+growth-class operations obey semiring-style laws, partial resolution data
+never overstates complexity, the graph traversals match a brute-force
+transitive closure, vertex classes match the per-vertex algorithm, and the two
+independent dimension pipelines agree."""
 
 import json
 import random
@@ -20,6 +21,7 @@ from syzcx.complexity import (
     lower_bound_from_partial,
     module_complexity,
     polyexp_class,
+    vertex_complexity,
     zero_class,
 )
 from syzcx.graph import reachable, tarjan
@@ -37,10 +39,11 @@ from syzcx.polynomials import (
     rational_algebraic,
     squarefree_part,
 )
-from syzcx.spectra import char_poly, compare_algebraic, equal_radius
+from syzcx.spectra import char_poly, compare_algebraic, equal_radius, scc_condense
 from syzcx.syzygy import (
     SyzygyQuiver,
     build_syzygy_quiver,
+    minimal_killers,
     projective_key,
     quiver_dim_sequence,
     resolve_module,
@@ -98,6 +101,89 @@ def test_tarjan_and_reachable_match_transitive_closure():
             assert reachable(succ, [u]) == {v for v in range(n) if reach[u][v]}
 
 
+# -- vertex classes off the condensation --------------------------------------------
+
+def _reference_vertex_class(cond, v):
+    """The per-vertex algorithm: the exact max radius over the reachable
+    components (the first in index order wins a tie), then the longest chain
+    of components of that radius, or the longest path when it is 0."""
+    c0 = cond.vertex_component[v]
+    reach = sorted(reachable(cond.succ, (c0,)))
+    b = cond.components[reach[0]].rho
+    for ci in reach[1:]:
+        if compare_algebraic(cond.components[ci].rho, b) > 0:
+            b = cond.components[ci].rho
+    zero = compare_algebraic(b, rational_algebraic(0)) == 0
+    chain = [0] * len(cond.components)
+    for ci, c in enumerate(cond.components):
+        best = max((chain[s] for s in cond.succ[ci]), default=0)
+        chain[ci] = best + (zero or equal_radius(c.rho, b))
+    if zero:
+        return zero_class(chain[c0] - 1)
+    return polyexp_class(b, chain[c0] - 1)
+
+
+# Strongly connected blocks whose radii tie with different characteristic
+# polynomials: a 1-loop, a 2-cycle and a 3-cycle (radius 1); a double loop
+# and a 2-cycle with both loops (radius 2); plus the golden block and a
+# loopless vertex.
+_BLOCKS = (
+    (1, [(0, 0)]),
+    (2, [(0, 1), (1, 0)]),
+    (3, [(0, 1), (1, 2), (2, 0)]),
+    (1, [(0, 0), (0, 0)]),
+    (2, [(0, 0), (0, 1), (1, 0), (1, 1)]),
+    (2, [(0, 0), (0, 1), (1, 0)]),
+    (1, []),
+)
+
+
+def _block_digraph(rng):
+    """Blocks in a random order, with random edges only from later blocks to
+    earlier ones (so blocks stay components and the same block can sit at
+    several depths), on randomly relabelled vertices; at most 14 vertices."""
+    spans, edges, n = [], [], 0
+    while True:
+        size, inner = rng.choice(_BLOCKS)
+        if n + size > 14:
+            break
+        spans.append(range(n, n + size))
+        edges += [(n + a, n + b) for a, b in inner]
+        n += size
+        if rng.random() < 0.15:
+            break
+    for _ in range(rng.randint(0, 2 * len(spans)) if len(spans) > 1 else 0):
+        i, j = sorted(rng.sample(range(len(spans)), 2))
+        edges.append((rng.choice(spans[j]), rng.choice(spans[i])))
+    perm = list(range(n))
+    rng.shuffle(perm)
+    return n, [(perm[a], perm[b]) for a, b in edges]
+
+
+def test_vertex_complexity_matches_per_vertex_reference():
+    rng = random.Random(SEED + 5)
+    ties = deep = 0
+    for i in range(300):
+        if i % 2:
+            n = rng.randint(1, 14)
+            edges = [(rng.randrange(n), rng.randrange(n))
+                     for _ in range(rng.randint(0, 3 * n))]
+        else:
+            n, edges = _block_digraph(rng)
+        cond = scc_condense(n, edges)
+        for v in range(n):
+            got = vertex_complexity(cond, v)
+            assert got.to_json() == _reference_vertex_class(cond, v).to_json()
+            if got.is_zero:
+                continue
+            reach = reachable(cond.succ, (cond.vertex_component[v],))
+            polys = {cond.components[ci].rho.poly for ci in reach
+                     if equal_radius(cond.components[ci].rho, got.base)}
+            ties += len(polys) > 1
+            deep += got.degree > 0
+    assert ties >= 100 and deep >= 150
+
+
 # -- path arithmetic -------------------------------------------------------------
 
 def _sample_paths(A, rng, count):
@@ -143,6 +229,25 @@ def test_paths_from_is_sorted_and_duplicate_free(fib, chain):
             keys = [A.path_sort_key(p) for p in ps]
             assert keys == sorted(keys)
             assert len(set(keys)) == len(keys)
+
+
+def test_minimal_killers_match_definition():
+    # The killers of p are the nonzero w, prefix-minimal with p.w zero.
+    checked = 0
+    for A in random_monomial_algebras(seed=SEED + 6, count=40):
+        for p in A.nonzero_paths:
+            nonzero = {w.arrows: w for w in A.nonzero_paths
+                       if w.source == p.target}
+            kills = [
+                w for w in nonzero.values()
+                if isinstance(A.extend(p, w), PathZero)
+                and not any(isinstance(A.extend(p, nonzero[w.arrows[:k]]), PathZero)
+                            for k in range(len(w.arrows)))
+            ]
+            kills.sort(key=lambda w: (len(w.arrows), w.arrows))
+            assert minimal_killers(p, A) == tuple(kills), (A.name, p)
+            checked += len(kills) > 1
+    assert checked >= 200
 
 
 # -- exact real arithmetic ----------------------------------------------------------

@@ -17,7 +17,6 @@ from syzcx.spectra import (
     scc_condense,
     equal_radius,
     compare_algebraic,
-    max_algebraic,
     algebraic_power,
 )
 
@@ -104,13 +103,18 @@ def test_scc_condense_reverse_topological_invariant():
     for a, b in cond.edges:
         assert b < a
     for ci in range(len(cond.components)):
-        assert all(cj < ci for cj in cond.successors(ci))
+        assert all(cj < ci for cj in cond.succ[ci])
 
 
-def test_scc_reachable_components():
-    cond = scc_condense(3, [(0, 1), (1, 2)])
-    start = cond.vertex_component[0]
-    assert cond.reachable_components(start) == (0, 1, 2)
+def test_scc_condense_top_and_chain():
+    # 0 -> 1 -> 2 -> 3: loops at 0, 2, 3 (radius 1), a 2-loop at 1 (radius 2).
+    cond = scc_condense(4, [(0, 0), (0, 1), (1, 1), (1, 1), (1, 2), (2, 2),
+                            (2, 3), (3, 3)])
+    comp = cond.vertex_component
+    top = [cond.top[comp[v]] for v in range(4)]
+    chain = [cond.chain[comp[v]] for v in range(4)]
+    assert top == [comp[1], comp[1], comp[3], comp[3]]
+    assert chain == [1, 1, 2, 1]
 
 
 def test_condensation_json_shape():
@@ -135,12 +139,6 @@ def test_compare_algebraic():
     assert compare_algebraic(phi, largest_real_root(GOLDEN)) == 0
     # A tight sandwich: phi vs 1.618 = 809/500 (phi is larger).
     assert compare_algebraic(phi, rational_algebraic(Fraction(809, 500))) > 0
-
-
-def test_max_algebraic():
-    phi = largest_real_root(GOLDEN)
-    vals = [rational_algebraic(1), phi, rational_algebraic(Fraction(3, 2))]
-    assert compare_algebraic(max_algebraic(vals), phi) == 0
 
 
 def test_algebraic_power_golden_square():
