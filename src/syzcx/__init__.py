@@ -44,7 +44,6 @@ from .curvature import (
     closure_combine,
     companion_polynomial,
     factor_monic_squarefree,
-    modulus_disc_bounds,
     product_polynomial,
     realize_companion,
     sum_polynomial,

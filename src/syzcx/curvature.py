@@ -6,8 +6,7 @@ input as far as rational-root extraction and quartic splitting go, then tests
 the factor holding the dominant real root b. The modulus test is exact: the
 largest real root of the pairwise product polynomial (roots = all products of
 two roots of the factor) equals b^2 precisely when no conjugate beats b, since
-z * conj(z) is such a product for every root z. Floating-point root discs are
-computed only as reported diagnostics, never to decide a verdict.
+z * conj(z) is such a product for every root z.
 
 Also here: the closure operations (sum, product, l-th root of the root set,
 via Sylvester resultants over the integers) and the companion-quiver
@@ -16,7 +15,6 @@ construction realizing any monic x^{s+1} - a_0 x^s - ... - a_s with a_i >= 0.
 
 from __future__ import annotations
 
-import cmath
 import math
 from dataclasses import dataclass
 
@@ -227,55 +225,6 @@ def closure_combine(p: IntPolynomial, q: IntPolynomial, op: str,
     if op == "product":
         return product_polynomial(p, q)
     raise ValueError(f"unknown closure op {op!r}")
-
-
-# -- diagnostics: simultaneous root refinement --------------------------------
-
-def modulus_disc_bounds(p: IntPolynomial, iterations: int = 200) -> list[float]:
-    """Upper bounds on the moduli of all complex roots, one per root, from
-    simultaneous (Weierstrass) iteration: each disc centered at an iterate
-    with radius degree * |correction| contains a root, and together the discs
-    cover the root set. Diagnostic quality only; exact decisions elsewhere."""
-    n = p.degree
-    if n <= 0:
-        return []
-    cs = [c / p.coeffs[n] for c in p.coeffs]
-    bound = 1.0 + max(abs(c) for c in cs[:-1]) if n else 1.0
-
-    def val(z: complex) -> complex:
-        acc = 0j
-        for c in reversed(cs):
-            acc = acc * z + c
-        return acc
-
-    z = [bound * 0.7 * cmath.exp(2j * cmath.pi * (k + 0.25) / n)
-         for k in range(n)]
-    for _ in range(iterations):
-        w = []
-        for k in range(n):
-            denom = 1.0 + 0j
-            for j in range(n):
-                if j != k:
-                    d = z[k] - z[j]
-                    if abs(d) < 1e-280:
-                        d = 1e-280
-                    denom *= d
-            w.append(val(z[k]) / denom)
-        z = [zk - wk for zk, wk in zip(z, w)]
-        if max(abs(wk) for wk in w) < 1e-14 * max(1.0, bound):
-            break
-    out = []
-    for k in range(n):
-        denom = 1.0 + 0j
-        for j in range(n):
-            if j != k:
-                d = z[k] - z[j]
-                if abs(d) < 1e-280:
-                    d = 1e-280
-                denom *= d
-        radius = n * abs(val(z[k]) / denom) * (1 + 1e-9)
-        out.append(abs(z[k]) + radius)
-    return out
 
 
 # -- the decision -------------------------------------------------------------

@@ -42,9 +42,7 @@ PRIMES = (32749, 65521)
 DEFAULT_DIM_CAP = 200_000
 
 
-def _dim_cap(cap: int | None) -> int:
-    if cap is not None:
-        return cap
+def _dim_cap() -> int:
     raw = os.environ.get("SYZCX_DIM_CAP", DEFAULT_DIM_CAP)
     try:
         return int(raw)
@@ -124,12 +122,6 @@ def _kernel_from_rref(r: np.ndarray, pivots: list[int], cols: int,
     if pivots and free.size:
         out[pivots, :] = (-r[:, free]) % p
     return out, free
-
-
-def _nullspace(mat: np.ndarray, p: int) -> np.ndarray:
-    """Columns spanning {x : mat @ x = 0} over GF(p)."""
-    r, pivots = _rref(mat, p)
-    return _kernel_from_rref(r, pivots, mat.shape[1], p)[0]
 
 
 def _coords_in_kernel(basis: np.ndarray, free: np.ndarray, targets: np.ndarray,
@@ -557,15 +549,15 @@ def xyz_local_expected_dims(N: int) -> list[int]:
 
 # -- sequences and crosschecking -----------------------------------------------
 
-def dim_sequence(R, N: int, cap: int | None = None) -> list[int]:
+def dim_sequence(R, N: int) -> list[int]:
     """[dim R, dim syzygy(R), ..., dim syzygy^N(R)]. Refuses to take the
-    syzygy of a representation larger than the cap (default 200000, override
-    with the cap argument or SYZCX_DIM_CAP), and reports a step that runs out
-    of memory the same way; the partial list rides on the error and is
-    named in its message."""
+    syzygy of a representation larger than the cap (default 200000, set only
+    through the environment variable SYZCX_DIM_CAP), and reports a step that
+    runs out of memory the same way; the partial list rides on the error and
+    is named in its message."""
     if N < 0:
         raise ValueError("N must be >= 0")
-    limit = _dim_cap(cap)
+    limit = _dim_cap()
     dims = [R.total_dim]
     cur = R
     for _ in range(N):
@@ -602,11 +594,11 @@ class CrosscheckReport:
         }
 
 
-def agreed_dim_sequence(rep_at, N: int, primes=PRIMES,
-                        cap: int | None = None) -> list[int]:
-    """dim_sequence of the representation rep_at(p) at every prime; the
-    sequences must agree, since a disagreement is a rank drop mod p."""
-    sequences = [dim_sequence(rep_at(p), N, cap) for p in primes]
+def agreed_dim_sequence(rep_at, N: int) -> list[int]:
+    """dim_sequence of the representation rep_at(p) at every prime of
+    PRIMES; the sequences must agree, since a disagreement is a rank drop
+    mod p."""
+    sequences = [dim_sequence(rep_at(p), N) for p in PRIMES]
     for other in sequences[1:]:
         if other != sequences[0]:
             i = next(i for i, (a, b) in enumerate(zip(sequences[0], other)) if a != b)
@@ -617,12 +609,11 @@ def agreed_dim_sequence(rep_at, N: int, primes=PRIMES,
     return sequences[0]
 
 
-def crosscheck(A: MonomialAlgebra, M: ModuleExpr, N: int,
-               primes=PRIMES, cap: int | None = None) -> CrosscheckReport:
+def crosscheck(A: MonomialAlgebra, M: ModuleExpr, N: int) -> CrosscheckReport:
     """dim of every syzygy up to N, two ways: oracle iteration over two
     primes (which must agree with each other) versus weighted path counts on
     the syzygy quiver. Reports the first discrepancy, if any."""
-    oracle_dims = agreed_dim_sequence(lambda p: rep_of(M, A, p), N, primes, cap)
+    oracle_dims = agreed_dim_sequence(lambda p: rep_of(M, A, p), N)
     quiver_dims = quiver_dim_sequence(build_syzygy_quiver(M, A), N)
     mismatch = next(
         (i for i, (a, b) in enumerate(zip(quiver_dims, oracle_dims)) if a != b),

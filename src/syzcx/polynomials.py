@@ -410,22 +410,22 @@ class AlgebraicReal:
         return f"AlgebraicReal({self.approx_str()})"
 
 
-def algebraic_real(p: IntPolynomial, lo, hi, check: bool = True) -> AlgebraicReal:
-    """Build a certified AlgebraicReal, refining the interval to <= 2^-48."""
+def algebraic_real(p: IntPolynomial, lo, hi) -> AlgebraicReal:
+    """Build a certified AlgebraicReal, checking that [lo, hi] isolates one
+    root of p and refining the interval to <= 2^-48."""
     lo = Fraction(lo)
     hi = Fraction(hi)
     if lo > hi:
         raise ValueError("empty interval")
-    if check:
-        if lo == hi:
-            if p.sign_at(lo) != 0:
-                raise ValueError("degenerate interval is not a root")
-        else:
-            s = squarefree_part(p)
-            if s.sign_at(lo) == 0 or s.sign_at(hi) == 0:
-                raise ValueError("interval endpoint is a root; not isolating")
-            if count_real_roots_open(p, lo, hi) != 1:
-                raise ValueError("interval does not isolate exactly one root")
+    if lo == hi:
+        if p.sign_at(lo) != 0:
+            raise ValueError("degenerate interval is not a root")
+    else:
+        s = squarefree_part(p)
+        if s.sign_at(lo) == 0 or s.sign_at(hi) == 0:
+            raise ValueError("interval endpoint is a root; not isolating")
+        if count_real_roots_open(p, lo, hi) != 1:
+            raise ValueError("interval does not isolate exactly one root")
     r = AlgebraicReal(p, lo, hi)
     return r.refined(DEFAULT_WIDTH)
 

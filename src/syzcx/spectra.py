@@ -10,9 +10,9 @@ from functools import cmp_to_key
 from .errors import InternalInconsistencyError
 from .graph import tarjan
 from .polynomials import (
+    DEFAULT_WIDTH,
     AlgebraicReal,
     IntPolynomial,
-    algebraic_real,
     count_real_roots_open,
     largest_real_root,
     poly_gcd_q,
@@ -28,15 +28,9 @@ def mat_from_rows(rows) -> IntMatrix:
     return tuple(tuple(int(c) for c in row) for row in rows)
 
 
-def _digraph_of(graph, edges=None) -> tuple[int, list[tuple[int, int]]]:
-    if edges is not None:
-        return int(graph), list(edges)
-    return graph.digraph()
-
-
 def adjacency_matrix(graph, edges=None) -> IntMatrix:
     """Arrow-count matrix of (n, edges) or of any object with .digraph()."""
-    n, edge_list = _digraph_of(graph, edges)
+    n, edge_list = (int(graph), edges) if edges is not None else graph.digraph()
     mat = [[0] * n for _ in range(n)]
     for u, v in edge_list:
         mat[u][v] += 1
@@ -126,7 +120,6 @@ class Condensation:
     n_vertices: int
     components: tuple[SCC, ...]
     vertex_component: tuple[int, ...]
-    edges: frozenset[tuple[int, int]]
     succ: tuple[tuple[int, ...], ...]
     top: tuple[int, ...]
     chain: tuple[int, ...]
@@ -142,18 +135,18 @@ class Condensation:
                 for i, c in enumerate(self.components)
             ],
             "arrows": [
-                {"from": a, "to": b} for a, b in sorted(self.edges)
+                {"from": a, "to": b}
+                for a, out in enumerate(self.succ) for b in out
             ],
         }
 
 
-def scc_condense(graph, edges=None) -> Condensation:
-    """Tarjan condensation. Accepts (n, edges) or any object with .digraph().
+def scc_condense(n: int, edge_list) -> Condensation:
+    """Tarjan condensation of the digraph on vertices 0..n-1 with edge_list.
 
     Deterministic: roots are tried in vertex order, neighbors in edge order,
     and Tarjan's pop order yields the reverse-topological component list.
     """
-    n, edge_list = _digraph_of(graph, edges)
     adj: list[list[int]] = [[] for _ in range(n)]
     for u, v in edge_list:
         adj[u].append(v)
@@ -182,13 +175,14 @@ def scc_condense(graph, edges=None) -> Condensation:
         matrix = mat_from_rows(mat)
         comps.append(SCC(tuple(members), matrix, perron_root(matrix)))
 
-    # Rank the radii (equal radii share a rank), then one forward pass:
-    # everything reachable from ci is ci or reachable from a successor.
-    key = cmp_to_key(compare_algebraic)
-    order = sorted(range(len(comps)), key=lambda ci: key(comps[ci].rho))
-    rank = [0] * len(comps)
-    for a, b in zip(order, order[1:]):
-        rank[b] = rank[a] + (not equal_radius(comps[a].rho, comps[b].rho))
+    # Rank the distinct radii (equal radii share a rank), then one forward
+    # pass: everything reachable from ci is ci or reachable from a successor.
+    values = sorted(dict.fromkeys(c.rho for c in comps),
+                    key=cmp_to_key(compare_algebraic))
+    value_rank = dict.fromkeys(values[:1], 0)
+    for a, b in zip(values, values[1:]):
+        value_rank[b] = value_rank[a] + (not equal_radius(a, b))
+    rank = [value_rank[c.rho] for c in comps]
     top: list[int] = []
     chain: list[int] = []
     for ci, out in enumerate(succ):
@@ -196,7 +190,7 @@ def scc_condense(graph, edges=None) -> Condensation:
         top.append(t)
         chain.append((rank[ci] == rank[t]) + max(
             (chain[s] for s in out if rank[top[s]] == rank[t]), default=0))
-    return Condensation(n, tuple(comps), tuple(comp_of), frozenset(dag_edges),
+    return Condensation(n, tuple(comps), tuple(comp_of),
                         tuple(tuple(s) for s in succ), tuple(top), tuple(chain))
 
 
@@ -278,6 +272,6 @@ def algebraic_power(r: AlgebraicReal, k: int) -> AlgebraicReal:
         sq = squarefree_part(q)
         if (sq.sign_at(lo) != 0 and sq.sign_at(hi) != 0
                 and count_real_roots_open(q, lo, hi) == 1):
-            return algebraic_real(q, lo, hi, check=False)
+            return AlgebraicReal(q, lo, hi).refined(DEFAULT_WIDTH)
         cur = cur.refined((cur.hi - cur.lo) / 4)
     raise InternalInconsistencyError("algebraic_power failed to isolate")

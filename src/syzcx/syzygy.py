@@ -30,36 +30,17 @@ from .graph import reachable, tarjan
 from .spectra import adjacency_matrix
 
 
-def _is_prefix(short: Path, long: Path) -> bool:
-    return len(short.arrows) <= len(long.arrows) and \
-        long.arrows[: len(short.arrows)] == short.arrows
-
-
 @dataclass(frozen=True)
 class CyclicKey:
     """Canonical name of a cyclic module: vertex + killer antichain.
 
     Killers are positive-length paths starting at `vertex`, none a prefix of
-    another, stored sorted by (length, arrow-name sequence).
+    another, stored sorted by (length, arrow-name sequence). `cyclic_key`
+    checks this for killers from outside; `path_key` builds it directly.
     """
 
     vertex: str
     killers: tuple[Path, ...]
-
-    def __post_init__(self):
-        for k in self.killers:
-            if k.is_trivial:
-                raise ValueError("killers must have positive length")
-            if k.source != self.vertex:
-                raise ValueError(
-                    f"killer {k.literal()} does not start at {self.vertex}"
-                )
-        for i, a in enumerate(self.killers):
-            for j, b in enumerate(self.killers):
-                if i != j and _is_prefix(a, b):
-                    raise ValueError(
-                        f"killer {a.literal()} is a prefix of {b.literal()}"
-                    )
 
     @property
     def is_projective(self) -> bool:
@@ -77,8 +58,22 @@ class CyclicKey:
 
 
 def cyclic_key(vertex: str, killers) -> CyclicKey:
-    """Build a CyclicKey with killers in canonical order."""
+    """Build a CyclicKey with killers in canonical order, checking that each
+    killer has positive length and starts at `vertex`, and that no killer
+    is a prefix of another."""
     ks = sorted(killers, key=lambda k: (len(k.arrows), k.arrows))
+    for k in ks:
+        if k.is_trivial:
+            raise ValueError("killers must have positive length")
+        if k.source != vertex:
+            raise ValueError(f"killer {k.literal()} does not start at {vertex}")
+    # Sorted by length, a prefix comes before every path it is a prefix of.
+    for i, a in enumerate(ks):
+        for b in ks[i + 1:]:
+            if b.arrows[: len(a.arrows)] == a.arrows:
+                raise ValueError(
+                    f"killer {a.literal()} is a prefix of {b.literal()}"
+                )
     return CyclicKey(vertex, tuple(ks))
 
 
@@ -95,13 +90,6 @@ class ModuleExpr:
 
     def __add__(self, other: "ModuleExpr") -> "ModuleExpr":
         return module_expr(list(self.terms) + list(other.terms))
-
-    def scaled(self, m: int) -> "ModuleExpr":
-        if m < 0:
-            raise ValueError("multiplicity must be >= 0")
-        if m == 0:
-            return ModuleExpr()
-        return ModuleExpr(tuple((k, c * m) for k, c in self.terms))
 
     def label(self) -> str:
         if not self.terms:
@@ -168,7 +156,7 @@ def minimal_killers(p: Path, A: MonomialAlgebra) -> tuple[Path, ...]:
 
 def path_key(p: Path, A: MonomialAlgebra) -> CyclicKey:
     """Key of the cyclic module generated by a nonzero path."""
-    return cyclic_key(p.target, minimal_killers(p, A))
+    return CyclicKey(p.target, minimal_killers(p, A))
 
 
 def key_basis(key: CyclicKey, A: MonomialAlgebra) -> tuple[Path, ...]:
@@ -213,10 +201,8 @@ def syzygy_key(key: CyclicKey, A: MonomialAlgebra) -> ModuleExpr:
 
 def syzygy_step(M: ModuleExpr, A: MonomialAlgebra) -> ModuleExpr:
     """First syzygy of a direct sum, additively."""
-    out = ModuleExpr()
-    for key, mult in M.terms:
-        out = out + syzygy_key(key, A).scaled(mult)
-    return out
+    return module_expr((k, c * mult) for key, mult in M.terms
+                       for k, c in syzygy_key(key, A).terms)
 
 
 @dataclass(frozen=True)
@@ -261,11 +247,8 @@ class SyzygyQuiver:
 
     def out_expr(self, i: int) -> ModuleExpr:
         """Direct sum of out-neighbor labels with arrow multiplicities."""
-        out = ModuleExpr()
-        for a, b in self.arrows:
-            if a == i:
-                out = out + self.labels[b]
-        return out
+        return module_expr(t for a, b in self.arrows if a == i
+                           for t in self.labels[b].terms)
 
     def to_json(self) -> dict:
         vertices = []
@@ -426,12 +409,12 @@ def _is_sub_multiset(sub: ModuleExpr, sup: ModuleExpr) -> bool:
     return all(sup_counts.get(k, 0) >= m for k, m in sub.terms)
 
 
-def validate_partial(Q: SyzygyQuiver, A: MonomialAlgebra | None = None) -> bool:
+def validate_partial(Q: SyzygyQuiver) -> bool:
     """True iff each vertex's out-neighbor multiset is a sub-multiset of the
     decomposition of the syzygy of its label. True licenses lower bounds."""
-    alg = A if A is not None else Q.algebra
     for i in range(Q.n_vertices):
-        if not _is_sub_multiset(Q.out_expr(i), syzygy_step(Q.labels[i], alg)):
+        if not _is_sub_multiset(Q.out_expr(i),
+                                syzygy_step(Q.labels[i], Q.algebra)):
             return False
     return True
 
@@ -469,7 +452,7 @@ def syzygy_quiver_from_json(data: dict, A: MonomialAlgebra) -> SyzygyQuiver:
             ) from None
         if any(not A.is_nonzero(k) for k in key.killers):
             raise InvalidPartialError(f"vertex {vid}: killer is zero")
-        if vertex not in A.quiver.vertex_index:
+        if not isinstance(vertex, str) or vertex not in A.quiver.vertex_index:
             raise InvalidPartialError(f"vertex {vid}: unknown vertex {vertex!r}")
         labels_by_id[vid] = singleton(key)
 
@@ -488,8 +471,11 @@ def syzygy_quiver_from_json(data: dict, A: MonomialAlgebra) -> SyzygyQuiver:
             raise InvalidPartialError(f"bad arrow entry: {entry!r}")
         arrows.extend([(a, b)] * mult)
 
+    raw_start = data.get("start", [])
+    if not isinstance(raw_start, list):
+        raise InvalidPartialError(f"'start' must be a list, got {raw_start!r}")
     start: list[tuple[int, int]] = []
-    for entry in data.get("start", []):
+    for entry in raw_start:
         try:
             if isinstance(entry, dict):
                 i, m = int(entry.get("id", -1)), int(entry.get("mult", 1))

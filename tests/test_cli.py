@@ -206,7 +206,7 @@ def test_internal_crosscheck_mismatch(monkeypatch):
     from syzcx import oracle as oracle_mod
     from syzcx.oracle import CrosscheckReport
 
-    def fake(A, M, N, primes=None, cap=None):
+    def fake(A, M, N):
         return CrosscheckReport((1, 1, 2), (1, 1, 3), False, 2)
 
     monkeypatch.setattr(cli, "crosscheck", fake)
@@ -221,7 +221,7 @@ def test_internal_crosscheck_mismatch(monkeypatch):
 def test_internal_prime_disagreement(monkeypatch):
     from syzcx.errors import PrimeDisagreementError
 
-    def boom(A, M, N, primes=None, cap=None):
+    def boom(A, M, N):
         raise PrimeDisagreementError(
             "syzygy dimensions differ between primes at n=3"
         )
@@ -248,6 +248,16 @@ BAD_INPUT_CASES = [
                        "{tmp}/start_str.json", "--vertex", "0"], {}, 3, ""),
     ("start_id_not_int", ["lower-bound", FIB, "--partial",
                           "{tmp}/start_dict.json", "--vertex", "0"], {}, 3, ""),
+    ("start_null", ["lower-bound", FIB, "--partial", "{tmp}/start_null.json",
+                    "--vertex", "0"], {}, 3, "error[invalid_partial]"),
+    ("start_number", ["lower-bound", FIB, "--partial", "{tmp}/start_number.json",
+                      "--vertex", "0"], {}, 3, "error[invalid_partial]"),
+    ("killer_elsewhere", ["lower-bound", FIB, "--partial",
+                          "{tmp}/killer_elsewhere.json", "--vertex", "0"], {},
+     3, "error[invalid_partial]"),
+    ("vertex_not_string", ["lower-bound", FIB, "--partial",
+                           "{tmp}/vertex_list.json", "--vertex", "0"], {},
+     3, "error[invalid_partial]"),
     ("dim_cap_not_int", ["oracle", "dims", FIB, "--module", "S1", "-n", "2"],
      {"SYZCX_DIM_CAP": "abc"}, 3, ""),
     ("dim_cap_partial", ["oracle", "dims", FIB, "--module", "S1", "-n", "20"],
@@ -262,9 +272,16 @@ def test_bad_input_gives_one_error_line(tmp_path, argv, env, code, needle):
     (tmp_path / "latin1.alg").write_bytes("algebra \xe9\n".encode("latin-1"))
     (tmp_path / "latin1.json").write_bytes('{"x": "\xe9"}'.encode("latin-1"))
     partial = json.loads((DATA / "partial_fib.json").read_text())
-    for name, start in (("start_str.json", ["x"]),
-                        ("start_dict.json", [{"id": "x"}])):
-        (tmp_path / name).write_text(json.dumps(dict(partial, start=start)))
+    v0, v1 = partial["vertices"]
+    elsewhere = [dict(v0, killers=["b"]), v1]
+    listed = [dict(v0, vertex=["1"], killers=[]), v1]
+    for name, change in (("start_str.json", {"start": ["x"]}),
+                         ("start_dict.json", {"start": [{"id": "x"}]}),
+                         ("start_null.json", {"start": None}),
+                         ("start_number.json", {"start": 5}),
+                         ("killer_elsewhere.json", {"vertices": elsewhere}),
+                         ("vertex_list.json", {"vertices": listed})):
+        (tmp_path / name).write_text(json.dumps(dict(partial, **change)))
     proc = cli_process([a.format(tmp=tmp_path) for a in argv], **env)
     assert proc.returncode == code, proc.stderr
     assert "Traceback" not in proc.stderr

@@ -17,7 +17,6 @@ from syzcx.curvature import (
     product_polynomial,
     sum_polynomial,
     closure_combine,
-    modulus_disc_bounds,
     check_condition_c,
     companion_polynomial,
     realize_companion,
@@ -171,12 +170,6 @@ def test_closure_combine_root():
 def test_closure_combine_rejects_unknown_op():
     with pytest.raises(ValueError):
         closure_combine(GOLDEN, GOLDEN, "quotient")
-
-
-def test_modulus_disc_bounds_cover_roots():
-    bounds = modulus_disc_bounds(GOLDEN)
-    assert len(bounds) == 2
-    assert max(bounds) == pytest.approx(PHI, abs=1e-6)
 
 
 # -- companion realization -----------------------------------------------------------

@@ -29,7 +29,7 @@ from syzcx.oracle import (
     CrosscheckReport,
     crosscheck,
 )
-from syzcx.oracle import _matmul_mod, _rref, _nullspace
+from syzcx.oracle import _kernel_from_rref, _matmul_mod, _rref
 from syzcx.syzygy import (
     resolve_module,
     simple_key,
@@ -70,7 +70,8 @@ def test_rref_and_nullspace():
     m = np.array([[1, 2, 3], [2, 4, 6], [0, 1, 1]], dtype=np.int64)
     r, pivots = _rref(m % P, P)
     assert len(pivots) == 2  # rank 2
-    ns = _nullspace(m % P, P)
+    ns, free = _kernel_from_rref(r, pivots, 3, P)
+    assert list(free) == [2]
     assert ns.shape == (3, 1)
     assert not ((m @ ns) % P).any()
 
@@ -173,10 +174,11 @@ def test_dim_sequence_rejects_negative(fib):
         dim_sequence(r, -1)
 
 
-def test_dim_cap(fib):
+def test_dim_cap(fib, monkeypatch):
+    monkeypatch.setenv("SYZCX_DIM_CAP", "50")
     r = rep_of(singleton(simple_key(fib, "1")), fib, P)
     with pytest.raises(DimensionCapExceededError) as exc:
-        dim_sequence(r, 20, cap=50)
+        dim_sequence(r, 20)
     assert exc.value.dims == fibonacci_numbers(10)  # F(10) = 55 > 50
 
 
