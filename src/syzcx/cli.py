@@ -20,7 +20,7 @@ Polynomial coefficients are comma separated, constant term first: x^2-x-1 is
 "-1,-1,1". Class literals are written b^n or b^n*n^L where b is an integer, a
 bracketed coefficient list (largest real root is taken), or one of the known
 12-digit decimals. Exit codes: 0 ok, 1 usage, 2 parse, 3 validation,
-4 mathematical precondition, 5 internal inconsistency.
+4 mathematical precondition or out of memory, 5 internal inconsistency.
 """
 
 from __future__ import annotations
@@ -48,8 +48,6 @@ from .errors import (
     AlgebraSyntaxError,
     InternalInconsistencyError,
     MathPreconditionError,
-    PrimeDisagreementError,
-    SyzcxError,
     ValidationError,
 )
 from .oracle import (
@@ -173,8 +171,6 @@ def _parse_class_literal(text: str):
         base = root
     elif base_text in DECIMAL_BASES:
         base = largest_real_root(IntPolynomial(list(DECIMAL_BASES[base_text])))
-        if base is None:  # "1.000000000000" maps to the unit polynomial
-            base = rational_algebraic(1)
     else:
         try:
             base = rational_algebraic(int(base_text))
@@ -464,7 +460,10 @@ def main(argv=None) -> int:
     except MathPreconditionError as e:
         _diag(e.code, str(e))
         return EXIT_MATH
-    except (InternalInconsistencyError, PrimeDisagreementError) as e:
+    except MemoryError:
+        _diag("out_of_memory", "out of memory")
+        return EXIT_MATH
+    except InternalInconsistencyError as e:
         _diag(e.code, str(e))
         return EXIT_INTERNAL
 

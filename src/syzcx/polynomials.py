@@ -1,11 +1,13 @@
 """Exact integer-polynomial arithmetic and certified real algebraic numbers.
 
 Coefficient lists are ascending: [c0, c1, ..., cn] is c0 + c1 x + ... + cn x^n.
-Real roots are located by Sturm sequences of primitive integer polynomials and
-carried around as an integer defining polynomial plus an isolating rational
-interval containing exactly one distinct real root. Intervals are refined to
-width <= 2^-48 at construction so the printed 12-decimal approximation is
-stable. Divisions and sign evaluations run on integers only: one
+Each polynomial p gets one signed primitive remainder sequence, run on p and
+p'. It ends in gcd(p, p'); divided by that gcd it is a Sturm chain of the
+squarefree part, which is its first entry. Real roots are located by that
+chain and carried around as an integer defining polynomial plus an isolating
+rational interval containing exactly one distinct real root. Intervals are
+refined to width <= 2^-48 at construction so the printed 12-decimal
+approximation is stable. Divisions and sign evaluations run on integers only: one
 pseudo-division loop and homogeneous Horner at rational points.
 """
 
@@ -221,48 +223,51 @@ def monomial_minus(m) -> IntPolynomial:
     return IntPolynomial([-f.numerator, f.denominator])
 
 
+def _remainders(u, v) -> list[tuple[int, ...]]:
+    """Signed primitive remainder sequence of the ascending int sequences u
+    and v: u and v divided by their contents, then each negated pseudo-
+    remainder of the two entries before it, also divided by its content,
+    down to the last nonzero entry, which is a gcd of u and v over Q."""
+    seq = [_content_free(u), _content_free(v)]
+    while seq[-1]:
+        r = _pseudo_divmod(seq[-2], seq[-1])[2]
+        seq.append(tuple(-c for c in _content_free(r)))
+    seq.pop()
+    return seq
+
+
 def poly_gcd_q(a: IntPolynomial, b: IntPolynomial) -> IntPolynomial:
-    """Monic-free gcd over Q, returned primitive with positive leading coeff.
-
-    Primitive polynomial remainder sequence: each pseudo-remainder is divided
-    by its content, so coefficients stay near the size of the inputs."""
-    u, v = _content_free(a.coeffs), _content_free(b.coeffs)
-    while v:
-        u, v = v, _content_free(_pseudo_divmod(u, v)[2])
-    return IntPolynomial(u).primitive()
-
-
-@lru_cache(maxsize=None)
-def squarefree_part(p: IntPolynomial) -> IntPolynomial:
-    """p / gcd(p, p'), primitive with positive leading coefficient."""
-    if p.is_zero:
-        raise ZeroPolynomialError("squarefree part of the zero polynomial")
-    if p.degree == 0:
-        return IntPolynomial([1])
-    g = poly_gcd_q(p, p.derivative())
-    if g.degree == 0:
-        return p.primitive()
-    # g is primitive, so the quotient is an integer polynomial (Gauss).
-    return p.div_exact(g).primitive()
+    """Monic-free gcd over Q, returned primitive with positive leading coeff:
+    the last entry of the primitive remainder sequence, whose coefficients
+    stay near the size of the inputs."""
+    return IntPolynomial(_remainders(a.coeffs, b.coeffs)[-1]).primitive()
 
 
 # -- Sturm machinery --------------------------------------------------------
 
 @lru_cache(maxsize=None)
 def _sturm_chain(p: IntPolynomial) -> tuple[tuple[int, ...], ...]:
-    """Sturm chain of p as primitive integer tuples. Each entry is a positive
-    multiple of the classical entry (p, p', -rem, ...), so every sign, and
-    with it every variation count, is the same."""
-    chain = [_content_free(p.coeffs)]
-    d = p.derivative().coeffs
-    if d:
-        chain.append(_content_free(d))
-    while len(chain[-1]) > 1:
-        r = _pseudo_divmod(chain[-2], chain[-1])[2]
-        if not r:
-            break
-        chain.append(tuple(-c for c in _content_free(r)))
+    """Sturm chain of the squarefree part of p as content-free integer
+    tuples: the signed remainder sequence of p and p', divided by its last
+    entry, gcd(p, p'), when p is not squarefree. Each entry is a positive
+    multiple of the classical entry (p, p', -rem, ...) over that gcd, so
+    V(a) - V(b) counts the distinct roots in (a, b] whenever b is not a root
+    (Basu, Pollack & Roy, Algorithms in Real Algebraic Geometry, ch. 2)."""
+    if p.is_zero:
+        raise ZeroPolynomialError("Sturm chain of the zero polynomial")
+    chain = _remainders(p.coeffs, p.derivative().coeffs)
+    if len(chain[-1]) > 1:
+        # The gcd is content-free, so each quotient is too (Gauss).
+        g = IntPolynomial(chain[-1]).primitive()
+        chain = [IntPolynomial(c).div_exact(g).coeffs for c in chain]
     return tuple(chain)
+
+
+@lru_cache(maxsize=None)
+def squarefree_part(p: IntPolynomial) -> IntPolynomial:
+    """p / gcd(p, p'), primitive with positive leading coefficient: the first
+    entry of the Sturm chain of p."""
+    return IntPolynomial(_sturm_chain(p)[0]).primitive()
 
 
 def _variations(chain, x) -> tuple[int, int]:
@@ -277,16 +282,16 @@ def _variations(chain, x) -> tuple[int, int]:
 def count_real_roots_open(p: IntPolynomial, a: Fraction, b: Fraction) -> int:
     """Number of distinct real roots of p in the open interval (a, b).
 
-    Requires p(a) != 0 and p(b) != 0. Works on the squarefree part, so
-    multiplicities never inflate the count.
+    Requires p(a) != 0 and p(b) != 0; raises ValueError otherwise. The chain
+    is that of the squarefree part, so multiplicities never inflate the
+    count.
     """
-    s = squarefree_part(p)
-    if s.sign_at(a) == 0 or s.sign_at(b) == 0:
+    chain = _sturm_chain(p)
+    va, sa = _variations(chain, a)
+    vb, sb = _variations(chain, b)
+    if sa == 0 or sb == 0:
         raise ValueError("endpoint is a root; Sturm count needs nonroot endpoints")
-    if a >= b:
-        return 0
-    chain = _sturm_chain(s)
-    return _variations(chain, a)[0] - _variations(chain, b)[0]
+    return va - vb if a < b else 0
 
 
 def cauchy_bound(p: IntPolynomial) -> Fraction:
@@ -302,40 +307,30 @@ def isolate_largest_real_root(p: IntPolynomial):
     real roots. Returns lo == hi when the root is an exact rational."""
     if p.is_zero:
         raise ZeroPolynomialError("cannot isolate roots of the zero polynomial")
-    s = squarefree_part(p)
-    if s.degree <= 0:
+    if p.degree == 0:
         return None
-    chain = _sturm_chain(s)
+    chain = _sturm_chain(p)
     # V(x) = variations of the chain at x; V(a) - V(b) counts the roots in
-    # (a, b] whenever s(b) != 0, even if s(a) == 0. Each point is evaluated
-    # once: V and the sign of s are kept for both ends.
-    B = cauchy_bound(s)
+    # (a, b] whenever s(b) != 0, even if s(a) == 0 (s = squarefree part).
+    # Each point is evaluated once: V and the sign of s are kept for lo.
+    B = cauchy_bound(squarefree_part(p))
     lo, hi = -B, B  # s(+-B) != 0 and every real root lies strictly inside
     vlo, slo = _variations(chain, lo)
-    vhi, shi = _variations(chain, hi)
+    vhi = _variations(chain, hi)[0]
     if vlo == vhi:
         return None
-    # Invariant: the largest root lies in (lo, hi] and s(hi) != 0, so in fact
-    # in (lo, hi). lo is allowed to be a root (a smaller one).
-    while vlo - vhi > 1:
+    # Invariant: the largest root lies in (lo, hi) and s(hi) != 0; lo may be
+    # a smaller root. Once (lo, hi) holds one simple root and s(lo) != 0,
+    # s changes sign across it.
+    while vlo - vhi > 1 or slo == 0:
         mid = (lo + hi) / 2
         vmid, smid = _variations(chain, mid)
         if smid == 0 and vmid == vhi:
             return mid, mid
-        if vmid - vhi >= 1 or smid == 0:
+        if vmid > vhi or smid == 0:
             lo, vlo, slo = mid, vmid, smid
         else:
-            hi, vhi, shi = mid, vmid, smid
-    # One root in (lo, hi); tighten until a sign change certifies it.
-    while slo == 0 or slo == shi:
-        mid = (lo + hi) / 2
-        vmid, smid = _variations(chain, mid)
-        if smid == 0:
-            return mid, mid
-        if vmid - vhi >= 1:
-            lo, vlo, slo = mid, vmid, smid
-        else:
-            hi, vhi, shi = mid, vmid, smid
+            hi, vhi = mid, vmid
     return lo, hi
 
 
@@ -420,12 +415,8 @@ def algebraic_real(p: IntPolynomial, lo, hi) -> AlgebraicReal:
     if lo == hi:
         if p.sign_at(lo) != 0:
             raise ValueError("degenerate interval is not a root")
-    else:
-        s = squarefree_part(p)
-        if s.sign_at(lo) == 0 or s.sign_at(hi) == 0:
-            raise ValueError("interval endpoint is a root; not isolating")
-        if count_real_roots_open(p, lo, hi) != 1:
-            raise ValueError("interval does not isolate exactly one root")
+    elif count_real_roots_open(p, lo, hi) != 1:
+        raise ValueError("interval does not isolate exactly one root")
     r = AlgebraicReal(p, lo, hi)
     return r.refined(DEFAULT_WIDTH)
 
@@ -440,10 +431,7 @@ def largest_real_root(p: IntPolynomial):
     iso = isolate_largest_real_root(p)
     if iso is None:
         return None
-    lo, hi = iso
-    if lo == hi:
-        return AlgebraicReal(p, lo, hi)
-    return AlgebraicReal(p, lo, hi).refined(DEFAULT_WIDTH)
+    return AlgebraicReal(p, *iso).refined(DEFAULT_WIDTH)
 
 
 # -- determinants and resultants --------------------------------------------

@@ -196,37 +196,34 @@ def scc_condense(n: int, edge_list) -> Condensation:
 
 # -- exact comparisons -------------------------------------------------------
 
-def equal_radius(r1: AlgebraicReal, r2: AlgebraicReal) -> bool:
+def equal_radius(a: AlgebraicReal, b: AlgebraicReal) -> bool:
     """Exact equality of two certified algebraic reals.
 
     True iff the gcd of the defining polynomials has a real root inside the
     intersection of the isolating intervals; each interval holds exactly one
     root of its own polynomial, so such a shared root is both values at once.
+    The ends of a proper isolating interval are not roots of its polynomial,
+    so neither end of the intersection is a root of the gcd.
     """
-    a, b = r1, r2
-    for _ in range(200):
-        if a.hi < b.lo or b.hi < a.lo:
-            return False
-        if a.lo == a.hi and b.lo == b.hi:
-            return a.lo == b.lo
-        if a.lo == a.hi:
-            q = a.lo
-            return b.lo <= q <= b.hi and b.poly.sign_at(q) == 0
-        if b.lo == b.hi:
-            q = b.lo
-            return a.lo <= q <= a.hi and a.poly.sign_at(q) == 0
-        g = poly_gcd_q(squarefree_part(a.poly), squarefree_part(b.poly))
-        if g.degree <= 0:
-            return False
-        x = max(a.lo, b.lo)
-        y = min(a.hi, b.hi)
-        if x >= y:
-            return False
-        if g.sign_at(x) != 0 and g.sign_at(y) != 0:
-            return count_real_roots_open(g, x, y) >= 1
-        a = a.refined((a.hi - a.lo) / 4)
-        b = b.refined((b.hi - b.lo) / 4)
-    raise InternalInconsistencyError("equal_radius failed to converge")
+    if a.hi < b.lo or b.hi < a.lo:
+        return False
+    if a.lo == a.hi and b.lo == b.hi:
+        return a.lo == b.lo
+    if a.lo == a.hi:
+        return b.poly.sign_at(a.lo) == 0
+    if b.lo == b.hi:
+        return a.poly.sign_at(b.lo) == 0
+    sa, sb = squarefree_part(a.poly), squarefree_part(b.poly)
+    g = poly_gcd_q(sa, sb)
+    if g.degree <= 0:
+        return False
+    x = max(a.lo, b.lo)
+    y = min(a.hi, b.hi)
+    if x >= y:
+        return False
+    # A gcd equal to a squarefree part counts on that polynomial's chain.
+    p = a.poly if g == sa else b.poly if g == sb else g
+    return count_real_roots_open(p, x, y) >= 1
 
 
 def compare_algebraic(r1: AlgebraicReal, r2: AlgebraicReal) -> int:

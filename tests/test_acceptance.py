@@ -30,7 +30,6 @@ from syzcx.complexity import (
 from syzcx.curvature import (
     check_condition_c,
     closure_combine,
-    companion_polynomial,
     product_polynomial,
     realize_companion,
 )

@@ -7,7 +7,6 @@ import pytest
 from syzcx.algebra import (
     Arrow,
     Quiver,
-    Path,
     PathZero,
     _normalize_relations,
     contiguous_subpaths,

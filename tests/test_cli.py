@@ -25,14 +25,15 @@ LOOP3 = str(DATA / "loop3.alg")
 A2 = str(DATA / "a2.alg")
 
 
-def cli_process(argv, **env):
+def cli_process(argv, preexec_fn=None, **env):
     """Run `python -m syzcx.cli argv` with this checkout's syzcx importable."""
     src = str(Path(syzcx.__file__).resolve().parents[1])
     full_env = dict(os.environ, **env)
     full_env["PYTHONPATH"] = os.pathsep.join(
         filter(None, [src, os.environ.get("PYTHONPATH")]))
     return subprocess.run([sys.executable, "-m", "syzcx.cli"] + argv,
-                          capture_output=True, text=True, env=full_env)
+                          capture_output=True, text=True, env=full_env,
+                          preexec_fn=preexec_fn)
 
 
 def run_cli(argv):
@@ -303,6 +304,31 @@ def test_memory_error_in_a_syzygy_step_keeps_the_partial_result(monkeypatch):
     assert rc == 4 and out == ""
     assert err.startswith("error[dimension_cap_exceeded]: out of memory")
     assert err.count("\n") == 1 and "[1, 1, 2, 3]" in err
+
+
+def test_out_of_memory_gives_one_error_line():
+    """p(x^k) for k = 10^9 needs about 8 GB; under a 2 GiB address-space
+    limit, set in the child only, the call ends in one error line. One BLAS
+    thread keeps numpy's import well inside the limit on any core count."""
+    resource = pytest.importorskip("resource")
+
+    def limit():
+        resource.setrlimit(resource.RLIMIT_AS, (2 << 30, 2 << 30))
+
+    proc = cli_process(["curvature", "combine", "--op", "root", "[-1,1]",
+                        "1000000000"], preexec_fn=limit,
+                       OPENBLAS_NUM_THREADS="1")
+    assert proc.returncode == 4 and proc.stdout == ""
+    assert proc.stderr == "error[out_of_memory]: out of memory\n"
+
+
+def test_out_of_memory_in_realize(monkeypatch):
+    def realize(coeffs):
+        raise MemoryError
+
+    monkeypatch.setattr(cli, "realize_companion", realize)
+    rc, out, err = run_cli(["curvature", "realize", "1000000000"])
+    assert (rc, out, err) == (4, "", "error[out_of_memory]: out of memory\n")
 
 
 # -- fuzzing: every call ends with an exit code, never an exception ------------------

@@ -3,12 +3,11 @@ realization, subdivision, and the numeric witness."""
 
 import pytest
 
-from syzcx.algebra import Quiver, Arrow, parse_algebra, validate_algebra
+from syzcx.algebra import Quiver, Arrow
 from syzcx.polynomials import poly, largest_real_root, rational_algebraic
-from syzcx.spectra import scc_condense, equal_radius, compare_algebraic, perron_root
+from syzcx.spectra import scc_condense, equal_radius, perron_root
 from syzcx.syzygy import build_syzygy_quiver, resolve_module, SyzygyQuiver
 from syzcx.complexity import (
-    ComplexityClass,
     zero_class,
     polyexp_class,
     compare,

@@ -10,9 +10,8 @@ Expansion identities used as expected values, all checkable by hand:
 import pytest
 
 from syzcx.polynomials import poly, largest_real_root, rational_algebraic
-from syzcx.spectra import equal_radius, compare_algebraic, perron_root, char_poly
+from syzcx.spectra import equal_radius, perron_root, char_poly
 from syzcx.curvature import (
-    CurvatureVerdict,
     factor_monic_squarefree,
     product_polynomial,
     sum_polynomial,

@@ -8,7 +8,6 @@ from fractions import Fraction
 import pytest
 
 from syzcx.polynomials import (
-    IntPolynomial,
     poly,
     monomial_minus,
     poly_gcd_q,
@@ -125,6 +124,15 @@ def test_count_real_roots_open():
     assert count_real_roots_open(p, Fraction(0), Fraction(2)) == 1
     assert count_real_roots_open(p, Fraction(-2), Fraction(2)) == 2
     assert count_real_roots_open(p, Fraction(2), Fraction(3)) == 0
+    # A root at either end is refused, a repeated root included;
+    # equal_radius relies on this guard.
+    q = poly(-4, 0, 1)  # x^2 - 4
+    with pytest.raises(ValueError, match="endpoint is a root"):
+        count_real_roots_open(q, Fraction(2), Fraction(3))
+    with pytest.raises(ValueError, match="endpoint is a root"):
+        count_real_roots_open(q, Fraction(0), Fraction(2))
+    with pytest.raises(ValueError, match="endpoint is a root"):
+        count_real_roots_open(q * q, Fraction(-2), Fraction(0))
 
 
 def test_cauchy_bound_dominates_roots():

@@ -4,9 +4,11 @@ absorbing element, nonzero paths are closed under contiguous subwords,
 killers match their definition, exact comparisons form a total order,
 growth-class operations obey semiring-style laws, partial resolution data
 never overstates complexity, the graph traversals match a brute-force
-transitive closure, vertex classes match the per-vertex algorithm, and the two
-independent dimension pipelines agree."""
+transitive closure, vertex classes match the per-vertex algorithm, module
+classes match a pinned hash, and the two independent dimension pipelines
+agree."""
 
+import hashlib
 import json
 import random
 from fractions import Fraction
@@ -44,9 +46,9 @@ from syzcx.syzygy import (
     SyzygyQuiver,
     build_syzygy_quiver,
     minimal_killers,
+    module_expr,
     projective_key,
     quiver_dim_sequence,
-    resolve_module,
     simple_key,
     singleton,
     syzygy_quiver_from_json,
@@ -182,6 +184,23 @@ def test_vertex_complexity_matches_per_vertex_reference():
             ties += len(polys) > 1
             deep += got.degree > 0
     assert ties >= 100 and deep >= 150
+
+
+def test_module_classes_match_pinned_hash():
+    """Every base interval and degree of 964 module classes, pinned byte for
+    byte: per algebra, each vertex's simple then projective, then the sum of
+    the simples."""
+    classes = []
+    for A in random_monomial_algebras(5, 120):
+        vertices = A.quiver.vertices
+        for v in vertices:
+            classes.append(module_complexity(A, singleton(simple_key(A, v))))
+            classes.append(module_complexity(A, singleton(projective_key(A, v))))
+        sum_of_simples = module_expr((simple_key(A, v), 1) for v in vertices)
+        classes.append(module_complexity(A, sum_of_simples))
+    text = json.dumps([c.to_json() for c in classes], sort_keys=True)
+    assert len(classes) == 964
+    assert hashlib.sha256(text.encode()).hexdigest()[:16] == "1a3f5446b38cb938"
 
 
 # -- path arithmetic -------------------------------------------------------------
