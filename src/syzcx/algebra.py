@@ -213,6 +213,8 @@ class MonomialAlgebra:
     Holds the normalized relation set, the longest relation length R, and the
     full nonzero-path basis ordered by (length, arrow declaration indices).
     Only validate_algebra builds one; the basis is empty until it is set.
+    `syzygy_memo` maps each CyclicKey to its syzygy; syzygy.syzygy_key fills
+    it, so a key's syzygy is computed once per algebra.
     """
 
     def __init__(self, name, quiver, relations, modules):
@@ -227,6 +229,7 @@ class MonomialAlgebra:
         self._rel_by_len: dict[int, frozenset[tuple[str, ...]]] = {
             k: frozenset(v) for k, v in grouped.items()
         }
+        self.syzygy_memo: dict = {}
         self._set_basis(())
 
     def _set_basis(self, nonzero_paths: tuple[Path, ...]):

@@ -16,8 +16,10 @@ Subcommands
     oracle dims --builtin xyz-local --module k -n N
     oracle crosscheck <file> --module M -n N
 
-Polynomial coefficients are comma separated, constant term first: x^2-x-1 is
-"-1,-1,1". Class literals are written b^n or b^n*n^L where b is an integer, a
+Polynomial coefficients are comma separated, constant term first, in
+brackets: x^2-x-1 is "[-1,-1,1]". Without brackets a list that starts with a
+minus sign reads as an option; put "--" before it: curvature check -- -1,-1,1.
+Class literals are written b^n or b^n*n^L where b is an integer, a
 bracketed coefficient list (largest real root is taken), or one of the known
 12-digit decimals. Exit codes: 0 ok, 1 usage, 2 parse, 3 validation,
 4 mathematical precondition or out of memory, 5 internal inconsistency.
@@ -352,6 +354,9 @@ def _cmd_oracle_crosscheck(args) -> int:
 
 # -- parser ----------------------------------------------------------------------
 
+COEFFS_HELP = 'polynomial, constant term first: "[-1,-1,1]" is x^2-x-1'
+
+
 def build_parser() -> _Parser:
     root = _Parser(prog="syzcx", description=__doc__,
                    formatter_class=argparse.RawDescriptionHelpFormatter)
@@ -389,14 +394,14 @@ def build_parser() -> _Parser:
     csub = p.add_subparsers(dest="curvature_command", required=True)
 
     c = csub.add_parser("check", help="decide realizability of a base")
-    c.add_argument("coeffs", help="polynomial, constant term first")
+    c.add_argument("coeffs", help=COEFFS_HELP)
     c.add_argument("--assume-irreducible", action="store_true")
     c.set_defaults(func=_cmd_curvature_check)
 
     c = csub.add_parser("combine", help="closure under sum/product/root")
     c.add_argument("--op", required=True, choices=("sum", "product", "root"))
-    c.add_argument("first", help="polynomial, constant term first")
-    c.add_argument("second", help="second polynomial, or the root index")
+    c.add_argument("first", help=COEFFS_HELP)
+    c.add_argument("second", help=f"the root index, or a second {COEFFS_HELP}")
     c.set_defaults(func=_cmd_curvature_combine)
 
     c = csub.add_parser("realize", help="companion quiver for a base")

@@ -426,8 +426,10 @@ def rational_algebraic(x) -> AlgebraicReal:
     return AlgebraicReal(monomial_minus(f), f, f)
 
 
+@lru_cache(maxsize=None)
 def largest_real_root(p: IntPolynomial):
-    """Largest real root of p as an AlgebraicReal, or None."""
+    """Largest real root of p as an AlgebraicReal, or None; isolated and
+    refined once per distinct polynomial."""
     iso = isolate_largest_real_root(p)
     if iso is None:
         return None

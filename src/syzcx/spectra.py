@@ -5,7 +5,7 @@ and comparison of the resulting algebraic numbers."""
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cmp_to_key
+from functools import cmp_to_key, lru_cache
 
 from .errors import InternalInconsistencyError
 from .graph import tarjan
@@ -92,6 +92,12 @@ def perron_root(component) -> AlgebraicReal:
     return r
 
 
+@lru_cache(maxsize=None)
+def _component_root(matrix: IntMatrix) -> AlgebraicReal:
+    """perron_root of a component matrix, computed once per distinct matrix."""
+    return perron_root(matrix)
+
+
 @dataclass(frozen=True)
 class SCC:
     """One strongly connected component: member vertices (original indices,
@@ -173,7 +179,7 @@ def scc_condense(n: int, edge_list) -> Condensation:
     comps: list[SCC] = []
     for members, mat in zip(comp_members, mats):
         matrix = mat_from_rows(mat)
-        comps.append(SCC(tuple(members), matrix, perron_root(matrix)))
+        comps.append(SCC(tuple(members), matrix, _component_root(matrix)))
 
     # Rank the distinct radii (equal radii share a rank), then one forward
     # pass: everything reachable from ci is ci or reachable from a successor.
@@ -250,7 +256,8 @@ def algebraic_power(r: AlgebraicReal, k: int) -> AlgebraicReal:
 
     Defining polynomial: Res_y(p(y), x - y^k), whose roots are the k-th powers
     of the roots of p. The isolating interval [lo^k, hi^k] is validated by a
-    Sturm count and the source interval is refined until it isolates."""
+    Sturm count and the source interval is refined until it isolates, or
+    while an end of it is a root."""
     if k < 1:
         raise ValueError("power must be >= 1")
     if r.lo < 0:
@@ -266,9 +273,11 @@ def algebraic_power(r: AlgebraicReal, k: int) -> AlgebraicReal:
     cur = r
     for _ in range(200):
         lo, hi = cur.lo ** k, cur.hi ** k
-        sq = squarefree_part(q)
-        if (sq.sign_at(lo) != 0 and sq.sign_at(hi) != 0
-                and count_real_roots_open(q, lo, hi) == 1):
+        try:
+            isolated = count_real_roots_open(q, lo, hi) == 1
+        except ValueError:  # an end is a root of q
+            isolated = False
+        if isolated:
             return AlgebraicReal(q, lo, hi).refined(DEFAULT_WIDTH)
         cur = cur.refined((cur.hi - cur.lo) / 4)
     raise InternalInconsistencyError("algebraic_power failed to isolate")

@@ -37,10 +37,23 @@ class CyclicKey:
     Killers are positive-length paths starting at `vertex`, none a prefix of
     another, stored sorted by (length, arrow-name sequence). `cyclic_key`
     checks this for killers from outside; `path_key` builds it directly.
+    The hash, hash((vertex, killers)), is computed once and kept on the key;
+    pickles leave it out, since string hashes differ between processes.
     """
 
     vertex: str
     killers: tuple[Path, ...]
+
+    def __hash__(self):
+        try:
+            return self._hash
+        except AttributeError:
+            h = hash((self.vertex, self.killers))
+            object.__setattr__(self, "_hash", h)
+            return h
+
+    def __getstate__(self):
+        return {"vertex": self.vertex, "killers": self.killers}
 
     @property
     def is_projective(self) -> bool:
@@ -195,8 +208,13 @@ def resolve_module(A: MonomialAlgebra, name: str) -> ModuleExpr:
 # -- the syzygy rule ---------------------------------------------------------
 
 def syzygy_key(key: CyclicKey, A: MonomialAlgebra) -> ModuleExpr:
-    """First syzygy of one cyclic module; zero for projectives."""
-    return module_expr((path_key(w, A), 1) for w in key.killers)
+    """First syzygy of one cyclic module; zero for projectives. Kept in the
+    algebra's `syzygy_memo`: a key names a module only inside its algebra."""
+    memo = A.syzygy_memo
+    syz = memo.get(key)
+    if syz is None:
+        syz = memo[key] = module_expr((path_key(w, A), 1) for w in key.killers)
+    return syz
 
 
 def syzygy_step(M: ModuleExpr, A: MonomialAlgebra) -> ModuleExpr:
@@ -298,10 +316,10 @@ def build_syzygy_quiver(M: ModuleExpr, A: MonomialAlgebra) -> SyzygyQuiver:
     index: dict[CyclicKey, int] = {}
 
     def vid(key: CyclicKey) -> int:
-        if key not in index:
-            index[key] = len(order)
+        i = index.setdefault(key, len(order))
+        if i == len(order):
             order.append(key)
-        return index[key]
+        return i
 
     start = tuple((vid(k), m) for k, m in M.terms)
     arrows: list[tuple[int, int]] = []

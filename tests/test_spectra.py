@@ -6,7 +6,12 @@ from time import perf_counter
 import pytest
 
 from syzcx.curvature import companion_polynomial, realize_companion
-from syzcx.polynomials import poly, largest_real_root, rational_algebraic
+from syzcx.polynomials import (
+    AlgebraicReal,
+    poly,
+    largest_real_root,
+    rational_algebraic,
+)
 from syzcx.spectra import (
     mat_from_rows,
     adjacency_matrix,
@@ -147,6 +152,16 @@ def test_algebraic_power_golden_square():
     assert abs(sq.as_float() - PHI ** 2) < 1e-10
     one = algebraic_power(phi, 1)
     assert equal_radius(one, phi)
+
+
+def test_algebraic_power_refines_past_a_root_end():
+    # sqrt2 on (1, 3/2), as a root of (x^2 - 2)(x + 1): squared, the interval
+    # (1, 9/4) ends at 1 = (-1)^2, a root of the defining polynomial, so the
+    # source interval is refined before the count can succeed.
+    r = AlgebraicReal(poly(-2, -2, 1, 1), Fraction(1), Fraction(3, 2))
+    sq = algebraic_power(r, 2)
+    assert sq.lo > 1
+    assert equal_radius(sq, rational_algebraic(2))
 
 
 def test_algebraic_power_rational():
