@@ -6,7 +6,8 @@ algebra iff it contains no relation as a contiguous factor, so the nonzero
 paths form a factor-avoiding language. The algebra is finite dimensional iff
 the forbidden-factor automaton (states: nonzero paths of length <= R-1, where
 R is the longest relation length) is acyclic; validation checks exactly that
-and then enumerates the nonzero-path basis.
+and then enumerates the nonzero-path basis along the automaton's moves. The
+algebra keeps the automaton, and every zero test is a walk through it.
 
 Composition is written in traversal order throughout: `a.b` means traverse `a`
 then `b`, and requires target(a) == source(b).
@@ -210,8 +211,13 @@ class MonomialAlgebraSpec:
 class MonomialAlgebra:
     """Validated finite-dimensional monomial path algebra.
 
-    Holds the normalized relation set, the longest relation length R, and the
-    full nonzero-path basis ordered by (length, arrow declaration indices).
+    Holds the normalized relation set, the longest relation length R, the
+    forbidden-factor automaton and the full nonzero-path basis ordered by
+    (length, arrow declaration indices). A state of the automaton is a vertex
+    plus the last <= R-1 arrows of a nonzero path; `moves[state]` maps each
+    arrow name to the next state, in `arrows_from` order, and a path is zero
+    exactly when some arrow of it has no move. State i is the trivial path at
+    the i-th vertex. The automaton answers every zero test.
     Only validate_algebra builds one; the basis is empty until it is set.
     `syzygy_memo` maps each CyclicKey to its syzygy; syzygy.syzygy_key fills
     it, so a key's syzygy is computed once per algebra.
@@ -223,12 +229,23 @@ class MonomialAlgebra:
         self.relations = relations
         self.modules = modules
         self.max_relation_length = max((len(r) for r in relations), default=1)
-        grouped: dict[int, set] = {len(r): set() for r in relations}
-        for r in relations:
-            grouped[len(r)].add(r.arrows)
-        self._rel_by_len: dict[int, frozenset[tuple[str, ...]]] = {
-            k: frozenset(v) for k, v in grouped.items()
-        }
+        keep = self.max_relation_length - 1
+        words = {r.arrows for r in relations}
+        index = {(v, ()): i for i, v in enumerate(quiver.vertices)}
+        states = list(index)
+        self.moves: list[dict[str, int]] = []
+        for vertex, word in states:  # grows while it is scanned
+            out = {}
+            for a in quiver.arrows_from(vertex):
+                new = word + (a.name,)
+                if any(new[i:] in words for i in range(len(new) - 1)):
+                    continue  # new ends with a relation
+                key = (a.target, new[max(0, len(new) - keep):])
+                if key not in index:
+                    index[key] = len(states)
+                    states.append(key)
+                out[a.name] = index[key]
+            self.moves.append(out)
         self.syzygy_memo: dict = {}
         self._set_basis(())
 
@@ -252,23 +269,18 @@ class MonomialAlgebra:
         return (len(p.arrows), tuple(aidx[n] for n in p.arrows),
                 self.quiver.vertex_index[p.source])
 
-    def contains_relation_factor(self, arrow_names: tuple[str, ...]) -> bool:
-        for L, rels in self._rel_by_len.items():
-            if L > len(arrow_names):
-                continue
-            for i in range(len(arrow_names) - L + 1):
-                if arrow_names[i:i + L] in rels:
-                    return True
-        return False
-
-    def has_relation_suffix(self, arrow_names: tuple[str, ...]) -> bool:
-        for L, rels in self._rel_by_len.items():
-            if L <= len(arrow_names) and arrow_names[-L:] in rels:
-                return True
-        return False
+    def state_after(self, p: Path) -> int | None:
+        """The automaton's state after reading p from its source, or None
+        when p is zero."""
+        state = self.quiver.vertex_index[p.source]
+        for name in p.arrows:
+            state = self.moves[state].get(name)
+            if state is None:
+                return None
+        return state
 
     def is_nonzero(self, p: Path) -> bool:
-        return not self.contains_relation_factor(p.arrows)
+        return self.state_after(p) is not None
 
     def extend(self, p, q):
         """Compose p then q. Returns a Path, or PathZero with the reason
@@ -279,10 +291,8 @@ class MonomialAlgebra:
             return q
         if p.target != q.source:
             return PathZero("non_composable")
-        names = p.arrows + q.arrows
-        if self.contains_relation_factor(names):
-            return PathZero("relation")
-        return Path(p.source, q.target, names)
+        pq = Path(p.source, q.target, p.arrows + q.arrows)
+        return pq if self.is_nonzero(pq) else PathZero("relation")
 
     def module_terms(self, name: str) -> tuple[ModuleTerm, ...]:
         if name not in self.modules:
@@ -319,8 +329,7 @@ def validate_algebra(spec: MonomialAlgebraSpec) -> MonomialAlgebra:
     """Check admissibility and finite-dimensionality; enumerate the basis.
 
     Rejects relations shorter than 2 arrows and algebras with a nonzero cycle
-    (detected as a cycle in the forbidden-factor automaton whose states are
-    nonzero paths of length <= R-1).
+    (detected as a cycle in the algebra's forbidden-factor automaton).
     """
     for r in spec.relations:
         if len(r.arrows) < 2:
@@ -331,27 +340,9 @@ def validate_algebra(spec: MonomialAlgebraSpec) -> MonomialAlgebra:
     relations = _normalize_relations(spec.relations)
     alg = MonomialAlgebra(spec.name, spec.quiver, relations, dict(spec.modules))
     quiver = spec.quiver
-    keep = alg.max_relation_length - 1
+    moves = alg.moves
 
-    # Materialize the automaton reachable from the trivial paths. States are
-    # (vertex, last <= R-1 arrows); moves[i] lists (successor, arrow name).
-    index = {(v, ()): i for i, v in enumerate(quiver.vertices)}
-    states = list(index)
-    moves: list[list[tuple[int, str]]] = []
-    for vertex, word in states:  # grows while it is scanned
-        out = []
-        for a in quiver.arrows_from(vertex):
-            new = word + (a.name,)
-            if alg.has_relation_suffix(new):
-                continue
-            key = (a.target, new[max(0, len(new) - keep):])
-            if key not in index:
-                index[key] = len(states)
-                states.append(key)
-            out.append((index[key], a.name))
-        moves.append(out)
-
-    succ = [[j for j, _ in out] for out in moves]
+    succ = [list(out.values()) for out in moves]
     for comp in tarjan(succ):
         x = comp[0]
         if len(comp) == 1 and x not in succ[x]:
@@ -363,25 +354,24 @@ def validate_algebra(spec: MonomialAlgebraSpec) -> MonomialAlgebra:
         walk: list[str] = []
         while x not in visited_at:
             visited_at[x] = len(walk)
-            x, name = next((j, a) for j, a in moves[x] if j in members)
+            name, x = next((a, j) for a, j in moves[x].items() if j in members)
             walk.append(name)
         raise InfiniteDimensionalError(
             "the algebra is infinite dimensional: nonzero cycle "
             + ".".join(walk[visited_at[x]:])
         )
 
-    # Acyclic: the language is finite; enumerate by length layers.
+    # Acyclic: the language is finite; enumerate by length layers, each path
+    # with its automaton state.
     paths: list[Path] = [Path(v, v, ()) for v in quiver.vertices]
-    layer = list(paths)
+    layer = list(enumerate(paths))
     while layer:
-        nxt: list[Path] = []
-        for p in layer:
-            for a in quiver.arrows_from(p.target):
-                names = p.arrows + (a.name,)
-                if alg.has_relation_suffix(names):
-                    continue
-                nxt.append(Path(p.source, a.target, names))
-        paths.extend(nxt)
+        nxt: list[tuple[int, Path]] = []
+        for i, p in layer:
+            for a, j in moves[i].items():
+                target = quiver.arrow_by_name[a].target
+                nxt.append((j, Path(p.source, target, p.arrows + (a,))))
+        paths.extend(p for _, p in nxt)
         layer = nxt
     alg._set_basis(tuple(paths))
     return alg

@@ -129,9 +129,10 @@ def convolve(c1: ComplexityClass, c2: ComplexityClass) -> ComplexityClass:
         return c2
     if c2.is_zero:
         return c1
-    if equal_radius(c1.base, c2.base):
+    c = compare_algebraic(c1.base, c2.base)
+    if c == 0:
         return polyexp_class(c1.base, c1.degree + c2.degree + 1)
-    return c1 if compare_algebraic(c1.base, c2.base) > 0 else c2
+    return c1 if c > 0 else c2
 
 
 # -- vertex classes -----------------------------------------------------------

@@ -270,7 +270,8 @@ def check_condition_c(p: IntPolynomial,
         return CurvatureVerdict(
             "not_realizable", None, "no real root", irr
         )
-    if compare_algebraic(best, _ZERO) < 0:
+    sign = compare_algebraic(best, _ZERO)
+    if sign < 0:
         return CurvatureVerdict(
             "not_realizable", None, "the largest real root is negative", irr
         )
@@ -282,7 +283,7 @@ def check_condition_c(p: IntPolynomial,
         )
     while f.coeffs[0] == 0:
         f = f.div_exact(poly(0, 1))
-    if compare_algebraic(best, _ZERO) == 0:
+    if sign == 0:
         if f.degree == 0:
             return CurvatureVerdict("realizable", best, "the zero base", irr)
         return CurvatureVerdict(

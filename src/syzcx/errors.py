@@ -8,24 +8,22 @@ class SyzcxError(Exception):
 
     code = "error"
 
-    def __init__(self, message: str = "", **data):
+    def __init__(self, message: str = ""):
         super().__init__(message or self.code)
         self.message = message or self.code
-        self.data = data
 
     def __str__(self):
         return self.message
 
 
 class AlgebraSyntaxError(SyzcxError):
-    """Malformed input file or literal. Carries line/column when known."""
+    """Malformed input file or literal. Carries the line when known."""
 
     code = "syntax_error"
 
-    def __init__(self, message, line=None, column=None, **data):
-        super().__init__(message, **data)
+    def __init__(self, message, line=None):
+        super().__init__(message)
         self.line = line
-        self.column = column
 
     def __str__(self):
         if self.line is not None:
@@ -102,8 +100,8 @@ class DimensionCapExceededError(MathPreconditionError):
 
     code = "dimension_cap_exceeded"
 
-    def __init__(self, message, dims=None, **data):
-        super().__init__(message, **data)
+    def __init__(self, message, dims=None):
+        super().__init__(message)
         self.dims = list(dims or [])
 
 

@@ -503,16 +503,6 @@ def resultant_y(A: list[IntPolynomial], B: list[IntPolynomial]) -> IntPolynomial
     if not A or not B:
         raise ZeroPolynomialError("resultant with the zero polynomial")
     da, db = len(A) - 1, len(B) - 1
-    if da == 0:
-        out = IntPolynomial([1])
-        for _ in range(db):
-            out = out * A[0]
-        return out
-    if db == 0:
-        out = IntPolynomial([1])
-        for _ in range(da):
-            out = out * B[0]
-        return out
     size = da + db
     zero = IntPolynomial()
     rows: list[list[IntPolynomial]] = []

@@ -79,12 +79,11 @@ def char_poly(m: IntMatrix) -> IntPolynomial:
     return IntPolynomial(reversed(coeffs_desc))
 
 
-def perron_root(component) -> AlgebraicReal:
-    """Spectral radius of a strongly connected component (or a raw adjacency
-    matrix) as a certified algebraic number: the largest real root of the
-    characteristic polynomial. Trivial loopless vertices get 0 (poly x)."""
-    m = getattr(component, "matrix", component)
-    r = largest_real_root(char_poly(m))
+def perron_root(matrix) -> AlgebraicReal:
+    """Spectral radius of an adjacency matrix as a certified algebraic number:
+    the largest real root of the characteristic polynomial. A trivial
+    loopless vertex gets 0 (poly x)."""
+    r = largest_real_root(char_poly(matrix))
     if r is None:
         raise InternalInconsistencyError(
             "adjacency characteristic polynomial has no real root"

@@ -37,23 +37,10 @@ class CyclicKey:
     Killers are positive-length paths starting at `vertex`, none a prefix of
     another, stored sorted by (length, arrow-name sequence). `cyclic_key`
     checks this for killers from outside; `path_key` builds it directly.
-    The hash, hash((vertex, killers)), is computed once and kept on the key;
-    pickles leave it out, since string hashes differ between processes.
     """
 
     vertex: str
     killers: tuple[Path, ...]
-
-    def __hash__(self):
-        try:
-            return self._hash
-        except AttributeError:
-            h = hash((self.vertex, self.killers))
-            object.__setattr__(self, "_hash", h)
-            return h
-
-    def __getstate__(self):
-        return {"vertex": self.vertex, "killers": self.killers}
 
     @property
     def is_projective(self) -> bool:
@@ -148,22 +135,26 @@ def minimal_killers(p: Path, A: MonomialAlgebra) -> tuple[Path, ...]:
     Depth-first search over forward extensions w of p, pruned at zero paths;
     recording stops at the first zero product, which makes the result an
     antichain. Every killer ends inside the relation that kills it, so killer
-    length is bounded by the longest relation length minus one. Since p.w is
-    nonzero, p.w.a (and w.a) is zero exactly when it has a relation suffix.
+    length is bounded by the longest relation length minus one. The search
+    carries the automaton states of p.w and of w: p.w.a is zero exactly when
+    a has no move from the first, and w.a is a killer only if a has a move
+    from the second.
     """
-    if isinstance(p, PathZero) or not A.is_nonzero(p):
+    state = None if isinstance(p, PathZero) else A.state_after(p)
+    if state is None:
         raise ZeroPathError(f"path is zero in {A.name}")
     out: list[Path] = []
 
-    def walk(target: str, w: tuple[str, ...]):
-        for a in A.quiver.arrows_from(target):
-            wa = w + (a.name,)
-            if not A.has_relation_suffix(p.arrows + wa):
-                walk(a.target, wa)
-            elif not A.has_relation_suffix(wa):
-                out.append(Path(p.target, a.target, wa))
+    def walk(w: tuple[str, ...], pw: int, s: int):
+        for a, t in A.moves[s].items():
+            wa = w + (a,)
+            u = A.moves[pw].get(a)
+            if u is not None:
+                walk(wa, u, t)
+            else:
+                out.append(Path(p.target, A.quiver.arrow_by_name[a].target, wa))
 
-    walk(p.target, ())
+    walk((), state, A.quiver.vertex_index[p.target])
     return tuple(sorted(out, key=lambda k: (len(k.arrows), k.arrows)))
 
 

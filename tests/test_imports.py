@@ -1,6 +1,7 @@
-"""Every imported name is used in its file. The package `__init__.py`
-re-exports names it never uses itself, and `from __future__` imports are
-directives, so both are exempt."""
+"""Every imported name is used in its file, and every private function is
+used in the package. The package `__init__.py` re-exports names it never
+uses itself, and `from __future__` imports are directives, so both are
+exempt."""
 
 import ast
 from pathlib import Path
@@ -29,3 +30,30 @@ def test_no_unused_imports():
     unused = [u for f in sorted(files) if f.name != "__init__.py"
               for u in unused_imports(f)]
     assert unused == []
+
+
+def unreferenced_private_functions(files) -> list[str]:
+    """Module-level functions and methods named `_x` (dunders aside) that no
+    name or attribute in `files` refers to."""
+    defined, used = {}, set()
+    for path in files:
+        tree = ast.parse(path.read_text(encoding="utf-8"), str(path))
+        scopes = [tree, *(n for n in tree.body if isinstance(n, ast.ClassDef))]
+        for scope in scopes:
+            for node in scope.body:
+                if (isinstance(node, ast.FunctionDef) and node.name.startswith("_")
+                        and not node.name.endswith("__")):
+                    defined[node.name] = f"{path.relative_to(ROOT)}:{node.lineno}"
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name):
+                used.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                used.add(node.attr)
+    return [f"{where}: {name}" for name, where in defined.items()
+            if name not in used]
+
+
+def test_no_unreferenced_private_functions():
+    files = sorted((ROOT / "src" / "syzcx").glob("*.py"))
+    assert len(files) > 10
+    assert unreferenced_private_functions(files) == []

@@ -23,6 +23,7 @@ from syzcx.polynomials import (
     largest_real_root,
     det_bareiss_int,
     det_bareiss_poly,
+    resultant_y,
 )
 from syzcx.errors import ZeroPolynomialError
 
@@ -218,3 +219,16 @@ def test_det_bareiss_poly_char_poly_by_hand():
     x = poly(0, 1)
     rows = [[x, poly(-1)], [poly(-1), x - poly(1)]]
     assert det_bareiss_poly(rows) == GOLDEN
+
+
+def test_resultant_y_degree_zero_operands():
+    # Res_y(a, B) = a^deg B and Res_y(A, b) = b^deg A for a, b free of y.
+    x = poly(0, 1)
+    a, b = x + poly(2), poly(-3, 0, 1)
+    B = [poly(1), poly(-1), x, poly(0, 0, 5)]  # degree 3 in y
+    A = [poly(4), x]  # degree 1 in y
+    assert resultant_y([a], B) == a * a * a
+    assert resultant_y(A, [b]) == b
+    assert resultant_y(B, [b]) == b * b * b
+    assert resultant_y([a], [b]) == poly(1)
+    assert resultant_y([a, poly()], [b]) == poly(1)
