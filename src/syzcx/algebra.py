@@ -6,8 +6,9 @@ algebra iff it contains no relation as a contiguous factor, so the nonzero
 paths form a factor-avoiding language. The algebra is finite dimensional iff
 the forbidden-factor automaton (states: nonzero paths of length <= R-1, where
 R is the longest relation length) is acyclic; validation checks exactly that
-and then enumerates the nonzero-path basis along the automaton's moves. The
-algebra keeps the automaton, and every zero test is a walk through it.
+and counts the paths readable from each state, listing none. The algebra keeps
+the automaton and the counts: zero tests walk it, dimensions sum the counts.
+Only `MonomialAlgebra.paths_from` lists the basis: by length, source, arrows.
 
 Composition is written in traversal order throughout: `a.b` means traverse `a`
 then `b`, and requires target(a) == source(b).
@@ -211,14 +212,16 @@ class MonomialAlgebraSpec:
 class MonomialAlgebra:
     """Validated finite-dimensional monomial path algebra.
 
-    Holds the normalized relation set, the longest relation length R, the
-    forbidden-factor automaton and the full nonzero-path basis ordered by
-    (length, arrow declaration indices). A state of the automaton is a vertex
-    plus the last <= R-1 arrows of a nonzero path; `moves[state]` maps each
-    arrow name to the next state, in `arrows_from` order, and a path is zero
-    exactly when some arrow of it has no move. State i is the trivial path at
-    the i-th vertex. The automaton answers every zero test.
-    Only validate_algebra builds one; the basis is empty until it is set.
+    Holds the normalized relation set, the longest relation length R and the
+    forbidden-factor automaton. A state of the automaton is a vertex plus the
+    last <= R-1 arrows of a nonzero path; `moves[state]` maps each arrow name
+    to the next state, in `arrows_from` order, and a path is zero exactly
+    when some arrow of it has no move. State i is the trivial path at the
+    i-th vertex. The automaton answers every zero test. `counts[state]`
+    numbers the paths readable from a state, so `counts[state_after(p)]`
+    nonzero paths have prefix p. No basis is stored; `paths_from` lists it
+    by (length, source vertex, arrow declaration indices).
+    Only validate_algebra builds one; the counts are 0 until it fills them.
     `syzygy_memo` maps each CyclicKey to its syzygy; syzygy.syzygy_key fills
     it, so a key's syzygy is computed once per algebra.
     """
@@ -246,28 +249,30 @@ class MonomialAlgebra:
                     states.append(key)
                 out[a.name] = index[key]
             self.moves.append(out)
+        self.counts = [0] * len(self.moves)
         self.syzygy_memo: dict = {}
-        self._set_basis(())
-
-    def _set_basis(self, nonzero_paths: tuple[Path, ...]):
-        self.nonzero_paths = nonzero_paths
-        from_v: dict[str, list[Path]] = {v: [] for v in self.quiver.vertices}
-        for p in nonzero_paths:
-            from_v[p.source].append(p)
-        self._paths_from = {v: tuple(ps) for v, ps in from_v.items()}
 
     @property
     def dimension(self) -> int:
-        return len(self.nonzero_paths)
+        return sum(self.counts[:len(self.quiver.vertices)])
 
-    def paths_from(self, vertex: str) -> tuple[Path, ...]:
-        """Nonzero paths with the given source, in canonical order."""
-        return self._paths_from[vertex]
+    def paths_from(self, *vertices: str):
+        """Nonzero paths with a source among `vertices` (default: every
+        vertex), in `path_sort_key` order: breadth-first over the automaton's
+        moves, each path with its state."""
+        Q = self.quiver
+        layer = [(Q.vertex_index[v], Path(v, v, ()))
+                 for v in vertices or Q.vertices]
+        while layer:
+            yield from (p for _, p in layer)
+            layer = [(j, Path(p.source, Q.arrow_by_name[a].target,
+                              p.arrows + (a,)))
+                     for i, p in layer for a, j in self.moves[i].items()]
 
     def path_sort_key(self, p: Path):
         aidx = self.quiver.arrow_index
-        return (len(p.arrows), tuple(aidx[n] for n in p.arrows),
-                self.quiver.vertex_index[p.source])
+        return (len(p.arrows), self.quiver.vertex_index[p.source],
+                tuple(aidx[n] for n in p.arrows))
 
     def state_after(self, p: Path) -> int | None:
         """The automaton's state after reading p from its source, or None
@@ -326,7 +331,7 @@ def _normalize_relations(relations: tuple[Path, ...]) -> tuple[Path, ...]:
 
 
 def validate_algebra(spec: MonomialAlgebraSpec) -> MonomialAlgebra:
-    """Check admissibility and finite-dimensionality; enumerate the basis.
+    """Check admissibility and finite-dimensionality; count the basis.
 
     Rejects relations shorter than 2 arrows and algebras with a nonzero cycle
     (detected as a cycle in the algebra's forbidden-factor automaton).
@@ -339,13 +344,14 @@ def validate_algebra(spec: MonomialAlgebraSpec) -> MonomialAlgebra:
             )
     relations = _normalize_relations(spec.relations)
     alg = MonomialAlgebra(spec.name, spec.quiver, relations, dict(spec.modules))
-    quiver = spec.quiver
     moves = alg.moves
 
+    # Sinks come first, so a state's successors are counted before it is.
     succ = [list(out.values()) for out in moves]
     for comp in tarjan(succ):
         x = comp[0]
         if len(comp) == 1 and x not in succ[x]:
+            alg.counts[x] = 1 + sum(alg.counts[j] for j in succ[x])
             continue
         # Every state of a cyclic component has a move inside it; follow such
         # moves until a state repeats, and name the loop between the visits.
@@ -361,19 +367,6 @@ def validate_algebra(spec: MonomialAlgebraSpec) -> MonomialAlgebra:
             + ".".join(walk[visited_at[x]:])
         )
 
-    # Acyclic: the language is finite; enumerate by length layers, each path
-    # with its automaton state.
-    paths: list[Path] = [Path(v, v, ()) for v in quiver.vertices]
-    layer = list(enumerate(paths))
-    while layer:
-        nxt: list[tuple[int, Path]] = []
-        for i, p in layer:
-            for a, j in moves[i].items():
-                target = quiver.arrow_by_name[a].target
-                nxt.append((j, Path(p.source, target, p.arrows + (a,))))
-        paths.extend(p for _, p in nxt)
-        layer = nxt
-    alg._set_basis(tuple(paths))
     return alg
 
 

@@ -207,7 +207,7 @@ def _cmd_paths(args) -> int:
     _emit({
         "algebra": A.name,
         "dimension": A.dimension,
-        "paths": [p.literal() for p in A.nonzero_paths],
+        "paths": [p.literal() for p in A.paths_from()],
     })
     return EXIT_OK
 

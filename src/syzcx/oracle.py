@@ -190,9 +190,14 @@ def compile_paths(A: MonomialAlgebra) -> GradedTable:
     """The nonzero paths of A as a graded table: the generators are the
     arrows, and the parent of a path is the path without its last arrow.
     Cached for the last algebra, since crosscheck and the CLI build one
-    representation per prime of the same algebra."""
+    representation per prime of the same algebra. An algebra above the
+    dimension cap is refused before any path is listed."""
+    limit = _dim_cap()
+    if A.dimension > limit:
+        raise DimensionCapExceededError(
+            f"algebra dimension {A.dimension} exceeds the cap {limit}")
     Q = A.quiver
-    paths = A.nonzero_paths
+    paths = tuple(A.paths_from())
     at = {(q.source, q.arrows): j for j, q in enumerate(paths)}
     return GradedTable(
         basis=tuple(q.literal() for q in paths),

@@ -135,10 +135,10 @@ def minimal_killers(p: Path, A: MonomialAlgebra) -> tuple[Path, ...]:
     Depth-first search over forward extensions w of p, pruned at zero paths;
     recording stops at the first zero product, which makes the result an
     antichain. Every killer ends inside the relation that kills it, so killer
-    length is bounded by the longest relation length minus one. The search
-    carries the automaton states of p.w and of w: p.w.a is zero exactly when
-    a has no move from the first, and w.a is a killer only if a has a move
-    from the second.
+    length is bounded by the longest relation length minus one, and the
+    search goes no deeper. It carries the automaton states of p.w and of w:
+    p.w.a is zero exactly when a has no move from the first, and w.a is a
+    killer only if a has a move from the second.
     """
     state = None if isinstance(p, PathZero) else A.state_after(p)
     if state is None:
@@ -149,10 +149,10 @@ def minimal_killers(p: Path, A: MonomialAlgebra) -> tuple[Path, ...]:
         for a, t in A.moves[s].items():
             wa = w + (a,)
             u = A.moves[pw].get(a)
-            if u is not None:
-                walk(wa, u, t)
-            else:
+            if u is None:
                 out.append(Path(p.target, A.quiver.arrow_by_name[a].target, wa))
+            elif len(wa) < A.max_relation_length - 1:
+                walk(wa, u, t)
 
     walk((), state, A.quiver.vertex_index[p.target])
     return tuple(sorted(out, key=lambda k: (len(k.arrows), k.arrows)))
@@ -174,7 +174,11 @@ def key_basis(key: CyclicKey, A: MonomialAlgebra) -> tuple[Path, ...]:
 
 
 def key_dimension(key: CyclicKey, A: MonomialAlgebra) -> int:
-    return len(key_basis(key, A))
+    """len(key_basis), counted: the paths from the vertex less those that
+    extend a nonzero killer; the killers are an antichain, so none twice."""
+    states = (A.state_after(k) for k in key.killers)
+    return (A.counts[A.quiver.vertex_index[key.vertex]]
+            - sum(A.counts[s] for s in states if s is not None))
 
 
 def expr_dimension(M: ModuleExpr, A: MonomialAlgebra) -> int:
@@ -242,11 +246,7 @@ class SyzygyQuiver:
 
     @property
     def dims(self) -> tuple[int, ...]:
-        if not hasattr(self, "_dims"):
-            object.__setattr__(self, "_dims", tuple(
-                expr_dimension(lb, self.algebra) for lb in self.labels
-            ))
-        return self._dims
+        return tuple(expr_dimension(lb, self.algebra) for lb in self.labels)
 
     def digraph(self) -> tuple[int, list[tuple[int, int]]]:
         return self.n_vertices, list(self.arrows)
@@ -261,7 +261,7 @@ class SyzygyQuiver:
 
     def to_json(self) -> dict:
         vertices = []
-        for i, lb in enumerate(self.labels):
+        for i, (lb, dim) in enumerate(zip(self.labels, self.dims)):
             entry: dict = {"id": i}
             if len(lb.terms) == 1 and lb.terms[0][1] == 1:
                 key = lb.terms[0][0]
@@ -274,7 +274,7 @@ class SyzygyQuiver:
                      "mult": m}
                     for k, m in lb.terms
                 ]
-            entry["dim"] = self.dims[i]
+            entry["dim"] = dim
             vertices.append(entry)
         return {
             "algebra": self.algebra.name,

@@ -123,7 +123,7 @@ def test_validate_fib_basis():
     A = make_algebra(FIB_TEXT)
     assert A.dimension == 5
     assert A.max_relation_length == 2
-    literals = [p.literal() for p in A.nonzero_paths]
+    literals = [p.literal() for p in A.paths_from()]
     # Canonical order: lengths first, declaration order inside a length.
     assert literals == ["e(1)", "e(2)", "a", "b", "g"]
     assert [p.literal() for p in A.paths_from("2")] == ["e(2)", "b", "g"]
@@ -131,7 +131,7 @@ def test_validate_fib_basis():
 
 def test_validate_loop3_basis():
     A = make_algebra(LOOP3_TEXT)
-    assert [p.literal() for p in A.nonzero_paths] == ["e(1)", "x", "x.x"]
+    assert [p.literal() for p in A.paths_from()] == ["e(1)", "x", "x.x"]
     assert A.dimension == 3
 
 
@@ -140,7 +140,7 @@ def test_validate_twostep_basis():
     # u.v.u.v is the only relation; all shorter alternating words survive.
     assert A.dimension == 9
     assert A.max_relation_length == 4
-    longest = max(A.nonzero_paths, key=len)
+    longest = max(A.paths_from(), key=len)
     assert longest.literal() in ("v.u.v.u",)
 
 
@@ -185,7 +185,7 @@ def test_two_cycle_with_one_composition_killed_is_finite():
     text = ("algebra x\nvertex 1\nvertex 2\narrow a : 1 -> 2\n"
             "arrow b : 2 -> 1\nrelation a.b\n")
     A = validate_algebra(parse_algebra(text))
-    assert sorted(p.literal() for p in A.nonzero_paths) == [
+    assert sorted(p.literal() for p in A.paths_from()) == [
         "a", "b", "b.a", "e(1)", "e(2)"
     ]
 
@@ -273,7 +273,22 @@ def test_module_terms_unknown_name():
     assert "unknown module" in str(exc.value)
 
 
+SWAP_TEXT = """\
+algebra swap
+vertex u
+vertex v
+arrow b : v -> u
+arrow a : u -> v
+relation a.b
+relation b.a
+"""
+
+
 def test_path_sort_key_orders_basis():
-    A = make_algebra(TWOSTEP_TEXT)
-    sorted_again = sorted(A.nonzero_paths, key=A.path_sort_key)
-    assert list(A.nonzero_paths) == sorted_again
+    # In SWAP the arrow from the second vertex is declared first, so sorting
+    # by arrow index before source vertex would put b before a.
+    for text in (TWOSTEP_TEXT, SWAP_TEXT):
+        A = make_algebra(text)
+        basis = list(A.paths_from())
+        assert basis == sorted(basis, key=A.path_sort_key)
+    assert [p.literal() for p in basis] == ["e(u)", "e(v)", "a", "b"]

@@ -25,7 +25,7 @@ LOOP3 = str(DATA / "loop3.alg")
 A2 = str(DATA / "a2.alg")
 
 
-def cli_process(argv, preexec_fn=None, **env):
+def cli_process(argv, preexec_fn=None, timeout=None, **env):
     """Run `python -m syzcx.cli argv` with this checkout's syzcx importable."""
     src = str(Path(syzcx.__file__).resolve().parents[1])
     full_env = dict(os.environ, **env)
@@ -33,7 +33,7 @@ def cli_process(argv, preexec_fn=None, **env):
         filter(None, [src, os.environ.get("PYTHONPATH")]))
     return subprocess.run([sys.executable, "-m", "syzcx.cli"] + argv,
                           capture_output=True, text=True, env=full_env,
-                          preexec_fn=preexec_fn)
+                          preexec_fn=preexec_fn, timeout=timeout)
 
 
 def run_cli(argv):
@@ -320,6 +320,41 @@ def test_out_of_memory_gives_one_error_line():
                        OPENBLAS_NUM_THREADS="1")
     assert proc.returncode == 4 and proc.stdout == ""
     assert proc.stderr == "error[out_of_memory]: out of memory\n"
+
+
+def test_line_algebra_is_counted_not_listed(tmp_path):
+    """41 vertices in a row, two parallel arrows per step, no relations:
+    sum_k (41 - k) * 2^k = 4,398,046,511,061 nonzero paths. validate,
+    syzquiver and complexity read the automaton's counts, and the oracle
+    refuses before it lists the basis. Each call runs under a 1 GiB
+    address-space limit, set in the child only, and a 20 s timeout."""
+    resource = pytest.importorskip("resource")
+
+    def limit():
+        resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
+
+    lines = ["algebra line"] + [f"vertex v{i}" for i in range(41)]
+    for i in range(40):
+        lines += [f"arrow a{i} : v{i} -> v{i + 1}",
+                  f"arrow b{i} : v{i} -> v{i + 1}"]
+    f = tmp_path / "line.alg"
+    f.write_text("\n".join(lines + ["module S0 = S(v0)"]) + "\n")
+
+    def run(argv):
+        return cli_process(argv + [str(f)], preexec_fn=limit, timeout=20,
+                           OPENBLAS_NUM_THREADS="1")
+
+    proc = run(["validate"])
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout)["dimension"] == 4398046511061
+    for cmd in (["syzquiver", "--module", "S0"],
+                ["complexity", "--module", "S0"]):
+        proc = run(cmd)
+        assert proc.returncode == 0, proc.stderr
+    proc = run(["oracle", "dims", "--module", "S0", "-n", "1"])
+    assert proc.returncode == 4 and proc.stdout == ""
+    assert proc.stderr.startswith("error[dimension_cap_exceeded]: ")
+    assert proc.stderr.count("\n") == 1
 
 
 def test_out_of_memory_in_realize(monkeypatch):

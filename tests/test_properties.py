@@ -45,8 +45,10 @@ from syzcx.spectra import char_poly, compare_algebraic, equal_radius, scc_conden
 from syzcx.syzygy import (
     SyzygyQuiver,
     build_syzygy_quiver,
+    key_dimension,
     minimal_killers,
     module_expr,
+    path_key,
     projective_key,
     quiver_dim_sequence,
     simple_key,
@@ -239,6 +241,7 @@ def test_nonzero_paths_closed_under_subwords(algebra_name, request):
             assert A.is_nonzero(p)
             for sub in contiguous_subpaths(A.quiver, p):
                 assert A.is_nonzero(sub)
+    assert A.dimension == len(list(A.paths_from()))
 
 
 def test_paths_from_is_sorted_and_duplicate_free(fib, chain):
@@ -254,9 +257,8 @@ def test_minimal_killers_match_definition():
     # The killers of p are the nonzero w, prefix-minimal with p.w zero.
     checked = 0
     for A in random_monomial_algebras(seed=SEED + 6, count=40):
-        for p in A.nonzero_paths:
-            nonzero = {w.arrows: w for w in A.nonzero_paths
-                       if w.source == p.target}
+        for p in A.paths_from():
+            nonzero = {w.arrows: w for w in A.paths_from(p.target)}
             kills = [
                 w for w in nonzero.values()
                 if isinstance(A.extend(p, w), PathZero)
@@ -265,6 +267,10 @@ def test_minimal_killers_match_definition():
             ]
             kills.sort(key=lambda w: (len(w.arrows), w.arrows))
             assert minimal_killers(p, A) == tuple(kills), (A.name, p)
+            # The module generated by p is spanned by the nonzero p.w.
+            span = sum(not isinstance(A.extend(p, w), PathZero)
+                       for w in nonzero.values())
+            assert key_dimension(path_key(p, A), A) == span, (A.name, p)
             checked += len(kills) > 1
     assert checked >= 200
 
