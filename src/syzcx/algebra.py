@@ -19,6 +19,7 @@ from __future__ import annotations
 import errno
 import re
 from dataclasses import dataclass, field
+from functools import cached_property
 
 from .errors import (
     AlgebraSyntaxError,
@@ -67,33 +68,27 @@ class Quiver:
                         f"unknown vertex {v!r} in arrow {a.name!r}"
                     )
 
-    @property
+    @cached_property
     def vertex_index(self) -> dict[str, int]:
-        if not hasattr(self, "_vidx"):
-            object.__setattr__(self, "_vidx", {v: i for i, v in enumerate(self.vertices)})
-        return self._vidx
+        return {v: i for i, v in enumerate(self.vertices)}
 
-    @property
+    @cached_property
     def arrow_index(self) -> dict[str, int]:
-        if not hasattr(self, "_aidx"):
-            object.__setattr__(self, "_aidx", {a.name: i for i, a in enumerate(self.arrows)})
-        return self._aidx
+        return {a.name: i for i, a in enumerate(self.arrows)}
 
-    @property
+    @cached_property
     def arrow_by_name(self) -> dict[str, Arrow]:
-        if not hasattr(self, "_abyn"):
-            object.__setattr__(self, "_abyn", {a.name: a for a in self.arrows})
-        return self._abyn
+        return {a.name: a for a in self.arrows}
+
+    @cached_property
+    def _arrows_by_source(self) -> dict[str, tuple[Arrow, ...]]:
+        out: dict[str, list[Arrow]] = {v: [] for v in self.vertices}
+        for a in self.arrows:
+            out[a.source].append(a)
+        return {v: tuple(lst) for v, lst in out.items()}
 
     def arrows_from(self, vertex: str) -> tuple[Arrow, ...]:
-        if not hasattr(self, "_afrom"):
-            afrom = {v: [] for v in self.vertices}
-            for a in self.arrows:
-                afrom[a.source].append(a)
-            object.__setattr__(
-                self, "_afrom", {v: tuple(lst) for v, lst in afrom.items()}
-            )
-        return self._afrom[vertex]
+        return self._arrows_by_source[vertex]
 
     def digraph(self) -> tuple[int, list[tuple[int, int]]]:
         """Vertex count plus arrow list as index pairs (parallel arrows repeat)."""

@@ -23,6 +23,7 @@ from .errors import (
     NotStronglyConnectedError,
     WindowTooSmallError,
 )
+from .graph import tarjan
 from .polynomials import AlgebraicReal, rational_algebraic
 from .spectra import Condensation, compare_algebraic, equal_radius, scc_condense
 from .syzygy import (
@@ -242,10 +243,12 @@ def realize_class(H: Quiver, ell: int) -> tuple[str, list[str]]:
         raise ValueError("level count must be >= 0")
     if not H.arrows:
         raise NoArrowsError("the base quiver has no arrows")
-    cond = scc_condense(*H.digraph())
-    if len(cond.components) != 1:
+    vidx = H.vertex_index
+    count = len(tarjan([[vidx[a.target] for a in H.arrows_from(v)]
+                        for v in H.vertices]))
+    if count != 1:
         raise NotStronglyConnectedError(
-            f"the base quiver has {len(cond.components)} strongly connected "
+            f"the base quiver has {count} strongly connected "
             "components; exactly one is required"
         )
 

@@ -2,8 +2,10 @@
 
 A base is realizable exactly when it is a nonnegative algebraic integer that
 no conjugate exceeds in modulus (equality allowed). The checker factors the
-input as far as rational-root extraction and quartic splitting go, then tests
-the factor holding the dominant real root b. The modulus test is exact: the
+input by root isolation, not by divisors: its rational roots are integers,
+found by Sturm counts between half-integers, and a quartic remainder splits
+along an integer root of its resolvent cubic. It then tests the factor
+holding the dominant real root b. The modulus test is exact: the
 largest real root of the pairwise product polynomial (roots = all products of
 two roots of the factor) equals b^2 precisely when no conjugate beats b, since
 z * conj(z) is such a product for every root z.
@@ -29,6 +31,7 @@ from .errors import (
 from .polynomials import (
     AlgebraicReal,
     IntPolynomial,
+    integer_roots,
     largest_real_root,
     poly,
     rational_algebraic,
@@ -64,101 +67,59 @@ class CurvatureVerdict:
         }
 
 
-def _divisors(n: int) -> list[int]:
-    n = abs(n)
-    small, large = [], []
-    d = 1
-    while d * d <= n:
-        if n % d == 0:
-            small.append(d)
-            if d != n // d:
-                large.append(n // d)
-        d += 1
-    return small + large[::-1]
-
-
-def _extract_integer_roots(g: IntPolynomial) -> tuple[list[IntPolynomial], IntPolynomial]:
-    """Split off (x - d) factors for integer roots d of a monic polynomial.
-    Rational roots of monic integer polynomials are integers, so this removes
-    every linear factor over the rationals."""
-    factors: list[IntPolynomial] = []
-    while g.degree >= 1 and g.coeffs[0] == 0:
-        factors.append(poly(0, 1))
-        g = g.div_exact(poly(0, 1))
-    found = True
-    while found and g.degree >= 1:
-        found = False
-        for d in _divisors(g.coeffs[0]):
-            for r in (d, -d):
-                if g.evaluate(r) == 0:
-                    factors.append(poly(-r, 1))
-                    g = g.div_exact(poly(-r, 1))
-                    found = True
-                    break
-            if found:
-                break
-    return factors, g
-
-
 def _split_quartic(g: IntPolynomial) -> tuple[IntPolynomial, IntPolynomial] | None:
     """Try to write a monic integer quartic without rational roots as a
-    product of two monic integer quadratics."""
-    a, b, c = g.coeffs[3], g.coeffs[2], g.coeffs[1]
-    d = g.coeffs[0]
-    for q in _divisors(d):
-        for q_signed in (q, -q):
-            s = d // q_signed
-            if q_signed * s != d:
+    product (x^2 + px + q)(x^2 + rx + s) of monic integer quadratics. Then
+    y = q + s is an integer root of Ferrari's resolvent cubic, and q, s are
+    the roots of t^2 - yt + d: q has the smaller modulus (positive on a tie)."""
+    d, c, b, a = g.coeffs[:4]
+    resolvent = poly(4 * b * d - a * a * d - c * c, a * c - 4 * d, -b, 1)
+    for y in integer_roots(resolvent):
+        disc = y * y - 4 * d
+        root = math.isqrt(max(disc, 0))
+        if root * root != disc:
+            continue
+        q, s = sorted(((y + root) // 2, (y - root) // 2),
+                      key=lambda t: (abs(t), t < 0))
+        if s == q:
+            if a * q != c:
                 continue
-            if s == q_signed:
-                if a * q_signed != c:
-                    continue
-                # p + r = a, p*r = b - 2q: integer roots of t^2 - a t + (b-2q)
-                disc = a * a - 4 * (b - 2 * q_signed)
-                if disc < 0:
-                    continue
-                root = math.isqrt(disc)
-                if root * root != disc or (a + root) % 2:
-                    continue
-                p_co = (a + root) // 2
-                r_co = a - p_co
-            else:
-                num = c - a * q_signed
-                den = s - q_signed
-                if num % den:
-                    continue
-                p_co = num // den
-                r_co = a - p_co
-                if p_co * r_co + q_signed + s != b:
-                    continue
-            f1 = poly(q_signed, p_co, 1)
-            f2 = poly(s, r_co, 1)
-            if f1 * f2 == g:
-                return f1, f2
+            # p + r = a, p*r = b - 2q: integer roots of t^2 - a t + (b-2q)
+            disc = a * a - 4 * (b - 2 * q)
+            root = math.isqrt(max(disc, 0))
+            if root * root != disc or (a + root) % 2:
+                continue
+            p_co = (a + root) // 2
+        else:
+            p_co, rem = divmod(c - a * q, s - q)
+            if rem:
+                continue
+        f1, f2 = poly(q, p_co, 1), poly(s, a - p_co, 1)
+        if f1 * f2 == g:
+            return f1, f2
     return None
 
 
 def factor_monic_squarefree(p: IntPolynomial) -> tuple[list[IntPolynomial], bool]:
-    """Best-effort irreducible factorization of a monic squarefree integer
-    polynomial: rational-root extraction, then quartic splitting. Returns
-    (monic factors, complete). Degrees 2 and 3 without rational roots are
-    irreducible over the rationals; an unsplit remainder of degree >= 5 makes
-    the result incomplete."""
-    factors, g = _extract_integer_roots(p)
-    if g.degree == 0:
-        return factors, True
-    if g.degree <= 3:
+    """Irreducible factorization of a monic squarefree integer polynomial, as
+    far as root isolation reaches: a factor x - r for each integer root r
+    (its only rational roots, found by Sturm counts between half-integers),
+    ordered by |r|, positive first; then a quartic remainder split along an
+    integer root of its resolvent cubic. Returns (monic factors, complete).
+    Degrees 2 and 3 without rational roots are irreducible over the
+    rationals; an unsplit remainder of degree >= 5 makes it incomplete."""
+    factors: list[IntPolynomial] = []
+    g = p
+    for r in sorted(integer_roots(p), key=lambda t: (abs(t), t < 0)):
+        while g.sign_at(r) == 0:
+            factors.append(poly(-r, 1))
+            g = g.div_exact(poly(-r, 1))
+    split = _split_quartic(g) if g.degree == 4 else None
+    if split is not None:
+        return factors + list(split), True
+    if g.degree > 0:
         factors.append(g)
-        return factors, True
-    if g.degree == 4:
-        split = _split_quartic(g)
-        if split is None:
-            factors.append(g)
-        else:
-            factors.extend(split)
-        return factors, True
-    factors.append(g)
-    return factors, False
+    return factors, g.degree <= 4
 
 
 def _refined_nonnegative(r: AlgebraicReal) -> AlgebraicReal:

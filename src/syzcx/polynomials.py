@@ -17,7 +17,7 @@ from dataclasses import dataclass
 from decimal import Decimal, ROUND_HALF_UP, localcontext
 from fractions import Fraction
 from functools import lru_cache
-from math import gcd
+from math import ceil, gcd
 
 from .errors import ZeroPolynomialError
 
@@ -332,6 +332,34 @@ def isolate_largest_real_root(p: IntPolynomial):
         else:
             hi, vhi = mid, vmid
     return lo, hi
+
+
+def integer_roots(p: IntPolynomial) -> list[int]:
+    """Distinct integer roots of a monic p, ascending. Its rational roots are
+    integers, so no half-integer is a root: (-B - 1/2, B + 1/2), B the
+    ceiling of the Cauchy bound, is bisected at half-integers down to unit
+    intervals by Sturm counts, one chain evaluation per point, and the
+    integer in a unit interval that holds a root is kept if p vanishes there."""
+    chain = _sturm_chain(p)
+
+    def above(k: int) -> int:  # variations at k + 1/2
+        return _variations(chain, Fraction(2 * k + 1, 2))[0]
+
+    B = ceil(cauchy_bound(p))
+    roots: list[int] = []
+    # (lo, vlo, hi, vhi) stands for (lo + 1/2, hi + 1/2); lower halves first.
+    work = [(-B - 1, above(-B - 1), B, above(B))]
+    while work:
+        lo, vlo, hi, vhi = work.pop()
+        if vlo == vhi:
+            continue
+        if hi - lo > 1:
+            mid = (lo + hi) // 2
+            vmid = above(mid)
+            work += [(mid, vmid, hi, vhi), (lo, vlo, mid, vmid)]
+        elif p.sign_at(hi) == 0:
+            roots.append(hi)
+    return roots
 
 
 def refine_interval(p: IntPolynomial, lo: Fraction, hi: Fraction, width: Fraction):

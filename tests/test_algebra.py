@@ -1,5 +1,6 @@
 """Parsing, validation, and the nonzero-path calculus of monomial algebras."""
 
+import pickle
 import random
 
 import pytest
@@ -45,6 +46,24 @@ def test_quiver_lookup_and_digraph():
     assert q.arrow_by_name["a"].target == "2"
     assert [a.name for a in q.arrows_from("2")] == ["b"]
     assert q.digraph() == (2, [(0, 1), (1, 0)])
+
+
+def test_quiver_lookups_are_computed_once_and_do_not_change_identity():
+    def make():
+        return Quiver(("1", "2"), (Arrow("a", "1", "2"), Arrow("b", "2", "1"),
+                                   Arrow("c", "1", "1")))
+
+    q, fresh = make(), make()
+    assert q.vertex_index is q.vertex_index
+    assert q.arrows_from("1") is q.arrows_from("1")
+    assert [a.name for a in q.arrows_from("1")] == ["a", "c"]
+    assert q.arrow_index == {"a": 0, "b": 1, "c": 2}
+    assert q == fresh and hash(q) == hash(fresh)
+    copy = pickle.loads(pickle.dumps(q))
+    assert copy == q and hash(copy) == hash(q)
+    assert copy.arrows_from("2") == q.arrows_from("2")
+    with pytest.raises(AttributeError):
+        q.vertices = ()
 
 
 def test_path_construction_and_composability():

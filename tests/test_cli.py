@@ -322,6 +322,16 @@ def test_out_of_memory_gives_one_error_line():
     assert proc.stderr == "error[out_of_memory]: out of memory\n"
 
 
+def test_curvature_check_with_29_digit_constant_term():
+    """x^2 - x + (10^28 + 7) has no real root; the integer roots come from
+    Sturm counts, not from the divisors of the constant term."""
+    proc = cli_process(["curvature", "check", f"[{10 ** 28 + 7},-1,1]"],
+                       timeout=20)
+    assert proc.returncode == 0, proc.stderr
+    doc = json.loads(proc.stdout)
+    assert (doc["status"], doc["reason"]) == ("not_realizable", "no real root")
+
+
 def test_line_algebra_is_counted_not_listed(tmp_path):
     """41 vertices in a row, two parallel arrows per step, no relations:
     sum_k (41 - k) * 2^k = 4,398,046,511,061 nonzero paths. validate,

@@ -3,7 +3,9 @@ realization, subdivision, and the numeric witness."""
 
 import pytest
 
+from syzcx import spectra
 from syzcx.algebra import Quiver, Arrow
+from syzcx.curvature import realize_companion
 from syzcx.polynomials import poly, largest_real_root, rational_algebraic
 from syzcx.spectra import scc_condense, equal_radius, perron_root
 from syzcx.syzygy import build_syzygy_quiver, resolve_module, SyzygyQuiver
@@ -202,7 +204,8 @@ def test_realize_class_single_loop_level_one():
 
 def test_realize_class_requires_strong_connectivity():
     two = Quiver(("1", "2"), (Arrow("a", "1", "2"),))
-    with pytest.raises(NotStronglyConnectedError):
+    with pytest.raises(NotStronglyConnectedError,
+                       match="the base quiver has 2 strongly connected"):
         realize_class(two, 0)
     bare = Quiver(("1",), ())
     with pytest.raises(NoArrowsError):
@@ -211,6 +214,18 @@ def test_realize_class_requires_strong_connectivity():
     with pytest.raises(ValueError):
         realize_class(loop, -1)
 
+
+def test_realize_class_counts_components_without_spectra(monkeypatch):
+    """Strong connectivity is a graph question: no characteristic polynomial
+    or Perron root of the base quiver is computed."""
+    def refuse(*_):
+        raise AssertionError("realize_class computed a characteristic polynomial")
+
+    monkeypatch.setattr(spectra, "char_poly", refuse)
+    H = realize_companion([1] + [0] * 191 + [1])
+    assert len(H.vertices) == 193
+    text, names = realize_class(H, 1)
+    assert len(names) == 2 * 193 and text.startswith("algebra box_l1\n")
 
 def test_subdivide_square_root_of_radius():
     fibq = Quiver(("1", "2"), (Arrow("a", "1", "2"), Arrow("b", "2", "1"),

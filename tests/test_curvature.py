@@ -7,9 +7,20 @@ Expansion identities used as expected values, all checkable by hand:
   Substituting x^2 into x^2-3x+1 gives x^4-3x^2+1 = (x^2-x-1)(x^2+x-1).
 """
 
+import hashlib
+import json
+import random
+import time
+
 import pytest
 
-from syzcx.polynomials import poly, largest_real_root, rational_algebraic
+from syzcx.polynomials import (
+    IntPolynomial,
+    largest_real_root,
+    poly,
+    rational_algebraic,
+    squarefree_part,
+)
 from syzcx.spectra import equal_radius, perron_root, char_poly
 from syzcx.curvature import (
     factor_monic_squarefree,
@@ -134,6 +145,66 @@ def test_factor_quartic_split():
 def test_factor_incomplete_degree_five():
     factors, complete = factor_monic_squarefree(poly(-1, -1, 0, 0, 0, 1))
     assert not complete
+
+
+def test_factor_quartic_split_order():
+    # Constants 2 and -1: the factor whose constant has the smaller modulus
+    # comes first; on opposite constants, the positive one; on equal
+    # constants, the larger linear coefficient.
+    p = poly(2, 1, 1) * poly(-1, 1, 1)
+    assert factor_monic_squarefree(p)[0] == [poly(-1, 1, 1), poly(2, 1, 1)]
+    p = poly(-2, 3, 1) * poly(2, 1, 1)
+    assert factor_monic_squarefree(p)[0] == [poly(2, 1, 1), poly(-2, 3, 1)]
+    p = poly(1, -1, 1) * poly(1, 3, 1)
+    assert factor_monic_squarefree(p)[0] == [poly(1, 3, 1), poly(1, -1, 1)]
+
+
+def _factoring_corpus():
+    """1,500 seeded monic polynomials: 1,000 of degree <= 8 with coefficients
+    in [-6, 6], then 500 products of two to four monic factors of degree 1-2,
+    which bring repeated roots, root 0 and quartics that split into two
+    quadratics."""
+    rng = random.Random(1212)
+    polys = []
+    for _ in range(1000):
+        d = rng.randint(1, 8)
+        polys.append(IntPolynomial([rng.randint(-6, 6) for _ in range(d)] + [1]))
+    for _ in range(500):
+        p = poly(1)
+        for _ in range(rng.randint(2, 4)):
+            k = rng.choice((1, 2, 2))
+            p = p * IntPolynomial([rng.randint(-6, 6) for _ in range(k)] + [1])
+        polys.append(p)
+    return polys
+
+
+def test_verdicts_and_factors_match_pinned_hash():
+    """Every verdict and every factor list of the corpus, pinned byte for
+    byte; the hash was taken when factoring still trial-divided the constant
+    term."""
+    rows = []
+    for p in _factoring_corpus():
+        factors, complete = factor_monic_squarefree(squarefree_part(p))
+        rows.append([check_condition_c(p).to_json(),
+                     sorted(f.to_list() for f in factors), complete])
+    text = json.dumps(rows, sort_keys=True)
+    assert hashlib.sha256(text.encode()).hexdigest()[:16] == "3b9609227f942b5a"
+
+
+@pytest.mark.parametrize("p, status, irreducibility, b_poly", [
+    (poly(10 ** 28 + 7, -1, 1), "not_realizable", "verified", None),
+    (poly(10 ** 100 + 267, -1, 1), "not_realizable", "verified", None),
+    (poly(10 ** 28, 0, 0, 0, 1), "not_realizable", "verified", None),
+    (poly(10 ** 15, 3, 1) * poly(-10 ** 14, -1, 1), "realizable",
+     "reducible_factored", [-10 ** 14, -1, 1]),
+], ids=["c0_29_digits", "c0_101_digits", "x4_plus_1e28", "two_quadratics"])
+def test_huge_constant_terms_decided_quickly(p, status, irreducibility, b_poly):
+    """Trial division of the constant term would take months on these."""
+    start = time.perf_counter()
+    v = check_condition_c(p)
+    assert time.perf_counter() - start < 1.0
+    assert (v.status, v.irreducibility) == (status, irreducibility)
+    assert (v.b.poly.to_list() if v.b is not None else None) == b_poly
 
 
 # -- closure operations ------------------------------------------------------------

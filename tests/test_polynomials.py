@@ -3,6 +3,7 @@
 Expected values are computed by hand (small determinants, explicit
 expansions) or pinned against closed forms like the golden ratio."""
 
+import random
 from fractions import Fraction
 
 import pytest
@@ -21,6 +22,7 @@ from syzcx.polynomials import (
     algebraic_real,
     rational_algebraic,
     largest_real_root,
+    integer_roots,
     det_bareiss_int,
     det_bareiss_poly,
     resultant_y,
@@ -158,6 +160,62 @@ def test_isolate_largest_real_root_rational_hit():
 def test_isolate_no_real_roots():
     assert isolate_largest_real_root(poly(1, 0, 1)) is None
     assert largest_real_root(poly(1, 0, 1)) is None
+
+
+def _integer_roots_by_trial_division(p):
+    """Rational-root test: an integer root r != 0 divides the lowest nonzero
+    coefficient, since p / x^k has r as a root and that constant term."""
+    c0 = next(c for c in p.coeffs if c)
+    roots = {0} if p.coeffs[0] == 0 else set()
+    for d in range(1, abs(c0) + 1):
+        if c0 % d == 0:
+            roots.update(r for r in (d, -d) if p.evaluate(r) == 0)
+    return sorted(roots)
+
+
+def _product(factors):
+    p = poly(1)
+    for f in factors:
+        p = p * f
+    return p
+
+
+def test_integer_roots_match_trial_division():
+    """Seeded monic polynomials with small constant terms: random ones, and
+    products of linear factors (repeats and root 0 included) with a random
+    cofactor."""
+    rng = random.Random(4801)
+    cases = 0
+    for i in range(600):
+        if i % 2:
+            p = poly(*[rng.randint(-6, 6) for _ in range(rng.randint(1, 8))], 1)
+        else:
+            roots = [rng.randint(-5, 5) for _ in range(rng.randint(1, 3))]
+            cofactor = poly(*[rng.randint(-3, 3) for _ in range(rng.randint(0, 3))], 1)
+            p = _product([poly(-r, 1) for r in roots] + [cofactor])
+        assert integer_roots(p) == _integer_roots_by_trial_division(p)
+        cases += bool(integer_roots(p))
+    assert cases >= 300
+
+
+def test_integer_roots_with_thirty_digit_constant_terms():
+    """Known linear factors of up to ten digits each, so their product has a
+    constant term of up to 30 digits, times x^2 - (k^2 + 1): its roots are
+    irrational and lie next to the integers +-k."""
+    rng = random.Random(4802)
+    for _ in range(100):
+        roots = [rng.choice([0, rng.randint(-10 ** 10, 10 ** 10)])
+                 for _ in range(rng.randint(1, 3))]
+        roots += rng.sample(roots, rng.randint(0, 1))  # a repeated root
+        k = rng.randint(1, 10 ** 14)
+        p = _product([poly(-r, 1) for r in roots] + [poly(-(k * k + 1), 0, 1)])
+        assert integer_roots(p) == sorted(set(roots))
+
+
+def test_integer_roots_degenerate():
+    assert integer_roots(poly(1)) == []
+    assert integer_roots(poly(0, 1)) == [0]
+    assert integer_roots(poly(10 ** 100 + 267, -1, 1)) == []
 
 
 def test_refine_interval():
