@@ -363,7 +363,15 @@ def integer_roots(p: IntPolynomial) -> list[int]:
 
 
 def refine_interval(p: IntPolynomial, lo: Fraction, hi: Fraction, width: Fraction):
-    """Shrink an isolating interval below `width` by sign bisection."""
+    """Shrink an isolating interval below `width` by sign bisection.
+
+    The ends are held as integer numerators a < b over one denominator d,
+    which starts as the least common multiple of the ends' denominators and
+    doubles with each step: the midpoint is a + b over 2d, the kept end is
+    doubled, and b - a never changes. So the number of steps is known at the
+    start, and each step costs one integer sign evaluation. The intervals
+    are those of bisection in Fractions, step for step.
+    """
     if lo == hi:
         return lo, hi
     s = squarefree_part(p)
@@ -371,16 +379,22 @@ def refine_interval(p: IntPolynomial, lo: Fraction, hi: Fraction, width: Fractio
     shi = s.sign_at(hi)
     if slo == 0 or shi == 0 or slo == shi:
         raise ValueError("refine_interval needs a sign-change isolating interval")
-    while hi - lo > width:
-        mid = (lo + hi) / 2
-        v = s.sign_at(mid)
+    d = lo.denominator * hi.denominator // gcd(lo.denominator, hi.denominator)
+    a, b = lo.numerator * (d // lo.denominator), hi.numerator * (d // hi.denominator)
+    steps = 0
+    while (b - a) * width.denominator > (width.numerator * d) << steps:
+        steps += 1
+    for _ in range(steps):
+        a, b, mid = 2 * a, 2 * b, a + b
+        d *= 2
+        v = _sign_at(s.coeffs, mid, d)
         if v == 0:
-            return mid, mid
+            return Fraction(mid, d), Fraction(mid, d)
         if v == shi:
-            hi = mid
+            b = mid
         else:
-            lo = mid
-    return lo, hi
+            a = mid
+    return Fraction(a, d), Fraction(b, d)
 
 
 def fraction_str(x: Fraction) -> str:

@@ -37,45 +37,43 @@ def adjacency_matrix(graph, edges=None) -> IntMatrix:
     return mat_from_rows(mat)
 
 
-def identity_matrix(n: int) -> IntMatrix:
-    return tuple(tuple(1 if i == j else 0 for j in range(n)) for i in range(n))
-
-
-def mat_trace(a: IntMatrix) -> int:
-    return sum(a[i][i] for i in range(len(a)))
-
-
 def char_poly(m: IntMatrix) -> IntPolynomial:
     """Monic characteristic polynomial det(xI - M), exact over the integers.
 
-    Uses the trace recursion M_k = M (M_{k-1} + c_{k-1} I), c_k = -tr(M_k)/k,
-    whose divisions are exact; each is asserted. M is held as sparse rows of
-    (column, count) pairs, so each step costs O(nnz(M) n) rather than O(n^3).
+    From the power sums p_k = tr(M^k), k = 1..n, by Newton's identities
+    k c_k = -(p_k + c_1 p_(k-1) + ... + c_(k-1) p_1), whose divisions are
+    exact; each is asserted. Each row of M^k is packed into one integer with
+    w bits per entry (Kronecker substitution), so row i of M^k is one
+    big-integer multiply-add per nonzero (j, c) of row i of M: the sum of
+    c times packed row j of M^(k-1). With r the largest absolute row sum of
+    M, every entry of M^k, k <= n, has absolute value at most r^k <= r^n <
+    2^(w-2) for w = bitlen(r^n) + 2. So the fields never overlap, and a
+    field plus 2^(w-1) lies in [0, 2^w): a signed entry reads back after
+    that offset is added to every field.
     """
     n = len(m)
-    if n == 0:
-        return IntPolynomial([1])
-    rows = [[(j, c) for j, c in enumerate(row) if c] for row in m]
-    mk = [list(row) for row in m]
-    ck = -mat_trace(mk)
-    coeffs_desc = [1, ck]
-    for k in range(2, n + 1):
-        for i in range(n):
-            mk[i][i] += ck
-        nxt = []
-        for row in rows:
-            acc = [0] * n
-            for j, c in row:
-                acc = [a + c * b for a, b in zip(acc, mk[j])]
-            nxt.append(acc)
-        mk = nxt
-        tr = mat_trace(mk)
-        if tr % k:
+    r = max((sum(map(abs, row)) for row in m), default=0)
+    w = (r ** n).bit_length() + 2
+    half, mask = 1 << (w - 1), (1 << w) - 1
+    offset = half * sum(1 << (w * j) for j in range(n))
+    # Unit counts, the common case, need an addition and no multiplication.
+    units = [[j for j, c in enumerate(row) if c == 1] for row in m]
+    scaled = [[(j, c) for j, c in enumerate(row) if c not in (0, 1)] for row in m]
+    packed = [1 << (w * i) for i in range(n)]  # the rows of M^0 = I
+    coeffs_desc = [1]
+    power_sums: list[int] = []
+    for k in range(1, n + 1):
+        get = packed.__getitem__
+        packed = [sum(map(get, u), sum([c * get(j) for j, c in sc]))
+                  for u, sc in zip(units, scaled)]
+        power_sums.append(sum(((x + offset) >> (w * i)) & mask
+                              for i, x in enumerate(packed)) - n * half)
+        s = sum(c * p for c, p in zip(coeffs_desc, reversed(power_sums)))
+        if s % k:
             raise InternalInconsistencyError(
-                "characteristic polynomial trace recursion lost exactness"
+                "characteristic polynomial Newton identity lost exactness"
             )
-        ck = -tr // k
-        coeffs_desc.append(ck)
+        coeffs_desc.append(-s // k)
     return IntPolynomial(reversed(coeffs_desc))
 
 

@@ -9,6 +9,7 @@ from fractions import Fraction
 import pytest
 
 from syzcx.polynomials import (
+    DEFAULT_WIDTH,
     poly,
     monomial_minus,
     poly_gcd_q,
@@ -223,6 +224,79 @@ def test_refine_interval():
     lo2, hi2 = refine_interval(GOLDEN, lo, hi, Fraction(1, 10 ** 9))
     assert hi2 - lo2 <= Fraction(1, 10 ** 9)
     assert abs(float((lo2 + hi2) / 2) - PHI) < 1e-9
+
+
+def _refine_fractions(p, lo, hi, width):
+    """Reference: sign bisection with Fraction midpoints."""
+    if lo == hi:
+        return lo, hi
+    s = squarefree_part(p)
+    shi = s.sign_at(hi)
+    while hi - lo > width:
+        mid = (lo + hi) / 2
+        v = s.sign_at(mid)
+        if v == 0:
+            return mid, mid
+        if v == shi:
+            hi = mid
+        else:
+            lo = mid
+    return lo, hi
+
+
+def _refine_corpus():
+    """(p, lo, hi, width, root) cases, seeded, with root the rational root
+    that bisection must land on, or None:
+    - isolating intervals of non-monic polynomials, whose Cauchy bounds
+      give the ends odd denominators;
+    - sign-change intervals with random ends of unequal odd denominators;
+    - a rational root that the bisection reaches exactly at a midpoint;
+    each with widths that are not powers of two, like the (hi - lo)/16 of
+    compare_algebraic on such ends, as well as 2^-48 and 10^-9."""
+    rng = random.Random(0xB15EC7)
+
+    def widths(lo, hi):
+        return [DEFAULT_WIDTH, (hi - lo) / 16, (hi - lo) / 7,
+                Fraction(1, 10 ** 9), Fraction(rng.randint(1, 99), 3 ** 20)]
+
+    cases = []
+    while len(cases) < 300:
+        lc = rng.choice([2, 3, 5, 6, 7, 9, 15, 21])
+        p = poly(*[rng.randint(-9, 9) for _ in range(rng.randint(1, 6))], lc)
+        iso = isolate_largest_real_root(p)
+        if iso is not None and iso[0] != iso[1]:
+            cases += [(p, *iso, w, None) for w in widths(*iso)]
+    while len(cases) < 600:
+        p = poly(*[rng.randint(-9, 9) for _ in range(rng.randint(2, 7))])
+        if p.degree < 1:
+            continue
+        lo = Fraction(rng.randint(-60, 60), rng.choice([3, 5, 7, 9, 11, 13]))
+        hi = lo + Fraction(rng.randint(1, 60), rng.choice([3, 5, 7, 15, 17]))
+        s = squarefree_part(p)
+        if s.sign_at(lo) * s.sign_at(hi) < 0:
+            cases += [(p, lo, hi, w, None) for w in widths(lo, hi)]
+    for _ in range(60):
+        q = rng.choice([1, 3, 5, 7, 9])
+        lo = Fraction(rng.randint(-20, 20), q)
+        hi = lo + Fraction(rng.randint(1, 20), q)
+        j = rng.randint(1, 20)
+        root = lo + (hi - lo) * Fraction(2 * rng.randrange(2 ** (j - 1)) + 1, 2 ** j)
+        p = poly(-root.numerator, root.denominator) * poly(rng.randint(1, 5), 0, 1)
+        for w in (DEFAULT_WIDTH, (hi - lo) / 3 ** 13):
+            cases.append((p, lo, hi, w, root))
+    return cases
+
+
+def test_refine_interval_matches_fraction_bisection():
+    odd = 0  # cases with an end whose denominator has an odd factor
+    for p, lo, hi, width, root in _refine_corpus():
+        got = refine_interval(p, lo, hi, width)
+        want = _refine_fractions(p, lo, hi, width)
+        assert [(type(x), str(x)) for x in got] == [(type(x), str(x)) for x in want]
+        if root is not None:
+            assert got == (root, root)
+        odd += any(x.denominator & (x.denominator - 1) for x in (lo, hi))
+    assert odd >= 500
 
 
 def test_fraction_str():

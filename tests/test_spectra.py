@@ -1,13 +1,20 @@
 """Characteristic polynomials, condensations, and exact radius comparisons."""
 
+import random
+import sys
 from fractions import Fraction
+from math import comb
+from pathlib import Path
 from time import perf_counter
 
 import pytest
 
+from syzcx.algebra import parse_algebra, validate_algebra
+
 from syzcx.curvature import companion_polynomial, realize_companion
 from syzcx.polynomials import (
     AlgebraicReal,
+    det_bareiss_int,
     poly,
     largest_real_root,
     rational_algebraic,
@@ -15,8 +22,6 @@ from syzcx.polynomials import (
 from syzcx.spectra import (
     mat_from_rows,
     adjacency_matrix,
-    identity_matrix,
-    mat_trace,
     char_poly,
     perron_root,
     scc_condense,
@@ -24,6 +29,7 @@ from syzcx.spectra import (
     compare_algebraic,
     algebraic_power,
 )
+from syzcx.syzygy import build_syzygy_quiver, resolve_module
 
 GOLDEN = poly(-1, -1, 1)
 PHI = (1 + 5 ** 0.5) / 2
@@ -31,10 +37,8 @@ PHI = (1 + 5 ** 0.5) / 2
 
 def test_matrix_helpers():
     m = mat_from_rows([[1, 2], [3, 4]])
-    assert mat_trace(m) == 5
-    i = identity_matrix(2)
-    assert i == ((1, 0), (0, 1))
-    assert mat_trace(i) == 2
+    assert m == ((1, 2), (3, 4))
+    assert mat_from_rows([]) == ()
 
 
 def test_adjacency_matrix():
@@ -46,7 +50,7 @@ def test_char_poly_by_hand():
     # det(xI - [[0,1],[1,1]]) = x^2 - x - 1
     assert char_poly(mat_from_rows([[0, 1], [1, 1]])) == GOLDEN
     # det(xI - I2) = (x-1)^2
-    assert char_poly(identity_matrix(2)) == poly(1, -2, 1)
+    assert char_poly(mat_from_rows([[1, 0], [0, 1]])) == poly(1, -2, 1)
     # 1x1 zero matrix: x
     assert char_poly(mat_from_rows([[0]])) == poly(0, 1)
     # empty matrix: the constant 1
@@ -54,7 +58,7 @@ def test_char_poly_by_hand():
 
 
 def test_char_poly_of_large_companion_quiver():
-    # 97 vertices; the sparse trace recursion keeps this well under a second.
+    # 97 vertices; packed rows of M^k keep this well under a second.
     c = range(1, 98)
     m = adjacency_matrix(realize_companion(c))
     t0 = perf_counter()
@@ -68,8 +72,109 @@ def test_char_poly_monic_and_trace():
     m = mat_from_rows([[2, 1, 0], [0, 1, 3], [1, 0, 1]])
     p = char_poly(m)
     assert p.is_monic and p.degree == 3
-    # second-highest coefficient is -trace
-    assert p.coeffs[2] == -mat_trace(m)
+    # second-highest coefficient is -trace, 2 + 1 + 1
+    assert p.coeffs[2] == -4
+
+
+# -- the packed power-sum kernel ---------------------------------------------
+
+def _trace_recursion(m):
+    """Reference characteristic polynomial by the trace recursion
+    M_k = M (M_(k-1) + c_(k-1) I), c_k = -tr(M_k) / k, on sparse rows of
+    (column, count) pairs and unpacked integer lists."""
+    n = len(m)
+    rows = [[(j, c) for j, c in enumerate(row) if c] for row in m]
+    mk = [list(row) for row in m]
+    coeffs_desc = [1]
+    for k in range(1, n + 1):
+        if k > 1:
+            for i in range(n):
+                mk[i][i] += coeffs_desc[-1]
+            nxt = []
+            for row in rows:
+                acc = [0] * n
+                for j, c in row:
+                    acc = [a + c * b for a, b in zip(acc, mk[j])]
+                nxt.append(acc)
+            mk = nxt
+        tr = sum(mk[i][i] for i in range(n))
+        assert tr % k == 0
+        coeffs_desc.append(-tr // k)
+    return poly(*reversed(coeffs_desc))
+
+
+def _power_of_linear(c, n):
+    """(x - c)^n."""
+    return poly(*(comb(n, i) * (-c) ** (n - i) for i in range(n + 1)))
+
+
+def test_char_poly_entries_at_the_bit_bound():
+    """r*I and -r*I have entries +-r^n in M^n, and r times a cyclic
+    permutation has r^n on the diagonal of M^n and r^k off it: the largest
+    values that r^n, with r the largest absolute row sum, allows."""
+    for r in (1, 2, 3, 7, 8, 255, 256, 10 ** 6, 2 ** 64):
+        for n in (1, 2, 3, 5, 8, 13, 30):
+            for c in (r, -r):
+                scalar = [[c if i == j else 0 for j in range(n)] for i in range(n)]
+                assert char_poly(scalar) == _power_of_linear(c, n)
+                cycle = [[c if j == (i + 1) % n else 0 for j in range(n)]
+                         for i in range(n)]
+                assert char_poly(cycle) == poly(-(c ** n), *[0] * (n - 1), 1)
+
+
+def test_char_poly_degenerate_sizes():
+    assert char_poly(()) == poly(1)
+    for n in range(1, 6):
+        assert char_poly([[0] * n for _ in range(n)]) == poly(*[0] * n, 1)
+    for c in (0, 1, -1, 5, -7, 2 ** 70, -(2 ** 70)):
+        assert char_poly([[c]]) == poly(-c, 1)
+
+
+def test_char_poly_signed_matrices_against_determinants():
+    """Seeded signed matrices up to 30 x 30, dense and sparse, some with
+    large entries: char_poly(M)(t) == det(tI - M) at integer points, and
+    char_poly equals the reference trace recursion."""
+    rng = random.Random(0xC0FFEE)
+    sizes = [30, 29] + [rng.randint(1, 30) for _ in range(10)]
+    for trial, n in enumerate(sizes):
+        density = 0.7 if trial % 2 else 0.15
+        bound = 10 ** 6 if trial % 3 == 0 else 3
+        m = [[rng.randint(-bound, bound) if rng.random() < density else 0
+              for _ in range(n)] for _ in range(n)]
+        p = char_poly(m)
+        assert p == _trace_recursion(m)
+        for t in (-2, 0, 3):
+            shifted = [[(t if i == j else 0) - m[i][j] for j in range(n)]
+                       for i in range(n)]
+            assert p.evaluate(t) == det_bareiss_int(shifted)
+
+
+def _family_gen():
+    """The benchmark's seeded algebra generator (perfbench/gen.py)."""
+    here = str(Path(__file__).resolve().parents[1] / "perfbench")
+    sys.path.insert(0, here)
+    try:
+        import gen
+    finally:
+        sys.path.remove(here)
+    return gen
+
+
+def test_char_poly_matches_trace_recursion_on_family_components():
+    """Every strongly connected component of the syzygy quivers of seeded
+    random monomial algebras (the benchmark's family), sum of all simples."""
+    gen = _family_gen()
+    sizes = []
+    for draw in range(8):
+        alg = gen.family_algebra(16 + 2 * draw, random.Random(draw))
+        body = " + ".join(f"S({v})" for v in alg["vertices"])
+        A = validate_algebra(parse_algebra(
+            gen.algebra_text(f"fam{draw}", alg, [("Sum", body)])))
+        Q = build_syzygy_quiver(resolve_module(A, "Sum"), A)
+        for comp in scc_condense(*Q.digraph()).components:
+            assert char_poly(comp.matrix) == _trace_recursion(comp.matrix)
+            sizes.append(len(comp.vertices))
+    assert max(sizes) >= 15 and len(sizes) > 50
 
 
 def test_perron_root_golden():
