@@ -54,97 +54,112 @@ def _dim_cap() -> int:
 
 # -- dense linear algebra mod p ------------------------------------------------
 #
-# Entries live in [0, p) with p < 2^16. Matrix products are routed through
-# float64 (exact for integers below 2^53, and BLAS-backed, unlike numpy's
-# int64 matmul); a product of reduced matrices with inner dimension k stays
-# below k * (p-1)^2, so exactness holds for k up to ~2 * 10^6 — far beyond
-# the dimension cap.
+# Every matrix the oracle keeps holds residues in [0, p) as np.uint16, which
+# fits both primes (p < 2^16) at a quarter of int64's size. Values are widened
+# only inside a kernel: _matmul_mod multiplies in float64 (exact for integers
+# below 2^53, and BLAS-backed, unlike numpy's integer matmul), _rref
+# eliminates on an int64 working copy, and colliding table products add up in
+# uint32. Residues are compared with != and negated as p - x; a uint16
+# difference wraps modulo 2^16, not modulo p.
 
 _FLOAT_EXACT = 2 ** 53
+_SLAB = 1 << 21  # entries of `a` widened to float64 at a time (16 MB)
 
 
 def _matmul_mod(a: np.ndarray, b: np.ndarray, p: int) -> np.ndarray:
-    """a @ b mod p for matrices already reduced mod p."""
-    k = a.shape[1]
-    if k == 0:
-        return np.zeros((a.shape[0], b.shape[1]), dtype=np.int64)
-    if k * (p - 1) * (p - 1) < _FLOAT_EXACT:
-        prod = a.astype(np.float64) @ b.astype(np.float64)
-        return prod.astype(np.int64) % p
-    return (a @ b) % p
+    """a @ b mod p as uint16, for matrices of residues in [0, p). The inner
+    dimension is cut into slabs of `step` indices, whose float64 products
+    stay below step * (p-1)^2, so adding a residue keeps every sum below
+    2^53 and exact; at the dimension cap there is one slab. Rows of `a` are
+    widened a slab of about _SLAB entries at a time, so the float64 copy of
+    a large `a` never exists whole."""
+    step = (_FLOAT_EXACT - p) // ((p - 1) * (p - 1))
+    rows = max(1, _SLAB // max(1, a.shape[1]))
+    out = np.zeros((a.shape[0], b.shape[1]), dtype=np.uint16)
+    for k in range(0, a.shape[1], step):
+        bk = b[k:k + step].astype(np.float64)
+        for i in range(0, a.shape[0], rows):
+            acc = a[i:i + rows, k:k + step].astype(np.float64) @ bk
+            acc += out[i:i + rows]
+            out[i:i + rows] = np.fmod(acc, p)
+    return out
 
 
 def _rref(mat: np.ndarray, p: int) -> tuple[np.ndarray, list[int]]:
-    """Reduced row echelon form over GF(p). Returns the nonzero rows and the
-    pivot column indices."""
-    a = np.array(mat, dtype=np.int64) % p
+    """Reduced row echelon form over GF(p) of a matrix of residues. Returns
+    the nonzero rows as uint16 and the pivot column indices. The elimination
+    runs on an int64 working copy, where a product of two residues stays
+    exact. At column c, the rows from the current one down are zero left of
+    c, so the swap, the scaling and the update of every row hit by the pivot
+    touch only columns c onward, in place."""
+    a = mat.astype(np.int64)
     rows, cols = a.shape
     pivots: list[int] = []
     r = 0
     for c in range(cols):
         if r == rows:
             break
-        nz = np.nonzero(a[r:, c])[0]
+        nz = a[r:, c].nonzero()[0]
         if nz.size == 0:
             continue
         i = r + int(nz[0])
         if i != r:
-            a[[r, i]] = a[[i, r]]
-        inv = pow(int(a[r, c]), p - 2, p)
-        a[r] = (a[r] * inv) % p
+            a[[r, i], c:] = a[[i, r], c:]
+        a[r, c:] = a[r, c:] * pow(int(a[r, c]), p - 2, p) % p
         col = a[:, c].copy()
         col[r] = 0
-        hit = np.nonzero(col)[0]
+        hit = col.nonzero()[0]
         if hit.size:
-            a[hit] = (a[hit] - np.outer(col[hit], a[r])) % p
+            a[hit, c:] = (a[hit, c:] - np.outer(col[hit], a[r, c:])) % p
         pivots.append(c)
         r += 1
-    return a[:r], pivots
+    return a[:r].astype(np.uint16), pivots
 
 
 def _unit_columns(pivots: list[int], cols: int) -> tuple[np.ndarray, np.ndarray]:
     """The unit vectors of GF(p)^cols at the coordinates that are not
-    pivots, as columns, plus those coordinates."""
+    pivots, as uint16 columns, plus those coordinates."""
     free = np.ones(cols, dtype=bool)
     free[pivots] = False
-    free = np.nonzero(free)[0]
-    out = np.zeros((cols, free.size), dtype=np.int64)
+    free = free.nonzero()[0]
+    out = np.zeros((cols, free.size), dtype=np.uint16)
     out[free, np.arange(free.size)] = 1
     return out, free
 
 
 def _kernel_from_rref(r: np.ndarray, pivots: list[int], cols: int,
                       p: int) -> tuple[np.ndarray, np.ndarray]:
-    """Nullspace basis read off an rref, plus the free-coordinate rows. The
-    free rows of the basis form an identity block, so coordinates with
-    respect to the basis can be read off a vector at those rows."""
+    """Nullspace basis (uint16) read off an rref, plus the free-coordinate
+    rows. The free rows of the basis form an identity block, so coordinates
+    with respect to the basis can be read off a vector at those rows."""
     out, free = _unit_columns(pivots, cols)
     if pivots and free.size:
-        out[pivots, :] = (-r[:, free]) % p
+        out[pivots, :] = (p - r[:, free]) % p
     return out, free
 
 
 def _coords_in_kernel(basis: np.ndarray, free: np.ndarray, targets: np.ndarray,
                       p: int) -> np.ndarray:
     """Coordinates X with basis @ X = targets, where basis came from
-    _kernel_from_rref with free rows `free`. Membership is verified on
+    _kernel_from_rref with free rows `free` and targets are uint16 residues.
+    X is targets at the free rows, since the basis is the identity there;
+    the same identity makes basis @ X agree with targets on the free rows,
+    so membership is checked on the pivot rows alone. It is checked on
     random probe vectors (seeded, so runs are reproducible): a target
     outside the span survives one probe with probability 1/p, both with
     probability 1/p^2, and the whole computation is repeated at a second
-    prime anyway. The full product basis @ X is quadratically more
-    expensive and is skipped."""
-    x = targets[free, :] % p
-    ncols = x.shape[1]
-    if ncols and basis.size:
+    prime anyway. The full product basis @ X is quadratically more expensive
+    and is skipped. Without a kernel, every target must be zero."""
+    x = targets[free]
+    if free.size and x.shape[1]:
+        pivot = np.ones(targets.shape[0], dtype=bool)
+        pivot[free] = False
         rng = np.random.default_rng(0xC0FFEE)
-        probes = rng.integers(0, p, size=(ncols, 2), dtype=np.int64)
-        lhs = _matmul_mod(basis, _matmul_mod(x, probes, p), p)
-        rhs = _matmul_mod(targets % p, probes, p)
-        bad = (lhs - rhs) % p
-    elif ncols:
-        bad = targets % p
+        probes = rng.integers(0, p, size=(x.shape[1], 2), dtype=np.int64)
+        lhs = _matmul_mod(basis[pivot], _matmul_mod(x, probes, p), p)
+        bad = lhs != _matmul_mod(targets[pivot], probes, p)
     else:
-        bad = x
+        bad = targets
     if np.any(bad):
         raise InternalInconsistencyError(
             "a syzygy vector left the kernel span; representation bookkeeping"
@@ -370,7 +385,7 @@ def syzygy_rep(R: "TableRepresentation") -> "TableRepresentation":
             cols = [m for m, g in zip(acts, T.gens)
                     if m is not None and T.ends[g][1] == v]
             rad = (np.concatenate(cols, axis=1) if cols
-                   else np.zeros((d, 0), dtype=np.int64))
+                   else np.zeros((d, 0), dtype=np.uint16))
             lifts.append(_complement_columns(rad, d, p))
         copies = [lift.shape[1] for lift in lifts]
 
@@ -394,18 +409,27 @@ def syzygy_rep(R: "TableRepresentation") -> "TableRepresentation":
         images = _along_parents(T, acts, p,
                                 [lift if lift.shape[1] else None
                                  for lift in lifts])
-        covers = [np.zeros((d, pd), dtype=np.int64) for d, pd in zip(dims, pdims)]
+        del lifts
+        into = [[] for _ in dims]
         for j, (w, t) in enumerate(T.ends):
             if start[j] >= 0 and images[j] is not None:
-                covers[t][:, start[j]:start[j] + copies[w]] = images[j]
+                into[t].append(j)
+        # One cover at a time: built from its images (dropped once copied),
+        # eliminated, and dropped before the next vertex.
         kernels, frees = [], []
-        for v, cover in enumerate(covers):
+        for v, (d, pd) in enumerate(zip(dims, pdims)):
+            cover = np.zeros((d, pd), dtype=np.uint16)
+            for j in into[v]:
+                cover[:, start[j]:start[j] + copies[T.ends[j][0]]] = images[j]
+                images[j] = None
             r, pivots = _rref(cover, p)
-            if len(pivots) != dims[v]:
+            del cover
+            if len(pivots) != d:
                 raise InternalInconsistencyError(
                     f"projective cover is not surjective at vertex {T.vertices[v]}"
                 )
-            kernel, free = _kernel_from_rref(r, pivots, pdims[v], p)
+            kernel, free = _kernel_from_rref(r, pivots, pd, p)
+            del r
             kernels.append(kernel)
             frees.append(free)
         new_dims = [kernel.shape[1] for kernel in kernels]
@@ -416,12 +440,13 @@ def syzygy_rep(R: "TableRepresentation") -> "TableRepresentation":
         if not blocks[k]:
             new_mats.append(None)
             continue
-        m = np.zeros((pdims[t], new_dims[s]), dtype=np.int64)
+        m = np.zeros((pdims[t], new_dims[s]), dtype=np.uint16)
         for a, b, c in blocks[k]:
             if semisimple:  # the kernel basis is the rad P basis itself
                 np.fill_diagonal(m[b:b + c, a:a + c], 1)
-            else:
-                m[b:b + c] += kernels[s][a:a + c]
+            else:  # colliding products add up; widen so the sum stays exact
+                m[b:b + c] = (kernels[s][a:a + c].astype(np.uint32)
+                              + m[b:b + c]) % p
         if not semisimple:
             m = _coords_in_kernel(kernels[t], frees[t], m, p)
         new_mats.append(m if m.any() else None)
@@ -432,10 +457,11 @@ def syzygy_rep(R: "TableRepresentation") -> "TableRepresentation":
 @dataclass
 class TableRepresentation:
     """Right module over a graded table: a GF(p) space per vertex and the
-    matrix of each generator (target space x source space); the action of a
-    basis element is the ordered product along its parent chain. A generator
-    whose action is the zero map stores None instead of a dense zero block,
-    so that semisimple modules cost nothing to multiply."""
+    matrix of each generator (target space x source space), stored as uint16
+    residues in [0, p); the action of a basis element is the ordered product
+    along its parent chain. A generator whose action is the zero map stores
+    None instead of a dense zero block, so that semisimple modules cost
+    nothing to multiply."""
 
     table: GradedTable
     p: int
@@ -453,21 +479,22 @@ class TableRepresentation:
         return all(m is None for m in self.mats.values())
 
     def mat(self, name: str) -> np.ndarray:
-        """The generator's matrix, materialized densely even when zero."""
+        """The generator's matrix, materialized densely (uint16) even when
+        zero."""
         m = self.mats[name]
         if m is not None:
             return m
         T = self.table
         s, t = T.ends[T.basis.index(name)]
         return np.zeros((self.dims[T.vertices[t]], self.dims[T.vertices[s]]),
-                        dtype=np.int64)
+                        dtype=np.uint16)
 
     def check_relations(self):
         """The action of j * g is the action of j followed by that of g, for
         every basis element j and generator g (zero where j * g is zero)."""
         T, p = self.table, self.p
         acts = [self.mats[name] for name in T.gen_names]
-        images = _along_parents(T, acts, p, [np.eye(self.dims[v], dtype=np.int64)
+        images = _along_parents(T, acts, p, [np.eye(self.dims[v], dtype=np.uint16)
                                              for v in T.vertices])
         for k, g in enumerate(T.gens):
             for j, jg in enumerate(T.right[k]):
@@ -477,7 +504,7 @@ class TableRepresentation:
                 lhs = (0 if acts[k] is None or images[j] is None
                        else _matmul_mod(acts[k], images[j], p))
                 rhs = images[jg] if jg >= 0 and images[jg] is not None else 0
-                if np.any((lhs - rhs) % p):
+                if np.any(lhs != rhs):
                     raise InternalInconsistencyError(
                         f"{T.basis[j]} * {T.basis[g]} = "
                         f"{T.basis[jg] if jg >= 0 else 0} does not hold on the module"
@@ -495,7 +522,7 @@ def _span_rep(T: GradedTable, p: int, summands) -> TableRepresentation:
             t = T.ends[j][1]
             row[(i, j)] = dims[t]
             dims[t] += 1
-    mats = [np.zeros((dims[T.ends[g][1]], dims[T.ends[g][0]]), dtype=np.int64)
+    mats = [np.zeros((dims[T.ends[g][1]], dims[T.ends[g][0]]), dtype=np.uint16)
             for g in T.gens]
     for i, members in enumerate(summands):
         for j in members:

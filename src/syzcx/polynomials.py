@@ -337,13 +337,18 @@ def isolate_largest_real_root(p: IntPolynomial):
 def integer_roots(p: IntPolynomial) -> list[int]:
     """Distinct integer roots of a monic p, ascending. Its rational roots are
     integers, so no half-integer is a root: (-B - 1/2, B + 1/2), B the
-    ceiling of the Cauchy bound, is bisected at half-integers down to unit
-    intervals by Sturm counts, one chain evaluation per point, and the
-    integer in a unit interval that holds a root is kept if p vanishes there."""
+    ceiling of the Cauchy bound, is bisected at half-integers by Sturm
+    counts, one chain evaluation per point, until an interval holds one
+    root. The squarefree part changes sign across that root, so from there
+    the bisection reads its sign alone, down to a unit interval. The integer
+    in a unit interval that holds a root is kept if p vanishes there."""
     chain = _sturm_chain(p)
 
     def above(k: int) -> int:  # variations at k + 1/2
         return _variations(chain, Fraction(2 * k + 1, 2))[0]
+
+    def sign_above(k: int) -> int:  # sign of the squarefree part at k + 1/2
+        return _sign_at(chain[0], 2 * k + 1, 2)
 
     B = ceil(cauchy_bound(p))
     roots: list[int] = []
@@ -353,11 +358,20 @@ def integer_roots(p: IntPolynomial) -> list[int]:
         lo, vlo, hi, vhi = work.pop()
         if vlo == vhi:
             continue
-        if hi - lo > 1:
+        if hi - lo > 1 and vlo - vhi > 1:
             mid = (lo + hi) // 2
             vmid = above(mid)
             work += [(mid, vmid, hi, vhi), (lo, vlo, mid, vmid)]
-        elif p.sign_at(hi) == 0:
+            continue
+        if hi - lo > 1:
+            slo = sign_above(lo)
+            while hi - lo > 1:
+                mid = (lo + hi) // 2
+                if sign_above(mid) == slo:
+                    lo = mid
+                else:
+                    hi = mid
+        if p.sign_at(hi) == 0:
             roots.append(hi)
     return roots
 

@@ -29,7 +29,13 @@ from syzcx.oracle import (
     CrosscheckReport,
     crosscheck,
 )
-from syzcx.oracle import _kernel_from_rref, _matmul_mod, _rref
+from syzcx.oracle import (
+    _SLAB,
+    _coords_in_kernel,
+    _kernel_from_rref,
+    _matmul_mod,
+    _rref,
+)
 from syzcx.syzygy import (
     resolve_module,
     simple_key,
@@ -52,11 +58,14 @@ P = PRIMES[0]
 def test_matmul_mod_matches_python_ints():
     rng = np.random.default_rng(7)
     for p in PRIMES:
-        a = rng.integers(0, p, size=(17, 23), dtype=np.int64)
-        b = rng.integers(0, p, size=(23, 11), dtype=np.int64)
-        want = (a.astype(object) @ b.astype(object)) % p
-        got = _matmul_mod(a, b, p)
-        assert (got == want.astype(np.int64)).all()
+        for dtype in (np.int64, np.uint16):
+            a = rng.integers(0, p, size=(17, 23), dtype=np.int64).astype(dtype)
+            b = rng.integers(0, p, size=(23, 11), dtype=np.int64).astype(dtype)
+            a[0], b[:, 0] = p - 1, p - 1  # the largest products
+            want = (a.astype(object) @ b.astype(object)) % p
+            got = _matmul_mod(a, b, p)
+            assert got.dtype == np.uint16
+            assert (got.astype(np.int64) == want.astype(np.int64)).all()
 
 
 def test_matmul_mod_empty_inner():
@@ -64,6 +73,15 @@ def test_matmul_mod_empty_inner():
     b = np.zeros((0, 4), dtype=np.int64)
     assert _matmul_mod(a, b, P).shape == (3, 4)
     assert not _matmul_mod(a, b, P).any()
+
+
+def test_matmul_mod_slabs_rows_of_a_tall_matrix():
+    # More rows than one float64 slab holds, so the rows are widened in parts.
+    rng = np.random.default_rng(8)
+    a = rng.integers(0, P, size=(_SLAB // 3 + 5, 3), dtype=np.int64).astype(np.uint16)
+    b = rng.integers(0, P, size=(3, 2), dtype=np.int64).astype(np.uint16)
+    want = (a.astype(np.int64) @ b.astype(np.int64)) % P
+    assert (_matmul_mod(a, b, P) == want).all()
 
 
 def test_rref_and_nullspace():
@@ -92,6 +110,37 @@ def test_rep_of_projective_has_action(fib):
     # the matrix of b maps the generator copy at vertex 2 into vertex 1
     assert r.mat("b").shape == (1, 2)
     assert r.mat("b").any()
+
+
+def test_residue_differences_are_not_taken_unsigned():
+    # 2^16 - 38 = 2p at p = 32749: a difference of -38 wrapped to uint16 is
+    # 0 mod p, so a check that subtracted uint16 residues would pass these.
+    p = 32749
+    assert 2 ** 16 - 38 == 2 * p
+    # x * y = y * x = xy; with y sending x to 39 xy, the image of x * y is
+    # 39 xy and that of y * x is xy, and they differ by -38.
+    r = table_rep(xyz_local_table(), "regular", p)
+    y = r.mats["y"].copy()
+    assert y[4, 1] == 1
+    y[4, 1] = 39
+    broken = TableRepresentation(r.table, p, dict(r.dims), dict(r.mats, y=y))
+    with pytest.raises(InternalInconsistencyError):
+        broken.check_relations()
+    # A kernel of GF(p)^3 with pivot row 0, and zero targets, which lie in
+    # it, except at one entry of the pivot row. The probes of column 2794
+    # are equal, so that entry can make both probe checks of row 0 read
+    # lhs - rhs = 0 - 38.
+    r0, pivots = _rref(np.array([[1, 2, 3]], dtype=np.uint16), p)
+    basis, free = _kernel_from_rref(r0, pivots, 3, p)
+    probes = np.random.default_rng(0xC0FFEE).integers(0, p, size=(2795, 2),
+                                                        dtype=np.int64)
+    assert probes[2794, 0] == probes[2794, 1]
+    targets = np.zeros((3, 2795), dtype=np.uint16)
+    assert not _coords_in_kernel(basis, free, targets, p).any()
+    targets[0, 2794] = 38 * pow(int(probes[2794, 0]), p - 2, p) % p
+    assert (targets[0].astype(np.int64) @ probes % p == 38).all()
+    with pytest.raises(InternalInconsistencyError):
+        _coords_in_kernel(basis, free, targets, p)
 
 
 def test_rep_checks_relations(loop3):
@@ -233,21 +282,24 @@ def test_table_and_path_compilations_agree(loop3):
                 == [3, 0, 0, 0])
 
 
+# 1, x, y, w with x*x = x*y = y*x = y*y = w: a table whose products collide.
+XXW = AlgebraTable("xxw", ("1", "x", "y", "w"),
+                   ((0, 1, 2, 3), (1, 3, 3, -1), (2, 3, 3, -1), (3, -1, -1, -1)),
+                   (0,))
+
+
 def test_colliding_table_products_accumulate():
     # x*x = x*y = y*x = y*y = w: right multiplication by x sends both x and
     # y to w. With u = x - y this is the monomial algebra on two loops x, u
     # with relations u.x, x.u, u.u, x.x.x, so both must give the same dims.
-    t = [[0, 1, 2, 3], [1, 3, 3, -1], [2, 3, 3, -1], [3, -1, -1, -1]]
-    table = AlgebraTable("xxw", ("1", "x", "y", "w"),
-                         tuple(tuple(r) for r in t), (0,))
-    table.check()
+    XXW.check()
     loops = make_algebra("algebra xu\nvertex 1\narrow x : 1 -> 1\n"
                          "arrow u : 1 -> 1\nrelation u.x\nrelation x.u\n"
                          "relation u.u\nrelation x.x.x\n")
     want = dim_sequence(rep_of(singleton(simple_key(loops, "1")), loops, P), 6)
     assert want[:3] == [1, 3, 5]
     for p in PRIMES:
-        assert dim_sequence(table_rep(table, "k", p), 6) == want
+        assert dim_sequence(table_rep(XXW, "k", p), 6) == want
 
 
 def test_table_check_rejects_non_associative():
@@ -311,6 +363,38 @@ def test_xyz_expected_dims_recurrence():
     assert f[:5] == [1, 4, 11, 29, 76]
     for n in range(1, 13):
         assert f[n + 1] == 3 * f[n] - f[n - 1]
+
+
+def test_syzygies_store_uint16_residues(fib):
+    cases = [table_rep(xyz_local_table(), "k", p) for p in PRIMES]
+    cases += [rep_of(resolve_module(fib, m), fib, p)
+              for m in ("S1", "Mix") for p in PRIMES]
+    cases += [table_rep(XXW, "k", p) for p in PRIMES]
+    cases.append(table_rep(KX3, "regular", P))
+    for r in cases:
+        for _ in range(6):
+            for m in r.mats.values():
+                if m is not None:
+                    assert m.dtype == np.uint16
+                    assert int(m.max()) < r.p
+            for name in r.mats:
+                assert r.mat(name).dtype == np.uint16
+            r = r.syzygy()
+
+
+def test_xyz_to_n8_fits_in_memory():
+    # Each of the three action matrices of the n = 8 step is 3571 x 3571;
+    # with int64 storage the step peaked near 1 GB.
+    want = xyz_local_expected_dims(8)
+    for p in PRIMES:
+        tracemalloc.start()
+        try:
+            dims = dim_sequence(table_rep(xyz_local_table(), "k", p), 8)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert dims == want
+        assert peak < 400 * 2**20
 
 
 def test_xyz_oracle_matches_bookkeeping():

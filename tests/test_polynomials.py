@@ -5,6 +5,7 @@ expansions) or pinned against closed forms like the golden ratio."""
 
 import random
 from fractions import Fraction
+from math import ceil
 
 import pytest
 
@@ -28,6 +29,7 @@ from syzcx.polynomials import (
     det_bareiss_poly,
     resultant_y,
 )
+from syzcx.polynomials import _sturm_chain, _variations
 from syzcx.errors import ZeroPolynomialError
 
 PHI = (1 + 5 ** 0.5) / 2  # 1.6180339887498949
@@ -211,6 +213,63 @@ def test_integer_roots_with_thirty_digit_constant_terms():
         k = rng.randint(1, 10 ** 14)
         p = _product([poly(-r, 1) for r in roots] + [poly(-(k * k + 1), 0, 1)])
         assert integer_roots(p) == sorted(set(roots))
+
+
+def _integer_roots_chain_only(p):
+    """Reference: bisection at half-integers by Sturm counts alone, one
+    chain evaluation per point, down to unit intervals."""
+    chain = _sturm_chain(p)
+
+    def above(k):
+        return _variations(chain, Fraction(2 * k + 1, 2))[0]
+
+    B = ceil(cauchy_bound(p))
+    roots = []
+    work = [(-B - 1, above(-B - 1), B, above(B))]
+    while work:
+        lo, vlo, hi, vhi = work.pop()
+        if vlo == vhi:
+            continue
+        if hi - lo > 1:
+            mid = (lo + hi) // 2
+            vmid = above(mid)
+            work += [(mid, vmid, hi, vhi), (lo, vlo, mid, vmid)]
+        elif p.sign_at(hi) == 0:
+            roots.append(hi)
+    return roots
+
+
+def test_integer_roots_match_chain_only_search():
+    """3,000 seeded monic polynomials: small random ones; products of
+    linear factors with repeated roots and a random cofactor; random ones
+    with coefficients up to 10^12; and products of roots up to 10^6, with a
+    repeat, whose coefficients pass 10^12."""
+    rng = random.Random(1401)
+    found = repeated = huge = 0
+    for i in range(3000):
+        kind = i % 4
+        if kind == 0:
+            p = poly(*[rng.randint(-6, 6) for _ in range(rng.randint(1, 8))], 1)
+        elif kind == 1:
+            roots = [rng.randint(-40, 40) for _ in range(rng.randint(1, 4))]
+            roots += rng.sample(roots, rng.randint(0, len(roots)))
+            cofactor = poly(*[rng.randint(-9, 9) for _ in range(rng.randint(0, 3))], 1)
+            p = _product([poly(-r, 1) for r in roots] + [cofactor])
+        elif kind == 2:
+            p = poly(*[rng.randint(-10 ** 12, 10 ** 12)
+                       for _ in range(rng.randint(1, 6))], 1)
+        else:
+            roots = [rng.randint(-10 ** 6, 10 ** 6) for _ in range(rng.randint(1, 3))]
+            roots += rng.sample(roots, rng.randint(0, 1))
+            cofactor = poly(*[rng.randint(-10 ** 6, 10 ** 6)
+                              for _ in range(rng.randint(0, 2))], 1)
+            p = _product([poly(-r, 1) for r in roots] + [cofactor])
+        got = integer_roots(p)
+        assert got == _integer_roots_chain_only(p)
+        found += bool(got)
+        repeated += squarefree_part(p) != p
+        huge += max(abs(c) for c in p.coeffs) >= 10 ** 11
+    assert found >= 1000 and repeated >= 500 and huge >= 1000
 
 
 def test_integer_roots_degenerate():
