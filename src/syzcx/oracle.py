@@ -61,6 +61,11 @@ def _dim_cap() -> int:
 # eliminates on an int64 working copy, and colliding table products add up in
 # uint32. Residues are compared with != and negated as p - x; a uint16
 # difference wraps modulo 2^16, not modulo p.
+#
+# _rref promises only that r[:, pivots] is the identity; the kernel, the
+# complement and the surjectivity check need nothing more. So it can take
+# every singleton column of a cover (most columns of a monomial one) as a
+# pivot at once, since such a pivot has nothing to eliminate.
 
 _FLOAT_EXACT = 2 ** 53
 _SLAB = 1 << 21  # entries of `a` widened to float64 at a time (16 MB)
@@ -86,16 +91,35 @@ def _matmul_mod(a: np.ndarray, b: np.ndarray, p: int) -> np.ndarray:
 
 
 def _rref(mat: np.ndarray, p: int) -> tuple[np.ndarray, list[int]]:
-    """Reduced row echelon form over GF(p) of a matrix of residues. Returns
-    the nonzero rows as uint16 and the pivot column indices. The elimination
-    runs on an int64 working copy, where a product of two residues stays
-    exact. At column c, the rows from the current one down are zero left of
-    c, so the swap, the scaling and the update of every row hit by the pivot
+    """Reduced form over GF(p) of a matrix of residues: rows r, as uint16,
+    forming a basis of its row space, and pivot columns with r[:, pivots]
+    the identity. Pivots are neither leftmost nor sorted.
+
+    A singleton column (one nonzero entry) is a pivot that needs no
+    elimination, since no other row has an entry to clear there. So every
+    row holding one takes its leftmost singleton column as pivot, all at
+    once: the row is scaled to make the pivot 1 and moved to the top. The
+    singleton columns are then zero in the remaining rows, and the column
+    loop runs on those alone. It eliminates on an int64 working copy, where
+    a product of two residues stays exact. At column c, the remaining rows
+    from the current one down are zero left of c, so the swap, the scaling
+    and the update of every row hit by the pivot (the top rows included)
     touch only columns c onward, in place."""
-    a = mat.astype(np.int64)
-    rows, cols = a.shape
-    pivots: list[int] = []
-    r = 0
+    rows, cols = mat.shape
+    single = (np.count_nonzero(mat, axis=0) == 1).nonzero()[0]
+    # The row of a singleton column is its argmax, as residues are >= 0;
+    # argmax refuses a 0-row matrix, which has no singleton column anyway.
+    held, first = np.unique(mat.argmax(axis=0)[single] if rows else single,
+                            return_index=True)
+    rest = np.ones(rows, dtype=bool)
+    rest[held] = False
+    a = mat[np.concatenate([held, rest.nonzero()[0]])].astype(np.int64)
+    top = single[first]  # first occurrences in sorted `single`: leftmost
+    r = top.size
+    lead = a[np.arange(r), top]
+    for i in (lead != 1).nonzero()[0]:
+        a[i] = a[i] * pow(int(lead[i]), p - 2, p) % p
+    pivots: list[int] = top.tolist()
     for c in range(cols):
         if r == rows:
             break
@@ -129,37 +153,72 @@ def _unit_columns(pivots: list[int], cols: int) -> tuple[np.ndarray, np.ndarray]
 
 def _kernel_from_rref(r: np.ndarray, pivots: list[int], cols: int,
                       p: int) -> tuple[np.ndarray, np.ndarray]:
-    """Nullspace basis (uint16) read off an rref, plus the free-coordinate
-    rows. The free rows of the basis form an identity block, so coordinates
-    with respect to the basis can be read off a vector at those rows."""
+    """Nullspace basis (uint16) read off _rref's output, plus the
+    free-coordinate rows: the basis vector of free coordinate f is e_f minus
+    r[i, f] at pivots[i], which r maps to r[:, f] - r[:, f] = 0 since
+    r[:, pivots] is the identity. The free rows of the basis form an
+    identity block, so coordinates with respect to the basis can be read off
+    a vector at those rows."""
     out, free = _unit_columns(pivots, cols)
     if pivots and free.size:
         out[pivots, :] = (p - r[:, free]) % p
     return out, free
 
 
-def _coords_in_kernel(basis: np.ndarray, free: np.ndarray, targets: np.ndarray,
-                      p: int) -> np.ndarray:
+def _split_rows(source: np.ndarray, blocks, free: np.ndarray, rows: int,
+                p: int) -> tuple[np.ndarray, np.ndarray]:
+    """The rows x cols matrix that adds rows a..a+c of `source` into rows
+    b..b+c, for each block (a, b, c), never built whole: returned as its
+    rows at `free` and its other rows, both uint16 and in row order. A free
+    row's slot is the number of free rows before it, so the free rows of a
+    block fill one slice of the first part and its other rows one slice of
+    the second. Two blocks hit the same rows or disjoint ones; the first
+    block on its rows is copied, and a later one (a colliding table
+    product) is added in uint32, where the sum stays exact."""
+    is_free = np.zeros(rows, dtype=bool)
+    is_free[free] = True
+    before = [0] + np.cumsum(is_free).tolist()
+    x = np.zeros((free.size, source.shape[1]), dtype=np.uint16)
+    y = np.zeros((rows - free.size, source.shape[1]), dtype=np.uint16)
+    seen = set()
+    for a, b, c in blocks:
+        f0, f1 = before[b], before[b + c]
+        src, fresh = source[a:a + c], b not in seen
+        seen.add(b)
+        if 0 < f1 - f0 < c:
+            keep = is_free[b:b + c]
+            parts = ((x, f0, f1, src[keep]), (y, b - f0, b + c - f1, src[~keep]))
+        else:
+            parts = ((x, f0, f1, src), (y, b - f0, b + c - f1, src))
+        for part, lo, hi, add in parts:
+            if hi > lo:
+                part[lo:hi] = (add if fresh else
+                               (add.astype(np.uint32) + part[lo:hi]) % p)
+    return x, y
+
+
+def _coords_in_kernel(basis: np.ndarray, free: np.ndarray, x: np.ndarray,
+                      y: np.ndarray, p: int) -> np.ndarray:
     """Coordinates X with basis @ X = targets, where basis came from
-    _kernel_from_rref with free rows `free` and targets are uint16 residues.
-    X is targets at the free rows, since the basis is the identity there;
-    the same identity makes basis @ X agree with targets on the free rows,
-    so membership is checked on the pivot rows alone. It is checked on
-    random probe vectors (seeded, so runs are reproducible): a target
-    outside the span survives one probe with probability 1/p, both with
-    probability 1/p^2, and the whole computation is repeated at a second
-    prime anyway. The full product basis @ X is quadratically more expensive
-    and is skipped. Without a kernel, every target must be zero."""
-    x = targets[free]
+    _kernel_from_rref with free rows `free`, and the uint16 residues
+    `targets` are given as their free rows x and their other rows y, in
+    order (see _split_rows). X is x, since the basis is the identity at the
+    free rows; the same identity makes basis @ X agree with targets on the
+    free rows, so membership is checked on y alone. It is checked on random
+    probe vectors (seeded, so runs are reproducible): a target outside the
+    span survives one probe with probability 1/p, both with probability
+    1/p^2, and the whole computation is repeated at a second prime anyway.
+    The full product basis @ X is quadratically more expensive and is
+    skipped. Without a kernel, every target must be zero."""
     if free.size and x.shape[1]:
-        pivot = np.ones(targets.shape[0], dtype=bool)
+        pivot = np.ones(basis.shape[0], dtype=bool)
         pivot[free] = False
         rng = np.random.default_rng(0xC0FFEE)
         probes = rng.integers(0, p, size=(x.shape[1], 2), dtype=np.int64)
         lhs = _matmul_mod(basis[pivot], _matmul_mod(x, probes, p), p)
-        bad = lhs != _matmul_mod(targets[pivot], probes, p)
+        bad = lhs != _matmul_mod(y, probes, p)
     else:
-        bad = targets
+        bad = y
     if np.any(bad):
         raise InternalInconsistencyError(
             "a syzygy vector left the kernel span; representation bookkeeping"
@@ -169,7 +228,11 @@ def _coords_in_kernel(basis: np.ndarray, free: np.ndarray, targets: np.ndarray,
 
 
 def _complement_columns(span_cols: np.ndarray, dim: int, p: int) -> np.ndarray:
-    """Identity columns completing the column span of `span_cols` to GF(p)^dim."""
+    """Identity columns completing the column span of `span_cols` to
+    GF(p)^dim: those at the coordinates that are not pivots of the span's
+    rows. Restricted to the pivot coordinates, the rows of the reduced form
+    are the identity and those unit vectors are zero, so together they are
+    independent; any pivot set with that identity block serves."""
     return _unit_columns(_rref(span_cols.T, p)[1], dim)[0]
 
 
@@ -369,7 +432,10 @@ def syzygy_rep(R: "TableRepresentation") -> "TableRepresentation":
     is (j, copy) for the basis elements j from w, graded by the target of j,
     and its map sends (j, copy) to the lift acted on by j. The kernel is read
     off one rref per vertex, and a generator g acts on the cover by j -> j*g,
-    a row scatter accumulated over j because table products may collide.
+    a row scatter accumulated over j because table products may collide. The
+    scatter writes the free rows of the target kernel (the new action) and
+    its pivot rows (read by the membership check) apart, so the dense image
+    of the action is never built.
     When every generator acts by zero, R is semisimple and the kernel is
     rad P, the cover basis without its idempotents: then no matrix beyond
     the new actions is built."""
@@ -440,15 +506,13 @@ def syzygy_rep(R: "TableRepresentation") -> "TableRepresentation":
         if not blocks[k]:
             new_mats.append(None)
             continue
-        m = np.zeros((pdims[t], new_dims[s]), dtype=np.uint16)
-        for a, b, c in blocks[k]:
-            if semisimple:  # the kernel basis is the rad P basis itself
+        if semisimple:  # the kernel basis is the rad P basis itself
+            m = np.zeros((pdims[t], new_dims[s]), dtype=np.uint16)
+            for a, b, c in blocks[k]:
                 np.fill_diagonal(m[b:b + c, a:a + c], 1)
-            else:  # colliding products add up; widen so the sum stays exact
-                m[b:b + c] = (kernels[s][a:a + c].astype(np.uint32)
-                              + m[b:b + c]) % p
-        if not semisimple:
-            m = _coords_in_kernel(kernels[t], frees[t], m, p)
+        else:
+            m = _coords_in_kernel(kernels[t], frees[t], *_split_rows(
+                kernels[s], blocks[k], frees[t], pdims[t], p), p)
         new_mats.append(m if m.any() else None)
     return TableRepresentation(T, p, dict(zip(T.vertices, new_dims)),
                                dict(zip(T.gen_names, new_mats)))

@@ -31,10 +31,12 @@ from syzcx.oracle import (
 )
 from syzcx.oracle import (
     _SLAB,
+    _complement_columns,
     _coords_in_kernel,
     _kernel_from_rref,
     _matmul_mod,
     _rref,
+    _split_rows,
 )
 from syzcx.syzygy import (
     resolve_module,
@@ -94,6 +96,133 @@ def test_rref_and_nullspace():
     assert not ((m @ ns) % P).any()
 
 
+def _rank_by_hand(m, p):
+    """Rank over GF(p) by textbook elimination on Python ints."""
+    rows = [[int(v) % p for v in row] for row in m.tolist()]
+    rank = 0
+    for c in range(m.shape[1]):
+        piv = next((i for i in range(rank, len(rows)) if rows[i][c]), None)
+        if piv is None:
+            continue
+        rows[rank], rows[piv] = rows[piv], rows[rank]
+        inv = pow(rows[rank][c], p - 2, p)
+        for i in range(rank + 1, len(rows)):
+            if rows[i][c]:
+                f = rows[i][c] * inv % p
+                rows[i] = [(u - f * v) % p for u, v in zip(rows[i], rows[rank])]
+        rank += 1
+    return rank
+
+
+def _elimination_corpus(p, rng, per_kind):
+    """Seeded residue matrices of every shape the covers take: dense, sparse
+    0/1, one nonzero per row, repeated columns, zero rows and columns,
+    singleton columns with non-unit entries, and empty shapes."""
+    def shape():
+        return int(rng.integers(1, 8)), int(rng.integers(1, 8))
+
+    def sparse01(r, c):
+        return (rng.random((r, c)) < rng.uniform(0.1, 0.5)).astype(np.int64)
+
+    def one_per_row(r, c):
+        m = np.zeros((r, c), dtype=np.int64)
+        m[np.arange(r), rng.integers(0, c, r)] = rng.integers(1, p, r)
+        return m
+
+    def repeated_columns(r, c):
+        base = sparse01(r, max(1, c // 2)) * rng.integers(1, p, (r, 1))
+        return base[:, rng.integers(0, base.shape[1], c)]
+
+    def zero_rows_and_columns(r, c):
+        m = sparse01(r, c)
+        m[rng.random(r) < 0.3] = 0
+        m[:, rng.random(c) < 0.3] = 0
+        return m
+
+    def non_unit_singletons(r, c):
+        return sparse01(r, c) * rng.integers(2, p, (r, c))
+
+    kinds = (lambda r, c: rng.integers(0, p, (r, c)), sparse01, one_per_row,
+             repeated_columns, zero_rows_and_columns, non_unit_singletons)
+    for kind in kinds:
+        for _ in range(per_kind):
+            yield kind(*shape())
+    for n in range(4):
+        yield np.zeros((0, n), dtype=np.int64)
+        yield np.zeros((n, 0), dtype=np.int64)
+    yield np.array([[1, 0, 1], [1, 1, 0]])
+
+
+def _check_elimination(m, p):
+    cols = m.shape[1]
+    r, pivots = _rref(m.astype(np.uint16), p)
+    rank = _rank_by_hand(m, p)
+    assert r.dtype == np.uint16 and r.shape == (rank, cols)
+    assert len(pivots) == len(set(pivots)) == rank
+    assert (r[:, pivots] == np.eye(rank, dtype=np.uint16)).all()
+    kernel, free = _kernel_from_rref(r, pivots, cols, p)
+    assert kernel.shape == (cols, cols - rank)
+    assert not (m.astype(np.int64) @ kernel.astype(np.int64) % p).any()
+    span = m.T.astype(np.uint16)
+    full = np.concatenate([span, _complement_columns(span, cols, p)], axis=1)
+    assert _rank_by_hand(full.T, p) == cols
+
+
+def test_rref_contract_on_seeded_corpus():
+    # r[:, pivots] is the identity, with pivots that need be neither
+    # leftmost nor sorted; rank, kernel and complement follow from it.
+    count = 0
+    for p in PRIMES:
+        rng = np.random.default_rng(p)
+        for m in _elimination_corpus(p, rng, 430):
+            _check_elimination(m, p)
+            count += 1
+    assert count >= 5000
+
+
+def test_rref_takes_singleton_columns_as_pivots():
+    # Column 0 has two nonzeros; columns 1 and 2 are singletons, of rows 1
+    # and 0. Leftmost pivots would be {0, 1}.
+    m = np.array([[1, 0, 1], [1, 1, 0]], dtype=np.uint16)
+    r, pivots = _rref(m, P)
+    assert sorted(pivots) == [1, 2]
+    assert (r[:, pivots] == np.eye(2, dtype=np.uint16)).all()
+    # A non-unit singleton pivot is scaled to 1, and a 0-row matrix has none.
+    r, pivots = _rref(np.array([[0, 5, 0], [3, 0, 0]], dtype=np.uint16), P)
+    assert sorted(pivots) == [0, 1]
+    assert (r[:, pivots] == np.eye(2, dtype=np.uint16)).all()
+    r, pivots = _rref(np.zeros((0, 3), dtype=np.uint16), P)
+    assert r.shape == (0, 3) and pivots == []
+
+
+def test_split_rows_matches_the_dense_scatter():
+    # Blocks of rows of a source matrix added into a target, as the syzygy
+    # step's generator action: the two parts are the target's free rows and
+    # its other rows, including blocks that collide and blocks that mix both.
+    rng = np.random.default_rng(11)
+    for p in PRIMES:
+        for _ in range(200):
+            rows, cols = int(rng.integers(1, 12)), int(rng.integers(1, 6))
+            source = rng.integers(0, p, (9, cols)).astype(np.uint16)
+            free = np.flatnonzero(rng.random(rows) < 0.5)
+            starts = [0]
+            while starts[-1] < rows:
+                starts.append(starts[-1] + int(rng.integers(1, 4)))
+            blocks = []
+            for b, e in zip(starts, starts[1:]):
+                c = min(e, rows) - b
+                for _ in range(int(rng.integers(0, 3))):
+                    blocks.append((int(rng.integers(0, 10 - c)), b, c))
+            dense = np.zeros((rows, cols), dtype=np.int64)
+            for a, b, c in blocks:
+                dense[b:b + c] += source[a:a + c]
+            dense %= p
+            x, y = _split_rows(source, blocks, free, rows, p)
+            assert x.dtype == y.dtype == np.uint16
+            assert (x == dense[free]).all()
+            assert (y == np.delete(dense, free, axis=0)).all()
+
+
 # -- representations over monomial algebras ------------------------------------------
 
 def test_rep_of_simple_is_semisimple(fib):
@@ -136,11 +265,12 @@ def test_residue_differences_are_not_taken_unsigned():
                                                         dtype=np.int64)
     assert probes[2794, 0] == probes[2794, 1]
     targets = np.zeros((3, 2795), dtype=np.uint16)
-    assert not _coords_in_kernel(basis, free, targets, p).any()
+    split = lambda t: (t[free], np.delete(t, free, axis=0))
+    assert not _coords_in_kernel(basis, free, *split(targets), p).any()
     targets[0, 2794] = 38 * pow(int(probes[2794, 0]), p - 2, p) % p
     assert (targets[0].astype(np.int64) @ probes % p == 38).all()
     with pytest.raises(InternalInconsistencyError):
-        _coords_in_kernel(basis, free, targets, p)
+        _coords_in_kernel(basis, free, *split(targets), p)
 
 
 def test_rep_checks_relations(loop3):
