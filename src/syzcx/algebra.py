@@ -229,6 +229,7 @@ class MonomialAlgebra:
         self.max_relation_length = max((len(r) for r in relations), default=1)
         keep = self.max_relation_length - 1
         words = {r.arrows for r in relations}
+        lengths = {len(w) for w in words}
         index = {(v, ()): i for i, v in enumerate(quiver.vertices)}
         states = list(index)
         self.moves: list[dict[str, int]] = []
@@ -236,7 +237,8 @@ class MonomialAlgebra:
             out = {}
             for a in quiver.arrows_from(vertex):
                 new = word + (a.name,)
-                if any(new[i:] in words for i in range(len(new) - 1)):
+                if any(new[len(new) - k:] in words
+                       for k in lengths if k <= len(new)):
                     continue  # new ends with a relation
                 key = (a.target, new[max(0, len(new) - keep):])
                 if key not in index:
@@ -305,8 +307,8 @@ class MonomialAlgebra:
 def _normalize_relations(relations: tuple[Path, ...]) -> tuple[Path, ...]:
     """Minimal relation set: dedupe, then drop any relation containing another
     as a contiguous factor (same ideal, smaller generating set). Relations
-    have length >= 2, so each factor of length >= 2 is looked up among the
-    kept words."""
+    are scanned shortest first, so only factors whose length is that of a
+    kept word are looked up among the kept words."""
     uniq: list[Path] = []
     seen = set()
     for r in relations:
@@ -316,12 +318,14 @@ def _normalize_relations(relations: tuple[Path, ...]) -> tuple[Path, ...]:
     uniq.sort(key=lambda r: len(r.arrows))
     kept: list[Path] = []
     kept_words: set[tuple[str, ...]] = set()
+    kept_lengths: set[int] = set()
     for r in uniq:
         w = r.arrows
-        if not any(w[i:j] in kept_words
-                   for i in range(len(w)) for j in range(i + 2, len(w) + 1)):
+        if not any(w[i:i + k] in kept_words
+                   for k in kept_lengths for i in range(len(w) - k + 1)):
             kept.append(r)
             kept_words.add(w)
+            kept_lengths.add(len(w))
     return tuple(kept)
 
 

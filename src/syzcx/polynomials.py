@@ -7,14 +7,15 @@ squarefree part, which is its first entry. Real roots are located by that
 chain and carried around as an integer defining polynomial plus an isolating
 rational interval containing exactly one distinct real root. Intervals are
 refined to width <= 2^-48 at construction so the printed 12-decimal
-approximation is stable. Divisions and sign evaluations run on integers only: one
-pseudo-division loop and homogeneous Horner at rational points.
+approximation is stable. All of it runs on integers: one pseudo-division
+loop, homogeneous Horner at rational points, one bisection form (integer
+numerators over a doubling denominator) with one sign-bisection loop,
+`refine_interval`, and decimals rounded by integer division at any size.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from decimal import Decimal, ROUND_HALF_UP, localcontext
 from fractions import Fraction
 from functools import lru_cache
 from math import ceil, gcd
@@ -270,10 +271,9 @@ def squarefree_part(p: IntPolynomial) -> IntPolynomial:
     return IntPolynomial(_sturm_chain(p)[0]).primitive()
 
 
-def _variations(chain, x) -> tuple[int, int]:
-    """Sign variations of the chain at the rational x, and the sign of its
-    first entry there."""
-    n, d = x.numerator, x.denominator
+def _variations(chain, n: int, d: int) -> tuple[int, int]:
+    """Sign variations of the chain at n/d, d > 0, and the sign of its first
+    entry there."""
     signs = [_sign_at(coeffs, n, d) for coeffs in chain]
     nonzero = [sgn for sgn in signs if sgn]
     return sum(a != b for a, b in zip(nonzero, nonzero[1:])), signs[0]
@@ -287,8 +287,8 @@ def count_real_roots_open(p: IntPolynomial, a: Fraction, b: Fraction) -> int:
     count.
     """
     chain = _sturm_chain(p)
-    va, sa = _variations(chain, a)
-    vb, sb = _variations(chain, b)
+    va, sa = _variations(chain, a.numerator, a.denominator)
+    vb, sb = _variations(chain, b.numerator, b.denominator)
     if sa == 0 or sb == 0:
         raise ValueError("endpoint is a root; Sturm count needs nonroot endpoints")
     return va - vb if a < b else 0
@@ -313,25 +313,28 @@ def isolate_largest_real_root(p: IntPolynomial):
     # V(x) = variations of the chain at x; V(a) - V(b) counts the roots in
     # (a, b] whenever s(b) != 0, even if s(a) == 0 (s = squarefree part).
     # Each point is evaluated once: V and the sign of s are kept for lo.
+    # (lo, hi) = (a/d, b/d), bisected as in refine_interval, starts as
+    # (-B, B): s(+-B) != 0 and every real root lies strictly inside.
     B = cauchy_bound(squarefree_part(p))
-    lo, hi = -B, B  # s(+-B) != 0 and every real root lies strictly inside
-    vlo, slo = _variations(chain, lo)
-    vhi = _variations(chain, hi)[0]
+    a, b, d = -B.numerator, B.numerator, B.denominator
+    vlo, slo = _variations(chain, a, d)
+    vhi = _variations(chain, b, d)[0]
     if vlo == vhi:
         return None
     # Invariant: the largest root lies in (lo, hi) and s(hi) != 0; lo may be
     # a smaller root. Once (lo, hi) holds one simple root and s(lo) != 0,
     # s changes sign across it.
     while vlo - vhi > 1 or slo == 0:
-        mid = (lo + hi) / 2
-        vmid, smid = _variations(chain, mid)
+        a, b, mid = 2 * a, 2 * b, a + b
+        d *= 2
+        vmid, smid = _variations(chain, mid, d)
         if smid == 0 and vmid == vhi:
-            return mid, mid
+            return Fraction(mid, d), Fraction(mid, d)
         if vmid > vhi or smid == 0:
-            lo, vlo, slo = mid, vmid, smid
+            a, vlo, slo = mid, vmid, smid
         else:
-            hi, vhi = mid, vmid
-    return lo, hi
+            b, vhi = mid, vmid
+    return Fraction(a, d), Fraction(b, d)
 
 
 def integer_roots(p: IntPolynomial) -> list[int]:
@@ -339,16 +342,13 @@ def integer_roots(p: IntPolynomial) -> list[int]:
     integers, so no half-integer is a root: (-B - 1/2, B + 1/2), B the
     ceiling of the Cauchy bound, is bisected at half-integers by Sturm
     counts, one chain evaluation per point, until an interval holds one
-    root. The squarefree part changes sign across that root, so from there
-    the bisection reads its sign alone, down to a unit interval. The integer
-    in a unit interval that holds a root is kept if p vanishes there."""
+    root; refine_interval shrinks a longer one to width <= 1. The ceiling of
+    its lower end is then the one integer that can be the root, and is kept
+    if p vanishes there."""
     chain = _sturm_chain(p)
 
     def above(k: int) -> int:  # variations at k + 1/2
-        return _variations(chain, Fraction(2 * k + 1, 2))[0]
-
-    def sign_above(k: int) -> int:  # sign of the squarefree part at k + 1/2
-        return _sign_at(chain[0], 2 * k + 1, 2)
+        return _variations(chain, 2 * k + 1, 2)[0]
 
     B = ceil(cauchy_bound(p))
     roots: list[int] = []
@@ -358,19 +358,14 @@ def integer_roots(p: IntPolynomial) -> list[int]:
         lo, vlo, hi, vhi = work.pop()
         if vlo == vhi:
             continue
-        if hi - lo > 1 and vlo - vhi > 1:
-            mid = (lo + hi) // 2
-            vmid = above(mid)
-            work += [(mid, vmid, hi, vhi), (lo, vlo, mid, vmid)]
-            continue
         if hi - lo > 1:
-            slo = sign_above(lo)
-            while hi - lo > 1:
+            if vlo - vhi > 1:
                 mid = (lo + hi) // 2
-                if sign_above(mid) == slo:
-                    lo = mid
-                else:
-                    hi = mid
+                vmid = above(mid)
+                work += [(mid, vmid, hi, vhi), (lo, vlo, mid, vmid)]
+                continue
+            ends = Fraction(2 * lo + 1, 2), Fraction(2 * hi + 1, 2)
+            hi = ceil(refine_interval(p, *ends, 1)[0])
         if p.sign_at(hi) == 0:
             roots.append(hi)
     return roots
@@ -411,17 +406,13 @@ def refine_interval(p: IntPolynomial, lo: Fraction, hi: Fraction, width: Fractio
     return Fraction(a, d), Fraction(b, d)
 
 
-def fraction_str(x: Fraction) -> str:
-    return str(x)
-
-
 def decimal_places_12(x: Fraction) -> str:
-    """Plain decimal with exactly 12 digits after the point, half-up rounding."""
-    with localcontext() as ctx:
-        ctx.prec = 80
-        d = Decimal(x.numerator) / Decimal(x.denominator)
-        q = d.quantize(Decimal("1.000000000000"), rounding=ROUND_HALF_UP)
-    return format(q, "f")
+    """Plain decimal with exactly 12 digits after the point, rounded half
+    away from zero (as decimal's ROUND_HALF_UP), in integers; a negative x
+    keeps its sign even when it rounds to zero."""
+    q = (2 * 10 ** 12 * abs(x.numerator) + x.denominator) // (2 * x.denominator)
+    whole, frac = divmod(q, 10 ** 12)
+    return f"{'-' if x < 0 else ''}{whole}.{frac:012d}"
 
 
 @dataclass(frozen=True)
@@ -453,7 +444,7 @@ class AlgebraicReal:
     def to_json(self) -> dict:
         return {
             "poly": self.poly.to_list(),
-            "interval": [fraction_str(self.lo), fraction_str(self.hi)],
+            "interval": [str(self.lo), str(self.hi)],
             "approx": self.approx_str(),
         }
 

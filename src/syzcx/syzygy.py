@@ -132,9 +132,9 @@ def simple_key(A: MonomialAlgebra, vertex: str) -> CyclicKey:
 def minimal_killers(p: Path, A: MonomialAlgebra) -> tuple[Path, ...]:
     """Prefix-minimal nonzero paths w with p.w zero, in canonical order.
 
-    Depth-first search over forward extensions w of p, pruned at zero paths;
-    recording stops at the first zero product, which makes the result an
-    antichain. Every killer ends inside the relation that kills it, so killer
+    Search with an explicit stack over forward extensions w of p, pruned at
+    zero paths; recording stops at the first zero product, which makes the
+    result an antichain. Every killer ends inside the relation that kills it, so killer
     length is bounded by the longest relation length minus one, and the
     search goes no deeper. It carries the automaton states of p.w and of w:
     p.w.a is zero exactly when a has no move from the first, and w.a is a
@@ -144,17 +144,16 @@ def minimal_killers(p: Path, A: MonomialAlgebra) -> tuple[Path, ...]:
     if state is None:
         raise ZeroPathError(f"path is zero in {A.name}")
     out: list[Path] = []
-
-    def walk(w: tuple[str, ...], pw: int, s: int):
+    stack = [((), state, A.quiver.vertex_index[p.target])]
+    while stack:
+        w, pw, s = stack.pop()
         for a, t in A.moves[s].items():
             wa = w + (a,)
             u = A.moves[pw].get(a)
             if u is None:
                 out.append(Path(p.target, A.quiver.arrow_by_name[a].target, wa))
             elif len(wa) < A.max_relation_length - 1:
-                walk(wa, u, t)
-
-    walk((), state, A.quiver.vertex_index[p.target])
+                stack.append((wa, u, t))
     return tuple(sorted(out, key=lambda k: (len(k.arrows), k.arrows)))
 
 

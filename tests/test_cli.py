@@ -367,6 +367,53 @@ def test_line_algebra_is_counted_not_listed(tmp_path):
     assert proc.stderr.count("\n") == 1
 
 
+HUGE = -10 ** 80
+
+
+@pytest.mark.parametrize("argv", [
+    ["curvature", "check", f"[{HUGE},1]"],
+    ["convolve", f"[{HUGE},1]^n", "2^n"],
+], ids=["curvature_check", "convolve"])
+def test_huge_root_prints_its_decimal(argv):
+    """The root 10^80 has 81 digits before the point; its 12-place decimal
+    is rounded in integers, at any size."""
+    proc = cli_process(argv, timeout=20)
+    assert proc.returncode == 0 and "Traceback" not in proc.stderr, proc.stderr
+    assert f"{-HUGE}.000000000000" in proc.stdout
+
+
+def _loop_algebra(tmp_path, length):
+    """One vertex, one loop x, and the relation x^length."""
+    f = tmp_path / f"loop{length}.alg"
+    f.write_text("\n".join(["algebra loop", "vertex v", "arrow x : v -> v",
+                            "relation " + ".".join(["x"] * length),
+                            "module S = S(v)"]) + "\n")
+    return str(f)
+
+
+@pytest.mark.parametrize("argv,timeout", [
+    (["complexity", "--module", "S"], 20),
+    (["syzquiver", "--module", "S"], 20),
+    (["oracle", "crosscheck", "--module", "S", "-n", "4"], 600),
+], ids=["complexity", "syzquiver", "oracle_crosscheck"])
+def test_relation_of_length_3000(tmp_path, argv, timeout):
+    """A relation 3,000 arrows long: the killer search keeps its own stack
+    instead of recursing once per arrow, and the relation scans look only
+    at relation lengths. The syzygies of the simple alternate between
+    dimensions 1 and 2,999, so its class is 1^n. The dense oracle takes
+    tens of seconds here: each syzygy step of the 2,999-dimensional module
+    applies a 2,999 x 2,999 action once per basis element of the cover."""
+    proc = cli_process(argv + [_loop_algebra(tmp_path, 3000)], timeout=timeout,
+                       OPENBLAS_NUM_THREADS="1")
+    assert proc.returncode == 0 and "Traceback" not in proc.stderr, proc.stderr
+    doc = json.loads(proc.stdout)
+    if argv[0] == "complexity":
+        base = doc["class"]["base"]
+        assert (base["approx"], doc["class"]["degree"]) == ("1.000000000000", 0)
+    if argv[0] == "oracle":
+        assert doc["agree"] and doc["oracle"] == [1, 2999, 1, 2999, 1]
+
+
 def test_out_of_memory_in_realize(monkeypatch):
     def realize(coeffs):
         raise MemoryError

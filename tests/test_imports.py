@@ -1,7 +1,7 @@
-"""Every imported name is used in its file, and every private function is
-used in the package. The package `__init__.py` re-exports names it never
-uses itself, and `from __future__` imports are directives, so both are
-exempt."""
+"""Every imported name is used in its file, every private function is used
+in the package, and no function in the package calls itself by name. The
+package `__init__.py` re-exports names it never uses itself, and `from
+__future__` imports are directives, so both are exempt from the first."""
 
 import ast
 from pathlib import Path
@@ -57,3 +57,33 @@ def test_no_unreferenced_private_functions():
     files = sorted((ROOT / "src" / "syzcx").glob("*.py"))
     assert len(files) > 10
     assert unreferenced_private_functions(files) == []
+
+
+def self_calls(files) -> list[str]:
+    """Functions, nested ones and methods included, whose body calls the
+    function by its own name, as `f(...)` or `self.f(...)`."""
+    found = []
+    for path in files:
+        tree = ast.parse(path.read_text(encoding="utf-8"), str(path))
+        for fn in ast.walk(tree):
+            if not isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                continue
+            for node in ast.walk(fn):
+                if not isinstance(node, ast.Call):
+                    continue
+                f = node.func
+                if ((isinstance(f, ast.Name) and f.id == fn.name)
+                        or (isinstance(f, ast.Attribute) and f.attr == fn.name
+                            and isinstance(f.value, ast.Name)
+                            and f.value.id == "self")):
+                    found.append(f"{path.relative_to(ROOT)}:{node.lineno}: {fn.name}")
+    return found
+
+
+def test_no_function_calls_itself():
+    """Deep inputs (a relation thousands of arrows long) must not run into
+    the interpreter's recursion limit, so no function in the package recurses
+    by name."""
+    files = sorted((ROOT / "src" / "syzcx").glob("*.py"))
+    assert len(files) > 10
+    assert self_calls(files) == []

@@ -4,6 +4,7 @@ Expected values are computed by hand (small determinants, explicit
 expansions) or pinned against closed forms like the golden ratio."""
 
 import random
+from decimal import Decimal, ROUND_HALF_UP, localcontext
 from fractions import Fraction
 from math import ceil
 
@@ -19,7 +20,6 @@ from syzcx.polynomials import (
     cauchy_bound,
     isolate_largest_real_root,
     refine_interval,
-    fraction_str,
     decimal_places_12,
     algebraic_real,
     rational_algebraic,
@@ -165,6 +165,76 @@ def test_isolate_no_real_roots():
     assert largest_real_root(poly(1, 0, 1)) is None
 
 
+def _isolate_fractions(p):
+    """Reference: the isolation bisection with Fraction midpoints."""
+    chain = _sturm_chain(p)
+
+    def variations(x):
+        return _variations(chain, x.numerator, x.denominator)
+
+    B = cauchy_bound(squarefree_part(p))
+    lo, hi = -B, B
+    vlo, slo = variations(lo)
+    vhi = variations(hi)[0]
+    if vlo == vhi:
+        return None
+    while vlo - vhi > 1 or slo == 0:
+        mid = (lo + hi) / 2
+        vmid, smid = variations(mid)
+        if smid == 0 and vmid == vhi:
+            return mid, mid
+        if vmid > vhi or smid == 0:
+            lo, vlo, slo = mid, vmid, smid
+        else:
+            hi, vhi = mid, vmid
+    return lo, hi
+
+
+def _isolate_corpus():
+    """Seeded polynomials: random ones, non-monic ones, products with
+    repeated factors, ones without real roots, and ones whose largest root
+    may be a rational that the bisection lands on at a midpoint."""
+    rng = random.Random(0x150)
+    cases = [poly(-4, 0, 1), poly(-4, 0, 1) * poly(-4, 0, 1), poly(1, 0, 1),
+             poly(0, 0, 1), poly(-1, 2)]
+    for i in range(800):
+        kind = i % 5
+        if kind == 0:
+            p = poly(*[rng.randint(-9, 9) for _ in range(rng.randint(1, 7))], 1)
+        elif kind == 1:
+            p = poly(*[rng.randint(-9, 9) for _ in range(rng.randint(1, 6))],
+                     rng.choice([2, 3, 5, 6, 7, 9, 15, -4]))
+        elif kind == 2:
+            f = poly(*[rng.randint(-5, 5) for _ in range(rng.randint(1, 3))],
+                     rng.choice([1, 1, 2, 3]))
+            g = poly(rng.randint(-9, 9), rng.choice([1, 2, 3]))
+            p = f * f * g
+        elif kind == 3:
+            p = poly(rng.randint(1, 50), 0, 1) * poly(rng.randint(1, 9), 0,
+                                                       rng.randint(1, 4))
+        else:
+            # Like x^2 - 4: rational roots, some of them on a midpoint.
+            p = _product([poly(-rng.randint(-4, 4), rng.choice([1, 2, 4]))
+                          for _ in range(rng.randint(2, 4))])
+        if p.degree >= 1:
+            cases.append(p)
+    return cases
+
+
+def test_isolate_matches_fraction_bisection():
+    exact = none = 0
+    for p in _isolate_corpus():
+        got = isolate_largest_real_root(p)
+        want = _isolate_fractions(p)
+        if want is None:
+            assert got is None
+            none += 1
+            continue
+        assert [(type(x), str(x)) for x in got] == [(type(x), str(x)) for x in want]
+        exact += got[0] == got[1]
+    assert none >= 150 and exact >= 40
+
+
 def _integer_roots_by_trial_division(p):
     """Rational-root test: an integer root r != 0 divides the lowest nonzero
     coefficient, since p / x^k has r as a root and that constant term."""
@@ -221,7 +291,7 @@ def _integer_roots_chain_only(p):
     chain = _sturm_chain(p)
 
     def above(k):
-        return _variations(chain, Fraction(2 * k + 1, 2))[0]
+        return _variations(chain, 2 * k + 1, 2)[0]
 
     B = ceil(cauchy_bound(p))
     roots = []
@@ -359,13 +429,50 @@ def test_refine_interval_matches_fraction_bisection():
 
 
 def test_fraction_str():
-    assert fraction_str(Fraction(3, 2)) == "3/2"
-    assert fraction_str(Fraction(4)) == "4"
+    assert rational_algebraic(Fraction(3, 2)).to_json()["interval"] == ["3/2", "3/2"]
+    assert rational_algebraic(Fraction(4)).to_json()["interval"] == ["4", "4"]
 
 
 def test_decimal_places_12():
     assert decimal_places_12(Fraction(1)) == "1.000000000000"
     assert decimal_places_12(Fraction(1, 3)) == "0.333333333333"
+
+
+def _decimal_reference(x):
+    """Reference: decimal division at precision 200 beyond the integer
+    digits, quantized to 12 places with ROUND_HALF_UP."""
+    with localcontext() as ctx:
+        ctx.prec = 200 + len(str(abs(x.numerator) // x.denominator))
+        d = Decimal(x.numerator) / Decimal(x.denominator)
+        q = d.quantize(Decimal("1.000000000000"), rounding=ROUND_HALF_UP)
+    return format(q, "f")
+
+
+def test_decimal_places_12_matches_decimal():
+    """Seeded Fractions of every size, exact ties at the 13th digit (which
+    round away from zero), negative and tiny negative values (which keep
+    their sign at zero), and values of 80 and 200 digits, which the old
+    80-digit context could not quantize."""
+    rng = random.Random(0xDEC)
+    xs = [Fraction(0), Fraction(-1, 10 ** 15), Fraction(-1, 3 * 10 ** 12),
+          Fraction(1, 2 * 10 ** 12), Fraction(-1, 2 * 10 ** 12),
+          Fraction(10 ** 80), Fraction(-10 ** 80), Fraction(10 ** 200),
+          Fraction(10 ** 80 * 2 * 10 ** 12 + 1, 2 * 10 ** 12),
+          Fraction(-(10 ** 200 * 2 * 10 ** 12 + 3), 2 * 10 ** 12)]
+    for _ in range(3000):
+        xs.append(Fraction(rng.randint(-10 ** 30, 10 ** 30),
+                           rng.randint(1, 10 ** rng.randint(1, 30))))
+        xs.append(Fraction(rng.randrange(-10 ** 9, 10 ** 9) * 2 + 1,
+                           2 * 10 ** 12))  # a tie
+        xs.append(Fraction(rng.randint(-10 ** 3, 10 ** 3),
+                           10 ** rng.randint(12, 16)))  # tiny
+        xs.append(Fraction(rng.randint(1, 10 ** 250) * rng.choice([1, -1]),
+                           2 ** rng.randint(0, 60)))  # huge
+    for x in xs:
+        assert decimal_places_12(x) == _decimal_reference(x), x
+    assert decimal_places_12(Fraction(-1, 2 * 10 ** 12)) == "-0.000000000001"
+    assert decimal_places_12(Fraction(-1, 10 ** 15)) == "-0.000000000000"
+    assert decimal_places_12(Fraction(10 ** 200)) == "1" + "0" * 200 + ".000000000000"
 
 
 def test_algebraic_real_certification():
