@@ -6,129 +6,31 @@ strongly connected components with exact Perron roots (`spectra`), and read
 off the poly-exponential growth class (`complexity`). `curvature` decides
 which bases are realizable and constructs witnesses; `oracle` is the
 brute-force linear-algebra ground truth; `cli` is the command-line surface.
-`graph` holds the component and reachability traversals they share.
+`graph` holds the component and reachability traversals they share, and
+`errors` the exception hierarchy.
+
+Every public function or class of these modules is also `syzcx.<name>`,
+looked up in the module that defines it at each access.
 """
 
-from .algebra import (
-    Arrow,
-    MonomialAlgebra,
-    MonomialAlgebraSpec,
-    Path,
-    PathZero,
-    Quiver,
-    load_algebra,
-    parse_algebra,
-    parse_algebra_file,
-    validate_algebra,
-)
-from .complexity import (
-    ComplexityClass,
-    ModuleComplexityReport,
-    compare,
-    convolve,
-    empirical_class_check,
-    join,
-    lower_bound_from_partial,
-    lower_bound_report,
-    module_complexity,
-    module_complexity_by_name,
-    polyexp_class,
-    realize_class,
-    subdivide,
-    vertex_complexity,
-    zero_class,
-)
-from .curvature import (
-    CurvatureVerdict,
-    check_condition_c,
-    closure_combine,
-    companion_polynomial,
-    factor_monic_squarefree,
-    product_polynomial,
-    realize_companion,
-    sum_polynomial,
-)
-from .errors import (
-    AlgebraSyntaxError,
-    DimensionCapExceededError,
-    FiniteProjectiveDimensionError,
-    InfiniteDimensionalError,
-    InternalInconsistencyError,
-    InvalidPartialError,
-    MathPreconditionError,
-    NoArrowsError,
-    NonMonicInputError,
-    NotMonicError,
-    NotStronglyConnectedError,
-    PrimeDisagreementError,
-    RelationTooShortError,
-    SyzcxError,
-    TrailingZeroError,
-    ValidationError,
-    WindowTooSmallError,
-    ZeroConstantTermError,
-    ZeroPathError,
-    ZeroPolynomialError,
-)
-from .oracle import (
-    AlgebraTable,
-    CrosscheckReport,
-    TableRepresentation,
-    builtin_table,
-    crosscheck,
-    dim_sequence,
-    rep_of,
-    syzygy_rep,
-    table_rep,
-    xyz_local_expected_dims,
-    xyz_local_table,
-)
-from .polynomials import (
-    AlgebraicReal,
-    IntPolynomial,
-    algebraic_real,
-    count_real_roots_open,
-    isolate_largest_real_root,
-    largest_real_root,
-    poly,
-    poly_gcd_q,
-    rational_algebraic,
-    resultant_y,
-    squarefree_part,
-)
-from .spectra import (
-    SCC,
-    Condensation,
-    adjacency_matrix,
-    algebraic_power,
-    char_poly,
-    compare_algebraic,
-    equal_radius,
-    perron_root,
-    scc_condense,
-)
-from .syzygy import (
-    CyclicKey,
-    ModuleExpr,
-    SyzygyQuiver,
-    build_syzygy_quiver,
-    count_paths,
-    cyclic_key,
-    key_basis,
-    key_dimension,
-    minimal_killers,
-    module_expr,
-    path_key,
-    projective_key,
-    quiver_dim_sequence,
-    resolve_module,
-    simple_key,
-    singleton,
-    sinkfree_reduce,
-    syzygy_key,
-    syzygy_quiver_from_json,
-    syzygy_step,
-    validate_partial,
-)
+from . import (algebra, complexity, curvature, errors, graph, oracle,
+               polynomials, spectra, syzygy)
 
 __version__ = "0.1.0"
+
+# Public name -> the module whose own function or class it is. The package
+# keeps the module, not the object, so that a later rebinding in the module
+# (a profiler's wrapper, a test's monkeypatch) shows through `syzcx.<name>`.
+_HOME = {name: m
+         for m in (algebra, complexity, curvature, errors, graph, oracle,
+                   polynomials, spectra, syzygy)
+         for name, obj in vars(m).items()
+         if not name.startswith("_") and callable(obj)
+         and getattr(obj, "__module__", None) == m.__name__}
+__all__ = sorted(_HOME)
+
+
+def __getattr__(name):
+    if name in _HOME:
+        return getattr(_HOME[name], name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

@@ -46,12 +46,7 @@ from .curvature import (
     companion_polynomial,
     realize_companion,
 )
-from .errors import (
-    AlgebraSyntaxError,
-    InternalInconsistencyError,
-    MathPreconditionError,
-    ValidationError,
-)
+from .errors import InternalInconsistencyError, SyzcxError, ValidationError
 from .oracle import (
     agreed_dim_sequence,
     builtin_table,
@@ -71,13 +66,6 @@ from .syzygy import (
     syzygy_quiver_from_json,
 )
 
-EXIT_OK = 0
-EXIT_USAGE = 1
-EXIT_PARSE = 2
-EXIT_VALIDATION = 3
-EXIT_MATH = 4
-EXIT_INTERNAL = 5
-
 # Decimal base literals recognized on the command line, mapped to defining
 # polynomials (ascending coefficients). Exactness is preserved by refusing
 # any other decimal.
@@ -88,12 +76,18 @@ DECIMAL_BASES = {
 }
 
 
-class UsageError(Exception):
-    pass
+class UsageError(SyzcxError):
+    """A command line that argparse or a subcommand rejects."""
+
+    code = "usage"
+    exit_code = 1
 
 
-class InputParseError(Exception):
-    pass
+class InputParseError(SyzcxError):
+    """A coefficient list or class literal that does not parse."""
+
+    code = "input"
+    exit_code = 2
 
 
 class _Parser(argparse.ArgumentParser):
@@ -103,10 +97,6 @@ class _Parser(argparse.ArgumentParser):
 
 def _emit(doc):
     sys.stdout.write(json.dumps(doc, indent=2) + "\n")
-
-
-def _diag(code: str, message: str):
-    sys.stderr.write(f"error[{code}]: {message}\n")
 
 
 def _parse_coeffs(text: str) -> list[int]:
@@ -189,7 +179,7 @@ def _parse_class_literal(text: str):
 
 # -- subcommand bodies ----------------------------------------------------------
 
-def _cmd_validate(args) -> int:
+def _cmd_validate(args) -> None:
     A = load_algebra(args.file)
     _emit({
         "algebra": A.name,
@@ -199,20 +189,18 @@ def _cmd_validate(args) -> int:
         "dimension": A.dimension,
         "max_relation_length": A.max_relation_length,
     })
-    return EXIT_OK
 
 
-def _cmd_paths(args) -> int:
+def _cmd_paths(args) -> None:
     A = load_algebra(args.file)
     _emit({
         "algebra": A.name,
         "dimension": A.dimension,
         "paths": [p.literal() for p in A.paths_from()],
     })
-    return EXIT_OK
 
 
-def _cmd_syzquiver(args) -> int:
+def _cmd_syzquiver(args) -> None:
     A = load_algebra(args.file)
     M = resolve_module(A, args.module)
     Q = build_syzygy_quiver(M, A)
@@ -220,17 +208,15 @@ def _cmd_syzquiver(args) -> int:
         sys.stdout.write(Q.to_dot())
     else:
         _emit(Q.to_json())
-    return EXIT_OK
 
 
-def _cmd_complexity(args) -> int:
+def _cmd_complexity(args) -> None:
     A = load_algebra(args.file)
     report = module_complexity_by_name(A, args.module)
     _emit(report.to_json())
-    return EXIT_OK
 
 
-def _cmd_lower_bound(args) -> int:
+def _cmd_lower_bound(args) -> None:
     A = load_algebra(args.file)
     data = json.loads(read_text(args.partial))
     Q = syzygy_quiver_from_json(data, A)
@@ -240,17 +226,15 @@ def _cmd_lower_bound(args) -> int:
             f"{Q.n_vertices} vertices"
         )
     _emit(lower_bound_report(Q, args.vertex).to_json())
-    return EXIT_OK
 
 
-def _cmd_curvature_check(args) -> int:
+def _cmd_curvature_check(args) -> None:
     p = IntPolynomial(_parse_coeffs(args.coeffs))
     verdict = check_condition_c(p, assume_irreducible=args.assume_irreducible)
     _emit(verdict.to_json())
-    return EXIT_OK
 
 
-def _cmd_curvature_combine(args) -> int:
+def _cmd_curvature_combine(args) -> None:
     p = IntPolynomial(_parse_coeffs(args.first))
     if args.op == "root":
         try:
@@ -270,10 +254,9 @@ def _cmd_curvature_combine(args) -> int:
         "result": result.to_list(),
         "display": _poly_display(result),
     })
-    return EXIT_OK
 
 
-def _cmd_curvature_realize(args) -> int:
+def _cmd_curvature_realize(args) -> None:
     counts = _parse_coeffs(args.counts)
     if any(c < 0 for c in counts):
         raise UsageError("back-arrow counts must be nonnegative")
@@ -289,27 +272,24 @@ def _cmd_curvature_realize(args) -> int:
         "char_poly": p.to_list(),
         "rho": rho.to_json(),
     })
-    return EXIT_OK
 
 
-def _cmd_realize_class(args) -> int:
+def _cmd_realize_class(args) -> None:
     if args.ell < 0:
         raise UsageError("--ell must be >= 0")
     spec = parse_algebra_file(args.quiver)
     text, _names = realize_class(spec.quiver, args.ell)
     sys.stdout.write(text)
-    return EXIT_OK
 
 
-def _cmd_convolve(args) -> int:
+def _cmd_convolve(args) -> None:
     c1 = _parse_class_literal(args.first)
     c2 = _parse_class_literal(args.second)
     c = convolve(c1, c2)
     _emit({"class": c.to_json(), "label": c.label()})
-    return EXIT_OK
 
 
-def _cmd_oracle_dims(args) -> int:
+def _cmd_oracle_dims(args) -> None:
     if args.builtin and args.file:
         raise UsageError("give either an algebra file or --builtin, not both")
     if not args.builtin and not args.file:
@@ -332,10 +312,9 @@ def _cmd_oracle_dims(args) -> int:
         "n": args.n,
         "dims": dims,
     })
-    return EXIT_OK
 
 
-def _cmd_oracle_crosscheck(args) -> int:
+def _cmd_oracle_crosscheck(args) -> None:
     if args.n < 0:
         raise UsageError("-n must be >= 0")
     A = load_algebra(args.file)
@@ -343,13 +322,10 @@ def _cmd_oracle_crosscheck(args) -> int:
     report = crosscheck(A, M, args.n)
     _emit(report.to_json())
     if not report.agree:
-        _diag(
-            "inconsistent",
+        raise InternalInconsistencyError(
             f"syzygy quiver and oracle dimensions disagree first at "
-            f"n={report.first_mismatch}",
+            f"n={report.first_mismatch}"
         )
-        return EXIT_INTERNAL
-    return EXIT_OK
 
 
 # -- parser ----------------------------------------------------------------------
@@ -441,36 +417,22 @@ def build_parser() -> _Parser:
 
 
 def main(argv=None) -> int:
+    """Run one command. A failure ends with exactly one `error[code]:` line
+    on stderr and the exit status of its error class."""
     try:
         args = build_parser().parse_args(argv)
-        return args.func(args)
-    except UsageError as e:
-        _diag("usage", str(e))
-        return EXIT_USAGE
-    except InputParseError as e:
-        _diag("input", str(e))
-        return EXIT_PARSE
+        args.func(args)
+        return 0
+    except SyzcxError as e:
+        code, message, status = e.code, str(e), e.exit_code
     except json.JSONDecodeError as e:
-        _diag("json", str(e))
-        return EXIT_PARSE
-    except AlgebraSyntaxError as e:
-        _diag(e.code, str(e))
-        return EXIT_PARSE
+        code, message, status = "json", str(e), 2
     except OSError as e:
-        _diag("io", str(e))
-        return EXIT_PARSE
-    except ValidationError as e:
-        _diag(e.code, str(e))
-        return EXIT_VALIDATION
-    except MathPreconditionError as e:
-        _diag(e.code, str(e))
-        return EXIT_MATH
+        code, message, status = "io", str(e), 2
     except MemoryError:
-        _diag("out_of_memory", "out of memory")
-        return EXIT_MATH
-    except InternalInconsistencyError as e:
-        _diag(e.code, str(e))
-        return EXIT_INTERNAL
+        code, message, status = "out_of_memory", "out of memory", 4
+    sys.stderr.write(f"error[{code}]: {message}\n")
+    return status
 
 
 if __name__ == "__main__":

@@ -1,12 +1,18 @@
-"""Exception hierarchy. Every error carries a stable machine-readable code."""
+"""Exception hierarchy. Every error carries a stable machine-readable
+`code`, which the CLI prints as `error[code]: message`, and `exit_code`, the
+CLI's exit status when the error ends a run. A subclass inherits the exit
+status of its category: syntax, validation, mathematical precondition or
+internal inconsistency."""
 
 from __future__ import annotations
 
 
 class SyzcxError(Exception):
-    """Base class. `code` is the stable diagnostic identifier."""
+    """Base class. `code` is the stable diagnostic identifier and
+    `exit_code` the CLI's exit status."""
 
     code = "error"
+    exit_code = 5
 
     def __init__(self, message: str = ""):
         super().__init__(message or self.code)
@@ -20,6 +26,7 @@ class AlgebraSyntaxError(SyzcxError):
     """Malformed input file or literal. Carries the line when known."""
 
     code = "syntax_error"
+    exit_code = 2
 
     def __init__(self, message, line=None):
         super().__init__(message)
@@ -35,6 +42,7 @@ class ValidationError(SyzcxError):
     """Algebra fails a structural requirement (e.g. infinite dimensional)."""
 
     code = "validation_error"
+    exit_code = 3
 
 
 class InfiniteDimensionalError(ValidationError):
@@ -49,6 +57,7 @@ class MathPreconditionError(SyzcxError):
     """An operation's mathematical precondition is violated."""
 
     code = "math_precondition"
+    exit_code = 4
 
 
 class ZeroPathError(MathPreconditionError):

@@ -542,17 +542,6 @@ class TableRepresentation:
     def is_semisimple(self) -> bool:
         return all(m is None for m in self.mats.values())
 
-    def mat(self, name: str) -> np.ndarray:
-        """The generator's matrix, materialized densely (uint16) even when
-        zero."""
-        m = self.mats[name]
-        if m is not None:
-            return m
-        T = self.table
-        s, t = T.ends[T.basis.index(name)]
-        return np.zeros((self.dims[T.vertices[t]], self.dims[T.vertices[s]]),
-                        dtype=np.uint16)
-
     def check_relations(self):
         """The action of j * g is the action of j followed by that of g, for
         every basis element j and generator g (zero where j * g is zero)."""

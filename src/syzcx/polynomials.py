@@ -485,31 +485,6 @@ def largest_real_root(p: IntPolynomial):
 
 # -- determinants and resultants --------------------------------------------
 
-def det_bareiss_int(rows: list[list[int]]) -> int:
-    """Fraction-free determinant of a square integer matrix."""
-    m = [list(map(int, r)) for r in rows]
-    n = len(m)
-    if n == 0:
-        return 1
-    sign = 1
-    prev = 1
-    for k in range(n - 1):
-        if m[k][k] == 0:
-            for i in range(k + 1, n):
-                if m[i][k] != 0:
-                    m[k], m[i] = m[i], m[k]
-                    sign = -sign
-                    break
-            else:
-                return 0
-        for i in range(k + 1, n):
-            for j in range(k + 1, n):
-                m[i][j] = (m[i][j] * m[k][k] - m[i][k] * m[k][j]) // prev
-            m[i][k] = 0
-        prev = m[k][k]
-    return sign * m[n - 1][n - 1]
-
-
 def det_bareiss_poly(rows: list[list[IntPolynomial]]) -> IntPolynomial:
     """Fraction-free determinant over Z[x]; the Bareiss divisions are exact."""
     m = [list(r) for r in rows]

@@ -108,6 +108,32 @@ def chain():
     return make_algebra(CHAIN_TEXT)
 
 
+def det_bareiss_int(rows: list[list[int]]) -> int:
+    """Fraction-free determinant of a square integer matrix: the reference
+    that characteristic polynomials are checked against, point by point."""
+    m = [list(map(int, r)) for r in rows]
+    n = len(m)
+    if n == 0:
+        return 1
+    sign = 1
+    prev = 1
+    for k in range(n - 1):
+        if m[k][k] == 0:
+            for i in range(k + 1, n):
+                if m[i][k] != 0:
+                    m[k], m[i] = m[i], m[k]
+                    sign = -sign
+                    break
+            else:
+                return 0
+        for i in range(k + 1, n):
+            for j in range(k + 1, n):
+                m[i][j] = (m[i][j] * m[k][k] - m[i][k] * m[k][j]) // prev
+            m[i][k] = 0
+        prev = m[k][k]
+    return sign * m[n - 1][n - 1]
+
+
 def fibonacci_numbers(count):
     fs = [1, 1]
     while len(fs) < count:

@@ -15,6 +15,13 @@ import pytest
 import syzcx
 from syzcx import cli
 from syzcx.cli import main
+from syzcx.errors import (
+    AlgebraSyntaxError,
+    InternalInconsistencyError,
+    MathPreconditionError,
+    SyzcxError,
+    ValidationError,
+)
 
 HERE = Path(__file__).parent
 DATA = HERE / "data"
@@ -232,6 +239,41 @@ def test_internal_prime_disagreement(monkeypatch):
                           "--module", "S1", "-n", "4"])
     assert rc == 5
     assert "error[prime_disagreement]" in err
+
+
+def test_bare_syzcx_error_gives_exit_5_and_one_line(monkeypatch):
+    def boom(A, M, N):
+        raise SyzcxError("no category")
+
+    monkeypatch.setattr(cli, "crosscheck", boom)
+    rc, out, err = run_cli(["oracle", "crosscheck", FIB,
+                            "--module", "S1", "-n", "4"])
+    assert (rc, out, err) == (5, "", "error[error]: no category\n")
+
+
+# Exit status by error category, as the README's "Exit codes" paragraph
+# gives it; anything outside these categories exits 5.
+CATEGORY_EXIT_CODES = [
+    (cli.UsageError, 1),
+    (cli.InputParseError, 2),
+    (AlgebraSyntaxError, 2),
+    (ValidationError, 3),
+    (MathPreconditionError, 4),
+    (InternalInconsistencyError, 5),
+]
+
+
+def test_every_error_class_has_its_category_exit_code():
+    classes, todo = [], [SyzcxError]
+    while todo:
+        c = todo.pop()
+        classes.append(c)
+        todo.extend(c.__subclasses__())
+    assert len(classes) > 20
+    for c in classes:
+        want = next((code for base, code in CATEGORY_EXIT_CODES
+                     if issubclass(c, base)), 5)
+        assert c.exit_code == want, c.__name__
 
 
 # -- one diagnostic line, never a traceback --------------------------------------

@@ -25,12 +25,13 @@ from syzcx.polynomials import (
     rational_algebraic,
     largest_real_root,
     integer_roots,
-    det_bareiss_int,
     det_bareiss_poly,
     resultant_y,
 )
 from syzcx.polynomials import _sturm_chain, _variations
 from syzcx.errors import ZeroPolynomialError
+
+from conftest import det_bareiss_int
 
 PHI = (1 + 5 ** 0.5) / 2  # 1.6180339887498949
 

@@ -32,7 +32,6 @@ from syzcx.polynomials import (
     IntPolynomial,
     algebraic_real,
     count_real_roots_open,
-    det_bareiss_int,
     det_bareiss_poly,
     isolate_largest_real_root,
     monomial_minus,
@@ -57,7 +56,8 @@ from syzcx.syzygy import (
     syzygy_step,
 )
 
-from conftest import random_monomial_algebras, random_rsz_algebras
+from conftest import (det_bareiss_int, random_monomial_algebras,
+                      random_rsz_algebras)
 
 SEED = 0x5EED
 

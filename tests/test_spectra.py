@@ -14,7 +14,6 @@ from syzcx.algebra import parse_algebra, validate_algebra
 from syzcx.curvature import companion_polynomial, realize_companion
 from syzcx.polynomials import (
     AlgebraicReal,
-    det_bareiss_int,
     poly,
     largest_real_root,
     rational_algebraic,
@@ -30,6 +29,8 @@ from syzcx.spectra import (
     algebraic_power,
 )
 from syzcx.syzygy import build_syzygy_quiver, resolve_module
+
+from conftest import det_bareiss_int
 
 GOLDEN = poly(-1, -1, 1)
 PHI = (1 + 5 ** 0.5) / 2
