@@ -20,7 +20,7 @@ from __future__ import annotations
 
 import os
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 
 import numpy as np
 
@@ -66,6 +66,9 @@ def _dim_cap() -> int:
 # complement and the surjectivity check need nothing more. So it can take
 # every singleton column of a cover (most columns of a monomial one) as a
 # pivot at once, since such a pivot has nothing to eliminate.
+#
+# A step pays for the module's nonzero spaces, not the table: no elimination
+# of an empty matrix, no loop for a one-slab product, no probe without pivots.
 
 _FLOAT_EXACT = 2 ** 53
 _SLAB = 1 << 21  # entries of `a` widened to float64 at a time (16 MB)
@@ -77,8 +80,12 @@ def _matmul_mod(a: np.ndarray, b: np.ndarray, p: int) -> np.ndarray:
     stay below step * (p-1)^2, so adding a residue keeps every sum below
     2^53 and exact; at the dimension cap there is one slab. Rows of `a` are
     widened a slab of about _SLAB entries at a time, so the float64 copy of
-    a large `a` never exists whole."""
+    a large `a` never exists whole. An `a` within one slab skips the loop:
+    most products are small, and there the loop's Python outweighs them."""
     step = (_FLOAT_EXACT - p) // ((p - 1) * (p - 1))
+    if a.size <= _SLAB and a.shape[1] <= step:
+        return np.fmod(a.astype(np.float64) @ b.astype(np.float64),
+                       p).astype(np.uint16)
     rows = max(1, _SLAB // max(1, a.shape[1]))
     out = np.zeros((a.shape[0], b.shape[1]), dtype=np.uint16)
     for k in range(0, a.shape[1], step):
@@ -104,13 +111,13 @@ def _rref(mat: np.ndarray, p: int) -> tuple[np.ndarray, list[int]]:
     a product of two residues stays exact. At column c, the remaining rows
     from the current one down are zero left of c, so the swap, the scaling
     and the update of every row hit by the pivot (the top rows included)
-    touch only columns c onward, in place."""
+    touch only columns c onward, in place. An empty matrix returns at once."""
     rows, cols = mat.shape
+    if not mat.size:
+        return np.zeros((0, cols), dtype=np.uint16), []
     single = (np.count_nonzero(mat, axis=0) == 1).nonzero()[0]
-    # The row of a singleton column is its argmax, as residues are >= 0;
-    # argmax refuses a 0-row matrix, which has no singleton column anyway.
-    held, first = np.unique(mat.argmax(axis=0)[single] if rows else single,
-                            return_index=True)
+    # The row of a singleton column is its argmax, as residues are >= 0.
+    held, first = np.unique(mat.argmax(axis=0)[single], return_index=True)
     rest = np.ones(rows, dtype=bool)
     rest[held] = False
     a = mat[np.concatenate([held, rest.nonzero()[0]])].astype(np.int64)
@@ -197,6 +204,22 @@ def _split_rows(source: np.ndarray, blocks, free: np.ndarray, rows: int,
     return x, y
 
 
+_PROBES = {}  # prime -> probe rows, see _probes
+
+
+def _probes(n: int, p: int) -> np.ndarray:
+    """_coords_in_kernel's seeded probes for n coordinates mod p: the draw
+    default_rng(0xC0FFEE).integers(0, p, size=(n, 2)), which is the first n
+    rows of the same draw at any larger size. So one read-only uint16 draw
+    per prime serves every n, redrawn at twice its length when it is short."""
+    if len(_PROBES.get(p, ())) < n:
+        probes = np.random.default_rng(0xC0FFEE).integers(
+            0, p, size=(max(n, 2 * len(_PROBES.get(p, ()))), 2))
+        _PROBES[p] = probes.astype(np.uint16)
+        _PROBES[p].setflags(write=False)
+    return _PROBES[p][:n]
+
+
 def _coords_in_kernel(basis: np.ndarray, free: np.ndarray, x: np.ndarray,
                       y: np.ndarray, p: int) -> np.ndarray:
     """Coordinates X with basis @ X = targets, where basis came from
@@ -209,12 +232,14 @@ def _coords_in_kernel(basis: np.ndarray, free: np.ndarray, x: np.ndarray,
     span survives one probe with probability 1/p, both with probability
     1/p^2, and the whole computation is repeated at a second prime anyway.
     The full product basis @ X is quadratically more expensive and is
-    skipped. Without a kernel, every target must be zero."""
+    skipped. Without pivot rows y is empty and there is nothing to check;
+    without a kernel, every target must be zero."""
+    if free.size == basis.shape[0]:
+        return x
     if free.size and x.shape[1]:
         pivot = np.ones(basis.shape[0], dtype=bool)
         pivot[free] = False
-        rng = np.random.default_rng(0xC0FFEE)
-        probes = rng.integers(0, p, size=(x.shape[1], 2), dtype=np.int64)
+        probes = _probes(x.shape[1], p)
         lhs = _matmul_mod(basis[pivot], _matmul_mod(x, probes, p), p)
         bad = lhs != _matmul_mod(y, probes, p)
     else:
@@ -261,6 +286,12 @@ class GradedTable:
     @property
     def gen_names(self) -> list[str]:
         return [self.basis[g] for g in self.gens]
+
+    @cached_property
+    def products(self) -> tuple[tuple[tuple[int, int], ...], ...]:
+        """Per generator k, the pairs (j, j * gens[k]) with a nonzero product."""
+        return tuple(tuple((j, jg) for j, jg in enumerate(row) if jg >= 0)
+                     for row in self.right)
 
 
 @lru_cache(maxsize=1)
@@ -435,7 +466,8 @@ def syzygy_rep(R: "TableRepresentation") -> "TableRepresentation":
     a row scatter accumulated over j because table products may collide. The
     scatter writes the free rows of the target kernel (the new action) and
     its pivot rows (read by the membership check) apart, so the dense image
-    of the action is never built.
+    of the action is never built. The blocks come from the table's nonzero
+    products, and a vertex where R is zero needs no elimination.
     When every generator acts by zero, R is semisimple and the kernel is
     rad P, the cover basis without its idempotents: then no matrix beyond
     the new actions is built."""
@@ -465,9 +497,7 @@ def syzygy_rep(R: "TableRepresentation") -> "TableRepresentation":
             pdims[t] += copies[w]
     # Right multiplication by generator k: row blocks (from, to, length).
     blocks = [[(start[j], start[jg], copies[T.ends[j][0]])
-               for j, jg in enumerate(T.right[k])
-               if jg >= 0 and start[j] >= 0]
-              for k in range(len(T.gens))]
+               for j, jg in pairs if start[j] >= 0] for pairs in T.products]
 
     if semisimple:
         new_dims = pdims

@@ -223,13 +223,13 @@ def random_monomial_text(rng: random.Random, max_vertices=6):
     return "\n".join(lines) + "\n"
 
 
-def random_monomial_algebras(seed, count):
+def random_monomial_algebras(seed, count, max_vertices=6):
     """Deterministic stream of validated algebras from random_monomial_text;
     draws without a relation (no path of length L) are skipped."""
     rng = random.Random(seed)
     out = []
     while len(out) < count:
-        text = random_monomial_text(rng)
+        text = random_monomial_text(rng, max_vertices)
         if "relation" in text:
             out.append(make_algebra(text))
     return out

@@ -7,6 +7,7 @@ of k alternate between dimensions 2 and 1; over the two-vertex Fibonacci
 algebra dim P(1) = 2 and dim P(2) = 3 force the Fibonacci recursion; the
 local commutative table algebra satisfies f(n+1) = 3 f(n) - f(n-1)."""
 
+import hashlib
 import tracemalloc
 
 import numpy as np
@@ -35,6 +36,7 @@ from syzcx.oracle import (
     _coords_in_kernel,
     _kernel_from_rref,
     _matmul_mod,
+    _probes,
     _rref,
     _split_rows,
 )
@@ -50,7 +52,7 @@ from syzcx.errors import (
     ValidationError,
 )
 
-from conftest import fibonacci_numbers, make_algebra
+from conftest import fibonacci_numbers, make_algebra, random_monomial_algebras
 
 P = PRIMES[0]
 
@@ -80,6 +82,23 @@ def test_matmul_mod_matches_python_ints():
             got = _matmul_mod(a, b, p)
             assert got.dtype == np.uint16
             assert (got.astype(np.int64) == want.astype(np.int64)).all()
+
+
+def test_matmul_mod_adds_inner_slabs_exactly(monkeypatch):
+    # An exactness bound of 5 products per sum and a slab of 40 entries send
+    # the largest products through the slab loop: 5 inner slabs, each
+    # widened one row at a time and added to the output.
+    import syzcx.oracle as oracle
+
+    rng = np.random.default_rng(9)
+    monkeypatch.setattr(oracle, "_SLAB", 40)
+    for p in PRIMES:
+        monkeypatch.setattr(oracle, "_FLOAT_EXACT", p + 5 * (p - 1) ** 2)
+        a = rng.integers(0, p, size=(17, 23), dtype=np.int64).astype(np.uint16)
+        b = rng.integers(0, p, size=(23, 11), dtype=np.int64).astype(np.uint16)
+        a[0], b[:, 0] = p - 1, p - 1
+        want = (a.astype(object) @ b.astype(object)) % p
+        assert (_matmul_mod(a, b, p).astype(np.int64) == want.astype(np.int64)).all()
 
 
 def test_matmul_mod_empty_inner():
@@ -285,6 +304,62 @@ def test_residue_differences_are_not_taken_unsigned():
         _coords_in_kernel(basis, free, *split(targets), p)
 
 
+def test_membership_check_fires_on_a_corrupted_pivot_row(monkeypatch):
+    # The second syzygy step of xyz-local k has target kernels with pivot
+    # rows; one wrong entry among them must be caught at either prime.
+    import syzcx.oracle as oracle
+
+    for p in PRIMES:
+        r = table_rep(xyz_local_table(), "k", p).syzygy()
+        corrupted = []
+
+        def split(*args, **kwargs):
+            x, y = _split_rows(*args, **kwargs)
+            if y.size and not corrupted:
+                y = y.copy()
+                y[0, 0] = (int(y[0, 0]) + 1) % p
+                corrupted.append(True)
+            return x, y
+
+        monkeypatch.setattr(oracle, "_split_rows", split)
+        with pytest.raises(InternalInconsistencyError):
+            r.syzygy()
+        assert corrupted
+        monkeypatch.undo()
+        assert r.syzygy().total_dim == xyz_local_expected_dims(2)[2]
+
+
+def test_probes_are_the_seeded_draw(monkeypatch):
+    # The probe products of _coords_in_kernel use the same vectors as a
+    # fresh default_rng(0xC0FFEE) draw, on the first call at a size and on
+    # a repeated one, at both primes.
+    import syzcx.oracle as oracle
+
+    used, sides = [], []
+
+    def record(a, b, p):
+        if any(a is side for side in sides):
+            used.append(b)
+        return _matmul_mod(a, b, p)
+
+    monkeypatch.setattr(oracle, "_matmul_mod", record)
+    for p in PRIMES:
+        r0, pivots = _rref(np.array([[1, 2, 3]], dtype=np.uint16), p)
+        basis, free = _kernel_from_rref(r0, pivots, 3, p)
+        for n in (1, 2, 7, 64, 2795, 7):
+            coords = np.random.default_rng(n).integers(0, p, size=(2, n))
+            targets = _matmul_mod(basis, coords.astype(np.uint16), p)
+            used.clear()
+            sides[:] = targets[free], np.delete(targets, free, axis=0)
+            got = _coords_in_kernel(basis, free, *sides, p)
+            assert (got == coords).all()
+            want = np.random.default_rng(0xC0FFEE).integers(0, p, size=(n, 2))
+            assert len(used) == 2
+            for probes in used:
+                assert (probes == want).all()
+            assert not _probes(n, p).flags.writeable
+
+
 def test_rep_checks_relations(loop3):
     r = rep_of(singleton(projective_key(loop3, "1")), loop3, P)
     # sabotage: make x act as a full cyclic shift so x.x.x is nonzero
@@ -343,6 +418,45 @@ def test_semisimple_shortcut_stays_small(fib):
         tracemalloc.stop()
     assert rpt.agree
     assert peak < 100 * 2**20
+
+
+LINE12 = make_algebra(
+    "algebra line12\n"
+    + "".join(f"vertex v{i}\n" for i in range(12))
+    + "".join(f"arrow a{i} : v{i} -> v{i + 1}\n" for i in range(11))
+    + "".join(f"relation a{i}.a{i + 1}.a{i + 2}\n" for i in range(9)))
+
+
+def test_step_eliminates_only_where_the_module_lives(monkeypatch):
+    # Over the line with twelve vertices and relations of length 3, the first
+    # syzygy of S(v0) lives at v1 and v2, and its cover reaches v3. Only the
+    # covers at v1 and v2 and the generator image at v2 have entries to
+    # reduce; every other matrix handed to _rref is empty and is returned
+    # before the elimination starts (its first step, the singleton pivots,
+    # calls np.unique).
+    import syzcx.oracle as oracle
+
+    r = rep_of(singleton(simple_key(LINE12, "v0")), LINE12, P).syzygy()
+    assert {v: d for v, d in r.dims.items() if d} == {"v1": 1, "v2": 1}
+    assert not r.is_semisimple
+    shapes, eliminations = [], []
+    unique = np.unique
+
+    def counted(mat, p):
+        shapes.append(mat.shape)
+        return _rref(mat, p)
+
+    def counted_unique(*args, **kwargs):
+        eliminations.append(True)
+        return unique(*args, **kwargs)
+
+    monkeypatch.setattr(oracle, "_rref", counted)
+    monkeypatch.setattr(np, "unique", counted_unique)
+    out = r.syzygy()
+    monkeypatch.undo()
+    assert {v: d for v, d in out.dims.items() if d} == {"v3": 1}
+    assert len([s for s in shapes if s[0] * s[1]]) == 3
+    assert len(eliminations) == 3
 
 
 def test_oracle_never_calls_the_symbolic_syzygy_rule(fib, monkeypatch):
@@ -544,6 +658,41 @@ def test_xyz_oracle_matches_bookkeeping():
     for p in PRIMES:
         r = table_rep(t, "k", p)
         assert dim_sequence(r, 6) == xyz_local_expected_dims(6)
+
+
+def test_pinned_oracle_hash():
+    # Every dimension and every action, byte for byte, of a seeded corpus at
+    # both primes: simples and projectives of random monomial algebras (two
+    # of them with 13 and 14 vertices), stepped while the dimension is at
+    # most 120, and xyz-local k and the regular module.
+    algebras = (random_monomial_algebras(41, 8)
+                + random_monomial_algebras(48, 3, max_vertices=14))
+    assert max(len(A.quiver.vertices) for A in algebras) >= 10
+    h = hashlib.sha256()
+
+    def feed(r):
+        h.update(repr([r.dims[v] for v in r.table.vertices]).encode())
+        for name in r.table.gen_names:
+            m = r.mats[name]
+            h.update(b"None" if m is None else
+                     repr(m.shape).encode() + m.astype("<u2").tobytes())
+
+    for p in PRIMES:
+        for A in algebras:
+            for v in A.quiver.vertices:
+                for key in (simple_key(A, v), projective_key(A, v)):
+                    r = rep_of(singleton(key), A, p)
+                    for _ in range(8):
+                        feed(r)
+                        if not 0 < r.total_dim <= 120:
+                            break
+                        r = r.syzygy()
+        for module, n in (("k", 6), ("regular", 5)):
+            r = table_rep(xyz_local_table(), module, p)
+            for _ in range(n):
+                r = r.syzygy()
+                feed(r)
+    assert h.hexdigest()[:16] == "bffb08e9e1da5f0d"
 
 
 # -- crosscheck -------------------------------------------------------------------------
