@@ -18,8 +18,8 @@ from __future__ import annotations
 
 import errno
 import re
-from dataclasses import dataclass, field
 from functools import cached_property
+from typing import NamedTuple
 
 from .errors import (
     AlgebraSyntaxError,
@@ -32,41 +32,57 @@ from .graph import tarjan
 IDENT_RE = re.compile(r"[A-Za-z0-9_]+\Z")
 
 
-@dataclass(frozen=True)
-class Arrow:
+class Arrow(NamedTuple):
     name: str
     source: str
     target: str
 
 
-@dataclass(frozen=True)
 class Quiver:
     """Finite quiver. Vertex and arrow order is the declaration order; every
     downstream ordering (path enumeration, syzygy-quiver discovery, exports)
-    is a pure function of it."""
+    is a pure function of it. A frozen value: equal vertices and arrows make
+    equal quivers, and its lookups are computed once."""
 
-    vertices: tuple[str, ...]
-    arrows: tuple[Arrow, ...]
-
-    def __post_init__(self):
+    def __init__(self, vertices: tuple[str, ...], arrows: tuple[Arrow, ...]):
+        object.__setattr__(self, "vertices", vertices)
+        object.__setattr__(self, "arrows", arrows)
         seen = set()
-        for v in self.vertices:
+        for v in vertices:
             if not IDENT_RE.match(v):
                 raise AlgebraSyntaxError(f"bad vertex identifier {v!r}")
             if v in seen:
                 raise AlgebraSyntaxError(f"duplicate identifier {v!r}")
             seen.add(v)
-        for a in self.arrows:
+        vidx = self.vertex_index
+        for a in arrows:
             if not IDENT_RE.match(a.name):
                 raise AlgebraSyntaxError(f"bad arrow identifier {a.name!r}")
             if a.name in seen:
                 raise AlgebraSyntaxError(f"duplicate identifier {a.name!r}")
             seen.add(a.name)
             for v in (a.source, a.target):
-                if v not in self.vertices:
+                if v not in vidx:
                     raise AlgebraSyntaxError(
                         f"unknown vertex {v!r} in arrow {a.name!r}"
                     )
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r} of a Quiver")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r} of a Quiver")
+
+    def __eq__(self, other):
+        if other.__class__ is not Quiver:
+            return NotImplemented
+        return self.vertices == other.vertices and self.arrows == other.arrows
+
+    def __hash__(self):
+        return hash((self.vertices, self.arrows))
+
+    def __repr__(self):
+        return f"Quiver(vertices={self.vertices!r}, arrows={self.arrows!r})"
 
     @cached_property
     def vertex_index(self) -> dict[str, int]:
@@ -128,10 +144,9 @@ class Quiver:
         return self.path(text.strip().split("."))
 
 
-@dataclass(frozen=True)
-class Path:
+class Path(NamedTuple):
     """Path in a quiver: a source vertex and a composable arrow-name sequence
-    (empty for the trivial path at `source`)."""
+    (empty for the trivial path at `source`). `len` counts the arrows."""
 
     source: str
     target: str
@@ -184,8 +199,7 @@ def contiguous_subpaths(quiver: Quiver, p: Path) -> list[Path]:
     return out
 
 
-@dataclass(frozen=True)
-class ModuleTerm:
+class ModuleTerm(NamedTuple):
     """One summand in a module definition: mult * S(v) | P(v) | M(path)."""
 
     mult: int
@@ -194,14 +208,13 @@ class ModuleTerm:
     path: Path | None = None
 
 
-@dataclass(frozen=True)
-class MonomialAlgebraSpec:
+class MonomialAlgebraSpec(NamedTuple):
     """Parsed but unvalidated presentation."""
 
     name: str
     quiver: Quiver
     relations: tuple[Path, ...]
-    modules: dict[str, tuple[ModuleTerm, ...]] = field(default_factory=dict)
+    modules: dict[str, tuple[ModuleTerm, ...]]
 
 
 class MonomialAlgebra:
@@ -396,7 +409,7 @@ def parse_algebra(text: str) -> MonomialAlgebraSpec:
         module <name> = <term> (+ <term>)*   term ::= [<mult>*] S(<v>) | P(<v>) | M(<path>)
     """
     name = None
-    vertices: list[str] = []
+    vertices: dict[str, None] = {}  # a set in declaration order
     arrows: list[Arrow] = []
     relations: list[tuple[Path, int]] = []
     raw_modules: list[tuple[str, str, int]] = []
@@ -421,7 +434,7 @@ def parse_algebra(text: str) -> MonomialAlgebraSpec:
             if v in ids:
                 raise AlgebraSyntaxError(f"duplicate identifier {v!r}", line=lineno)
             ids.add(v)
-            vertices.append(v)
+            vertices[v] = None
         elif kind == "arrow":
             an, src, tgt = m.group(1), m.group(2), m.group(3)
             if an in ids:

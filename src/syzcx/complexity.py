@@ -14,7 +14,7 @@ reachability path) - 1.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .algebra import Arrow, MonomialAlgebra, Quiver
 from .errors import (
@@ -37,8 +37,7 @@ from .syzygy import (
 _ONE = rational_algebraic(1)
 
 
-@dataclass(frozen=True)
-class ComplexityClass:
+class ComplexityClass(NamedTuple):
     """Growth class of a syzygy dimension sequence.
 
     kind "zero": the class [0]; `pd` is the projective dimension (None for
@@ -156,8 +155,7 @@ def vertex_complexity(C: Condensation, v: int) -> ComplexityClass:
     return polyexp_class(top.rho, C.chain[ci] - 1)
 
 
-@dataclass(frozen=True)
-class ModuleComplexityReport:
+class ModuleComplexityReport(NamedTuple):
     """Result of module_complexity: the class plus everything used to get it."""
 
     cls: ComplexityClass

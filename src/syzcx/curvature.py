@@ -18,7 +18,7 @@ construction realizing any monic x^{s+1} - a_0 x^s - ... - a_s with a_i >= 0.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .algebra import Arrow, Quiver
 from .errors import (
@@ -43,8 +43,7 @@ from .spectra import algebraic_power, compare_algebraic, equal_radius
 _ZERO = rational_algebraic(0)
 
 
-@dataclass(frozen=True)
-class CurvatureVerdict:
+class CurvatureVerdict(NamedTuple):
     """Outcome of the realizability check.
 
     irreducibility: how the judged factor was certified — "verified" (the

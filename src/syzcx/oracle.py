@@ -19,8 +19,8 @@ representation.
 from __future__ import annotations
 
 import os
-from dataclasses import dataclass
 from functools import cached_property, lru_cache
+from typing import NamedTuple
 
 import numpy as np
 
@@ -263,7 +263,6 @@ def _complement_columns(span_cols: np.ndarray, dim: int, p: int) -> np.ndarray:
 
 # -- graded tables ----------------------------------------------------------------
 
-@dataclass(frozen=True)
 class GradedTable:
     """An algebra on a multiplicative basis (a product of two basis elements
     is a basis element or zero), in the form the syzygy step reads.
@@ -276,12 +275,16 @@ class GradedTable:
     Modules are right modules: a generator from vertex s to vertex t maps the
     space at s to the space at t."""
 
-    basis: tuple[str, ...]
-    vertices: tuple[str, ...]
-    ends: tuple[tuple[int, int], ...]
-    gens: tuple[int, ...]
-    parent: tuple[tuple[int, int] | None, ...]
-    right: tuple[tuple[int, ...], ...]
+    def __init__(self, basis: tuple[str, ...], vertices: tuple[str, ...],
+                 ends: tuple[tuple[int, int], ...], gens: tuple[int, ...],
+                 parent: tuple[tuple[int, int] | None, ...],
+                 right: tuple[tuple[int, ...], ...]):
+        self.basis = basis
+        self.vertices = vertices
+        self.ends = ends
+        self.gens = gens
+        self.parent = parent
+        self.right = right
 
     @property
     def gen_names(self) -> list[str]:
@@ -321,8 +324,7 @@ def compile_paths(A: MonomialAlgebra) -> GradedTable:
     )
 
 
-@dataclass(frozen=True)
-class AlgebraTable:
+class AlgebraTable(NamedTuple):
     """Finite-dimensional algebra given by a basis-multiplicative table:
     the product of two basis elements is a basis element or zero
     (table entry -1). Only local tables (a single idempotent that is a
@@ -548,7 +550,6 @@ def syzygy_rep(R: "TableRepresentation") -> "TableRepresentation":
                                dict(zip(T.gen_names, new_mats)))
 
 
-@dataclass
 class TableRepresentation:
     """Right module over a graded table: a GF(p) space per vertex and the
     matrix of each generator (target space x source space), stored as uint16
@@ -557,10 +558,12 @@ class TableRepresentation:
     None instead of a dense zero block, so that semisimple modules cost
     nothing to multiply."""
 
-    table: GradedTable
-    p: int
-    dims: dict[str, int]
-    mats: dict[str, np.ndarray | None]
+    def __init__(self, table: GradedTable, p: int, dims: dict[str, int],
+                 mats: dict[str, np.ndarray | None]):
+        self.table = table
+        self.p = p
+        self.dims = dims
+        self.mats = mats
 
     syzygy = syzygy_rep
 
@@ -693,8 +696,7 @@ def dim_sequence(R, N: int) -> list[int]:
     return dims
 
 
-@dataclass(frozen=True)
-class CrosscheckReport:
+class CrosscheckReport(NamedTuple):
     dims_quiver: tuple[int, ...]
     dims_oracle: tuple[int, ...]
     agree: bool

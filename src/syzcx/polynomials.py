@@ -15,10 +15,10 @@ numerators over a doubling denominator) with one sign-bisection loop,
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from math import ceil, gcd
+from typing import NamedTuple
 
 from .errors import ZeroPolynomialError
 
@@ -38,6 +38,9 @@ class IntPolynomial:
 
     def __setattr__(self, *a):
         raise AttributeError("IntPolynomial is immutable")
+
+    def __reduce__(self):
+        return IntPolynomial, (self.coeffs,)
 
     # -- structure ---------------------------------------------------------
     @property
@@ -415,8 +418,7 @@ def decimal_places_12(x: Fraction) -> str:
     return f"{'-' if x < 0 else ''}{whole}.{frac:012d}"
 
 
-@dataclass(frozen=True)
-class AlgebraicReal:
+class AlgebraicReal(NamedTuple):
     """A real algebraic number: integer defining polynomial plus an isolating
     rational interval holding exactly one distinct real root (lo == hi for an
     exact rational value)."""

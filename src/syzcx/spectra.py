@@ -4,8 +4,8 @@ and comparison of the resulting algebraic numbers."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import cmp_to_key, lru_cache
+from typing import NamedTuple
 
 from .errors import InternalInconsistencyError
 from .graph import tarjan
@@ -95,8 +95,7 @@ def _component_root(matrix: IntMatrix) -> AlgebraicReal:
     return perron_root(matrix)
 
 
-@dataclass(frozen=True)
-class SCC:
+class SCC(NamedTuple):
     """One strongly connected component: member vertices (original indices,
     ascending), internal adjacency counts, and its spectral radius."""
 
@@ -109,8 +108,7 @@ class SCC:
         return len(self.vertices) == 1 and self.matrix[0][0] == 0
 
 
-@dataclass(frozen=True)
-class Condensation:
+class Condensation(NamedTuple):
     """SCC condensation. Components are listed in reverse topological order
     (every component precedes the components that reach it), so a forward scan
     visits each component after all of its successors. `succ[ci]` lists the

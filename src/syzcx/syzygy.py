@@ -18,7 +18,7 @@ weighted path counts reproduce the dimensions of all iterated syzygies.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .algebra import MonomialAlgebra, Path, PathZero
 from .errors import (
@@ -30,8 +30,7 @@ from .graph import reachable, tarjan
 from .spectra import adjacency_matrix
 
 
-@dataclass(frozen=True)
-class CyclicKey:
+class CyclicKey(NamedTuple):
     """Canonical name of a cyclic module: vertex + killer antichain.
 
     Killers are positive-length paths starting at `vertex`, none a prefix of
@@ -77,8 +76,7 @@ def cyclic_key(vertex: str, killers) -> CyclicKey:
     return CyclicKey(vertex, tuple(ks))
 
 
-@dataclass(frozen=True)
-class ModuleExpr:
+class ModuleExpr(NamedTuple):
     """Formal direct sum of cyclic modules: (key, multiplicity) pairs, keys
     distinct and sorted, multiplicities >= 1. Empty means the zero module."""
 
@@ -217,8 +215,7 @@ def syzygy_step(M: ModuleExpr, A: MonomialAlgebra) -> ModuleExpr:
                        for k, c in syzygy_key(key, A).terms)
 
 
-@dataclass(frozen=True)
-class SyzygyQuiver:
+class SyzygyQuiver(NamedTuple):
     """Finite syzygy quiver: vertex labels are module expressions (single
     CyclicKeys for freshly built quivers), arrows repeat per multiplicity,
     and `start` records the starting module's vertices with multiplicities.

@@ -2,10 +2,15 @@
 seeded generator of radical-square-zero algebras (every length-2 path a
 relation)."""
 
+import os
 import random
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import syzcx
 from syzcx.algebra import parse_algebra, validate_algebra
 
 # Two vertices; the only nonzero paths are the trivial ones and the three
@@ -81,6 +86,16 @@ module S1 = S(1)
 
 def make_algebra(text):
     return validate_algebra(parse_algebra(text))
+
+
+def run_python(code, timeout=60):
+    """Run `python -c code` in a child process that imports this checkout's
+    syzcx; raises subprocess.TimeoutExpired when it outlives `timeout`."""
+    src = str(Path(syzcx.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    return subprocess.run([sys.executable, "-c", code], capture_output=True,
+                          text=True, env=env, timeout=timeout)
 
 
 @pytest.fixture(scope="session")

@@ -23,7 +23,7 @@ from syzcx.errors import (
     ValidationError,
 )
 
-from conftest import FIB_TEXT, LOOP3_TEXT, TWOSTEP_TEXT, make_algebra
+from conftest import FIB_TEXT, LOOP3_TEXT, TWOSTEP_TEXT, make_algebra, run_python
 
 
 # -- quiver basics -------------------------------------------------------------
@@ -91,6 +91,15 @@ def test_contiguous_subpaths():
     assert subs == {"e(1)", "e(2)", "a", "b", "a.b"}
 
 
+def test_quiver_checks_arrow_ends_against_a_set():
+    # 50,000 vertices and 99,999 arrows: scanning the vertex tuple for each
+    # arrow end takes over a minute, a set lookup well under a second.
+    out = run_python("from syzcx.curvature import realize_companion\n"
+                     "print(len(realize_companion([1] * 50_000).arrows))",
+                     timeout=10)
+    assert out.stdout == "99999\n", out.stderr
+
+
 # -- parsing -------------------------------------------------------------------
 
 def test_parse_full_file():
@@ -118,6 +127,23 @@ def test_parse_reports_line_numbers():
 def test_parse_rejects_unknown_arrow_vertex():
     with pytest.raises(AlgebraSyntaxError):
         parse_algebra("algebra x\nvertex 1\narrow a : 1 -> 2\n")
+    # An arrow's name is an identifier but not a vertex.
+    with pytest.raises(AlgebraSyntaxError, match="unknown vertex 'a' in arrow 'b'"):
+        parse_algebra("algebra x\nvertex 1\narrow a : 1 -> 1\narrow b : 1 -> a\n")
+    with pytest.raises(AlgebraSyntaxError, match="unknown vertex 'a' in arrow 'b'"):
+        Quiver(("1",), (Arrow("a", "1", "1"), Arrow("b", "a", "1")))
+
+
+def test_parse_checks_arrow_ends_against_a_set():
+    # A 20,000-vertex line: scanning the declared vertices for each arrow end
+    # takes over 10 s, a set lookup well under a second.
+    out = run_python(
+        "from syzcx.algebra import parse_algebra\n"
+        "n = 20_000\n"
+        "text = '\\n'.join(['algebra line'] + [f'vertex v{i}' for i in range(n)]\n"
+        "                   + [f'arrow a{i} : v{i} -> v{i + 1}' for i in range(n - 1)])\n"
+        "print(len(parse_algebra(text).quiver.arrows))", timeout=6)
+    assert out.stdout == "19999\n", out.stderr
 
 
 def test_parse_comments_and_blank_lines():

@@ -1,6 +1,6 @@
 """The memos behind the symbolic path: the syzygy rule per algebra, the
-Perron root per component matrix, the largest root per polynomial, and the
-hash kept on each CyclicKey.
+Perron root per component matrix and the largest root per polynomial. A
+CyclicKey keeps no hash of its own: it hashes as the tuple of its fields.
 
 Each memo must return what the function computes without it, whatever the
 order of the queries, and must spare the repeated work."""

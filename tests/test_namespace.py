@@ -14,6 +14,8 @@ import pytest
 
 import syzcx
 
+from conftest import run_python
+
 MODULES = ("algebra", "complexity", "curvature", "errors", "graph", "oracle",
            "polynomials", "spectra", "syzygy")
 
@@ -57,7 +59,7 @@ def test_other_names_do_not_resolve():
     defined = {n for m in MODULES for n in public_definitions(m)}
     others = {name for m in MODULES for name in vars(import_module(f"syzcx.{m}"))
               if name not in defined}
-    assert {"np", "dataclass", "Fraction", "PRIMES", "_dim_cap"} <= others
+    assert {"np", "NamedTuple", "Fraction", "PRIMES", "_dim_cap"} <= others
     for name in sorted(others):
         if name in vars(syzcx):  # dunders such as __doc__, and the modules
             continue
@@ -75,3 +77,11 @@ def test_import_loads_every_pipeline_module_but_not_the_cli():
          "print(' '.join(sorted(m for m in sys.modules if m.startswith('syzcx.'))))"],
         capture_output=True, text=True, env=env, check=True).stdout
     assert out.split() == [f"syzcx.{m}" for m in MODULES]
+
+
+def test_import_generates_no_code():
+    # Records are NamedTuples and plain classes: importing the command line
+    # builds no dataclass, so `dataclasses` (and its exec'd methods) never loads.
+    out = run_python("import sys, syzcx.cli\n"
+                     "print('dataclasses' in sys.modules)")
+    assert (out.returncode, out.stdout) == (0, "False\n"), out.stderr
