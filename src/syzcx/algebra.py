@@ -166,6 +166,11 @@ class Path(NamedTuple):
         return f"Path({self.literal()})"
 
 
+# NamedTuple's _make, which _replace calls, counts the fields with len(), but
+# len(Path) counts arrows; a NamedTuple body may not redefine _make.
+Path._make = classmethod(lambda cls, fields: cls(*fields))
+
+
 class PathZero:
     """Zero element of the path calculus. All zeros compare equal; the reason
     ('relation' or 'non_composable') is diagnostic only."""

@@ -19,6 +19,7 @@ representation.
 from __future__ import annotations
 
 import os
+import weakref
 from functools import cached_property, lru_cache
 from typing import NamedTuple
 
@@ -58,9 +59,10 @@ def _dim_cap() -> int:
 # fits both primes (p < 2^16) at a quarter of int64's size. Values are widened
 # only inside a kernel: _matmul_mod multiplies in float64 (exact for integers
 # below 2^53, and BLAS-backed, unlike numpy's integer matmul), _rref
-# eliminates on an int64 working copy, and colliding table products add up in
-# uint32. Residues are compared with != and negated as p - x; a uint16
-# difference wraps modulo 2^16, not modulo p.
+# eliminates on an int64 working copy (none when singleton pivots cover every
+# row), and colliding table products add up in uint32; only the seeded probes
+# are kept as float64. Residues are compared with != and negated as p - x; a
+# uint16 difference wraps modulo 2^16, not modulo p.
 #
 # _rref promises only that r[:, pivots] is the identity; the kernel, the
 # complement and the surjectivity check need nothing more. So it can take
@@ -68,7 +70,8 @@ def _dim_cap() -> int:
 # pivot at once, since such a pivot has nothing to eliminate.
 #
 # A step pays for the module's nonzero spaces, not the table: no elimination
-# of an empty matrix, no loop for a one-slab product, no probe without pivots.
+# of an empty matrix, no loop for a one-slab product, no probe without pivots,
+# no product with unit vectors (a lift is a list of coordinates, selected).
 
 _FLOAT_EXACT = 2 ** 53
 _SLAB = 1 << 21  # entries of `a` widened to float64 at a time (16 MB)
@@ -84,12 +87,12 @@ def _matmul_mod(a: np.ndarray, b: np.ndarray, p: int) -> np.ndarray:
     most products are small, and there the loop's Python outweighs them."""
     step = (_FLOAT_EXACT - p) // ((p - 1) * (p - 1))
     if a.size <= _SLAB and a.shape[1] <= step:
-        return np.fmod(a.astype(np.float64) @ b.astype(np.float64),
+        return np.fmod(a.astype(np.float64) @ b.astype(np.float64, copy=False),
                        p).astype(np.uint16)
     rows = max(1, _SLAB // max(1, a.shape[1]))
     out = np.zeros((a.shape[0], b.shape[1]), dtype=np.uint16)
     for k in range(0, a.shape[1], step):
-        bk = b[k:k + step].astype(np.float64)
+        bk = b[k:k + step].astype(np.float64, copy=False)
         for i in range(0, a.shape[0], rows):
             acc = a[i:i + rows, k:k + step].astype(np.float64) @ bk
             acc += out[i:i + rows]
@@ -107,11 +110,12 @@ def _rref(mat: np.ndarray, p: int) -> tuple[np.ndarray, list[int]]:
     row holding one takes its leftmost singleton column as pivot, all at
     once: the row is scaled to make the pivot 1 and moved to the top. The
     singleton columns are then zero in the remaining rows, and the column
-    loop runs on those alone. It eliminates on an int64 working copy, where
-    a product of two residues stays exact. At column c, the remaining rows
-    from the current one down are zero left of c, so the swap, the scaling
-    and the update of every row hit by the pivot (the top rows included)
-    touch only columns c onward, in place. An empty matrix returns at once."""
+    loop runs on those alone, if any are left, on an int64 working copy,
+    where a product of two residues stays exact. At column c, the remaining
+    rows from the current one down are zero left of c, so the swap, the
+    scaling and the update of every row hit by the pivot (the top rows
+    included) touch only columns c onward, in place. An empty matrix returns
+    at once."""
     rows, cols = mat.shape
     if not mat.size:
         return np.zeros((0, cols), dtype=np.uint16), []
@@ -120,13 +124,16 @@ def _rref(mat: np.ndarray, p: int) -> tuple[np.ndarray, list[int]]:
     held, first = np.unique(mat.argmax(axis=0)[single], return_index=True)
     rest = np.ones(rows, dtype=bool)
     rest[held] = False
-    a = mat[np.concatenate([held, rest.nonzero()[0]])].astype(np.int64)
+    a = mat[np.concatenate([held, rest.nonzero()[0]])]
     top = single[first]  # first occurrences in sorted `single`: leftmost
     r = top.size
     lead = a[np.arange(r), top]
     for i in (lead != 1).nonzero()[0]:
-        a[i] = a[i] * pow(int(lead[i]), p - 2, p) % p
+        a[i] = a[i].astype(np.int64) * pow(int(lead[i]), p - 2, p) % p
     pivots: list[int] = top.tolist()
+    if r == rows:
+        return a.astype(np.uint16, copy=False), pivots
+    a = a.astype(np.int64)
     for c in range(cols):
         if r == rows:
             break
@@ -147,15 +154,11 @@ def _rref(mat: np.ndarray, p: int) -> tuple[np.ndarray, list[int]]:
     return a[:r].astype(np.uint16), pivots
 
 
-def _unit_columns(pivots: list[int], cols: int) -> tuple[np.ndarray, np.ndarray]:
-    """The unit vectors of GF(p)^cols at the coordinates that are not
-    pivots, as uint16 columns, plus those coordinates."""
+def _non_pivots(pivots: list[int], cols: int) -> np.ndarray:
+    """The coordinates of GF(p)^cols that are not pivots, in order."""
     free = np.ones(cols, dtype=bool)
     free[pivots] = False
-    free = free.nonzero()[0]
-    out = np.zeros((cols, free.size), dtype=np.uint16)
-    out[free, np.arange(free.size)] = 1
-    return out, free
+    return free.nonzero()[0]
 
 
 def _kernel_from_rref(r: np.ndarray, pivots: list[int], cols: int,
@@ -166,7 +169,9 @@ def _kernel_from_rref(r: np.ndarray, pivots: list[int], cols: int,
     r[:, pivots] is the identity. The free rows of the basis form an
     identity block, so coordinates with respect to the basis can be read off
     a vector at those rows."""
-    out, free = _unit_columns(pivots, cols)
+    free = _non_pivots(pivots, cols)
+    out = np.zeros((cols, free.size), dtype=np.uint16)
+    out[free, np.arange(free.size)] = 1
     if pivots and free.size:
         out[pivots, :] = (p - r[:, free]) % p
     return out, free
@@ -210,38 +215,37 @@ _PROBES = {}  # prime -> probe rows, see _probes
 def _probes(n: int, p: int) -> np.ndarray:
     """_coords_in_kernel's seeded probes for n coordinates mod p: the draw
     default_rng(0xC0FFEE).integers(0, p, size=(n, 2)), which is the first n
-    rows of the same draw at any larger size. So one read-only uint16 draw
+    rows of the same draw at any larger size. So one read-only float64 draw
     per prime serves every n, redrawn at twice its length when it is short."""
     if len(_PROBES.get(p, ())) < n:
         probes = np.random.default_rng(0xC0FFEE).integers(
             0, p, size=(max(n, 2 * len(_PROBES.get(p, ()))), 2))
-        _PROBES[p] = probes.astype(np.uint16)
+        _PROBES[p] = probes.astype(np.float64)
         _PROBES[p].setflags(write=False)
     return _PROBES[p][:n]
 
 
-def _coords_in_kernel(basis: np.ndarray, free: np.ndarray, x: np.ndarray,
-                      y: np.ndarray, p: int) -> np.ndarray:
+def _coords_in_kernel(pivot_rows: np.ndarray, x: np.ndarray, y: np.ndarray,
+                      p: int) -> np.ndarray:
     """Coordinates X with basis @ X = targets, where basis came from
-    _kernel_from_rref with free rows `free`, and the uint16 residues
-    `targets` are given as their free rows x and their other rows y, in
-    order (see _split_rows). X is x, since the basis is the identity at the
-    free rows; the same identity makes basis @ X agree with targets on the
-    free rows, so membership is checked on y alone. It is checked on random
-    probe vectors (seeded, so runs are reproducible): a target outside the
-    span survives one probe with probability 1/p, both with probability
-    1/p^2, and the whole computation is repeated at a second prime anyway.
-    The full product basis @ X is quadratically more expensive and is
-    skipped. Without pivot rows y is empty and there is nothing to check;
-    without a kernel, every target must be zero."""
-    if free.size == basis.shape[0]:
+    _kernel_from_rref, pivot_rows are its rows at the pivots in row order,
+    and the uint16 residues `targets` are given as their free rows x and
+    their other rows y, in order (see _split_rows). X is x, since the
+    basis is the identity at the free rows; the same identity makes basis @ X
+    agree with targets on the free rows, so membership is checked on y alone.
+    It is checked on random probe vectors (seeded, so runs are
+    reproducible): a target outside the span survives one probe with
+    probability 1/p, both with probability 1/p^2, and the whole computation
+    is repeated at a second prime anyway. The full product basis @ X is
+    quadratically more expensive and is skipped, as is the product of a zero
+    y. Without pivot rows y is empty and there is nothing to check; without
+    a kernel, every target must be zero."""
+    if not pivot_rows.shape[0]:
         return x
-    if free.size and x.shape[1]:
-        pivot = np.ones(basis.shape[0], dtype=bool)
-        pivot[free] = False
+    if pivot_rows.shape[1] and x.shape[1]:
         probes = _probes(x.shape[1], p)
-        lhs = _matmul_mod(basis[pivot], _matmul_mod(x, probes, p), p)
-        bad = lhs != _matmul_mod(y, probes, p)
+        lhs = _matmul_mod(pivot_rows, _matmul_mod(x, probes, p), p)
+        bad = lhs != _matmul_mod(y, probes, p) if y.any() else lhs
     else:
         bad = y
     if np.any(bad):
@@ -253,12 +257,12 @@ def _coords_in_kernel(basis: np.ndarray, free: np.ndarray, x: np.ndarray,
 
 
 def _complement_columns(span_cols: np.ndarray, dim: int, p: int) -> np.ndarray:
-    """Identity columns completing the column span of `span_cols` to
-    GF(p)^dim: those at the coordinates that are not pivots of the span's
-    rows. Restricted to the pivot coordinates, the rows of the reduced form
-    are the identity and those unit vectors are zero, so together they are
+    """The coordinates whose unit vectors complete the column span of
+    `span_cols` to GF(p)^dim: those that are not pivots of the span's rows.
+    Restricted to the pivot coordinates, the rows of the reduced form are
+    the identity and those unit vectors are zero, so together they are
     independent; any pivot set with that identity block serves."""
-    return _unit_columns(_rref(span_cols.T, p)[1], dim)[0]
+    return _non_pivots(_rref(span_cols.T, p)[1], dim)
 
 
 # -- graded tables ----------------------------------------------------------------
@@ -297,17 +301,26 @@ class GradedTable:
                      for row in self.right)
 
 
-@lru_cache(maxsize=1)
+_PATH_TABLES = weakref.WeakKeyDictionary()  # algebra -> its GradedTable
+
+
 def compile_paths(A: MonomialAlgebra) -> GradedTable:
     """The nonzero paths of A as a graded table: the generators are the
     arrows, and the parent of a path is the path without its last arrow.
-    Cached for the last algebra, since crosscheck and the CLI build one
-    representation per prime of the same algebra. An algebra above the
-    dimension cap is refused before any path is listed."""
+    The table is kept as long as A lives, since crosscheck and the CLI build
+    one representation per prime of the same algebra, and callers interleave
+    algebras. An algebra above the dimension cap is refused on every call,
+    cached or not, and before any path is listed."""
     limit = _dim_cap()
     if A.dimension > limit:
         raise DimensionCapExceededError(
             f"algebra dimension {A.dimension} exceeds the cap {limit}")
+    if A not in _PATH_TABLES:
+        _PATH_TABLES[A] = _path_table(A)
+    return _PATH_TABLES[A]
+
+
+def _path_table(A: MonomialAlgebra) -> GradedTable:
     Q = A.quiver
     paths = tuple(A.paths_from())
     at = {(q.source, q.arrows): j for j, q in enumerate(paths)}
@@ -443,16 +456,19 @@ def builtin_table(table_id: str) -> AlgebraTable:
 # -- representations and the syzygy step ------------------------------------------
 
 def _along_parents(T: GradedTable, acts, p: int, starts) -> list:
-    """For every basis element j, the action of j applied to the columns
-    starts[source of j] (None where the source has none), built along the
-    parent tree: j = j' * g acts as g after j'. None stands for zero."""
-    out: list[np.ndarray | None] = []
+    """For every basis element j, the action of j applied to the unit
+    columns at the coordinates starts[source of j] (an index array or a
+    slice; None where the source has none), built along the parent tree:
+    j = j' * g acts as g after j', and as a column selection of g after an
+    idempotent, which keeps its coordinates. None stands for zero."""
+    out: list = []
     for j, par in enumerate(T.parent):
         if par is None:
             out.append(starts[T.ends[j][0]])
             continue
         prev, m = out[par[0]], acts[par[1]]
         out.append(None if prev is None or m is None
+                   else m[:, prev] if T.parent[par[0]] is None
                    else _matmul_mod(m, prev, p))
     return out
 
@@ -468,8 +484,10 @@ def syzygy_rep(R: "TableRepresentation") -> "TableRepresentation":
     a row scatter accumulated over j because table products may collide. The
     scatter writes the free rows of the target kernel (the new action) and
     its pivot rows (read by the membership check) apart, so the dense image
-    of the action is never built. The blocks come from the table's nonzero
-    products, and a vertex where R is zero needs no elimination.
+    of the action is never built, and it reads the kernel's own pivot rows
+    gathered once per vertex. The blocks come from the table's nonzero
+    products, and a vertex where R is zero needs no elimination. A lift is
+    the coordinates of its unit columns, which the cover sets by index.
     When every generator acts by zero, R is semisimple and the kernel is
     rad P, the cover basis without its idempotents: then no matrix beyond
     the new actions is built."""
@@ -487,7 +505,7 @@ def syzygy_rep(R: "TableRepresentation") -> "TableRepresentation":
             rad = (np.concatenate(cols, axis=1) if cols
                    else np.zeros((d, 0), dtype=np.uint16))
             lifts.append(_complement_columns(rad, d, p))
-        copies = [lift.shape[1] for lift in lifts]
+        copies = [lift.size for lift in lifts]
 
     # Cover basis, or rad P when semisimple: the copies of j are the rows
     # start[j] .. start[j] + copies[source of j] of the space at its target.
@@ -505,8 +523,7 @@ def syzygy_rep(R: "TableRepresentation") -> "TableRepresentation":
         new_dims = pdims
     else:
         images = _along_parents(T, acts, p,
-                                [lift if lift.shape[1] else None
-                                 for lift in lifts])
+                                [lift if lift.size else None for lift in lifts])
         del lifts
         into = [[] for _ in dims]
         for j, (w, t) in enumerate(T.ends):
@@ -514,11 +531,15 @@ def syzygy_rep(R: "TableRepresentation") -> "TableRepresentation":
                 into[t].append(j)
         # One cover at a time: built from its images (dropped once copied),
         # eliminated, and dropped before the next vertex.
-        kernels, frees = [], []
+        kernels, frees, pivot_rows = [], [], []
         for v, (d, pd) in enumerate(zip(dims, pdims)):
             cover = np.zeros((d, pd), dtype=np.uint16)
             for j in into[v]:
-                cover[:, start[j]:start[j] + copies[T.ends[j][0]]] = images[j]
+                c = copies[T.ends[j][0]]
+                if T.parent[j] is None:  # a lift: unit columns
+                    cover[images[j], np.arange(start[j], start[j] + c)] = 1
+                else:
+                    cover[:, start[j]:start[j] + c] = images[j]
                 images[j] = None
             r, pivots = _rref(cover, p)
             del cover
@@ -530,6 +551,7 @@ def syzygy_rep(R: "TableRepresentation") -> "TableRepresentation":
             del r
             kernels.append(kernel)
             frees.append(free)
+            pivot_rows.append(kernel[sorted(pivots)])  # in row order, as y
         new_dims = [kernel.shape[1] for kernel in kernels]
 
     new_mats: list[np.ndarray | None] = []
@@ -543,7 +565,7 @@ def syzygy_rep(R: "TableRepresentation") -> "TableRepresentation":
             for a, b, c in blocks[k]:
                 np.fill_diagonal(m[b:b + c, a:a + c], 1)
         else:
-            m = _coords_in_kernel(kernels[t], frees[t], *_split_rows(
+            m = _coords_in_kernel(pivot_rows[t], *_split_rows(
                 kernels[s], blocks[k], frees[t], pdims[t], p), p)
         new_mats.append(m if m.any() else None)
     return TableRepresentation(T, p, dict(zip(T.vertices, new_dims)),
@@ -577,11 +599,12 @@ class TableRepresentation:
 
     def check_relations(self):
         """The action of j * g is the action of j followed by that of g, for
-        every basis element j and generator g (zero where j * g is zero)."""
+        every basis element j and generator g (zero where j * g is zero).
+        The images start from each identity as a slice; no product reads one,
+        as an idempotent j times g is g, whose parent is (j, k)."""
         T, p = self.table, self.p
         acts = [self.mats[name] for name in T.gen_names]
-        images = _along_parents(T, acts, p, [np.eye(self.dims[v], dtype=np.uint16)
-                                             for v in T.vertices])
+        images = _along_parents(T, acts, p, [slice(None)] * len(T.vertices))
         for k, g in enumerate(T.gens):
             for j, jg in enumerate(T.right[k]):
                 if T.ends[j][1] != T.ends[g][0] or (

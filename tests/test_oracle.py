@@ -7,7 +7,9 @@ of k alternate between dimensions 2 and 1; over the two-vertex Fibonacci
 algebra dim P(1) = 2 and dim P(2) = 3 force the Fibonacci recursion; the
 local commutative table algebra satisfies f(n+1) = 3 f(n) - f(n-1)."""
 
+import gc
 import hashlib
+import sys
 import tracemalloc
 
 import numpy as np
@@ -16,6 +18,7 @@ import pytest
 from syzcx.oracle import (
     PRIMES,
     DEFAULT_DIM_CAP,
+    compile_paths,
     rep_of,
     syzygy_rep,
     AlgebraTable,
@@ -52,7 +55,13 @@ from syzcx.errors import (
     ValidationError,
 )
 
-from conftest import fibonacci_numbers, make_algebra, random_monomial_algebras
+from conftest import (
+    FIB_TEXT,
+    LOOP3_TEXT,
+    fibonacci_numbers,
+    make_algebra,
+    random_monomial_algebras,
+)
 
 P = PRIMES[0]
 
@@ -195,7 +204,8 @@ def _check_elimination(m, p):
     assert kernel.shape == (cols, cols - rank)
     assert not (m.astype(np.int64) @ kernel.astype(np.int64) % p).any()
     span = m.T.astype(np.uint16)
-    full = np.concatenate([span, _complement_columns(span, cols, p)], axis=1)
+    units = np.eye(cols, dtype=np.uint16)[:, _complement_columns(span, cols, p)]
+    full = np.concatenate([span, units], axis=1)
     assert _rank_by_hand(full.T, p) == cols
 
 
@@ -297,11 +307,12 @@ def test_residue_differences_are_not_taken_unsigned():
     assert probes[2794, 0] == probes[2794, 1]
     targets = np.zeros((3, 2795), dtype=np.uint16)
     split = lambda t: (t[free], np.delete(t, free, axis=0))
-    assert not _coords_in_kernel(basis, free, *split(targets), p).any()
+    pivot_rows = np.delete(basis, free, axis=0)
+    assert not _coords_in_kernel(pivot_rows, *split(targets), p).any()
     targets[0, 2794] = 38 * pow(int(probes[2794, 0]), p - 2, p) % p
     assert (targets[0].astype(np.int64) @ probes % p == 38).all()
     with pytest.raises(InternalInconsistencyError):
-        _coords_in_kernel(basis, free, *split(targets), p)
+        _coords_in_kernel(pivot_rows, *split(targets), p)
 
 
 def test_membership_check_fires_on_a_corrupted_pivot_row(monkeypatch):
@@ -329,6 +340,91 @@ def test_membership_check_fires_on_a_corrupted_pivot_row(monkeypatch):
         assert r.syzygy().total_dim == xyz_local_expected_dims(2)[2]
 
 
+def test_membership_check_covers_the_cached_pivot_block(monkeypatch):
+    # Each target kernel's pivot rows are gathered once per step and shared
+    # by every generator into it. One wrong entry of that block, in a column
+    # where the new action has a nonzero row, must be caught at either prime.
+    import syzcx.oracle as oracle
+
+    for p in PRIMES:
+        r = table_rep(xyz_local_table(), "k", p).syzygy()
+        corrupted = []
+
+        def check(pivot_rows, x, y, p):
+            if pivot_rows.size and x.any() and not corrupted:
+                c = int(np.flatnonzero(x.any(axis=1))[0])
+                pivot_rows[0, c] = (int(pivot_rows[0, c]) + 1) % p
+                corrupted.append(True)
+            return _coords_in_kernel(pivot_rows, x, y, p)
+
+        monkeypatch.setattr(oracle, "_coords_in_kernel", check)
+        with pytest.raises(InternalInconsistencyError):
+            r.syzygy()
+        assert corrupted
+        monkeypatch.undo()
+        assert r.syzygy().total_dim == xyz_local_expected_dims(2)[2]
+
+
+def _rightmost_rref(mat, p):
+    """_rref's contract met another way: Gauss-Jordan elimination on Python
+    ints from the last column to the first, so the pivots are the rightmost
+    independent columns, in descending order, and rows follow them."""
+    cols = mat.shape[1]
+    rows, pivots = [[int(v) for v in row[::-1]] for row in mat.tolist()], []
+    for c in range(cols):
+        i = next((i for i in range(len(pivots), len(rows)) if rows[i][c]), None)
+        if i is None:
+            continue
+        r = len(pivots)
+        rows[r], rows[i] = rows[i], rows[r]
+        inv = pow(rows[r][c], p - 2, p)
+        rows[r] = [v * inv % p for v in rows[r]]
+        for k in range(len(rows)):
+            if k != r and rows[k][c]:
+                f = rows[k][c]
+                rows[k] = [(u - f * v) % p for u, v in zip(rows[k], rows[r])]
+        pivots.append(c)
+    r = np.array(rows[:len(pivots)], dtype=np.uint16).reshape(len(pivots), cols)
+    return r[:, ::-1], [cols - 1 - c for c in pivots]
+
+
+# k[x]/(x^4) as a table.
+KX4 = AlgebraTable("kx4", ("1", "x", "x2", "x3"),
+                   tuple(tuple(i + j if i + j < 4 else -1 for j in range(4))
+                         for i in range(4)), (0,))
+
+
+def test_step_reads_pivot_rows_in_row_order(monkeypatch):
+    # _rref promises only that r[:, pivots] is the identity, in any order.
+    # M has basis m, xm, x^2 m, x^3 m, n with xn = x^2 m. Its cover A + A
+    # has columns (j, copy) in the order (1, m), (1, n), (x, m), ..., and
+    # with the rightmost pivots x^3 m is the pivot (x^3, m), in column 6,
+    # while x^2 n hits the same row. So x times the kernel vector
+    # (x, n) - (x^2, m) is (x^2, n) - (x^3, m): nonzero at a pivot row. The
+    # pivots come in descending order, and the kernel's pivot rows must be
+    # read in row order, the order of the targets' rows.
+    import syzcx.oracle as oracle
+
+    act = np.zeros((5, 5), dtype=np.uint16)
+    act[1, 0] = act[2, 1] = act[3, 2] = act[2, 4] = 1
+    seen = []
+
+    def check(pivot_rows, x, y, p):
+        seen.append(y.any())
+        return _coords_in_kernel(pivot_rows, x, y, p)
+
+    for p in PRIMES:
+        M = TableRepresentation(compile_table(KX4), p, {"1": 5}, {"x": act})
+        M.check_relations()
+        want = dim_sequence(M, 4)
+        assert want[:2] == [5, 3]
+        monkeypatch.setattr(oracle, "_rref", _rightmost_rref)
+        monkeypatch.setattr(oracle, "_coords_in_kernel", check)
+        assert dim_sequence(M, 4) == want
+        monkeypatch.undo()
+        assert any(seen)
+
+
 def test_probes_are_the_seeded_draw(monkeypatch):
     # The probe products of _coords_in_kernel use the same vectors as a
     # fresh default_rng(0xC0FFEE) draw, on the first call at a size and on
@@ -351,7 +447,7 @@ def test_probes_are_the_seeded_draw(monkeypatch):
             targets = _matmul_mod(basis, coords.astype(np.uint16), p)
             used.clear()
             sides[:] = targets[free], np.delete(targets, free, axis=0)
-            got = _coords_in_kernel(basis, free, *sides, p)
+            got = _coords_in_kernel(np.delete(basis, free, axis=0), *sides, p)
             assert (got == coords).all()
             want = np.random.default_rng(0xC0FFEE).integers(0, p, size=(n, 2))
             assert len(used) == 2
@@ -459,6 +555,55 @@ def test_step_eliminates_only_where_the_module_lives(monkeypatch):
     assert len(eliminations) == 3
 
 
+# A line whose only relation is a0.a1.a2.a3, so paths of length 2 and 3 live.
+LINE5 = make_algebra(
+    "algebra line5\n"
+    + "".join(f"vertex v{i}\n" for i in range(5))
+    + "".join(f"arrow a{i} : v{i} -> v{i + 1}\n" for i in range(4))
+    + "relation a0.a1.a2.a3\n")
+
+
+def _products_by_caller(monkeypatch, run):
+    """Run `run` with _matmul_mod recorded: the name of each calling
+    function, with the basis element it builds when that is _along_parents."""
+    import syzcx.oracle as oracle
+
+    calls = []
+
+    def recorded(a, b, p):
+        frame = sys._getframe(1)
+        calls.append((frame.f_code.co_name, frame.f_locals.get("j")))
+        return _matmul_mod(a, b, p)
+
+    monkeypatch.setattr(oracle, "_matmul_mod", recorded)
+    run()
+    monkeypatch.undo()
+    return calls
+
+
+def test_no_product_applies_a_generator_to_unit_columns(monkeypatch):
+    # A lift, and the identity check_relations starts from, are unit columns:
+    # a generator applied to them (a path of length 1) is a column
+    # selection, so only paths of length 2 or more multiply.
+    T = compile_paths(LINE5)
+    built = lambda calls: sorted(T.basis[j] for name, j in calls
+                                 if name == "_along_parents")
+    # P(v0) has basis e(v0), a0, a0.a1, a0.a1.a2, and a3 acts by zero. Only
+    # a0.a1, a0.a1.a2 and a1.a2 need a product, and no check multiplies.
+    P0 = singleton(projective_key(LINE5, "v0"))
+    calls = _products_by_caller(monkeypatch, lambda: rep_of(P0, LINE5, P))
+    assert built(calls) == ["a0.a1", "a0.a1.a2", "a1.a2"]
+    assert len(calls) == 3
+    # rad P(v0) is covered by P(v1), whose a1.a2 is the one image that needs
+    # a product. Its kernel is a1.a2.a3 at v4 alone, so no probe multiplies.
+    r = rep_of(singleton(simple_key(LINE5, "v0")), LINE5, P).syzygy()
+    assert r.dims == {"v0": 0, "v1": 1, "v2": 1, "v3": 1, "v4": 0}
+    calls = _products_by_caller(monkeypatch, r.syzygy)
+    assert built(calls) == ["a1.a2"]
+    assert len(calls) == 1
+    assert r.syzygy().dims == {"v0": 0, "v1": 0, "v2": 0, "v3": 0, "v4": 1}
+
+
 def test_oracle_never_calls_the_symbolic_syzygy_rule(fib, monkeypatch):
     import syzcx.oracle as oracle
     import syzcx.syzygy as syzygy
@@ -494,6 +639,23 @@ def test_dim_cap_env_override(fib, monkeypatch):
         dim_sequence(r, 20)
     monkeypatch.setenv("SYZCX_DIM_CAP", str(DEFAULT_DIM_CAP))
     assert dim_sequence(r, 20)[-1] == fibonacci_numbers(21)[-1]
+
+
+def test_compile_paths_checks_the_cap_on_every_call(fib, a2, monkeypatch):
+    # A table already compiled is refused over the cap like a new one, and a
+    # malformed cap is an error whether or not the table is cached.
+    assert compile_paths(fib) is compile_paths(fib)
+    assert fib.dimension == 5 and a2.dimension == 3
+    monkeypatch.setenv("SYZCX_DIM_CAP", "1")
+    for A in (fib, a2):
+        with pytest.raises(DimensionCapExceededError):
+            compile_paths(A)
+    monkeypatch.setenv("SYZCX_DIM_CAP", "abc")
+    for A in (fib, a2):
+        with pytest.raises(ValidationError):
+            compile_paths(A)
+    monkeypatch.setenv("SYZCX_DIM_CAP", "5")
+    assert compile_paths(fib) is compile_paths(fib)
 
 
 # -- multiplication tables ------------------------------------------------------------
@@ -711,6 +873,38 @@ def test_crosscheck_agree(fib):
 def test_crosscheck_mixed_module(fib):
     rpt = crosscheck(fib, resolve_module(fib, "Mix"), 8)
     assert rpt.agree
+
+
+def test_crosscheck_compiles_each_table_once(monkeypatch):
+    # Two algebras crosschecked alternately keep one table each, and the
+    # table goes with its algebra.
+    import syzcx.oracle as oracle
+
+    algebras = [make_algebra(FIB_TEXT), make_algebra(LOOP3_TEXT)]
+    tables, built = {}, []
+
+    class Counted(oracle.GradedTable):
+        def __init__(self, *args, **kwargs):
+            built.append(True)
+            super().__init__(*args, **kwargs)
+
+    def recorded(A):
+        T = compile_paths(A)
+        tables.setdefault(id(A), set()).add(id(T))
+        return T
+
+    monkeypatch.setattr(oracle, "GradedTable", Counted)
+    monkeypatch.setattr(oracle, "compile_paths", recorded)
+    for _ in range(3):
+        for A in algebras:
+            assert crosscheck(A, resolve_module(A, "S1"), 4).agree
+    assert len(built) == 2
+    assert all(len(ids) == 1 for ids in tables.values())
+    monkeypatch.undo()
+    held = len(oracle._PATH_TABLES)
+    del algebras, A
+    gc.collect()
+    assert len(oracle._PATH_TABLES) == held - 2
 
 
 def test_crosscheck_report_mismatch_shape():

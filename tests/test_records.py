@@ -113,6 +113,22 @@ def test_path_length_counts_arrows():
     assert len(Path("1", "1", ())) == 0
 
 
+def test_path_namedtuple_helpers_round_trip():
+    # len(Path) counts arrows, so _make, and _replace through it, count the
+    # fields apart.
+    p = Path("1", "2", ("a",))
+    assert p._replace(target="3") == Path("1", "3", ("a",))
+    assert type(p._replace()) is Path and p._replace() == p
+    assert type(Path._make(p)) is Path and Path._make(p) == p
+    assert Path._make(["1", "1", ()]) == Path("1", "1", ())
+    assert Path(**p._asdict()) == p
+    assert Path._make(p._asdict().values()) == p
+    with pytest.raises(TypeError):
+        Path._make(["1", "2"])
+    with pytest.raises(ValueError):
+        p._replace(nope="3")
+
+
 def test_module_expressions_add_as_direct_sums():
     s1, s2 = simple_key(FIB, "1"), simple_key(FIB, "2")
     m = ModuleExpr(((s2, 1),)) + ModuleExpr(((s1, 2), (s2, 3)))
