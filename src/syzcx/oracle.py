@@ -2,7 +2,8 @@
 
 Modules are realized as explicit matrix representations over two prime
 fields; syzygies are computed literally (radical, top, projective cover,
-kernel) with dense mod-p linear algebra. Dimension counts of monomial
+kernel) with exact sparse mod-p linear algebra on Python ints, and each
+action is stored as a dense uint16 matrix. Dimension counts of monomial
 incidence structures are field independent, so the two primes must agree;
 a disagreement signals a rank drop and aborts the run.
 
@@ -21,6 +22,7 @@ from __future__ import annotations
 import os
 import weakref
 from functools import cached_property, lru_cache
+from itertools import zip_longest
 from typing import NamedTuple
 
 import numpy as np
@@ -53,216 +55,133 @@ def _dim_cap() -> int:
         ) from None
 
 
-# -- dense linear algebra mod p ------------------------------------------------
+# -- sparse linear algebra mod p -----------------------------------------------
 #
-# Every matrix the oracle keeps holds residues in [0, p) as np.uint16, which
-# fits both primes (p < 2^16) at a quarter of int64's size. Values are widened
-# only inside a kernel: _matmul_mod multiplies in float64 (exact for integers
-# below 2^53, and BLAS-backed, unlike numpy's integer matmul), _rref
-# eliminates on an int64 working copy (none when singleton pivots cover every
-# row), and colliding table products add up in uint32; only the seeded probes
-# are kept as float64. Residues are compared with != and negated as p - x; a
-# uint16 difference wraps modulo 2^16, not modulo p.
+# The matrices of a syzygy step are almost all zeros, about one nonzero per
+# column, and elimination adds no fill. So a step works on sparse vectors of
+# Python ints: a column or a row is a list of (index, residue) pairs with no
+# zero residue, and None stands for a zero image. Each generator's action is
+# read once per step as its nonzero columns (_columns); the images along the
+# parent tree are built column by column (_act); the top and each cover are
+# eliminated as rows (_rref); each kernel is kept row-major, so that a
+# generator's new action is a scatter of the kernel rows it touches, and the
+# scattered rows are checked to lie in the target kernel exactly
+# (_in_kernel). Only the stored actions are dense, as uint16 residues in
+# [0, p), filled from coordinate lists.
 #
-# _rref promises only that r[:, pivots] is the identity; the kernel, the
-# complement and the surjectivity check need nothing more. So it can take
-# every singleton column of a cover (most columns of a monomial one) as a
-# pivot at once, since such a pivot has nothing to eliminate.
-#
-# A step pays for the module's nonzero spaces, not the table: no elimination
-# of an empty matrix, no loop for a one-slab product, no probe without pivots,
-# no product with unit vectors (a lift is a list of coordinates, selected).
-
-_FLOAT_EXACT = 2 ** 53
-_SLAB = 1 << 21  # entries of `a` widened to float64 at a time (16 MB)
+# A step pays for the module's nonzero spaces, not the table: no
+# elimination where the module or the generator images are zero, and no
+# product with unit vectors (a lift is a list of coordinates, and a
+# generator applied to it is a selection of its columns).
 
 
-def _matmul_mod(a: np.ndarray, b: np.ndarray, p: int) -> np.ndarray:
-    """a @ b mod p as uint16, for matrices of residues in [0, p). The inner
-    dimension is cut into slabs of `step` indices, whose float64 products
-    stay below step * (p-1)^2, so adding a residue keeps every sum below
-    2^53 and exact; at the dimension cap there is one slab. Rows of `a` are
-    widened a slab of about _SLAB entries at a time, so the float64 copy of
-    a large `a` never exists whole. An `a` within one slab skips the loop:
-    most products are small, and there the loop's Python outweighs them."""
-    step = (_FLOAT_EXACT - p) // ((p - 1) * (p - 1))
-    if a.size <= _SLAB and a.shape[1] <= step:
-        return np.fmod(a.astype(np.float64) @ b.astype(np.float64, copy=False),
-                       p).astype(np.uint16)
-    rows = max(1, _SLAB // max(1, a.shape[1]))
-    out = np.zeros((a.shape[0], b.shape[1]), dtype=np.uint16)
-    for k in range(0, a.shape[1], step):
-        bk = b[k:k + step].astype(np.float64, copy=False)
-        for i in range(0, a.shape[0], rows):
-            acc = a[i:i + rows, k:k + step].astype(np.float64) @ bk
-            acc += out[i:i + rows]
-            out[i:i + rows] = np.fmod(acc, p)
+def _columns(m) -> list | None:
+    """The columns of a dense action as sparse vectors; None for None."""
+    if m is None:
+        return None
+    cols = [[] for _ in range(m.shape[1])]
+    rs, cs = m.nonzero()
+    for r, c, v in zip(rs.tolist(), cs.tolist(), m[rs, cs].tolist()):
+        cols[c].append((r, v))
+    return cols
+
+
+def _act(gcols: list, image: list, p: int) -> list:
+    """A generator, given by its sparse columns, applied to every column of
+    an image. A column with one entry, the common case, selects a column of
+    the generator, scaled; others add up in a dict."""
+    out = []
+    for col in image:
+        if len(col) == 1:
+            (r, v), = col
+            out.append(gcols[r] if v == 1 else
+                       [(i, x * v % p) for i, x in gcols[r]])
+            continue
+        acc = {}
+        for r, v in col:
+            _add(acc, v, gcols[r], p)
+        out.append(list(acc.items()))
     return out
 
 
-def _rref(mat: np.ndarray, p: int) -> tuple[np.ndarray, list[int]]:
-    """Reduced form over GF(p) of a matrix of residues: rows r, as uint16,
-    forming a basis of its row space, and pivot columns with r[:, pivots]
-    the identity. Pivots are neither leftmost nor sorted.
-
-    A singleton column (one nonzero entry) is a pivot that needs no
-    elimination, since no other row has an entry to clear there. So every
-    row holding one takes its leftmost singleton column as pivot, all at
-    once: the row is scaled to make the pivot 1 and moved to the top. The
-    singleton columns are then zero in the remaining rows, and the column
-    loop runs on those alone, if any are left, on an int64 working copy,
-    where a product of two residues stays exact. At column c, the remaining
-    rows from the current one down are zero left of c, so the swap, the
-    scaling and the update of every row hit by the pivot (the top rows
-    included) touch only columns c onward, in place. An empty matrix returns
-    at once."""
-    rows, cols = mat.shape
-    if not mat.size:
-        return np.zeros((0, cols), dtype=np.uint16), []
-    single = (np.count_nonzero(mat, axis=0) == 1).nonzero()[0]
-    # The row of a singleton column is its argmax, as residues are >= 0.
-    held, first = np.unique(mat.argmax(axis=0)[single], return_index=True)
-    rest = np.ones(rows, dtype=bool)
-    rest[held] = False
-    a = mat[np.concatenate([held, rest.nonzero()[0]])]
-    top = single[first]  # first occurrences in sorted `single`: leftmost
-    r = top.size
-    lead = a[np.arange(r), top]
-    for i in (lead != 1).nonzero()[0]:
-        a[i] = a[i].astype(np.int64) * pow(int(lead[i]), p - 2, p) % p
-    pivots: list[int] = top.tolist()
-    if r == rows:
-        return a.astype(np.uint16, copy=False), pivots
-    a = a.astype(np.int64)
-    for c in range(cols):
-        if r == rows:
-            break
-        nz = a[r:, c].nonzero()[0]
-        if nz.size == 0:
+def _rref(rows: list, cols: int, p: int) -> dict[int, dict[int, int]]:
+    """Reduced form over GF(p) of the matrix with the given sparse rows, as
+    {pivot column: the row's entries at the non-pivot columns}: each row is
+    1 at its own pivot and 0 at every other one. The pivots are those of
+    the dense rule, so the kernel read off them keeps its bytes: first,
+    each row that holds a singleton column (one nonzero entry) pivots on
+    its leftmost one, which needs no elimination, as no other row has an
+    entry there; then, column by column, the first remaining row with a
+    nonzero entry. That second set is the set of leading columns of the
+    remaining rows' span, whatever the order of elimination; so the
+    remaining rows are reduced one at a time against the leading columns
+    found so far, and then every row, the singleton ones included, loses
+    its entries at the other pivots, from the last leading column back."""
+    count = [0] * cols
+    for row in rows:
+        for c, _ in row:
+            count[c] += 1
+    red, held = {}, []
+    for row in rows:
+        s = -1
+        for c, x in row:
+            if count[c] == 1 and (s < 0 or c < s):
+                s, xs = c, x
+        if s >= 0:
+            held.append((s, xs, row))
             continue
-        i = r + int(nz[0])
-        if i != r:
-            a[[r, i], c:] = a[[i, r], c:]
-        a[r, c:] = a[r, c:] * pow(int(a[r, c]), p - 2, p) % p
-        col = a[:, c].copy()
-        col[r] = 0
-        hit = col.nonzero()[0]
-        if hit.size:
-            a[hit, c:] = (a[hit, c:] - np.outer(col[hit], a[r, c:])) % p
-        pivots.append(c)
-        r += 1
-    return a[:r].astype(np.uint16), pivots
+        v = dict(row)
+        while v:
+            lead = min(v)
+            if lead not in red:
+                inv = pow(v.pop(lead), p - 2, p)
+                red[lead] = {c: x * inv % p for c, x in v.items()}
+                break
+            _add(v, p - v.pop(lead), red[lead].items(), p)
+    for lead in sorted(red, reverse=True):
+        b = red[lead]
+        for c in [c for c in b if c in red]:
+            _add(b, p - b.pop(c), red[c].items(), p)
+    for s, x, row in held:
+        if len(row) == 1:
+            red[s] = {}
+            continue
+        inv = pow(x, p - 2, p)
+        v = red[s] = {c: y * inv % p for c, y in row if c != s}
+        for c in [c for c in v if c in red]:
+            _add(v, p - v.pop(c), red[c].items(), p)
+    return red
 
 
-def _non_pivots(pivots: list[int], cols: int) -> np.ndarray:
-    """The coordinates of GF(p)^cols that are not pivots, in order."""
-    free = np.ones(cols, dtype=bool)
-    free[pivots] = False
-    return free.nonzero()[0]
-
-
-def _kernel_from_rref(r: np.ndarray, pivots: list[int], cols: int,
-                      p: int) -> tuple[np.ndarray, np.ndarray]:
-    """Nullspace basis (uint16) read off _rref's output, plus the
-    free-coordinate rows: the basis vector of free coordinate f is e_f minus
-    r[i, f] at pivots[i], which r maps to r[:, f] - r[:, f] = 0 since
-    r[:, pivots] is the identity. The free rows of the basis form an
-    identity block, so coordinates with respect to the basis can be read off
-    a vector at those rows."""
-    free = _non_pivots(pivots, cols)
-    out = np.zeros((cols, free.size), dtype=np.uint16)
-    out[free, np.arange(free.size)] = 1
-    if pivots and free.size:
-        out[pivots, :] = (p - r[:, free]) % p
-    return out, free
-
-
-def _split_rows(source: np.ndarray, blocks, free: np.ndarray, rows: int,
-                p: int) -> tuple[np.ndarray, np.ndarray]:
-    """The rows x cols matrix that adds rows a..a+c of `source` into rows
-    b..b+c, for each block (a, b, c), never built whole: returned as its
-    rows at `free` and its other rows, both uint16 and in row order. A free
-    row's slot is the number of free rows before it, so the free rows of a
-    block fill one slice of the first part and its other rows one slice of
-    the second. Two blocks hit the same rows or disjoint ones; the first
-    block on its rows is copied, and a later one (a colliding table
-    product) is added in uint32, where the sum stays exact."""
-    is_free = np.zeros(rows, dtype=bool)
-    is_free[free] = True
-    before = [0] + np.cumsum(is_free).tolist()
-    x = np.zeros((free.size, source.shape[1]), dtype=np.uint16)
-    y = np.zeros((rows - free.size, source.shape[1]), dtype=np.uint16)
-    seen = set()
-    for a, b, c in blocks:
-        f0, f1 = before[b], before[b + c]
-        src, fresh = source[a:a + c], b not in seen
-        seen.add(b)
-        if 0 < f1 - f0 < c:
-            keep = is_free[b:b + c]
-            parts = ((x, f0, f1, src[keep]), (y, b - f0, b + c - f1, src[~keep]))
+def _add(v: dict, f: int, pairs, p: int):
+    """v += f * w over GF(p), in place, for the sparse vector w given by
+    its (index, residue) pairs and a residue f != 0; zeros are dropped, so
+    v holds no zero either."""
+    for c, x in pairs:
+        y = (v.get(c, 0) + f * x) % p
+        if y:
+            v[c] = y
         else:
-            parts = ((x, f0, f1, src), (y, b - f0, b + c - f1, src))
-        for part, lo, hi, add in parts:
-            if hi > lo:
-                part[lo:hi] = (add if fresh else
-                               (add.astype(np.uint32) + part[lo:hi]) % p)
-    return x, y
+            del v[c]
 
 
-_PROBES = {}  # prime -> probe rows, see _probes
-
-
-def _probes(n: int, p: int) -> np.ndarray:
-    """_coords_in_kernel's seeded probes for n coordinates mod p: the draw
-    default_rng(0xC0FFEE).integers(0, p, size=(n, 2)), which is the first n
-    rows of the same draw at any larger size. So one read-only float64 draw
-    per prime serves every n, redrawn at twice its length when it is short."""
-    if len(_PROBES.get(p, ())) < n:
-        probes = np.random.default_rng(0xC0FFEE).integers(
-            0, p, size=(max(n, 2 * len(_PROBES.get(p, ()))), 2))
-        _PROBES[p] = probes.astype(np.float64)
-        _PROBES[p].setflags(write=False)
-    return _PROBES[p][:n]
-
-
-def _coords_in_kernel(pivot_rows: np.ndarray, x: np.ndarray, y: np.ndarray,
-                      p: int) -> np.ndarray:
-    """Coordinates X with basis @ X = targets, where basis came from
-    _kernel_from_rref, pivot_rows are its rows at the pivots in row order,
-    and the uint16 residues `targets` are given as their free rows x and
-    their other rows y, in order (see _split_rows). X is x, since the
-    basis is the identity at the free rows; the same identity makes basis @ X
-    agree with targets on the free rows, so membership is checked on y alone.
-    It is checked on random probe vectors (seeded, so runs are
-    reproducible): a target outside the span survives one probe with
-    probability 1/p, both with probability 1/p^2, and the whole computation
-    is repeated at a second prime anyway. The full product basis @ X is
-    quadratically more expensive and is skipped, as is the product of a zero
-    y. Without pivot rows y is empty and there is nothing to check; without
-    a kernel, every target must be zero."""
-    if not pivot_rows.shape[0]:
-        return x
-    if pivot_rows.shape[1] and x.shape[1]:
-        probes = _probes(x.shape[1], p)
-        lhs = _matmul_mod(pivot_rows, _matmul_mod(x, probes, p), p)
-        bad = lhs != _matmul_mod(y, probes, p) if y.any() else lhs
-    else:
-        bad = y
-    if np.any(bad):
-        raise InternalInconsistencyError(
-            "a syzygy vector left the kernel span; representation bookkeeping"
-            " is inconsistent"
-        )
-    return x
-
-
-def _complement_columns(span_cols: np.ndarray, dim: int, p: int) -> np.ndarray:
-    """The coordinates whose unit vectors complete the column span of
-    `span_cols` to GF(p)^dim: those that are not pivots of the span's rows.
-    Restricted to the pivot coordinates, the rows of the reduced form are
-    the identity and those unit vectors are zero, so together they are
-    independent; any pivot set with that identity block serves."""
-    return _non_pivots(_rref(span_cols.T, p)[1], dim)
+def _in_kernel(image: dict, krow: list, free: list, pivots: list, p: int):
+    """Check that the vectors with rows `image` (target row -> sparse row,
+    absent for zero) lie in the span of a kernel basis with rows `krow`,
+    whose rows at `free` are the identity: their coordinates are then their
+    rows at `free`, x, and at every pivot row q the vectors must equal
+    sum_f x_f * krow[q][f] mod p, exactly."""
+    for q in pivots:
+        if not krow[q] and not image.get(q):
+            continue
+        want = {}
+        for f, w in krow[q]:
+            _add(want, w, image.get(free[f], ()), p)
+        if want != dict(image.get(q, ())):
+            raise InternalInconsistencyError(
+                "a syzygy vector left the kernel span; representation"
+                " bookkeeping is inconsistent"
+            )
 
 
 # -- graded tables ----------------------------------------------------------------
@@ -299,6 +218,16 @@ class GradedTable:
         """Per generator k, the pairs (j, j * gens[k]) with a nonzero product."""
         return tuple(tuple((j, jg) for j, jg in enumerate(row) if jg >= 0)
                      for row in self.right)
+
+    @cached_property
+    def checked_pairs(self) -> tuple[tuple[int, int, int], ...]:
+        """The triples (j, k, j * gens[k]) that check_relations tests: every
+        composable pair of a basis element and a generator but those whose
+        product has (j, k) as its parent, which hold by construction."""
+        return tuple((j, k, jg) for k, g in enumerate(self.gens)
+                     for j, jg in enumerate(self.right[k])
+                     if self.ends[j][1] == self.ends[g][0]
+                     and not (jg >= 0 and self.parent[jg] == (j, k)))
 
 
 _PATH_TABLES = weakref.WeakKeyDictionary()  # algebra -> its GradedTable
@@ -455,21 +384,42 @@ def builtin_table(table_id: str) -> AlgebraTable:
 
 # -- representations and the syzygy step ------------------------------------------
 
-def _along_parents(T: GradedTable, acts, p: int, starts) -> list:
-    """For every basis element j, the action of j applied to the unit
-    columns at the coordinates starts[source of j] (an index array or a
-    slice; None where the source has none), built along the parent tree:
-    j = j' * g acts as g after j', and as a column selection of g after an
-    idempotent, which keeps its coordinates. None stands for zero."""
+def _along_parents(T: GradedTable, cols, p: int, starts) -> list:
+    """For every basis element j, the action of j on the unit vectors at
+    the coordinates starts[source of j] (None where the source has none),
+    as a list of sparse columns, built along the parent tree: j = j' * g
+    acts as g after j', and as a column selection of g after an idempotent,
+    which keeps its coordinates. `cols` holds each generator's sparse
+    columns, and None stands for zero."""
     out: list = []
     for j, par in enumerate(T.parent):
         if par is None:
             out.append(starts[T.ends[j][0]])
             continue
-        prev, m = out[par[0]], acts[par[1]]
-        out.append(None if prev is None or m is None
-                   else m[:, prev] if T.parent[par[0]] is None
-                   else _matmul_mod(m, prev, p))
+        prev, g = out[par[0]], cols[par[1]]
+        out.append(None if prev is None or g is None
+                   else [g[i] for i in prev] if T.parent[par[0]] is None
+                   else _act(g, prev, p))
+    return out
+
+
+def _scatter(krow: list, blocks, p: int) -> dict:
+    """The rows b..b+c of the target, as {row: sparse row}, that take rows
+    a..a+c of a kernel kept row-major, for each block (a, b, c); only the
+    rows a block touches are read. Two blocks hit the same rows or disjoint
+    ones; a later one on the same rows (a colliding table product) adds."""
+    out = {}
+    for a, b, c in blocks:
+        for i in range(c):
+            e = krow[a + i]
+            if not e:
+                continue
+            if b + i not in out:
+                out[b + i] = e
+                continue
+            acc = dict(out[b + i])
+            _add(acc, 1, e, p)
+            out[b + i] = list(acc.items())
     return out
 
 
@@ -479,33 +429,33 @@ def syzygy_rep(R: "TableRepresentation") -> "TableRepresentation":
     At each vertex the top of R is a complement of the generator images. The
     cover stacks one projective e_w A per lifted top vector at w; its basis
     is (j, copy) for the basis elements j from w, graded by the target of j,
-    and its map sends (j, copy) to the lift acted on by j. The kernel is read
-    off one rref per vertex, and a generator g acts on the cover by j -> j*g,
-    a row scatter accumulated over j because table products may collide. The
-    scatter writes the free rows of the target kernel (the new action) and
-    its pivot rows (read by the membership check) apart, so the dense image
-    of the action is never built, and it reads the kernel's own pivot rows
-    gathered once per vertex. The blocks come from the table's nonzero
-    products, and a vertex where R is zero needs no elimination. A lift is
-    the coordinates of its unit columns, which the cover sets by index.
-    When every generator acts by zero, R is semisimple and the kernel is
-    rad P, the cover basis without its idempotents: then no matrix beyond
-    the new actions is built."""
+    and its map sends (j, copy) to the lift acted on by j. The images are
+    built column by column from each action's nonzero columns, read once.
+    The kernel is read off one sparse rref of the cover's rows per vertex,
+    where R is nonzero, and kept row-major: row (j, copy) of the cover holds
+    the kernel columns it is nonzero in. A generator g acts on the cover by
+    j -> j*g, so its new action is a scatter of the kernel rows of its
+    blocks, which come from the table's nonzero products: the scattered
+    rows at the target kernel's free rows are the new action, filled into
+    a dense uint16 matrix from their coordinates, and those at its pivot
+    rows are checked against them exactly. When every generator acts by
+    zero, R is semisimple and the kernel is rad P, the cover basis without
+    its idempotents: then no elimination is needed."""
     T, p = R.table, R.p
     dims = [R.dims[v] for v in T.vertices]
-    acts = [R.mats[name] for name in T.gen_names]
+    cols = [_columns(R.mats[name]) for name in T.gen_names]
     semisimple = R.is_semisimple
     if semisimple:
         copies = dims
     else:
         lifts = []
         for v, d in enumerate(dims):
-            cols = [m for m, g in zip(acts, T.gens)
-                    if m is not None and T.ends[g][1] == v]
-            rad = (np.concatenate(cols, axis=1) if cols
-                   else np.zeros((d, 0), dtype=np.uint16))
-            lifts.append(_complement_columns(rad, d, p))
-        copies = [lift.size for lift in lifts]
+            rad = [col for gcols, g in zip(cols, T.gens)
+                   if gcols is not None and T.ends[g][1] == v
+                   for col in gcols if col]
+            top = _rref(rad, d, p) if rad else {}
+            lifts.append([i for i in range(d) if i not in top])
+        copies = [len(lift) for lift in lifts]
 
     # Cover basis, or rad P when semisimple: the copies of j are the rows
     # start[j] .. start[j] + copies[source of j] of the space at its target.
@@ -519,66 +469,74 @@ def syzygy_rep(R: "TableRepresentation") -> "TableRepresentation":
     blocks = [[(start[j], start[jg], copies[T.ends[j][0]])
                for j, jg in pairs if start[j] >= 0] for pairs in T.products]
 
-    if semisimple:
-        new_dims = pdims
+    if semisimple:  # the kernel is rad P: no pivots
+        reduced = [{}] * len(dims)
     else:
-        images = _along_parents(T, acts, p,
-                                [lift if lift.size else None for lift in lifts])
+        images = _along_parents(T, cols, p, [lift or None for lift in lifts])
         del lifts
         into = [[] for _ in dims]
         for j, (w, t) in enumerate(T.ends):
             if start[j] >= 0 and images[j] is not None:
                 into[t].append(j)
-        # One cover at a time: built from its images (dropped once copied),
-        # eliminated, and dropped before the next vertex.
-        kernels, frees, pivot_rows = [], [], []
+        # One cover at a time, as rows built from its images (dropped once
+        # copied), eliminated where R is nonzero.
+        reduced = []
         for v, (d, pd) in enumerate(zip(dims, pdims)):
-            cover = np.zeros((d, pd), dtype=np.uint16)
+            rows = [[] for _ in range(d)]
             for j in into[v]:
-                c = copies[T.ends[j][0]]
                 if T.parent[j] is None:  # a lift: unit columns
-                    cover[images[j], np.arange(start[j], start[j] + c)] = 1
+                    for i, r in enumerate(images[j], start[j]):
+                        rows[r].append((i, 1))
                 else:
-                    cover[:, start[j]:start[j] + c] = images[j]
+                    for i, col in enumerate(images[j], start[j]):
+                        for r, x in col:
+                            rows[r].append((i, x))
                 images[j] = None
-            r, pivots = _rref(cover, p)
-            del cover
-            if len(pivots) != d:
+            reduced.append(_rref(rows, pd, p) if d else {})
+            if len(reduced[v]) != d:
                 raise InternalInconsistencyError(
                     f"projective cover is not surjective at vertex {T.vertices[v]}"
                 )
-            kernel, free = _kernel_from_rref(r, pivots, pd, p)
-            del r
-            kernels.append(kernel)
-            frees.append(free)
-            pivot_rows.append(kernel[sorted(pivots)])  # in row order, as y
-        new_dims = [kernel.shape[1] for kernel in kernels]
+    # Each kernel row-major: the basis vector of free column f is e_f minus
+    # red[q][f] at each pivot q, numbered in the order of the free columns.
+    kernels = []
+    for red, pd in zip(reduced, pdims):
+        free = [c for c in range(pd) if c not in red]
+        pos = [-1] * pd
+        for f, c in enumerate(free):
+            pos[c] = f
+        krow = [((pos[c], 1),) if pos[c] >= 0 else
+                [(pos[f], p - x) for f, x in red[c].items()]
+                for c in range(pd)]
+        kernels.append((krow, free, pos, list(red)))
+    new_dims = [len(free) for _, free, _, _ in kernels]
 
     new_mats: list[np.ndarray | None] = []
     for k, g in enumerate(T.gens):
         s, t = T.ends[g]
-        if not blocks[k]:
-            new_mats.append(None)
-            continue
-        if semisimple:  # the kernel basis is the rad P basis itself
-            m = np.zeros((pdims[t], new_dims[s]), dtype=np.uint16)
-            for a, b, c in blocks[k]:
-                np.fill_diagonal(m[b:b + c, a:a + c], 1)
-        else:
-            m = _coords_in_kernel(pivot_rows[t], *_split_rows(
-                kernels[s], blocks[k], frees[t], pdims[t], p), p)
-        new_mats.append(m if m.any() else None)
+        krow, free, pos, pivots = kernels[t]
+        image = _scatter(kernels[s][0], blocks[k], p)
+        _in_kernel(image, krow, free, pivots, p)
+        coords = [(pos[b], f, v) for b, e in image.items() if pos[b] >= 0
+                  for f, v in e]
+        m = None
+        if coords:
+            rr, cc, vv = zip(*coords)
+            m = np.zeros((new_dims[t], new_dims[s]), dtype=np.uint16)
+            m[rr, cc] = vv
+        new_mats.append(m)
     return TableRepresentation(T, p, dict(zip(T.vertices, new_dims)),
                                dict(zip(T.gen_names, new_mats)))
 
 
 class TableRepresentation:
     """Right module over a graded table: a GF(p) space per vertex and the
-    matrix of each generator (target space x source space), stored as uint16
-    residues in [0, p); the action of a basis element is the ordered product
-    along its parent chain. A generator whose action is the zero map stores
-    None instead of a dense zero block, so that semisimple modules cost
-    nothing to multiply."""
+    matrix of each generator (target space x source space), stored densely
+    as uint16 residues in [0, p), and read by the syzygy step and
+    check_relations once, as its nonzero columns; the action of a basis
+    element is the ordered product along its parent chain. A generator whose
+    action is the zero map stores None instead of a dense zero block, so
+    that semisimple modules cost nothing to read."""
 
     def __init__(self, table: GradedTable, p: int, dims: dict[str, int],
                  mats: dict[str, np.ndarray | None]):
@@ -598,26 +556,25 @@ class TableRepresentation:
         return all(m is None for m in self.mats.values())
 
     def check_relations(self):
-        """The action of j * g is the action of j followed by that of g, for
-        every basis element j and generator g (zero where j * g is zero).
-        The images start from each identity as a slice; no product reads one,
-        as an idempotent j times g is g, whose parent is (j, k)."""
+        """The action of j * g is the action of j followed by that of g, on
+        sparse columns, for every pair of the table's checked_pairs (zero
+        where j * g is zero). The images start from each identity as all
+        of its coordinates; no product reads one, as an idempotent j times
+        g is g, whose parent is (j, k)."""
         T, p = self.table, self.p
-        acts = [self.mats[name] for name in T.gen_names]
-        images = _along_parents(T, acts, p, [slice(None)] * len(T.vertices))
-        for k, g in enumerate(T.gens):
-            for j, jg in enumerate(T.right[k]):
-                if T.ends[j][1] != T.ends[g][0] or (
-                        jg >= 0 and T.parent[jg] == (j, k)):
-                    continue  # not composable, or true by construction
-                lhs = (0 if acts[k] is None or images[j] is None
-                       else _matmul_mod(acts[k], images[j], p))
-                rhs = images[jg] if jg >= 0 and images[jg] is not None else 0
-                if np.any(lhs != rhs):
-                    raise InternalInconsistencyError(
-                        f"{T.basis[j]} * {T.basis[g]} = "
-                        f"{T.basis[jg] if jg >= 0 else 0} does not hold on the module"
-                    )
+        cols = [_columns(self.mats[name]) for name in T.gen_names]
+        images = _along_parents(T, cols, p,
+                                [range(self.dims[v]) for v in T.vertices])
+        for j, k, jg in T.checked_pairs:
+            lhs = (None if cols[k] is None or images[j] is None
+                   else _act(cols[k], images[j], p))
+            rhs = images[jg] if jg >= 0 else None
+            if any(dict(a) != dict(b) for a, b in
+                   zip_longest(lhs or (), rhs or (), fillvalue=())):
+                raise InternalInconsistencyError(
+                    f"{T.basis[j]} * {T.basis[T.gens[k]]} = "
+                    f"{T.basis[jg] if jg >= 0 else 0} does not hold on the module"
+                )
 
 
 def _span_rep(T: GradedTable, p: int, summands) -> TableRepresentation:

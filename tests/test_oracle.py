@@ -34,14 +34,11 @@ from syzcx.oracle import (
     crosscheck,
 )
 from syzcx.oracle import (
-    _SLAB,
-    _complement_columns,
-    _coords_in_kernel,
-    _kernel_from_rref,
-    _matmul_mod,
-    _probes,
+    _act,
+    _columns,
+    _in_kernel,
     _rref,
-    _split_rows,
+    _scatter,
 )
 from syzcx.syzygy import (
     resolve_module,
@@ -78,61 +75,42 @@ def dense_mat(r, name: str) -> np.ndarray:
                     dtype=np.uint16)
 
 
-# -- modular linear algebra helpers ------------------------------------------------
+# -- sparse linear algebra helpers -------------------------------------------------
 
-def test_matmul_mod_matches_python_ints():
+def sparse_rows(m) -> list:
+    """The rows of a dense matrix as the sparse rows _rref reads."""
+    return [[(c, int(v)) for c, v in enumerate(row) if v] for row in m.tolist()]
+
+
+def test_act_matches_python_ints():
+    # A generator's sparse columns applied to an image, column by column,
+    # is the matrix product mod p: single-entry columns (scaled or not),
+    # dense columns whose sums pass p, zero columns and an empty image.
     rng = np.random.default_rng(7)
     for p in PRIMES:
-        for dtype in (np.int64, np.uint16):
-            a = rng.integers(0, p, size=(17, 23), dtype=np.int64).astype(dtype)
-            b = rng.integers(0, p, size=(23, 11), dtype=np.int64).astype(dtype)
-            a[0], b[:, 0] = p - 1, p - 1  # the largest products
-            want = (a.astype(object) @ b.astype(object)) % p
-            got = _matmul_mod(a, b, p)
-            assert got.dtype == np.uint16
-            assert (got.astype(np.int64) == want.astype(np.int64)).all()
-
-
-def test_matmul_mod_adds_inner_slabs_exactly(monkeypatch):
-    # An exactness bound of 5 products per sum and a slab of 40 entries send
-    # the largest products through the slab loop: 5 inner slabs, each
-    # widened one row at a time and added to the output.
-    import syzcx.oracle as oracle
-
-    rng = np.random.default_rng(9)
-    monkeypatch.setattr(oracle, "_SLAB", 40)
-    for p in PRIMES:
-        monkeypatch.setattr(oracle, "_FLOAT_EXACT", p + 5 * (p - 1) ** 2)
-        a = rng.integers(0, p, size=(17, 23), dtype=np.int64).astype(np.uint16)
-        b = rng.integers(0, p, size=(23, 11), dtype=np.int64).astype(np.uint16)
-        a[0], b[:, 0] = p - 1, p - 1
+        a = rng.integers(0, p, size=(17, 23), dtype=np.int64)
+        b = rng.integers(0, p, size=(23, 11), dtype=np.int64)
+        a[0], b[:, 0] = p - 1, p - 1  # the largest products
+        b[:, 1:4] = 0
+        b[5, 1], b[6, 2] = 1, p - 1  # one entry: a column selection, scaled
+        a[:, 7] = 0
+        b[7, 3] = 1  # selects a zero column
         want = (a.astype(object) @ b.astype(object)) % p
-        assert (_matmul_mod(a, b, p).astype(np.int64) == want.astype(np.int64)).all()
-
-
-def test_matmul_mod_empty_inner():
-    a = np.zeros((3, 0), dtype=np.int64)
-    b = np.zeros((0, 4), dtype=np.int64)
-    assert _matmul_mod(a, b, P).shape == (3, 4)
-    assert not _matmul_mod(a, b, P).any()
-
-
-def test_matmul_mod_slabs_rows_of_a_tall_matrix():
-    # More rows than one float64 slab holds, so the rows are widened in parts.
-    rng = np.random.default_rng(8)
-    a = rng.integers(0, P, size=(_SLAB // 3 + 5, 3), dtype=np.int64).astype(np.uint16)
-    b = rng.integers(0, P, size=(3, 2), dtype=np.int64).astype(np.uint16)
-    want = (a.astype(np.int64) @ b.astype(np.int64)) % P
-    assert (_matmul_mod(a, b, P) == want).all()
+        got = _act(_columns(a), _columns(b), p)
+        assert len(got) == 11
+        for c, col in enumerate(got):
+            assert all(v for _, v in col)
+            assert dict(col) == {r: int(v) for r, v in enumerate(want[:, c]) if v}
+        assert _act(_columns(a), [], p) == []
+    assert _columns(None) is None
 
 
 def test_rref_and_nullspace():
     m = np.array([[1, 2, 3], [2, 4, 6], [0, 1, 1]], dtype=np.int64)
-    r, pivots = _rref(m % P, P)
-    assert len(pivots) == 2  # rank 2
-    ns, free = _kernel_from_rref(r, pivots, 3, P)
-    assert list(free) == [2]
-    assert ns.shape == (3, 1)
+    red = _rref(sparse_rows(m % P), 3, P)
+    assert sorted(red) == [0, 1]  # rank 2, and column 2 is free
+    # The kernel vector of free column 2 is e_2 - sum_q red[q][2] e_q.
+    ns = np.array([[-red[0].get(2, 0)], [-red[1].get(2, 0)], [1]])
     assert not ((m @ ns) % P).any()
 
 
@@ -152,6 +130,43 @@ def _rank_by_hand(m, p):
                 rows[i] = [(u - f * v) % p for u, v in zip(rows[i], rows[rank])]
         rank += 1
     return rank
+
+
+def _dense_rule_rref(m, p):
+    """The dense elimination's pivot rule on Python ints, the reference for
+    _rref: every row that holds a singleton column takes its leftmost one
+    as pivot, rows in index order, scaled to 1 and moved to the top; then,
+    column by column, the first remaining row with a nonzero entry is
+    swapped into place, scaled, and every other row is cleared there.
+    Returns {pivot: the row at its other columns}, as _rref does."""
+    a = [[int(v) % p for v in row] for row in m.tolist()]
+    cols = m.shape[1]
+    held = {}
+    for c in range(cols):
+        hits = [i for i, row in enumerate(a) if row[c]]
+        if len(hits) == 1:
+            held.setdefault(hits[0], c)
+    a = [a[i] for i in sorted(held)] + [row for i, row in enumerate(a)
+                                        if i not in held]
+    pivots = [held[i] for i in sorted(held)]
+    for i, c in enumerate(pivots):
+        inv = pow(a[i][c], p - 2, p)
+        a[i] = [v * inv % p for v in a[i]]
+    for c in range(cols):
+        r = len(pivots)
+        i = next((i for i in range(r, len(a)) if a[i][c]), None)
+        if i is None:
+            continue
+        a[r], a[i] = a[i], a[r]
+        inv = pow(a[r][c], p - 2, p)
+        a[r] = [v * inv % p for v in a[r]]
+        for k in range(len(a)):
+            if k != r and a[k][c]:
+                f = a[k][c]
+                a[k] = [(u - f * v) % p for u, v in zip(a[k], a[r])]
+        pivots.append(c)
+    return {c: {f: v for f, v in enumerate(a[i]) if v and f != c}
+            for i, c in enumerate(pivots)}
 
 
 def _elimination_corpus(p, rng, per_kind):
@@ -195,23 +210,28 @@ def _elimination_corpus(p, rng, per_kind):
 
 def _check_elimination(m, p):
     cols = m.shape[1]
-    r, pivots = _rref(m.astype(np.uint16), p)
-    rank = _rank_by_hand(m, p)
-    assert r.dtype == np.uint16 and r.shape == (rank, cols)
-    assert len(pivots) == len(set(pivots)) == rank
-    assert (r[:, pivots] == np.eye(rank, dtype=np.uint16)).all()
-    kernel, free = _kernel_from_rref(r, pivots, cols, p)
-    assert kernel.shape == (cols, cols - rank)
-    assert not (m.astype(np.int64) @ kernel.astype(np.int64) % p).any()
-    span = m.T.astype(np.uint16)
-    units = np.eye(cols, dtype=np.uint16)[:, _complement_columns(span, cols, p)]
-    full = np.concatenate([span, units], axis=1)
-    assert _rank_by_hand(full.T, p) == cols
+    red = _rref(sparse_rows(m), cols, p)
+    assert red == _dense_rule_rref(m, p)
+    assert len(red) == _rank_by_hand(m, p)
+    # Rows are 0 at the other pivots, so e_f - sum_q red[q][f] e_q, for
+    # each free column f, spans the kernel.
+    free = [c for c in range(cols) if c not in red]
+    kernel = np.zeros((cols, len(free)), dtype=np.int64)
+    for i, f in enumerate(free):
+        kernel[f, i] = 1
+        for q, row in red.items():
+            assert not set(row) & set(red)
+            kernel[q, i] = -row.get(f, 0)
+    assert not (m.astype(np.int64) @ kernel % p).any()
+    # The unit vectors at the free columns complete the row span.
+    units = np.eye(cols, dtype=np.int64)[free]
+    assert _rank_by_hand(np.concatenate([m, units]), p) == cols
 
 
 def test_rref_contract_on_seeded_corpus():
-    # r[:, pivots] is the identity, with pivots that need be neither
-    # leftmost nor sorted; rank, kernel and complement follow from it.
+    # The pivots and rows are those of the dense pivot rule, which keeps
+    # every kernel basis and action byte for byte; rank, kernel and the
+    # complement of the top follow from them.
     count = 0
     for p in PRIMES:
         rng = np.random.default_rng(p)
@@ -224,28 +244,25 @@ def test_rref_contract_on_seeded_corpus():
 def test_rref_takes_singleton_columns_as_pivots():
     # Column 0 has two nonzeros; columns 1 and 2 are singletons, of rows 1
     # and 0. Leftmost pivots would be {0, 1}.
-    m = np.array([[1, 0, 1], [1, 1, 0]], dtype=np.uint16)
-    r, pivots = _rref(m, P)
-    assert sorted(pivots) == [1, 2]
-    assert (r[:, pivots] == np.eye(2, dtype=np.uint16)).all()
+    red = _rref(sparse_rows(np.array([[1, 0, 1], [1, 1, 0]])), 3, P)
+    assert red == {2: {0: 1}, 1: {0: 1}}
     # A non-unit singleton pivot is scaled to 1, and a 0-row matrix has none.
-    r, pivots = _rref(np.array([[0, 5, 0], [3, 0, 0]], dtype=np.uint16), P)
-    assert sorted(pivots) == [0, 1]
-    assert (r[:, pivots] == np.eye(2, dtype=np.uint16)).all()
-    r, pivots = _rref(np.zeros((0, 3), dtype=np.uint16), P)
-    assert r.shape == (0, 3) and pivots == []
+    red = _rref(sparse_rows(np.array([[0, 5, 2], [3, 0, 0]])), 3, P)
+    assert red == {1: {2: 2 * pow(5, P - 2, P) % P}, 0: {}}
+    assert _rref([], 3, P) == {}
 
 
-def test_split_rows_matches_the_dense_scatter():
-    # Blocks of rows of a source matrix added into a target, as the syzygy
-    # step's generator action: the two parts are the target's free rows and
-    # its other rows, including blocks that collide and blocks that mix both.
+def test_scatter_matches_the_dense_scatter():
+    # Blocks of kernel rows added into target rows, as the syzygy step's
+    # generator action, including blocks that collide, whose sums pass p
+    # and may cancel; only the rows a block touches are read.
     rng = np.random.default_rng(11)
     for p in PRIMES:
         for _ in range(200):
             rows, cols = int(rng.integers(1, 12)), int(rng.integers(1, 6))
-            source = rng.integers(0, p, (9, cols)).astype(np.uint16)
-            free = np.flatnonzero(rng.random(rows) < 0.5)
+            source = rng.integers(0, p, (9, cols)) * (rng.random((9, cols)) < 0.6)
+            source[0] = p - 1
+            source[1] = (p - source[0]) % p  # cancels row 0
             starts = [0]
             while starts[-1] < rows:
                 starts.append(starts[-1] + int(rng.integers(1, 4)))
@@ -254,14 +271,18 @@ def test_split_rows_matches_the_dense_scatter():
                 c = min(e, rows) - b
                 for _ in range(int(rng.integers(0, 3))):
                     blocks.append((int(rng.integers(0, 10 - c)), b, c))
+            blocks.append((0, 0, 1))
+            blocks.append((1, 0, 1))
             dense = np.zeros((rows, cols), dtype=np.int64)
             for a, b, c in blocks:
                 dense[b:b + c] += source[a:a + c]
             dense %= p
-            x, y = _split_rows(source, blocks, free, rows, p)
-            assert x.dtype == y.dtype == np.uint16
-            assert (x == dense[free]).all()
-            assert (y == np.delete(dense, free, axis=0)).all()
+            got = _scatter(sparse_rows(source), blocks, p)
+            for b in range(rows):
+                assert all(v for _, v in got.get(b, ()))
+                assert dict(got.get(b, ())) == {c: v for c, v in
+                                                enumerate(dense[b].tolist()) if v}
+            assert set(got) <= {b + i for _, b, c in blocks for i in range(c)}
 
 
 # -- representations over monomial algebras ------------------------------------------
@@ -284,7 +305,7 @@ def test_rep_of_projective_has_action(fib):
 
 def test_residue_differences_are_not_taken_unsigned():
     # 2^16 - 38 = 2p at p = 32749: a difference of -38 wrapped to uint16 is
-    # 0 mod p, so a check that subtracted uint16 residues would pass these.
+    # 0 mod p, so a check that subtracted uint16 residues would pass this.
     p = 32749
     assert 2 ** 16 - 38 == 2 * p
     # x * y = y * x = xy; with y sending x to 39 xy, the image of x * y is
@@ -296,43 +317,34 @@ def test_residue_differences_are_not_taken_unsigned():
     broken = TableRepresentation(r.table, p, dict(r.dims), dict(r.mats, y=y))
     with pytest.raises(InternalInconsistencyError):
         broken.check_relations()
-    # A kernel of GF(p)^3 with pivot row 0, and zero targets, which lie in
-    # it, except at one entry of the pivot row. The probes of column 2794
-    # are equal, so that entry can make both probe checks of row 0 read
-    # lhs - rhs = 0 - 38.
-    r0, pivots = _rref(np.array([[1, 2, 3]], dtype=np.uint16), p)
-    basis, free = _kernel_from_rref(r0, pivots, 3, p)
-    probes = np.random.default_rng(0xC0FFEE).integers(0, p, size=(2795, 2),
-                                                        dtype=np.int64)
-    assert probes[2794, 0] == probes[2794, 1]
-    targets = np.zeros((3, 2795), dtype=np.uint16)
-    split = lambda t: (t[free], np.delete(t, free, axis=0))
-    pivot_rows = np.delete(basis, free, axis=0)
-    assert not _coords_in_kernel(pivot_rows, *split(targets), p).any()
-    targets[0, 2794] = 38 * pow(int(probes[2794, 0]), p - 2, p) % p
-    assert (targets[0].astype(np.int64) @ probes % p == 38).all()
-    with pytest.raises(InternalInconsistencyError):
-        _coords_in_kernel(pivot_rows, *split(targets), p)
+
+
+def _bump(row, c, p):
+    """A copy of a sparse row with entry c raised by 1 mod p."""
+    acc = dict(row)
+    acc[c] = (acc.get(c, 0) + 1) % p
+    return [(f, v) for f, v in acc.items() if v]
 
 
 def test_membership_check_fires_on_a_corrupted_pivot_row(monkeypatch):
-    # The second syzygy step of xyz-local k has target kernels with pivot
-    # rows; one wrong entry among them must be caught at either prime.
+    # The second syzygy step of xyz-local k scatters vectors onto target
+    # kernels with pivot rows; one wrong value at a pivot row must be
+    # caught at either prime.
     import syzcx.oracle as oracle
 
     for p in PRIMES:
         r = table_rep(xyz_local_table(), "k", p).syzygy()
         corrupted = []
 
-        def split(*args, **kwargs):
-            x, y = _split_rows(*args, **kwargs)
-            if y.size and not corrupted:
-                y = y.copy()
-                y[0, 0] = (int(y[0, 0]) + 1) % p
+        def check(image, krow, free, pivots, p):
+            if pivots and not corrupted:
+                q = pivots[0]
+                image = dict(image)
+                image[q] = _bump(image.get(q, ()), 0, p)
                 corrupted.append(True)
-            return x, y
+            return _in_kernel(image, krow, free, pivots, p)
 
-        monkeypatch.setattr(oracle, "_split_rows", split)
+        monkeypatch.setattr(oracle, "_in_kernel", check)
         with pytest.raises(InternalInconsistencyError):
             r.syzygy()
         assert corrupted
@@ -341,23 +353,25 @@ def test_membership_check_fires_on_a_corrupted_pivot_row(monkeypatch):
 
 
 def test_membership_check_covers_the_cached_pivot_block(monkeypatch):
-    # Each target kernel's pivot rows are gathered once per step and shared
-    # by every generator into it. One wrong entry of that block, in a column
-    # where the new action has a nonzero row, must be caught at either prime.
+    # Each target kernel's rows are built once per step and shared by every
+    # generator into it. One wrong entry at a pivot row, in a kernel column
+    # where the new action has a nonzero row, must be caught at either
+    # prime.
     import syzcx.oracle as oracle
 
     for p in PRIMES:
         r = table_rep(xyz_local_table(), "k", p).syzygy()
         corrupted = []
 
-        def check(pivot_rows, x, y, p):
-            if pivot_rows.size and x.any() and not corrupted:
-                c = int(np.flatnonzero(x.any(axis=1))[0])
-                pivot_rows[0, c] = (int(pivot_rows[0, c]) + 1) % p
+        def check(image, krow, free, pivots, p):
+            used = [f for f, b in enumerate(free) if image.get(b)]
+            if pivots and used and not corrupted:
+                krow = list(krow)
+                krow[pivots[0]] = _bump(krow[pivots[0]], used[0], p)
                 corrupted.append(True)
-            return _coords_in_kernel(pivot_rows, x, y, p)
+            return _in_kernel(image, krow, free, pivots, p)
 
-        monkeypatch.setattr(oracle, "_coords_in_kernel", check)
+        monkeypatch.setattr(oracle, "_in_kernel", check)
         with pytest.raises(InternalInconsistencyError):
             r.syzygy()
         assert corrupted
@@ -365,27 +379,31 @@ def test_membership_check_covers_the_cached_pivot_block(monkeypatch):
         assert r.syzygy().total_dim == xyz_local_expected_dims(2)[2]
 
 
-def _rightmost_rref(mat, p):
+def _rightmost_rref(rows, cols, p):
     """_rref's contract met another way: Gauss-Jordan elimination on Python
     ints from the last column to the first, so the pivots are the rightmost
-    independent columns, in descending order, and rows follow them."""
-    cols = mat.shape[1]
-    rows, pivots = [[int(v) for v in row[::-1]] for row in mat.tolist()], []
+    independent columns, in descending order."""
+    dense = [[0] * cols for _ in rows]
+    for row, sparse in zip(dense, rows):
+        for c, v in sparse:
+            row[cols - 1 - c] = v
+    pivots = []
     for c in range(cols):
-        i = next((i for i in range(len(pivots), len(rows)) if rows[i][c]), None)
+        i = next((i for i in range(len(pivots), len(dense)) if dense[i][c]), None)
         if i is None:
             continue
         r = len(pivots)
-        rows[r], rows[i] = rows[i], rows[r]
-        inv = pow(rows[r][c], p - 2, p)
-        rows[r] = [v * inv % p for v in rows[r]]
-        for k in range(len(rows)):
-            if k != r and rows[k][c]:
-                f = rows[k][c]
-                rows[k] = [(u - f * v) % p for u, v in zip(rows[k], rows[r])]
+        dense[r], dense[i] = dense[i], dense[r]
+        inv = pow(dense[r][c], p - 2, p)
+        dense[r] = [v * inv % p for v in dense[r]]
+        for k in range(len(dense)):
+            if k != r and dense[k][c]:
+                f = dense[k][c]
+                dense[k] = [(u - f * v) % p for u, v in zip(dense[k], dense[r])]
         pivots.append(c)
-    r = np.array(rows[:len(pivots)], dtype=np.uint16).reshape(len(pivots), cols)
-    return r[:, ::-1], [cols - 1 - c for c in pivots]
+    return {cols - 1 - c: {cols - 1 - f: v for f, v in enumerate(dense[i])
+                           if v and f != c}
+            for i, c in enumerate(pivots)}
 
 
 # k[x]/(x^4) as a table.
@@ -395,23 +413,23 @@ KX4 = AlgebraTable("kx4", ("1", "x", "x2", "x3"),
 
 
 def test_step_reads_pivot_rows_in_row_order(monkeypatch):
-    # _rref promises only that r[:, pivots] is the identity, in any order.
-    # M has basis m, xm, x^2 m, x^3 m, n with xn = x^2 m. Its cover A + A
-    # has columns (j, copy) in the order (1, m), (1, n), (x, m), ..., and
-    # with the rightmost pivots x^3 m is the pivot (x^3, m), in column 6,
-    # while x^2 n hits the same row. So x times the kernel vector
-    # (x, n) - (x^2, m) is (x^2, n) - (x^3, m): nonzero at a pivot row. The
-    # pivots come in descending order, and the kernel's pivot rows must be
-    # read in row order, the order of the targets' rows.
+    # _rref's pivots are the dense rule's, but the step is right under any
+    # pivots whose rows are the identity there. M has basis m, xm, x^2 m,
+    # x^3 m, n with xn = x^2 m. Its cover A + A has columns (j, copy) in
+    # the order (1, m), (1, n), (x, m), ..., and with the rightmost pivots
+    # x^3 m is the pivot (x^3, m), in column 6, while x^2 n hits the same
+    # row. So x times the kernel vector (x, n) - (x^2, m) is
+    # (x^2, n) - (x^3, m): nonzero at a pivot row, which the check reads by
+    # its row, whatever order the pivots come in.
     import syzcx.oracle as oracle
 
     act = np.zeros((5, 5), dtype=np.uint16)
     act[1, 0] = act[2, 1] = act[3, 2] = act[2, 4] = 1
     seen = []
 
-    def check(pivot_rows, x, y, p):
-        seen.append(y.any())
-        return _coords_in_kernel(pivot_rows, x, y, p)
+    def check(image, krow, free, pivots, p):
+        seen.append(any(image.get(q) for q in pivots))
+        return _in_kernel(image, krow, free, pivots, p)
 
     for p in PRIMES:
         M = TableRepresentation(compile_table(KX4), p, {"1": 5}, {"x": act})
@@ -419,41 +437,10 @@ def test_step_reads_pivot_rows_in_row_order(monkeypatch):
         want = dim_sequence(M, 4)
         assert want[:2] == [5, 3]
         monkeypatch.setattr(oracle, "_rref", _rightmost_rref)
-        monkeypatch.setattr(oracle, "_coords_in_kernel", check)
+        monkeypatch.setattr(oracle, "_in_kernel", check)
         assert dim_sequence(M, 4) == want
         monkeypatch.undo()
         assert any(seen)
-
-
-def test_probes_are_the_seeded_draw(monkeypatch):
-    # The probe products of _coords_in_kernel use the same vectors as a
-    # fresh default_rng(0xC0FFEE) draw, on the first call at a size and on
-    # a repeated one, at both primes.
-    import syzcx.oracle as oracle
-
-    used, sides = [], []
-
-    def record(a, b, p):
-        if any(a is side for side in sides):
-            used.append(b)
-        return _matmul_mod(a, b, p)
-
-    monkeypatch.setattr(oracle, "_matmul_mod", record)
-    for p in PRIMES:
-        r0, pivots = _rref(np.array([[1, 2, 3]], dtype=np.uint16), p)
-        basis, free = _kernel_from_rref(r0, pivots, 3, p)
-        for n in (1, 2, 7, 64, 2795, 7):
-            coords = np.random.default_rng(n).integers(0, p, size=(2, n))
-            targets = _matmul_mod(basis, coords.astype(np.uint16), p)
-            used.clear()
-            sides[:] = targets[free], np.delete(targets, free, axis=0)
-            got = _coords_in_kernel(np.delete(basis, free, axis=0), *sides, p)
-            assert (got == coords).all()
-            want = np.random.default_rng(0xC0FFEE).integers(0, p, size=(n, 2))
-            assert len(used) == 2
-            for probes in used:
-                assert (probes == want).all()
-            assert not _probes(n, p).flags.writeable
 
 
 def test_rep_checks_relations(loop3):
@@ -489,7 +476,7 @@ def test_projective_resolution_stops(fib):
 
 def test_semisimple_shortcut_matches_dense_path(fib, chain):
     # Feed the same semisimple module through the combinatorial shortcut and
-    # through the dense-kernel path (zero matrices materialized) and compare.
+    # through the elimination path (zero matrices materialized) and compare.
     cases = [rep_of(singleton(simple_key(A, v)), A, P)
              for A, v in ((fib, "1"), (chain, "2"))]
     cases.append(table_rep(xyz_local_table(), "k", P))
@@ -527,32 +514,23 @@ def test_step_eliminates_only_where_the_module_lives(monkeypatch):
     # Over the line with twelve vertices and relations of length 3, the first
     # syzygy of S(v0) lives at v1 and v2, and its cover reaches v3. Only the
     # covers at v1 and v2 and the generator image at v2 have entries to
-    # reduce; every other matrix handed to _rref is empty and is returned
-    # before the elimination starts (its first step, the singleton pivots,
-    # calls np.unique).
+    # reduce; no other top or cover is handed to _rref.
     import syzcx.oracle as oracle
 
     r = rep_of(singleton(simple_key(LINE12, "v0")), LINE12, P).syzygy()
     assert {v: d for v, d in r.dims.items() if d} == {"v1": 1, "v2": 1}
     assert not r.is_semisimple
-    shapes, eliminations = [], []
-    unique = np.unique
+    calls = []
 
-    def counted(mat, p):
-        shapes.append(mat.shape)
-        return _rref(mat, p)
-
-    def counted_unique(*args, **kwargs):
-        eliminations.append(True)
-        return unique(*args, **kwargs)
+    def counted(rows, cols, p):
+        calls.append(len(rows))
+        return _rref(rows, cols, p)
 
     monkeypatch.setattr(oracle, "_rref", counted)
-    monkeypatch.setattr(np, "unique", counted_unique)
     out = r.syzygy()
     monkeypatch.undo()
     assert {v: d for v, d in out.dims.items() if d} == {"v3": 1}
-    assert len([s for s in shapes if s[0] * s[1]]) == 3
-    assert len(eliminations) == 3
+    assert calls == [1, 1, 1]
 
 
 # A line whose only relation is a0.a1.a2.a3, so paths of length 2 and 3 live.
@@ -564,18 +542,18 @@ LINE5 = make_algebra(
 
 
 def _products_by_caller(monkeypatch, run):
-    """Run `run` with _matmul_mod recorded: the name of each calling
-    function, with the basis element it builds when that is _along_parents."""
+    """Run `run` with _act recorded: the name of each calling function,
+    with the basis element it builds when that is _along_parents."""
     import syzcx.oracle as oracle
 
     calls = []
 
-    def recorded(a, b, p):
+    def recorded(gcols, image, p):
         frame = sys._getframe(1)
         calls.append((frame.f_code.co_name, frame.f_locals.get("j")))
-        return _matmul_mod(a, b, p)
+        return _act(gcols, image, p)
 
-    monkeypatch.setattr(oracle, "_matmul_mod", recorded)
+    monkeypatch.setattr(oracle, "_act", recorded)
     run()
     monkeypatch.undo()
     return calls
@@ -595,7 +573,8 @@ def test_no_product_applies_a_generator_to_unit_columns(monkeypatch):
     assert built(calls) == ["a0.a1", "a0.a1.a2", "a1.a2"]
     assert len(calls) == 3
     # rad P(v0) is covered by P(v1), whose a1.a2 is the one image that needs
-    # a product. Its kernel is a1.a2.a3 at v4 alone, so no probe multiplies.
+    # a product. Its kernel is a1.a2.a3 at v4 alone, and the membership
+    # check multiplies nothing.
     r = rep_of(singleton(simple_key(LINE5, "v0")), LINE5, P).syzygy()
     assert r.dims == {"v0": 0, "v1": 1, "v2": 1, "v3": 1, "v4": 0}
     calls = _products_by_caller(monkeypatch, r.syzygy)
@@ -855,6 +834,41 @@ def test_pinned_oracle_hash():
                 r = r.syzygy()
                 feed(r)
     assert h.hexdigest()[:16] == "bffb08e9e1da5f0d"
+
+
+def test_pinned_oracle_hash_at_scale():
+    # The same hash over steps beyond that corpus, at both primes: simples
+    # of random monomial algebras stepped while the dimension is at most
+    # 2000 (the largest step gives 6828), xyz-local k to n = 7 and the
+    # regular module to n = 6. Pinned from the dense float64 engine.
+    h = hashlib.sha256()
+    seen = []
+
+    def feed(r):
+        seen.append(r.total_dim)
+        h.update(repr([r.dims[v] for v in r.table.vertices]).encode())
+        for name in r.table.gen_names:
+            m = r.mats[name]
+            h.update(b"None" if m is None else
+                     repr(m.shape).encode() + m.astype("<u2").tobytes())
+
+    for p in PRIMES:
+        for A in random_monomial_algebras(2, 6):
+            for v in A.quiver.vertices:
+                r = rep_of(singleton(simple_key(A, v)), A, p)
+                feed(r)
+                for _ in range(12):
+                    if not 0 < r.total_dim <= 2000:
+                        break
+                    r = r.syzygy()
+                    feed(r)
+        for module, n in (("k", 7), ("regular", 6)):
+            r = table_rep(xyz_local_table(), module, p)
+            for _ in range(n):
+                r = r.syzygy()
+                feed(r)
+    assert max(seen) == 6828 and xyz_local_expected_dims(7)[7] in seen
+    assert h.hexdigest()[:16] == "d9fee98a422239d7"
 
 
 # -- crosscheck -------------------------------------------------------------------------
