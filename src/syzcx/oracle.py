@@ -3,7 +3,7 @@
 Modules are realized as explicit matrix representations over two prime
 fields; syzygies are computed literally (radical, top, projective cover,
 kernel) with exact sparse mod-p linear algebra on Python ints, and each
-action is stored as a dense uint16 matrix. Dimension counts of monomial
+action is stored as its nonzero sparse columns. Dimension counts of monomial
 incidence structures are field independent, so the two primes must agree;
 a disagreement signals a rank drop and aborts the run.
 
@@ -61,13 +61,13 @@ def _dim_cap() -> int:
 # column, and elimination adds no fill. So a step works on sparse vectors of
 # Python ints: a column or a row is a list of (index, residue) pairs with no
 # zero residue, and None stands for a zero image. Each generator's action is
-# read once per step as its nonzero columns (_columns); the images along the
-# parent tree are built column by column (_act); the top and each cover are
-# eliminated as rows (_rref); each kernel is kept row-major, so that a
-# generator's new action is a scatter of the kernel rows it touches, and the
-# scattered rows are checked to lie in the target kernel exactly
-# (_in_kernel). Only the stored actions are dense, as uint16 residues in
-# [0, p), filled from coordinate lists.
+# stored as its nonzero columns, {source coordinate: column}, where a missing
+# column is zero; the images along the parent tree are built column by
+# column (_act); the top and each cover are eliminated as rows (_rref); each
+# kernel is kept row-major, so that a generator's new action is a scatter of
+# the kernel rows it touches, whose free rows are regrouped into its columns,
+# and the scattered rows are checked to lie in the target kernel exactly
+# (_in_kernel). No step allocates a dense matrix.
 #
 # A step pays for the module's nonzero spaces, not the table: no
 # elimination where the module or the generator images are zero, and no
@@ -75,31 +75,20 @@ def _dim_cap() -> int:
 # generator applied to it is a selection of its columns).
 
 
-def _columns(m) -> list | None:
-    """The columns of a dense action as sparse vectors; None for None."""
-    if m is None:
-        return None
-    cols = [[] for _ in range(m.shape[1])]
-    rs, cs = m.nonzero()
-    for r, c, v in zip(rs.tolist(), cs.tolist(), m[rs, cs].tolist()):
-        cols[c].append((r, v))
-    return cols
-
-
-def _act(gcols: list, image: list, p: int) -> list:
-    """A generator, given by its sparse columns, applied to every column of
-    an image. A column with one entry, the common case, selects a column of
-    the generator, scaled; others add up in a dict."""
+def _act(gcols: dict, image: list, p: int) -> list:
+    """A generator, given by its nonzero sparse columns, applied to every
+    column of an image. A column with one entry, the common case, selects a
+    column of the generator, scaled; others add up in a dict."""
     out = []
     for col in image:
         if len(col) == 1:
             (r, v), = col
-            out.append(gcols[r] if v == 1 else
-                       [(i, x * v % p) for i, x in gcols[r]])
+            out.append(gcols.get(r, ()) if v == 1 else
+                       [(i, x * v % p) for i, x in gcols.get(r, ())])
             continue
         acc = {}
         for r, v in col:
-            _add(acc, v, gcols[r], p)
+            _add(acc, v, gcols.get(r, ()), p)
         out.append(list(acc.items()))
     return out
 
@@ -389,8 +378,8 @@ def _along_parents(T: GradedTable, cols, p: int, starts) -> list:
     the coordinates starts[source of j] (None where the source has none),
     as a list of sparse columns, built along the parent tree: j = j' * g
     acts as g after j', and as a column selection of g after an idempotent,
-    which keeps its coordinates. `cols` holds each generator's sparse
-    columns, and None stands for zero."""
+    which keeps its coordinates. `cols` holds each generator's nonzero
+    sparse columns, and None stands for zero."""
     out: list = []
     for j, par in enumerate(T.parent):
         if par is None:
@@ -398,7 +387,7 @@ def _along_parents(T: GradedTable, cols, p: int, starts) -> list:
             continue
         prev, g = out[par[0]], cols[par[1]]
         out.append(None if prev is None or g is None
-                   else [g[i] for i in prev] if T.parent[par[0]] is None
+                   else [g.get(i, ()) for i in prev] if T.parent[par[0]] is None
                    else _act(g, prev, p))
     return out
 
@@ -430,20 +419,20 @@ def syzygy_rep(R: "TableRepresentation") -> "TableRepresentation":
     cover stacks one projective e_w A per lifted top vector at w; its basis
     is (j, copy) for the basis elements j from w, graded by the target of j,
     and its map sends (j, copy) to the lift acted on by j. The images are
-    built column by column from each action's nonzero columns, read once.
+    built column by column from each action's stored nonzero columns.
     The kernel is read off one sparse rref of the cover's rows per vertex,
     where R is nonzero, and kept row-major: row (j, copy) of the cover holds
     the kernel columns it is nonzero in. A generator g acts on the cover by
     j -> j*g, so its new action is a scatter of the kernel rows of its
     blocks, which come from the table's nonzero products: the scattered
-    rows at the target kernel's free rows are the new action, filled into
-    a dense uint16 matrix from their coordinates, and those at its pivot
-    rows are checked against them exactly. When every generator acts by
-    zero, R is semisimple and the kernel is rad P, the cover basis without
-    its idempotents: then no elimination is needed."""
+    rows at the target kernel's free rows are the new action, regrouped
+    into its nonzero columns, and those at its pivot rows are checked
+    against them exactly. When every generator acts by zero, R is
+    semisimple and the kernel is rad P, the cover basis without its
+    idempotents: then no elimination is needed."""
     T, p = R.table, R.p
     dims = [R.dims[v] for v in T.vertices]
-    cols = [_columns(R.mats[name]) for name in T.gen_names]
+    cols = [R.mats[name] for name in T.gen_names]
     semisimple = R.is_semisimple
     if semisimple:
         copies = dims
@@ -452,7 +441,7 @@ def syzygy_rep(R: "TableRepresentation") -> "TableRepresentation":
         for v, d in enumerate(dims):
             rad = [col for gcols, g in zip(cols, T.gens)
                    if gcols is not None and T.ends[g][1] == v
-                   for col in gcols if col]
+                   for col in gcols.values()]
             top = _rref(rad, d, p) if rad else {}
             lifts.append([i for i in range(d) if i not in top])
         copies = [len(lift) for lift in lifts]
@@ -511,35 +500,33 @@ def syzygy_rep(R: "TableRepresentation") -> "TableRepresentation":
         kernels.append((krow, free, pos, list(red)))
     new_dims = [len(free) for _, free, _, _ in kernels]
 
-    new_mats: list[np.ndarray | None] = []
+    new_mats: list[dict | None] = []
     for k, g in enumerate(T.gens):
         s, t = T.ends[g]
         krow, free, pos, pivots = kernels[t]
         image = _scatter(kernels[s][0], blocks[k], p)
         _in_kernel(image, krow, free, pivots, p)
-        coords = [(pos[b], f, v) for b, e in image.items() if pos[b] >= 0
-                  for f, v in e]
-        m = None
-        if coords:
-            rr, cc, vv = zip(*coords)
-            m = np.zeros((new_dims[t], new_dims[s]), dtype=np.uint16)
-            m[rr, cc] = vv
-        new_mats.append(m)
+        m = {}
+        for b, e in image.items():
+            if pos[b] >= 0:
+                for f, v in e:
+                    m.setdefault(f, []).append((pos[b], v))
+        new_mats.append(m or None)
     return TableRepresentation(T, p, dict(zip(T.vertices, new_dims)),
                                dict(zip(T.gen_names, new_mats)))
 
 
 class TableRepresentation:
     """Right module over a graded table: a GF(p) space per vertex and the
-    matrix of each generator (target space x source space), stored densely
-    as uint16 residues in [0, p), and read by the syzygy step and
-    check_relations once, as its nonzero columns; the action of a basis
-    element is the ordered product along its parent chain. A generator whose
-    action is the zero map stores None instead of a dense zero block, so
-    that semisimple modules cost nothing to read."""
+    matrix of each generator (target space x source space), stored as its
+    nonzero columns, {source coordinate: [(target row, residue in [1, p)),
+    ...]}, so that a missing coordinate is a zero column; the action of a
+    basis element is the ordered product along its parent chain. A
+    generator whose action is the zero map stores None, so that semisimple
+    modules cost nothing to read."""
 
     def __init__(self, table: GradedTable, p: int, dims: dict[str, int],
-                 mats: dict[str, np.ndarray | None]):
+                 mats: dict[str, dict[int, list] | None]):
         self.table = table
         self.p = p
         self.dims = dims
@@ -555,6 +542,19 @@ class TableRepresentation:
     def is_semisimple(self) -> bool:
         return all(m is None for m in self.mats.values())
 
+    def dense(self, name: str) -> np.ndarray:
+        """The matrix of generator `name` as a dense uint16 array of
+        residues (zeros where the action is None), for inspection and
+        hashing; the syzygy step never builds one."""
+        T = self.table
+        s, t = T.ends[T.basis.index(name)]
+        m = np.zeros((self.dims[T.vertices[t]], self.dims[T.vertices[s]]),
+                     dtype=np.uint16)
+        for c, col in (self.mats[name] or {}).items():
+            for r, v in col:
+                m[r, c] = v
+        return m
+
     def check_relations(self):
         """The action of j * g is the action of j followed by that of g, on
         sparse columns, for every pair of the table's checked_pairs (zero
@@ -562,7 +562,7 @@ class TableRepresentation:
         of its coordinates; no product reads one, as an idempotent j times
         g is g, whose parent is (j, k)."""
         T, p = self.table, self.p
-        cols = [_columns(self.mats[name]) for name in T.gen_names]
+        cols = [self.mats[name] for name in T.gen_names]
         images = _along_parents(T, cols, p,
                                 [range(self.dims[v]) for v in T.vertices])
         for j, k, jg in T.checked_pairs:
@@ -588,17 +588,16 @@ def _span_rep(T: GradedTable, p: int, summands) -> TableRepresentation:
             t = T.ends[j][1]
             row[(i, j)] = dims[t]
             dims[t] += 1
-    mats = [np.zeros((dims[T.ends[g][1]], dims[T.ends[g][0]]), dtype=np.uint16)
-            for g in T.gens]
+    mats: list[dict] = [{} for _ in T.gens]
     for i, members in enumerate(summands):
         for j in members:
             for k, right in enumerate(T.right):
                 to = row.get((i, right[j]))
                 if to is not None:
-                    mats[k][to, row[(i, j)]] = 1
+                    mats[k][row[(i, j)]] = [(to, 1)]
     rep = TableRepresentation(
         T, p, dict(zip(T.vertices, dims)),
-        {name: (m if m.any() else None) for name, m in zip(T.gen_names, mats)})
+        {name: m or None for name, m in zip(T.gen_names, mats)})
     rep.check_relations()
     return rep
 

@@ -88,6 +88,18 @@ def make_algebra(text):
     return validate_algebra(parse_algebra(text))
 
 
+def family_gen():
+    """The benchmark's seeded algebra generator (perfbench/gen.py), imported
+    read-only."""
+    here = str(Path(__file__).resolve().parents[1] / "perfbench")
+    sys.path.insert(0, here)
+    try:
+        import gen
+    finally:
+        sys.path.remove(here)
+    return gen
+
+
 def run_python(code, timeout=60):
     """Run `python -c code` in a child process that imports this checkout's
     syzcx; raises subprocess.TimeoutExpired when it outlives `timeout`."""

@@ -409,6 +409,26 @@ def test_line_algebra_is_counted_not_listed(tmp_path):
     assert proc.stderr.count("\n") == 1
 
 
+def test_xyz_local_runs_to_the_dimension_cap_in_1_gib():
+    """xyz-local k to n = 99 steps through dimension 167,761 and stops at the
+    cap, not at memory: dense actions ran out of memory from dimension 9,349
+    on. Under a 1 GiB address-space limit, set in the child only, and a 30 s
+    timeout, the call ends in one error line naming the cap."""
+    resource = pytest.importorskip("resource")
+
+    def limit():
+        resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
+
+    proc = cli_process(["oracle", "dims", "--builtin", "xyz-local", "--module",
+                        "k", "-n", "99"], preexec_fn=limit, timeout=30,
+                       OPENBLAS_NUM_THREADS="1")
+    assert proc.returncode == 4 and proc.stdout == ""
+    assert proc.stderr.startswith("error[dimension_cap_exceeded]: ")
+    assert proc.stderr.count("\n") == 1
+    assert "exceeds the cap 200000" in proc.stderr
+    assert proc.stderr.rstrip().endswith("167761, 439204]")
+
+
 HUGE = -10 ** 80
 
 

@@ -35,7 +35,6 @@ from syzcx.oracle import (
 )
 from syzcx.oracle import (
     _act,
-    _columns,
     _in_kernel,
     _rref,
     _scatter,
@@ -63,23 +62,29 @@ from conftest import (
 P = PRIMES[0]
 
 
-def dense_mat(r, name: str) -> np.ndarray:
-    """The matrix of generator `name` in representation `r`, materialized
-    densely (uint16) even where `r` stores None for a zero action."""
-    m = r.mats[name]
-    if m is not None:
-        return m
-    T = r.table
-    s, t = T.ends[T.basis.index(name)]
-    return np.zeros((r.dims[T.vertices[t]], r.dims[T.vertices[s]]),
-                    dtype=np.uint16)
-
-
 # -- sparse linear algebra helpers -------------------------------------------------
 
 def sparse_rows(m) -> list:
     """The rows of a dense matrix as the sparse rows _rref reads."""
     return [[(c, int(v)) for c, v in enumerate(row) if v] for row in m.tolist()]
+
+
+def sparse_columns(m) -> dict:
+    """The nonzero columns of a dense matrix, as an action is stored."""
+    return {c: col for c, col in enumerate(sparse_rows(m.T)) if col}
+
+
+def with_entry(r, name: str, row: int, col: int, value: int):
+    """A copy of representation `r` whose action `name` has entry (row, col)
+    set to `value`; the edited column is a new list, so `r` is untouched."""
+    mats = dict(r.mats)
+    m = mats[name] = dict(mats[name] or {})
+    edited = [(i, v) for i, v in m.pop(col, ()) if i != row]
+    if value:
+        edited.append((row, value))
+    if edited:
+        m[col] = edited
+    return TableRepresentation(r.table, r.p, dict(r.dims), mats)
 
 
 def test_act_matches_python_ints():
@@ -96,13 +101,17 @@ def test_act_matches_python_ints():
         a[:, 7] = 0
         b[7, 3] = 1  # selects a zero column
         want = (a.astype(object) @ b.astype(object)) % p
-        got = _act(_columns(a), _columns(b), p)
+        gcols = sparse_columns(a)
+        assert 7 not in gcols  # a zero column is not stored
+        got = _act(gcols, sparse_rows(b.T), p)
         assert len(got) == 11
         for c, col in enumerate(got):
             assert all(v for _, v in col)
             assert dict(col) == {r: int(v) for r, v in enumerate(want[:, c]) if v}
-        assert _act(_columns(a), [], p) == []
-    assert _columns(None) is None
+        assert _act(gcols, [], p) == []
+        # A missing column reads as zero, selected or summed.
+        assert [list(c) for c in _act({}, [[(0, 1)], [(0, 2)], [(0, 1), (1, 3)]],
+                                      p)] == [[], [], []]
 
 
 def test_rref_and_nullspace():
@@ -299,8 +308,8 @@ def test_rep_of_projective_has_action(fib):
     assert r.total_dim == 3
     assert not r.is_semisimple
     # the matrix of b maps the generator copy at vertex 2 into vertex 1
-    assert dense_mat(r, "b").shape == (1, 2)
-    assert dense_mat(r, "b").any()
+    assert r.dense("b").shape == (1, 2)
+    assert r.dense("b").any()
 
 
 def test_residue_differences_are_not_taken_unsigned():
@@ -311,12 +320,12 @@ def test_residue_differences_are_not_taken_unsigned():
     # x * y = y * x = xy; with y sending x to 39 xy, the image of x * y is
     # 39 xy and that of y * x is xy, and they differ by -38.
     r = table_rep(xyz_local_table(), "regular", p)
-    y = r.mats["y"].copy()
-    assert y[4, 1] == 1
-    y[4, 1] = 39
-    broken = TableRepresentation(r.table, p, dict(r.dims), dict(r.mats, y=y))
+    assert r.mats["y"][1] == [(4, 1)]
+    broken = with_entry(r, "y", 4, 1, 39)
+    assert broken.mats["y"][1] == [(4, 39)] and r.mats["y"][1] == [(4, 1)]
     with pytest.raises(InternalInconsistencyError):
         broken.check_relations()
+    r.check_relations()
 
 
 def _bump(row, c, p):
@@ -423,8 +432,7 @@ def test_step_reads_pivot_rows_in_row_order(monkeypatch):
     # its row, whatever order the pivots come in.
     import syzcx.oracle as oracle
 
-    act = np.zeros((5, 5), dtype=np.uint16)
-    act[1, 0] = act[2, 1] = act[3, 2] = act[2, 4] = 1
+    act = {0: [(1, 1)], 1: [(2, 1)], 2: [(3, 1)], 4: [(2, 1)]}
     seen = []
 
     def check(image, krow, free, pivots, p):
@@ -446,12 +454,12 @@ def test_step_reads_pivot_rows_in_row_order(monkeypatch):
 def test_rep_checks_relations(loop3):
     r = rep_of(singleton(projective_key(loop3, "1")), loop3, P)
     # sabotage: make x act as a full cyclic shift so x.x.x is nonzero
-    bad = np.zeros((3, 3), dtype=np.int64)
-    bad[1, 0] = bad[2, 1] = 1
-    bad[0, 2] = 1
-    broken = TableRepresentation(r.table, P, dict(r.dims), {"x": bad})
+    assert r.mats["x"] == {0: [(1, 1)], 1: [(2, 1)]}
+    broken = with_entry(r, "x", 0, 2, 1)
+    assert broken.mats["x"] == {0: [(1, 1)], 1: [(2, 1)], 2: [(0, 1)]}
     with pytest.raises(InternalInconsistencyError):
         broken.check_relations()
+    r.check_relations()
 
 
 def test_fibonacci_dims(fib):
@@ -476,13 +484,14 @@ def test_projective_resolution_stops(fib):
 
 def test_semisimple_shortcut_matches_dense_path(fib, chain):
     # Feed the same semisimple module through the combinatorial shortcut and
-    # through the elimination path (zero matrices materialized) and compare.
+    # through the elimination path (each zero map stored as an empty column
+    # dict, not None) and compare.
     cases = [rep_of(singleton(simple_key(A, v)), A, P)
              for A, v in ((fib, "1"), (chain, "2"))]
     cases.append(table_rep(xyz_local_table(), "k", P))
     for fast in cases:
-        dense_mats = {name: dense_mat(fast, name) for name in fast.mats}
-        slow = TableRepresentation(fast.table, P, dict(fast.dims), dense_mats)
+        zeros = {name: {} for name in fast.mats}
+        slow = TableRepresentation(fast.table, P, dict(fast.dims), zeros)
         assert fast.is_semisimple and not slow.is_semisimple
         f, s = fast, slow
         for _ in range(4):
@@ -736,11 +745,11 @@ def test_table_rep_modules():
 def test_table_rep_checks_products():
     # sabotage: let y send x to zero, so x*y and y*x no longer agree
     r = table_rep(xyz_local_table(), "regular", P)
-    y = r.mats["y"].copy()
-    y[4, 1] = 0
-    broken = TableRepresentation(r.table, P, dict(r.dims), dict(r.mats, y=y))
+    broken = with_entry(r, "y", 4, 1, 0)
+    assert 1 not in broken.mats["y"] and r.mats["y"][1] == [(4, 1)]
     with pytest.raises(InternalInconsistencyError):
         broken.check_relations()
+    r.check_relations()
 
 
 def test_xyz_dim_sequence():
@@ -762,21 +771,34 @@ def test_xyz_expected_dims_recurrence():
         assert f[n + 1] == 3 * f[n] - f[n - 1]
 
 
-def test_syzygies_store_uint16_residues(fib):
+def test_actions_are_stored_as_nonzero_sparse_columns(fib):
+    # Every action is None exactly when it is the zero map, and otherwise
+    # maps source coordinates to nonempty columns of target rows and
+    # residues in [1, p); dense() renders it as uint16 residues.
     cases = [table_rep(xyz_local_table(), "k", p) for p in PRIMES]
     cases += [rep_of(resolve_module(fib, m), fib, p)
               for m in ("S1", "Mix") for p in PRIMES]
     cases += [table_rep(XXW, "k", p) for p in PRIMES]
     cases.append(table_rep(KX3, "regular", P))
+    stored = 0
     for r in cases:
+        T = r.table
         for _ in range(6):
-            for m in r.mats.values():
-                if m is not None:
-                    assert m.dtype == np.uint16
-                    assert int(m.max()) < r.p
-            for name in r.mats:
-                assert dense_mat(r, name).dtype == np.uint16
+            for name, m in r.mats.items():
+                s, t = (r.dims[T.vertices[v]]
+                        for v in T.ends[T.basis.index(name)])
+                dense = r.dense(name)
+                assert dense.dtype == np.uint16 and dense.shape == (t, s)
+                assert (m is None) == (not dense.any())
+                for c, col in (m or {}).items():
+                    assert 0 <= c < s and col
+                    assert all(0 <= i < t and 0 < v < r.p for i, v in col)
+                    assert len({i for i, _ in col}) == len(col)
+                    assert dict(col) == {i: v for i, v in
+                                         enumerate(dense[:, c].tolist()) if v}
+                stored += m is not None
             r = r.syzygy()
+    assert stored >= 40
 
 
 def test_xyz_to_n8_fits_in_memory():
@@ -792,6 +814,21 @@ def test_xyz_to_n8_fits_in_memory():
             tracemalloc.stop()
         assert dims == want
         assert peak < 400 * 2**20
+
+
+def test_xyz_to_n9_fits_in_32_mb():
+    # The n = 9 step gives x and y actions of 9349 x 9349 with 2584 nonzeros
+    # each; stored densely, that run peaked at 387 MB.
+    want = xyz_local_expected_dims(9)
+    for p in PRIMES:
+        tracemalloc.start()
+        try:
+            dims = dim_sequence(table_rep(xyz_local_table(), "k", p), 9)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert dims == want
+        assert peak < 32 * 2**20
 
 
 def test_xyz_oracle_matches_bookkeeping():
@@ -814,8 +851,8 @@ def test_pinned_oracle_hash():
     def feed(r):
         h.update(repr([r.dims[v] for v in r.table.vertices]).encode())
         for name in r.table.gen_names:
-            m = r.mats[name]
-            h.update(b"None" if m is None else
+            m = r.dense(name)
+            h.update(b"None" if r.mats[name] is None else
                      repr(m.shape).encode() + m.astype("<u2").tobytes())
 
     for p in PRIMES:
@@ -848,8 +885,8 @@ def test_pinned_oracle_hash_at_scale():
         seen.append(r.total_dim)
         h.update(repr([r.dims[v] for v in r.table.vertices]).encode())
         for name in r.table.gen_names:
-            m = r.mats[name]
-            h.update(b"None" if m is None else
+            m = r.dense(name)
+            h.update(b"None" if r.mats[name] is None else
                      repr(m.shape).encode() + m.astype("<u2").tobytes())
 
     for p in PRIMES:

@@ -56,8 +56,8 @@ from syzcx.syzygy import (
     syzygy_step,
 )
 
-from conftest import (det_bareiss_int, random_monomial_algebras,
-                      random_rsz_algebras)
+from conftest import (det_bareiss_int, family_gen, make_algebra,
+                      random_monomial_algebras, random_rsz_algebras)
 
 SEED = 0x5EED
 
@@ -672,6 +672,30 @@ def test_pipelines_agree_beyond_radical_square_zero():
                 assert list(report.dims_oracle) == dims[:depth + 1]
                 deep += depth >= 2 and report.dims_oracle[2] > 0
     assert deep >= 10
+
+
+def test_pipelines_agree_on_benchmark_family_draws():
+    # The benchmark's classify family (perfbench/gen.py), nv 20 to 28: every
+    # simple and projective, at both primes, as deep (up to 10) as its
+    # reference dimensions stay <= 10^4.
+    gen, rng = family_gen(), random.Random(2210)
+    modules = deep = 0
+    for draw in range(3):
+        alg = gen.family_algebra(rng.randint(20, 28), rng)
+        A = make_algebra(gen.algebra_text(f"fam{draw}", alg))
+        for v in A.quiver.vertices:
+            for key in (simple_key(A, v), projective_key(A, v)):
+                M = singleton(key)
+                dims = quiver_dim_sequence(build_syzygy_quiver(M, A), 10)
+                depth = 0
+                while depth < 10 and max(dims[:depth + 2]) <= 10 ** 4:
+                    depth += 1
+                report = crosscheck(A, M, depth)
+                assert report.agree, (A.name, v, key, report)
+                assert list(report.dims_oracle) == dims[:depth + 1]
+                modules += 1
+                deep = max(deep, max(dims[:depth + 1]))
+    assert modules == 124 and deep == 9349
 
 
 def test_pipelines_agree_on_fixture_algebras(fib, chain, loop3, twostep):

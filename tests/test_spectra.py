@@ -1,10 +1,8 @@
 """Characteristic polynomials, condensations, and exact radius comparisons."""
 
 import random
-import sys
 from fractions import Fraction
 from math import comb
-from pathlib import Path
 from time import perf_counter
 
 import pytest
@@ -30,7 +28,7 @@ from syzcx.spectra import (
 )
 from syzcx.syzygy import build_syzygy_quiver, resolve_module
 
-from conftest import det_bareiss_int
+from conftest import det_bareiss_int, family_gen
 
 GOLDEN = poly(-1, -1, 1)
 PHI = (1 + 5 ** 0.5) / 2
@@ -150,21 +148,10 @@ def test_char_poly_signed_matrices_against_determinants():
             assert p.evaluate(t) == det_bareiss_int(shifted)
 
 
-def _family_gen():
-    """The benchmark's seeded algebra generator (perfbench/gen.py)."""
-    here = str(Path(__file__).resolve().parents[1] / "perfbench")
-    sys.path.insert(0, here)
-    try:
-        import gen
-    finally:
-        sys.path.remove(here)
-    return gen
-
-
 def test_char_poly_matches_trace_recursion_on_family_components():
     """Every strongly connected component of the syzygy quivers of seeded
     random monomial algebras (the benchmark's family), sum of all simples."""
-    gen = _family_gen()
+    gen = family_gen()
     sizes = []
     for draw in range(8):
         alg = gen.family_algebra(16 + 2 * draw, random.Random(draw))
