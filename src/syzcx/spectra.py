@@ -125,22 +125,6 @@ class Condensation(NamedTuple):
     top: tuple[int, ...]
     chain: tuple[int, ...]
 
-    def to_json(self) -> dict:
-        return {
-            "components": [
-                {
-                    "id": i,
-                    "members": list(c.vertices),
-                    "rho": c.rho.to_json(),
-                }
-                for i, c in enumerate(self.components)
-            ],
-            "arrows": [
-                {"from": a, "to": b}
-                for a, out in enumerate(self.succ) for b in out
-            ],
-        }
-
 
 def scc_condense(n: int, edge_list) -> Condensation:
     """Tarjan condensation of the digraph on vertices 0..n-1 with edge_list.

@@ -90,6 +90,29 @@ def test_golden(golden, argv):
     assert out == (GOLDEN / golden).read_text()
 
 
+# fib.alg's path modules: I = M(g) and J = 2*M(a) + M(b) are generated by
+# nonzero paths; Z = M(a.b) is the zero module, since a.b is a relation.
+@pytest.mark.parametrize("module,dims", [
+    ("I", [1, 2, 3, 5, 8, 13, 21, 34, 55]),
+    ("J", [3, 5, 8, 13, 21, 34, 55, 89, 144]),
+    ("Z", [0] * 9),
+])
+def test_path_module_terms(module, dims):
+    rc, out, err = run_cli(["oracle", "crosscheck", FIB, "--module", module,
+                            "-n", "8"])
+    assert rc == 0, err
+    doc = json.loads(out)
+    assert doc["agree"] and doc["quiver"] == doc["oracle"] == dims
+    rc, out, err = run_cli(["complexity", FIB, "--module", module])
+    assert rc == 0, err
+    cls = json.loads(out)["class"]
+    if module == "Z":
+        assert cls == {"kind": "zero", "pd": None}
+    else:
+        assert cls["kind"] == "polyexp" and cls["degree"] == 0
+        assert cls["base"]["poly"] == [-1, -1, 1]  # phi
+
+
 def test_module_entry_point():
     proc = cli_process(["validate", FIB])
     assert proc.returncode == 0
@@ -305,6 +328,11 @@ BAD_INPUT_CASES = [
      {"SYZCX_DIM_CAP": "abc"}, 3, ""),
     ("dim_cap_partial", ["oracle", "dims", FIB, "--module", "S1", "-n", "20"],
      {"SYZCX_DIM_CAP": "50"}, 4, "[1, 1, 2, 3, 5, 8, 13, 21, 34, 55]"),
+    ("combine_nonmonic", ["curvature", "combine", "--op", "sum", "[1,1]",
+                          "[1,2]"], {}, 4, "error[nonmonic_input]"),
+    ("combine_zero_constant", ["curvature", "combine", "--op", "product",
+                               "[-2,1]", "[0,1]"], {}, 4,
+     "error[zero_constant_term]"),
 ]
 
 

@@ -5,8 +5,9 @@ killers match their definition, exact comparisons form a total order,
 growth-class operations obey semiring-style laws, partial resolution data
 never overstates complexity, the graph traversals match a brute-force
 transitive closure, vertex classes match the per-vertex algorithm, module
-classes match a pinned hash, and the two independent dimension pipelines
-agree."""
+classes match a pinned hash, walk counts on syzygy quivers match dense
+adjacency powers, sink-free reduction keeps a module's class, and the two
+independent dimension pipelines agree."""
 
 import hashlib
 import json
@@ -40,7 +41,14 @@ from syzcx.polynomials import (
     rational_algebraic,
     squarefree_part,
 )
-from syzcx.spectra import char_poly, compare_algebraic, equal_radius, scc_condense
+from syzcx.errors import FiniteProjectiveDimensionError
+from syzcx.spectra import (
+    adjacency_matrix,
+    char_poly,
+    compare_algebraic,
+    equal_radius,
+    scc_condense,
+)
 from syzcx.syzygy import (
     SyzygyQuiver,
     build_syzygy_quiver,
@@ -52,6 +60,7 @@ from syzcx.syzygy import (
     quiver_dim_sequence,
     simple_key,
     singleton,
+    sinkfree_reduce,
     syzygy_quiver_from_json,
     syzygy_step,
 )
@@ -643,8 +652,76 @@ def test_out_expr_matches_syzygy_step_on_random_algebras():
     for A in random_rsz_algebras(seed=SEED + 2, count=5):
         v = A.quiver.vertices[-1]
         q = build_syzygy_quiver(singleton(simple_key(A, v)), A)
-        for i, label in enumerate(q.labels):
-            assert q.out_expr(i) == syzygy_step(label, A)
+        for out, label in zip(q.out_exprs(), q.labels):
+            assert out == syzygy_step(label, A)
+
+
+# -- walks on syzygy quivers ---------------------------------------------------------
+
+def _sinkfree_reductions():
+    """(quiver, sinkfree_reduce result, carrier) for each simple of a seeded
+    corpus whose syzygy quiver has a sink and a cycle reachable from the
+    start. The reductions label vertices with sums of cyclic modules."""
+    out = []
+    for A in random_monomial_algebras(23, 150):
+        for v in A.quiver.vertices:
+            q = build_syzygy_quiver(singleton(simple_key(A, v)), A)
+            if len({a for a, _ in q.arrows}) == q.n_vertices:
+                continue
+            try:
+                reduced, carrier = sinkfree_reduce(q, 0)
+            except FiniteProjectiveDimensionError:
+                continue
+            out.append((q, reduced, carrier))
+    return out
+
+
+def test_sinkfree_reduce_deletes_sinks_and_keeps_the_class():
+    cases = _sinkfree_reductions()
+    assert len(cases) == 60
+    for q, reduced, carrier in cases:
+        assert {a for a, _ in reduced.arrows} == set(range(reduced.n_vertices))
+        assert reduced.start == ((carrier, 1),)
+        assert quiver_dim_sequence(reduced, 15) == quiver_dim_sequence(q, 15)
+        before = vertex_complexity(scc_condense(*q.digraph()), 0)
+        after = vertex_complexity(scc_condense(*reduced.digraph()), carrier)
+        assert compare(before, after) == 0
+    assert all(any(len(lb.terms) > 1 for lb in reduced.labels)
+               for _, reduced, _ in cases)
+
+
+def _dense_walk_dims(Q, N):
+    """Reference for quiver_dim_sequence: the start vector times the powers
+    of the dense adjacency matrix, each walk weighted by its end's label
+    dimension."""
+    n, adj, dims = Q.n_vertices, adjacency_matrix(Q), Q.dims
+    vec = [0] * n
+    for i, m in Q.start:
+        vec[i] += m
+    out = []
+    for _ in range(N + 1):
+        out.append(sum(x * d for x, d in zip(vec, dims)))
+        vec = [sum(vec[i] * adj[i][j] for i in range(n)) for j in range(n)]
+    return out
+
+
+def test_quiver_dim_sequence_matches_dense_adjacency_powers():
+    checked = 0
+    for A in random_monomial_algebras(SEED + 5, 25):
+        vs = A.quiver.vertices
+        modules = [singleton(f(A, v)) for v in vs
+                   for f in (simple_key, projective_key)]
+        modules.append(module_expr([(simple_key(A, v), i + 1)
+                                    for i, v in enumerate(vs)]
+                                   + [(projective_key(A, vs[0]), 2)]))
+        for M in modules:
+            q = build_syzygy_quiver(M, A)
+            assert quiver_dim_sequence(q, 12) == _dense_walk_dims(q, 12)
+            checked += 1
+    for _, reduced, _ in _sinkfree_reductions():
+        assert quiver_dim_sequence(reduced, 15) == _dense_walk_dims(reduced, 15)
+        checked += 1
+    assert checked >= 200
 
 
 def test_pipelines_agree_on_random_algebras():

@@ -2,7 +2,7 @@
 
 import random
 from fractions import Fraction
-from math import comb
+from math import comb, isqrt
 from time import perf_counter
 
 import pytest
@@ -213,12 +213,6 @@ def test_scc_condense_top_and_chain():
     assert chain == [1, 1, 2, 1]
 
 
-def test_condensation_json_shape():
-    doc = scc_condense(2, [(0, 1), (1, 1)]).to_json()
-    assert {c["id"] for c in doc["components"]} == {0, 1}
-    assert all({"id", "members", "rho"} <= set(c) for c in doc["components"])
-
-
 def test_equal_radius_same_value_different_polys():
     phi1 = largest_real_root(GOLDEN)
     phi2 = largest_real_root(GOLDEN * poly(-1, 1))  # extra root at 1
@@ -235,6 +229,24 @@ def test_compare_algebraic():
     assert compare_algebraic(phi, largest_real_root(GOLDEN)) == 0
     # A tight sandwich: phi vs 1.618 = 809/500 (phi is larger).
     assert compare_algebraic(phi, rational_algebraic(Fraction(809, 500))) > 0
+
+
+def test_compare_algebraic_refines_values_closer_than_the_intervals():
+    # Both neighbours of sqrt2 lie inside its 2^-48 isolating interval, so
+    # the comparison separates them only by refining. `near` is a rational
+    # within 2^-61 of sqrt2; `far` is sqrt(2 + 10^-40), a root of
+    # 10^40 x^2 - (2*10^40 + 1).
+    sqrt2 = largest_real_root(poly(-2, 0, 1))
+    near = rational_algebraic(Fraction(isqrt(2 << 122), 1 << 61))
+    big = 10 ** 40
+    far = largest_real_root(poly(-(2 * big + 1), 0, big))
+    for other, square in ((near, near.lo ** 2), (far, Fraction(2 * big + 1, big))):
+        assert sqrt2.lo <= other.hi and other.lo <= sqrt2.hi
+        sign = (square < 2) - (square > 2)  # sqrt2 against `other`
+        assert sign != 0
+        assert compare_algebraic(sqrt2, other) == sign
+        assert compare_algebraic(other, sqrt2) == -sign
+        assert not equal_radius(sqrt2, other)
 
 
 def test_algebraic_power_golden_square():
