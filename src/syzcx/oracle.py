@@ -15,6 +15,15 @@ algebra with basis 1, x, y, z, xy and relations x^2 = y^2 = z^2 = xz = yz = 0.
 Both kinds of algebra compile to a GradedTable (a monomial algebra through
 its nonzero paths), and one syzygy step, syzygy_rep, serves every
 representation.
+
+Dimension sequences (dim_sequence) rest on the syzygy of a direct sum being
+the direct sum of the syzygies: a module is split into its coordinate
+blocks, the classes of coordinates that nonzero action entries link, and
+kept as a multiset of block keys. Each distinct block is stepped once with
+syzygy_rep and the result split again, memoized for the one sequence.
+Over a monomial algebra every syzygy is a direct sum of small cyclic modules
+(Zimmermann Huisgen, Manuscripta Math. 70, 1991), so few distinct blocks
+recur, and no syzygy that splits is materialized whole.
 """
 
 from __future__ import annotations
@@ -198,7 +207,7 @@ class GradedTable:
         self.parent = parent
         self.right = right
 
-    @property
+    @cached_property
     def gen_names(self) -> list[str]:
         return [self.basis[g] for g in self.gens]
 
@@ -239,19 +248,37 @@ def compile_paths(A: MonomialAlgebra) -> GradedTable:
 
 
 def _path_table(A: MonomialAlgebra) -> GradedTable:
+    """The nonzero paths in paths_from order: the trivial paths, then,
+    breadth-first, each path's extensions by the automaton's moves from its
+    state. Walked in index order, each extension j * a is numbered as it is
+    met, with parent (j, a) and the literal of j extended by a, so no arrow
+    tuple is built, sliced or hashed."""
     Q = A.quiver
-    paths = tuple(A.paths_from())
-    at = {(q.source, q.arrows): j for j, q in enumerate(paths)}
+    state = [Q.vertex_index[v] for v in Q.vertices]
+    basis = [f"e({v})" for v in Q.vertices]
+    ends = [(s, s) for s in state]
+    parent: list = [None] * len(state)
+    right: list[list[int]] = [[] for _ in Q.arrows]
+    j = 0
+    while j < len(state):
+        for row in right:
+            row.append(-1)
+        for name, s in A.moves[state[j]].items():
+            k = Q.arrow_index[name]
+            right[k][j] = len(state)
+            parent.append((j, k))
+            state.append(s)
+            basis.append(basis[j] + "." + name if parent[j] else name)
+            ends.append((ends[j][0], Q.vertex_index[Q.arrows[k].target]))
+        j += 1
     return GradedTable(
-        basis=tuple(q.literal() for q in paths),
+        basis=tuple(basis),
         vertices=Q.vertices,
-        ends=tuple((Q.vertex_index[q.source], Q.vertex_index[q.target])
-                   for q in paths),
-        gens=tuple(at[(a.source, (a.name,))] for a in Q.arrows),
-        parent=tuple((at[(q.source, q.arrows[:-1])], Q.arrow_index[q.arrows[-1]])
-                     if q.arrows else None for q in paths),
-        right=tuple(tuple(at.get((q.source, q.arrows + (a.name,)), -1)
-                          for q in paths) for a in Q.arrows),
+        ends=tuple(ends),
+        gens=tuple(right[k][Q.vertex_index[a.source]]
+                   for k, a in enumerate(Q.arrows)),
+        parent=tuple(parent),
+        right=tuple(map(tuple, right)),
     )
 
 
@@ -646,32 +673,120 @@ def xyz_local_expected_dims(N: int) -> list[int]:
 
 # -- sequences and crosschecking -----------------------------------------------
 
-def dim_sequence(R, N: int) -> list[int]:
-    """[dim R, dim syzygy(R), ..., dim syzygy^N(R)]. Refuses to take the
-    syzygy of a representation larger than the cap (default 200000, set only
-    through the environment variable SYZCX_DIM_CAP), and reports a step that
-    runs out of memory the same way; the partial list rides on the error and
-    is named in its message."""
+def _blocks(R: TableRepresentation) -> dict[tuple, int]:
+    """The coordinate blocks of R, {key: multiplicity}. A block is a class
+    of the union-find over all coordinates that links the two ends of every
+    nonzero action entry, so R is the direct sum of its blocks. A block's
+    coordinates are renumbered in order at each vertex, and its key is
+    (its dims at each vertex, (k, action) for each generator k that acts on
+    it by a nonzero map, in order of k), with an action given as its
+    nonzero columns, (coordinate, entries sorted by row), sorted by
+    coordinate: equal keys are equal representations."""
+    T = R.table
+    dims = [R.dims[v] for v in T.vertices]
+    off = [0]
+    for d in dims:
+        off.append(off[-1] + d)
+    acting = []
+    for k, (name, g) in enumerate(zip(T.gen_names, T.gens)):
+        if R.mats[name]:
+            acting.append((k, R.mats[name], off[T.ends[g][0]], off[T.ends[g][1]]))
+    up = list(range(off[-1]))
+    for _, m, s, t in acting:
+        for c, col in m.items():
+            a = s + c
+            while up[a] != a:
+                up[a] = a = up[up[a]]
+            for r, _ in col:
+                b = t + r
+                while up[b] != b:
+                    up[b] = b = up[up[b]]
+                if a != b:
+                    up[b] = a
+    roots = [x for x, y in enumerate(up) if x == y]
+    if len(roots) < 2:  # R is one block, or zero: no renumbering
+        parts = [(dims, {k: m for k, m, _, _ in acting})] if roots else []
+    else:
+        head = {x: b for b, x in enumerate(roots)}
+        parts = [([0] * len(dims), {}) for _ in roots]
+        block, loc = [0] * len(up), [0] * len(up)
+        for v in range(len(dims)):
+            for x in range(off[v], off[v + 1]):
+                r = x
+                while up[r] != r:
+                    r = up[r]
+                e = parts[head[r]][0]
+                block[x], loc[x] = head[r], e[v]
+                e[v] += 1
+        for k, m, s, t in acting:
+            for c, col in m.items():
+                x = s + c
+                parts[block[x]][1].setdefault(k, {})[loc[x]] = [
+                    (loc[t + r], v) for r, v in col]
+    out: dict[tuple, int] = {}
+    for d, actions in parts:
+        key = (tuple(d), tuple(
+            (k, tuple(sorted(zip(m, map(tuple, map(sorted, m.values()))))))
+            for k, m in actions.items()))
+        out[key] = out.get(key, 0) + 1
+    return out
+
+
+def _block_rep(T: GradedTable, p: int, key: tuple) -> TableRepresentation:
+    """The representation whose _blocks key is `key`."""
+    dims, actions = key
+    mats = dict.fromkeys(T.gen_names)
+    for k, action in actions:
+        mats[T.gen_names[k]] = dict(action)
+    return TableRepresentation(T, p, dict(zip(T.vertices, dims)), mats)
+
+
+def _step_blocks(T: GradedTable, p: int, blocks: dict, memo: dict) -> dict:
+    """The blocks of the syzygy of the direct sum `blocks`, {key:
+    multiplicity}: the syzygy of a direct sum is the direct sum of the
+    syzygies. Each block not yet in `memo` is rebuilt from its key, stepped
+    once with syzygy_rep, and memoized as the keys of the result's blocks."""
+    out: dict[tuple, int] = {}
+    for key, mult in blocks.items():
+        if key not in memo:
+            memo[key] = tuple(_blocks(syzygy_rep(_block_rep(T, p, key))).items())
+        for child, count in memo[key]:
+            out[child] = out.get(child, 0) + mult * count
+    return out
+
+
+def dim_sequence(R: TableRepresentation, N: int) -> list[int]:
+    """[dim R, dim syzygy(R), ..., dim syzygy^N(R)]. R is handled as the
+    direct sum of its coordinate blocks (_blocks), a multiset of block keys,
+    and each distinct block is stepped once in the call (_step_blocks); no
+    syzygy that splits is materialized whole. Refuses to take the syzygy of
+    a representation whose total dimension is larger than the cap (default
+    200000, set only through the environment variable SYZCX_DIM_CAP), and
+    reports a step that runs out of memory the same way; the partial list
+    rides on the error and is named in its message."""
     if N < 0:
         raise ValueError("N must be >= 0")
     limit = _dim_cap()
+    T, p = R.table, R.p
     dims = [R.total_dim]
-    cur = R
+    blocks, memo = None, {}
     for _ in range(N):
-        if cur.total_dim > limit:
+        if dims[-1] > limit:
             raise DimensionCapExceededError(
-                f"representation dimension {cur.total_dim} exceeds the cap "
+                f"representation dimension {dims[-1]} exceeds the cap "
                 f"{limit}; dimensions so far {dims}", dims=dims,
             )
         try:
-            cur = cur.syzygy()
+            if blocks is None:
+                blocks = _blocks(R)
+            blocks = _step_blocks(T, p, blocks, memo)
         except MemoryError:
             raise DimensionCapExceededError(
                 f"out of memory taking the syzygy of a representation of "
-                f"dimension {cur.total_dim}; dimensions so far {dims}",
+                f"dimension {dims[-1]}; dimensions so far {dims}",
                 dims=dims,
             ) from None
-        dims.append(cur.total_dim)
+        dims.append(sum(mult * sum(key[0]) for key, mult in blocks.items()))
     return dims
 
 

@@ -364,12 +364,18 @@ def test_bad_input_gives_one_error_line(tmp_path, argv, env, code, needle):
 def test_memory_error_in_a_syzygy_step_keeps_the_partial_result(monkeypatch):
     from syzcx import oracle
 
-    def step(R):
-        if R.total_dim > 2:
-            raise MemoryError
-        return oracle.syzygy_rep(R)
+    # dim_sequence steps each distinct block once, so every step after the
+    # second is memo lookups: fail the fourth step itself, the one that
+    # would give the fifth dimension.
+    steps, real = [], oracle._step_blocks
 
-    monkeypatch.setattr(oracle.TableRepresentation, "syzygy", step)
+    def step(*args):
+        steps.append(len(steps))
+        if len(steps) == 4:
+            raise MemoryError
+        return real(*args)
+
+    monkeypatch.setattr(oracle, "_step_blocks", step)
     rc, out, err = run_cli(["oracle", "dims", FIB, "--module", "S1", "-n", "8"])
     assert rc == 4 and out == ""
     assert err.startswith("error[dimension_cap_exceeded]: out of memory")

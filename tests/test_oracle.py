@@ -9,8 +9,10 @@ local commutative table algebra satisfies f(n+1) = 3 f(n) - f(n-1)."""
 
 import gc
 import hashlib
+import random
 import sys
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -35,11 +37,13 @@ from syzcx.oracle import (
 )
 from syzcx.oracle import (
     _act,
+    _blocks,
     _in_kernel,
     _rref,
     _scatter,
 )
 from syzcx.syzygy import (
+    module_expr,
     resolve_module,
     simple_key,
     projective_key,
@@ -54,12 +58,14 @@ from syzcx.errors import (
 from conftest import (
     FIB_TEXT,
     LOOP3_TEXT,
+    family_gen,
     fibonacci_numbers,
     make_algebra,
     random_monomial_algebras,
 )
 
 P = PRIMES[0]
+FIB_ALG = Path(__file__).resolve().parent / "data" / "fib.alg"
 
 
 # -- sparse linear algebra helpers -------------------------------------------------
@@ -415,10 +421,23 @@ def _rightmost_rref(rows, cols, p):
             for i, c in enumerate(pivots)}
 
 
-# k[x]/(x^4) as a table.
+# k[x]/(x^4) as a table, and the action of x on the module with basis m,
+# xm, x^2 m, x^3 m, n and xn = x^2 m, which is one coordinate block.
 KX4 = AlgebraTable("kx4", ("1", "x", "x2", "x3"),
                    tuple(tuple(i + j if i + j < 4 else -1 for j in range(4))
                          for i in range(4)), (0,))
+KX4_XN_X2M = {0: [(1, 1)], 1: [(2, 1)], 2: [(3, 1)], 4: [(2, 1)]}
+
+
+def literal_dims(R, N: int, bound: float = float("inf")) -> list[int]:
+    """The dimension sequence by stepping the whole module, up to N steps
+    and no further once the dimension exceeds `bound`: the reference for
+    dim_sequence, which steps each distinct coordinate block once."""
+    out = [R.total_dim]
+    while len(out) <= N and out[-1] <= bound:
+        R = R.syzygy()
+        out.append(R.total_dim)
+    return out
 
 
 def test_step_reads_pivot_rows_in_row_order(monkeypatch):
@@ -432,21 +451,23 @@ def test_step_reads_pivot_rows_in_row_order(monkeypatch):
     # its row, whatever order the pivots come in.
     import syzcx.oracle as oracle
 
-    act = {0: [(1, 1)], 1: [(2, 1)], 2: [(3, 1)], 4: [(2, 1)]}
     seen = []
 
     def check(image, krow, free, pivots, p):
         seen.append(any(image.get(q) for q in pivots))
         return _in_kernel(image, krow, free, pivots, p)
 
+    # The whole module is stepped each time, so the check sees the step of
+    # M itself, not of blocks that dim_sequence rebuilds from their keys.
     for p in PRIMES:
-        M = TableRepresentation(compile_table(KX4), p, {"1": 5}, {"x": act})
+        M = TableRepresentation(compile_table(KX4), p, {"1": 5},
+                                {"x": KX4_XN_X2M})
         M.check_relations()
-        want = dim_sequence(M, 4)
+        want = literal_dims(M, 4)
         assert want[:2] == [5, 3]
         monkeypatch.setattr(oracle, "_rref", _rightmost_rref)
         monkeypatch.setattr(oracle, "_in_kernel", check)
-        assert dim_sequence(M, 4) == want
+        assert literal_dims(M, 4) == want
         monkeypatch.undo()
         assert any(seen)
 
@@ -644,6 +665,39 @@ def test_compile_paths_checks_the_cap_on_every_call(fib, a2, monkeypatch):
             compile_paths(A)
     monkeypatch.setenv("SYZCX_DIM_CAP", "5")
     assert compile_paths(fib) is compile_paths(fib)
+
+
+def _path_table_by_arrow_tuples(A):
+    """The path table's fields by hashing each path's arrow tuple: the
+    reference for compile_paths, which numbers extensions by (parent,
+    arrow)."""
+    Q = A.quiver
+    paths = tuple(A.paths_from())
+    at = {(q.source, q.arrows): j for j, q in enumerate(paths)}
+    return (tuple(q.literal() for q in paths),
+            tuple((Q.vertex_index[q.source], Q.vertex_index[q.target])
+                  for q in paths),
+            tuple(at[(a.source, (a.name,))] for a in Q.arrows),
+            tuple((at[(q.source, q.arrows[:-1])],
+                   Q.arrow_index[q.arrows[-1]]) if q.arrows else None
+                  for q in paths),
+            tuple(tuple(at.get((q.source, q.arrows + (a.name,)), -1)
+                        for q in paths) for a in Q.arrows))
+
+
+def test_compile_paths_matches_the_arrow_tuple_lookup():
+    gen, rng = family_gen(), random.Random(2210)
+    family = [make_algebra(gen.algebra_text(
+        f"fam{i}", gen.family_algebra(rng.randint(20, 28), rng)))
+        for i in range(2)]
+    loop = make_algebra("algebra xL\nvertex 1\narrow x : 1 -> 1\n"
+                        "relation " + ".".join(["x"] * 40) + "\n")
+    for A in (random_monomial_algebras(41, 8) + family
+              + [make_algebra(FIB_TEXT), make_algebra(LOOP3_TEXT), loop]):
+        T = compile_paths(A)
+        assert (T.basis, T.ends, T.gens, T.parent, T.right) == \
+            _path_table_by_arrow_tuples(A)
+        assert T.vertices == A.quiver.vertices
 
 
 # -- multiplication tables ------------------------------------------------------------
@@ -908,6 +962,77 @@ def test_pinned_oracle_hash_at_scale():
     assert h.hexdigest()[:16] == "d9fee98a422239d7"
 
 
+# -- dimension sequences on coordinate blocks ---------------------------------------
+
+def _two_kx3_blocks(p):
+    """Two 4-dimensional modules over k[x]/(x^3), on the even and the odd
+    coordinates: x sends the top pair to e + f and e + c f, with c = 1 and
+    c = 2. Their actions have the same nonzero entries, but x has rank 1
+    and 2, so their syzygies have dimension 3 * 3 - 4 = 5 and 2 * 3 - 4 = 2."""
+    act = {0: [(4, 1), (6, 1)], 2: [(4, 1), (6, 1)],
+           1: [(5, 1), (7, 1)], 3: [(7, 2), (5, 1)]}
+    R = TableRepresentation(compile_table(KX3), p, {"1": 8}, {"x": act})
+    R.check_relations()
+    return R
+
+
+def test_dim_sequence_matches_the_literal_iteration():
+    # Simples, projectives and a sum with multiplicities over random
+    # monomial algebras, fib.alg's J = 2*M(a) + M(b), xyz-local k and regular, KX3,
+    # XXW (colliding products), the KX4 module with xn = x^2 m, which does
+    # not split, two blocks that differ only in a residue, and a zero
+    # module, at both primes, as deep (up to 8) as the dimension stays <=
+    # 1500.
+    fib = make_algebra(FIB_ALG.read_text())
+    algebras = random_monomial_algebras(41, 8) + [fib]
+    checked = split = 0
+    for p in PRIMES:
+        cases = []
+        for A in algebras:
+            keys = [f(A, v) for v in A.quiver.vertices
+                    for f in (simple_key, projective_key)]
+            cases += [rep_of(singleton(key), A, p) for key in keys]
+            cases.append(rep_of(module_expr(
+                [(key, i % 3 + 1) for i, key in enumerate(keys)]), A, p))
+        cases.append(rep_of(resolve_module(fib, "J"), fib, p))
+        cases += [table_rep(t, m, p) for t in (xyz_local_table(), KX3)
+                  for m in ("k", "regular")]
+        cases.append(table_rep(XXW, "k", p))
+        cases.append(TableRepresentation(compile_table(KX4), p, {"1": 5},
+                                         {"x": KX4_XN_X2M}))
+        cases.append(_two_kx3_blocks(p))
+        T = compile_paths(fib)
+        cases.append(TableRepresentation(T, p, dict.fromkeys(T.vertices, 0),
+                                         dict.fromkeys(T.gen_names)))
+        for R in cases:
+            want = literal_dims(R, 8, bound=1500)
+            assert dim_sequence(R, len(want) - 1) == want
+            checked += 1
+            split += sum(_blocks(R).values()) > 1
+    assert checked == 2 * (sum(2 * len(A.quiver.vertices) + 1
+                               for A in algebras) + 9)
+    assert split >= 20
+
+
+def test_blocks_are_the_direct_summands_in_order():
+    # The two KX3 blocks are found on interleaved coordinates, renumbered in
+    # order, their column entries sorted; the KX4 module is one block; the
+    # zero module has none.
+    blocks = _blocks(_two_kx3_blocks(P))
+    assert blocks == {
+        ((4,), ((0, ((0, ((2, 1), (3, 1))), (1, ((2, 1), (3, 1))))),)): 1,
+        ((4,), ((0, ((0, ((2, 1), (3, 1))), (1, ((2, 1), (3, 2))))),)): 1}
+    M = TableRepresentation(compile_table(KX4), P, {"1": 5},
+                            {"x": KX4_XN_X2M})
+    assert list(_blocks(M).values()) == [1]
+    fib = make_algebra(FIB_TEXT)
+    T = compile_paths(fib)
+    zero = TableRepresentation(T, P, dict.fromkeys(T.vertices, 0),
+                               dict.fromkeys(T.gen_names))
+    assert _blocks(zero) == {}
+    assert dim_sequence(zero, 3) == [0, 0, 0, 0]
+
+
 # -- crosscheck -------------------------------------------------------------------------
 
 def test_crosscheck_agree(fib):
@@ -956,6 +1081,49 @@ def test_crosscheck_compiles_each_table_once(monkeypatch):
     del algebras, A
     gc.collect()
     assert len(oracle._PATH_TABLES) == held - 2
+
+
+def test_block_memo_steps_each_distinct_block_once_per_sequence(monkeypatch):
+    # Crosschecks of every simple of one benchmark family draw: within one
+    # dim_sequence call syzygy_rep sees each distinct block once, though the
+    # same blocks recur from step to step, and a second round steps the
+    # same blocks again, since the memo lives only as long as its call.
+    import syzcx.oracle as oracle
+
+    gen = family_gen()
+    alg = gen.family_algebra(21, random.Random(2210))
+    A = make_algebra(gen.algebra_text("fam", alg))
+    calls, sequence, step = [], oracle.dim_sequence, oracle._step_blocks
+
+    def counted_sequence(R, N):
+        calls.append((R.p, [], []))
+        return sequence(R, N)
+
+    def counted_step(T, p, blocks, memo):
+        calls[-1][1].extend(blocks)
+        return step(T, p, blocks, memo)
+
+    def counted(R):
+        (key, count), = _blocks(R).items()
+        assert count == 1
+        calls[-1][2].append(key)
+        return syzygy_rep(R)
+
+    monkeypatch.setattr(oracle, "dim_sequence", counted_sequence)
+    monkeypatch.setattr(oracle, "_step_blocks", counted_step)
+    monkeypatch.setattr(oracle, "syzygy_rep", counted)
+    simples = [singleton(simple_key(A, v)) for v in A.quiver.vertices]
+    for M in simples:
+        assert crosscheck(A, M, 10).agree
+    first = list(calls)
+    assert [p for p, _, _ in first] == list(PRIMES) * len(simples)
+    for _, met, stepped in first:
+        assert len(stepped) == len(set(stepped)) and set(stepped) == set(met)
+    assert sum(len(met) for _, met, _ in first) > 4 * sum(
+        len(stepped) for _, _, stepped in first)
+    for M in simples:
+        assert crosscheck(A, M, 10).agree
+    assert calls[len(first):] == first
 
 
 def test_crosscheck_report_mismatch_shape():

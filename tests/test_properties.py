@@ -20,6 +20,7 @@ from syzcx.algebra import PathZero, contiguous_subpaths
 from syzcx.complexity import (
     compare,
     convolve,
+    empirical_class_check,
     join,
     lower_bound_from_partial,
     module_complexity,
@@ -773,6 +774,37 @@ def test_pipelines_agree_on_benchmark_family_draws():
                 modules += 1
                 deep = max(deep, max(dims[:depth + 1]))
     assert modules == 124 and deep == 9349
+
+
+def test_pipelines_agree_to_dimension_1e5_on_benchmark_family_draws():
+    # The same draws, as deep (up to 30) as the reference dimensions stay
+    # <= 10^5. Each oracle sequence of depth >= 9 also lies in the symbolic
+    # class over its last nine terms, the window past any projective
+    # dimension.
+    gen, rng = family_gen(), random.Random(2210)
+    modules = classed = deep = 0
+    for draw in range(3):
+        alg = gen.family_algebra(rng.randint(20, 28), rng)
+        A = make_algebra(gen.algebra_text(f"fam{draw}", alg))
+        for v in A.quiver.vertices:
+            for key in (simple_key(A, v), projective_key(A, v)):
+                M = singleton(key)
+                dims = quiver_dim_sequence(build_syzygy_quiver(M, A), 30)
+                depth = 0
+                while depth < 30 and max(dims[:depth + 2]) <= 10 ** 5:
+                    depth += 1
+                report = crosscheck(A, M, depth)
+                assert report.agree, (A.name, v, key, report)
+                assert list(report.dims_oracle) == dims[:depth + 1]
+                modules += 1
+                deep = max(deep, max(dims[:depth + 1]))
+                if depth >= 9:
+                    cls = module_complexity(A, M).cls
+                    ok, lo, hi = empirical_class_check(
+                        list(report.dims_oracle), cls, (depth - 8, depth))
+                    assert ok, (A.name, v, key, cls, lo, hi)
+                    classed += 1
+    assert modules == classed == 124 and deep == 99296
 
 
 def test_pipelines_agree_on_fixture_algebras(fib, chain, loop3, twostep):
