@@ -3,9 +3,9 @@
 Modules are realized as explicit matrix representations over two prime
 fields; syzygies are computed literally (radical, top, projective cover,
 kernel) with exact sparse mod-p linear algebra on Python ints, and each
-action is stored as its nonzero sparse columns. Dimension counts of monomial
-incidence structures are field independent, so the two primes must agree;
-a disagreement signals a rank drop and aborts the run.
+action is stored as sparse columns, one per source coordinate. Dimension
+counts of monomial incidence structures are field independent, so the two
+primes must agree; a disagreement signals a rank drop and aborts the run.
 
 Non-monomial algebras enter through an explicit multiplication table on a
 fixed basis (products of basis elements are basis elements or zero). The one
@@ -16,14 +16,15 @@ Both kinds of algebra compile to a GradedTable (a monomial algebra through
 its nonzero paths), and one syzygy step, syzygy_rep, serves every
 representation.
 
-Dimension sequences (dim_sequence) rest on the syzygy of a direct sum being
-the direct sum of the syzygies: a module is split into its coordinate
-blocks, the classes of coordinates that nonzero action entries link, and
-kept as a multiset of block keys. Each distinct block is stepped once with
-syzygy_rep and the result split again, memoized for the one sequence.
-Over a monomial algebra every syzygy is a direct sum of small cyclic modules
-(Zimmermann Huisgen, Manuscripta Math. 70, 1991), so few distinct blocks
-recur, and no syzygy that splits is materialized whole.
+A representation (TableRepresentation) is a value indexed by table
+position. Dimension sequences (dim_sequence) rest on the syzygy of a direct
+sum being the direct sum of the syzygies: a module is kept as a multiset of
+its coordinate blocks (the classes of coordinates that nonzero action
+entries link) in canonical form, each its own memo key, stepped once with
+syzygy_rep and split again. Over a monomial algebra every syzygy is a
+direct sum of small cyclic modules (Zimmermann Huisgen, Manuscripta Math.
+70, 1991), so few distinct blocks recur, and no syzygy that splits is
+materialized whole.
 """
 
 from __future__ import annotations
@@ -31,7 +32,7 @@ from __future__ import annotations
 import os
 import weakref
 from functools import cached_property, lru_cache
-from itertools import zip_longest
+from itertools import accumulate, zip_longest
 from typing import NamedTuple
 
 import numpy as np
@@ -43,12 +44,7 @@ from .errors import (
     PrimeDisagreementError,
     ValidationError,
 )
-from .syzygy import (
-    ModuleExpr,
-    build_syzygy_quiver,
-    key_basis,
-    quiver_dim_sequence,
-)
+from .syzygy import ModuleExpr, build_syzygy_quiver, quiver_dim_sequence
 
 PRIMES = (32749, 65521)
 DEFAULT_DIM_CAP = 200_000
@@ -68,10 +64,10 @@ def _dim_cap() -> int:
 #
 # The matrices of a syzygy step are almost all zeros, about one nonzero per
 # column, and elimination adds no fill. So a step works on sparse vectors of
-# Python ints: a column or a row is a list of (index, residue) pairs with no
-# zero residue, and None stands for a zero image. Each generator's action is
-# stored as its nonzero columns, {source coordinate: column}, where a missing
-# column is zero; the images along the parent tree are built column by
+# Python ints: a column or a row is a sequence of (index, residue) pairs
+# with no zero residue, and None stands for a zero image. Each generator's
+# action is stored as one column per source coordinate, () for a zero
+# column; the images along the parent tree are built column by
 # column (_act); the top and each cover are eliminated as rows (_rref); each
 # kernel is kept row-major, so that a generator's new action is a scatter of
 # the kernel rows it touches, whose free rows are regrouped into its columns,
@@ -84,20 +80,21 @@ def _dim_cap() -> int:
 # generator applied to it is a selection of its columns).
 
 
-def _act(gcols: dict, image: list, p: int) -> list:
-    """A generator, given by its nonzero sparse columns, applied to every
-    column of an image. A column with one entry, the common case, selects a
-    column of the generator, scaled; others add up in a dict."""
+def _act(gcols: tuple, image: list, p: int) -> list:
+    """A generator, given by its sparse columns, one per source coordinate,
+    applied to every column of an image. A column with one entry, the common
+    case, selects a column of the generator, scaled; others add up in a
+    dict."""
     out = []
     for col in image:
         if len(col) == 1:
             (r, v), = col
-            out.append(gcols.get(r, ()) if v == 1 else
-                       [(i, x * v % p) for i, x in gcols.get(r, ())])
+            out.append(gcols[r] if v == 1 else
+                       [(i, x * v % p) for i, x in gcols[r]])
             continue
         acc = {}
         for r, v in col:
-            _add(acc, v, gcols.get(r, ()), p)
+            _add(acc, v, gcols[r], p)
         out.append(list(acc.items()))
     return out
 
@@ -206,10 +203,6 @@ class GradedTable:
         self.gens = gens
         self.parent = parent
         self.right = right
-
-    @cached_property
-    def gen_names(self) -> list[str]:
-        return [self.basis[g] for g in self.gens]
 
     @cached_property
     def products(self) -> tuple[tuple[tuple[int, int], ...], ...]:
@@ -405,8 +398,8 @@ def _along_parents(T: GradedTable, cols, p: int, starts) -> list:
     the coordinates starts[source of j] (None where the source has none),
     as a list of sparse columns, built along the parent tree: j = j' * g
     acts as g after j', and as a column selection of g after an idempotent,
-    which keeps its coordinates. `cols` holds each generator's nonzero
-    sparse columns, and None stands for zero."""
+    which keeps its coordinates. `cols` holds each generator's sparse
+    columns, and None stands for zero."""
     out: list = []
     for j, par in enumerate(T.parent):
         if par is None:
@@ -414,7 +407,7 @@ def _along_parents(T: GradedTable, cols, p: int, starts) -> list:
             continue
         prev, g = out[par[0]], cols[par[1]]
         out.append(None if prev is None or g is None
-                   else [g.get(i, ()) for i in prev] if T.parent[par[0]] is None
+                   else [g[i] for i in prev] if T.parent[par[0]] is None
                    else _act(g, prev, p))
     return out
 
@@ -453,13 +446,11 @@ def syzygy_rep(R: "TableRepresentation") -> "TableRepresentation":
     j -> j*g, so its new action is a scatter of the kernel rows of its
     blocks, which come from the table's nonzero products: the scattered
     rows at the target kernel's free rows are the new action, regrouped
-    into its nonzero columns, and those at its pivot rows are checked
-    against them exactly. When every generator acts by zero, R is
-    semisimple and the kernel is rad P, the cover basis without its
-    idempotents: then no elimination is needed."""
-    T, p = R.table, R.p
-    dims = [R.dims[v] for v in T.vertices]
-    cols = [R.mats[name] for name in T.gen_names]
+    into its columns, and those at its pivot rows are checked against them
+    exactly. When every generator acts by zero, R is semisimple and the
+    kernel is rad P, the cover basis without its idempotents: then no
+    elimination is needed."""
+    T, p, dims, cols = R
     semisimple = R.is_semisimple
     if semisimple:
         copies = dims
@@ -468,7 +459,7 @@ def syzygy_rep(R: "TableRepresentation") -> "TableRepresentation":
         for v, d in enumerate(dims):
             rad = [col for gcols, g in zip(cols, T.gens)
                    if gcols is not None and T.ends[g][1] == v
-                   for col in gcols.values()]
+                   for col in gcols if col]
             top = _rref(rad, d, p) if rad else {}
             lifts.append([i for i in range(d) if i not in top])
         copies = [len(lift) for lift in lifts]
@@ -527,7 +518,7 @@ def syzygy_rep(R: "TableRepresentation") -> "TableRepresentation":
         kernels.append((krow, free, pos, list(red)))
     new_dims = [len(free) for _, free, _, _ in kernels]
 
-    new_mats: list[dict | None] = []
+    new_mats = []
     for k, g in enumerate(T.gens):
         s, t = T.ends[g]
         krow, free, pos, pivots = kernels[t]
@@ -538,46 +529,44 @@ def syzygy_rep(R: "TableRepresentation") -> "TableRepresentation":
             if pos[b] >= 0:
                 for f, v in e:
                     m.setdefault(f, []).append((pos[b], v))
-        new_mats.append(m or None)
-    return TableRepresentation(T, p, dict(zip(T.vertices, new_dims)),
-                               dict(zip(T.gen_names, new_mats)))
+        new_mats.append(tuple(tuple(m.get(f, ())) for f in range(new_dims[s]))
+                        if m else None)
+    return TableRepresentation(T, p, tuple(new_dims), tuple(new_mats))
 
 
-class TableRepresentation:
-    """Right module over a graded table: a GF(p) space per vertex and the
-    matrix of each generator (target space x source space), stored as its
-    nonzero columns, {source coordinate: [(target row, residue in [1, p)),
-    ...]}, so that a missing coordinate is a zero column; the action of a
-    basis element is the ordered product along its parent chain. A
-    generator whose action is the zero map stores None, so that semisimple
-    modules cost nothing to read."""
+class TableRepresentation(NamedTuple):
+    """Right module over a graded table, indexed by table position: dims[v]
+    is the dimension of the GF(p) space at vertex v, and mats[k] the matrix
+    of generator k (target space x source space), None for the zero map,
+    else one sparse column per source coordinate, a tuple of (target row,
+    residue in [1, p)) pairs, () for a zero column. The action of a basis
+    element is the ordered product along its parent chain. Semisimple
+    modules cost nothing to read, and equal fields are equal modules."""
 
-    def __init__(self, table: GradedTable, p: int, dims: dict[str, int],
-                 mats: dict[str, dict[int, list] | None]):
-        self.table = table
-        self.p = p
-        self.dims = dims
-        self.mats = mats
+    table: GradedTable
+    p: int
+    dims: tuple[int, ...]
+    mats: tuple[tuple[tuple[tuple[int, int], ...], ...] | None, ...]
 
     syzygy = syzygy_rep
 
     @property
     def total_dim(self) -> int:
-        return sum(self.dims.values())
+        return sum(self.dims)
 
     @property
     def is_semisimple(self) -> bool:
-        return all(m is None for m in self.mats.values())
+        return all(m is None for m in self.mats)
 
     def dense(self, name: str) -> np.ndarray:
         """The matrix of generator `name` as a dense uint16 array of
         residues (zeros where the action is None), for inspection and
         hashing; the syzygy step never builds one."""
         T = self.table
-        s, t = T.ends[T.basis.index(name)]
-        m = np.zeros((self.dims[T.vertices[t]], self.dims[T.vertices[s]]),
-                     dtype=np.uint16)
-        for c, col in (self.mats[name] or {}).items():
+        g = T.basis.index(name)
+        s, t = T.ends[g]
+        m = np.zeros((self.dims[t], self.dims[s]), dtype=np.uint16)
+        for c, col in enumerate(self.mats[T.gens.index(g)] or ()):
             for r, v in col:
                 m[r, c] = v
         return m
@@ -588,10 +577,8 @@ class TableRepresentation:
         where j * g is zero). The images start from each identity as all
         of its coordinates; no product reads one, as an idempotent j times
         g is g, whose parent is (j, k)."""
-        T, p = self.table, self.p
-        cols = [self.mats[name] for name in T.gen_names]
-        images = _along_parents(T, cols, p,
-                                [range(self.dims[v]) for v in T.vertices])
+        T, p, dims, cols = self
+        images = _along_parents(T, cols, p, [range(d) for d in dims])
         for j, k, jg in T.checked_pairs:
             lhs = (None if cols[k] is None or images[j] is None
                    else _act(cols[k], images[j], p))
@@ -615,29 +602,46 @@ def _span_rep(T: GradedTable, p: int, summands) -> TableRepresentation:
             t = T.ends[j][1]
             row[(i, j)] = dims[t]
             dims[t] += 1
-    mats: list[dict] = [{} for _ in T.gens]
+    mats = [[()] * dims[T.ends[g][0]] for g in T.gens]
     for i, members in enumerate(summands):
         for j in members:
             for k, right in enumerate(T.right):
                 to = row.get((i, right[j]))
                 if to is not None:
-                    mats[k][row[(i, j)]] = [(to, 1)]
-    rep = TableRepresentation(
-        T, p, dict(zip(T.vertices, dims)),
-        {name: m or None for name, m in zip(T.gen_names, mats)})
+                    mats[k][row[(i, j)]] = ((to, 1),)
+    rep = TableRepresentation(T, p, tuple(dims), tuple(
+        tuple(m) if any(m) else None for m in mats))
     rep.check_relations()
     return rep
 
 
 def rep_of(M: ModuleExpr, A: MonomialAlgebra, p: int) -> TableRepresentation:
-    """Representation of a module expression: one basis vector per path in
-    each summand's key basis, graded by the path's endpoint; arrows act by
-    path extension inside the basis, zero when the extension leaves it."""
+    """Representation of a module expression: each summand (v, K) spans the
+    nonzero paths from v with no prefix in K, one basis vector each, graded
+    by the path's endpoint; arrows act by path extension inside the
+    summand, zero when the extension leaves it. The summand is read off the
+    paths from v in index order: a path belongs when it is v's idempotent,
+    or when its parent belongs and it is not a killer, each killer found by
+    walking T.right along its arrows."""
     T = compile_paths(A)
-    at = {name: j for j, name in enumerate(T.basis)}
+    Q = A.quiver
+    starting_at = [[] for _ in T.vertices]  # v's idempotent first
+    for j, (s, _) in enumerate(T.ends):
+        starting_at[s].append(j)
     summands = []
     for key, mult in M.terms:
-        summands += [[at[q.literal()] for q in key_basis(key, A)]] * mult
+        v = Q.vertex_index[key.vertex]
+        killers = set()
+        for w in key.killers:
+            j = v
+            for a in w.arrows:
+                j = T.right[Q.arrow_index[a]][j] if j >= 0 else j
+            killers.add(j)
+        inside = {v}
+        for j in starting_at[v][1:]:
+            if T.parent[j][0] in inside and j not in killers:
+                inside.add(j)
+        summands += [[j for j in starting_at[v] if j in inside]] * mult
     return _span_rep(T, p, summands)
 
 
@@ -673,91 +677,71 @@ def xyz_local_expected_dims(N: int) -> list[int]:
 
 # -- sequences and crosschecking -----------------------------------------------
 
-def _blocks(R: TableRepresentation) -> dict[tuple, int]:
-    """The coordinate blocks of R, {key: multiplicity}. A block is a class
+def _blocks(R: TableRepresentation) -> dict[TableRepresentation, int]:
+    """The coordinate blocks of R, {block: multiplicity}. A block is a class
     of the union-find over all coordinates that links the two ends of every
-    nonzero action entry, so R is the direct sum of its blocks. A block's
-    coordinates are renumbered in order at each vertex, and its key is
-    (its dims at each vertex, (k, action) for each generator k that acts on
-    it by a nonzero map, in order of k), with an action given as its
-    nonzero columns, (coordinate, entries sorted by row), sorted by
-    coordinate: equal keys are equal representations."""
+    nonzero action entry, so R is the direct sum of its blocks. Each block
+    is in canonical form: its coordinates renumbered in order at each
+    vertex, its column entries sorted by row, and None for every generator
+    that acts on it by zero; so equal blocks are equal representations."""
     T = R.table
-    dims = [R.dims[v] for v in T.vertices]
-    off = [0]
-    for d in dims:
-        off.append(off[-1] + d)
-    acting = []
-    for k, (name, g) in enumerate(zip(T.gen_names, T.gens)):
-        if R.mats[name]:
-            acting.append((k, R.mats[name], off[T.ends[g][0]], off[T.ends[g][1]]))
+    off = [0, *accumulate(R.dims)]
     up = list(range(off[-1]))
-    for _, m, s, t in acting:
-        for c, col in m.items():
-            a = s + c
-            while up[a] != a:
-                up[a] = a = up[up[a]]
+
+    def find(x: int) -> int:
+        while up[x] != x:
+            up[x] = x = up[up[x]]
+        return x
+
+    acting = [(k, m, T.ends[g][0], off[T.ends[g][0]], off[T.ends[g][1]])
+              for k, (m, g) in enumerate(zip(R.mats, T.gens)) if m]
+    for _, m, _, s, t in acting:
+        for c, col in enumerate(m):
             for r, _ in col:
-                b = t + r
-                while up[b] != b:
-                    up[b] = b = up[up[b]]
-                if a != b:
-                    up[b] = a
+                up[find(t + r)] = find(s + c)
     roots = [x for x, y in enumerate(up) if x == y]
-    if len(roots) < 2:  # R is one block, or zero: no renumbering
-        parts = [(dims, {k: m for k, m, _, _ in acting})] if roots else []
-    else:
-        head = {x: b for b, x in enumerate(roots)}
-        parts = [([0] * len(dims), {}) for _ in roots]
-        block, loc = [0] * len(up), [0] * len(up)
-        for v in range(len(dims)):
-            for x in range(off[v], off[v + 1]):
-                r = x
-                while up[r] != r:
-                    r = up[r]
-                e = parts[head[r]][0]
-                block[x], loc[x] = head[r], e[v]
-                e[v] += 1
-        for k, m, s, t in acting:
-            for c, col in m.items():
-                x = s + c
-                parts[block[x]][1].setdefault(k, {})[loc[x]] = [
-                    (loc[t + r], v) for r, v in col]
-    out: dict[tuple, int] = {}
-    for d, actions in parts:
-        key = (tuple(d), tuple(
-            (k, tuple(sorted(zip(m, map(tuple, map(sorted, m.values()))))))
-            for k, m in actions.items()))
-        out[key] = out.get(key, 0) + 1
+    head = {x: b for b, x in enumerate(roots)}
+    bdims = [[0] * len(R.dims) for _ in roots]
+    bmats = [[None] * len(T.gens) for _ in roots]
+    block, loc = [0] * len(up), [0] * len(up)
+    for v in range(len(R.dims)):
+        for x in range(off[v], off[v + 1]):
+            b = block[x] = head[find(x)]
+            loc[x] = bdims[b][v]
+            bdims[b][v] += 1
+    for k, m, v, s, t in acting:
+        for c, col in enumerate(m):
+            if col:
+                b = block[s + c]
+                if bmats[b][k] is None:
+                    bmats[b][k] = [()] * bdims[b][v]
+                bmats[b][k][loc[s + c]] = tuple(sorted(
+                    (loc[t + r], y) for r, y in col))
+    out: dict[TableRepresentation, int] = {}
+    for dims, mats in zip(bdims, bmats):
+        part = TableRepresentation(T, R.p, tuple(dims), tuple(
+            None if m is None else tuple(m) for m in mats))
+        out[part] = out.get(part, 0) + 1
     return out
 
 
-def _block_rep(T: GradedTable, p: int, key: tuple) -> TableRepresentation:
-    """The representation whose _blocks key is `key`."""
-    dims, actions = key
-    mats = dict.fromkeys(T.gen_names)
-    for k, action in actions:
-        mats[T.gen_names[k]] = dict(action)
-    return TableRepresentation(T, p, dict(zip(T.vertices, dims)), mats)
-
-
-def _step_blocks(T: GradedTable, p: int, blocks: dict, memo: dict) -> dict:
-    """The blocks of the syzygy of the direct sum `blocks`, {key:
+def _step_blocks(blocks: dict, memo: dict) -> dict:
+    """The blocks of the syzygy of the direct sum `blocks`, {block:
     multiplicity}: the syzygy of a direct sum is the direct sum of the
-    syzygies. Each block not yet in `memo` is rebuilt from its key, stepped
-    once with syzygy_rep, and memoized as the keys of the result's blocks."""
-    out: dict[tuple, int] = {}
-    for key, mult in blocks.items():
-        if key not in memo:
-            memo[key] = tuple(_blocks(syzygy_rep(_block_rep(T, p, key))).items())
-        for child, count in memo[key]:
+    syzygies. Each block not yet in `memo` is stepped once with syzygy_rep
+    and memoized as the result's blocks."""
+    out: dict[TableRepresentation, int] = {}
+    for block, mult in blocks.items():
+        if block not in memo:
+            memo[block] = tuple(_blocks(syzygy_rep(block)).items())
+        for child, count in memo[block]:
             out[child] = out.get(child, 0) + mult * count
     return out
 
 
 def dim_sequence(R: TableRepresentation, N: int) -> list[int]:
     """[dim R, dim syzygy(R), ..., dim syzygy^N(R)]. R is handled as the
-    direct sum of its coordinate blocks (_blocks), a multiset of block keys,
+    direct sum of its coordinate blocks (_blocks), a multiset of blocks,
     and each distinct block is stepped once in the call (_step_blocks); no
     syzygy that splits is materialized whole. Refuses to take the syzygy of
     a representation whose total dimension is larger than the cap (default
@@ -767,7 +751,6 @@ def dim_sequence(R: TableRepresentation, N: int) -> list[int]:
     if N < 0:
         raise ValueError("N must be >= 0")
     limit = _dim_cap()
-    T, p = R.table, R.p
     dims = [R.total_dim]
     blocks, memo = None, {}
     for _ in range(N):
@@ -779,14 +762,14 @@ def dim_sequence(R: TableRepresentation, N: int) -> list[int]:
         try:
             if blocks is None:
                 blocks = _blocks(R)
-            blocks = _step_blocks(T, p, blocks, memo)
+            blocks = _step_blocks(blocks, memo)
         except MemoryError:
             raise DimensionCapExceededError(
                 f"out of memory taking the syzygy of a representation of "
                 f"dimension {dims[-1]}; dimensions so far {dims}",
                 dims=dims,
             ) from None
-        dims.append(sum(mult * sum(key[0]) for key, mult in blocks.items()))
+        dims.append(sum(mult * b.total_dim for b, mult in blocks.items()))
     return dims
 
 

@@ -160,19 +160,11 @@ def path_key(p: Path, A: MonomialAlgebra) -> CyclicKey:
     return CyclicKey(p.target, minimal_killers(p, A))
 
 
-def key_basis(key: CyclicKey, A: MonomialAlgebra) -> tuple[Path, ...]:
-    """Basis of the module named by `key`: nonzero paths from its vertex with
-    no killer prefix, in canonical path order."""
-    kills = tuple(k.arrows for k in key.killers)
-    return tuple(
-        q for q in A.paths_from(key.vertex)
-        if not any(q.arrows[: len(k)] == k for k in kills)
-    )
-
-
 def key_dimension(key: CyclicKey, A: MonomialAlgebra) -> int:
-    """len(key_basis), counted: the paths from the vertex less those that
-    extend a nonzero killer; the killers are an antichain, so none twice."""
+    """Dimension of the module named by `key`, the number of nonzero paths
+    from its vertex with no killer prefix, counted: the paths from the
+    vertex less those that extend a nonzero killer; the killers are an
+    antichain, so none twice."""
     states = (A.state_after(k) for k in key.killers)
     return (A.counts[A.quiver.vertex_index[key.vertex]]
             - sum(A.counts[s] for s in states if s is not None))

@@ -1,6 +1,8 @@
 """Every imported name is used in its file, every private function is used
-in the package, and no function in the package calls itself by name. `from
-__future__` imports are directives, so they are exempt from the first."""
+in the package, every public function or class is used in the package or
+the benchmark or is a listed test-reference helper, and no function in the
+package calls itself by name. `from __future__` imports are directives, so
+they are exempt from the first."""
 
 import ast
 from pathlib import Path
@@ -85,3 +87,38 @@ def test_no_function_calls_itself():
     files = sorted((ROOT / "src" / "syzcx").glob("*.py"))
     assert len(files) > 10
     assert self_calls(files) == []
+
+
+# Public helpers that only tests call, each to check a claim of the paper.
+TEST_REFERENCE_HELPERS = {"algebraic_real", "contiguous_subpaths",
+                          "empirical_class_check", "sinkfree_reduce",
+                          "subdivide", "xyz_local_expected_dims"}
+
+
+def unnamed_public_definitions(package, others) -> set[str]:
+    """Module-level public functions and classes of `package` that no name,
+    attribute or import in `package` or `others` refers to."""
+    defined, named = set(), set()
+    for path in [*package, *others]:
+        tree = ast.parse(path.read_text(encoding="utf-8"), str(path))
+        if path in package:
+            defined |= {n.name for n in tree.body
+                        if isinstance(n, (ast.FunctionDef, ast.ClassDef))
+                        and not n.name.startswith("_")}
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name):
+                named.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                named.add(node.attr)
+            elif isinstance(node, ast.alias):
+                named.add(node.name)
+    return defined - named
+
+
+def test_public_definitions_are_used_or_test_references():
+    """Delete what nothing uses: a new public helper that only tests call
+    fails here until it is deleted or listed above."""
+    package = sorted((ROOT / "src" / "syzcx").glob("*.py"))
+    others = sorted((ROOT / "perfbench").glob("*.py"))
+    assert len(package) > 10 and len(others) > 5
+    assert unnamed_public_definitions(package, others) == TEST_REFERENCE_HELPERS

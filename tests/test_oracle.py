@@ -12,6 +12,7 @@ import hashlib
 import random
 import sys
 import tracemalloc
+import weakref
 from pathlib import Path
 
 import numpy as np
@@ -43,7 +44,9 @@ from syzcx.oracle import (
     _scatter,
 )
 from syzcx.syzygy import (
+    expr_dimension,
     module_expr,
+    path_key,
     resolve_module,
     simple_key,
     projective_key,
@@ -75,22 +78,22 @@ def sparse_rows(m) -> list:
     return [[(c, int(v)) for c, v in enumerate(row) if v] for row in m.tolist()]
 
 
-def sparse_columns(m) -> dict:
-    """The nonzero columns of a dense matrix, as an action is stored."""
-    return {c: col for c, col in enumerate(sparse_rows(m.T)) if col}
+def sparse_columns(m) -> tuple:
+    """The columns of a dense matrix, one per column, as an action is
+    stored."""
+    return tuple(map(tuple, sparse_rows(m.T)))
 
 
-def with_entry(r, name: str, row: int, col: int, value: int):
-    """A copy of representation `r` whose action `name` has entry (row, col)
-    set to `value`; the edited column is a new list, so `r` is untouched."""
-    mats = dict(r.mats)
-    m = mats[name] = dict(mats[name] or {})
-    edited = [(i, v) for i, v in m.pop(col, ()) if i != row]
-    if value:
-        edited.append((row, value))
-    if edited:
-        m[col] = edited
-    return TableRepresentation(r.table, r.p, dict(r.dims), mats)
+def with_entry(r, k: int, row: int, col: int, value: int):
+    """The representation `r` with entry (row, col) of generator k's action
+    set to `value`; `r` is a value, so it is untouched."""
+    T = r.table
+    mats = list(r.mats)
+    cols = list(mats[k] or [()] * r.dims[T.ends[T.gens[k]][0]])
+    cols[col] = tuple((i, v) for i, v in cols[col] if i != row) + (
+        ((row, value),) if value else ())
+    mats[k] = tuple(cols)
+    return r._replace(mats=tuple(mats))
 
 
 def test_act_matches_python_ints():
@@ -108,15 +111,16 @@ def test_act_matches_python_ints():
         b[7, 3] = 1  # selects a zero column
         want = (a.astype(object) @ b.astype(object)) % p
         gcols = sparse_columns(a)
-        assert 7 not in gcols  # a zero column is not stored
+        assert gcols[7] == ()  # a zero column is stored empty
         got = _act(gcols, sparse_rows(b.T), p)
         assert len(got) == 11
         for c, col in enumerate(got):
             assert all(v for _, v in col)
             assert dict(col) == {r: int(v) for r, v in enumerate(want[:, c]) if v}
         assert _act(gcols, [], p) == []
-        # A missing column reads as zero, selected or summed.
-        assert [list(c) for c in _act({}, [[(0, 1)], [(0, 2)], [(0, 1), (1, 3)]],
+        # A zero column reads as zero, selected or summed.
+        assert [list(c) for c in _act(((), ()),
+                                      [[(0, 1)], [(0, 2)], [(0, 1), (1, 3)]],
                                       p)] == [[], [], []]
 
 
@@ -304,7 +308,7 @@ def test_scatter_matches_the_dense_scatter():
 
 def test_rep_of_simple_is_semisimple(fib):
     r = rep_of(singleton(simple_key(fib, "1")), fib, P)
-    assert r.dims == {"1": 1, "2": 0}
+    assert r.dims == (1, 0) and r.mats == (None, None, None)
     assert r.is_semisimple
     assert r.total_dim == 1
 
@@ -318,17 +322,50 @@ def test_rep_of_projective_has_action(fib):
     assert r.dense("b").any()
 
 
+def test_rep_of_reads_each_summand_off_the_path_table(monkeypatch):
+    # Each summand (v, K) of rep_of is the list of table indices of the
+    # nonzero paths from v with no prefix in K, in paths_from order, for the
+    # simples, projectives and path modules of seeded draws; and the
+    # representation has the dimension of the module expression.
+    import syzcx.oracle as oracle
+
+    seen, span = [], oracle._span_rep
+
+    def recorded(T, p, summands):
+        seen.append([list(members) for members in summands])
+        return span(T, p, summands)
+
+    monkeypatch.setattr(oracle, "_span_rep", recorded)
+    checked = 0
+    for A in random_monomial_algebras(5, 12):
+        T = compile_paths(A)
+        at = {name: j for j, name in enumerate(T.basis)}
+        keys = [f(A, v) for v in A.quiver.vertices
+                for f in (simple_key, projective_key)]
+        keys += [path_key(q, A) for q in A.paths_from() if q.arrows][:8]
+        for key in keys:
+            want = [at[q.literal()] for q in A.paths_from(key.vertex)
+                    if not any(q.arrows[:len(k.arrows)] == k.arrows
+                               for k in key.killers)]
+            M = module_expr([(key, 2)])
+            assert rep_of(M, A, P).total_dim == expr_dimension(M, A)
+            assert seen.pop() == [want, want]
+            checked += 1
+    assert checked > 100
+
+
 def test_residue_differences_are_not_taken_unsigned():
     # 2^16 - 38 = 2p at p = 32749: a difference of -38 wrapped to uint16 is
     # 0 mod p, so a check that subtracted uint16 residues would pass this.
     p = 32749
     assert 2 ** 16 - 38 == 2 * p
     # x * y = y * x = xy; with y sending x to 39 xy, the image of x * y is
-    # 39 xy and that of y * x is xy, and they differ by -38.
+    # 39 xy and that of y * x is xy, and they differ by -38. y is the
+    # second generator.
     r = table_rep(xyz_local_table(), "regular", p)
-    assert r.mats["y"][1] == [(4, 1)]
-    broken = with_entry(r, "y", 4, 1, 39)
-    assert broken.mats["y"][1] == [(4, 39)] and r.mats["y"][1] == [(4, 1)]
+    assert r.mats[1][1] == ((4, 1),)
+    broken = with_entry(r, 1, 4, 1, 39)
+    assert broken.mats[1][1] == ((4, 39),) and r.mats[1][1] == ((4, 1),)
     with pytest.raises(InternalInconsistencyError):
         broken.check_relations()
     r.check_relations()
@@ -426,7 +463,7 @@ def _rightmost_rref(rows, cols, p):
 KX4 = AlgebraTable("kx4", ("1", "x", "x2", "x3"),
                    tuple(tuple(i + j if i + j < 4 else -1 for j in range(4))
                          for i in range(4)), (0,))
-KX4_XN_X2M = {0: [(1, 1)], 1: [(2, 1)], 2: [(3, 1)], 4: [(2, 1)]}
+KX4_XN_X2M = (((1, 1),), ((2, 1),), ((3, 1),), (), ((2, 1),))
 
 
 def literal_dims(R, N: int, bound: float = float("inf")) -> list[int]:
@@ -458,10 +495,9 @@ def test_step_reads_pivot_rows_in_row_order(monkeypatch):
         return _in_kernel(image, krow, free, pivots, p)
 
     # The whole module is stepped each time, so the check sees the step of
-    # M itself, not of blocks that dim_sequence rebuilds from their keys.
+    # M itself, not of the blocks that dim_sequence cuts out of it.
     for p in PRIMES:
-        M = TableRepresentation(compile_table(KX4), p, {"1": 5},
-                                {"x": KX4_XN_X2M})
+        M = TableRepresentation(compile_table(KX4), p, (5,), (KX4_XN_X2M,))
         M.check_relations()
         want = literal_dims(M, 4)
         assert want[:2] == [5, 3]
@@ -475,9 +511,9 @@ def test_step_reads_pivot_rows_in_row_order(monkeypatch):
 def test_rep_checks_relations(loop3):
     r = rep_of(singleton(projective_key(loop3, "1")), loop3, P)
     # sabotage: make x act as a full cyclic shift so x.x.x is nonzero
-    assert r.mats["x"] == {0: [(1, 1)], 1: [(2, 1)]}
-    broken = with_entry(r, "x", 0, 2, 1)
-    assert broken.mats["x"] == {0: [(1, 1)], 1: [(2, 1)], 2: [(0, 1)]}
+    assert r.mats == ((((1, 1),), ((2, 1),), ()),)
+    broken = with_entry(r, 0, 0, 2, 1)
+    assert broken.mats == ((((1, 1),), ((2, 1),), ((0, 1),)),)
     with pytest.raises(InternalInconsistencyError):
         broken.check_relations()
     r.check_relations()
@@ -505,14 +541,15 @@ def test_projective_resolution_stops(fib):
 
 def test_semisimple_shortcut_matches_dense_path(fib, chain):
     # Feed the same semisimple module through the combinatorial shortcut and
-    # through the elimination path (each zero map stored as an empty column
-    # dict, not None) and compare.
+    # through the elimination path (each zero map stored as empty columns,
+    # not None) and compare.
     cases = [rep_of(singleton(simple_key(A, v)), A, P)
              for A, v in ((fib, "1"), (chain, "2"))]
     cases.append(table_rep(xyz_local_table(), "k", P))
     for fast in cases:
-        zeros = {name: {} for name in fast.mats}
-        slow = TableRepresentation(fast.table, P, dict(fast.dims), zeros)
+        T = fast.table
+        slow = fast._replace(mats=tuple(((),) * fast.dims[T.ends[g][0]]
+                                        for g in T.gens))
         assert fast.is_semisimple and not slow.is_semisimple
         f, s = fast, slow
         for _ in range(4):
@@ -548,7 +585,7 @@ def test_step_eliminates_only_where_the_module_lives(monkeypatch):
     import syzcx.oracle as oracle
 
     r = rep_of(singleton(simple_key(LINE12, "v0")), LINE12, P).syzygy()
-    assert {v: d for v, d in r.dims.items() if d} == {"v1": 1, "v2": 1}
+    assert r.dims == (0, 1, 1) + (0,) * 9
     assert not r.is_semisimple
     calls = []
 
@@ -559,7 +596,7 @@ def test_step_eliminates_only_where_the_module_lives(monkeypatch):
     monkeypatch.setattr(oracle, "_rref", counted)
     out = r.syzygy()
     monkeypatch.undo()
-    assert {v: d for v, d in out.dims.items() if d} == {"v3": 1}
+    assert out.dims == (0, 0, 0, 1) + (0,) * 8
     assert calls == [1, 1, 1]
 
 
@@ -606,11 +643,11 @@ def test_no_product_applies_a_generator_to_unit_columns(monkeypatch):
     # a product. Its kernel is a1.a2.a3 at v4 alone, and the membership
     # check multiplies nothing.
     r = rep_of(singleton(simple_key(LINE5, "v0")), LINE5, P).syzygy()
-    assert r.dims == {"v0": 0, "v1": 1, "v2": 1, "v3": 1, "v4": 0}
+    assert r.dims == (0, 1, 1, 1, 0)
     calls = _products_by_caller(monkeypatch, r.syzygy)
     assert built(calls) == ["a1.a2"]
     assert len(calls) == 1
-    assert r.syzygy().dims == {"v0": 0, "v1": 0, "v2": 0, "v3": 0, "v4": 1}
+    assert r.syzygy().dims == (0, 0, 0, 0, 1)
 
 
 def test_oracle_never_calls_the_symbolic_syzygy_rule(fib, monkeypatch):
@@ -726,8 +763,9 @@ def test_table_check_accepts_truncated_polynomial_ring():
 
 def test_compile_table_generators():
     # The generators are the radical elements that are not products.
-    assert compile_table(KX3).gen_names == ["x"]
-    assert compile_table(xyz_local_table()).gen_names == ["x", "y", "z"]
+    for t, names in ((KX3, ["x"]), (xyz_local_table(), ["x", "y", "z"])):
+        T = compile_table(t)
+        assert [T.basis[g] for g in T.gens] == names
 
 
 def test_table_and_path_compilations_agree(loop3):
@@ -799,8 +837,8 @@ def test_table_rep_modules():
 def test_table_rep_checks_products():
     # sabotage: let y send x to zero, so x*y and y*x no longer agree
     r = table_rep(xyz_local_table(), "regular", P)
-    broken = with_entry(r, "y", 4, 1, 0)
-    assert 1 not in broken.mats["y"] and r.mats["y"][1] == [(4, 1)]
+    broken = with_entry(r, 1, 4, 1, 0)
+    assert broken.mats[1][1] == () and r.mats[1][1] == ((4, 1),)
     with pytest.raises(InternalInconsistencyError):
         broken.check_relations()
     r.check_relations()
@@ -827,8 +865,9 @@ def test_xyz_expected_dims_recurrence():
 
 def test_actions_are_stored_as_nonzero_sparse_columns(fib):
     # Every action is None exactly when it is the zero map, and otherwise
-    # maps source coordinates to nonempty columns of target rows and
-    # residues in [1, p); dense() renders it as uint16 residues.
+    # holds one column per source coordinate, of target rows and residues in
+    # [1, p), () where the column is zero; dense() renders it as uint16
+    # residues, and the representation hashes.
     cases = [table_rep(xyz_local_table(), "k", p) for p in PRIMES]
     cases += [rep_of(resolve_module(fib, m), fib, p)
               for m in ("S1", "Mix") for p in PRIMES]
@@ -838,14 +877,15 @@ def test_actions_are_stored_as_nonzero_sparse_columns(fib):
     for r in cases:
         T = r.table
         for _ in range(6):
-            for name, m in r.mats.items():
-                s, t = (r.dims[T.vertices[v]]
-                        for v in T.ends[T.basis.index(name)])
-                dense = r.dense(name)
+            assert hash(r) == hash(r._replace())
+            for g, m in zip(T.gens, r.mats):
+                s, t = (r.dims[v] for v in T.ends[g])
+                dense = r.dense(T.basis[g])
                 assert dense.dtype == np.uint16 and dense.shape == (t, s)
                 assert (m is None) == (not dense.any())
-                for c, col in (m or {}).items():
-                    assert 0 <= c < s and col
+                assert m is None or len(m) == s
+                for c, col in enumerate(m or ()):
+                    assert type(col) is tuple
                     assert all(0 <= i < t and 0 < v < r.p for i, v in col)
                     assert len({i for i, _ in col}) == len(col)
                     assert dict(col) == {i: v for i, v in
@@ -903,10 +943,10 @@ def test_pinned_oracle_hash():
     h = hashlib.sha256()
 
     def feed(r):
-        h.update(repr([r.dims[v] for v in r.table.vertices]).encode())
-        for name in r.table.gen_names:
-            m = r.dense(name)
-            h.update(b"None" if r.mats[name] is None else
+        h.update(repr(list(r.dims)).encode())
+        for g, action in zip(r.table.gens, r.mats):
+            m = r.dense(r.table.basis[g])
+            h.update(b"None" if action is None else
                      repr(m.shape).encode() + m.astype("<u2").tobytes())
 
     for p in PRIMES:
@@ -937,10 +977,10 @@ def test_pinned_oracle_hash_at_scale():
 
     def feed(r):
         seen.append(r.total_dim)
-        h.update(repr([r.dims[v] for v in r.table.vertices]).encode())
-        for name in r.table.gen_names:
-            m = r.dense(name)
-            h.update(b"None" if r.mats[name] is None else
+        h.update(repr(list(r.dims)).encode())
+        for g, action in zip(r.table.gens, r.mats):
+            m = r.dense(r.table.basis[g])
+            h.update(b"None" if action is None else
                      repr(m.shape).encode() + m.astype("<u2").tobytes())
 
     for p in PRIMES:
@@ -969,11 +1009,17 @@ def _two_kx3_blocks(p):
     coordinates: x sends the top pair to e + f and e + c f, with c = 1 and
     c = 2. Their actions have the same nonzero entries, but x has rank 1
     and 2, so their syzygies have dimension 3 * 3 - 4 = 5 and 2 * 3 - 4 = 2."""
-    act = {0: [(4, 1), (6, 1)], 2: [(4, 1), (6, 1)],
-           1: [(5, 1), (7, 1)], 3: [(7, 2), (5, 1)]}
-    R = TableRepresentation(compile_table(KX3), p, {"1": 8}, {"x": act})
+    act = (((4, 1), (6, 1)), ((5, 1), (7, 1)), ((4, 1), (6, 1)),
+           ((7, 2), (5, 1))) + ((),) * 4
+    R = TableRepresentation(compile_table(KX3), p, (8,), (act,))
     R.check_relations()
     return R
+
+
+def _zero_module(A, p):
+    T = compile_paths(A)
+    return TableRepresentation(T, p, (0,) * len(T.vertices),
+                               (None,) * len(T.gens))
 
 
 def test_dim_sequence_matches_the_literal_iteration():
@@ -998,12 +1044,10 @@ def test_dim_sequence_matches_the_literal_iteration():
         cases += [table_rep(t, m, p) for t in (xyz_local_table(), KX3)
                   for m in ("k", "regular")]
         cases.append(table_rep(XXW, "k", p))
-        cases.append(TableRepresentation(compile_table(KX4), p, {"1": 5},
-                                         {"x": KX4_XN_X2M}))
+        cases.append(TableRepresentation(compile_table(KX4), p, (5,),
+                                         (KX4_XN_X2M,)))
         cases.append(_two_kx3_blocks(p))
-        T = compile_paths(fib)
-        cases.append(TableRepresentation(T, p, dict.fromkeys(T.vertices, 0),
-                                         dict.fromkeys(T.gen_names)))
+        cases.append(_zero_module(fib, p))
         for R in cases:
             want = literal_dims(R, 8, bound=1500)
             assert dim_sequence(R, len(want) - 1) == want
@@ -1016,21 +1060,45 @@ def test_dim_sequence_matches_the_literal_iteration():
 
 def test_blocks_are_the_direct_summands_in_order():
     # The two KX3 blocks are found on interleaved coordinates, renumbered in
-    # order, their column entries sorted; the KX4 module is one block; the
-    # zero module has none.
-    blocks = _blocks(_two_kx3_blocks(P))
+    # order, their column entries sorted; the KX4 module is one block, and
+    # its own; the zero module has none.
+    R = _two_kx3_blocks(P)
+    T = R.table
+    blocks = _blocks(R)
     assert blocks == {
-        ((4,), ((0, ((0, ((2, 1), (3, 1))), (1, ((2, 1), (3, 1))))),)): 1,
-        ((4,), ((0, ((0, ((2, 1), (3, 1))), (1, ((2, 1), (3, 2))))),)): 1}
-    M = TableRepresentation(compile_table(KX4), P, {"1": 5},
-                            {"x": KX4_XN_X2M})
-    assert list(_blocks(M).values()) == [1]
-    fib = make_algebra(FIB_TEXT)
-    T = compile_paths(fib)
-    zero = TableRepresentation(T, P, dict.fromkeys(T.vertices, 0),
-                               dict.fromkeys(T.gen_names))
+        TableRepresentation(T, P, (4,), ((((2, 1), (3, 1)),
+                                          ((2, 1), (3, 1)), (), ()),)): 1,
+        TableRepresentation(T, P, (4,), ((((2, 1), (3, 1)),
+                                          ((2, 1), (3, 2)), (), ()),)): 1}
+    M = TableRepresentation(compile_table(KX4), P, (5,), (KX4_XN_X2M,))
+    assert _blocks(M) == {M: 1}
+    zero = _zero_module(make_algebra(FIB_TEXT), P)
     assert _blocks(zero) == {}
     assert dim_sequence(zero, 3) == [0, 0, 0, 0]
+
+
+def test_a_block_is_the_same_value_however_it_is_built():
+    # A block built by _span_rep and the same block cut out of a direct sum
+    # by _blocks are equal and hash equal, so they share a memo entry; a
+    # zero map stored as empty columns comes out as None.
+    import syzcx.oracle as oracle
+
+    fib = make_algebra(FIB_TEXT)
+    T = compile_paths(fib)
+    P2 = rep_of(singleton(projective_key(fib, "2")), fib, P)
+    S1 = rep_of(singleton(simple_key(fib, "1")), fib, P)
+    Mix = rep_of(resolve_module(fib, "Mix"), fib, P)
+    summands = [[j for j, (s, _) in enumerate(T.ends) if s == 1], [0]]
+    assert oracle._span_rep(T, P, summands[:1]) == P2
+    total = oracle._span_rep(T, P, summands)
+    blocks = _blocks(total)
+    assert blocks == {P2: 1, S1: 1}
+    assert _blocks(Mix) == {P2: 1, S1: 2}  # Mix = 2*S(1) + P(2)
+    assert {hash(b) for b in blocks} == {hash(P2), hash(S1)}
+    empty = S1._replace(mats=tuple(((),) * S1.dims[T.ends[g][0]]
+                                   for g in T.gens))
+    assert not empty.is_semisimple and empty != S1
+    assert _blocks(empty) == {S1: 1}
 
 
 # -- crosscheck -------------------------------------------------------------------------
@@ -1066,7 +1134,7 @@ def test_crosscheck_compiles_each_table_once(monkeypatch):
 
     def recorded(A):
         T = compile_paths(A)
-        tables.setdefault(id(A), set()).add(id(T))
+        tables.setdefault(id(A), {})[id(T)] = weakref.ref(T)
         return T
 
     monkeypatch.setattr(oracle, "GradedTable", Counted)
@@ -1075,12 +1143,13 @@ def test_crosscheck_compiles_each_table_once(monkeypatch):
         for A in algebras:
             assert crosscheck(A, resolve_module(A, "S1"), 4).agree
     assert len(built) == 2
-    assert all(len(ids) == 1 for ids in tables.values())
+    assert all(len(refs) == 1 for refs in tables.values())
     monkeypatch.undo()
-    held = len(oracle._PATH_TABLES)
+    refs = [ref for held in tables.values() for ref in held.values()]
+    assert len(refs) == 2 and all(ref() is not None for ref in refs)
     del algebras, A
     gc.collect()
-    assert len(oracle._PATH_TABLES) == held - 2
+    assert all(ref() is None for ref in refs)
 
 
 def test_block_memo_steps_each_distinct_block_once_per_sequence(monkeypatch):
@@ -1099,14 +1168,13 @@ def test_block_memo_steps_each_distinct_block_once_per_sequence(monkeypatch):
         calls.append((R.p, [], []))
         return sequence(R, N)
 
-    def counted_step(T, p, blocks, memo):
+    def counted_step(blocks, memo):
         calls[-1][1].extend(blocks)
-        return step(T, p, blocks, memo)
+        return step(blocks, memo)
 
     def counted(R):
-        (key, count), = _blocks(R).items()
-        assert count == 1
-        calls[-1][2].append(key)
+        assert _blocks(R) == {R: 1}
+        calls[-1][2].append(R)
         return syzygy_rep(R)
 
     monkeypatch.setattr(oracle, "dim_sequence", counted_sequence)

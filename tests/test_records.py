@@ -1,7 +1,8 @@
 """The value contract of the records: built from equal fields they are equal
 and hash equal, a pickle round trip gives an equal value, and no field can
-be assigned. A record that holds an algebra holds it by identity, so the
-round trip keeps that algebra as it is and pickles every other field."""
+be assigned. A record that holds an algebra or a graded table holds it by
+identity, so the round trip keeps that algebra or table as it is and
+pickles every other field."""
 
 import io
 import pickle
@@ -23,7 +24,14 @@ from syzcx.complexity import (
     module_complexity,
 )
 from syzcx.curvature import CurvatureVerdict, check_condition_c
-from syzcx.oracle import AlgebraTable, CrosscheckReport
+from syzcx.oracle import (
+    PRIMES,
+    AlgebraTable,
+    CrosscheckReport,
+    TableRepresentation,
+    compile_paths,
+    rep_of,
+)
 from syzcx.polynomials import AlgebraicReal, poly
 from syzcx.spectra import SCC, Condensation, scc_condense
 from syzcx.syzygy import (
@@ -38,6 +46,7 @@ from syzcx.syzygy import (
 from conftest import FIB_TEXT, make_algebra
 
 FIB = make_algebra(FIB_TEXT)
+SHARED = {"FIB": FIB, "FIB_TABLE": compile_paths(FIB)}
 
 
 def _quiver():
@@ -70,19 +79,23 @@ RECORDS = {
     AlgebraTable: lambda: AlgebraTable(
         "kx2", ("1", "x"), ((0, 1), (1, -1)), (0,)),
     CrosscheckReport: lambda: CrosscheckReport((1, 2), (1, 3), False, 1),
+    TableRepresentation: lambda: rep_of(
+        resolve_module(FIB, "Mix"), FIB, PRIMES[0]),
     Quiver: _quiver,
 }
 
 
 def _round_trip(value):
-    """Pickle and unpickle, keeping the shared algebra by identity."""
+    """Pickle and unpickle, keeping the shared algebra and its table by
+    identity."""
     buf = io.BytesIO()
     pickler = pickle.Pickler(buf)
-    pickler.persistent_id = lambda obj: "FIB" if obj is FIB else None
+    pickler.persistent_id = lambda obj: next(
+        (pid for pid, shared in SHARED.items() if obj is shared), None)
     pickler.dump(value)
     buf.seek(0)
     unpickler = pickle.Unpickler(buf)
-    unpickler.persistent_load = lambda pid: FIB
+    unpickler.persistent_load = SHARED.__getitem__
     return unpickler.load()
 
 

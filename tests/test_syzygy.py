@@ -19,7 +19,6 @@ from syzcx.syzygy import (
     simple_key,
     minimal_killers,
     path_key,
-    key_basis,
     key_dimension,
     expr_dimension,
     resolve_module,
@@ -74,10 +73,9 @@ def test_key_basis_and_dimension(loop3):
     x = loop3.quiver.path(["x"])
     xx = loop3.quiver.path(["x", "x"])
     # killing x leaves only the trivial path: the simple module
-    assert [p.literal() for p in key_basis(cyclic_key("1", [x]), loop3)] == ["e(1)"]
+    assert key_dimension(cyclic_key("1", [x]), loop3) == 1
     # killing x.x leaves the trivial path and x: the radical of P(1)
     k2 = cyclic_key("1", [xx])
-    assert [p.literal() for p in key_basis(k2, loop3)] == ["e(1)", "x"]
     assert key_dimension(k2, loop3) == 2
     # no killers: the whole projective
     assert key_dimension(projective_key(loop3, "1"), loop3) == 3
