@@ -3,9 +3,9 @@
 A base is realizable exactly when it is a nonnegative algebraic integer that
 no conjugate exceeds in modulus (equality allowed). The checker factors the
 input by root isolation, not by divisors: its rational roots are integers,
-found by Sturm counts between half-integers, and a quartic remainder splits
-along an integer root of its resolvent cubic. It then tests the factor
-holding the dominant real root b. The modulus test is exact: the
+read off its isolated real roots refined to width 1, and a quartic
+remainder splits along an integer root of its resolvent cubic. It then tests
+the factor holding the dominant real root b. The modulus test is exact: the
 largest real root of the pairwise product polynomial (roots = all products of
 two roots of the factor) equals b^2 precisely when no conjugate beats b, since
 z * conj(z) is such a product for every root z.
@@ -102,8 +102,8 @@ def _split_quartic(g: IntPolynomial) -> tuple[IntPolynomial, IntPolynomial] | No
 def factor_monic_squarefree(p: IntPolynomial) -> tuple[list[IntPolynomial], bool]:
     """Irreducible factorization of a monic squarefree integer polynomial, as
     far as root isolation reaches: a factor x - r for each integer root r
-    (its only rational roots, found by Sturm counts between half-integers),
-    ordered by |r|, positive first; then a quartic remainder split along an
+    (its only rational roots, read off its isolated real roots), ordered by
+    |r|, positive first; then a quartic remainder split along an
     integer root of its resolvent cubic. Returns (monic factors, complete).
     Degrees 2 and 3 without rational roots are irreducible over the
     rationals; an unsplit remainder of degree >= 5 makes it incomplete."""

@@ -9,7 +9,8 @@ rational interval containing exactly one distinct real root. Intervals are
 refined to width <= 2^-48 at construction so the printed 12-decimal
 approximation is stable. All of it runs on integers: one pseudo-division
 loop, homogeneous Horner at rational points, one bisection form (integer
-numerators over a doubling denominator) with one sign-bisection loop,
+numerators over a doubling denominator) with one Sturm-count bisection,
+`_root_intervals`, behind every isolated root and one sign-bisection loop,
 `refine_interval`, and decimals rounded by integer division at any size.
 """
 
@@ -305,73 +306,51 @@ def cauchy_bound(p: IntPolynomial) -> Fraction:
     return 1 + max(Fraction(abs(c), lc) for c in p.coeffs[:-1])
 
 
+def _root_intervals(p: IntPolynomial):
+    """Isolating intervals of the distinct real roots of p, largest first:
+    (r, r) for a root r that a midpoint hits, else an open (lo, hi) that
+    holds exactly one root and whose ends are not roots. V(x) - V(y), in
+    variations of the chain, counts the roots in (x, y], so an open (x, y)
+    holds one fewer when y is a root. Bisection starts from (-B, B), B the
+    Cauchy bound of the squarefree part, and pops the upper half first; each
+    point is evaluated once, and an interval (a/d, b/d) is kept as
+    (a, b, d, V(a/d), s(a/d), V(b/d), s(b/d)), s the squarefree part."""
+    chain = _sturm_chain(p)
+    B = cauchy_bound(squarefree_part(p))
+    a, b, d = -B.numerator, B.numerator, B.denominator
+    work = [(a, b, d, *_variations(chain, a, d), *_variations(chain, b, d))]
+    while work:
+        a, b, d, va, sa, vb, sb = work.pop()
+        count = va - vb - (sb == 0)
+        if a == b or (count == 1 and sa and sb):
+            yield Fraction(a, d), Fraction(b, d)
+        elif count:
+            mid, d = a + b, 2 * d
+            vmid, smid = _variations(chain, mid, d)
+            work.append((2 * a, mid, d, va, sa, vmid, smid))
+            if smid == 0:
+                work.append((mid, mid, d, vmid, smid, vmid, smid))
+            work.append((mid, 2 * b, d, vmid, smid, vb, sb))
+
+
 def isolate_largest_real_root(p: IntPolynomial):
     """Isolating (lo, hi) for the largest real root of p, or None if p has no
     real roots. Returns lo == hi when the root is an exact rational."""
-    if p.is_zero:
-        raise ZeroPolynomialError("cannot isolate roots of the zero polynomial")
-    if p.degree == 0:
-        return None
-    chain = _sturm_chain(p)
-    # V(x) = variations of the chain at x; V(a) - V(b) counts the roots in
-    # (a, b] whenever s(b) != 0, even if s(a) == 0 (s = squarefree part).
-    # Each point is evaluated once: V and the sign of s are kept for lo.
-    # (lo, hi) = (a/d, b/d), bisected as in refine_interval, starts as
-    # (-B, B): s(+-B) != 0 and every real root lies strictly inside.
-    B = cauchy_bound(squarefree_part(p))
-    a, b, d = -B.numerator, B.numerator, B.denominator
-    vlo, slo = _variations(chain, a, d)
-    vhi = _variations(chain, b, d)[0]
-    if vlo == vhi:
-        return None
-    # Invariant: the largest root lies in (lo, hi) and s(hi) != 0; lo may be
-    # a smaller root. Once (lo, hi) holds one simple root and s(lo) != 0,
-    # s changes sign across it.
-    while vlo - vhi > 1 or slo == 0:
-        a, b, mid = 2 * a, 2 * b, a + b
-        d *= 2
-        vmid, smid = _variations(chain, mid, d)
-        if smid == 0 and vmid == vhi:
-            return Fraction(mid, d), Fraction(mid, d)
-        if vmid > vhi or smid == 0:
-            a, vlo, slo = mid, vmid, smid
-        else:
-            b, vhi = mid, vmid
-    return Fraction(a, d), Fraction(b, d)
+    return next(_root_intervals(p), None)
 
 
 def integer_roots(p: IntPolynomial) -> list[int]:
     """Distinct integer roots of a monic p, ascending. Its rational roots are
-    integers, so no half-integer is a root: (-B - 1/2, B + 1/2), B the
-    ceiling of the Cauchy bound, is bisected at half-integers by Sturm
-    counts, one chain evaluation per point, until an interval holds one
-    root; refine_interval shrinks a longer one to width <= 1. The ceiling of
-    its lower end is then the one integer that can be the root, and is kept
-    if p vanishes there."""
-    chain = _sturm_chain(p)
-
-    def above(k: int) -> int:  # variations at k + 1/2
-        return _variations(chain, 2 * k + 1, 2)[0]
-
-    B = ceil(cauchy_bound(p))
-    roots: list[int] = []
-    # (lo, vlo, hi, vhi) stands for (lo + 1/2, hi + 1/2); lower halves first.
-    work = [(-B - 1, above(-B - 1), B, above(B))]
-    while work:
-        lo, vlo, hi, vhi = work.pop()
-        if vlo == vhi:
-            continue
-        if hi - lo > 1:
-            if vlo - vhi > 1:
-                mid = (lo + hi) // 2
-                vmid = above(mid)
-                work += [(mid, vmid, hi, vhi), (lo, vlo, mid, vmid)]
-                continue
-            ends = Fraction(2 * lo + 1, 2), Fraction(2 * hi + 1, 2)
-            hi = ceil(refine_interval(p, *ends, 1)[0])
-        if p.sign_at(hi) == 0:
-            roots.append(hi)
-    return roots
+    integers, and an isolating interval refined to width <= 1 can hold only
+    one integer: the ceiling of its lower end, kept if it is not above the
+    upper end and p vanishes there."""
+    roots = []
+    for lo, hi in _root_intervals(p):
+        lo, hi = refine_interval(p, lo, hi, 1)
+        r = ceil(lo)
+        if r <= hi and p.sign_at(r) == 0:
+            roots.append(r)
+    return roots[::-1]
 
 
 def refine_interval(p: IntPolynomial, lo: Fraction, hi: Fraction, width: Fraction):

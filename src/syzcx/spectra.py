@@ -4,6 +4,7 @@ and comparison of the resulting algebraic numbers."""
 
 from __future__ import annotations
 
+from collections import Counter
 from functools import cmp_to_key, lru_cache
 from typing import NamedTuple
 
@@ -21,44 +22,43 @@ from .polynomials import (
     squarefree_part,
 )
 
-IntMatrix = tuple[tuple[int, ...], ...]
-
-
-def mat_from_rows(rows) -> IntMatrix:
-    return tuple(tuple(int(c) for c in row) for row in rows)
+# Sparse rows: row i lists its nonzero entries (j, M[i][j]), j ascending.
+IntMatrix = tuple[tuple[tuple[int, int], ...], ...]
 
 
 def adjacency_matrix(graph, edges=None) -> IntMatrix:
-    """Arrow-count matrix of (n, edges) or of any object with .digraph()."""
+    """Arrow counts of (n, edges) or of any object with .digraph(), as sparse
+    rows: row u lists (v, number of arrows u -> v), v ascending."""
     n, edge_list = (int(graph), edges) if edges is not None else graph.digraph()
-    mat = [[0] * n for _ in range(n)]
+    rows = [Counter() for _ in range(n)]
     for u, v in edge_list:
-        mat[u][v] += 1
-    return mat_from_rows(mat)
+        rows[u][v] += 1
+    return tuple(tuple(sorted(row.items())) for row in rows)
 
 
 def char_poly(m: IntMatrix) -> IntPolynomial:
-    """Monic characteristic polynomial det(xI - M), exact over the integers.
+    """Monic characteristic polynomial det(xI - M), exact over the integers,
+    of M in sparse rows (see IntMatrix).
 
     From the power sums p_k = tr(M^k), k = 1..n, by Newton's identities
     k c_k = -(p_k + c_1 p_(k-1) + ... + c_(k-1) p_1), whose divisions are
     exact; each is asserted. Each row of M^k is packed into one integer with
     w bits per entry (Kronecker substitution), so row i of M^k is one
-    big-integer multiply-add per nonzero (j, c) of row i of M: the sum of
-    c times packed row j of M^(k-1). With r the largest absolute row sum of
+    big-integer multiply-add per pair (j, c) of row i of M: the sum of c
+    times packed row j of M^(k-1). With r the largest absolute row sum of
     M, every entry of M^k, k <= n, has absolute value at most r^k <= r^n <
     2^(w-2) for w = bitlen(r^n) + 2. So the fields never overlap, and a
     field plus 2^(w-1) lies in [0, 2^w): a signed entry reads back after
     that offset is added to every field.
     """
     n = len(m)
-    r = max((sum(map(abs, row)) for row in m), default=0)
+    r = max((sum(abs(c) for _, c in row) for row in m), default=0)
     w = (r ** n).bit_length() + 2
     half, mask = 1 << (w - 1), (1 << w) - 1
     offset = half * sum(1 << (w * j) for j in range(n))
     # Unit counts, the common case, need an addition and no multiplication.
-    units = [[j for j, c in enumerate(row) if c == 1] for row in m]
-    scaled = [[(j, c) for j, c in enumerate(row) if c not in (0, 1)] for row in m]
+    units = [[j for j, c in row if c == 1] for row in m]
+    scaled = [[(j, c) for j, c in row if c not in (0, 1)] for row in m]
     packed = [1 << (w * i) for i in range(n)]  # the rows of M^0 = I
     coeffs_desc = [1]
     power_sums: list[int] = []
@@ -97,7 +97,8 @@ def _component_root(matrix: IntMatrix) -> AlgebraicReal:
 
 class SCC(NamedTuple):
     """One strongly connected component: member vertices (original indices,
-    ascending), internal adjacency counts, and its spectral radius."""
+    ascending), the sparse rows of its internal arrow counts (indices into
+    `vertices`), and its spectral radius."""
 
     vertices: tuple[int, ...]
     matrix: IntMatrix
@@ -105,7 +106,7 @@ class SCC(NamedTuple):
 
     @property
     def is_trivial(self) -> bool:
-        return len(self.vertices) == 1 and self.matrix[0][0] == 0
+        return len(self.vertices) == 1 and not self.matrix[0]
 
 
 class Condensation(NamedTuple):
@@ -143,12 +144,12 @@ def scc_condense(n: int, edge_list) -> Condensation:
         for i, v in enumerate(members):
             comp_of[v] = ci
             pos[v] = i
-    mats = [[[0] * len(m) for _ in m] for m in comp_members]
+    inner: list[list[tuple[int, int]]] = [[] for _ in comp_members]
     dag_edges = set()
     for u, v in edge_list:
         cu, cv = comp_of[u], comp_of[v]
         if cu == cv:
-            mats[cu][pos[u]][pos[v]] += 1
+            inner[cu].append((pos[u], pos[v]))
         else:
             dag_edges.add((cu, cv))
     succ: list[list[int]] = [[] for _ in comp_members]
@@ -156,8 +157,8 @@ def scc_condense(n: int, edge_list) -> Condensation:
         succ[a].append(b)
 
     comps: list[SCC] = []
-    for members, mat in zip(comp_members, mats):
-        matrix = mat_from_rows(mat)
+    for members, arrows in zip(comp_members, inner):
+        matrix = adjacency_matrix(len(members), arrows)
         comps.append(SCC(tuple(members), matrix, _component_root(matrix)))
 
     # Rank the distinct radii (equal radii share a rank), then one forward

@@ -161,6 +161,13 @@ def det_bareiss_int(rows: list[list[int]]) -> int:
     return sign * m[n - 1][n - 1]
 
 
+def sparse_rows(dense):
+    """A dense square integer matrix as the sparse rows that
+    `syzcx.spectra` reads: row i lists (j, entry) for each nonzero entry,
+    j ascending."""
+    return tuple(tuple((j, c) for j, c in enumerate(row) if c) for row in dense)
+
+
 def fibonacci_numbers(count):
     fs = [1, 1]
     while len(fs) < count:

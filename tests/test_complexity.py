@@ -31,7 +31,7 @@ from syzcx.errors import (
     WindowTooSmallError,
 )
 
-from conftest import make_algebra, fibonacci_numbers
+from conftest import make_algebra, fibonacci_numbers, sparse_rows
 
 GOLDEN = poly(-1, -1, 1)
 PHI = largest_real_root(GOLDEN)
@@ -246,7 +246,7 @@ def _adj(q: Quiver):
     mat = [[0] * n for _ in range(n)]
     for i, j in edges:
         mat[i][j] += 1
-    return tuple(tuple(r) for r in mat)
+    return sparse_rows(mat)
 
 
 # -- numeric witness ---------------------------------------------------------------

@@ -33,6 +33,8 @@ from syzcx.curvature import (
 )
 from syzcx.errors import NotMonicError, ZeroPolynomialError
 
+from conftest import sparse_rows
+
 GOLDEN = poly(-1, -1, 1)           # x^2 - x - 1
 PHI_SQ = poly(1, -3, 1)            # x^2 - 3x + 1
 PHI = (1 + 5 ** 0.5) / 2
@@ -255,9 +257,9 @@ def test_realize_companion_spectral_radius():
     mat = [[0] * n for _ in range(n)]
     for i, j in edges:
         mat[i][j] += 1
-    cp = char_poly(tuple(tuple(r) for r in mat))
+    cp = char_poly(sparse_rows(mat))
     assert cp == companion_polynomial((1, 2))
-    rho = perron_root(tuple(tuple(r) for r in mat))
+    rho = perron_root(sparse_rows(mat))
     assert equal_radius(rho, rational_algebraic(2))
 
 

@@ -1,8 +1,9 @@
 """Every imported name is used in its file, every private function is used
 in the package, every public function or class is used in the package or
-the benchmark or is a listed test-reference helper, and no function in the
-package calls itself by name. `from __future__` imports are directives, so
-they are exempt from the first."""
+the benchmark or is a listed test-reference helper, no function in the
+package calls itself by name, and only one bisection reads Sturm chains.
+`from __future__` imports are directives, so they are exempt from the
+first."""
 
 import ast
 from pathlib import Path
@@ -87,6 +88,29 @@ def test_no_function_calls_itself():
     files = sorted((ROOT / "src" / "syzcx").glob("*.py"))
     assert len(files) > 10
     assert self_calls(files) == []
+
+
+def callers_of(name, files) -> set[str]:
+    """Functions, nested ones and methods included, that call `name`, in
+    their own body or in a function nested in it."""
+    found = set()
+    for path in files:
+        tree = ast.parse(path.read_text(encoding="utf-8"), str(path))
+        for fn in ast.walk(tree):
+            if isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef)) and any(
+                    isinstance(n, ast.Call) and isinstance(n.func, ast.Name)
+                    and n.func.id == name for n in ast.walk(fn)):
+                found.add(fn.name)
+    return found
+
+
+def test_one_sturm_bisection():
+    """Root isolation is one bisection by Sturm counts: a second loop over
+    chain variations is to be folded into `_root_intervals`, not added."""
+    files = sorted((ROOT / "src" / "syzcx").glob("*.py"))
+    assert len(files) > 10
+    assert callers_of("_variations", files) == {"_root_intervals",
+                                                "count_real_roots_open"}
 
 
 # Public helpers that only tests call, each to check a claim of the paper.

@@ -28,7 +28,7 @@ from syzcx.polynomials import (
     det_bareiss_poly,
     resultant_y,
 )
-from syzcx.polynomials import _sturm_chain, _variations
+from syzcx.polynomials import _root_intervals, _sturm_chain, _variations
 from syzcx.errors import ZeroPolynomialError
 
 from conftest import det_bareiss_int
@@ -310,13 +310,12 @@ def _integer_roots_chain_only(p):
     return roots
 
 
-def test_integer_roots_match_chain_only_search():
+def _integer_roots_corpus():
     """3,000 seeded monic polynomials: small random ones; products of
     linear factors with repeated roots and a random cofactor; random ones
     with coefficients up to 10^12; and products of roots up to 10^6, with a
     repeat, whose coefficients pass 10^12."""
     rng = random.Random(1401)
-    found = repeated = huge = 0
     for i in range(3000):
         kind = i % 4
         if kind == 0:
@@ -335,12 +334,43 @@ def test_integer_roots_match_chain_only_search():
             cofactor = poly(*[rng.randint(-10 ** 6, 10 ** 6)
                               for _ in range(rng.randint(0, 2))], 1)
             p = _product([poly(-r, 1) for r in roots] + [cofactor])
+        yield p
+
+
+def test_integer_roots_match_chain_only_search():
+    """integer_roots equals the half-integer search on the corpus above."""
+    found = repeated = huge = 0
+    for p in _integer_roots_corpus():
         got = integer_roots(p)
         assert got == _integer_roots_chain_only(p)
         found += bool(got)
         repeated += squarefree_part(p) != p
         huge += max(abs(c) for c in p.coeffs) >= 10 ** 11
     assert found >= 1000 and repeated >= 500 and huge >= 1000
+
+
+def test_root_intervals_isolate_every_real_root():
+    """On both corpora, _root_intervals yields the whole root set, largest
+    first: pairwise disjoint intervals in descending order, each open one
+    holding exactly one root with ends that are not roots, each point a
+    root, as many as the Sturm count over (-B, B)."""
+    lower = points = repeated = 0
+    for p in [*_isolate_corpus(), *_integer_roots_corpus()]:
+        got = list(_root_intervals(p))
+        for lo, hi in got:
+            if lo == hi:
+                assert p.sign_at(lo) == 0
+            else:
+                assert lo < hi and p.sign_at(lo) != 0 != p.sign_at(hi)
+                assert count_real_roots_open(p, lo, hi) == 1
+        for (lo, hi), (lo2, hi2) in zip(got, got[1:]):
+            assert hi2 < lo or (hi2 == lo and (lo < hi or lo2 < hi2))
+        B = cauchy_bound(squarefree_part(p))
+        assert len(got) == count_real_roots_open(p, -B, B)
+        lower += len(got[1:])
+        points += sum(lo == hi for lo, hi in got[1:])
+        repeated += bool(got) and squarefree_part(p) != p
+    assert lower >= 5000 and points >= 150 and repeated >= 500
 
 
 def test_integer_roots_degenerate():

@@ -1,12 +1,14 @@
 """Characteristic polynomials, condensations, and exact radius comparisons."""
 
 import random
+import tracemalloc
 from fractions import Fraction
 from math import comb, isqrt
 from time import perf_counter
 
 import pytest
 
+from syzcx import spectra
 from syzcx.algebra import parse_algebra, validate_algebra
 
 from syzcx.curvature import companion_polynomial, realize_companion
@@ -17,7 +19,6 @@ from syzcx.polynomials import (
     rational_algebraic,
 )
 from syzcx.spectra import (
-    mat_from_rows,
     adjacency_matrix,
     char_poly,
     perron_root,
@@ -28,32 +29,28 @@ from syzcx.spectra import (
 )
 from syzcx.syzygy import build_syzygy_quiver, resolve_module
 
-from conftest import det_bareiss_int, family_gen
+from conftest import det_bareiss_int, family_gen, sparse_rows
 
 GOLDEN = poly(-1, -1, 1)
 PHI = (1 + 5 ** 0.5) / 2
 
 
-def test_matrix_helpers():
-    m = mat_from_rows([[1, 2], [3, 4]])
-    assert m == ((1, 2), (3, 4))
-    assert mat_from_rows([]) == ()
-
-
 def test_adjacency_matrix():
-    m = adjacency_matrix(3, [(0, 1), (0, 1), (2, 2)])
-    assert m == ((0, 2, 0), (0, 0, 0), (0, 0, 1))
+    m = adjacency_matrix(3, [(2, 2), (0, 2), (0, 1), (0, 1)])
+    assert m == (((1, 2), (2, 1)), (), ((2, 1),))
+    assert m == sparse_rows([[0, 2, 1], [0, 0, 0], [0, 0, 1]])
+    assert adjacency_matrix(0, []) == ()
 
 
 def test_char_poly_by_hand():
     # det(xI - [[0,1],[1,1]]) = x^2 - x - 1
-    assert char_poly(mat_from_rows([[0, 1], [1, 1]])) == GOLDEN
+    assert char_poly(sparse_rows([[0, 1], [1, 1]])) == GOLDEN
     # det(xI - I2) = (x-1)^2
-    assert char_poly(mat_from_rows([[1, 0], [0, 1]])) == poly(1, -2, 1)
+    assert char_poly(sparse_rows([[1, 0], [0, 1]])) == poly(1, -2, 1)
     # 1x1 zero matrix: x
-    assert char_poly(mat_from_rows([[0]])) == poly(0, 1)
+    assert char_poly(sparse_rows([[0]])) == poly(0, 1)
     # empty matrix: the constant 1
-    assert char_poly(mat_from_rows([])) == poly(1)
+    assert char_poly(sparse_rows([])) == poly(1)
 
 
 def test_char_poly_of_large_companion_quiver():
@@ -68,7 +65,7 @@ def test_char_poly_of_large_companion_quiver():
 
 
 def test_char_poly_monic_and_trace():
-    m = mat_from_rows([[2, 1, 0], [0, 1, 3], [1, 0, 1]])
+    m = sparse_rows([[2, 1, 0], [0, 1, 3], [1, 0, 1]])
     p = char_poly(m)
     assert p.is_monic and p.degree == 3
     # second-highest coefficient is -trace, 2 + 1 + 1
@@ -78,9 +75,9 @@ def test_char_poly_monic_and_trace():
 # -- the packed power-sum kernel ---------------------------------------------
 
 def _trace_recursion(m):
-    """Reference characteristic polynomial by the trace recursion
-    M_k = M (M_(k-1) + c_(k-1) I), c_k = -tr(M_k) / k, on sparse rows of
-    (column, count) pairs and unpacked integer lists."""
+    """Reference characteristic polynomial of a dense matrix by the trace
+    recursion M_k = M (M_(k-1) + c_(k-1) I), c_k = -tr(M_k) / k, on its own
+    sparse rows of (column, count) pairs and unpacked integer lists."""
     n = len(m)
     rows = [[(j, c) for j, c in enumerate(row) if c] for row in m]
     mk = [list(row) for row in m]
@@ -115,18 +112,19 @@ def test_char_poly_entries_at_the_bit_bound():
         for n in (1, 2, 3, 5, 8, 13, 30):
             for c in (r, -r):
                 scalar = [[c if i == j else 0 for j in range(n)] for i in range(n)]
-                assert char_poly(scalar) == _power_of_linear(c, n)
+                assert char_poly(sparse_rows(scalar)) == _power_of_linear(c, n)
                 cycle = [[c if j == (i + 1) % n else 0 for j in range(n)]
                          for i in range(n)]
-                assert char_poly(cycle) == poly(-(c ** n), *[0] * (n - 1), 1)
+                assert char_poly(sparse_rows(cycle)) == poly(
+                    -(c ** n), *[0] * (n - 1), 1)
 
 
 def test_char_poly_degenerate_sizes():
     assert char_poly(()) == poly(1)
     for n in range(1, 6):
-        assert char_poly([[0] * n for _ in range(n)]) == poly(*[0] * n, 1)
+        assert char_poly(sparse_rows([[0] * n] * n)) == poly(*[0] * n, 1)
     for c in (0, 1, -1, 5, -7, 2 ** 70, -(2 ** 70)):
-        assert char_poly([[c]]) == poly(-c, 1)
+        assert char_poly(sparse_rows([[c]])) == poly(-c, 1)
 
 
 def test_char_poly_signed_matrices_against_determinants():
@@ -140,7 +138,7 @@ def test_char_poly_signed_matrices_against_determinants():
         bound = 10 ** 6 if trial % 3 == 0 else 3
         m = [[rng.randint(-bound, bound) if rng.random() < density else 0
               for _ in range(n)] for _ in range(n)]
-        p = char_poly(m)
+        p = char_poly(sparse_rows(m))
         assert p == _trace_recursion(m)
         for t in (-2, 0, 3):
             shifted = [[(t if i == j else 0) - m[i][j] for j in range(n)]
@@ -150,7 +148,9 @@ def test_char_poly_signed_matrices_against_determinants():
 
 def test_char_poly_matches_trace_recursion_on_family_components():
     """Every strongly connected component of the syzygy quivers of seeded
-    random monomial algebras (the benchmark's family), sum of all simples."""
+    random monomial algebras (the benchmark's family), sum of all simples.
+    The reference gets the component's dense matrix, filled from the
+    quiver's arrows."""
     gen = family_gen()
     sizes = []
     for draw in range(8):
@@ -158,21 +158,27 @@ def test_char_poly_matches_trace_recursion_on_family_components():
         body = " + ".join(f"S({v})" for v in alg["vertices"])
         A = validate_algebra(parse_algebra(
             gen.algebra_text(f"fam{draw}", alg, [("Sum", body)])))
-        Q = build_syzygy_quiver(resolve_module(A, "Sum"), A)
-        for comp in scc_condense(*Q.digraph()).components:
-            assert char_poly(comp.matrix) == _trace_recursion(comp.matrix)
+        n, arrows = build_syzygy_quiver(resolve_module(A, "Sum"), A).digraph()
+        for comp in scc_condense(n, arrows).components:
+            pos = {v: i for i, v in enumerate(comp.vertices)}
+            dense = [[0] * len(pos) for _ in pos]
+            for u, v in arrows:
+                if u in pos and v in pos:
+                    dense[pos[u]][pos[v]] += 1
+            assert comp.matrix == sparse_rows(dense)
+            assert char_poly(comp.matrix) == _trace_recursion(dense)
             sizes.append(len(comp.vertices))
     assert max(sizes) >= 15 and len(sizes) > 50
 
 
 def test_perron_root_golden():
-    r = perron_root(mat_from_rows([[0, 1], [1, 1]]))
+    r = perron_root(sparse_rows([[0, 1], [1, 1]]))
     assert abs(r.as_float() - PHI) < 1e-12
     assert r.poly == GOLDEN
 
 
 def test_perron_root_trivial_vertex():
-    r = perron_root(mat_from_rows([[0]]))
+    r = perron_root(sparse_rows([[0]]))
     assert r.as_float() == 0.0
 
 
@@ -200,6 +206,51 @@ def test_scc_condense_reverse_topological_invariant():
     cond = scc_condense(3, [(0, 0), (0, 1), (1, 1), (1, 2), (2, 2)])
     for ci in range(len(cond.components)):
         assert all(cj < ci for cj in cond.succ[ci])
+
+
+def _condense_peak(n, arrows):
+    tracemalloc.start()
+    try:
+        cond = scc_condense(n, arrows)
+        return cond, tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_scc_condense_memory_is_linear_in_arrows(monkeypatch):
+    """Component matrices are sparse rows: the peak of scc_condense on a
+    ring (one component, no spectra) grows with its arrows, not with the
+    square of its size; each component's matrix has one entry per distinct
+    internal arrow pair; and components whose arrows are listed in another
+    order share one memoized root."""
+    monkeypatch.setattr(spectra, "_component_root",
+                        lambda matrix: rational_algebraic(1))
+    peaks = []
+    for n in (1000, 2000):
+        ring = [(i, (i + 1) % n) for i in range(n)]
+        cond, peak = _condense_peak(n, ring)
+        (comp,) = cond.components
+        assert comp.matrix == tuple((((i + 1) % n, 1),) for i in range(n))
+        peaks.append(peak)
+    assert peaks[1] <= 2.5 * peaks[0], peaks
+    monkeypatch.undo()
+
+    # Two 3-cycles with a loop and a doubled arrow, the second listed in
+    # reverse order, and an arrow between them.
+    first = [(0, 1), (1, 2), (2, 0), (0, 0), (0, 1)]
+    second = [(u + 3, v + 3) for u, v in reversed(first)]
+    arrows = first + [(2, 3)] + second
+    spectra._component_root.cache_clear()
+    cond = scc_condense(6, arrows)
+    info = spectra._component_root.cache_info()
+    assert [c.vertices for c in cond.components] == [(3, 4, 5), (0, 1, 2)]
+    for comp in cond.components:
+        inner = [(u, v) for u, v in arrows
+                 if u in comp.vertices and v in comp.vertices]
+        assert sum(map(len, comp.matrix)) == len(set(inner)) == 4
+        assert sum(c for row in comp.matrix for _, c in row) == len(inner)
+    assert cond.components[0].matrix == cond.components[1].matrix
+    assert (info.misses, info.hits, info.currsize) == (1, 1, 1)
 
 
 def test_scc_condense_top_and_chain():
