@@ -20,10 +20,11 @@ A representation (TableRepresentation) is a value indexed by table
 position. Dimension sequences (dim_sequence) rest on the syzygy of a direct
 sum being the direct sum of the syzygies: a module is kept as a multiset of
 its coordinate blocks (the classes of coordinates that nonzero action
-entries link) in canonical form, each its own memo key, stepped once with
-syzygy_rep and split again. Over a monomial algebra every syzygy is a
-direct sum of small cyclic modules (Zimmermann Huisgen, Manuscripta Math.
-70, 1991), so few distinct blocks recur, and no syzygy that splits is
+entries link) in canonical form, each its own key in its table's memo,
+stepped once per table and prime with syzygy_rep and split again. Over a
+monomial algebra every syzygy is a direct sum of small cyclic modules
+(Zimmermann Huisgen, Manuscripta Math. 70, 1991), so the modules of one
+algebra keep meeting the same few blocks, and no syzygy that splits is
 materialized whole.
 """
 
@@ -191,7 +192,10 @@ class GradedTable:
     with j = j' * gens[k], and parents come before their children; an
     idempotent has parent None. right[k][j] is j * gens[k], or -1 for zero.
     Modules are right modules: a generator from vertex s to vertex t maps the
-    space at s to the space at t."""
+    space at s to the space at t.
+
+    `block_memo` maps each block (_blocks) that dim_sequence has stepped to
+    its syzygy's blocks (_step_blocks); it lives as long as the table."""
 
     def __init__(self, basis: tuple[str, ...], vertices: tuple[str, ...],
                  ends: tuple[tuple[int, int], ...], gens: tuple[int, ...],
@@ -203,6 +207,7 @@ class GradedTable:
         self.gens = gens
         self.parent = parent
         self.right = right
+        self.block_memo: dict = {}
 
     @cached_property
     def products(self) -> tuple[tuple[tuple[int, int], ...], ...]:
@@ -435,9 +440,10 @@ def _scatter(krow: list, blocks, p: int) -> dict:
 def syzygy_rep(R: "TableRepresentation") -> "TableRepresentation":
     """Kernel of a projective cover of R, as a representation.
 
-    At each vertex the top of R is a complement of the generator images. The
-    cover stacks one projective e_w A per lifted top vector at w; its basis
-    is (j, copy) for the basis elements j from w, graded by the target of j,
+    At each vertex where R is nonzero, the top of R is a complement of the
+    generator images; no other vertex is scanned for them. The cover
+    stacks one projective e_w A per lifted top vector at w; its basis is
+    (j, copy) for the basis elements j from w, graded by the target of j,
     and its map sends (j, copy) to the lift acted on by j. The images are
     built column by column from each action's stored nonzero columns.
     The kernel is read off one sparse rref of the cover's rows per vertex,
@@ -459,7 +465,7 @@ def syzygy_rep(R: "TableRepresentation") -> "TableRepresentation":
         for v, d in enumerate(dims):
             rad = [col for gcols, g in zip(cols, T.gens)
                    if gcols is not None and T.ends[g][1] == v
-                   for col in gcols if col]
+                   for col in gcols if col] if d else []
             top = _rref(rad, d, p) if rad else {}
             lifts.append([i for i in range(d) if i not in top])
         copies = [len(lift) for lift in lifts]
@@ -725,13 +731,16 @@ def _blocks(R: TableRepresentation) -> dict[TableRepresentation, int]:
     return out
 
 
-def _step_blocks(blocks: dict, memo: dict) -> dict:
+def _step_blocks(blocks: dict) -> dict:
     """The blocks of the syzygy of the direct sum `blocks`, {block:
     multiplicity}: the syzygy of a direct sum is the direct sum of the
-    syzygies. Each block not yet in `memo` is stepped once with syzygy_rep
-    and memoized as the result's blocks."""
+    syzygies. Each block not yet in its table's block_memo is stepped once
+    with syzygy_rep and memoized as the result's blocks, written only once
+    both have returned. A block carries its table and prime, so it never
+    meets another table's or prime's entry."""
     out: dict[TableRepresentation, int] = {}
     for block, mult in blocks.items():
+        memo = block.table.block_memo
         if block not in memo:
             memo[block] = tuple(_blocks(syzygy_rep(block)).items())
         for child, count in memo[block]:
@@ -742,17 +751,18 @@ def _step_blocks(blocks: dict, memo: dict) -> dict:
 def dim_sequence(R: TableRepresentation, N: int) -> list[int]:
     """[dim R, dim syzygy(R), ..., dim syzygy^N(R)]. R is handled as the
     direct sum of its coordinate blocks (_blocks), a multiset of blocks,
-    and each distinct block is stepped once in the call (_step_blocks); no
-    syzygy that splits is materialized whole. Refuses to take the syzygy of
-    a representation whose total dimension is larger than the cap (default
-    200000, set only through the environment variable SYZCX_DIM_CAP), and
-    reports a step that runs out of memory the same way; the partial list
-    rides on the error and is named in its message."""
+    and each distinct block is stepped once per table and prime, in this
+    call or an earlier one (_step_blocks); no syzygy that splits is
+    materialized whole. Refuses to take the syzygy of a representation
+    whose total dimension is larger than the cap (default 200000, set only
+    through the environment variable SYZCX_DIM_CAP), and reports a step
+    that runs out of memory the same way; the partial list rides on the
+    error and is named in its message."""
     if N < 0:
         raise ValueError("N must be >= 0")
     limit = _dim_cap()
     dims = [R.total_dim]
-    blocks, memo = None, {}
+    blocks = None
     for _ in range(N):
         if dims[-1] > limit:
             raise DimensionCapExceededError(
@@ -762,7 +772,7 @@ def dim_sequence(R: TableRepresentation, N: int) -> list[int]:
         try:
             if blocks is None:
                 blocks = _blocks(R)
-            blocks = _step_blocks(blocks, memo)
+            blocks = _step_blocks(blocks)
         except MemoryError:
             raise DimensionCapExceededError(
                 f"out of memory taking the syzygy of a representation of "

@@ -1121,7 +1121,8 @@ def test_crosscheck_mixed_module(fib):
 
 def test_crosscheck_compiles_each_table_once(monkeypatch):
     # Two algebras crosschecked alternately keep one table each, and the
-    # table goes with its algebra.
+    # table, with the block memo the crosschecks filled, goes with its
+    # algebra.
     import syzcx.oracle as oracle
 
     algebras = [make_algebra(FIB_TEXT), make_algebra(LOOP3_TEXT)]
@@ -1147,51 +1148,100 @@ def test_crosscheck_compiles_each_table_once(monkeypatch):
     monkeypatch.undo()
     refs = [ref for held in tables.values() for ref in held.values()]
     assert len(refs) == 2 and all(ref() is not None for ref in refs)
+    assert all(ref().block_memo for ref in refs)
     del algebras, A
     gc.collect()
     assert all(ref() is None for ref in refs)
+    # A compile_table table, memo and all, goes with its representation.
+    R = table_rep(xyz_local_table(), "k", P)
+    assert dim_sequence(R, 6) == xyz_local_expected_dims(6)
+    ref = weakref.ref(R.table)
+    assert ref().block_memo
+    del R
+    gc.collect()
+    assert ref() is None
 
 
-def test_block_memo_steps_each_distinct_block_once_per_sequence(monkeypatch):
-    # Crosschecks of every simple of one benchmark family draw: within one
-    # dim_sequence call syzygy_rep sees each distinct block once, though the
-    # same blocks recur from step to step, and a second round steps the
-    # same blocks again, since the memo lives only as long as its call.
+def test_block_memo_steps_each_distinct_block_once_per_table_and_prime(
+        monkeypatch):
+    # Crosschecks of every simple of one benchmark family draw share the
+    # block memo of the algebra's table: over all calls syzygy_rep sees
+    # each distinct block once, at each prime apart, and a second round
+    # steps nothing and gives the same sequences.
     import syzcx.oracle as oracle
 
     gen = family_gen()
     alg = gen.family_algebra(21, random.Random(2210))
     A = make_algebra(gen.algebra_text("fam", alg))
-    calls, sequence, step = [], oracle.dim_sequence, oracle._step_blocks
+    T = compile_paths(A)
+    calls, stepped = [], []
+    sequence, step = oracle.dim_sequence, oracle._step_blocks
 
     def counted_sequence(R, N):
-        calls.append((R.p, [], []))
+        calls.append((R.p, []))
         return sequence(R, N)
 
-    def counted_step(blocks, memo):
+    def counted_step(blocks):
         calls[-1][1].extend(blocks)
-        return step(blocks, memo)
+        return step(blocks)
 
     def counted(R):
         assert _blocks(R) == {R: 1}
-        calls[-1][2].append(R)
+        stepped.append(R)
         return syzygy_rep(R)
 
     monkeypatch.setattr(oracle, "dim_sequence", counted_sequence)
     monkeypatch.setattr(oracle, "_step_blocks", counted_step)
     monkeypatch.setattr(oracle, "syzygy_rep", counted)
     simples = [singleton(simple_key(A, v)) for v in A.quiver.vertices]
-    for M in simples:
-        assert crosscheck(A, M, 10).agree
-    first = list(calls)
-    assert [p for p, _, _ in first] == list(PRIMES) * len(simples)
-    for _, met, stepped in first:
-        assert len(stepped) == len(set(stepped)) and set(stepped) == set(met)
-    assert sum(len(met) for _, met, _ in first) > 4 * sum(
-        len(stepped) for _, _, stepped in first)
-    for M in simples:
-        assert crosscheck(A, M, 10).agree
-    assert calls[len(first):] == first
+    reports = [crosscheck(A, M, 10) for M in simples]
+    assert all(r.agree for r in reports)
+    assert [p for p, _ in calls] == list(PRIMES) * len(simples)
+    for p, met in calls:
+        assert all(b.table is T and b.p == p for b in met)
+    met = [b for _, blocks in calls for b in blocks]
+    assert len(stepped) == len(set(stepped)) and set(stepped) == set(met)
+    assert {b.p for b in stepped} == set(PRIMES)
+    assert len(met) > 10 * len(stepped)
+    assert set(T.block_memo) == set(stepped)
+    for key, children in T.block_memo.items():
+        assert all(c.table is key.table and c.p == key.p for c, _ in children)
+    first = len(stepped)
+    assert [crosscheck(A, M, 10) for M in simples] == reports
+    assert len(stepped) == first
+
+
+@pytest.mark.parametrize("k", [1, 4])
+def test_a_failed_block_step_leaves_no_memo_entry(monkeypatch, k):
+    # syzygy_rep runs out of memory on the k-th block step: the error
+    # carries the partial dimensions, the memo holds the k - 1 blocks
+    # stepped before and not the failed one, and the next sequence over
+    # the same algebra is that of a freshly validated copy.
+    import syzcx.oracle as oracle
+
+    gen = family_gen()
+    text = gen.algebra_text("fam", gen.family_algebra(21, random.Random(2210)))
+    A = make_algebra(text)
+    M = module_expr([(simple_key(A, v), 1) for v in A.quiver.vertices])
+    seen = []
+
+    def failing(R):
+        seen.append(R)
+        if len(seen) == k:
+            raise MemoryError
+        return syzygy_rep(R)
+
+    monkeypatch.setattr(oracle, "syzygy_rep", failing)
+    with pytest.raises(DimensionCapExceededError) as err:
+        dim_sequence(rep_of(M, A, P), 10)
+    monkeypatch.undo()
+    memo = compile_paths(A).block_memo
+    assert len(seen) == k and seen[-1] not in memo
+    assert set(memo) == set(seen[:-1])
+    fresh = make_algebra(text)
+    want = dim_sequence(rep_of(M, fresh, P), 10)
+    assert err.value.dims == want[:len(err.value.dims)]
+    assert dim_sequence(rep_of(M, A, P), 10) == want
 
 
 def test_crosscheck_report_mismatch_shape():

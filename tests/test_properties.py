@@ -810,6 +810,40 @@ def test_pipelines_agree_to_dimension_1e5_on_benchmark_family_draws():
     assert modules == classed == 124 and deep == 99296
 
 
+def test_pipelines_agree_at_family_scale_on_benchmark_family_draws():
+    # Larger draws of the same family, nv 55 and 80: every simple and
+    # projective, at both primes, as deep (up to 30) as the reference
+    # dimensions stay <= 10^4, and in the symbolic class over the last nine
+    # terms where the depth is >= 9. The crosschecks of one algebra share
+    # its table's block memo, which keeps this affordable.
+    gen, rng = family_gen(), random.Random(2210)
+    modules, classed, deep = [], [], 0
+    for nv in (55, 80):
+        alg = gen.family_algebra(nv, rng)
+        A = make_algebra(gen.algebra_text(f"fam{nv}", alg))
+        modules.append(0)
+        classed.append(0)
+        for v in A.quiver.vertices:
+            for key in (simple_key(A, v), projective_key(A, v)):
+                M = singleton(key)
+                dims = quiver_dim_sequence(build_syzygy_quiver(M, A), 30)
+                depth = 0
+                while depth < 30 and max(dims[:depth + 2]) <= 10 ** 4:
+                    depth += 1
+                report = crosscheck(A, M, depth)
+                assert report.agree, (A.name, v, key, report)
+                assert list(report.dims_oracle) == dims[:depth + 1]
+                modules[-1] += 1
+                deep = max(deep, max(dims[:depth + 1]))
+                if depth >= 9:
+                    cls = module_complexity(A, M).cls
+                    ok, lo, hi = empirical_class_check(
+                        list(report.dims_oracle), cls, (depth - 8, depth))
+                    assert ok, (A.name, v, key, cls, lo, hi)
+                    classed[-1] += 1
+    assert modules == [110, 160] and classed == [84, 160] and deep == 9639
+
+
 def test_pipelines_agree_on_fixture_algebras(fib, chain, loop3, twostep):
     for A in (fib, chain, loop3, twostep):
         for v in A.quiver.vertices:
