@@ -24,6 +24,8 @@ from typing import NamedTuple
 from .errors import ZeroPolynomialError
 
 DEFAULT_WIDTH = Fraction(1, 2 ** 48)
+# Entries per memo of the exact layer, so none grows without bound.
+_MEMO_SIZE = 4096
 
 
 class IntPolynomial:
@@ -250,7 +252,7 @@ def poly_gcd_q(a: IntPolynomial, b: IntPolynomial) -> IntPolynomial:
 
 # -- Sturm machinery --------------------------------------------------------
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=_MEMO_SIZE)
 def _sturm_chain(p: IntPolynomial) -> tuple[tuple[int, ...], ...]:
     """Sturm chain of the squarefree part of p as content-free integer
     tuples: the signed remainder sequence of p and p', divided by its last
@@ -268,7 +270,7 @@ def _sturm_chain(p: IntPolynomial) -> tuple[tuple[int, ...], ...]:
     return tuple(chain)
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=_MEMO_SIZE)
 def squarefree_part(p: IntPolynomial) -> IntPolynomial:
     """p / gcd(p, p'), primitive with positive leading coefficient: the first
     entry of the Sturm chain of p."""
@@ -283,12 +285,14 @@ def _variations(chain, n: int, d: int) -> tuple[int, int]:
     return sum(a != b for a, b in zip(nonzero, nonzero[1:])), signs[0]
 
 
+@lru_cache(maxsize=_MEMO_SIZE)
 def count_real_roots_open(p: IntPolynomial, a: Fraction, b: Fraction) -> int:
     """Number of distinct real roots of p in the open interval (a, b).
 
     Requires p(a) != 0 and p(b) != 0; raises ValueError otherwise. The chain
     is that of the squarefree part, so multiplicities never inflate the
-    count.
+    count. The count is memoized on the values of (p, a, b), in a bounded
+    cache; a ValueError is never cached, so it is raised on every call.
     """
     chain = _sturm_chain(p)
     va, sa = _variations(chain, a.numerator, a.denominator)
@@ -454,7 +458,7 @@ def rational_algebraic(x) -> AlgebraicReal:
     return AlgebraicReal(monomial_minus(f), f, f)
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=_MEMO_SIZE)
 def largest_real_root(p: IntPolynomial):
     """Largest real root of p as an AlgebraicReal, or None; isolated and
     refined once per distinct polynomial."""

@@ -11,6 +11,7 @@ from typing import NamedTuple
 from .errors import InternalInconsistencyError
 from .graph import tarjan
 from .polynomials import (
+    _MEMO_SIZE,
     DEFAULT_WIDTH,
     AlgebraicReal,
     IntPolynomial,
@@ -89,7 +90,7 @@ def perron_root(matrix) -> AlgebraicReal:
     return r
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=_MEMO_SIZE)
 def _component_root(matrix: IntMatrix) -> AlgebraicReal:
     """perron_root of a component matrix, computed once per distinct matrix."""
     return perron_root(matrix)
@@ -189,7 +190,8 @@ def equal_radius(a: AlgebraicReal, b: AlgebraicReal) -> bool:
     intersection of the isolating intervals; each interval holds exactly one
     root of its own polynomial, so such a shared root is both values at once.
     The ends of a proper isolating interval are not roots of its polynomial,
-    so neither end of the intersection is a root of the gcd.
+    so neither end of the intersection is a root of the gcd. The closing
+    Sturm count is memoized, so a tie proved again costs a lookup.
     """
     if a.hi < b.lo or b.hi < a.lo:
         return False

@@ -1,9 +1,9 @@
 """Every imported name is used in its file, every private function is used
 in the package, every public function or class is used in the package or
 the benchmark or is a listed test-reference helper, no function in the
-package calls itself by name, and only one bisection reads Sturm chains.
-`from __future__` imports are directives, so they are exempt from the
-first."""
+package calls itself by name, only one bisection reads Sturm chains, and
+no cache in the package is unbounded. `from __future__` imports are
+directives, so they are exempt from the first."""
 
 import ast
 from pathlib import Path
@@ -111,6 +111,59 @@ def test_one_sturm_bisection():
     assert len(files) > 10
     assert callers_of("_variations", files) == {"_root_intervals",
                                                 "count_real_roots_open"}
+
+
+def unbounded_caches(files) -> list[str]:
+    """Functions with parameters, methods included, decorated with
+    `functools.cache` or `lru_cache(maxsize=None)`: such a cache keeps every
+    distinct argument for the life of the process."""
+    found = []
+    for path in files:
+        tree = ast.parse(path.read_text(encoding="utf-8"), str(path))
+        for fn in ast.walk(tree):
+            if not isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                continue
+            a = fn.args
+            if not (a.posonlyargs or a.args or a.vararg or a.kwonlyargs
+                    or a.kwarg):
+                continue
+            for dec in fn.decorator_list:
+                call = dec if isinstance(dec, ast.Call) else None
+                target = call.func if call else dec
+                name = (target.attr if isinstance(target, ast.Attribute)
+                        else getattr(target, "id", None))
+                maxsize = ([*call.args[:1], *(k.value for k in call.keywords
+                                              if k.arg == "maxsize")]
+                           if call else [])
+                if name == "cache" or (name == "lru_cache" and any(
+                        isinstance(m, ast.Constant) and m.value is None
+                        for m in maxsize)):
+                    found.append(f"{path.name}:{fn.lineno}: {fn.name}")
+    return found
+
+
+def test_unbounded_caches_are_found(tmp_path):
+    src = tmp_path / "caches.py"
+    src.write_text(
+        "import functools\n"
+        "from functools import cache, lru_cache\n"
+        "@lru_cache(maxsize=None)\ndef a(x): pass\n"
+        "@lru_cache(None)\ndef b(x): pass\n"
+        "@functools.cache\ndef c(*x): pass\n"
+        "@cache\ndef d(*, x): pass\n"
+        "@functools.lru_cache(maxsize=None)\ndef e(**x): pass\n"
+        "@lru_cache(maxsize=None)\ndef no_parameters(): pass\n"
+        "@lru_cache(maxsize=8)\ndef bounded(x): pass\n"
+        "@lru_cache\ndef default_bound(x): pass\n", encoding="utf-8")
+    assert [f.split()[-1] for f in unbounded_caches([src])] == list("abcde")
+
+
+def test_no_unbounded_cache():
+    """A memo in a long-lived process must not grow with every distinct
+    input: each cache of a function with parameters has a finite size."""
+    files = sorted((ROOT / "src" / "syzcx").glob("*.py"))
+    assert len(files) > 10
+    assert unbounded_caches(files) == []
 
 
 # Public helpers that only tests call, each to check a claim of the paper.

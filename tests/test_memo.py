@@ -1,23 +1,31 @@
 """The memos behind the symbolic path: the syzygy rule per algebra, the
-Perron root per component matrix and the largest root per polynomial. A
-CyclicKey keeps no hash of its own: it hashes as the tuple of its fields.
+Perron root per component matrix, the largest root per polynomial and the
+Sturm count per (polynomial, interval). A CyclicKey keeps no hash of its own:
+it hashes as the tuple of its fields.
 
 Each memo must return what the function computes without it, whatever the
 order of the queries, and must spare the repeated work."""
 
 import os
 import pickle
+import random
 import subprocess
 import sys
 from collections import Counter
+from fractions import Fraction
+
+import pytest
 
 import syzcx
 from syzcx import polynomials, spectra, syzygy
 from syzcx.complexity import module_complexity, realize_class
 from syzcx.curvature import realize_companion
-from syzcx.syzygy import resolve_module
+from syzcx.polynomials import poly
+from syzcx.syzygy import (module_expr, projective_key, resolve_module,
+                          simple_key, singleton)
 
-from conftest import FIB_TEXT, make_algebra
+from conftest import (FIB_TEXT, family_gen, make_algebra,
+                      random_monomial_algebras)
 
 # FIB_TEXT's quiver with g.g allowed: the same vertex and arrow names, hence
 # the same CyclicKeys, but other syzygies.
@@ -138,3 +146,66 @@ def test_box_simples_compute_each_syzygy_and_root_once(monkeypatch):
     killers = Counter(w for k in keys for w in k.killers)
     assert all(killer_calls[w] <= killers[w] for w in killer_calls)
     assert sum(killer_calls.values()) <= sum(killers.values())
+
+
+def test_sturm_count_memo_keys_on_the_polynomial_and_both_ends():
+    count = polynomials.count_real_roots_open
+    count.cache_clear()
+    two, five = poly(-2, 0, 1), poly(-5, 0, 1)
+    # The same ends on two polynomials, two ends on one polynomial.
+    questions = [((two, 0, 2), 1), ((five, 0, 2), 0), ((two, -2, 2), 2)]
+    for round_ in (questions, questions[::-1], questions):
+        for (p, a, b), expected in round_:
+            assert count(p, Fraction(a), Fraction(b)) == expected
+    info = count.cache_info()
+    assert (info.misses, info.hits) == (3, 6)
+    assert info.maxsize == polynomials._MEMO_SIZE
+
+
+def test_sturm_count_memo_never_caches_an_endpoint_root():
+    count = polynomials.count_real_roots_open
+    count.cache_clear()
+    four = poly(-4, 0, 1)
+    for _ in range(2):
+        with pytest.raises(ValueError, match="endpoint is a root"):
+            count(four, Fraction(0), Fraction(2))
+    assert count(four, Fraction(0), Fraction(3)) == 1
+    assert count.cache_info().currsize == 1
+
+
+def test_sturm_count_memo_answers_the_repeated_ties_of_a_large_draw():
+    # Work, not time: join proves the same few radius ties again and again,
+    # and the memo answers each repeat without a chain evaluation.
+    gen = family_gen()
+    A = make_algebra(gen.algebra_text(
+        "fam", gen.family_algebra(120, random.Random(3))))
+    _clear_caches()
+    report = module_complexity(
+        A, module_expr((simple_key(A, v), 1) for v in A.quiver.vertices))
+    assert report.cls.label() == "2.644624271878^n"
+    info = polynomials.count_real_roots_open.cache_info()
+    assert info.misses and info.hits >= 5 * info.misses, info
+
+
+def test_sturm_count_memo_changes_no_class(monkeypatch):
+    # The corpus of the pinned module-class hash, with the memo and without.
+    def classes():
+        out = []
+        for A in random_monomial_algebras(5, 120):
+            vertices = A.quiver.vertices
+            for v in vertices:
+                for key in (simple_key(A, v), projective_key(A, v)):
+                    out.append(module_complexity(A, singleton(key)).to_json())
+            out.append(module_complexity(A, module_expr(
+                (simple_key(A, v), 1) for v in vertices)).to_json())
+        return out
+
+    _clear_caches()
+    memoized = classes()
+    assert len(memoized) == 964
+    assert polynomials.count_real_roots_open.cache_info().hits > 0
+    bare = polynomials.count_real_roots_open.__wrapped__
+    monkeypatch.setattr(polynomials, "count_real_roots_open", bare)
+    monkeypatch.setattr(spectra, "count_real_roots_open", bare)
+    _clear_caches()
+    assert classes() == memoized
