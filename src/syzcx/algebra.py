@@ -235,8 +235,15 @@ class MonomialAlgebra:
     nonzero paths have prefix p. No basis is stored; `paths_from` lists it
     by (length, source vertex, arrow declaration indices).
     Only validate_algebra builds one; the counts are 0 until it fills them.
-    `syzygy_memo` maps each CyclicKey to its syzygy; syzygy.syzygy_key fills
-    it, so a key's syzygy is computed once per algebra.
+    It owns three memos, each kept as long as it lives, since a CyclicKey
+    names a module only inside its algebra:
+    - `syzygy_memo` maps each CyclicKey to its syzygy; syzygy.syzygy_key
+      fills it, so a key's syzygy is computed once per algebra;
+    - `class_memo` maps each CyclicKey that a syzygy quiver has classed to a
+      (Condensation, vertex) pair; complexity.module_complexity fills it and
+      reads the class off it with vertex_complexity;
+    - the oracle's path table (oracle.compile_paths), with its block memo,
+      is kept in a weak map keyed by the algebra.
     """
 
     def __init__(self, name, quiver, relations, modules):
@@ -266,6 +273,7 @@ class MonomialAlgebra:
             self.moves.append(out)
         self.counts = [0] * len(self.moves)
         self.syzygy_memo: dict = {}
+        self.class_memo: dict = {}
 
     @property
     def dimension(self) -> int:

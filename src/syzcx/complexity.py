@@ -14,6 +14,7 @@ reachability path) - 1.
 
 from __future__ import annotations
 
+from functools import reduce
 from typing import NamedTuple
 
 from .algebra import Arrow, MonomialAlgebra, Quiver
@@ -156,11 +157,10 @@ def vertex_complexity(C: Condensation, v: int) -> ComplexityClass:
 
 
 class ModuleComplexityReport(NamedTuple):
-    """Result of module_complexity: the class plus everything used to get it."""
+    """Result of module_complexity: the class, the curvature and the rate.
+    The same value whether the class memo answered or a quiver was built."""
 
     cls: ComplexityClass
-    quiver: SyzygyQuiver
-    condensation: Condensation | None
     curvature: AlgebraicReal | int
     polynomial_rate: int | None = None
     lower_bound: bool = False
@@ -177,27 +177,40 @@ class ModuleComplexityReport(NamedTuple):
         return out
 
 
-def _report_for(cls: ComplexityClass, quiver, cond, lower=False):
+def _report_for(cls: ComplexityClass, lower=False):
     if cls.is_zero:
-        return ModuleComplexityReport(cls, quiver, cond, 0, None, lower)
+        return ModuleComplexityReport(cls, 0, None, lower)
     rate = cls.degree + 1 if equal_radius(cls.base, _ONE) else None
-    return ModuleComplexityReport(cls, quiver, cond, cls.base, rate, lower)
+    return ModuleComplexityReport(cls, cls.base, rate, lower)
 
 
 def module_complexity(A: MonomialAlgebra, M: ModuleExpr) -> ModuleComplexityReport:
-    """Growth class of the syzygy dimensions of M: build the syzygy quiver,
-    condense it, and join the vertex classes of M's start vertices. The
-    report's curvature is the base (0 for the Zero class); for curvature
-    exactly 1 the polynomial growth rate degree+1 is reported as well."""
+    """Growth class of the syzygy dimensions of M: the join of the vertex
+    classes of M's summands, in M's order. The report's curvature is the
+    base (0 for the Zero class); for curvature exactly 1 the polynomial
+    growth rate degree+1 is reported as well.
+
+    A key's class depends only on the components reachable from it, so
+    `A.class_memo` keeps, per CyclicKey, a condensation and vertex that
+    class it. When every summand is there, no quiver is built. Otherwise
+    the syzygy quiver of M is built and condensed, and each of its vertices
+    is recorded unless its component is `mixed`: there the lowest-numbered
+    top component, hence the base's defining polynomial, depends on the
+    closure order, and only a fresh closure of the module gives its bytes."""
+    memo = A.class_memo
+    found = [memo.get(key) for key, _ in M.terms]
+    if found and all(found):
+        return _report_for(reduce(join, (vertex_complexity(C, v)
+                                         for C, v in found)))
     quiver = build_syzygy_quiver(M, A)
     if not quiver.start:
-        return _report_for(zero_class(None), quiver, None)
+        return _report_for(zero_class(None))
     cond = scc_condense(*quiver.digraph())
-    cls = None
-    for i, _ in quiver.start:
-        c = vertex_complexity(cond, i)
-        cls = c if cls is None else join(cls, c)
-    return _report_for(cls, quiver, cond)
+    for i, ci in enumerate(cond.vertex_component):
+        if not cond.mixed[ci]:
+            memo.setdefault(quiver.key_at(i), (cond, i))
+    return _report_for(reduce(join, (vertex_complexity(cond, i)
+                                     for i, _ in quiver.start)))
 
 
 def module_complexity_by_name(A: MonomialAlgebra, name: str) -> ModuleComplexityReport:
@@ -221,9 +234,7 @@ def lower_bound_from_partial(Q: SyzygyQuiver, v: int) -> ComplexityClass:
 def lower_bound_report(Q: SyzygyQuiver, v: int) -> ModuleComplexityReport:
     """lower_bound_from_partial packaged with curvature and the lower-bound
     flag set, for serialization."""
-    cls = lower_bound_from_partial(Q, v)
-    report = _report_for(cls, Q, None, lower=True)
-    return report
+    return _report_for(lower_bound_from_partial(Q, v), lower=True)
 
 
 # -- realization --------------------------------------------------------------

@@ -45,7 +45,8 @@ from .errors import (
     PrimeDisagreementError,
     ValidationError,
 )
-from .syzygy import ModuleExpr, build_syzygy_quiver, quiver_dim_sequence
+from .syzygy import (ModuleExpr, build_syzygy_quiver, expr_dimension,
+                     quiver_dim_sequence)
 
 PRIMES = (32749, 65521)
 DEFAULT_DIM_CAP = 200_000
@@ -628,7 +629,13 @@ def rep_of(M: ModuleExpr, A: MonomialAlgebra, p: int) -> TableRepresentation:
     summand, zero when the extension leaves it. The summand is read off the
     paths from v in index order: a path belongs when it is v's idempotent,
     or when its parent belongs and it is not a killer, each killer found by
-    walking T.right along its arrows."""
+    walking T.right along its arrows. A module above the dimension cap is
+    refused before anything is built."""
+    limit = _dim_cap()
+    dim = expr_dimension(M, A)
+    if dim > limit:
+        raise DimensionCapExceededError(
+            f"module dimension {dim} exceeds the cap {limit}")
     T = compile_paths(A)
     Q = A.quiver
     starting_at = [[] for _ in T.vertices]  # v's idempotent first

@@ -118,7 +118,12 @@ class Condensation(NamedTuple):
 
     `top[ci]` is the lowest-numbered component of the largest radius reachable
     from ci (ci included), and `chain[ci]` the largest number of components of
-    that radius on one path from ci."""
+    that radius on one path from ci. `mixed[ci]` is true when the components
+    of that radius reachable from ci have more than one characteristic
+    polynomial: then which of them is `top[ci]`, and so the defining
+    polynomial of its radius, depends on the numbering of the vertices.
+    Otherwise the class read off `top[ci]` and `chain[ci]` depends only on
+    the part of the digraph reachable from ci."""
 
     n_vertices: int
     components: tuple[SCC, ...]
@@ -126,6 +131,7 @@ class Condensation(NamedTuple):
     succ: tuple[tuple[int, ...], ...]
     top: tuple[int, ...]
     chain: tuple[int, ...]
+    mixed: tuple[bool, ...]
 
 
 def scc_condense(n: int, edge_list) -> Condensation:
@@ -170,15 +176,24 @@ def scc_condense(n: int, edge_list) -> Condensation:
     for a, b in zip(values, values[1:]):
         value_rank[b] = value_rank[a] + (not equal_radius(a, b))
     rank = [value_rank[c.rho] for c in comps]
+    # The top-radius components reachable from ci are ci itself when it has
+    # that radius, and those reachable from each successor whose top has it.
     top: list[int] = []
     chain: list[int] = []
+    mixed: list[bool] = []
     for ci, out in enumerate(succ):
         t = max([ci] + [top[s] for s in out], key=lambda c: (rank[c], -c))
         top.append(t)
+        same = [s for s in out if rank[top[s]] == rank[t]]
         chain.append((rank[ci] == rank[t]) + max(
-            (chain[s] for s in out if rank[top[s]] == rank[t]), default=0))
+            (chain[s] for s in same), default=0))
+        poly = comps[t].rho.poly
+        mixed.append((rank[ci] == rank[t] and comps[ci].rho.poly != poly)
+                     or any(mixed[s] or comps[top[s]].rho.poly != poly
+                            for s in same))
     return Condensation(n, tuple(comps), tuple(comp_of),
-                        tuple(tuple(s) for s in succ), tuple(top), tuple(chain))
+                        tuple(tuple(s) for s in succ), tuple(top), tuple(chain),
+                        tuple(mixed))
 
 
 # -- exact comparisons -------------------------------------------------------

@@ -257,13 +257,19 @@ def random_monomial_text(rng: random.Random, max_vertices=6):
     return "\n".join(lines) + "\n"
 
 
-def random_monomial_algebras(seed, count, max_vertices=6):
-    """Deterministic stream of validated algebras from random_monomial_text;
-    draws without a relation (no path of length L) are skipped."""
+def random_monomial_texts(seed, count, max_vertices=6):
+    """Deterministic stream of random_monomial_text draws; draws without a
+    relation (no path of length L) are skipped."""
     rng = random.Random(seed)
     out = []
     while len(out) < count:
         text = random_monomial_text(rng, max_vertices)
         if "relation" in text:
-            out.append(make_algebra(text))
+            out.append(text)
     return out
+
+
+def random_monomial_algebras(seed, count, max_vertices=6):
+    """The random_monomial_texts draws, validated."""
+    return [make_algebra(t)
+            for t in random_monomial_texts(seed, count, max_vertices)]

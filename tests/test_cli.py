@@ -328,6 +328,14 @@ BAD_INPUT_CASES = [
      {"SYZCX_DIM_CAP": "abc"}, 3, ""),
     ("dim_cap_partial", ["oracle", "dims", FIB, "--module", "S1", "-n", "20"],
      {"SYZCX_DIM_CAP": "50"}, 4, "[1, 1, 2, 3, 5, 8, 13, 21, 34, 55]"),
+    # A multiplicity past any index size: refused before anything is built.
+    ("dims_huge_multiplicity", ["oracle", "dims", "{tmp}/huge_mult.alg",
+                                "--module", "N", "-n", "2"], {}, 4,
+     "error[dimension_cap_exceeded]: module dimension 9999"),
+    ("crosscheck_huge_multiplicity", ["oracle", "crosscheck",
+                                      "{tmp}/huge_mult.alg", "--module", "N",
+                                      "-n", "2"], {}, 4,
+     "error[dimension_cap_exceeded]: module dimension 9999"),
     ("combine_nonmonic", ["curvature", "combine", "--op", "sum", "[1,1]",
                           "[1,2]"], {}, 4, "error[nonmonic_input]"),
     ("combine_zero_constant", ["curvature", "combine", "--op", "product",
@@ -342,6 +350,9 @@ BAD_INPUT_CASES = [
 def test_bad_input_gives_one_error_line(tmp_path, argv, env, code, needle):
     (tmp_path / "latin1.alg").write_bytes("algebra \xe9\n".encode("latin-1"))
     (tmp_path / "latin1.json").write_bytes('{"x": "\xe9"}'.encode("latin-1"))
+    (tmp_path / "huge_mult.alg").write_text(
+        "algebra loop\nvertex 1\narrow x : 1 -> 1\nrelation x.x\n"
+        "module N = 99999999999999999999999*S(1)\n")
     partial = json.loads((DATA / "partial_fib.json").read_text())
     v0, v1 = partial["vertices"]
     elsewhere = [dict(v0, killers=["b"]), v1]
@@ -353,7 +364,8 @@ def test_bad_input_gives_one_error_line(tmp_path, argv, env, code, needle):
                          ("killer_elsewhere.json", {"vertices": elsewhere}),
                          ("vertex_list.json", {"vertices": listed})):
         (tmp_path / name).write_text(json.dumps(dict(partial, **change)))
-    proc = cli_process([a.format(tmp=tmp_path) for a in argv], **env)
+    proc = cli_process([a.format(tmp=tmp_path) for a in argv], timeout=60,
+                       **env)
     assert proc.returncode == code, proc.stderr
     assert "Traceback" not in proc.stderr
     lines = proc.stderr.splitlines()

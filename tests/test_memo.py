@@ -1,11 +1,13 @@
-"""The memos behind the symbolic path: the syzygy rule per algebra, the
-Perron root per component matrix, the largest root per polynomial and the
-Sturm count per (polynomial, interval). A CyclicKey keeps no hash of its own:
+"""The memos behind the symbolic path: the syzygy rule and the class of
+each syzygy-quiver vertex per algebra, the Perron root per component matrix,
+the largest root per polynomial and the Sturm count per (polynomial,
+interval). A CyclicKey keeps no hash of its own:
 it hashes as the tuple of its fields.
 
 Each memo must return what the function computes without it, whatever the
 order of the queries, and must spare the repeated work."""
 
+import gc
 import os
 import pickle
 import random
@@ -17,7 +19,7 @@ from fractions import Fraction
 import pytest
 
 import syzcx
-from syzcx import polynomials, spectra, syzygy
+from syzcx import complexity, polynomials, spectra, syzygy
 from syzcx.complexity import module_complexity, realize_class
 from syzcx.curvature import realize_companion
 from syzcx.polynomials import poly
@@ -25,7 +27,7 @@ from syzcx.syzygy import (module_expr, projective_key, resolve_module,
                           simple_key, singleton)
 
 from conftest import (FIB_TEXT, family_gen, make_algebra,
-                      random_monomial_algebras)
+                      random_monomial_algebras, random_monomial_texts)
 
 # FIB_TEXT's quiver with g.g allowed: the same vertex and arrow names, hence
 # the same CyclicKeys, but other syzygies.
@@ -46,6 +48,32 @@ def _box(counts=(1, 0, 1), ell=3):
     """Algebra text and simple names of the realize_class box on a
     companion quiver."""
     return realize_class(realize_companion(list(counts)), ell)
+
+
+def _realize_box():
+    """Algebra text and simple names of the box of the realize benchmark
+    (perfbench/gen.py): its companion counts are the fourth draw of the
+    family seed, after the three companions."""
+    gen = family_gen()
+    fam = random.Random(gen.FAMILY_SEED)
+    for s in gen.COMPANION_S:
+        gen.companion_counts(s, fam)
+    return _box(gen.companion_counts(gen.BOX_S, fam), gen.BOX_ELL)
+
+
+def _record_closures(monkeypatch):
+    """Lists that receive every syzygy quiver module_complexity builds and
+    every condensation it makes, in call order."""
+    logs = []
+    for name in ("build_syzygy_quiver", "scc_condense"):
+        fn, log = getattr(complexity, name), []
+
+        def call(*args, fn=fn, log=log):
+            log.append(fn(*args))
+            return log[-1]
+        monkeypatch.setattr(complexity, name, call)
+        logs.append(log)
+    return logs
 
 
 def _report(A, name):
@@ -118,7 +146,11 @@ def test_cyclic_key_pickles_without_its_hash():
 
 
 def test_box_simples_compute_each_syzygy_and_root_once(monkeypatch):
-    text, names = _box()
+    # The box of the realize benchmark: 13 vertices, 5 levels. Asked in a
+    # seeded order, the simples after the first of each level are class
+    # memo lookups.
+    text, names = _realize_box()
+    assert len(names) == 65
     A = make_algebra(text)
     _clear_caches()
     char_calls, killer_calls = Counter(), Counter()
@@ -134,18 +166,91 @@ def test_box_simples_compute_each_syzygy_and_root_once(monkeypatch):
 
     monkeypatch.setattr(spectra, "char_poly", counting_char_poly)
     monkeypatch.setattr(syzygy, "minimal_killers", counting_minimal_killers)
-    reports = [module_complexity(A, resolve_module(A, n)) for n in names]
+    quivers, conds = _record_closures(monkeypatch)
+    order = random.Random(29).sample(names, len(names))
+    reports = {n: _report(A, n) for n in order}
     monkeypatch.undo()
 
-    matrices = {c.matrix for r in reports for c in r.condensation.components}
+    assert len(conds) <= 8 and len(quivers) == len(conds)
+    assert len({str(r["class"]) for r in reports.values()}) == 5
+    matrices = {c.matrix for C in conds for c in C.components}
     assert set(char_calls) == matrices
     assert max(char_calls.values()) == 1
 
-    keys = {r.quiver.key_at(i) for r in reports
-            for i in range(r.quiver.n_vertices)}
+    keys = {Q.key_at(i) for Q in quivers for i in range(Q.n_vertices)}
     killers = Counter(w for k in keys for w in k.killers)
     assert all(killer_calls[w] <= killers[w] for w in killer_calls)
     assert sum(killer_calls.values()) <= sum(killers.values())
+
+
+def test_class_memo_belongs_to_its_algebra(monkeypatch):
+    # FIB_TEXT and FIB_LONG_LOOP_TEXT share every CyclicKey; each algebra's
+    # memo answers with its own classes, and goes with its algebra.
+    short, long_ = make_algebra(FIB_TEXT), make_algebra(FIB_LONG_LOOP_TEXT)
+    for A, text in ((short, FIB_TEXT), (long_, FIB_LONG_LOOP_TEXT)):
+        first = [_report(A, name) for name in FIB_MODULES]
+        assert A.class_memo
+        # The second round is answered by the memo alone.
+        quivers, _ = _record_closures(monkeypatch)
+        assert [_report(A, name) for name in FIB_MODULES] == first
+        assert quivers == []
+        monkeypatch.undo()
+        assert first == [_report(make_algebra(text), n) for n in FIB_MODULES]
+    assert set(short.class_memo) & set(long_.class_memo)
+    assert ([_report(short, n) for n in FIB_MODULES]
+            != [_report(long_, n) for n in FIB_MODULES])
+    # Once the algebra is gone, its condensations are held only by `held`,
+    # the loop variable and getrefcount's argument.
+    held = [C for C, _ in short.class_memo.values()]
+    uses = Counter(map(id, held))
+    del short
+    gc.collect()
+    for C in held:
+        assert sys.getrefcount(C) == uses[id(C)] + 2
+
+
+def _corpus():
+    """(algebra, text, modules) per algebra: the 120 algebras of the pinned
+    module-class hash, then the three family draws of the pipeline agreement
+    tests; the modules are every simple and projective and the sum of the
+    simples."""
+    gen, rng = family_gen(), random.Random(2210)
+    texts = random_monomial_texts(5, 120) + [
+        gen.algebra_text(f"fam{draw}",
+                         gen.family_algebra(rng.randint(20, 28), rng))
+        for draw in range(3)]
+    for text in texts:
+        A = make_algebra(text)
+        vertices = A.quiver.vertices
+        modules = [singleton(key(A, v)) for v in vertices
+                   for key in (simple_key, projective_key)]
+        modules.append(module_expr((simple_key(A, v), 1) for v in vertices))
+        yield A, text, modules
+
+
+def test_module_classes_independent_of_query_history(monkeypatch):
+    # Asked in a seeded order on one algebra, each module's report is the
+    # one a fresh copy of the algebra gives. A vertex whose top-radius
+    # components carry several characteristic polynomials is never
+    # memoized: its base's polynomial depends on the closure order.
+    quivers, conds = _record_closures(monkeypatch)
+    rng = random.Random(2910)
+    asked = refused = 0
+    for A, text, modules in _corpus():
+        quivers.clear()
+        conds.clear()
+        for M in rng.sample(modules, len(modules)):
+            got = module_complexity(A, M).to_json()
+            assert got == module_complexity(make_algebra(text), M).to_json(), (
+                A.name, M.label())
+            asked += 1
+        built = [(Q, C) for Q, C in zip(quivers, conds) if Q.start]
+        mixed = {Q.key_at(i) for Q, C in built
+                 for i, ci in enumerate(C.vertex_component) if C.mixed[ci]}
+        assert not mixed & set(A.class_memo)
+        refused += len(mixed)
+    assert asked == 1091
+    assert refused >= 1
 
 
 def test_sturm_count_memo_keys_on_the_polynomial_and_both_ends():
