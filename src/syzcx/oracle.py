@@ -76,10 +76,12 @@ def _dim_cap() -> int:
 # and the scattered rows are checked to lie in the target kernel exactly
 # (_in_kernel). No step allocates a dense matrix.
 #
-# A step pays for the module's nonzero spaces, not the table: no
-# elimination where the module or the generator images are zero, and no
-# product with unit vectors (a lift is a list of coordinates, and a
-# generator applied to it is a selection of its columns).
+# A step pays for its module's support, not the table. Through the table's
+# indexes it walks only the vertices where the module is nonzero and the
+# basis elements from those with lifted top vectors; it eliminates nothing
+# where the module or images are zero, scatters no generator without blocks
+# and multiplies no unit vector (a generator applied to a lift, a list of
+# coordinates, selects columns). Other vertices and generators cost a slot.
 
 
 def _act(gcols: tuple, image: list, p: int) -> list:
@@ -195,8 +197,14 @@ class GradedTable:
     Modules are right modules: a generator from vertex s to vertex t maps the
     space at s to the space at t.
 
-    `block_memo` maps each block (_blocks) that dim_sequence has stepped to
-    its syzygy's blocks (_step_blocks); it lives as long as the table."""
+    Indexes cached on the table let a step read only its module's support:
+    by_source[v], the basis elements from v in index order (v's idempotent
+    first); products_of[j], the pairs (k, j * gens[k]) with a nonzero
+    product; checked_by_source[v], the triples (j, k, j * gens[k]) with j
+    from v that check_relations tests, all composable pairs but those whose
+    product has parent (j, k), found from the j ending where each generator
+    starts. `block_memo` maps each block (_blocks) that dim_sequence has
+    stepped to its syzygy's blocks (_step_blocks); it lives with the table."""
 
     def __init__(self, basis: tuple[str, ...], vertices: tuple[str, ...],
                  ends: tuple[tuple[int, int], ...], gens: tuple[int, ...],
@@ -211,20 +219,28 @@ class GradedTable:
         self.block_memo: dict = {}
 
     @cached_property
-    def products(self) -> tuple[tuple[tuple[int, int], ...], ...]:
-        """Per generator k, the pairs (j, j * gens[k]) with a nonzero product."""
-        return tuple(tuple((j, jg) for j, jg in enumerate(row) if jg >= 0)
-                     for row in self.right)
+    def by_source(self) -> tuple[tuple[int, ...], ...]:
+        out = [[] for _ in self.vertices]
+        for j, (s, _) in enumerate(self.ends):
+            out[s].append(j)
+        return tuple(map(tuple, out))
 
     @cached_property
-    def checked_pairs(self) -> tuple[tuple[int, int, int], ...]:
-        """The triples (j, k, j * gens[k]) that check_relations tests: every
-        composable pair of a basis element and a generator but those whose
-        product has (j, k) as its parent, which hold by construction."""
-        return tuple((j, k, jg) for k, g in enumerate(self.gens)
-                     for j, jg in enumerate(self.right[k])
-                     if self.ends[j][1] == self.ends[g][0]
-                     and not (jg >= 0 and self.parent[jg] == (j, k)))
+    def products_of(self) -> tuple[tuple[tuple[int, int], ...], ...]:
+        return tuple(tuple((k, row[j]) for k, row in enumerate(self.right)
+                           if row[j] >= 0) for j in range(len(self.basis)))
+
+    @cached_property
+    def checked_by_source(self) -> tuple[tuple[tuple[int, int, int], ...], ...]:
+        ending_at = [[] for _ in self.vertices]
+        for j, (_, t) in enumerate(self.ends):
+            ending_at[t].append(j)
+        out = [[] for _ in self.vertices]
+        for k, (g, right) in enumerate(zip(self.gens, self.right)):
+            for j in ending_at[self.ends[g][0]]:
+                if right[j] < 0 or self.parent[right[j]] != (j, k):
+                    out[self.ends[j][0]].append((j, k, right[j]))
+        return tuple(map(tuple, out))
 
 
 _PATH_TABLES = weakref.WeakKeyDictionary()  # algebra -> its GradedTable
@@ -399,22 +415,23 @@ def builtin_table(table_id: str) -> AlgebraTable:
 
 # -- representations and the syzygy step ------------------------------------------
 
-def _along_parents(T: GradedTable, cols, p: int, starts) -> list:
-    """For every basis element j, the action of j on the unit vectors at
-    the coordinates starts[source of j] (None where the source has none),
-    as a list of sparse columns, built along the parent tree: j = j' * g
-    acts as g after j', and as a column selection of g after an idempotent,
-    which keeps its coordinates. `cols` holds each generator's sparse
-    columns, and None stands for zero."""
-    out: list = []
-    for j, par in enumerate(T.parent):
-        if par is None:
-            out.append(starts[T.ends[j][0]])
-            continue
-        prev, g = out[par[0]], cols[par[1]]
-        out.append(None if prev is None or g is None
-                   else [g[i] for i in prev] if T.parent[par[0]] is None
-                   else _act(g, prev, p))
+def _along_parents(T: GradedTable, cols, p: int, starts: dict) -> list:
+    """For every basis element j from a vertex v in `starts`, the action of
+    j on the unit vectors at the coordinates starts[v], as sparse columns,
+    built along v's parent subtree (T.by_source[v]) alone: j = j' * g acts
+    as g after j', and as a column selection of g after the idempotent.
+    Every other entry is None, as is a zero image; `cols` holds each
+    generator's sparse columns, or None for zero."""
+    out: list = [None] * len(T.basis)
+    for v, coords in starts.items():
+        idem, *rest = T.by_source[v]
+        out[idem] = coords
+        for j in rest:
+            i, k = T.parent[j]
+            prev, g = out[i], cols[k]
+            out[j] = (None if prev is None or g is None
+                      else [g[c] for c in prev] if i == idem
+                      else _act(g, prev, p))
     return out
 
 
@@ -441,62 +458,65 @@ def _scatter(krow: list, blocks, p: int) -> dict:
 def syzygy_rep(R: "TableRepresentation") -> "TableRepresentation":
     """Kernel of a projective cover of R, as a representation.
 
-    At each vertex where R is nonzero, the top of R is a complement of the
-    generator images; no other vertex is scanned for them. The cover
-    stacks one projective e_w A per lifted top vector at w; its basis is
-    (j, copy) for the basis elements j from w, graded by the target of j,
-    and its map sends (j, copy) to the lift acted on by j. The images are
-    built column by column from each action's stored nonzero columns.
-    The kernel is read off one sparse rref of the cover's rows per vertex,
-    where R is nonzero, and kept row-major: row (j, copy) of the cover holds
-    the kernel columns it is nonzero in. A generator g acts on the cover by
+    A step walks only its support: the vertices where R is nonzero, where
+    the top of R is a complement of the generator images, and the basis
+    elements (T.by_source) from those with lifted top vectors, in index
+    order. The cover stacks one projective e_w A per lifted top vector at
+    w, with basis (j, copy) for the j from w, graded by the target of j; it
+    sends (j, copy) to the lift acted on by j, built along w's parent
+    subtree. The kernel is read off one sparse rref of the cover's rows per
+    vertex where R is nonzero, and kept row-major: row (j, copy) holds the
+    kernel columns it is nonzero in. A generator g acts on the cover by
     j -> j*g, so its new action is a scatter of the kernel rows of its
-    blocks, which come from the table's nonzero products: the scattered
-    rows at the target kernel's free rows are the new action, regrouped
-    into its columns, and those at its pivot rows are checked against them
-    exactly. When every generator acts by zero, R is semisimple and the
-    kernel is rad P, the cover basis without its idempotents: then no
-    elimination is needed."""
+    blocks, the support's nonzero products (T.products_of): the rows at the
+    target kernel's free rows are the new action, and those at its pivot
+    rows are checked against them exactly. A generator with no blocks acts
+    by zero. When R is semisimple, the kernel is rad P, the cover basis
+    without its idempotents, and nothing is eliminated."""
     T, p, dims, cols = R
+    live = [v for v, d in enumerate(dims) if d]
     semisimple = R.is_semisimple
     if semisimple:  # kept: eliminating here too costs `oracle` wall_s +15 %
         copies = dims
     else:
-        lifts = []
-        for v, d in enumerate(dims):
-            rad = [col for gcols, g in zip(cols, T.gens)
-                   if gcols is not None and T.ends[g][1] == v
-                   for col in gcols if col] if d else []
-            top = _rref(rad, d, p) if rad else {}
-            lifts.append([i for i in range(d) if i not in top])
-        copies = [len(lift) for lift in lifts]
-
-    # Cover basis, or rad P when semisimple: the copies of j are the rows
-    # start[j] .. start[j] + copies[source of j] of the space at its target.
-    start = [-1] * len(T.basis)
-    pdims = [0] * len(dims)
-    for j, (w, t) in enumerate(T.ends):
-        if copies[w] and not (semisimple and T.parent[j] is None):
-            start[j] = pdims[t]
-            pdims[t] += copies[w]
+        rad = [[] for _ in dims]
+        for gcols, g in zip(cols, T.gens):
+            if gcols is not None:
+                rad[T.ends[g][1]] += [col for col in gcols if col]
+        lifts, copies = {}, [0] * len(dims)
+        for v in live:
+            top = _rref(rad[v], dims[v], p) if rad[v] else {}
+            lift = [i for i in range(dims[v]) if i not in top]
+            if lift:
+                lifts[v], copies[v] = lift, len(lift)
+    # The support in index order, and its cover basis (rad P, without the
+    # idempotents, when semisimple): the copies of j are the rows start[j]
+    # .. start[j] + copies[source of j] of the space at its target.
+    support = sorted(j for w, c in enumerate(copies) if c
+                     for j in T.by_source[w][int(semisimple):])
+    start, pdims = [-1] * len(T.basis), [0] * len(dims)
+    for j in support:
+        w, t = T.ends[j]
+        start[j] = pdims[t]
+        pdims[t] += copies[w]
     # Right multiplication by generator k: row blocks (from, to, length).
-    blocks = [[(start[j], start[jg], copies[T.ends[j][0]])
-               for j, jg in pairs if start[j] >= 0] for pairs in T.products]
+    blocks: dict[int, list] = {}
+    for j in support:
+        for k, jg in T.products_of[j]:
+            blocks.setdefault(k, []).append(
+                (start[j], start[jg], copies[T.ends[j][0]]))
 
-    if semisimple:  # the kernel is rad P: no pivots
-        reduced = [{}] * len(dims)
-    else:
-        images = _along_parents(T, cols, p, [lift or None for lift in lifts])
-        del lifts
+    reduced = {}  # the kernel is rad P where R is semisimple: no pivots
+    if not semisimple:
+        images = _along_parents(T, cols, p, lifts)
         into = [[] for _ in dims]
-        for j, (w, t) in enumerate(T.ends):
-            if start[j] >= 0 and images[j] is not None:
-                into[t].append(j)
+        for j in support:
+            if images[j] is not None:
+                into[T.ends[j][1]].append(j)
         # One cover at a time, as rows built from its images (dropped once
         # copied), eliminated where R is nonzero.
-        reduced = []
-        for v, (d, pd) in enumerate(zip(dims, pdims)):
-            rows = [[] for _ in range(d)]
+        for v in live:
+            rows = [[] for _ in range(dims[v])]
             for j in into[v]:
                 if T.parent[j] is None:  # a lift: unit columns
                     for i, r in enumerate(images[j], start[j]):
@@ -506,15 +526,16 @@ def syzygy_rep(R: "TableRepresentation") -> "TableRepresentation":
                         for r, x in col:
                             rows[r].append((i, x))
                 images[j] = None
-            reduced.append(_rref(rows, pd, p) if d else {})
-            if len(reduced[v]) != d:
+            reduced[v] = _rref(rows, pdims[v], p)
+            if len(reduced[v]) != dims[v]:
                 raise InternalInconsistencyError(
                     f"projective cover is not surjective at vertex {T.vertices[v]}"
                 )
-    # Each kernel row-major: the basis vector of free column f is e_f minus
-    # red[q][f] at each pivot q, numbered in the order of the free columns.
-    kernels = []
-    for red, pd in zip(reduced, pdims):
+    # Each kernel row-major where the cover is nonzero: the basis vector of
+    # free column f is e_f minus red[q][f] at each pivot q, f in order.
+    kernels = [((), (), (), ())] * len(dims)
+    for v in [v for v, pd in enumerate(pdims) if pd]:
+        pd, red = pdims[v], reduced.get(v, {})
         free = [c for c in range(pd) if c not in red]
         pos = [-1] * pd
         for f, c in enumerate(free):
@@ -522,22 +543,22 @@ def syzygy_rep(R: "TableRepresentation") -> "TableRepresentation":
         krow = [((pos[c], 1),) if pos[c] >= 0 else
                 [(pos[f], p - x) for f, x in red[c].items()]
                 for c in range(pd)]
-        kernels.append((krow, free, pos, list(red)))
+        kernels[v] = (krow, free, pos, list(red))
     new_dims = [len(free) for _, free, _, _ in kernels]
 
-    new_mats = []
-    for k, g in enumerate(T.gens):
-        s, t = T.ends[g]
+    new_mats = [None] * len(T.gens)
+    for k, kblocks in blocks.items():
+        s, t = T.ends[T.gens[k]]
         krow, free, pos, pivots = kernels[t]
-        image = _scatter(kernels[s][0], blocks[k], p)
+        image = _scatter(kernels[s][0], kblocks, p)
         _in_kernel(image, krow, free, pivots, p)
         m = {}
         for b, e in image.items():
             if pos[b] >= 0:
                 for f, v in e:
                     m.setdefault(f, []).append((pos[b], v))
-        new_mats.append(tuple(tuple(m.get(f, ())) for f in range(new_dims[s]))
-                        if m else None)
+        if m:
+            new_mats[k] = tuple(tuple(m.get(f, ())) for f in range(new_dims[s]))
     return TableRepresentation(T, p, tuple(new_dims), tuple(new_mats))
 
 
@@ -579,14 +600,14 @@ class TableRepresentation(NamedTuple):
         return m
 
     def check_relations(self):
-        """The action of j * g is the action of j followed by that of g, on
-        sparse columns, for every pair of the table's checked_pairs (zero
-        where j * g is zero). The images start from each identity as all
-        of its coordinates; no product reads one, as an idempotent j times
-        g is g, whose parent is (j, k)."""
+        """The action of j * g is that of j followed by that of g, zero where
+        j * g is zero, on sparse columns, for each pair of checked_by_source
+        with j from where the module is nonzero (other pairs compare empty
+        images). No product reads an identity: e times g is g, parent (e, k)."""
         T, p, dims, cols = self
-        images = _along_parents(T, cols, p, [range(d) for d in dims])
-        for j, k, jg in T.checked_pairs:
+        live = {v: range(d) for v, d in enumerate(dims) if d}
+        images = _along_parents(T, cols, p, live)
+        for j, k, jg in (c for v in live for c in T.checked_by_source[v]):
             lhs = (None if cols[k] is None or images[j] is None
                    else _act(cols[k], images[j], p))
             rhs = images[jg] if jg >= 0 else None
@@ -600,8 +621,8 @@ class TableRepresentation(NamedTuple):
 
 def _span_rep(T: GradedTable, p: int, summands) -> TableRepresentation:
     """Direct sum of the modules spanned by each list of basis elements in
-    `summands`: a generator sends j to j * g when that stays in j's
-    summand, and to zero otherwise."""
+    `summands`: a generator sends j to j * g (T.products_of) when that
+    stays in j's summand, and to zero otherwise."""
     dims = [0] * len(T.vertices)
     row: dict[tuple[int, int], int] = {}
     for i, members in enumerate(summands):
@@ -612,8 +633,8 @@ def _span_rep(T: GradedTable, p: int, summands) -> TableRepresentation:
     mats = [[()] * dims[T.ends[g][0]] for g in T.gens]
     for i, members in enumerate(summands):
         for j in members:
-            for k, right in enumerate(T.right):
-                to = row.get((i, right[j]))
+            for k, jg in T.products_of[j]:
+                to = row.get((i, jg))
                 if to is not None:
                     mats[k][row[(i, j)]] = ((to, 1),)
     rep = TableRepresentation(T, p, tuple(dims), tuple(
@@ -627,10 +648,10 @@ def rep_of(M: ModuleExpr, A: MonomialAlgebra, p: int) -> TableRepresentation:
     nonzero paths from v with no prefix in K, one basis vector each, graded
     by the path's endpoint; arrows act by path extension inside the
     summand, zero when the extension leaves it. The summand is read off the
-    paths from v in index order: a path belongs when it is v's idempotent,
-    or when its parent belongs and it is not a killer, each killer found by
-    walking T.right along its arrows. A module above the dimension cap is
-    refused before anything is built."""
+    paths from v in index order (T.by_source[v]): a path belongs when it is
+    v's idempotent, or when its parent belongs and it is not a killer, each
+    killer found by walking T.right along its arrows. A module above the
+    dimension cap is refused before anything is built."""
     limit = _dim_cap()
     dim = expr_dimension(M, A)
     if dim > limit:
@@ -638,9 +659,6 @@ def rep_of(M: ModuleExpr, A: MonomialAlgebra, p: int) -> TableRepresentation:
             f"module dimension {dim} exceeds the cap {limit}")
     T = compile_paths(A)
     Q = A.quiver
-    starting_at = [[] for _ in T.vertices]  # v's idempotent first
-    for j, (s, _) in enumerate(T.ends):
-        starting_at[s].append(j)
     summands = []
     for key, mult in M.terms:
         v = Q.vertex_index[key.vertex]
@@ -651,10 +669,10 @@ def rep_of(M: ModuleExpr, A: MonomialAlgebra, p: int) -> TableRepresentation:
                 j = T.right[Q.arrow_index[a]][j] if j >= 0 else j
             killers.add(j)
         inside = {v}
-        for j in starting_at[v][1:]:
+        for j in T.by_source[v][1:]:
             if T.parent[j][0] in inside and j not in killers:
                 inside.add(j)
-        summands += [[j for j in starting_at[v] if j in inside]] * mult
+        summands += [[j for j in T.by_source[v] if j in inside]] * mult
     return _span_rep(T, p, summands)
 
 
@@ -716,7 +734,7 @@ def _blocks(R: TableRepresentation) -> dict[TableRepresentation, int]:
     head = {x: b for b, x in enumerate(roots)}
     bdims = [[0] * len(R.dims) for _ in roots]
     bmats = [[None] * len(T.gens) for _ in roots]
-    block, loc = [0] * len(up), [0] * len(up)
+    block, loc, touched = [0] * len(up), [0] * len(up), []
     for v in range(len(R.dims)):
         for x in range(off[v], off[v + 1]):
             b = block[x] = head[find(x)]
@@ -728,12 +746,14 @@ def _blocks(R: TableRepresentation) -> dict[TableRepresentation, int]:
                 b = block[s + c]
                 if bmats[b][k] is None:
                     bmats[b][k] = [()] * bdims[b][v]
+                    touched.append((b, k))
                 bmats[b][k][loc[s + c]] = tuple(sorted(
                     (loc[t + r], y) for r, y in col))
+    for b, k in touched:
+        bmats[b][k] = tuple(bmats[b][k])
     out: dict[TableRepresentation, int] = {}
     for dims, mats in zip(bdims, bmats):
-        part = TableRepresentation(T, R.p, tuple(dims), tuple(
-            None if m is None else tuple(m) for m in mats))
+        part = TableRepresentation(T, R.p, tuple(dims), tuple(mats))
         out[part] = out.get(part, 0) + 1
     return out
 

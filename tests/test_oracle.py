@@ -600,6 +600,89 @@ def test_step_eliminates_only_where_the_module_lives(monkeypatch):
     assert calls == [1, 1, 1]
 
 
+def _line12_copies(n):
+    """The disjoint union of n copies of LINE12, copy c on the vertices
+    v0_c .. v11_c."""
+    return make_algebra(
+        f"algebra line12x{n}\n"
+        + "".join(f"vertex v{i}_{c}\n" for c in range(n) for i in range(12))
+        + "".join(f"arrow a{i}_{c} : v{i}_{c} -> v{i + 1}_{c}\n"
+                  for c in range(n) for i in range(11))
+        + "".join(f"relation a{i}_{c}.a{i + 1}_{c}.a{i + 2}_{c}\n"
+                  for c in range(n) for i in range(9)))
+
+
+def test_step_cost_follows_the_support():
+    # The steps of S(v0) of copy 0, and the relation check of its
+    # representation, read the by-source index only where the module lives,
+    # so they visit as many basis elements over eight copies of LINE12 as
+    # over one. The count is of index reads, not of time.
+    visits = {}
+    for n in (1, 8):
+        A = _line12_copies(n)
+        T = compile_paths(A)
+        assert len(T.basis) == 33 * n
+        seen = []
+
+        class Recorded(tuple):
+            def __getitem__(self, v):
+                got = tuple.__getitem__(self, v)
+                seen.append(len(got))
+                return got
+
+        T.by_source = Recorded(T.by_source)
+        dims = dim_sequence(rep_of(singleton(simple_key(A, "v0_0")), A, P), 8)
+        visits[n] = (dims, sum(seen), len(seen))
+    assert visits[1][0] == [1, 2, 1, 2, 1, 2, 1, 2, 0]
+    assert visits[1][1] > 0
+    assert visits[8] == visits[1]
+
+
+def test_table_indexes_match_a_scan_of_the_table():
+    # The cached indexes against a literal scan of ends, right and parent:
+    # the basis elements by source in index order, the nonzero products of
+    # each basis element by generator, and the checked pairs (every
+    # composable pair but those built as a parent) grouped by source, each
+    # group in generator-major order.
+    tables = [compile_paths(A) for A in random_monomial_algebras(11, 12)]
+    tables += [compile_paths(LINE12), compile_table(xyz_local_table())]
+    for T in tables:
+        V, n = len(T.vertices), len(T.basis)
+        assert T.by_source == tuple(
+            tuple(j for j in range(n) if T.ends[j][0] == v) for v in range(V))
+        assert all(T.parent[T.by_source[v][0]] is None for v in range(V))
+        assert len(T.products_of) == n
+        assert [(j, k, jg) for j in range(n) for k, jg in T.products_of[j]] \
+            == sorted((j, k, jg) for k, row in enumerate(T.right)
+                      for j, jg in enumerate(row) if jg >= 0)
+        scan = [(j, k, T.right[k][j]) for k, g in enumerate(T.gens)
+                for j in range(n) if T.ends[j][1] == T.ends[g][0]
+                and not (T.right[k][j] >= 0
+                         and T.parent[T.right[k][j]] == (j, k))]
+        assert T.checked_by_source == tuple(
+            tuple(c for c in scan if T.ends[c[0]][0] == v) for v in range(V))
+
+
+def test_check_relations_reads_every_live_vertex():
+    # S(v0) + P(v1) + P(v2) over LINE12 lives at v0 .. v4. With a3 sending
+    # a1.a2 of P(v1) to a2.a3 of P(v2), the relation a1.a2.a3 fails on the
+    # module, and only a pair whose basis element starts at v1, not at the
+    # first live vertex v0, sees it.
+    M = module_expr([(simple_key(LINE12, "v0"), 1),
+                     (projective_key(LINE12, "v1"), 1),
+                     (projective_key(LINE12, "v2"), 1)])
+    r = rep_of(M, LINE12, P)
+    assert r.dims == (1, 1, 2, 2, 1) + (0,) * 7
+    assert r.mats[3] == ((), ((0, 1),))
+    broken = with_entry(r, 3, 0, 0, 1)
+    assert broken.mats[3] == (((0, 1),), ((0, 1),))
+    T = r.table
+    assert [T.basis[j] for j, _, _ in T.checked_by_source[1]] == ["a1.a2"]
+    with pytest.raises(InternalInconsistencyError, match="a1.a2 \\* a3 = 0"):
+        broken.check_relations()
+    r.check_relations()
+
+
 # A line whose only relation is a0.a1.a2.a3, so paths of length 2 and 3 live.
 LINE5 = make_algebra(
     "algebra line5\n"
