@@ -418,7 +418,11 @@ def build_parser() -> _Parser:
 
 def main(argv=None) -> int:
     """Run one command. A failure ends with exactly one `error[code]:` line
-    on stderr and the exit status of its error class."""
+    on stderr and the exit status of its error class. Integers of any
+    length are read and printed: CPython's limit on int-str conversion,
+    where it has one, is lifted."""
+    if hasattr(sys, "set_int_max_str_digits"):
+        sys.set_int_max_str_digits(0)
     try:
         args = build_parser().parse_args(argv)
         args.func(args)

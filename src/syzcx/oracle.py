@@ -16,16 +16,16 @@ Both kinds of algebra compile to a GradedTable (a monomial algebra through
 its nonzero paths), and one syzygy step, syzygy_rep, serves every
 representation.
 
-A representation (TableRepresentation) is a value indexed by table
-position. Dimension sequences (dim_sequence) rest on the syzygy of a direct
-sum being the direct sum of the syzygies: a module is kept as a multiset of
-its coordinate blocks (the classes of coordinates that nonzero action
-entries link) in canonical form, each its own key in its table's memo,
-stepped once per table and prime with syzygy_rep and split again. Over a
-monomial algebra every syzygy is a direct sum of small cyclic modules
-(Zimmermann Huisgen, Manuscripta Math. 70, 1991), so the modules of one
-algebra keep meeting the same few blocks, and no syzygy that splits is
-materialized whole.
+A representation (TableRepresentation) is a value that holds only its
+support: its dimension where nonzero and its nonzero generator actions.
+Dimension sequences (dim_sequence) rest on the syzygy of a direct sum being
+the direct sum of the syzygies: a module is kept as a multiset of its
+coordinate blocks (the classes of coordinates that nonzero action entries
+link) in canonical form, each its own key in its table's memo, stepped once
+per table and prime with syzygy_rep and split again. Over a monomial algebra
+every syzygy is a direct sum of small cyclic modules (Zimmermann Huisgen,
+Manuscripta Math. 70, 1991), so the modules of one algebra keep meeting the
+same few small blocks, and no syzygy that splits is materialized whole.
 """
 
 from __future__ import annotations
@@ -33,7 +33,7 @@ from __future__ import annotations
 import os
 import weakref
 from functools import cached_property, lru_cache
-from itertools import accumulate, zip_longest
+from itertools import zip_longest
 from typing import NamedTuple
 
 import numpy as np
@@ -67,9 +67,9 @@ def _dim_cap() -> int:
 # The matrices of a syzygy step are almost all zeros, about one nonzero per
 # column, and elimination adds no fill. So a step works on sparse vectors of
 # Python ints: a column or a row is a sequence of (index, residue) pairs
-# with no zero residue, and None stands for a zero image. Each generator's
-# action is stored as one column per source coordinate, () for a zero
-# column; the images along the parent tree are built column by
+# with no zero residue, and None stands for a zero image. Each generator
+# that acts by a nonzero map stores one column per source coordinate, () for
+# a zero column; the images along the parent tree are built column by
 # column (_act); the top and each cover are eliminated as rows (_rref); each
 # kernel is kept row-major, so that a generator's new action is a scatter of
 # the kernel rows it touches, whose free rows are regrouped into its columns,
@@ -81,7 +81,7 @@ def _dim_cap() -> int:
 # basis elements from those with lifted top vectors; it eliminates nothing
 # where the module or images are zero, scatters no generator without blocks
 # and multiplies no unit vector (a generator applied to a lift, a list of
-# coordinates, selects columns). Other vertices and generators cost a slot.
+# coordinates, selects columns). Its scratch is keyed by that support.
 
 
 def _act(gcols: tuple, image: list, p: int) -> list:
@@ -193,29 +193,29 @@ class GradedTable:
     (source, target) as positions in `vertices`. The generators `gens` (basis
     indices) generate the radical. A non-idempotent j has a parent (j', k)
     with j = j' * gens[k], and parents come before their children; an
-    idempotent has parent None. right[k][j] is j * gens[k], or -1 for zero.
-    Modules are right modules: a generator from vertex s to vertex t maps the
-    space at s to the space at t.
+    idempotent has parent None. products_of[j], the one record of the
+    products, holds the pairs (k, j * gens[k]) that are nonzero, by k.
+    Modules are right modules: a generator from vertex s to vertex t maps
+    the space at s to the space at t.
 
     Indexes cached on the table let a step read only its module's support:
     by_source[v], the basis elements from v in index order (v's idempotent
-    first); products_of[j], the pairs (k, j * gens[k]) with a nonzero
-    product; checked_by_source[v], the triples (j, k, j * gens[k]) with j
-    from v that check_relations tests, all composable pairs but those whose
-    product has parent (j, k), found from the j ending where each generator
-    starts. `block_memo` maps each block (_blocks) that dim_sequence has
-    stepped to its syzygy's blocks (_step_blocks); it lives with the table."""
+    first); checked_by_source[v], the triples (j, k, j * gens[k] or -1)
+    with j from v that check_relations tests, all composable pairs but
+    those whose product has parent (j, k), by j and then by k. `block_memo`
+    maps each block (_blocks) that dim_sequence has stepped to its syzygy's
+    blocks (_step_blocks); it lives with the table."""
 
     def __init__(self, basis: tuple[str, ...], vertices: tuple[str, ...],
                  ends: tuple[tuple[int, int], ...], gens: tuple[int, ...],
                  parent: tuple[tuple[int, int] | None, ...],
-                 right: tuple[tuple[int, ...], ...]):
+                 products_of: tuple[tuple[tuple[int, int], ...], ...]):
         self.basis = basis
         self.vertices = vertices
         self.ends = ends
         self.gens = gens
         self.parent = parent
-        self.right = right
+        self.products_of = products_of
         self.block_memo: dict = {}
 
     @cached_property
@@ -226,20 +226,17 @@ class GradedTable:
         return tuple(map(tuple, out))
 
     @cached_property
-    def products_of(self) -> tuple[tuple[tuple[int, int], ...], ...]:
-        return tuple(tuple((k, row[j]) for k, row in enumerate(self.right)
-                           if row[j] >= 0) for j in range(len(self.basis)))
-
-    @cached_property
     def checked_by_source(self) -> tuple[tuple[tuple[int, int, int], ...], ...]:
-        ending_at = [[] for _ in self.vertices]
-        for j, (_, t) in enumerate(self.ends):
-            ending_at[t].append(j)
+        gens_from = [[] for _ in self.vertices]
+        for k, g in enumerate(self.gens):
+            gens_from[self.ends[g][0]].append(k)
         out = [[] for _ in self.vertices]
-        for k, (g, right) in enumerate(zip(self.gens, self.right)):
-            for j in ending_at[self.ends[g][0]]:
-                if right[j] < 0 or self.parent[right[j]] != (j, k):
-                    out[self.ends[j][0]].append((j, k, right[j]))
+        for j, (s, t) in enumerate(self.ends):
+            product = dict(self.products_of[j])
+            for k in gens_from[t]:
+                jg = product.get(k, -1)
+                if jg < 0 or self.parent[jg] != (j, k):
+                    out[s].append((j, k, jg))
         return tuple(map(tuple, out))
 
 
@@ -265,35 +262,35 @@ def compile_paths(A: MonomialAlgebra) -> GradedTable:
 def _path_table(A: MonomialAlgebra) -> GradedTable:
     """The nonzero paths in paths_from order: the trivial paths, then,
     breadth-first, each path's extensions by the automaton's moves from its
-    state. Walked in index order, each extension j * a is numbered as it is
-    met, with parent (j, a) and the literal of j extended by a, so no arrow
-    tuple is built, sliced or hashed."""
+    state, by arrow. Walked in index order, each extension j * a is
+    numbered as it is met, with parent (j, a), the literal of j extended by
+    a, and a product (a, j * a) of j, so no arrow tuple is built or hashed."""
     Q = A.quiver
     state = [Q.vertex_index[v] for v in Q.vertices]
     basis = [f"e({v})" for v in Q.vertices]
     ends = [(s, s) for s in state]
     parent: list = [None] * len(state)
-    right: list[list[int]] = [[] for _ in Q.arrows]
+    products_of = []
     j = 0
     while j < len(state):
-        for row in right:
-            row.append(-1)
+        products = []
         for name, s in A.moves[state[j]].items():
             k = Q.arrow_index[name]
-            right[k][j] = len(state)
+            products.append((k, len(state)))
             parent.append((j, k))
             state.append(s)
             basis.append(basis[j] + "." + name if parent[j] else name)
             ends.append((ends[j][0], Q.vertex_index[Q.arrows[k].target]))
+        products_of.append(tuple(products))
         j += 1
+    arrows = dict(kj for row in products_of[:len(Q.vertices)] for kj in row)
     return GradedTable(
         basis=tuple(basis),
         vertices=Q.vertices,
         ends=tuple(ends),
-        gens=tuple(right[k][Q.vertex_index[a.source]]
-                   for k, a in enumerate(Q.arrows)),
+        gens=tuple(arrows[k] for k in range(len(Q.arrows))),
         parent=tuple(parent),
-        right=tuple(map(tuple, right)),
+        products_of=tuple(products_of),
     )
 
 
@@ -365,10 +362,12 @@ def compile_table(t: AlgebraTable) -> GradedTable:
     gens = [i for i in rad if i not in products]
     order = [t.idempotents[0]]
     parent = {order[0]: None}
+    products_of = []
     for j in order:
-        for k, g in enumerate(gens):
-            jg = t.product(j, g)
-            if jg >= 0 and jg not in parent:
+        products_of.append([(k, jg) for k, jg in enumerate(
+            t.product(j, g) for g in gens) if jg >= 0])
+        for k, jg in products_of[-1]:
+            if jg not in parent:
                 parent[jg] = (j, k)
                 order.append(jg)
     if len(order) != t.dim:
@@ -381,8 +380,8 @@ def compile_table(t: AlgebraTable) -> GradedTable:
         gens=tuple(pos[g] for g in gens),
         parent=tuple(None if parent[j] is None
                      else (pos[parent[j][0]], parent[j][1]) for j in order),
-        right=tuple(tuple(pos.get(t.product(j, g), -1) for j in order)
-                    for g in gens),
+        products_of=tuple(tuple((k, pos[jg]) for k, jg in row)
+                          for row in products_of),
     )
 
 
@@ -415,20 +414,20 @@ def builtin_table(table_id: str) -> AlgebraTable:
 
 # -- representations and the syzygy step ------------------------------------------
 
-def _along_parents(T: GradedTable, cols, p: int, starts: dict) -> list:
+def _along_parents(T: GradedTable, cols: dict, p: int, starts: dict) -> dict:
     """For every basis element j from a vertex v in `starts`, the action of
     j on the unit vectors at the coordinates starts[v], as sparse columns,
     built along v's parent subtree (T.by_source[v]) alone: j = j' * g acts
     as g after j', and as a column selection of g after the idempotent.
-    Every other entry is None, as is a zero image; `cols` holds each
-    generator's sparse columns, or None for zero."""
-    out: list = [None] * len(T.basis)
+    The result is keyed by those j, None for a zero image; `cols` maps each
+    generator that acts by a nonzero map to its sparse columns."""
+    out: dict = {}
     for v, coords in starts.items():
         idem, *rest = T.by_source[v]
         out[idem] = coords
         for j in rest:
             i, k = T.parent[j]
-            prev, g = out[i], cols[k]
+            prev, g = out[i], cols.get(k)
             out[j] = (None if prev is None or g is None
                       else [g[c] for c in prev] if i == idem
                       else _act(g, prev, p))
@@ -458,47 +457,46 @@ def _scatter(krow: list, blocks, p: int) -> dict:
 def syzygy_rep(R: "TableRepresentation") -> "TableRepresentation":
     """Kernel of a projective cover of R, as a representation.
 
-    A step walks only its support: the vertices where R is nonzero, where
-    the top of R is a complement of the generator images, and the basis
-    elements (T.by_source) from those with lifted top vectors, in index
-    order. The cover stacks one projective e_w A per lifted top vector at
-    w, with basis (j, copy) for the j from w, graded by the target of j; it
-    sends (j, copy) to the lift acted on by j, built along w's parent
-    subtree. The kernel is read off one sparse rref of the cover's rows per
-    vertex where R is nonzero, and kept row-major: row (j, copy) holds the
-    kernel columns it is nonzero in. A generator g acts on the cover by
-    j -> j*g, so its new action is a scatter of the kernel rows of its
-    blocks, the support's nonzero products (T.products_of): the rows at the
-    target kernel's free rows are the new action, and those at its pivot
-    rows are checked against them exactly. A generator with no blocks acts
-    by zero. When R is semisimple, the kernel is rad P, the cover basis
-    without its idempotents, and nothing is eliminated."""
-    T, p, dims, cols = R
-    live = [v for v, d in enumerate(dims) if d]
+    A step walks only its support, and keys its scratch by it: the vertices
+    where R is nonzero, where the top of R is a complement of the generator
+    images, and the basis elements (T.by_source) from those with lifted top
+    vectors, in index order. The cover stacks one projective e_w A per
+    lifted top vector at w, with basis (j, copy) for the j from w, graded by
+    the target of j; it sends (j, copy) to the lift acted on by j, built
+    along w's parent subtree. The kernel is read off one sparse rref of the
+    cover's rows per vertex where R is nonzero, and kept row-major: row
+    (j, copy) holds the kernel columns it is nonzero in. A generator g acts
+    on the cover by j -> j*g, so its new action is a scatter of the kernel
+    rows of its blocks, the support's nonzero products (T.products_of): the
+    rows at the target kernel's free rows are the new action, and those at
+    its pivot rows are checked against them exactly; it gets no entry where
+    that action is zero. When R is semisimple, the kernel is rad P, the
+    cover basis without its idempotents, and nothing is eliminated."""
+    T, p, dims, mats = R
     semisimple = R.is_semisimple
     if semisimple:  # kept: eliminating here too costs `oracle` wall_s +15 %
-        copies = dims
+        copies = dict(dims)
     else:
-        rad = [[] for _ in dims]
-        for gcols, g in zip(cols, T.gens):
-            if gcols is not None:
-                rad[T.ends[g][1]] += [col for col in gcols if col]
-        lifts, copies = {}, [0] * len(dims)
-        for v in live:
-            top = _rref(rad[v], dims[v], p) if rad[v] else {}
-            lift = [i for i in range(dims[v]) if i not in top]
+        rad: dict[int, list] = {}
+        for k, gcols in mats:
+            rad.setdefault(T.ends[T.gens[k]][1], []).extend(
+                col for col in gcols if col)
+        lifts, copies = {}, {}
+        for v, d in dims:
+            top = _rref(rad[v], d, p) if rad.get(v) else {}
+            lift = [i for i in range(d) if i not in top]
             if lift:
                 lifts[v], copies[v] = lift, len(lift)
     # The support in index order, and its cover basis (rad P, without the
     # idempotents, when semisimple): the copies of j are the rows start[j]
     # .. start[j] + copies[source of j] of the space at its target.
-    support = sorted(j for w, c in enumerate(copies) if c
+    support = sorted(j for w in copies
                      for j in T.by_source[w][int(semisimple):])
-    start, pdims = [-1] * len(T.basis), [0] * len(dims)
+    start, pdims = {}, {}
     for j in support:
         w, t = T.ends[j]
-        start[j] = pdims[t]
-        pdims[t] += copies[w]
+        start[j] = pdims.get(t, 0)
+        pdims[t] = start[j] + copies[w]
     # Right multiplication by generator k: row blocks (from, to, length).
     blocks: dict[int, list] = {}
     for j in support:
@@ -508,93 +506,90 @@ def syzygy_rep(R: "TableRepresentation") -> "TableRepresentation":
 
     reduced = {}  # the kernel is rad P where R is semisimple: no pivots
     if not semisimple:
-        images = _along_parents(T, cols, p, lifts)
-        into = [[] for _ in dims]
+        images = _along_parents(T, dict(mats), p, lifts)
+        # The covers' rows where R is nonzero, built from the images (each
+        # dropped once copied), then eliminated one vertex at a time.
+        rows = {v: [[] for _ in range(d)] for v, d in dims}
         for j in support:
-            if images[j] is not None:
-                into[T.ends[j][1]].append(j)
-        # One cover at a time, as rows built from its images (dropped once
-        # copied), eliminated where R is nonzero.
-        for v in live:
-            rows = [[] for _ in range(dims[v])]
-            for j in into[v]:
-                if T.parent[j] is None:  # a lift: unit columns
-                    for i, r in enumerate(images[j], start[j]):
-                        rows[r].append((i, 1))
-                else:
-                    for i, col in enumerate(images[j], start[j]):
-                        for r, x in col:
-                            rows[r].append((i, x))
-                images[j] = None
-            reduced[v] = _rref(rows, pdims[v], p)
-            if len(reduced[v]) != dims[v]:
+            image, t = images.pop(j), T.ends[j][1]
+            if T.parent[j] is None:  # a lift: unit columns
+                for i, r in enumerate(image, start[j]):
+                    rows[t][r].append((i, 1))
+            elif image is not None:
+                for i, col in enumerate(image, start[j]):
+                    for r, x in col:
+                        rows[t][r].append((i, x))
+        for v, d in dims:
+            reduced[v] = _rref(rows.pop(v), pdims.get(v, 0), p)
+            if len(reduced[v]) != d:
                 raise InternalInconsistencyError(
                     f"projective cover is not surjective at vertex {T.vertices[v]}"
                 )
     # Each kernel row-major where the cover is nonzero: the basis vector of
     # free column f is e_f minus red[q][f] at each pivot q, f in order.
-    kernels = [((), (), (), ())] * len(dims)
-    for v in [v for v, pd in enumerate(pdims) if pd]:
-        pd, red = pdims[v], reduced.get(v, {})
+    kernels = {}
+    for v, pd in pdims.items():
+        red = reduced.get(v, {})
         free = [c for c in range(pd) if c not in red]
-        pos = [-1] * pd
-        for f, c in enumerate(free):
-            pos[c] = f
-        krow = [((pos[c], 1),) if pos[c] >= 0 else
+        pos = {c: f for f, c in enumerate(free)}
+        krow = [((pos[c], 1),) if c in pos else
                 [(pos[f], p - x) for f, x in red[c].items()]
                 for c in range(pd)]
         kernels[v] = (krow, free, pos, list(red))
-    new_dims = [len(free) for _, free, _, _ in kernels]
+    new_dims = {v: len(kernels[v][1]) for v in sorted(kernels)
+                if kernels[v][1]}
 
-    new_mats = [None] * len(T.gens)
-    for k, kblocks in blocks.items():
+    new_mats = []
+    for k in sorted(blocks):
         s, t = T.ends[T.gens[k]]
         krow, free, pos, pivots = kernels[t]
-        image = _scatter(kernels[s][0], kblocks, p)
+        image = _scatter(kernels[s][0], blocks[k], p)
         _in_kernel(image, krow, free, pivots, p)
         m = {}
         for b, e in image.items():
-            if pos[b] >= 0:
+            if b in pos:
                 for f, v in e:
                     m.setdefault(f, []).append((pos[b], v))
         if m:
-            new_mats[k] = tuple(tuple(m.get(f, ())) for f in range(new_dims[s]))
-    return TableRepresentation(T, p, tuple(new_dims), tuple(new_mats))
+            new_mats.append((k, tuple(tuple(m.get(f, ()))
+                                      for f in range(new_dims[s]))))
+    return TableRepresentation(T, p, tuple(new_dims.items()), tuple(new_mats))
 
 
 class TableRepresentation(NamedTuple):
-    """Right module over a graded table, indexed by table position: dims[v]
-    is the dimension of the GF(p) space at vertex v, and mats[k] the matrix
-    of generator k (target space x source space), None for the zero map,
-    else one sparse column per source coordinate, a tuple of (target row,
-    residue in [1, p)) pairs, () for a zero column. The action of a basis
-    element is the ordered product along its parent chain. Semisimple
-    modules cost nothing to read, and equal fields are equal modules."""
+    """Right module over a graded table that holds only its support: dims
+    the pairs (v, d), by v, for the vertices where the GF(p) space has
+    dimension d > 0; mats the pairs (k, columns), by k, for the generators
+    that act by a nonzero map (target space x source space), one sparse
+    column per source coordinate, a tuple of (target row, residue in
+    [1, p)) pairs, () for a zero column. The action of a basis element is
+    the ordered product along its parent chain. A semisimple module has no
+    mats and costs nothing to read; equal fields are equal modules."""
 
     table: GradedTable
     p: int
-    dims: tuple[int, ...]
-    mats: tuple[tuple[tuple[tuple[int, int], ...], ...] | None, ...]
+    dims: tuple[tuple[int, int], ...]
+    mats: tuple[tuple[int, tuple[tuple[tuple[int, int], ...], ...]], ...]
 
     syzygy = syzygy_rep
 
     @property
     def total_dim(self) -> int:
-        return sum(self.dims)
+        return sum(d for _, d in self.dims)
 
     @property
     def is_semisimple(self) -> bool:
-        return all(m is None for m in self.mats)
+        return not self.mats
 
     def dense(self, name: str) -> np.ndarray:
         """The matrix of generator `name` as a dense uint16 array of
-        residues (zeros where the action is None), for inspection and
-        hashing; the syzygy step never builds one."""
+        residues (all zero when it has no entry in mats), for inspection
+        and hashing; the syzygy step never builds one."""
         T = self.table
         g = T.basis.index(name)
-        s, t = T.ends[g]
-        m = np.zeros((self.dims[t], self.dims[s]), dtype=np.uint16)
-        for c, col in enumerate(self.mats[T.gens.index(g)] or ()):
+        s, t = (dict(self.dims).get(v, 0) for v in T.ends[g])
+        m = np.zeros((t, s), dtype=np.uint16)
+        for c, col in enumerate(dict(self.mats).get(T.gens.index(g), ())):
             for r, v in col:
                 m[r, c] = v
         return m
@@ -604,13 +599,14 @@ class TableRepresentation(NamedTuple):
         j * g is zero, on sparse columns, for each pair of checked_by_source
         with j from where the module is nonzero (other pairs compare empty
         images). No product reads an identity: e times g is g, parent (e, k)."""
-        T, p, dims, cols = self
-        live = {v: range(d) for v, d in enumerate(dims) if d}
+        T, p, dims, mats = self
+        cols = dict(mats)
+        live = {v: range(d) for v, d in dims}
         images = _along_parents(T, cols, p, live)
         for j, k, jg in (c for v in live for c in T.checked_by_source[v]):
-            lhs = (None if cols[k] is None or images[j] is None
+            lhs = (None if k not in cols or images[j] is None
                    else _act(cols[k], images[j], p))
-            rhs = images[jg] if jg >= 0 else None
+            rhs = images.get(jg)
             if any(dict(a) != dict(b) for a, b in
                    zip_longest(lhs or (), rhs or (), fillvalue=())):
                 raise InternalInconsistencyError(
@@ -623,22 +619,23 @@ def _span_rep(T: GradedTable, p: int, summands) -> TableRepresentation:
     """Direct sum of the modules spanned by each list of basis elements in
     `summands`: a generator sends j to j * g (T.products_of) when that
     stays in j's summand, and to zero otherwise."""
-    dims = [0] * len(T.vertices)
+    dims: dict[int, int] = {}
     row: dict[tuple[int, int], int] = {}
     for i, members in enumerate(summands):
         for j in members:
             t = T.ends[j][1]
-            row[(i, j)] = dims[t]
-            dims[t] += 1
-    mats = [[()] * dims[T.ends[g][0]] for g in T.gens]
-    for i, members in enumerate(summands):
-        for j in members:
-            for k, jg in T.products_of[j]:
-                to = row.get((i, jg))
-                if to is not None:
-                    mats[k][row[(i, j)]] = ((to, 1),)
-    rep = TableRepresentation(T, p, tuple(dims), tuple(
-        tuple(m) if any(m) else None for m in mats))
+            row[(i, j)] = dims.get(t, 0)
+            dims[t] = row[(i, j)] + 1
+    cols: dict[int, dict] = {}
+    for (i, j), c in row.items():
+        for k, jg in T.products_of[j]:
+            to = row.get((i, jg))
+            if to is not None:
+                cols.setdefault(k, {})[c] = ((to, 1),)
+    mats = tuple((k, tuple(m.get(c, ()) for c in
+                           range(dims[T.ends[T.gens[k]][0]])))
+                 for k, m in sorted(cols.items()))
+    rep = TableRepresentation(T, p, tuple(sorted(dims.items())), mats)
     rep.check_relations()
     return rep
 
@@ -650,8 +647,8 @@ def rep_of(M: ModuleExpr, A: MonomialAlgebra, p: int) -> TableRepresentation:
     summand, zero when the extension leaves it. The summand is read off the
     paths from v in index order (T.by_source[v]): a path belongs when it is
     v's idempotent, or when its parent belongs and it is not a killer, each
-    killer found by walking T.right along its arrows. A module above the
-    dimension cap is refused before anything is built."""
+    killer found by walking T.products_of along its arrows. A module above
+    the dimension cap is refused before anything is built."""
     limit = _dim_cap()
     dim = expr_dimension(M, A)
     if dim > limit:
@@ -666,7 +663,8 @@ def rep_of(M: ModuleExpr, A: MonomialAlgebra, p: int) -> TableRepresentation:
         for w in key.killers:
             j = v
             for a in w.arrows:
-                j = T.right[Q.arrow_index[a]][j] if j >= 0 else j
+                j = dict(T.products_of[j]).get(Q.arrow_index[a], -1) \
+                    if j >= 0 else j
             killers.add(j)
         inside = {v}
         for j in T.by_source[v][1:]:
@@ -712,48 +710,49 @@ def _blocks(R: TableRepresentation) -> dict[TableRepresentation, int]:
     """The coordinate blocks of R, {block: multiplicity}. A block is a class
     of the union-find over all coordinates that links the two ends of every
     nonzero action entry, so R is the direct sum of its blocks. Each block
-    is in canonical form: its coordinates renumbered in order at each
-    vertex, its column entries sorted by row, and None for every generator
-    that acts on it by zero; so equal blocks are equal representations."""
+    is in canonical form, with pairs only where it is nonzero: its
+    coordinates renumbered in order at each vertex, its column entries
+    sorted by row, and its generators in R's order; so equal blocks are
+    equal representations, each the size of its support."""
     T = R.table
-    off = [0, *accumulate(R.dims)]
-    up = list(range(off[-1]))
+    off, n = {}, 0
+    for v, d in R.dims:
+        off[v], n = n, n + d
+    up = list(range(n))
 
     def find(x: int) -> int:
         while up[x] != x:
             up[x] = x = up[up[x]]
         return x
 
-    acting = [(k, m, T.ends[g][0], off[T.ends[g][0]], off[T.ends[g][1]])
-              for k, (m, g) in enumerate(zip(R.mats, T.gens)) if m]
-    for _, m, _, s, t in acting:
+    acting = [(k, m, T.ends[T.gens[k]]) for k, m in R.mats]
+    for _, m, (s, t) in acting:
         for c, col in enumerate(m):
             for r, _ in col:
-                up[find(t + r)] = find(s + c)
+                up[find(off[t] + r)] = find(off[s] + c)
     roots = [x for x, y in enumerate(up) if x == y]
     head = {x: b for b, x in enumerate(roots)}
-    bdims = [[0] * len(R.dims) for _ in roots]
-    bmats = [[None] * len(T.gens) for _ in roots]
-    block, loc, touched = [0] * len(up), [0] * len(up), []
-    for v in range(len(R.dims)):
-        for x in range(off[v], off[v + 1]):
+    bdims = [{} for _ in roots]
+    bmats = [{} for _ in roots]
+    block, loc = [0] * n, [0] * n
+    for v, d in R.dims:
+        for x in range(off[v], off[v] + d):
             b = block[x] = head[find(x)]
-            loc[x] = bdims[b][v]
-            bdims[b][v] += 1
-    for k, m, v, s, t in acting:
+            loc[x] = bdims[b].get(v, 0)
+            bdims[b][v] = loc[x] + 1
+    for k, m, (s, t) in acting:
         for c, col in enumerate(m):
             if col:
-                b = block[s + c]
-                if bmats[b][k] is None:
-                    bmats[b][k] = [()] * bdims[b][v]
-                    touched.append((b, k))
-                bmats[b][k][loc[s + c]] = tuple(sorted(
-                    (loc[t + r], y) for r, y in col))
-    for b, k in touched:
-        bmats[b][k] = tuple(bmats[b][k])
+                x = off[s] + c
+                b = block[x]
+                if k not in bmats[b]:
+                    bmats[b][k] = [()] * bdims[b][s]
+                bmats[b][k][loc[x]] = tuple(sorted(
+                    (loc[off[t] + r], y) for r, y in col))
     out: dict[TableRepresentation, int] = {}
     for dims, mats in zip(bdims, bmats):
-        part = TableRepresentation(T, R.p, tuple(dims), tuple(mats))
+        part = TableRepresentation(T, R.p, tuple(dims.items()), tuple(
+            (k, tuple(cols)) for k, cols in mats.items()))
         out[part] = out.get(part, 0) + 1
     return out
 

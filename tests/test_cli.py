@@ -490,6 +490,20 @@ def test_huge_root_prints_its_decimal(argv):
     assert f"{-HUGE}.000000000000" in proc.stdout
 
 
+@pytest.mark.parametrize("digits", [4000, 5000])
+def test_long_integer_is_read_and_printed(digits):
+    """x - (10^digits - 1) has the one root 10^digits - 1. Past CPython's
+    default limit of 4,300 digits on int-str conversion, 4,000 nines
+    failed with a traceback as the root's interval was printed, and 5,000
+    nines were refused as unparsable input."""
+    nines = "9" * digits
+    proc = cli_process(["curvature", "check", f"[-{nines},1]"], timeout=60)
+    assert proc.returncode == 0 and "Traceback" not in proc.stderr, proc.stderr
+    # The integers stay strings: this process may still have the limit.
+    doc = json.loads(proc.stdout, parse_int=str)
+    assert doc["status"] == "realizable" and doc["b"]["poly"][0] == f"-{nines}"
+
+
 def _loop_algebra(tmp_path, length):
     """One vertex, one loop x, and the relation x^length."""
     f = tmp_path / f"loop{length}.alg"

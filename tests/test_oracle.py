@@ -88,12 +88,25 @@ def with_entry(r, k: int, row: int, col: int, value: int):
     """The representation `r` with entry (row, col) of generator k's action
     set to `value`; `r` is a value, so it is untouched."""
     T = r.table
-    mats = list(r.mats)
-    cols = list(mats[k] or [()] * r.dims[T.ends[T.gens[k]][0]])
+    mats = dict(r.mats)
+    cols = list(mats.get(k, ((),) * dict(r.dims)[T.ends[T.gens[k]][0]]))
     cols[col] = tuple((i, v) for i, v in cols[col] if i != row) + (
         ((row, value),) if value else ())
     mats[k] = tuple(cols)
-    return r._replace(mats=tuple(mats))
+    return r._replace(mats=tuple(sorted(mats.items())))
+
+
+def dense_bytes(r) -> bytes:
+    """The bytes the pinned hashes were taken over: the dimension at every
+    vertex, then for every generator b"None" where it acts by zero, else
+    its dense matrix's shape and uint16 residues."""
+    T, dims, mats = r.table, dict(r.dims), dict(r.mats)
+    out =[repr([dims.get(v, 0) for v in range(len(T.vertices))]).encode()]
+    for k, g in enumerate(T.gens):
+        m = r.dense(T.basis[g])
+        out.append(b"None" if k not in mats else
+                   repr(m.shape).encode() + m.astype("<u2").tobytes())
+    return b"".join(out)
 
 
 def test_act_matches_python_ints():
@@ -308,7 +321,7 @@ def test_scatter_matches_the_dense_scatter():
 
 def test_rep_of_simple_is_semisimple(fib):
     r = rep_of(singleton(simple_key(fib, "1")), fib, P)
-    assert r.dims == (1, 0) and r.mats == (None, None, None)
+    assert r.dims == ((0, 1),) and r.mats == ()
     assert r.is_semisimple
     assert r.total_dim == 1
 
@@ -363,9 +376,10 @@ def test_residue_differences_are_not_taken_unsigned():
     # 39 xy and that of y * x is xy, and they differ by -38. y is the
     # second generator.
     r = table_rep(xyz_local_table(), "regular", p)
-    assert r.mats[1][1] == ((4, 1),)
+    assert [k for k, _ in r.mats] == [0, 1, 2]
+    assert r.mats[1][1][1] == ((4, 1),)
     broken = with_entry(r, 1, 4, 1, 39)
-    assert broken.mats[1][1] == ((4, 39),) and r.mats[1][1] == ((4, 1),)
+    assert broken.mats[1][1][1] == ((4, 39),) and r.mats[1][1][1] == ((4, 1),)
     with pytest.raises(InternalInconsistencyError):
         broken.check_relations()
     r.check_relations()
@@ -466,6 +480,11 @@ KX4 = AlgebraTable("kx4", ("1", "x", "x2", "x3"),
 KX4_XN_X2M = (((1, 1),), ((2, 1),), ((3, 1),), (), ((2, 1),))
 
 
+def kx4_module(p):
+    return TableRepresentation(compile_table(KX4), p, ((0, 5),),
+                               ((0, KX4_XN_X2M),))
+
+
 def literal_dims(R, N: int, bound: float = float("inf")) -> list[int]:
     """The dimension sequence by stepping the whole module, up to N steps
     and no further once the dimension exceeds `bound`: the reference for
@@ -497,7 +516,7 @@ def test_step_reads_pivot_rows_in_row_order(monkeypatch):
     # The whole module is stepped each time, so the check sees the step of
     # M itself, not of the blocks that dim_sequence cuts out of it.
     for p in PRIMES:
-        M = TableRepresentation(compile_table(KX4), p, (5,), (KX4_XN_X2M,))
+        M = kx4_module(p)
         M.check_relations()
         want = literal_dims(M, 4)
         assert want[:2] == [5, 3]
@@ -511,9 +530,9 @@ def test_step_reads_pivot_rows_in_row_order(monkeypatch):
 def test_rep_checks_relations(loop3):
     r = rep_of(singleton(projective_key(loop3, "1")), loop3, P)
     # sabotage: make x act as a full cyclic shift so x.x.x is nonzero
-    assert r.mats == ((((1, 1),), ((2, 1),), ()),)
+    assert r.mats == ((0, (((1, 1),), ((2, 1),), ())),)
     broken = with_entry(r, 0, 0, 2, 1)
-    assert broken.mats == ((((1, 1),), ((2, 1),), ((0, 1),)),)
+    assert broken.mats == ((0, (((1, 1),), ((2, 1),), ((0, 1),))),)
     with pytest.raises(InternalInconsistencyError):
         broken.check_relations()
     r.check_relations()
@@ -541,15 +560,17 @@ def test_projective_resolution_stops(fib):
 
 def test_semisimple_shortcut_matches_dense_path(fib, chain):
     # Feed the same semisimple module through the combinatorial shortcut and
-    # through the elimination path (each zero map stored as empty columns,
-    # not None) and compare.
+    # through the elimination path (each zero map stored as an entry of
+    # empty columns, not left out) and compare.
     cases = [rep_of(singleton(simple_key(A, v)), A, P)
              for A, v in ((fib, "1"), (chain, "2"))]
     cases.append(table_rep(xyz_local_table(), "k", P))
     for fast in cases:
         T = fast.table
-        slow = fast._replace(mats=tuple(((),) * fast.dims[T.ends[g][0]]
-                                        for g in T.gens))
+        dims = dict(fast.dims)
+        slow = fast._replace(mats=tuple(
+            (k, ((),) * dims.get(T.ends[g][0], 0))
+            for k, g in enumerate(T.gens)))
         assert fast.is_semisimple and not slow.is_semisimple
         f, s = fast, slow
         for _ in range(4):
@@ -585,7 +606,7 @@ def test_step_eliminates_only_where_the_module_lives(monkeypatch):
     import syzcx.oracle as oracle
 
     r = rep_of(singleton(simple_key(LINE12, "v0")), LINE12, P).syzygy()
-    assert r.dims == (0, 1, 1) + (0,) * 9
+    assert r.dims == ((1, 1), (2, 1))
     assert not r.is_semisimple
     calls = []
 
@@ -596,7 +617,7 @@ def test_step_eliminates_only_where_the_module_lives(monkeypatch):
     monkeypatch.setattr(oracle, "_rref", counted)
     out = r.syzygy()
     monkeypatch.undo()
-    assert out.dims == (0, 0, 0, 1) + (0,) * 8
+    assert out.dims == ((3, 1),)
     assert calls == [1, 1, 1]
 
 
@@ -616,7 +637,9 @@ def test_step_cost_follows_the_support():
     # The steps of S(v0) of copy 0, and the relation check of its
     # representation, read the by-source index only where the module lives,
     # so they visit as many basis elements over eight copies of LINE12 as
-    # over one. The count is of index reads, not of time.
+    # over one; and the blocks the memo holds, keys and children, carry as
+    # many dims and mats pairs. The counts are of index reads and of pairs,
+    # not of time.
     visits = {}
     for n in (1, 8):
         A = _line12_copies(n)
@@ -632,33 +655,62 @@ def test_step_cost_follows_the_support():
 
         T.by_source = Recorded(T.by_source)
         dims = dim_sequence(rep_of(singleton(simple_key(A, "v0_0")), A, P), 8)
-        visits[n] = (dims, sum(seen), len(seen))
+        held = [b for key, children in T.block_memo.items()
+                for b in (key, *(c for c, _ in children))]
+        slots = sum(len(b.dims) + len(b.mats) for b in held)
+        visits[n] = (dims, sum(seen), len(seen), len(T.block_memo), slots)
     assert visits[1][0] == [1, 2, 1, 2, 1, 2, 1, 2, 0]
     assert visits[1][1] > 0
+    assert visits[1][3] == 8
     assert visits[8] == visits[1]
 
 
+def _scanned_products(T, A=None, table=None) -> list:
+    """prod[k][j] = j * gens[k] as a table index, or -1 for zero, found
+    without the table's own record of its products: for the paths of a
+    monomial algebra A, by looking up the literal of j extended by the
+    arrow of gens[k]; for a multiplication table, from its product."""
+    at = {name: j for j, name in enumerate(T.basis)}
+    if table is not None:
+        index = {name: i for i, name in enumerate(table.basis)}
+
+        def product(j, g):
+            i = table.product(index[T.basis[j]], index[T.basis[g]])
+            return at[table.basis[i]] if i >= 0 else -1
+
+        return [[product(j, g) for j in range(len(T.basis))] for g in T.gens]
+    prod = [[-1] * len(T.basis) for _ in T.gens]
+    for q in A.paths_from():
+        for k, a in enumerate(A.quiver.arrows):
+            if a.source == q.target:
+                longer = q._replace(target=a.target, arrows=q.arrows + (a.name,))
+                prod[k][at[q.literal()]] = at.get(longer.literal(), -1)
+    return prod
+
+
 def test_table_indexes_match_a_scan_of_the_table():
-    # The cached indexes against a literal scan of ends, right and parent:
-    # the basis elements by source in index order, the nonzero products of
-    # each basis element by generator, and the checked pairs (every
-    # composable pair but those built as a parent) grouped by source, each
-    # group in generator-major order.
-    tables = [compile_paths(A) for A in random_monomial_algebras(11, 12)]
-    tables += [compile_paths(LINE12), compile_table(xyz_local_table())]
-    for T in tables:
+    # The table's products and cached indexes against a literal scan of
+    # ends and parent and of products found outside the table: the basis
+    # elements by source in index order, the nonzero products of each basis
+    # element in generator order, and the checked pairs (every composable
+    # pair but those built as a parent) grouped by source, each group in
+    # index order of j and then generator order.
+    algebras = random_monomial_algebras(11, 12) + [LINE12]
+    tables = [(compile_paths(A), _scanned_products(compile_paths(A), A=A))
+              for A in algebras]
+    tables += [(compile_table(t), _scanned_products(compile_table(t), table=t))
+               for t in (xyz_local_table(), KX3, XXW)]
+    for T, prod in tables:
         V, n = len(T.vertices), len(T.basis)
         assert T.by_source == tuple(
             tuple(j for j in range(n) if T.ends[j][0] == v) for v in range(V))
         assert all(T.parent[T.by_source[v][0]] is None for v in range(V))
-        assert len(T.products_of) == n
-        assert [(j, k, jg) for j in range(n) for k, jg in T.products_of[j]] \
-            == sorted((j, k, jg) for k, row in enumerate(T.right)
-                      for j, jg in enumerate(row) if jg >= 0)
-        scan = [(j, k, T.right[k][j]) for k, g in enumerate(T.gens)
-                for j in range(n) if T.ends[j][1] == T.ends[g][0]
-                and not (T.right[k][j] >= 0
-                         and T.parent[T.right[k][j]] == (j, k))]
+        assert T.products_of == tuple(
+            tuple((k, row[j]) for k, row in enumerate(prod) if row[j] >= 0)
+            for j in range(n))
+        scan = [(j, k, prod[k][j]) for j in range(n)
+                for k, g in enumerate(T.gens) if T.ends[j][1] == T.ends[g][0]
+                and not (prod[k][j] >= 0 and T.parent[prod[k][j]] == (j, k))]
         assert T.checked_by_source == tuple(
             tuple(c for c in scan if T.ends[c[0]][0] == v) for v in range(V))
 
@@ -672,10 +724,10 @@ def test_check_relations_reads_every_live_vertex():
                      (projective_key(LINE12, "v1"), 1),
                      (projective_key(LINE12, "v2"), 1)])
     r = rep_of(M, LINE12, P)
-    assert r.dims == (1, 1, 2, 2, 1) + (0,) * 7
-    assert r.mats[3] == ((), ((0, 1),))
+    assert r.dims == ((0, 1), (1, 1), (2, 2), (3, 2), (4, 1))
+    assert dict(r.mats)[3] == ((), ((0, 1),))
     broken = with_entry(r, 3, 0, 0, 1)
-    assert broken.mats[3] == (((0, 1),), ((0, 1),))
+    assert dict(broken.mats)[3] == (((0, 1),), ((0, 1),))
     T = r.table
     assert [T.basis[j] for j, _, _ in T.checked_by_source[1]] == ["a1.a2"]
     with pytest.raises(InternalInconsistencyError, match="a1.a2 \\* a3 = 0"):
@@ -726,11 +778,11 @@ def test_no_product_applies_a_generator_to_unit_columns(monkeypatch):
     # a product. Its kernel is a1.a2.a3 at v4 alone, and the membership
     # check multiplies nothing.
     r = rep_of(singleton(simple_key(LINE5, "v0")), LINE5, P).syzygy()
-    assert r.dims == (0, 1, 1, 1, 0)
+    assert r.dims == ((1, 1), (2, 1), (3, 1))
     calls = _products_by_caller(monkeypatch, r.syzygy)
     assert built(calls) == ["a1.a2"]
     assert len(calls) == 1
-    assert r.syzygy().dims == (0, 0, 0, 0, 1)
+    assert r.syzygy().dims == ((4, 1),)
 
 
 def test_oracle_never_calls_the_symbolic_syzygy_rule(fib, monkeypatch):
@@ -801,8 +853,10 @@ def _path_table_by_arrow_tuples(A):
             tuple((at[(q.source, q.arrows[:-1])],
                    Q.arrow_index[q.arrows[-1]]) if q.arrows else None
                   for q in paths),
-            tuple(tuple(at.get((q.source, q.arrows + (a.name,)), -1)
-                        for q in paths) for a in Q.arrows))
+            tuple(tuple((k, at[(q.source, q.arrows + (a.name,))])
+                        for k, a in enumerate(Q.arrows)
+                        if (q.source, q.arrows + (a.name,)) in at)
+                  for q in paths))
 
 
 def test_compile_paths_matches_the_arrow_tuple_lookup():
@@ -815,7 +869,7 @@ def test_compile_paths_matches_the_arrow_tuple_lookup():
     for A in (random_monomial_algebras(41, 8) + family
               + [make_algebra(FIB_TEXT), make_algebra(LOOP3_TEXT), loop]):
         T = compile_paths(A)
-        assert (T.basis, T.ends, T.gens, T.parent, T.right) == \
+        assert (T.basis, T.ends, T.gens, T.parent, T.products_of) == \
             _path_table_by_arrow_tuples(A)
         assert T.vertices == A.quiver.vertices
 
@@ -921,7 +975,7 @@ def test_table_rep_checks_products():
     # sabotage: let y send x to zero, so x*y and y*x no longer agree
     r = table_rep(xyz_local_table(), "regular", P)
     broken = with_entry(r, 1, 4, 1, 0)
-    assert broken.mats[1][1] == () and r.mats[1][1] == ((4, 1),)
+    assert broken.mats[1][1][1] == () and r.mats[1][1][1] == ((4, 1),)
     with pytest.raises(InternalInconsistencyError):
         broken.check_relations()
     r.check_relations()
@@ -947,9 +1001,11 @@ def test_xyz_expected_dims_recurrence():
 
 
 def test_actions_are_stored_as_nonzero_sparse_columns(fib):
-    # Every action is None exactly when it is the zero map, and otherwise
-    # holds one column per source coordinate, of target rows and residues in
-    # [1, p), () where the column is zero; dense() renders it as uint16
+    # A representation holds only its support: a dims pair (v, d) for each
+    # vertex where d > 0, in vertex order, and a mats pair for each
+    # generator exactly when it acts by a nonzero map, in generator order,
+    # holding one column per source coordinate, of target rows and residues
+    # in [1, p), () where the column is zero; dense() renders it as uint16
     # residues, and the representation hashes.
     cases = [table_rep(xyz_local_table(), "k", p) for p in PRIMES]
     cases += [rep_of(resolve_module(fib, m), fib, p)
@@ -961,10 +1017,16 @@ def test_actions_are_stored_as_nonzero_sparse_columns(fib):
         T = r.table
         for _ in range(6):
             assert hash(r) == hash(r._replace())
-            for g, m in zip(T.gens, r.mats):
-                s, t = (r.dims[v] for v in T.ends[g])
+            assert all(d > 0 for _, d in r.dims)
+            for pairs in (r.dims, r.mats):
+                keys = [key for key, _ in pairs]
+                assert keys == sorted(set(keys))
+            dims, mats = dict(r.dims), dict(r.mats)
+            for k, g in enumerate(T.gens):
+                s, t = (dims.get(v, 0) for v in T.ends[g])
                 dense = r.dense(T.basis[g])
                 assert dense.dtype == np.uint16 and dense.shape == (t, s)
+                m = mats.get(k)
                 assert (m is None) == (not dense.any())
                 assert m is None or len(m) == s
                 for c, col in enumerate(m or ()):
@@ -1026,11 +1088,7 @@ def test_pinned_oracle_hash():
     h = hashlib.sha256()
 
     def feed(r):
-        h.update(repr(list(r.dims)).encode())
-        for g, action in zip(r.table.gens, r.mats):
-            m = r.dense(r.table.basis[g])
-            h.update(b"None" if action is None else
-                     repr(m.shape).encode() + m.astype("<u2").tobytes())
+        h.update(dense_bytes(r))
 
     for p in PRIMES:
         for A in algebras:
@@ -1060,11 +1118,7 @@ def test_pinned_oracle_hash_at_scale():
 
     def feed(r):
         seen.append(r.total_dim)
-        h.update(repr(list(r.dims)).encode())
-        for g, action in zip(r.table.gens, r.mats):
-            m = r.dense(r.table.basis[g])
-            h.update(b"None" if action is None else
-                     repr(m.shape).encode() + m.astype("<u2").tobytes())
+        h.update(dense_bytes(r))
 
     for p in PRIMES:
         for A in random_monomial_algebras(2, 6):
@@ -1094,15 +1148,13 @@ def _two_kx3_blocks(p):
     and 2, so their syzygies have dimension 3 * 3 - 4 = 5 and 2 * 3 - 4 = 2."""
     act = (((4, 1), (6, 1)), ((5, 1), (7, 1)), ((4, 1), (6, 1)),
            ((7, 2), (5, 1))) + ((),) * 4
-    R = TableRepresentation(compile_table(KX3), p, (8,), (act,))
+    R = TableRepresentation(compile_table(KX3), p, ((0, 8),), ((0, act),))
     R.check_relations()
     return R
 
 
 def _zero_module(A, p):
-    T = compile_paths(A)
-    return TableRepresentation(T, p, (0,) * len(T.vertices),
-                               (None,) * len(T.gens))
+    return TableRepresentation(compile_paths(A), p, (), ())
 
 
 def test_dim_sequence_matches_the_literal_iteration():
@@ -1127,8 +1179,7 @@ def test_dim_sequence_matches_the_literal_iteration():
         cases += [table_rep(t, m, p) for t in (xyz_local_table(), KX3)
                   for m in ("k", "regular")]
         cases.append(table_rep(XXW, "k", p))
-        cases.append(TableRepresentation(compile_table(KX4), p, (5,),
-                                         (KX4_XN_X2M,)))
+        cases.append(kx4_module(p))
         cases.append(_two_kx3_blocks(p))
         cases.append(_zero_module(fib, p))
         for R in cases:
@@ -1149,11 +1200,11 @@ def test_blocks_are_the_direct_summands_in_order():
     T = R.table
     blocks = _blocks(R)
     assert blocks == {
-        TableRepresentation(T, P, (4,), ((((2, 1), (3, 1)),
-                                          ((2, 1), (3, 1)), (), ()),)): 1,
-        TableRepresentation(T, P, (4,), ((((2, 1), (3, 1)),
-                                          ((2, 1), (3, 2)), (), ()),)): 1}
-    M = TableRepresentation(compile_table(KX4), P, (5,), (KX4_XN_X2M,))
+        TableRepresentation(T, P, ((0, 4),), ((0, (((2, 1), (3, 1)),
+                                                   ((2, 1), (3, 1)), (), ())),)): 1,
+        TableRepresentation(T, P, ((0, 4),), ((0, (((2, 1), (3, 1)),
+                                                   ((2, 1), (3, 2)), (), ())),)): 1}
+    M = kx4_module(P)
     assert _blocks(M) == {M: 1}
     zero = _zero_module(make_algebra(FIB_TEXT), P)
     assert _blocks(zero) == {}
@@ -1163,7 +1214,7 @@ def test_blocks_are_the_direct_summands_in_order():
 def test_a_block_is_the_same_value_however_it_is_built():
     # A block built by _span_rep and the same block cut out of a direct sum
     # by _blocks are equal and hash equal, so they share a memo entry; a
-    # zero map stored as empty columns comes out as None.
+    # zero map stored as an entry of empty columns comes out with no entry.
     import syzcx.oracle as oracle
 
     fib = make_algebra(FIB_TEXT)
@@ -1178,8 +1229,9 @@ def test_a_block_is_the_same_value_however_it_is_built():
     assert blocks == {P2: 1, S1: 1}
     assert _blocks(Mix) == {P2: 1, S1: 2}  # Mix = 2*S(1) + P(2)
     assert {hash(b) for b in blocks} == {hash(P2), hash(S1)}
-    empty = S1._replace(mats=tuple(((),) * S1.dims[T.ends[g][0]]
-                                   for g in T.gens))
+    dims = dict(S1.dims)
+    empty = S1._replace(mats=tuple((k, ((),) * dims.get(T.ends[g][0], 0))
+                                   for k, g in enumerate(T.gens)))
     assert not empty.is_semisimple and empty != S1
     assert _blocks(empty) == {S1: 1}
 
