@@ -420,7 +420,8 @@ def main(argv=None) -> int:
     """Run one command. A failure ends with exactly one `error[code]:` line
     on stderr and the exit status of its error class. Integers of any
     length are read and printed: CPython's limit on int-str conversion,
-    where it has one, is lifted."""
+    where it has one, is lifted. No function of the package recurses, so a
+    RecursionError is a JSON document nested past the interpreter's stack."""
     if hasattr(sys, "set_int_max_str_digits"):
         sys.set_int_max_str_digits(0)
     try:
@@ -429,7 +430,7 @@ def main(argv=None) -> int:
         return 0
     except SyzcxError as e:
         code, message, status = e.code, str(e), e.exit_code
-    except json.JSONDecodeError as e:
+    except (json.JSONDecodeError, RecursionError) as e:
         code, message, status = "json", str(e), 2
     except OSError as e:
         code, message, status = "io", str(e), 2

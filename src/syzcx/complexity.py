@@ -205,7 +205,7 @@ def module_complexity(A: MonomialAlgebra, M: ModuleExpr) -> ModuleComplexityRepo
     quiver = build_syzygy_quiver(M, A)
     if not quiver.start:
         return _report_for(zero_class(None))
-    cond = scc_condense(*quiver.digraph())
+    cond = scc_condense(*quiver.digraph(), quiver.labels)
     for i, ci in enumerate(cond.vertex_component):
         if not cond.mixed[ci]:
             memo.setdefault(quiver.key_at(i), (cond, i))
@@ -227,7 +227,7 @@ def lower_bound_from_partial(Q: SyzygyQuiver, v: int) -> ComplexityClass:
             "not a partial syzygy quiver: some vertex's out-neighbors are "
             "not a sub-multiset of its label's syzygy decomposition"
         )
-    cond = scc_condense(*Q.digraph())
+    cond = scc_condense(*Q.digraph(), Q.labels)
     return vertex_complexity(cond, v)
 
 

@@ -458,10 +458,9 @@ def rational_algebraic(x) -> AlgebraicReal:
     return AlgebraicReal(monomial_minus(f), f, f)
 
 
-@lru_cache(maxsize=_MEMO_SIZE)
 def largest_real_root(p: IntPolynomial):
-    """Largest real root of p as an AlgebraicReal, or None; isolated and
-    refined once per distinct polynomial."""
+    """Largest real root of p as an AlgebraicReal, or None. Not memoized:
+    `spectra.perron_root` memoizes the roots of component matrices."""
     iso = isolate_largest_real_root(p)
     if iso is None:
         return None

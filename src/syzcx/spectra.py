@@ -78,10 +78,11 @@ def char_poly(m: IntMatrix) -> IntPolynomial:
     return IntPolynomial(reversed(coeffs_desc))
 
 
-def perron_root(matrix) -> AlgebraicReal:
-    """Spectral radius of an adjacency matrix as a certified algebraic number:
-    the largest real root of the characteristic polynomial. A trivial
-    loopless vertex gets 0 (poly x)."""
+@lru_cache(maxsize=_MEMO_SIZE)
+def perron_root(matrix: IntMatrix) -> AlgebraicReal:
+    """Spectral radius of an adjacency matrix (sparse rows) as a certified
+    algebraic number, memoized per matrix: the largest real root of the
+    characteristic polynomial. A trivial loopless vertex gets 0 (poly x)."""
     r = largest_real_root(char_poly(matrix))
     if r is None:
         raise InternalInconsistencyError(
@@ -90,16 +91,10 @@ def perron_root(matrix) -> AlgebraicReal:
     return r
 
 
-@lru_cache(maxsize=_MEMO_SIZE)
-def _component_root(matrix: IntMatrix) -> AlgebraicReal:
-    """perron_root of a component matrix, computed once per distinct matrix."""
-    return perron_root(matrix)
-
-
 class SCC(NamedTuple):
     """One strongly connected component: member vertices (original indices,
-    ascending), the sparse rows of its internal arrow counts (indices into
-    `vertices`), and its spectral radius."""
+    in label order, see scc_condense), the sparse rows of its internal arrow
+    counts (indices into `vertices`), and its spectral radius."""
 
     vertices: tuple[int, ...]
     matrix: IntMatrix
@@ -134,16 +129,20 @@ class Condensation(NamedTuple):
     mixed: tuple[bool, ...]
 
 
-def scc_condense(n: int, edge_list) -> Condensation:
+def scc_condense(n: int, edge_list, labels=None) -> Condensation:
     """Tarjan condensation of the digraph on vertices 0..n-1 with edge_list.
 
     Deterministic: roots are tried in vertex order, neighbors in edge order,
     and Tarjan's pop order yields the reverse-topological component list.
+    Members are ascending ids, sorted stably by `labels` when given: a built
+    syzygy quiver's labels fix its arrows, so one component is one matrix.
     """
     adj: list[list[int]] = [[] for _ in range(n)]
     for u, v in edge_list:
         adj[u].append(v)
     comp_members = tarjan(adj)
+    for members in comp_members:
+        members.sort(key=None if labels is None else labels.__getitem__)
 
     comp_of = [0] * n
     pos = [0] * n
@@ -166,7 +165,7 @@ def scc_condense(n: int, edge_list) -> Condensation:
     comps: list[SCC] = []
     for members, arrows in zip(comp_members, inner):
         matrix = adjacency_matrix(len(members), arrows)
-        comps.append(SCC(tuple(members), matrix, _component_root(matrix)))
+        comps.append(SCC(tuple(members), matrix, perron_root(matrix)))
 
     # Rank the distinct radii (equal radii share a rank), then one forward
     # pass: everything reachable from ci is ci or reachable from a successor.

@@ -396,8 +396,8 @@ def validate_partial(Q: SyzygyQuiver) -> bool:
 
 def syzygy_quiver_from_json(data: dict, A: MonomialAlgebra) -> SyzygyQuiver:
     """Rebuild a (typically partial) syzygy quiver from the JSON schema used
-    by the exporter. Arrows may repeat or carry a "mult" field. Dimensions
-    are recomputed, never trusted."""
+    by the exporter. Arrows may repeat or carry a "mult", at most the number
+    of killers of their tail. Dimensions are recomputed, never trusted."""
     if not isinstance(data, dict):
         raise InvalidPartialError("partial quiver document must be an object")
     try:
@@ -408,15 +408,15 @@ def syzygy_quiver_from_json(data: dict, A: MonomialAlgebra) -> SyzygyQuiver:
             "partial quiver needs 'vertices' and 'arrows' lists"
         ) from None
 
-    labels_by_id: dict[int, ModuleExpr] = {}
+    keys: dict[int, CyclicKey] = {}
     for entry in raw_vertices:
         try:
             vid = int(entry["id"])
             vertex = entry["vertex"]
             killer_lits = list(entry.get("killers", []))
-        except (KeyError, TypeError, ValueError):
+        except (KeyError, TypeError, ValueError, OverflowError):
             raise InvalidPartialError(f"bad vertex entry: {entry!r}") from None
-        if vid in labels_by_id:
+        if vid in keys:
             raise InvalidPartialError(f"duplicate vertex id {vid}")
         try:
             killers = [A.quiver.parse_path_literal(s) for s in killer_lits]
@@ -429,9 +429,9 @@ def syzygy_quiver_from_json(data: dict, A: MonomialAlgebra) -> SyzygyQuiver:
             raise InvalidPartialError(f"vertex {vid}: killer is zero")
         if not isinstance(vertex, str) or vertex not in A.quiver.vertex_index:
             raise InvalidPartialError(f"vertex {vid}: unknown vertex {vertex!r}")
-        labels_by_id[vid] = singleton(key)
+        keys[vid] = key
 
-    ids = sorted(labels_by_id)
+    ids = sorted(keys)
     if ids != list(range(len(ids))):
         raise InvalidPartialError("vertex ids must be 0..n-1")
 
@@ -440,9 +440,9 @@ def syzygy_quiver_from_json(data: dict, A: MonomialAlgebra) -> SyzygyQuiver:
         try:
             a, b = int(entry["from"]), int(entry["to"])
             mult = int(entry.get("mult", 1))
-        except (KeyError, TypeError, ValueError):
+        except (KeyError, TypeError, ValueError, OverflowError):
             raise InvalidPartialError(f"bad arrow entry: {entry!r}") from None
-        if a not in labels_by_id or b not in labels_by_id or mult < 1:
+        if not (a in keys and b in keys and 1 <= mult <= len(keys[a].killers)):
             raise InvalidPartialError(f"bad arrow entry: {entry!r}")
         arrows.extend([(a, b)] * mult)
 
@@ -456,13 +456,13 @@ def syzygy_quiver_from_json(data: dict, A: MonomialAlgebra) -> SyzygyQuiver:
                 i, m = int(entry.get("id", -1)), int(entry.get("mult", 1))
             else:
                 i, m = int(entry), 1
-        except (TypeError, ValueError):
+        except (TypeError, ValueError, OverflowError):
             raise InvalidPartialError(f"bad start entry: {entry!r}") from None
-        if i not in labels_by_id or m < 1:
+        if i not in keys or m < 1:
             raise InvalidPartialError(f"bad start entry: {entry!r}")
         start.append((i, m))
 
     return SyzygyQuiver(
-        A, tuple(labels_by_id[i] for i in ids), tuple(arrows),
+        A, tuple(singleton(keys[i]) for i in ids), tuple(arrows),
         tuple(start), partial=bool(data.get("partial", True)),
     )

@@ -324,6 +324,20 @@ BAD_INPUT_CASES = [
     ("vertex_not_string", ["lower-bound", FIB, "--partial",
                            "{tmp}/vertex_list.json", "--vertex", "0"], {},
      3, "error[invalid_partial]"),
+    # Numbers past float range read as infinities; no int holds them.
+    ("id_infinity", ["lower-bound", FIB, "--partial", "{tmp}/id_inf.json",
+                     "--vertex", "0"], {}, 3, "error[invalid_partial]"),
+    ("mult_1e400", ["lower-bound", FIB, "--partial", "{tmp}/mult_1e400.json",
+                    "--vertex", "0"], {}, 3, "error[invalid_partial]"),
+    ("start_id_infinity", ["lower-bound", FIB, "--partial",
+                           "{tmp}/start_inf.json", "--vertex", "0"], {},
+     3, "error[invalid_partial]"),
+    # A multiplicity past any index size, and past the tail's killers.
+    ("mult_past_killers", ["lower-bound", FIB, "--partial",
+                           "{tmp}/mult_huge.json", "--vertex", "0"], {},
+     3, "error[invalid_partial]: bad arrow entry"),
+    ("json_too_deep", ["lower-bound", FIB, "--partial", "{tmp}/deep.json",
+                       "--vertex", "0"], {}, 2, "error[json]"),
     ("dim_cap_not_int", ["oracle", "dims", FIB, "--module", "S1", "-n", "2"],
      {"SYZCX_DIM_CAP": "abc"}, 3, ""),
     ("dim_cap_partial", ["oracle", "dims", FIB, "--module", "S1", "-n", "20"],
@@ -355,15 +369,26 @@ def test_bad_input_gives_one_error_line(tmp_path, argv, env, code, needle):
         "module N = 99999999999999999999999*S(1)\n")
     partial = json.loads((DATA / "partial_fib.json").read_text())
     v0, v1 = partial["vertices"]
+    a0, a1 = partial["arrows"]
     elsewhere = [dict(v0, killers=["b"]), v1]
     listed = [dict(v0, vertex=["1"], killers=[]), v1]
+    inf = float("inf")
     for name, change in (("start_str.json", {"start": ["x"]}),
                          ("start_dict.json", {"start": [{"id": "x"}]}),
                          ("start_null.json", {"start": None}),
                          ("start_number.json", {"start": 5}),
                          ("killer_elsewhere.json", {"vertices": elsewhere}),
-                         ("vertex_list.json", {"vertices": listed})):
+                         ("vertex_list.json", {"vertices": listed}),
+                         ("id_inf.json", {"vertices": [dict(v0, id=inf), v1]}),
+                         ("start_inf.json", {"start": [{"id": inf}]}),
+                         ("mult_huge.json", {"arrows": [dict(a0, mult=10 ** 30),
+                                                        a1]}),
+                         ("mult_1e400.json", {"arrows": [dict(a0, mult=7), a1]})):
         (tmp_path / name).write_text(json.dumps(dict(partial, **change)))
+    (tmp_path / "mult_1e400.json").write_text(
+        (tmp_path / "mult_1e400.json").read_text().replace(
+            '"mult": 7', '"mult": 1e400'))
+    (tmp_path / "deep.json").write_text("[" * 200_000)
     proc = cli_process([a.format(tmp=tmp_path) for a in argv], timeout=60,
                        **env)
     assert proc.returncode == code, proc.stderr

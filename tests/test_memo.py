@@ -1,8 +1,9 @@
 """The memos behind the symbolic path: the syzygy rule and the class of
-each syzygy-quiver vertex per algebra, the Perron root per component matrix,
-the largest root per polynomial and the Sturm count per (polynomial,
-interval). A CyclicKey keeps no hash of its own:
-it hashes as the tuple of its fields.
+each syzygy-quiver vertex per algebra, the Perron root per matrix (a
+component's members in label order, so one component is one matrix
+whatever the closure order) and the Sturm count per (polynomial,
+interval). A CyclicKey keeps no hash of its own: it hashes as the tuple of
+its fields.
 
 Each memo must return what the function computes without it, whatever the
 order of the queries, and must spare the repeated work."""
@@ -107,19 +108,79 @@ def test_box_simples_independent_of_query_order():
 
 
 def test_permuted_component_matrix_gets_uncached_root():
+    # The root memo keys on the rows themselves: a renumbered matrix is
+    # another key, with the same root. So the memo is exact for any rows,
+    # partial quivers included, and it is scc_condense's label order that
+    # makes one component of a built quiver one key.
     arrows = [(0, 1), (1, 2), (2, 0), (2, 3), (3, 0), (3, 3), (1, 1)]
     m = spectra.adjacency_matrix(4, arrows)
     perm = [2, 0, 3, 1]
     pm = spectra.adjacency_matrix(
         4, [(perm.index(u), perm.index(v)) for u, v in arrows])
     assert pm != m
-    root = spectra._component_root(m)
-    assert spectra._component_root(pm) == root
-    assert spectra._component_root.__wrapped__(pm) == root
-    assert polynomials.largest_real_root.__wrapped__(
-        spectra.char_poly(pm)) == root
-    # Lists, as callers outside the memo pass them, still work.
-    assert spectra.perron_root([list(row) for row in pm]) == root
+    spectra.perron_root.cache_clear()
+    root = spectra.perron_root(m)
+    assert spectra.perron_root(pm) == root
+    assert spectra.perron_root.__wrapped__(pm) == root
+    assert polynomials.largest_real_root(spectra.char_poly(pm)) == root
+    assert spectra.perron_root(m) is root
+    info = spectra.perron_root.cache_info()
+    assert (info.misses, info.hits) == (2, 1)
+    assert info.maxsize == polynomials._MEMO_SIZE
+
+
+# Radical square zero, so the syzygy of a simple is the sum of the simples
+# at the heads of its arrows. S(0) enters the cycle S(1) <-> S(2) at S(1),
+# and S(3) at S(2); neither closure holds the other's start. The double
+# arrow 2 -> 1 makes the two closure orders two different matrices.
+TWO_DOORS_TEXT = """\
+algebra two_doors
+vertex 0
+vertex 1
+vertex 2
+vertex 3
+arrow c : 0 -> 1
+arrow a : 1 -> 2
+arrow b : 2 -> 1
+arrow e : 2 -> 1
+arrow d : 3 -> 2
+relation c.a
+relation a.b
+relation a.e
+relation b.a
+relation e.a
+relation d.b
+relation d.e
+"""
+
+
+def test_one_component_reached_in_two_orders_gets_one_root(monkeypatch):
+    A = make_algebra(TWO_DOORS_TEXT)
+    _clear_caches()
+    char_calls, char_poly = Counter(), spectra.char_poly
+
+    def counting_char_poly(m):
+        char_calls[m] += 1
+        return char_poly(m)
+
+    monkeypatch.setattr(spectra, "char_poly", counting_char_poly)
+    quivers, conds = _record_closures(monkeypatch)
+    reports = [module_complexity(A, singleton(simple_key(A, v)))
+               for v in ("0", "3")]
+    monkeypatch.undo()
+
+    assert [[Q.key_at(i).vertex for i in range(Q.n_vertices)]
+            for Q in quivers] == [["0", "1", "2"], ["3", "2", "1"]]
+    cycles = [c for C in conds for c in C.components if not c.is_trivial]
+    assert [len(c.vertices) for c in cycles] == [2, 2]
+    assert cycles[0].matrix == cycles[1].matrix == (((1, 1),), ((0, 2),))
+    # One miss for the cycle and one for a loopless vertex; the second
+    # module's two components are hits.
+    info = spectra.perron_root.cache_info()
+    assert (info.misses, info.hits) == (2, 2)
+    assert char_calls == {cycles[0].matrix: 1, ((),): 1}
+    assert reports[0] == reports[1]
+    assert reports[0].cls.base == polynomials.largest_real_root(poly(-2, 0, 1))
 
 
 def test_cyclic_key_pickles_without_its_hash():

@@ -811,14 +811,15 @@ def test_pipelines_agree_to_dimension_1e5_on_benchmark_family_draws():
 
 
 def test_pipelines_agree_at_family_scale_on_benchmark_family_draws():
-    # Larger draws of the same family, nv 55 and 80: every simple and
+    # Larger draws of the same family, nv 55, 80 and 120: every simple and
     # projective, at both primes, as deep (up to 30) as the reference
     # dimensions stay <= 10^4, and in the symbolic class over the last nine
     # terms where the depth is >= 9. The crosschecks of one algebra share
-    # its table's block memo, which keeps this affordable.
+    # its table's block memo, and its classes share one Perron root per
+    # component, which keeps this affordable.
     gen, rng = family_gen(), random.Random(2210)
     modules, classed, deep = [], [], 0
-    for nv in (55, 80):
+    for nv in (55, 80, 120):
         alg = gen.family_algebra(nv, rng)
         A = make_algebra(gen.algebra_text(f"fam{nv}", alg))
         modules.append(0)
@@ -841,7 +842,8 @@ def test_pipelines_agree_at_family_scale_on_benchmark_family_draws():
                         list(report.dims_oracle), cls, (depth - 8, depth))
                     assert ok, (A.name, v, key, cls, lo, hi)
                     classed[-1] += 1
-    assert modules == [110, 160] and classed == [84, 160] and deep == 9639
+    assert modules == [110, 160, 240] and classed == [84, 160, 198]
+    assert deep == 9902
 
 
 def test_pipelines_agree_on_fixture_algebras(fib, chain, loop3, twostep):

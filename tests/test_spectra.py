@@ -223,7 +223,7 @@ def test_scc_condense_memory_is_linear_in_arrows(monkeypatch):
     square of its size; each component's matrix has one entry per distinct
     internal arrow pair; and components whose arrows are listed in another
     order share one memoized root."""
-    monkeypatch.setattr(spectra, "_component_root",
+    monkeypatch.setattr(spectra, "perron_root",
                         lambda matrix: rational_algebraic(1))
     peaks = []
     for n in (1000, 2000):
@@ -240,9 +240,9 @@ def test_scc_condense_memory_is_linear_in_arrows(monkeypatch):
     first = [(0, 1), (1, 2), (2, 0), (0, 0), (0, 1)]
     second = [(u + 3, v + 3) for u, v in reversed(first)]
     arrows = first + [(2, 3)] + second
-    spectra._component_root.cache_clear()
+    spectra.perron_root.cache_clear()
     cond = scc_condense(6, arrows)
-    info = spectra._component_root.cache_info()
+    info = spectra.perron_root.cache_info()
     assert [c.vertices for c in cond.components] == [(3, 4, 5), (0, 1, 2)]
     for comp in cond.components:
         inner = [(u, v) for u, v in arrows
