@@ -1,16 +1,24 @@
 """Exact integer-polynomial arithmetic and certified real algebraic numbers.
 
 Coefficient lists are ascending: [c0, c1, ..., cn] is c0 + c1 x + ... + cn x^n.
-Each polynomial p gets one signed primitive remainder sequence, run on p and
-p'. It ends in gcd(p, p'); divided by that gcd it is a Sturm chain of the
-squarefree part, which is its first entry. Real roots are located by that
-chain and carried around as an integer defining polynomial plus an isolating
-rational interval containing exactly one distinct real root. Intervals are
-refined to width <= 2^-48 at construction so the printed 12-decimal
-approximation is stable. All of it runs on integers: one pseudo-division
-loop, homogeneous Horner at rational points, one bisection form (integer
-numerators over a doubling denominator) with one Sturm-count bisection,
-`_root_intervals`, behind every isolated root and one sign-bisection loop,
+Real roots are carried around as an integer defining polynomial plus an
+isolating rational interval containing exactly one distinct real root.
+Intervals are refined to width <= 2^-48 at construction so the printed
+12-decimal approximation is stable.
+
+Roots are counted on the squarefree part s of p. When p = x^k q with q
+squarefree, which a gcd modulo a prime shows, s is x q or q. Otherwise s
+comes from p's one signed primitive remainder sequence, run on p and p': it
+ends in gcd(p, p'), and divided by that gcd it is a Sturm chain of s, which
+is its first entry. A root count on an interval is Descartes' count of sign
+variations of s after a Moebius map of the interval onto (0, oo) when that
+count is 0 or 1, and a Sturm count otherwise. The largest root of a Perron
+polynomial is certified in one cell of the isolation tree picked by a float
+guess (`certify_largest_root`); every other root is isolated by the Sturm
+chain. All of it but that guess runs on integers: one pseudo-division loop,
+homogeneous Horner at rational points, one Taylor shift, one bisection form
+(integer numerators over a doubling denominator) with one Sturm-count
+bisection, `_root_intervals`, and one sign-bisection loop,
 `refine_interval`, and decimals rounded by integer division at any size.
 """
 
@@ -18,7 +26,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
-from math import ceil, gcd
+from math import ceil, gcd, isfinite, log2
 from typing import NamedTuple
 
 from .errors import ZeroPolynomialError
@@ -26,6 +34,9 @@ from .errors import ZeroPolynomialError
 DEFAULT_WIDTH = Fraction(1, 2 ** 48)
 # Entries per memo of the exact layer, so none grows without bound.
 _MEMO_SIZE = 4096
+# The prime of the squarefree test in `squarefree_part`, the largest below
+# 2^15: a product of two residues stays a small int.
+_PRIME = 32749
 
 
 class IntPolynomial:
@@ -270,10 +281,42 @@ def _sturm_chain(p: IntPolynomial) -> tuple[tuple[int, ...], ...]:
     return tuple(chain)
 
 
+def _squarefree_mod(q, m: int) -> bool:
+    """Whether a test mod the prime m shows q (ascending ints) squarefree:
+    m does not divide lc(q), and gcd(q, q') mod m, by Euclid's algorithm on
+    residues held in descending order, has degree 0. True proves q
+    squarefree over Q: a factor f^2 of q, f primitive of degree >= 1, keeps
+    its degree mod m, as lc(f) divides lc(q), and f would divide that gcd.
+    False proves nothing."""
+    if not q or q[-1] % m == 0:
+        return False
+    u = [c % m for c in reversed(q)]
+    v = [i * c % m for i, c in reversed(list(enumerate(q)))][:-1]
+    while v and not v[0]:
+        del v[0]
+    while v:
+        inv, top, tail = pow(v[0], -1, m), len(v), v[1:]
+        while u and not u[0]:
+            del u[0]
+        while len(u) >= top:
+            f = u[0] * inv % m
+            u = [(a - f * b) % m for a, b in zip(u[1:top], tail)] + u[top:]
+            while u and not u[0]:
+                del u[0]
+        u, v = v, u
+    return len(u) == 1
+
+
 @lru_cache(maxsize=_MEMO_SIZE)
 def squarefree_part(p: IntPolynomial) -> IntPolynomial:
-    """p / gcd(p, p'), primitive with positive leading coefficient: the first
-    entry of the Sturm chain of p."""
+    """p / gcd(p, p'), primitive with positive leading coefficient. Write
+    p = x^k q with q(0) != 0. When q is squarefree by the test mod the prime
+    _PRIME, the answer is x q, or q when k = 0, and no chain is built.
+    Otherwise it is the first entry of the Sturm chain of p."""
+    k = next((i for i, c in enumerate(p.coeffs) if c), 0)
+    q = p.coeffs[k:]
+    if _squarefree_mod(q, _PRIME):
+        return IntPolynomial((0,) * min(k, 1) + q).primitive()
     return IntPolynomial(_sturm_chain(p)[0]).primitive()
 
 
@@ -281,25 +324,72 @@ def _variations(chain, n: int, d: int) -> tuple[int, int]:
     """Sign variations of the chain at n/d, d > 0, and the sign of its first
     entry there."""
     signs = [_sign_at(coeffs, n, d) for coeffs in chain]
-    nonzero = [sgn for sgn in signs if sgn]
-    return sum(a != b for a, b in zip(nonzero, nonzero[1:])), signs[0]
+    return _sign_variations(signs), signs[0]
+
+
+def _taylor_shift(cs, n: int, d: int = 1) -> list[int]:
+    """Ascending coefficients of d^m f((x + n)/d), f = sum cs[i] x^i of
+    degree m, d > 0: f shifted by n/d, with x scaled by d, so its sign
+    variations are those of f(x + n/d). Scaled, then shifted by n in the
+    classical O(m^2) additions."""
+    m = len(cs) - 1
+    out, dp = list(cs), 1
+    for i in range(m - 1, -1, -1):
+        dp *= d
+        out[i] *= dp
+    for i in range(m):
+        for j in range(m - 1, i - 1, -1):
+            out[j] += n * out[j + 1]
+    return out
+
+
+def _sign_variations(cs) -> int:
+    """Sign changes in a coefficient sequence, zeros skipped: by Descartes'
+    rule, at least the number of positive roots, and of the same parity."""
+    signs = [c > 0 for c in cs if c]
+    return sum(a != b for a, b in zip(signs, signs[1:]))
+
+
+def _interval_variations(cs, a: Fraction, b: Fraction) -> int:
+    """Descartes' count for the open interval (a, b), a < b: the sign
+    variations of (1 + x)^m f((a + bx)/(1 + x)), which maps (0, oo) onto
+    (a, b) (Collins & Akritas, SYMSAC 1976; Alesina & Galuzzi, Enseign.
+    Math. 44, 1998). A count of 0 or 1 is the number of roots of f there.
+    Built as f(a + (b - a) t), reversed, then shifted by 1; the last reversal
+    keeps the variations."""
+    den = a.denominator * b.denominator // gcd(a.denominator, b.denominator)
+    lo = a.numerator * (den // a.denominator)
+    width = b.numerator * (den // b.denominator) - lo
+    scaled, wp = _taylor_shift(cs, lo, den), 1
+    for i in range(1, len(scaled)):
+        wp *= width
+        scaled[i] *= wp
+    return _sign_variations(_taylor_shift(scaled[::-1], 1))
 
 
 @lru_cache(maxsize=_MEMO_SIZE)
 def count_real_roots_open(p: IntPolynomial, a: Fraction, b: Fraction) -> int:
     """Number of distinct real roots of p in the open interval (a, b).
 
-    Requires p(a) != 0 and p(b) != 0; raises ValueError otherwise. The chain
-    is that of the squarefree part, so multiplicities never inflate the
-    count. The count is memoized on the values of (p, a, b), in a bounded
-    cache; a ValueError is never cached, so it is raised on every call.
+    Requires p(a) != 0 and p(b) != 0; raises ValueError otherwise. Roots
+    are counted on the squarefree part s, so multiplicities never inflate
+    the count. The answer is Descartes' count of s on (a, b) when that is 0
+    or 1, which for a squarefree s is exact; otherwise it is the Sturm count
+    V(a) - V(b) on the chain of s. The count is memoized on
+    the values of (p, a, b), in a bounded cache; a ValueError is never
+    cached, so it is raised on every call.
     """
-    chain = _sturm_chain(p)
-    va, sa = _variations(chain, a.numerator, a.denominator)
-    vb, sb = _variations(chain, b.numerator, b.denominator)
-    if sa == 0 or sb == 0:
+    s = squarefree_part(p)
+    if s.sign_at(a) == 0 or s.sign_at(b) == 0:
         raise ValueError("endpoint is a root; Sturm count needs nonroot endpoints")
-    return va - vb if a < b else 0
+    if a >= b:
+        return 0
+    v = _interval_variations(s.coeffs, a, b)
+    if v <= 1:
+        return v
+    chain = _sturm_chain(p)
+    return (_variations(chain, a.numerator, a.denominator)[0]
+            - _variations(chain, b.numerator, b.denominator)[0])
 
 
 def cauchy_bound(p: IntPolynomial) -> Fraction:
@@ -465,6 +555,86 @@ def largest_real_root(p: IntPolynomial):
     if iso is None:
         return None
     return AlgebraicReal(p, *iso).refined(DEFAULT_WIDTH)
+
+
+def _newton_guess(cs) -> float | None:
+    """A float near the largest real root of f = sum cs[i] x^i, or None.
+
+    Newton's method from Fujiwara's bound 2 max |c_(m-i)/c_m|^(1/i), with
+    c_0 halved. When every root lies in the disc |z| <= the largest real
+    root, as for a Perron root, f, f' and f'' are positive above it
+    (Gauss-Lucas), so the iterates decrease to it. The guess only guides: a
+    bound, coefficient or value outside float range, a NaN, or no
+    convergence within the step budget each give None.
+    """
+    m = len(cs) - 1
+    try:
+        top = log2(abs(cs[-1]))
+        e = max(((log2(abs(c)) - top - (i == 0)) / (m - i)
+                 for i, c in enumerate(cs[:-1]) if c), default=None)
+        if e is None:
+            return None
+        x = 2.0 ** (e + 1)
+        fs = [float(c) for c in reversed(cs)]
+        for _ in range(64 + 8 * m):
+            v = dv = 0.0
+            for c in fs:
+                dv = dv * x + v
+                v = v * x + c
+            y = x - v / dv
+            if not isfinite(y):
+                return None
+            if y >= x:
+                return x
+            x = y
+    except (OverflowError, ZeroDivisionError):
+        pass
+    return None
+
+
+def certify_largest_root(p: IntPolynomial):
+    """The AlgebraicReal that `largest_real_root(p)` gives, or None: a cell
+    of the isolation tree picked by a float guess and certified by exact
+    tests. Meant for Perron polynomials (see `_newton_guess`); for any p it
+    returns that AlgebraicReal or None.
+
+    `_root_intervals` bisects (-B, B), B the Cauchy bound of the squarefree
+    part s, and `refine_interval` goes on bisecting the same tree. Let D be
+    the first depth with 2B/2^D <= 2^-48 (the default width). Their output
+    is the depth-D cell holding the largest root rho, or the point rho when
+    rho is a tree point of depth <= D, whenever some cell on rho's path at
+    depth <= D isolates rho and has ends that are not roots: the first
+    isolating cell on that path is then no deeper, and sign bisection from
+    any isolating cell on the path follows the path. Here the guess picks
+    the cell (lo, hi) at depth D - 18, with its index computed exactly, and
+    it is accepted only when s(lo) and s(hi) are nonzero of opposite signs
+    (a root in the cell) and s(x + lo) has one sign variation (one root
+    above lo, by Descartes). Then it isolates rho with ends that are not
+    roots, and `refine_interval` descends to the cell, or the point, of
+    the Sturm path. Any failed test gives None.
+    """
+    s = squarefree_part(p)
+    guess = _newton_guess(s.coeffs)
+    if guess is None:
+        return None
+    B = cauchy_bound(s)
+    n, bd = B.numerator, B.denominator
+    # D is the bit length of ceil(2^49 B) - 1; the cell is 18 levels up.
+    depth = (-((-n << 49) // bd) - 1).bit_length() - 18
+    # The index of the cell holding the guess: floor((g + B) 2^depth / 2B).
+    gn, gd = guess.as_integer_ratio()
+    k = ((gn * bd + n * gd) << depth) // (2 * n * gd)
+    if not 0 <= k < 1 << depth:
+        return None
+    d = bd << depth
+    a = (2 * k - (1 << depth)) * n
+    lo, hi = Fraction(a, d), Fraction(a + 2 * n, d)
+    if _sign_at(s.coeffs, a, d) * _sign_at(s.coeffs, a + 2 * n, d) >= 0:
+        return None
+    if _sign_variations(_taylor_shift(s.coeffs, lo.numerator,
+                                      lo.denominator)) != 1:
+        return None
+    return AlgebraicReal(p, lo, hi).refined(DEFAULT_WIDTH)
 
 
 # -- determinants and resultants --------------------------------------------

@@ -15,6 +15,7 @@ from .polynomials import (
     DEFAULT_WIDTH,
     AlgebraicReal,
     IntPolynomial,
+    certify_largest_root,
     count_real_roots_open,
     largest_real_root,
     poly_gcd_q,
@@ -46,15 +47,26 @@ def char_poly(m: IntMatrix) -> IntPolynomial:
     exact; each is asserted. Each row of M^k is packed into one integer with
     w bits per entry (Kronecker substitution), so row i of M^k is one
     big-integer multiply-add per pair (j, c) of row i of M: the sum of c
-    times packed row j of M^(k-1). With r the largest absolute row sum of
-    M, every entry of M^k, k <= n, has absolute value at most r^k <= r^n <
-    2^(w-2) for w = bitlen(r^n) + 2. So the fields never overlap, and a
-    field plus 2^(w-1) lies in [0, 2^w): a signed entry reads back after
-    that offset is added to every field.
+    times packed row j of M^(k-1). Every entry of M^k, k <= n, has absolute
+    value below 2^(w-2), so the fields never overlap, and a field plus
+    2^(w-1) lies in [0, 2^w): a signed entry reads back after that offset
+    is added to every field. The bound: |(M^k)_ij| <= (|M|^k)_ij, |M| taken
+    entrywise. Take x = (|M| + I)^2 1 >= 1 and h = max (|M|x)_i / x_i; by
+    induction |M|^k x <= h^k x, so (|M|^k)_ij x_j <= h^k x_i and every
+    entry is at most max(1, h)^n max x / min x, a far smaller bound than
+    the n-th power of the largest row sum when rows differ in weight; w is
+    the bit length of its ceiling, plus 2.
     """
     n = len(m)
-    r = max((sum(abs(c) for _, c in row) for row in m), default=0)
-    w = (r ** n).bit_length() + 2
+    y = [1 + sum(abs(c) for _, c in row) for row in m]
+    v = [yi + sum(abs(c) * y[j] for j, c in row) for yi, row in zip(y, m)]
+    hn = hd = 1  # max(1, h) = hn / hd, with x = v
+    for vi, row in zip(v, m):
+        mv = sum(abs(c) * v[j] for j, c in row)
+        if mv * hd > hn * vi:
+            hn, hd = mv, vi
+    bound = -(-hn ** n * max(v, default=1) // (hd ** n * min(v, default=1)))
+    w = bound.bit_length() + 2
     half, mask = 1 << (w - 1), (1 << w) - 1
     offset = half * sum(1 << (w * j) for j in range(n))
     # Unit counts, the common case, need an addition and no multiplication.
@@ -82,8 +94,14 @@ def char_poly(m: IntMatrix) -> IntPolynomial:
 def perron_root(matrix: IntMatrix) -> AlgebraicReal:
     """Spectral radius of an adjacency matrix (sparse rows) as a certified
     algebraic number, memoized per matrix: the largest real root of the
-    characteristic polynomial. A trivial loopless vertex gets 0 (poly x)."""
-    r = largest_real_root(char_poly(matrix))
+    characteristic polynomial. A trivial loopless vertex gets 0 (poly x).
+
+    Every root of the polynomial lies in the disc of radius rho, so a float
+    Newton guess finds rho, and `certify_largest_root` proves the tree cell
+    it picks without a Sturm chain. When one of its tests fails, the Sturm
+    isolation `largest_real_root` decides; both give the same value."""
+    p = char_poly(matrix)
+    r = certify_largest_root(p) or largest_real_root(p)
     if r is None:
         raise InternalInconsistencyError(
             "adjacency characteristic polynomial has no real root"
@@ -205,7 +223,9 @@ def equal_radius(a: AlgebraicReal, b: AlgebraicReal) -> bool:
     root of its own polynomial, so such a shared root is both values at once.
     The ends of a proper isolating interval are not roots of its polynomial,
     so neither end of the intersection is a root of the gcd. The closing
-    Sturm count is memoized, so a tie proved again costs a lookup.
+    root count (Descartes' count, or the Sturm count when that is not
+    decisive, see `count_real_roots_open`) is memoized, so a tie proved
+    again costs a lookup.
     """
     if a.hi < b.lo or b.hi < a.lo:
         return False

@@ -88,6 +88,15 @@ def make_algebra(text):
     return validate_algebra(parse_algebra(text))
 
 
+def clear_caches():
+    """Empty every function cache of every syzcx module."""
+    for name, module in list(sys.modules.items()):
+        if name.startswith("syzcx."):
+            for fn in vars(module).values():
+                if hasattr(fn, "cache_clear"):
+                    fn.cache_clear()
+
+
 def family_gen():
     """The benchmark's seeded algebra generator (perfbench/gen.py), imported
     read-only."""

@@ -27,22 +27,13 @@ from syzcx.polynomials import poly
 from syzcx.syzygy import (module_expr, projective_key, resolve_module,
                           simple_key, singleton)
 
-from conftest import (FIB_TEXT, family_gen, make_algebra,
+from conftest import (FIB_TEXT, clear_caches, family_gen, make_algebra,
                       random_monomial_algebras, random_monomial_texts)
 
 # FIB_TEXT's quiver with g.g allowed: the same vertex and arrow names, hence
 # the same CyclicKeys, but other syzygies.
 FIB_LONG_LOOP_TEXT = FIB_TEXT.replace("relation g.g\n", "relation g.g.g\n")
 FIB_MODULES = ("S1", "S2", "P1", "Mix")
-
-
-def _clear_caches():
-    """Empty every function cache of every syzcx module."""
-    for name, module in list(sys.modules.items()):
-        if name.startswith("syzcx."):
-            for fn in vars(module).values():
-                if hasattr(fn, "cache_clear"):
-                    fn.cache_clear()
 
 
 def _box(counts=(1, 0, 1), ell=3):
@@ -93,15 +84,15 @@ def test_syzygy_memo_belongs_to_its_algebra():
 
 def test_box_simples_independent_of_query_order():
     text, names = _box()
-    _clear_caches()
+    clear_caches()
     A = make_algebra(text)
     forward = [_report(A, n) for n in names]
-    _clear_caches()
+    clear_caches()
     B = make_algebra(text)
     backward = [_report(B, n) for n in reversed(names)][::-1]
     fresh = []
     for n in names:
-        _clear_caches()
+        clear_caches()
         fresh.append(_report(make_algebra(text), n))
     assert forward == backward == fresh
     assert len({str(r["class"]) for r in forward}) > 1
@@ -156,7 +147,7 @@ relation d.e
 
 def test_one_component_reached_in_two_orders_gets_one_root(monkeypatch):
     A = make_algebra(TWO_DOORS_TEXT)
-    _clear_caches()
+    clear_caches()
     char_calls, char_poly = Counter(), spectra.char_poly
 
     def counting_char_poly(m):
@@ -213,7 +204,7 @@ def test_box_simples_compute_each_syzygy_and_root_once(monkeypatch):
     text, names = _realize_box()
     assert len(names) == 65
     A = make_algebra(text)
-    _clear_caches()
+    clear_caches()
     char_calls, killer_calls = Counter(), Counter()
     char_poly, minimal_killers = spectra.char_poly, syzygy.minimal_killers
 
@@ -345,12 +336,42 @@ def test_sturm_count_memo_answers_the_repeated_ties_of_a_large_draw():
     gen = family_gen()
     A = make_algebra(gen.algebra_text(
         "fam", gen.family_algebra(120, random.Random(3))))
-    _clear_caches()
+    clear_caches()
     report = module_complexity(
         A, module_expr((simple_key(A, v), 1) for v in A.quiver.vertices))
     assert report.cls.label() == "2.644624271878^n"
     info = polynomials.count_real_roots_open.cache_info()
     assert info.misses and info.hits >= 5 * info.misses, info
+
+
+def test_perron_roots_of_a_large_draw_build_chains_only_where_needed(
+        monkeypatch):
+    # Work, not time: a Sturm chain is built for a component polynomial
+    # p = x^k q only when q is not squarefree mod the prime, or when its
+    # root is a point of the isolation tree (0 or 1 here), which the
+    # certified cell leaves to the Sturm isolation.
+    gen = family_gen()
+    A = make_algebra(gen.algebra_text(
+        "fam", gen.family_algebra(120, random.Random(3))))
+    clear_caches()
+    roots, perron_root = set(), spectra.perron_root
+
+    def recorded(m):
+        roots.add(perron_root(m))
+        return perron_root(m)
+
+    monkeypatch.setattr(spectra, "perron_root", recorded)
+    report = module_complexity(
+        A, module_expr((simple_key(A, v), 1) for v in A.quiver.vertices))
+    assert report.cls.label() == "2.644624271878^n"
+    not_squarefree = points = 0
+    for r in roots:
+        cs = r.poly.coeffs
+        q = cs[next(i for i, c in enumerate(cs) if c):]
+        not_squarefree += not polynomials._squarefree_mod(q, polynomials._PRIME)
+        points += r.lo == r.hi
+    assert max(r.poly.degree for r in roots) == 160
+    assert polynomials._sturm_chain.cache_info().misses <= not_squarefree + points
 
 
 def test_sturm_count_memo_changes_no_class(monkeypatch):
@@ -366,12 +387,12 @@ def test_sturm_count_memo_changes_no_class(monkeypatch):
                 (simple_key(A, v), 1) for v in vertices)).to_json())
         return out
 
-    _clear_caches()
+    clear_caches()
     memoized = classes()
     assert len(memoized) == 964
     assert polynomials.count_real_roots_open.cache_info().hits > 0
     bare = polynomials.count_real_roots_open.__wrapped__
     monkeypatch.setattr(polynomials, "count_real_roots_open", bare)
     monkeypatch.setattr(spectra, "count_real_roots_open", bare)
-    _clear_caches()
+    clear_caches()
     assert classes() == memoized

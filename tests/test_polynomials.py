@@ -25,13 +25,15 @@ from syzcx.polynomials import (
     rational_algebraic,
     largest_real_root,
     integer_roots,
+    certify_largest_root,
     det_bareiss_poly,
     resultant_y,
 )
+from syzcx import polynomials
 from syzcx.polynomials import _root_intervals, _sturm_chain, _variations
 from syzcx.errors import ZeroPolynomialError
 
-from conftest import det_bareiss_int
+from conftest import clear_caches, det_bareiss_int
 
 PHI = (1 + 5 ** 0.5) / 2  # 1.6180339887498949
 
@@ -561,3 +563,169 @@ def test_resultant_y_degree_zero_operands():
     assert resultant_y(B, [b]) == b * b * b
     assert resultant_y([a], [b]) == poly(1)
     assert resultant_y([a, poly()], [b]) == poly(1)
+
+
+# -- Descartes counts and certified roots, against the Sturm chain ----------
+
+def _clustered_corpus():
+    """2,000 seeded polynomials with repeated and clustered roots: products
+    of linear factors whose roots sit within 2^-k of a center, some of them
+    repeated; near-double complex pairs (d x - n)^2 + e; powers of x times
+    a cofactor; and square factors whose leading coefficient the prime of
+    the squarefree test divides."""
+    rng = random.Random(0xDE5C)
+    big = polynomials._PRIME
+    for i in range(2000):
+        kind = i % 5
+        if kind == 0:
+            k = rng.randint(2, 30)
+            c = rng.randint(-40, 40) << k
+            roots = [Fraction(c + rng.randint(-3, 3), 1 << k)
+                     for _ in range(rng.randint(2, 5))]
+            p = _product([monomial_minus(r) for r in roots])
+        elif kind == 1:
+            f = poly(*[rng.randint(-5, 5) for _ in range(rng.randint(1, 3))], 1)
+            g = poly(*[rng.randint(-9, 9) for _ in range(rng.randint(1, 4))],
+                     rng.choice([1, 2, 3]))
+            p = _product([f] * rng.randint(2, 3) + [g])
+        elif kind == 2:
+            d, n = 1 << rng.randint(0, 20), rng.randint(-60, 60)
+            pair = poly(-n, d) * poly(-n, d) + poly(rng.randint(1, 3))
+            p = pair * monomial_minus(Fraction(n + rng.randint(-2, 2), d))
+            if rng.random() < 0.5:
+                p = p * pair
+        elif kind == 3:
+            q = poly(*[rng.randint(-9, 9) for _ in range(rng.randint(1, 5))], 1)
+            if q.coeffs[0] == 0:
+                q = q + poly(1)
+            p = poly(*[0] * rng.randint(1, 4), 1) * q
+            if rng.random() < 0.5:
+                p = p * q
+        else:
+            f = poly(rng.randint(1, 9), big * rng.randint(1, 3))
+            p = f * f * poly(*[rng.randint(-9, 9) for _ in range(rng.randint(1, 3))], 1)
+        if p.degree >= 1:
+            yield p
+
+
+def test_squarefree_part_equals_the_first_chain_entry():
+    """The mod-p shortcut gives the chain's first entry, made primitive, on
+    both corpora; both branches are taken."""
+    shortcut = chained = 0
+    for p in [*_isolate_corpus(), *_clustered_corpus()]:
+        clear_caches()
+        got = squarefree_part(p)
+        misses = _sturm_chain.cache_info().misses
+        assert got == poly(*_sturm_chain(p)[0]).primitive(), p
+        shortcut += misses == 0
+        chained += misses == 1
+    assert shortcut >= 1000 and chained >= 700
+
+
+def test_squarefree_test_refuses_a_prime_dividing_the_leading_coefficient():
+    # (P x + 1)^2 (x - 2) is x - 2 mod P, squarefree there.
+    f = poly(1, polynomials._PRIME)
+    assert squarefree_part(f * f * poly(-2, 1)) == (f * poly(-2, 1)).primitive()
+    assert squarefree_part(f * f) == f
+
+
+def _sturm_count(p, a, b):
+    chain = _sturm_chain(p)
+    (va, sa), (vb, sb) = (_variations(chain, x.numerator, x.denominator)
+                          for x in (a, b))
+    if sa == 0 or sb == 0:
+        return None
+    return va - vb if a < b else 0
+
+
+def test_count_real_roots_open_matches_the_sturm_count():
+    """Random dyadic intervals on the clustered corpus, half of them around
+    a real root: the count, or the refusal of a root end, is the Sturm
+    chain's. Descartes counts of 2 and more are taken, and some of them
+    exceed the number of roots."""
+    rng = random.Random(0xC0DE)
+    descartes_over = several = refused = 0
+    for p in _clustered_corpus():
+        roots = [lo for lo, _ in _root_intervals(p)]
+        for i in range(4):
+            k = rng.randint(0, 24)
+            if i % 2 and roots:
+                mid = rng.choice(roots)
+                a = Fraction(mid.numerator * 2 ** k // mid.denominator
+                             - rng.randint(0, 9), 2 ** k)
+            else:
+                a = Fraction(rng.randint(-80 << k, 80 << k), 1 << k)
+            b = a + Fraction(rng.randint(1, 12), 1 << k)
+            clear_caches()
+            want = _sturm_count(p, a, b)
+            if want is None:
+                with pytest.raises(ValueError, match="endpoint is a root"):
+                    count_real_roots_open(p, a, b)
+                refused += 1
+                continue
+            assert count_real_roots_open(p, a, b) == want, (p, a, b)
+            v = polynomials._interval_variations(squarefree_part(p).coeffs, a, b)
+            assert v >= want and (v - want) % 2 == 0
+            descartes_over += v > want
+            several += want >= 2
+    assert descartes_over >= 40 and several >= 300 and refused >= 100
+
+
+def _largest_roots_corpus():
+    """Polynomials whose largest real root is checked: the isolate corpus,
+    a Cauchy bound near 2 10^10 with roots near 1, and huge coefficients."""
+    yield from _isolate_corpus()
+    yield poly(-2, 0, 1) * poly(10 ** 10, 1)
+    yield poly(-2, 0, 1) * poly(10 ** 10, 1) * poly(-3, 0, 1)
+    yield poly(-10 ** 4000, 0, 1)
+    yield poly(-1, 10 ** 4000)
+    yield poly(10 ** 4000, -3, 1) * poly(-5, 1)
+    yield poly(-(10 ** 300), 10 ** 300, 1)
+
+
+def test_certified_largest_root_is_the_sturm_root():
+    """certify_largest_root gives what largest_real_root gives, or None, and
+    never raises, huge coefficients included. A large Cauchy bound still
+    certifies: its cell index is exact."""
+    certified = 0
+    for p in _largest_roots_corpus():
+        clear_caches()
+        got = certify_largest_root(p)
+        if got is not None:
+            want = largest_real_root(p)
+            assert (got.poly, str(got.lo), str(got.hi)) == (
+                want.poly, str(want.lo), str(want.hi)), p
+            certified += 1
+    assert certified >= 300
+    for p in (poly(-2, 0, 1) * poly(10 ** 10, 1),
+              poly(-2, 0, 1) * poly(10 ** 10, 1) * poly(-3, 0, 1)):
+        assert cauchy_bound(p) > 10 ** 10
+        assert certify_largest_root(p) == largest_real_root(p)
+
+
+def test_newton_guess_never_raises():
+    for cs in ([-(10 ** 4000), 0, 1], [-1, 10 ** 4000], [10 ** 4000, -3, 1],
+               [1, 10 ** 4000, 10 ** 4000 + 1], [-(10 ** 300), 10 ** 300, 1],
+               [0, 1], [1, 0, 1], [5]):
+        guess = polynomials._newton_guess(cs)
+        assert guess is None or isinstance(guess, float)
+    assert polynomials._newton_guess([-(10 ** 4000), 0, 1]) is None
+    assert polynomials._newton_guess([-2, 0, 1]) == pytest.approx(2 ** 0.5)
+
+
+@pytest.mark.parametrize("guess, certified", [
+    (3.0, True),         # the cell of the largest root
+    (1.0, False),        # a smaller root: two roots above the cell
+    (3 - 1e-6, False),   # below the largest root, without a sign change
+    (3 + 1e-6, False),   # above every root
+    (None, False),       # no guess
+])
+def test_certificate_decides_not_the_guess(monkeypatch, guess, certified):
+    p = poly(-1, 1) * poly(-3, 1) * poly(2, 1)
+    monkeypatch.setattr(polynomials, "_newton_guess", lambda cs: guess)
+    clear_caches()
+    got = certify_largest_root(p)
+    if certified:
+        assert got == largest_real_root(p)
+    else:
+        assert got is None

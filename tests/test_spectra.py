@@ -10,6 +10,7 @@ import pytest
 
 from syzcx import spectra
 from syzcx.algebra import parse_algebra, validate_algebra
+from syzcx.complexity import realize_class
 
 from syzcx.curvature import companion_polynomial, realize_companion
 from syzcx.polynomials import (
@@ -27,9 +28,10 @@ from syzcx.spectra import (
     compare_algebraic,
     algebraic_power,
 )
-from syzcx.syzygy import build_syzygy_quiver, resolve_module
+from syzcx.syzygy import (build_syzygy_quiver, module_expr, resolve_module,
+                          simple_key)
 
-from conftest import det_bareiss_int, family_gen, sparse_rows
+from conftest import clear_caches, det_bareiss_int, family_gen, sparse_rows
 
 GOLDEN = poly(-1, -1, 1)
 PHI = (1 + 5 ** 0.5) / 2
@@ -146,6 +148,21 @@ def test_char_poly_signed_matrices_against_determinants():
             assert p.evaluate(t) == det_bareiss_int(shifted)
 
 
+def test_char_poly_matrices_of_uneven_weight():
+    """Seeded matrices, nonnegative and then signed, whose rows differ in
+    weight by up to six orders of magnitude, where the field width comes
+    from (|M| + I)^2 1 and not from the largest row sum: char_poly equals
+    the trace recursion."""
+    rng = random.Random(0x5EED)
+    for trial in range(80):
+        n = rng.randint(1, 24)
+        weights = [10 ** rng.randint(0, 6) for _ in range(n)]
+        least = 0 if trial < 40 else -1
+        m = [[rng.randint(least * w, w) if rng.random() < 0.3 else 0
+              for _ in range(n)] for w in weights]
+        assert char_poly(sparse_rows(m)) == _trace_recursion(m), m
+
+
 def test_char_poly_matches_trace_recursion_on_family_components():
     """Every strongly connected component of the syzygy quivers of seeded
     random monomial algebras (the benchmark's family), sum of all simples.
@@ -180,6 +197,58 @@ def test_perron_root_golden():
 def test_perron_root_trivial_vertex():
     r = perron_root(sparse_rows([[0]]))
     assert r.as_float() == 0.0
+
+
+def _perron_corpus():
+    """Component matrices: every SCC of the syzygy quiver of the sum of the
+    simples of seeded family draws, nv 20 to 80; the companion quivers of
+    the realize benchmark and of seeded counts, s <= 64; and every SCC of
+    every simple's quiver over the realize box."""
+    gen = family_gen()
+
+    def components(A, modules):
+        for M in modules:
+            n, arrows = build_syzygy_quiver(M, A).digraph()
+            yield from (c.matrix for c in scc_condense(n, arrows).components)
+
+    for nv in (20, 24, 28, 32, 40, 48, 55, 64, 80):
+        for draw in range(4):
+            alg = gen.family_algebra(nv, random.Random(100 * nv + draw))
+            A = validate_algebra(parse_algebra(gen.algebra_text("fam", alg)))
+            yield from components(A, [module_expr(
+                (simple_key(A, v), 1) for v in A.quiver.vertices)])
+    fam, rng = random.Random(gen.FAMILY_SEED), random.Random(64)
+    counts = [gen.companion_counts(s, fam) for s in gen.COMPANION_S]
+    box = gen.companion_counts(gen.BOX_S, fam)
+    counts += [gen.companion_counts(rng.randint(1, 64), rng) for _ in range(20)]
+    yield from (adjacency_matrix(realize_companion(c)) for c in counts)
+    text, names = realize_class(realize_companion(box), gen.BOX_ELL)
+    A = validate_algebra(parse_algebra(text))
+    yield from components(A, [resolve_module(A, name) for name in names])
+
+
+def test_perron_root_equals_the_sturm_root(monkeypatch):
+    """From cold caches, perron_root gives the AlgebraicReal of the Sturm
+    isolation, byte for byte. The certified cell decides every root but
+    those on a tree point (0 and 1 here), where a cell end is the root."""
+    fallbacks = []
+
+    def sturm_root(p):
+        fallbacks.append(largest_real_root(p))
+        return fallbacks[-1]
+
+    matrices = set(_perron_corpus())
+    monkeypatch.setattr(spectra, "largest_real_root", sturm_root)
+    for m in matrices:
+        clear_caches()
+        got = perron_root(m)
+        clear_caches()
+        want = largest_real_root(char_poly(m))
+        assert (got.poly, str(got.lo), str(got.hi)) == (
+            want.poly, str(want.lo), str(want.hi)), m
+    assert len(matrices) >= 75 and max(map(len, matrices)) >= 100
+    assert len(fallbacks) <= 8
+    assert all(r.lo == r.hi and r.lo in (0, 1) for r in fallbacks), fallbacks
 
 
 def test_scc_condense_two_components():
