@@ -7,25 +7,26 @@ Intervals are refined to width <= 2^-48 at construction so the printed
 12-decimal approximation is stable.
 
 Roots are counted on the squarefree part s of p. When p = x^k q with q
-squarefree, which a gcd modulo a prime shows, s is x q or q. Otherwise s
-comes from p's one signed primitive remainder sequence, run on p and p': it
-ends in gcd(p, p'), and divided by that gcd it is a Sturm chain of s, which
-is its first entry. A root count on an interval is Descartes' count of sign
-variations of s after a Moebius map of the interval onto (0, oo) when that
-count is 0 or 1, and a Sturm count otherwise. The largest root of a Perron
-polynomial is certified in one cell of the isolation tree picked by a float
-guess (`certify_largest_root`); every other root is isolated by the Sturm
-chain. All of it but that guess runs on integers: one pseudo-division loop,
-homogeneous Horner at rational points, one Taylor shift, one bisection form
-(integer numerators over a doubling denominator) with one Sturm-count
-bisection, `_root_intervals`, and one sign-bisection loop,
-`refine_interval`, and decimals rounded by integer division at any size.
+squarefree, which a gcd modulo a prime shows, s is x q or q; otherwise s is
+p / gcd(p, p'), the gcd being the last entry of p's signed primitive
+remainder sequence. Roots are isolated and counted by one bisection,
+`_root_intervals`: Descartes' count of sign variations of s after a Moebius
+map of a cell onto (0, oo), halving every cell where it is 2 or more. The
+largest root, Perron roots above all, is first tried in one cell of that
+tree picked by a float guess and certified by exact tests
+(`certify_largest_root`). All of it but that guess runs on integers: one
+pseudo-division loop, homogeneous Horner at rational points, a Taylor shift
+by a rational and one by 1 in running sums, one bisection form (integer
+numerators over a doubling denominator) in `_root_intervals` and in the
+sign-bisection loop `refine_interval`, and decimals rounded by integer
+division at any size.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
+from itertools import accumulate
 from math import ceil, gcd, isfinite, log2
 from typing import NamedTuple
 
@@ -261,25 +262,7 @@ def poly_gcd_q(a: IntPolynomial, b: IntPolynomial) -> IntPolynomial:
     return IntPolynomial(_remainders(a.coeffs, b.coeffs)[-1]).primitive()
 
 
-# -- Sturm machinery --------------------------------------------------------
-
-@lru_cache(maxsize=_MEMO_SIZE)
-def _sturm_chain(p: IntPolynomial) -> tuple[tuple[int, ...], ...]:
-    """Sturm chain of the squarefree part of p as content-free integer
-    tuples: the signed remainder sequence of p and p', divided by its last
-    entry, gcd(p, p'), when p is not squarefree. Each entry is a positive
-    multiple of the classical entry (p, p', -rem, ...) over that gcd, so
-    V(a) - V(b) counts the distinct roots in (a, b] whenever b is not a root
-    (Basu, Pollack & Roy, Algorithms in Real Algebraic Geometry, ch. 2)."""
-    if p.is_zero:
-        raise ZeroPolynomialError("Sturm chain of the zero polynomial")
-    chain = _remainders(p.coeffs, p.derivative().coeffs)
-    if len(chain[-1]) > 1:
-        # The gcd is content-free, so each quotient is too (Gauss).
-        g = IntPolynomial(chain[-1]).primitive()
-        chain = [IntPolynomial(c).div_exact(g).coeffs for c in chain]
-    return tuple(chain)
-
+# -- root counting and isolation -------------------------------------------
 
 def _squarefree_mod(q, m: int) -> bool:
     """Whether a test mod the prime m shows q (ascending ints) squarefree:
@@ -311,20 +294,17 @@ def _squarefree_mod(q, m: int) -> bool:
 def squarefree_part(p: IntPolynomial) -> IntPolynomial:
     """p / gcd(p, p'), primitive with positive leading coefficient. Write
     p = x^k q with q(0) != 0. When q is squarefree by the test mod the prime
-    _PRIME, the answer is x q, or q when k = 0, and no chain is built.
-    Otherwise it is the first entry of the Sturm chain of p."""
-    k = next((i for i, c in enumerate(p.coeffs) if c), 0)
+    _PRIME, the answer is x q, or q when k = 0, and no gcd is taken.
+    Otherwise the gcd is the content-free last entry of the remainder
+    sequence of p and p', so the quotient is integral (Gauss)."""
+    if p.is_zero:
+        raise ZeroPolynomialError("squarefree part of the zero polynomial")
+    k = next(i for i, c in enumerate(p.coeffs) if c)
     q = p.coeffs[k:]
     if _squarefree_mod(q, _PRIME):
         return IntPolynomial((0,) * min(k, 1) + q).primitive()
-    return IntPolynomial(_sturm_chain(p)[0]).primitive()
-
-
-def _variations(chain, n: int, d: int) -> tuple[int, int]:
-    """Sign variations of the chain at n/d, d > 0, and the sign of its first
-    entry there."""
-    signs = [_sign_at(coeffs, n, d) for coeffs in chain]
-    return _sign_variations(signs), signs[0]
+    g = _remainders(p.coeffs, p.derivative().coeffs)[-1]
+    return p.div_exact(IntPolynomial(g)).primitive()
 
 
 def _taylor_shift(cs, n: int, d: int = 1) -> list[int]:
@@ -343,53 +323,27 @@ def _taylor_shift(cs, n: int, d: int = 1) -> list[int]:
     return out
 
 
-def _sign_variations(cs) -> int:
-    """Sign changes in a coefficient sequence, zeros skipped: by Descartes'
-    rule, at least the number of positive roots, and of the same parity."""
-    signs = [c > 0 for c in cs if c]
-    return sum(a != b for a, b in zip(signs, signs[1:]))
+def _shift_by_one(desc):
+    """The coefficients of f(x + 1), lowest first, for f highest first: the
+    last running sum of each round of synthetic division by x - 1."""
+    out = list(desc)
+    while out:
+        out = list(accumulate(out))
+        yield out.pop()
 
 
-def _interval_variations(cs, a: Fraction, b: Fraction) -> int:
-    """Descartes' count for the open interval (a, b), a < b: the sign
-    variations of (1 + x)^m f((a + bx)/(1 + x)), which maps (0, oo) onto
-    (a, b) (Collins & Akritas, SYMSAC 1976; Alesina & Galuzzi, Enseign.
-    Math. 44, 1998). A count of 0 or 1 is the number of roots of f there.
-    Built as f(a + (b - a) t), reversed, then shifted by 1; the last reversal
-    keeps the variations."""
-    den = a.denominator * b.denominator // gcd(a.denominator, b.denominator)
-    lo = a.numerator * (den // a.denominator)
-    width = b.numerator * (den // b.denominator) - lo
-    scaled, wp = _taylor_shift(cs, lo, den), 1
-    for i in range(1, len(scaled)):
-        wp *= width
-        scaled[i] *= wp
-    return _sign_variations(_taylor_shift(scaled[::-1], 1))
-
-
-@lru_cache(maxsize=_MEMO_SIZE)
-def count_real_roots_open(p: IntPolynomial, a: Fraction, b: Fraction) -> int:
-    """Number of distinct real roots of p in the open interval (a, b).
-
-    Requires p(a) != 0 and p(b) != 0; raises ValueError otherwise. Roots
-    are counted on the squarefree part s, so multiplicities never inflate
-    the count. The answer is Descartes' count of s on (a, b) when that is 0
-    or 1, which for a squarefree s is exact; otherwise it is the Sturm count
-    V(a) - V(b) on the chain of s. The count is memoized on
-    the values of (p, a, b), in a bounded cache; a ValueError is never
-    cached, so it is raised on every call.
-    """
-    s = squarefree_part(p)
-    if s.sign_at(a) == 0 or s.sign_at(b) == 0:
-        raise ValueError("endpoint is a root; Sturm count needs nonroot endpoints")
-    if a >= b:
-        return 0
-    v = _interval_variations(s.coeffs, a, b)
-    if v <= 1:
-        return v
-    chain = _sturm_chain(p)
-    return (_variations(chain, a.numerator, a.denominator)[0]
-            - _variations(chain, b.numerator, b.denominator)[0])
+def _sign_variations(cs, cap: int = -1) -> int:
+    """Sign changes in a coefficient sequence, zeros skipped, up to `cap`
+    when it is given: by Descartes' rule, at least the number of positive
+    roots, and of the same parity."""
+    count = last = 0
+    for c in cs:
+        if c and last and (c > 0) != (last > 0):
+            count += 1
+            if count == cap:
+                break
+        last = c or last
+    return count
 
 
 def cauchy_bound(p: IntPolynomial) -> Fraction:
@@ -400,31 +354,70 @@ def cauchy_bound(p: IntPolynomial) -> Fraction:
     return 1 + max(Fraction(abs(c), lc) for c in p.coeffs[:-1])
 
 
-def _root_intervals(p: IntPolynomial):
-    """Isolating intervals of the distinct real roots of p, largest first:
-    (r, r) for a root r that a midpoint hits, else an open (lo, hi) that
-    holds exactly one root and whose ends are not roots. V(x) - V(y), in
-    variations of the chain, counts the roots in (x, y], so an open (x, y)
-    holds one fewer when y is a root. Bisection starts from (-B, B), B the
-    Cauchy bound of the squarefree part, and pops the upper half first; each
-    point is evaluated once, and an interval (a/d, b/d) is kept as
-    (a, b, d, V(a/d), s(a/d), V(b/d), s(b/d)), s the squarefree part."""
-    chain = _sturm_chain(p)
-    B = cauchy_bound(squarefree_part(p))
-    a, b, d = -B.numerator, B.numerator, B.denominator
-    work = [(a, b, d, *_variations(chain, a, d), *_variations(chain, b, d))]
+def _root_intervals(p: IntPolynomial, lo: Fraction | None = None,
+                    hi: Fraction | None = None):
+    """Isolating intervals of the distinct real roots of p in (lo, hi),
+    lo < hi, largest first: (r, r) for a root r that a midpoint hits, else
+    an open interval that holds one root and whose ends are not roots. The
+    default range is (-B, B), B the Cauchy bound of the squarefree part s.
+
+    Descartes bisection (Collins & Akritas, SYMSAC 1976; Rouillier &
+    Zimmermann, J. Comput. Appl. Math. 162, 2004): a cell (a/d, b/d) carries
+    g(x) = d^m s((a + (b - a) x)/d), content-free, so g(0) and g(1) have the
+    signs of s at its ends. The sign variations of g reversed and shifted by
+    1 exceed the roots of s in the cell by an even number, so 0 or 1 is
+    exact (Alesina & Galuzzi, Enseign. Math. 44, 1998). A cell counting 1
+    with ends that are not roots is yielded; one counting more, or 1 with a
+    root end, is halved: the lower half carries 2^m g(x/2) over its
+    content, a power of 2, and the upper half that shifted by 1, whose
+    constant term is 0 exactly when the midpoint is a root. The upper half
+    is popped first. As s is squarefree, a narrow cell around a root
+    counts 1."""
+    s = squarefree_part(p).coeffs
+    m = len(s) - 1
+    if lo is None:
+        # b - a = -2a, so g(x) = u(1 - 2x) for u(y) = d^m s(a y / d).
+        B = cauchy_bound(IntPolynomial(s))
+        a, b, d = -B.numerator, B.numerator, B.denominator
+        u = _shift_by_one([c * a ** i * d ** (m - i) for i, c in enumerate(s)][::-1])
+        g = [c * (-2) ** i for i, c in enumerate(u)]
+    else:
+        d = lo.denominator * hi.denominator // gcd(lo.denominator, hi.denominator)
+        a, b = lo.numerator * (d // lo.denominator), hi.numerator * (d // hi.denominator)
+        g = [c * (b - a) ** i for i, c in enumerate(_taylor_shift(s, a, d))]
+    work = [(a, b, d, _content_free(g))]
     while work:
-        a, b, d, va, sa, vb, sb = work.pop()
-        count = va - vb - (sb == 0)
-        if a == b or (count == 1 and sa and sb):
+        a, b, d, g = work.pop()
+        count = a < b and _sign_variations(_shift_by_one(g), 2)
+        if a == b or (count == 1 and g[0] and sum(g)):
             yield Fraction(a, d), Fraction(b, d)
         elif count:
+            k = min((c & -c).bit_length() + m - i for i, c in enumerate(g) if c) - 1
+            lower = [(c << (m - i)) >> k for i, c in enumerate(g)]
+            upper = list(_shift_by_one(lower[::-1]))
             mid, d = a + b, 2 * d
-            vmid, smid = _variations(chain, mid, d)
-            work.append((2 * a, mid, d, va, sa, vmid, smid))
-            if smid == 0:
-                work.append((mid, mid, d, vmid, smid, vmid, smid))
-            work.append((mid, 2 * b, d, vmid, smid, vb, sb))
+            work.append((2 * a, mid, d, lower))
+            if upper[0] == 0:
+                work.append((mid, mid, d, None))
+            work.append((mid, 2 * b, d, upper))
+
+
+@lru_cache(maxsize=_MEMO_SIZE)
+def count_real_roots_open(p: IntPolynomial, a: Fraction, b: Fraction) -> int:
+    """Number of distinct real roots of p in the open interval (a, b).
+
+    Requires p(a) != 0 and p(b) != 0; raises ValueError otherwise. It is
+    the number of cells `_root_intervals(p, a, b)` yields, so it counts on
+    the squarefree part, and its first node, Descartes' count on (a, b),
+    answers alone when that is 0 or 1. Memoized on the values of (p, a, b),
+    in a bounded cache; a ValueError is never cached.
+    """
+    s = squarefree_part(p)
+    if s.sign_at(a) == 0 or s.sign_at(b) == 0:
+        raise ValueError("endpoint is a root; a root count needs nonroot endpoints")
+    if a >= b:
+        return 0
+    return sum(1 for _ in _root_intervals(p, a, b))
 
 
 def isolate_largest_real_root(p: IntPolynomial):
@@ -548,15 +541,6 @@ def rational_algebraic(x) -> AlgebraicReal:
     return AlgebraicReal(monomial_minus(f), f, f)
 
 
-def largest_real_root(p: IntPolynomial):
-    """Largest real root of p as an AlgebraicReal, or None. Not memoized:
-    `spectra.perron_root` memoizes the roots of component matrices."""
-    iso = isolate_largest_real_root(p)
-    if iso is None:
-        return None
-    return AlgebraicReal(p, *iso).refined(DEFAULT_WIDTH)
-
-
 def _newton_guess(cs) -> float | None:
     """A float near the largest real root of f = sum cs[i] x^i, or None.
 
@@ -593,25 +577,26 @@ def _newton_guess(cs) -> float | None:
 
 
 def certify_largest_root(p: IntPolynomial):
-    """The AlgebraicReal that `largest_real_root(p)` gives, or None: a cell
-    of the isolation tree picked by a float guess and certified by exact
-    tests. Meant for Perron polynomials (see `_newton_guess`); for any p it
-    returns that AlgebraicReal or None.
+    """The largest real root of p as the AlgebraicReal its isolation gives,
+    or None: a cell of the isolation tree picked by a float guess and
+    certified by exact tests. Meant for Perron polynomials (see
+    `_newton_guess`); `largest_real_root` tries it first.
 
-    `_root_intervals` bisects (-B, B), B the Cauchy bound of the squarefree
-    part s, and `refine_interval` goes on bisecting the same tree. Let D be
-    the first depth with 2B/2^D <= 2^-48 (the default width). Their output
-    is the depth-D cell holding the largest root rho, or the point rho when
-    rho is a tree point of depth <= D, whenever some cell on rho's path at
-    depth <= D isolates rho and has ends that are not roots: the first
-    isolating cell on that path is then no deeper, and sign bisection from
-    any isolating cell on the path follows the path. Here the guess picks
-    the cell (lo, hi) at depth D - 18, with its index computed exactly, and
-    it is accepted only when s(lo) and s(hi) are nonzero of opposite signs
-    (a root in the cell) and s(x + lo) has one sign variation (one root
-    above lo, by Descartes). Then it isolates rho with ends that are not
-    roots, and `refine_interval` descends to the cell, or the point, of
-    the Sturm path. Any failed test gives None.
+    For the largest root rho, `_root_intervals` yields the first cell on
+    rho's path in the tree of (-B, B) that has one Descartes variation and
+    ends that are not roots (or the point rho), and `refine_interval`
+    bisects on along the path, as it does from any cell on the path that
+    isolates rho with ends that are not roots. With D the first depth where
+    2B/2^D <= 2^-48, the default width, the output is the depth-D cell, or
+    the point rho when rho is a tree point of depth <= D, whenever the
+    yielded cell is no deeper than D. By the two-circle theorem (Krandick &
+    Mehlhorn, J. Symbolic Comput. 41, 2006) only another root, real or
+    complex, within about 2^-48 of rho can make it deeper. Here the guess
+    picks the cell (lo, hi) at depth D - 18, its index computed exactly,
+    accepted only when s(lo) and s(hi) are nonzero of opposite signs (a
+    root in the cell) and s(x + lo) has one sign variation (one root above
+    lo, by Descartes): it then isolates rho with ends that are not roots.
+    Any failed test gives None.
     """
     s = squarefree_part(p)
     guess = _newton_guess(s.coeffs)
@@ -635,6 +620,20 @@ def certify_largest_root(p: IntPolynomial):
                                       lo.denominator)) != 1:
         return None
     return AlgebraicReal(p, lo, hi).refined(DEFAULT_WIDTH)
+
+
+def largest_real_root(p: IntPolynomial):
+    """Largest real root of p as an AlgebraicReal, or None: the cell of
+    `certify_largest_root` when its tests pass, else isolated by
+    `_root_intervals`; both give the same value (see there). Not memoized:
+    `spectra.perron_root` memoizes the roots of component matrices."""
+    r = certify_largest_root(p)
+    if r is not None:
+        return r
+    iso = isolate_largest_real_root(p)
+    if iso is None:
+        return None
+    return AlgebraicReal(p, *iso).refined(DEFAULT_WIDTH)
 
 
 # -- determinants and resultants --------------------------------------------

@@ -15,7 +15,6 @@ from .polynomials import (
     DEFAULT_WIDTH,
     AlgebraicReal,
     IntPolynomial,
-    certify_largest_root,
     count_real_roots_open,
     largest_real_root,
     poly_gcd_q,
@@ -96,12 +95,11 @@ def perron_root(matrix: IntMatrix) -> AlgebraicReal:
     algebraic number, memoized per matrix: the largest real root of the
     characteristic polynomial. A trivial loopless vertex gets 0 (poly x).
 
-    Every root of the polynomial lies in the disc of radius rho, so a float
-    Newton guess finds rho, and `certify_largest_root` proves the tree cell
-    it picks without a Sturm chain. When one of its tests fails, the Sturm
-    isolation `largest_real_root` decides; both give the same value."""
-    p = char_poly(matrix)
-    r = certify_largest_root(p) or largest_real_root(p)
+    Every root of the polynomial lies in the disc of radius rho, so the
+    float Newton guess that `largest_real_root` tries first finds rho, and
+    the cell it picks is certified; only a root on a tree point (0 or 1
+    here), where a cell end is the root, is left to the isolation."""
+    r = largest_real_root(char_poly(matrix))
     if r is None:
         raise InternalInconsistencyError(
             "adjacency characteristic polynomial has no real root"
@@ -223,9 +221,9 @@ def equal_radius(a: AlgebraicReal, b: AlgebraicReal) -> bool:
     root of its own polynomial, so such a shared root is both values at once.
     The ends of a proper isolating interval are not roots of its polynomial,
     so neither end of the intersection is a root of the gcd. The closing
-    root count (Descartes' count, or the Sturm count when that is not
-    decisive, see `count_real_roots_open`) is memoized, so a tie proved
-    again costs a lookup.
+    root count (`count_real_roots_open`: Descartes' count on the
+    intersection, and a bisection only when that is 2 or more) is memoized,
+    so a tie proved again costs a lookup.
     """
     if a.hi < b.lo or b.hi < a.lo:
         return False
@@ -243,7 +241,7 @@ def equal_radius(a: AlgebraicReal, b: AlgebraicReal) -> bool:
     y = min(a.hi, b.hi)
     if x >= y:
         return False
-    # A gcd equal to a squarefree part counts on that polynomial's chain.
+    # A gcd equal to a squarefree part counts on that polynomial's memos.
     p = a.poly if g == sa else b.poly if g == sb else g
     return count_real_roots_open(p, x, y) >= 1
 
@@ -271,9 +269,9 @@ def algebraic_power(r: AlgebraicReal, k: int) -> AlgebraicReal:
     """r^k as a certified algebraic number, for nonnegative r and k >= 1.
 
     Defining polynomial: Res_y(p(y), x - y^k), whose roots are the k-th powers
-    of the roots of p. The isolating interval [lo^k, hi^k] is validated by a
-    Sturm count and the source interval is refined until it isolates, or
-    while an end of it is a root."""
+    of the roots of p. The isolating interval [lo^k, hi^k] is validated by
+    a root count (`count_real_roots_open`) and the source interval is
+    refined until it isolates, or while an end of it is a root."""
     if k < 1:
         raise ValueError("power must be >= 1")
     if r.lo < 0:

@@ -1,7 +1,7 @@
 """Every imported name is used in its file, every private function is used
 in the package, every public function or class is used in the package or
 the benchmark or is a listed test-reference helper, no function in the
-package calls itself by name, only one bisection reads Sturm chains, and
+package calls itself by name, only one bisection reads Descartes counts, and
 no cache in the package is unbounded. `from __future__` imports are
 directives, so they are exempt from the first."""
 
@@ -104,13 +104,22 @@ def callers_of(name, files) -> set[str]:
     return found
 
 
-def test_one_sturm_bisection():
-    """Root isolation is one bisection by Sturm counts: a second loop over
-    chain variations is to be folded into `_root_intervals`, not added."""
+def test_one_root_bisection():
+    """Root isolation is one bisection by Descartes counts. Sign variations
+    are read only by `_root_intervals`, the one loop over the tree, and by
+    `certify_largest_root`, which reads one cell without a loop; a second
+    loop is to be folded into `_root_intervals`, not added."""
     files = sorted((ROOT / "src" / "syzcx").glob("*.py"))
     assert len(files) > 10
-    assert callers_of("_variations", files) == {"_root_intervals",
-                                                "count_real_roots_open"}
+    assert callers_of("_sign_variations", files) == {"_root_intervals",
+                                                     "certify_largest_root"}
+    assert callers_of("_shift_by_one", files) == {"_root_intervals"}
+    tree = ast.parse((ROOT / "src" / "syzcx" / "polynomials.py").read_text(
+        encoding="utf-8"))
+    certify = next(n for n in tree.body if isinstance(n, ast.FunctionDef)
+                   and n.name == "certify_largest_root")
+    assert not any(isinstance(n, (ast.For, ast.While, ast.comprehension))
+                   for n in ast.walk(certify))
 
 
 def cached_functions(files):
@@ -178,7 +187,7 @@ def test_no_unbounded_cache():
 
 # Every function memo of the package, as module.function: a new memo fails
 # the test below until it is listed here on purpose.
-FUNCTION_MEMOS = {"oracle.xyz_local_table", "polynomials._sturm_chain",
+FUNCTION_MEMOS = {"oracle.xyz_local_table",
                   "polynomials.count_real_roots_open",
                   "polynomials.squarefree_part", "spectra.perron_root"}
 

@@ -1,7 +1,7 @@
 """The memos behind the symbolic path: the syzygy rule and the class of
 each syzygy-quiver vertex per algebra, the Perron root per matrix (a
 component's members in label order, so one component is one matrix
-whatever the closure order) and the Sturm count per (polynomial,
+whatever the closure order) and the root count per (polynomial,
 interval). A CyclicKey keeps no hash of its own: it hashes as the tuple of
 its fields.
 
@@ -346,21 +346,35 @@ def test_sturm_count_memo_answers_the_repeated_ties_of_a_large_draw():
 
 def test_perron_roots_of_a_large_draw_build_chains_only_where_needed(
         monkeypatch):
-    # Work, not time: a Sturm chain is built for a component polynomial
-    # p = x^k q only when q is not squarefree mod the prime, or when its
-    # root is a point of the isolation tree (0 or 1 here), which the
-    # certified cell leaves to the Sturm isolation.
+    # Work, not time: squarefree_part takes the gcd of a component
+    # polynomial p = x^k q with p' only when q is not squarefree mod the
+    # prime, and largest_real_root isolates a root by bisection only when it
+    # is a point of the isolation tree (0 or 1 here), which the certified
+    # cell leaves to the isolation.
     gen = family_gen()
     A = make_algebra(gen.algebra_text(
         "fam", gen.family_algebra(120, random.Random(3))))
     clear_caches()
     roots, perron_root = set(), spectra.perron_root
+    calls = Counter()
+    squarefree_mod = polynomials._squarefree_mod
+    isolate = polynomials.isolate_largest_real_root
 
     def recorded(m):
         roots.add(perron_root(m))
         return perron_root(m)
 
+    def gcd_fallback(q, m):
+        calls["gcd"] += not squarefree_mod(q, m)
+        return squarefree_mod(q, m)
+
+    def isolation(p):
+        calls["isolate"] += 1
+        return isolate(p)
+
     monkeypatch.setattr(spectra, "perron_root", recorded)
+    monkeypatch.setattr(polynomials, "_squarefree_mod", gcd_fallback)
+    monkeypatch.setattr(polynomials, "isolate_largest_real_root", isolation)
     report = module_complexity(
         A, module_expr((simple_key(A, v), 1) for v in A.quiver.vertices))
     assert report.cls.label() == "2.644624271878^n"
@@ -368,10 +382,10 @@ def test_perron_roots_of_a_large_draw_build_chains_only_where_needed(
     for r in roots:
         cs = r.poly.coeffs
         q = cs[next(i for i, c in enumerate(cs) if c):]
-        not_squarefree += not polynomials._squarefree_mod(q, polynomials._PRIME)
+        not_squarefree += not squarefree_mod(q, polynomials._PRIME)
         points += r.lo == r.hi
     assert max(r.poly.degree for r in roots) == 160
-    assert polynomials._sturm_chain.cache_info().misses <= not_squarefree + points
+    assert calls["gcd"] <= not_squarefree and calls["isolate"] <= points
 
 
 def test_sturm_count_memo_changes_no_class(monkeypatch):

@@ -1,9 +1,12 @@
-"""Integer polynomials, Sturm root isolation, and algebraic reals.
+"""Integer polynomials, root isolation by Descartes' rule, and algebraic
+reals.
 
 Expected values are computed by hand (small determinants, explicit
-expansions) or pinned against closed forms like the golden ratio."""
+expansions), pinned against closed forms like the golden ratio, or taken
+from the Sturm-chain reference in `sturm.py`."""
 
 import random
+from collections import Counter
 from decimal import Decimal, ROUND_HALF_UP, localcontext
 from fractions import Fraction
 from math import ceil
@@ -12,6 +15,7 @@ import pytest
 
 from syzcx.polynomials import (
     DEFAULT_WIDTH,
+    AlgebraicReal,
     poly,
     monomial_minus,
     poly_gcd_q,
@@ -30,9 +34,10 @@ from syzcx.polynomials import (
     resultant_y,
 )
 from syzcx import polynomials
-from syzcx.polynomials import _root_intervals, _sturm_chain, _variations
+from syzcx.polynomials import _root_intervals
 from syzcx.errors import ZeroPolynomialError
 
+import sturm
 from conftest import clear_caches, det_bareiss_int
 
 PHI = (1 + 5 ** 0.5) / 2  # 1.6180339887498949
@@ -126,6 +131,11 @@ def test_poly_gcd():
 def test_squarefree_part():
     p = poly(-1, 1) * poly(-1, 1) * poly(2, 1)
     assert squarefree_part(p).primitive() == (poly(-1, 1) * poly(2, 1)).primitive()
+    # The zero polynomial has no squarefree part, and so no roots to isolate.
+    with pytest.raises(ZeroPolynomialError):
+        squarefree_part(poly())
+    with pytest.raises(ZeroPolynomialError):
+        largest_real_root(poly())
 
 
 def test_count_real_roots_open():
@@ -156,7 +166,7 @@ def test_isolate_largest_real_root_golden():
 
 def test_isolate_largest_real_root_rational_hit():
     # Roots at +-2: bisection midpoints land on integers, which must not
-    # derail the Sturm counting.
+    # derail the root counting.
     lo, hi = isolate_largest_real_root(poly(-4, 0, 1))
     assert lo <= 2 <= hi
     assert largest_real_root(poly(-4, 0, 1)).midpoint == 2 or lo < 2 < hi \
@@ -169,11 +179,12 @@ def test_isolate_no_real_roots():
 
 
 def _isolate_fractions(p):
-    """Reference: the isolation bisection with Fraction midpoints."""
-    chain = _sturm_chain(p)
+    """Reference: the isolation bisection by Sturm counts, with Fraction
+    midpoints."""
+    chain = sturm.sturm_chain(p)
 
     def variations(x):
-        return _variations(chain, x.numerator, x.denominator)
+        return sturm.variations(chain, x.numerator, x.denominator)
 
     B = cauchy_bound(squarefree_part(p))
     lo, hi = -B, B
@@ -225,7 +236,10 @@ def _isolate_corpus():
 
 
 def test_isolate_matches_fraction_bisection():
-    exact = none = 0
+    """The Descartes bisection stops at the Sturm bisection's cell or below
+    it: its cell is a dyadic subcell of the Sturm cell, the same point when
+    that is a point, and both refine to the same bytes."""
+    exact = none = finer = 0
     for p in _isolate_corpus():
         got = isolate_largest_real_root(p)
         want = _isolate_fractions(p)
@@ -233,9 +247,20 @@ def test_isolate_matches_fraction_bisection():
             assert got is None
             none += 1
             continue
-        assert [(type(x), str(x)) for x in got] == [(type(x), str(x)) for x in want]
-        exact += got[0] == got[1]
-    assert none >= 150 and exact >= 40
+        assert all(type(x) is Fraction for x in got)
+        (lo, hi), (wlo, whi) = got, want
+        if wlo == whi or lo == hi:
+            assert got == want or wlo < lo == hi < whi
+        else:
+            ratio = (whi - wlo) / (hi - lo)
+            assert ratio.denominator == 1 and ratio.numerator & (ratio.numerator - 1) == 0
+            assert wlo <= lo < hi <= whi and ((lo - wlo) / (hi - lo)).denominator == 1
+        refined = [AlgebraicReal(p, *cell).refined(DEFAULT_WIDTH).to_json()
+                   for cell in (got, want)]
+        assert refined[0] == refined[1], p
+        exact += lo == hi
+        finer += got != want
+    assert none >= 150 and exact >= 40 and finer >= 50
 
 
 def _integer_roots_by_trial_division(p):
@@ -291,10 +316,10 @@ def test_integer_roots_with_thirty_digit_constant_terms():
 def _integer_roots_chain_only(p):
     """Reference: bisection at half-integers by Sturm counts alone, one
     chain evaluation per point, down to unit intervals."""
-    chain = _sturm_chain(p)
+    chain = sturm.sturm_chain(p)
 
     def above(k):
-        return _variations(chain, 2 * k + 1, 2)[0]
+        return sturm.variations(chain, 2 * k + 1, 2)[0]
 
     B = ceil(cauchy_bound(p))
     roots = []
@@ -355,7 +380,7 @@ def test_root_intervals_isolate_every_real_root():
     """On both corpora, _root_intervals yields the whole root set, largest
     first: pairwise disjoint intervals in descending order, each open one
     holding exactly one root with ends that are not roots, each point a
-    root, as many as the Sturm count over (-B, B)."""
+    root, as many as the reference's Sturm count over (-B, B)."""
     lower = points = repeated = 0
     for p in [*_isolate_corpus(), *_integer_roots_corpus()]:
         got = list(_root_intervals(p))
@@ -368,7 +393,7 @@ def test_root_intervals_isolate_every_real_root():
         for (lo, hi), (lo2, hi2) in zip(got, got[1:]):
             assert hi2 < lo or (hi2 == lo and (lo < hi or lo2 < hi2))
         B = cauchy_bound(squarefree_part(p))
-        assert len(got) == count_real_roots_open(p, -B, B)
+        assert len(got) == sturm.sturm_count(p, -B, B)
         lower += len(got[1:])
         points += sum(lo == hi for lo, hi in got[1:])
         repeated += bool(got) and squarefree_part(p) != p
@@ -608,18 +633,23 @@ def _clustered_corpus():
             yield p
 
 
-def test_squarefree_part_equals_the_first_chain_entry():
-    """The mod-p shortcut gives the chain's first entry, made primitive, on
-    both corpora; both branches are taken."""
-    shortcut = chained = 0
+def test_squarefree_part_equals_the_first_chain_entry(monkeypatch):
+    """squarefree_part gives the first entry of the reference's Sturm chain,
+    made primitive, on both corpora, and both of its branches are taken:
+    the shortcut where the test mod the prime shows p / x^k squarefree, and
+    the gcd where it does not."""
+    branches = Counter()
+    squarefree_mod = polynomials._squarefree_mod
+
+    def recorded(q, m):
+        branches[squarefree_mod(q, m)] += 1
+        return squarefree_mod(q, m)
+
+    monkeypatch.setattr(polynomials, "_squarefree_mod", recorded)
     for p in [*_isolate_corpus(), *_clustered_corpus()]:
         clear_caches()
-        got = squarefree_part(p)
-        misses = _sturm_chain.cache_info().misses
-        assert got == poly(*_sturm_chain(p)[0]).primitive(), p
-        shortcut += misses == 0
-        chained += misses == 1
-    assert shortcut >= 1000 and chained >= 700
+        assert squarefree_part(p) == poly(*sturm.sturm_chain(p)[0]).primitive(), p
+    assert branches[True] >= 1000 and branches[False] >= 700
 
 
 def test_squarefree_test_refuses_a_prime_dividing_the_leading_coefficient():
@@ -629,20 +659,23 @@ def test_squarefree_test_refuses_a_prime_dividing_the_leading_coefficient():
     assert squarefree_part(f * f) == f
 
 
-def _sturm_count(p, a, b):
-    chain = _sturm_chain(p)
-    (va, sa), (vb, sb) = (_variations(chain, x.numerator, x.denominator)
-                          for x in (a, b))
-    if sa == 0 or sb == 0:
-        return None
-    return va - vb if a < b else 0
+def _descartes_count(p, a, b):
+    """Sign variations of (1 + x)^m s((a + b x)/(1 + x)), s the squarefree
+    part of p: d^m s((n + w t)/d), a = n/d and b = (n + w)/d, reversed and
+    shifted by 1."""
+    d = a.denominator * b.denominator
+    n = a.numerator * b.denominator
+    w = b.numerator * a.denominator - n
+    g = polynomials._taylor_shift(squarefree_part(p).coeffs, n, d)
+    g = [c * w ** i for i, c in enumerate(g)]
+    return polynomials._sign_variations(polynomials._taylor_shift(g[::-1], 1))
 
 
 def test_count_real_roots_open_matches_the_sturm_count():
     """Random dyadic intervals on the clustered corpus, half of them around
-    a real root: the count, or the refusal of a root end, is the Sturm
-    chain's. Descartes counts of 2 and more are taken, and some of them
-    exceed the number of roots."""
+    a real root: the count, or the refusal of a root end, is the
+    reference's Sturm count. Descartes counts of 2 and more are taken, and
+    some of them exceed the number of roots."""
     rng = random.Random(0xC0DE)
     descartes_over = several = refused = 0
     for p in _clustered_corpus():
@@ -657,14 +690,14 @@ def test_count_real_roots_open_matches_the_sturm_count():
                 a = Fraction(rng.randint(-80 << k, 80 << k), 1 << k)
             b = a + Fraction(rng.randint(1, 12), 1 << k)
             clear_caches()
-            want = _sturm_count(p, a, b)
+            want = sturm.sturm_count(p, a, b)
             if want is None:
                 with pytest.raises(ValueError, match="endpoint is a root"):
                     count_real_roots_open(p, a, b)
                 refused += 1
                 continue
             assert count_real_roots_open(p, a, b) == want, (p, a, b)
-            v = polynomials._interval_variations(squarefree_part(p).coeffs, a, b)
+            v = _descartes_count(p, a, b)
             assert v >= want and (v - want) % 2 == 0
             descartes_over += v > want
             several += want >= 2
@@ -684,7 +717,7 @@ def _largest_roots_corpus():
 
 
 def test_certified_largest_root_is_the_sturm_root():
-    """certify_largest_root gives what largest_real_root gives, or None, and
+    """certify_largest_root gives the reference's Sturm root, or None, and
     never raises, huge coefficients included. A large Cauchy bound still
     certifies: its cell index is exact."""
     certified = 0
@@ -692,7 +725,7 @@ def test_certified_largest_root_is_the_sturm_root():
         clear_caches()
         got = certify_largest_root(p)
         if got is not None:
-            want = largest_real_root(p)
+            want = sturm.largest_root(p)
             assert (got.poly, str(got.lo), str(got.hi)) == (
                 want.poly, str(want.lo), str(want.hi)), p
             certified += 1
@@ -700,7 +733,7 @@ def test_certified_largest_root_is_the_sturm_root():
     for p in (poly(-2, 0, 1) * poly(10 ** 10, 1),
               poly(-2, 0, 1) * poly(10 ** 10, 1) * poly(-3, 0, 1)):
         assert cauchy_bound(p) > 10 ** 10
-        assert certify_largest_root(p) == largest_real_root(p)
+        assert certify_largest_root(p) == sturm.largest_root(p)
 
 
 def test_newton_guess_never_raises():
@@ -726,6 +759,100 @@ def test_certificate_decides_not_the_guess(monkeypatch, guess, certified):
     clear_caches()
     got = certify_largest_root(p)
     if certified:
-        assert got == largest_real_root(p)
+        assert got == sturm.largest_root(p)
     else:
         assert got is None
+    # Without a certificate, the isolation decides, and to the same value.
+    assert largest_real_root(p) == sturm.largest_root(p)
+
+
+# -- the Descartes bisection against the Sturm reference ---------------------
+
+def _close_roots_corpus():
+    """Polynomials where Descartes' count exceeds the number of roots: the
+    Mignotte-like x^7 - 2 (a x - 1)^2, whose two roots near 1/a lie within
+    about a^-4.5 of each other, alone and times a complex pair (x^2 + 1,
+    x^2 - 6x + 10) next to its real roots; and a near-double complex pair
+    (2^k x - 1)^2 + 1 times the real root 2^-k between its two halves."""
+    for a in (10, 10 ** 2, 10 ** 3, 10 ** 6):
+        f = poly(*[0] * 7, 1) - poly(-1, a) * poly(-1, a) * 2
+        yield f
+        yield f * poly(1, 0, 1)
+        yield f * poly(10, -6, 1) * poly(-3, 1)
+    for k in (1, 3, 10, 30):
+        pair = poly(-1, 1 << k) * poly(-1, 1 << k) + poly(1)
+        yield pair * poly(-1, 1 << k)
+        yield pair * poly(-1, 1 << k) * poly(-3, 1 << k)
+
+
+def _refined(p, cells):
+    return [AlgebraicReal(p, *cell).refined(DEFAULT_WIDTH).to_json()
+            for cell in cells]
+
+
+def test_close_roots_equal_the_sturm_reference():
+    """Where Descartes over-counts, the roots, their refined intervals and
+    the root counts on (-B, B) and around each root are the reference's."""
+    over = 0
+    for p in _close_roots_corpus():
+        cells = list(_root_intervals(p))
+        assert _refined(p, cells) == _refined(p, sturm.root_intervals(p)), p
+        assert largest_real_root(p) == sturm.largest_root(p)
+        assert integer_roots(p) == sturm.integer_roots(p)
+        B = cauchy_bound(squarefree_part(p))
+        want = sturm.sturm_count(p, -B, B)
+        assert count_real_roots_open(p, -B, B) == want == len(cells)
+        over += _descartes_count(p, -B, B) > want
+        for lo, hi in cells:
+            if lo < hi:
+                a, b = lo - (hi - lo), hi + (hi - lo)
+                if sturm.sturm_count(p, a, b) is not None:
+                    assert count_real_roots_open(p, a, b) == sturm.sturm_count(p, a, b)
+    assert over == 20
+
+
+def test_repeated_roots_are_isolated_on_the_squarefree_part(monkeypatch):
+    """A repeated root keeps every Descartes count around it at 2 or more,
+    so a bisection on p itself would never end; on the squarefree part it
+    ends, with the reference's cells. A budget of Taylor shifts turns a
+    bisection that does not end into a failure."""
+    calls, shift = [], polynomials._shift_by_one
+
+    def budgeted(desc):
+        calls.append(1)
+        assert len(calls) < 20_000, "the bisection does not end"
+        return shift(desc)
+
+    monkeypatch.setattr(polynomials, "_shift_by_one", budgeted)
+    third, root2 = poly(-1, 3), poly(-2, 0, 1)
+    for p in (_product([root2, root2, third, third, third]),
+              _product([third, third, poly(1, 0, 1)]),
+              _product([poly(-5, 0, 7), poly(-5, 0, 7), poly(-4, 0, 1)])):
+        clear_caches()
+        assert squarefree_part(p) != p
+        assert _refined(p, _root_intervals(p)) == _refined(p, sturm.root_intervals(p))
+        B = cauchy_bound(squarefree_part(p))
+        assert count_real_roots_open(p, -B, B) == sturm.sturm_count(p, -B, B)
+    assert calls
+
+
+def _random_monic_corpus():
+    """300 seeded monic polynomials of degree <= 14."""
+    rng = random.Random(1414)
+    for _ in range(300):
+        yield poly(*[rng.randint(-20, 20) for _ in range(rng.randint(1, 14))], 1)
+
+
+def test_largest_and_integer_roots_equal_the_sturm_reference():
+    """On every corpus, largest_real_root gives the reference's Sturm root,
+    as JSON bytes, and integer_roots the reference's integer roots (on the
+    integer-roots corpus, test_integer_roots_match_chain_only_search checks
+    them against a Sturm search)."""
+    for p in [*_isolate_corpus(), *_clustered_corpus(), *_integer_roots_corpus(),
+              *_random_monic_corpus(), *_close_roots_corpus()]:
+        got, want = largest_real_root(p), sturm.largest_root(p)
+        assert (got and got.to_json()) == (want and want.to_json()), p
+    for p in [*_isolate_corpus(), *_clustered_corpus(), *_random_monic_corpus(),
+              *_close_roots_corpus()]:
+        if p.is_monic:
+            assert integer_roots(p) == sturm.integer_roots(p), p

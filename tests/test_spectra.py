@@ -8,7 +8,7 @@ from time import perf_counter
 
 import pytest
 
-from syzcx import spectra
+from syzcx import polynomials, spectra
 from syzcx.algebra import parse_algebra, validate_algebra
 from syzcx.complexity import realize_class
 
@@ -31,6 +31,7 @@ from syzcx.spectra import (
 from syzcx.syzygy import (build_syzygy_quiver, module_expr, resolve_module,
                           simple_key)
 
+import sturm
 from conftest import clear_caches, det_bareiss_int, family_gen, sparse_rows
 
 GOLDEN = poly(-1, -1, 1)
@@ -228,27 +229,28 @@ def _perron_corpus():
 
 
 def test_perron_root_equals_the_sturm_root(monkeypatch):
-    """From cold caches, perron_root gives the AlgebraicReal of the Sturm
-    isolation, byte for byte. The certified cell decides every root but
-    those on a tree point (0 and 1 here), where a cell end is the root."""
-    fallbacks = []
+    """From cold caches, perron_root gives the reference's Sturm root, byte
+    for byte. The certified cell decides every root but those on a tree
+    point (0 and 1 here), where a cell end is the root; only those are
+    isolated by bisection."""
+    isolated = []
+    isolate = polynomials.isolate_largest_real_root
 
-    def sturm_root(p):
-        fallbacks.append(largest_real_root(p))
-        return fallbacks[-1]
+    def isolation(p):
+        isolated.append(sturm.largest_root(p))
+        return isolate(p)
 
     matrices = set(_perron_corpus())
-    monkeypatch.setattr(spectra, "largest_real_root", sturm_root)
+    monkeypatch.setattr(polynomials, "isolate_largest_real_root", isolation)
     for m in matrices:
         clear_caches()
         got = perron_root(m)
-        clear_caches()
-        want = largest_real_root(char_poly(m))
+        want = sturm.largest_root(char_poly(m))
         assert (got.poly, str(got.lo), str(got.hi)) == (
             want.poly, str(want.lo), str(want.hi)), m
     assert len(matrices) >= 75 and max(map(len, matrices)) >= 100
-    assert len(fallbacks) <= 8
-    assert all(r.lo == r.hi and r.lo in (0, 1) for r in fallbacks), fallbacks
+    assert len(isolated) <= 8
+    assert all(r.lo == r.hi and r.lo in (0, 1) for r in isolated), isolated
 
 
 def test_scc_condense_two_components():
