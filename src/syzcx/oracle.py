@@ -79,9 +79,10 @@ def _dim_cap() -> int:
 # A step pays for its module's support, not the table. Through the table's
 # indexes it walks only the vertices where the module is nonzero and the
 # basis elements from those with lifted top vectors; it eliminates nothing
-# where the module or images are zero, scatters no generator without blocks
-# and multiplies no unit vector (a generator applied to a lift, a list of
-# coordinates, selects columns). Its scratch is keyed by that support.
+# where the module is zero and no top where the images are zero, scatters no
+# generator without blocks and multiplies no unit vector (a generator applied
+# to a lift, a list of coordinates, selects columns). Its scratch is keyed by
+# that support.
 
 
 def _act(gcols: tuple, image: list, p: int) -> list:
@@ -470,28 +471,24 @@ def syzygy_rep(R: "TableRepresentation") -> "TableRepresentation":
     rows of its blocks, the support's nonzero products (T.products_of): the
     rows at the target kernel's free rows are the new action, and those at
     its pivot rows are checked against them exactly; it gets no entry where
-    that action is zero. When R is semisimple, the kernel is rad P, the
-    cover basis without its idempotents, and nothing is eliminated."""
+    that action is zero. A semisimple module takes the same path: every
+    coordinate is lifted, the cover's idempotents are its pivots, and the
+    kernel is rad P."""
     T, p, dims, mats = R
-    semisimple = R.is_semisimple
-    if semisimple:  # kept: eliminating here too costs `oracle` wall_s +15 %
-        copies = dict(dims)
-    else:
-        rad: dict[int, list] = {}
-        for k, gcols in mats:
-            rad.setdefault(T.ends[T.gens[k]][1], []).extend(
-                col for col in gcols if col)
-        lifts, copies = {}, {}
-        for v, d in dims:
-            top = _rref(rad[v], d, p) if rad.get(v) else {}
-            lift = [i for i in range(d) if i not in top]
-            if lift:
-                lifts[v], copies[v] = lift, len(lift)
-    # The support in index order, and its cover basis (rad P, without the
-    # idempotents, when semisimple): the copies of j are the rows start[j]
-    # .. start[j] + copies[source of j] of the space at its target.
-    support = sorted(j for w in copies
-                     for j in T.by_source[w][int(semisimple):])
+    rad: dict[int, list] = {}
+    for k, gcols in mats:
+        rad.setdefault(T.ends[T.gens[k]][1], []).extend(
+            col for col in gcols if col)
+    lifts, copies = {}, {}
+    for v, d in dims:
+        top = _rref(rad[v], d, p) if rad.get(v) else {}
+        lift = [i for i in range(d) if i not in top]
+        if lift:
+            lifts[v], copies[v] = lift, len(lift)
+    # The support in index order and its cover basis: the copies of j are
+    # the rows start[j] .. start[j] + copies[source of j] of the space at
+    # its target.
+    support = sorted(j for w in copies for j in T.by_source[w])
     start, pdims = {}, {}
     for j in support:
         w, t = T.ends[j]
@@ -504,27 +501,26 @@ def syzygy_rep(R: "TableRepresentation") -> "TableRepresentation":
             blocks.setdefault(k, []).append(
                 (start[j], start[jg], copies[T.ends[j][0]]))
 
-    reduced = {}  # the kernel is rad P where R is semisimple: no pivots
-    if not semisimple:
-        images = _along_parents(T, dict(mats), p, lifts)
-        # The covers' rows where R is nonzero, built from the images (each
-        # dropped once copied), then eliminated one vertex at a time.
-        rows = {v: [[] for _ in range(d)] for v, d in dims}
-        for j in support:
-            image, t = images.pop(j), T.ends[j][1]
-            if T.parent[j] is None:  # a lift: unit columns
-                for i, r in enumerate(image, start[j]):
-                    rows[t][r].append((i, 1))
-            elif image is not None:
-                for i, col in enumerate(image, start[j]):
-                    for r, x in col:
-                        rows[t][r].append((i, x))
-        for v, d in dims:
-            reduced[v] = _rref(rows.pop(v), pdims.get(v, 0), p)
-            if len(reduced[v]) != d:
-                raise InternalInconsistencyError(
-                    f"projective cover is not surjective at vertex {T.vertices[v]}"
-                )
+    images = _along_parents(T, dict(mats), p, lifts)
+    # The covers' rows where R is nonzero, built from the images (each
+    # dropped once copied), then eliminated one vertex at a time.
+    rows = {v: [[] for _ in range(d)] for v, d in dims}
+    for j in support:
+        image, t = images.pop(j), T.ends[j][1]
+        if T.parent[j] is None:  # a lift: unit columns
+            for i, r in enumerate(image, start[j]):
+                rows[t][r].append((i, 1))
+        elif image is not None:
+            for i, col in enumerate(image, start[j]):
+                for r, x in col:
+                    rows[t][r].append((i, x))
+    reduced = {}
+    for v, d in dims:
+        reduced[v] = _rref(rows.pop(v), pdims.get(v, 0), p)
+        if len(reduced[v]) != d:
+            raise InternalInconsistencyError(
+                f"projective cover is not surjective at vertex {T.vertices[v]}"
+            )
     # Each kernel row-major where the cover is nonzero: the basis vector of
     # free column f is e_f minus red[q][f] at each pivot q, f in order.
     kernels = {}
@@ -563,8 +559,8 @@ class TableRepresentation(NamedTuple):
     that act by a nonzero map (target space x source space), one sparse
     column per source coordinate, a tuple of (target row, residue in
     [1, p)) pairs, () for a zero column. The action of a basis element is
-    the ordered product along its parent chain. A semisimple module has no
-    mats and costs nothing to read; equal fields are equal modules."""
+    the ordered product along its parent chain, so a module is semisimple
+    exactly when mats is empty. Equal fields are equal modules."""
 
     table: GradedTable
     p: int
@@ -576,10 +572,6 @@ class TableRepresentation(NamedTuple):
     @property
     def total_dim(self) -> int:
         return sum(d for _, d in self.dims)
-
-    @property
-    def is_semisimple(self) -> bool:
-        return not self.mats
 
     def dense(self, name: str) -> np.ndarray:
         """The matrix of generator `name` as a dense uint16 array of

@@ -8,17 +8,16 @@ Intervals are refined to width <= 2^-48 at construction so the printed
 
 Roots are counted on the squarefree part s of p. When p = x^k q with q
 squarefree, which a gcd modulo a prime shows, s is x q or q; otherwise s is
-p / gcd(p, p'), the gcd being the last entry of p's signed primitive
-remainder sequence. Roots are isolated and counted by one bisection,
-`_root_intervals`: Descartes' count of sign variations of s after a Moebius
-map of a cell onto (0, oo), halving every cell where it is 2 or more. The
-largest root, Perron roots above all, is first tried in one cell of that
-tree picked by a float guess and certified by exact tests
+p / gcd(p, p'), by `poly_gcd_q`. Roots are isolated and counted by one
+bisection, `_root_intervals`: Descartes' count of sign variations of s after
+a Moebius map of a cell onto (0, oo), halving every cell where it is 2 or
+more. The largest root, Perron roots above all, is first tried in one cell
+of that tree picked by a float guess and certified by exact tests
 (`certify_largest_root`). All of it but that guess runs on integers: one
-pseudo-division loop, homogeneous Horner at rational points, a Taylor shift
-by a rational and one by 1 in running sums, one bisection form (integer
-numerators over a doubling denominator) in `_root_intervals` and in the
-sign-bisection loop `refine_interval`, and decimals rounded by integer
+pseudo-division loop, one gcd loop, homogeneous Horner at rational points, a
+Taylor shift by a rational and one by 1 in running sums, one bisection form
+(integer numerators over a doubling denominator) in `_root_intervals` and in
+the sign-bisection loop `refine_interval`, and decimals rounded by integer
 division at any size.
 """
 
@@ -242,24 +241,14 @@ def monomial_minus(m) -> IntPolynomial:
     return IntPolynomial([-f.numerator, f.denominator])
 
 
-def _remainders(u, v) -> list[tuple[int, ...]]:
-    """Signed primitive remainder sequence of the ascending int sequences u
-    and v: u and v divided by their contents, then each negated pseudo-
-    remainder of the two entries before it, also divided by its content,
-    down to the last nonzero entry, which is a gcd of u and v over Q."""
-    seq = [_content_free(u), _content_free(v)]
-    while seq[-1]:
-        r = _pseudo_divmod(seq[-2], seq[-1])[2]
-        seq.append(tuple(-c for c in _content_free(r)))
-    seq.pop()
-    return seq
-
-
 def poly_gcd_q(a: IntPolynomial, b: IntPolynomial) -> IntPolynomial:
     """Monic-free gcd over Q, returned primitive with positive leading coeff:
-    the last entry of the primitive remainder sequence, whose coefficients
-    stay near the size of the inputs."""
-    return IntPolynomial(_remainders(a.coeffs, b.coeffs)[-1]).primitive()
+    Euclid's algorithm on pseudo-remainders, each divided by its content, so
+    that coefficients stay near the size of the inputs."""
+    u, v = _content_free(a.coeffs), _content_free(b.coeffs)
+    while v:
+        u, v = v, _content_free(_pseudo_divmod(u, v)[2])
+    return IntPolynomial(u).primitive()
 
 
 # -- root counting and isolation -------------------------------------------
@@ -295,19 +284,17 @@ def squarefree_part(p: IntPolynomial) -> IntPolynomial:
     """p / gcd(p, p'), primitive with positive leading coefficient. Write
     p = x^k q with q(0) != 0. When q is squarefree by the test mod the prime
     _PRIME, the answer is x q, or q when k = 0, and no gcd is taken.
-    Otherwise the gcd is the content-free last entry of the remainder
-    sequence of p and p', so the quotient is integral (Gauss)."""
+    Otherwise the gcd is primitive, so the quotient is integral (Gauss)."""
     if p.is_zero:
         raise ZeroPolynomialError("squarefree part of the zero polynomial")
     k = next(i for i, c in enumerate(p.coeffs) if c)
     q = p.coeffs[k:]
     if _squarefree_mod(q, _PRIME):
         return IntPolynomial((0,) * min(k, 1) + q).primitive()
-    g = _remainders(p.coeffs, p.derivative().coeffs)[-1]
-    return p.div_exact(IntPolynomial(g)).primitive()
+    return p.div_exact(poly_gcd_q(p, p.derivative())).primitive()
 
 
-def _taylor_shift(cs, n: int, d: int = 1) -> list[int]:
+def _taylor_shift(cs, n: int, d: int) -> list[int]:
     """Ascending coefficients of d^m f((x + n)/d), f = sum cs[i] x^i of
     degree m, d > 0: f shifted by n/d, with x scaled by d, so its sign
     variations are those of f(x + n/d). Scaled, then shifted by n in the
@@ -332,15 +319,15 @@ def _shift_by_one(desc):
         yield out.pop()
 
 
-def _sign_variations(cs, cap: int = -1) -> int:
-    """Sign changes in a coefficient sequence, zeros skipped, up to `cap`
-    when it is given: by Descartes' rule, at least the number of positive
-    roots, and of the same parity."""
+def _sign_variations(cs) -> int:
+    """Sign changes in a coefficient sequence, zeros skipped, counted up to
+    2: by Descartes' rule a count of 0 or 1 is the number of positive
+    roots, and 2 stands for any larger count, which decides nothing."""
     count = last = 0
     for c in cs:
         if c and last and (c > 0) != (last > 0):
             count += 1
-            if count == cap:
+            if count == 2:
                 break
         last = c or last
     return count
@@ -388,7 +375,7 @@ def _root_intervals(p: IntPolynomial, lo: Fraction | None = None,
     work = [(a, b, d, _content_free(g))]
     while work:
         a, b, d, g = work.pop()
-        count = a < b and _sign_variations(_shift_by_one(g), 2)
+        count = a < b and _sign_variations(_shift_by_one(g))
         if a == b or (count == 1 and g[0] and sum(g)):
             yield Fraction(a, d), Fraction(b, d)
         elif count:

@@ -223,7 +223,9 @@ def equal_radius(a: AlgebraicReal, b: AlgebraicReal) -> bool:
     so neither end of the intersection is a root of the gcd. The closing
     root count (`count_real_roots_open`: Descartes' count on the
     intersection, and a bisection only when that is 2 or more) is memoized,
-    so a tie proved again costs a lookup.
+    so a tie proved again costs a lookup. Two values of one primitive
+    polynomial, the common tie, have that polynomial as their gcd, whose
+    squarefree part is already memoized.
     """
     if a.hi < b.lo or b.hi < a.lo:
         return False
@@ -233,17 +235,14 @@ def equal_radius(a: AlgebraicReal, b: AlgebraicReal) -> bool:
         return b.poly.sign_at(a.lo) == 0
     if b.lo == b.hi:
         return a.poly.sign_at(b.lo) == 0
-    sa, sb = squarefree_part(a.poly), squarefree_part(b.poly)
-    g = poly_gcd_q(sa, sb)
+    g = poly_gcd_q(a.poly, b.poly)
     if g.degree <= 0:
         return False
     x = max(a.lo, b.lo)
     y = min(a.hi, b.hi)
     if x >= y:
         return False
-    # A gcd equal to a squarefree part counts on that polynomial's memos.
-    p = a.poly if g == sa else b.poly if g == sb else g
-    return count_real_roots_open(p, x, y) >= 1
+    return count_real_roots_open(g, x, y) >= 1
 
 
 def compare_algebraic(r1: AlgebraicReal, r2: AlgebraicReal) -> int:

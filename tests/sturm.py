@@ -2,7 +2,8 @@
 package's Descartes bisection against an independent method.
 
 The chain of the squarefree part s of p is the signed primitive remainder
-sequence of p and p', divided by its last entry, gcd(p, p'), when p is not
+sequence of p and p' (`signed_remainders`, classical pseudo-division on
+integers), divided by its last entry, gcd(p, p'), when p is not
 squarefree. Each entry is a positive multiple of the classical entry
 (p, p', -rem, ...) over that gcd, so V(a) - V(b) counts the distinct roots
 in (a, b] whenever b is not a root (Basu, Pollack & Roy, Algorithms in Real
@@ -13,17 +14,44 @@ its ends are not roots."""
 
 from fractions import Fraction
 from functools import lru_cache
-from math import ceil
+from math import ceil, gcd
 
 from syzcx.polynomials import (DEFAULT_WIDTH, AlgebraicReal, IntPolynomial,
-                               _remainders, _sign_at, cauchy_bound,
-                               refine_interval, squarefree_part)
+                               _sign_at, cauchy_bound, refine_interval,
+                               squarefree_part)
+
+
+def content_free(cs) -> tuple[int, ...]:
+    """cs over the gcd of its entries, signs kept."""
+    g = gcd(*cs) or 1
+    return tuple(c // g for c in cs)
+
+
+def signed_remainders(u, v) -> list[tuple[int, ...]]:
+    """u and v (ascending ints) over their contents, then each remainder of
+    the two entries before it, negated and over its content, down to the
+    last nonzero entry. Each remainder is taken by pseudo-division: the
+    dividend times |lc| less a multiple of the divisor, so only positive
+    factors enter and the signs are those of the remainder over Q."""
+    seq = [content_free(u), content_free(v)]
+    while seq[-1]:
+        r, v = list(seq[-2]), seq[-1]
+        while len(r) >= len(v):
+            f, k = r[-1] * (1 if v[-1] > 0 else -1), len(r) - len(v)
+            r = [c * abs(v[-1]) for c in r]
+            for i, c in enumerate(v):
+                r[k + i] -= f * c
+            while r and r[-1] == 0:
+                r.pop()
+        seq.append(content_free([-c for c in r]))
+    seq.pop()
+    return seq
 
 
 @lru_cache(maxsize=4096)
 def sturm_chain(p: IntPolynomial) -> tuple[tuple[int, ...], ...]:
     """Sturm chain of the squarefree part of p, content-free integer tuples."""
-    chain = _remainders(p.coeffs, p.derivative().coeffs)
+    chain = signed_remainders(p.coeffs, p.derivative().coeffs)
     if len(chain[-1]) > 1:
         g = IntPolynomial(chain[-1]).primitive()
         chain = [IntPolynomial(c).div_exact(g).coeffs for c in chain]

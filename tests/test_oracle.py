@@ -44,12 +44,14 @@ from syzcx.oracle import (
     _scatter,
 )
 from syzcx.syzygy import (
+    build_syzygy_quiver,
     expr_dimension,
     module_expr,
     path_key,
     resolve_module,
     simple_key,
     projective_key,
+    quiver_dim_sequence,
     singleton,
 )
 from syzcx.errors import (
@@ -322,14 +324,13 @@ def test_scatter_matches_the_dense_scatter():
 def test_rep_of_simple_is_semisimple(fib):
     r = rep_of(singleton(simple_key(fib, "1")), fib, P)
     assert r.dims == ((0, 1),) and r.mats == ()
-    assert r.is_semisimple
     assert r.total_dim == 1
 
 
 def test_rep_of_projective_has_action(fib):
     r = rep_of(singleton(projective_key(fib, "2")), fib, P)
     assert r.total_dim == 3
-    assert not r.is_semisimple
+    assert r.mats
     # the matrix of b maps the generator copy at vertex 2 into vertex 1
     assert r.dense("b").shape == (1, 2)
     assert r.dense("b").any()
@@ -559,23 +560,36 @@ def test_projective_resolution_stops(fib):
 
 
 def test_semisimple_shortcut_matches_dense_path(fib, chain):
-    # Feed the same semisimple module through the combinatorial shortcut and
-    # through the elimination path (each zero map stored as an entry of
-    # empty columns, not left out) and compare.
-    cases = [rep_of(singleton(simple_key(A, v)), A, P)
-             for A, v in ((fib, "1"), (chain, "2"))]
-    cases.append(table_rep(xyz_local_table(), "k", P))
-    for fast in cases:
-        T = fast.table
-        dims = dict(fast.dims)
-        slow = fast._replace(mats=tuple(
-            (k, ((),) * dims.get(T.ends[g][0], 0))
-            for k, g in enumerate(T.gens)))
-        assert fast.is_semisimple and not slow.is_semisimple
-        f, s = fast, slow
-        for _ in range(4):
-            f, s = syzygy_rep(f), syzygy_rep(s)
-            assert f.dims == s.dims
+    # A semisimple module takes the elimination path like any other: every
+    # coordinate is lifted and the cover keeps its idempotents, which are
+    # its pivots. So the syzygy of a simple S(v) is rad P(v), the span of the
+    # basis elements from v other than e_v, action and coordinate order
+    # included, and the iterated syzygies have the dimensions of the
+    # syzygy quiver (fib, chain) or of the xyz-local bookkeeping. The same
+    # module with each zero map stored as empty columns, not left out,
+    # steps to the same values.
+    import syzcx.oracle as oracle
+
+    cases = []
+    for A, v in ((fib, "1"), (chain, "2")):
+        M = singleton(simple_key(A, v))
+        want = quiver_dim_sequence(build_syzygy_quiver(M, A), 6)
+        cases.append((rep_of(M, A, P), want))
+    cases.append((table_rep(xyz_local_table(), "k", P),
+                  xyz_local_expected_dims(6)))
+    for S, want in cases:
+        T, ((v, _),) = S.table, S.dims
+        stored = S._replace(mats=tuple((k, ((),) * (T.ends[g][0] == v))
+                                       for k, g in enumerate(T.gens)))
+        assert not S.mats and stored.mats
+        rad_p = oracle._span_rep(T, P, [T.by_source[v][1:]])
+        for R in (S, stored):
+            assert syzygy_rep(R) == rad_p
+            got = []
+            for _ in range(7):
+                got.append(R.total_dim)
+                R = syzygy_rep(R)
+            assert got == want
 
 
 def test_semisimple_shortcut_stays_small(fib):
@@ -607,7 +621,7 @@ def test_step_eliminates_only_where_the_module_lives(monkeypatch):
 
     r = rep_of(singleton(simple_key(LINE12, "v0")), LINE12, P).syzygy()
     assert r.dims == ((1, 1), (2, 1))
-    assert not r.is_semisimple
+    assert r.mats
     calls = []
 
     def counted(rows, cols, p):
@@ -1232,7 +1246,7 @@ def test_a_block_is_the_same_value_however_it_is_built():
     dims = dict(S1.dims)
     empty = S1._replace(mats=tuple((k, ((),) * dims.get(T.ends[g][0], 0))
                                    for k, g in enumerate(T.gens)))
-    assert not empty.is_semisimple and empty != S1
+    assert empty.mats and empty != S1
     assert _blocks(empty) == {S1: 1}
 
 

@@ -662,13 +662,22 @@ def test_squarefree_test_refuses_a_prime_dividing_the_leading_coefficient():
 def _descartes_count(p, a, b):
     """Sign variations of (1 + x)^m s((a + b x)/(1 + x)), s the squarefree
     part of p: d^m s((n + w t)/d), a = n/d and b = (n + w)/d, reversed and
-    shifted by 1."""
+    shifted by 1, each shift in the classical O(m^2) additions."""
+    def shifted(cs, n):
+        out = list(cs)
+        for i in range(len(out) - 1):
+            for j in range(len(out) - 2, i - 1, -1):
+                out[j] += n * out[j + 1]
+        return out
+
     d = a.denominator * b.denominator
     n = a.numerator * b.denominator
     w = b.numerator * a.denominator - n
-    g = polynomials._taylor_shift(squarefree_part(p).coeffs, n, d)
-    g = [c * w ** i for i, c in enumerate(g)]
-    return polynomials._sign_variations(polynomials._taylor_shift(g[::-1], 1))
+    s = squarefree_part(p).coeffs
+    g = shifted([c * d ** (len(s) - 1 - i) for i, c in enumerate(s)], n)
+    g = shifted([c * w ** i for i, c in enumerate(g)][::-1], 1)
+    signs = [c > 0 for c in g if c]
+    return sum(x != y for x, y in zip(signs, signs[1:]))
 
 
 def test_count_real_roots_open_matches_the_sturm_count():
