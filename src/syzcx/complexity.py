@@ -272,12 +272,13 @@ def realize_class(H: Quiver, ell: int) -> tuple[str, list[str]]:
         if s >= 1:
             for v in H.vertices:
                 arrows.append(Arrow(f"d_{v}_{s}", f"{v}_{s}", f"{v}_{s-1}"))
+    out: dict[str, list[str]] = {}
     for a in arrows:
         lines.append(f"arrow {a.name} : {a.source} -> {a.target}")
+        out.setdefault(a.source, []).append(a.name)
     for x in arrows:
-        for y in arrows:
-            if x.target == y.source:
-                lines.append(f"relation {x.name}.{y.name}")
+        for y in out.get(x.target, ()):
+            lines.append(f"relation {x.name}.{y}")
     names = []
     for s in range(ell + 1):
         for v in H.vertices:

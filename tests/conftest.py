@@ -12,6 +12,7 @@ import pytest
 
 import syzcx
 from syzcx.algebra import parse_algebra, validate_algebra
+from syzcx.polynomials import IntPolynomial
 
 # Two vertices; the only nonzero paths are the trivial ones and the three
 # arrows, so dim P(1) = 2, dim P(2) = 3 and the syzygy dimensions of S1
@@ -168,6 +169,22 @@ def det_bareiss_int(rows: list[list[int]]) -> int:
             m[i][k] = 0
         prev = m[k][k]
     return sign * m[n - 1][n - 1]
+
+
+def sylvester_rows(A, B):
+    """Sylvester matrix in y of A and B, ascending lists of IntPolynomials
+    in x, neither zero: deg B shifted rows of A, then deg A shifted rows
+    of B, highest y power first, the degrees taken after zero top entries
+    are dropped."""
+    A, B = list(A), list(B)
+    for X in (A, B):
+        while X[-1].is_zero:
+            X.pop()
+    da, db = len(A) - 1, len(B) - 1
+    zero = IntPolynomial()
+    rows = [[zero] * i + A[::-1] + [zero] * (db - 1 - i) for i in range(db)]
+    rows += [[zero] * i + B[::-1] + [zero] * (da - 1 - i) for i in range(da)]
+    return rows
 
 
 def sparse_rows(dense):

@@ -515,6 +515,48 @@ def test_huge_root_prints_its_decimal(argv):
     assert f"{-HUGE}.000000000000" in proc.stdout
 
 
+@pytest.mark.parametrize("op", ["product", "sum"])
+@pytest.mark.parametrize("digits", [2000, 4000, 10000])
+@pytest.mark.parametrize("degree", [3, 4])
+def test_combine_with_huge_coefficients(degree, op, digits):
+    """p = q = x^degree - x - (10^digits + 7). Packed at x = 2^w, every
+    field of the resultant's determinant would be padded to the largest
+    coefficient's size, which made the quartics take 30 s at 10^4 digits;
+    past `PACKED_MAX_COST` the elimination runs over Z[x] instead. Each
+    call ends in exit 0 within 20 s under a 1 GiB address-space limit, set
+    in the child only. The product's constant term is +-c^(2 degree),
+    c = 10^digits + 7, and both results are monic of degree degree^2."""
+    resource = pytest.importorskip("resource")
+
+    def limit():
+        resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
+
+    c = "1" + "0" * (digits - 1) + "7"
+    p = f"[-{c},-1{',0' * (degree - 2)},1]"
+    proc = cli_process(["curvature", "combine", "--op", op, p, p],
+                       preexec_fn=limit, timeout=20, OPENBLAS_NUM_THREADS="1")
+    assert proc.returncode == 0 and "Traceback" not in proc.stderr, proc.stderr
+    # The integers stay strings: this process may still have the limit.
+    coeffs = json.loads(proc.stdout, parse_int=str)["result"]
+    assert len(coeffs) == degree ** 2 + 1 and coeffs[-1] == "1"
+    if op == "product":
+        # c^k = 10^(k digits) + 7k 10^((k-1) digits) + ... + 7^k.
+        const = coeffs[0].lstrip("-")
+        assert len(const) == 2 * degree * digits + 1
+        assert const.startswith("1000") and const.endswith(str(7 ** (2 * degree)))
+
+
+def test_realize_class_ell_8000():
+    """realize-class pairs each arrow only with the arrows out of its
+    target: at --ell 8000 over fib, all-pairs listing took about 50 s."""
+    proc = cli_process(["realize-class", "--quiver", FIB, "--ell", "8000"],
+                       timeout=20)
+    assert proc.returncode == 0 and "Traceback" not in proc.stderr, proc.stderr
+    assert proc.stdout.startswith("algebra box_l8000\n")
+    # Relations out of level 0, level 1 and each level from 2 to 8000.
+    assert proc.stdout.count("\nrelation ") == 5 + 11 + 13 * 7999
+
+
 @pytest.mark.parametrize("digits", [4000, 5000])
 def test_long_integer_is_read_and_printed(digits):
     """x - (10^digits - 1) has the one root 10^digits - 1. Past CPython's

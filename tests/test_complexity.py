@@ -1,6 +1,8 @@
 """Growth classes: comparison calculus, condensation dynamic program,
 realization, subdivision, and the numeric witness."""
 
+import random
+
 import pytest
 
 from syzcx import spectra
@@ -226,6 +228,38 @@ def test_realize_class_counts_components_without_spectra(monkeypatch):
     assert len(H.vertices) == 193
     text, names = realize_class(H, 1)
     assert len(names) == 2 * 193 and text.startswith("algebra box_l1\n")
+
+
+def _all_pairs_relations(text):
+    """The relation lines of a realize_class text, listed by pairing every
+    arrow with every arrow, in arrow order."""
+    arrows = [line.split() for line in text.splitlines()
+              if line.startswith("arrow ")]
+    return [f"relation {x[1]}.{y[1]}"
+            for x in arrows for y in arrows if x[5] == y[3]]
+
+
+def test_realize_class_relations_are_every_composable_pair():
+    """On seeded strongly connected quivers (a cycle through every vertex
+    plus random arrows, loops and parallel arrows among them) and levels 0
+    to 3, the relation lines are exactly the all-pairs listing, in its
+    order."""
+    rng = random.Random(36)
+    for trial in range(40):
+        nv = rng.randint(1, 5)
+        verts = [f"v{i}" for i in range(nv)]
+        ends = [(verts[i], verts[(i + 1) % nv]) for i in range(nv)]
+        ends += [(rng.choice(verts), rng.choice(verts))
+                 for _ in range(rng.randint(0, 6))]
+        rng.shuffle(ends)
+        H = Quiver(tuple(verts), tuple(Arrow(f"a{i}", s, t)
+                                       for i, (s, t) in enumerate(ends)))
+        ell = trial % 4
+        text, _ = realize_class(H, ell)
+        relations = [line for line in text.splitlines()
+                     if line.startswith("relation ")]
+        assert relations == _all_pairs_relations(text)
+        assert len(relations) > 0
 
 def test_subdivide_square_root_of_radius():
     fibq = Quiver(("1", "2"), (Arrow("a", "1", "2"), Arrow("b", "2", "1"),

@@ -3,13 +3,14 @@ reals.
 
 Expected values are computed by hand (small determinants, explicit
 expansions), pinned against closed forms like the golden ratio, or taken
-from the Sturm-chain reference in `sturm.py`."""
+from the references: the Sturm chain in `sturm.py` and the determinant
+eliminated over Z[x], `polynomials._det_bareiss_zx`."""
 
 import random
 from collections import Counter
 from decimal import Decimal, ROUND_HALF_UP, localcontext
 from fractions import Fraction
-from math import ceil
+from math import ceil, inf
 
 import pytest
 
@@ -34,11 +35,12 @@ from syzcx.polynomials import (
     resultant_y,
 )
 from syzcx import polynomials
-from syzcx.polynomials import _root_intervals
+from syzcx.polynomials import (PACKED_MAX_COST, _det_bareiss_packed,
+                               _det_bareiss_zx, _root_intervals)
 from syzcx.errors import ZeroPolynomialError
 
 import sturm
-from conftest import clear_caches, det_bareiss_int
+from conftest import clear_caches, det_bareiss_int, sylvester_rows
 
 PHI = (1 + 5 ** 0.5) / 2  # 1.6180339887498949
 
@@ -588,6 +590,143 @@ def test_resultant_y_degree_zero_operands():
     assert resultant_y(B, [b]) == b * b * b
     assert resultant_y([a], [b]) == poly(1)
     assert resultant_y([a, poly()], [b]) == poly(1)
+
+
+# -- the packed determinant against elimination over Z[x] --------------------
+
+def _random_entry(rng, huge=False):
+    """A polynomial of degree <= 3 with signed coefficients, zero a third of
+    the time; with `huge`, one coefficient is +-2^200."""
+    if rng.random() < 1 / 3:
+        return poly()
+    cs = [rng.randint(-9, 9) for _ in range(rng.randint(1, 4))]
+    if huge:
+        cs[rng.randrange(len(cs))] = rng.choice((-1, 1)) << 200
+    return poly(*cs)
+
+
+def _packed_det_corpus():
+    """320 seeded square matrices of IntPolynomials, n from 0 to 7 in
+    turn: random ones, ones whose first column starts with zero entries
+    (a zero leading pivot that a row swap must replace), singular ones (a
+    row that is the sum of two others, or a zero column) and ones with a
+    +-2^200 coefficient."""
+    rng = random.Random(2036)
+    out = []
+    for i in range(320):
+        n, kind = i % 8, (i // 8) % 4
+        m = [[_random_entry(rng, kind == 3 and rng.random() < 0.2)
+              for _ in range(n)] for _ in range(n)]
+        if kind == 1 and n >= 2:
+            for r in range(rng.randint(1, n - 1)):
+                m[r][0] = poly()
+            m[n - 1][0] = poly(*[rng.choice((-5, -1, 1, 5)) for _ in range(3)])
+        if kind == 2 and n >= 3:
+            m[n - 1] = [a + b for a, b in zip(m[0], m[1])]
+        if kind == 2 and n in (1, 2):
+            for row in m:
+                row[-1] = poly()
+        out.append((kind, m))
+    return out
+
+
+def test_det_bareiss_poly_matches_elimination_over_zx():
+    """The packed determinant, with no size limit, and `det_bareiss_poly`
+    equal the Z[x] elimination on every matrix of the corpus. The corpus
+    has nonzero determinants with negative coefficients (the signed
+    read-back), ones far above the largest row norm (the product bound),
+    zero leading pivots of nonsingular matrices (the row swap) and
+    singular matrices (a zero pivot ends with 0)."""
+    kinds = Counter()
+    for kind, m in _packed_det_corpus():
+        want = _det_bareiss_zx(m)
+        assert _det_bareiss_packed(m, inf) == want, (kind, m)
+        assert det_bareiss_poly(m) == want, (kind, m)
+        if m and m[0][0].is_zero and not want.is_zero:
+            kinds["swap"] += 1
+        if want.is_zero:
+            kinds["singular"] += 1
+        elif any(c < 0 for c in want.coeffs):
+            kinds["negative"] += 1
+        norms = [sum(abs(c) for e in r for c in e.coeffs) for r in m]
+        if any(abs(c) > max(norms, default=0) for c in want.coeffs):
+            kinds["beyond_row_norm"] += 1
+        if kind == 3 and any(abs(c) >> 200 for r in m for e in r for c in e.coeffs):
+            kinds["huge"] += 1
+    assert min(kinds[k] for k in ("swap", "singular", "negative",
+                                  "beyond_row_norm", "huge")) >= 20, kinds
+
+
+@pytest.mark.parametrize("digits, packed", [(10, True), (30, False)])
+def test_det_bareiss_poly_packs_below_the_cutoff_only(digits, packed,
+                                                     monkeypatch):
+    """The Sylvester matrix of the product closure of x^4 - x - c with
+    itself, c = 10^digits + 7, has 25 fields and w = 267 at 10 digits,
+    w = 799 at 30: w^2 times 25 is 1.8M and 16M, either side of
+    `PACKED_MAX_COST`. Below it the packed elimination runs and the Z[x]
+    one is not called; above it `_det_bareiss_packed` declines before any
+    elimination and the Z[x] one gives the determinant."""
+    c = 10 ** digits + 7
+    q = [poly(-c), poly(-1), poly(), poly(), poly(1)]
+    a = [poly(*([0] * (4 - j) + [cj])) for j, cj in enumerate((1, 0, 0, -1, -c))]
+    rows = sylvester_rows(q, a)
+    want = _det_bareiss_zx(rows)
+    got = _det_bareiss_packed(rows, PACKED_MAX_COST)
+    assert (got is not None) == packed
+    assert _det_bareiss_packed(rows, inf) == want
+    calls = []
+    monkeypatch.setattr(polynomials, "_det_bareiss_zx",
+                        lambda m: calls.append(m) or want)
+    assert det_bareiss_poly(rows) == want
+    assert len(calls) == (0 if packed else 1)
+    assert want.degree == 16 and abs(want.coeffs[0]) == c ** 8
+
+
+def _monic_operands(rng, count):
+    """Seeded monic polynomials of degree 1 to 6: products of linear
+    factors with small integer roots, some repeated and some 0, times a
+    random monic cofactor."""
+    out = []
+    for _ in range(count):
+        roots = [rng.randint(-3, 3) for _ in range(rng.randint(0, 3))]
+        roots += rng.sample(roots, rng.randint(0, len(roots)))
+        cofactor = poly(*[rng.randint(-4, 4) for _ in range(rng.randint(0, 2))], 1)
+        f = cofactor
+        for r in roots[:6 - cofactor.degree]:
+            f = f * poly(-r, 1)
+        if f.degree >= 1:
+            out.append(f)
+    return out
+
+
+def test_resultant_y_matches_sylvester_reference(monkeypatch):
+    """Every resultant that the product, sum and power closures take, on
+    seeded monic operands of degree <= 6 with repeated and zero roots,
+    equals the Z[x] elimination of the same Sylvester rows."""
+    from syzcx import curvature, spectra
+    from syzcx.curvature import product_polynomial, sum_polynomial
+    from syzcx.spectra import algebraic_power
+
+    seen = Counter()
+
+    def checked(A, B):
+        got = resultant_y(A, B)
+        assert got == _det_bareiss_zx(sylvester_rows(A, B)), (A, B)
+        seen[len(A) + len(B)] += 1
+        return got
+
+    monkeypatch.setattr(curvature, "resultant_y", checked)
+    monkeypatch.setattr(spectra, "resultant_y", checked)
+    rng = random.Random(3606)
+    ops = _monic_operands(rng, 120)
+    for p, q in zip(ops[::2], ops[1::2]):
+        sum_polynomial(p, q)
+        if q.coeffs[0]:
+            product_polynomial(p, q)
+        r = largest_real_root(p)
+        if r is not None and r.lo >= 0:
+            algebraic_power(r, rng.randint(2, 3))
+    assert sum(seen.values()) >= 100 and max(seen) >= 12, seen
 
 
 # -- Descartes counts and certified roots, against the Sturm chain ----------
