@@ -242,8 +242,8 @@ class MonomialAlgebra:
     - `class_memo` maps each CyclicKey that a syzygy quiver has classed to a
       (Condensation, vertex) pair; complexity.module_complexity fills it and
       reads the class off it with vertex_complexity;
-    - the oracle's path table (oracle.compile_paths), with its block memo,
-      is kept in a weak map keyed by the algebra.
+    - `path_table` is the oracle's path table, with its block memo, or None
+      until oracle.compile_paths builds it.
     """
 
     def __init__(self, name, quiver, relations, modules):
@@ -274,6 +274,7 @@ class MonomialAlgebra:
         self.counts = [0] * len(self.moves)
         self.syzygy_memo: dict = {}
         self.class_memo: dict = {}
+        self.path_table = None
 
     @property
     def dimension(self) -> int:

@@ -25,7 +25,6 @@ from .errors import (
     NonMonicInputError,
     NotMonicError,
     TrailingZeroError,
-    ZeroConstantTermError,
     ZeroPolynomialError,
 )
 from .polynomials import (
@@ -130,9 +129,7 @@ def _refined_nonnegative(r: AlgebraicReal) -> AlgebraicReal:
 
 def product_polynomial(p: IntPolynomial, q: IntPolynomial) -> IntPolynomial:
     """Monic integer polynomial annihilating every product of a root of p
-    with a root of q, via Res_y(q(y), y^m p(x/y)). Requires q(0) != 0."""
-    if q.coeffs[0] == 0:
-        raise ZeroConstantTermError("product closure needs q(0) != 0")
+    with a root of q, via Res_y(q(y), y^m p(x/y))."""
     m = p.degree
     a_coeffs = []
     for j in range(m + 1):

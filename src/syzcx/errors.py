@@ -76,10 +76,6 @@ class ZeroPolynomialError(MathPreconditionError):
     code = "zero_polynomial"
 
 
-class ZeroConstantTermError(MathPreconditionError):
-    code = "zero_constant_term"
-
-
 class NotStronglyConnectedError(MathPreconditionError):
     code = "not_strongly_connected"
 

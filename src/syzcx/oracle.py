@@ -31,7 +31,6 @@ same few small blocks, and no syzygy that splits is materialized whole.
 from __future__ import annotations
 
 import os
-import weakref
 from functools import cached_property, lru_cache
 from itertools import zip_longest
 from typing import NamedTuple
@@ -241,23 +240,20 @@ class GradedTable:
         return tuple(map(tuple, out))
 
 
-_PATH_TABLES = weakref.WeakKeyDictionary()  # algebra -> its GradedTable
-
-
 def compile_paths(A: MonomialAlgebra) -> GradedTable:
     """The nonzero paths of A as a graded table: the generators are the
     arrows, and the parent of a path is the path without its last arrow.
-    The table is kept as long as A lives, since crosscheck and the CLI build
-    one representation per prime of the same algebra, and callers interleave
-    algebras. An algebra above the dimension cap is refused on every call,
-    cached or not, and before any path is listed."""
+    The table is kept on A as `A.path_table`, since crosscheck and the CLI
+    build one representation per prime of the same algebra, and callers
+    interleave algebras. An algebra above the dimension cap is refused on
+    every call, cached or not, and before any path is listed."""
     limit = _dim_cap()
     if A.dimension > limit:
         raise DimensionCapExceededError(
             f"algebra dimension {A.dimension} exceeds the cap {limit}")
-    if A not in _PATH_TABLES:
-        _PATH_TABLES[A] = _path_table(A)
-    return _PATH_TABLES[A]
+    if A.path_table is None:
+        A.path_table = _path_table(A)
+    return A.path_table
 
 
 def _path_table(A: MonomialAlgebra) -> GradedTable:

@@ -18,9 +18,9 @@ pseudo-division loop, one gcd loop, homogeneous Horner at rational points, a
 Taylor shift by a rational and one by 1 in running sums, one bisection form
 (integer numerators over a doubling denominator) in `_root_intervals` and in
 the sign-bisection loop `refine_interval`, decimals rounded by integer
-division at any size, and resultants by Bareiss elimination over Z on
-entries packed at x = 2^w, unless the fields are too wide for that to pay
-(`det_bareiss_poly`).
+division at any size, and resultants by one Bareiss elimination loop,
+`_bareiss`, run over Z on entries packed at x = 2^w, unless the fields are
+too wide for that to pay, and then over Z[x] (`det_bareiss_poly`).
 """
 
 from __future__ import annotations
@@ -66,6 +66,9 @@ class IntPolynomial:
     @property
     def is_zero(self) -> bool:
         return not self.coeffs
+
+    def __bool__(self) -> bool:
+        return bool(self.coeffs)
 
     @property
     def lc(self) -> int:
@@ -175,6 +178,8 @@ class IntPolynomial:
         if any(q % scale for q in quo):
             raise ValueError("division is not exact (non-integer quotient)")
         return IntPolynomial(q // scale for q in quo)
+
+    __floordiv__ = div_exact
 
 
 def _pseudo_divmod(u, v) -> tuple[int, list[int], list[int]]:
@@ -640,20 +645,10 @@ PACKED_MAX_COST = 1 << 23
 
 
 def det_bareiss_poly(rows: list[list[IntPolynomial]]) -> IntPolynomial:
-    """Determinant of a square matrix over Z[x], by Bareiss's fraction-free
-    elimination (Math. Comp. 22, 1968): on the matrix's image at x = 2^w
-    over Z when w^2 times the determinant's field count is at most
-    `PACKED_MAX_COST`, else over Z[x] itself. Both give the same
-    polynomial."""
-    det = _det_bareiss_packed(rows, PACKED_MAX_COST)
-    return _det_bareiss_zx(rows) if det is None else det
-
-
-def _det_bareiss_packed(rows: list[list[IntPolynomial]],
-                        max_cost: float) -> IntPolynomial | None:
-    """Bareiss on the image at x = 2^w over Z, or None, with no elimination
-    done, when w^2 times the determinant's field count exceeds `max_cost`
-    (both only grow row by row, so the first row past it decides).
+    """Determinant of a square matrix over Z[x], by `_bareiss`: on the
+    matrix's image at x = 2^w over Z when w^2 times the determinant's field
+    count is at most `PACKED_MAX_COST`, else over Z[x] itself. Both give
+    the same polynomial.
 
     Each entry becomes one integer, its coefficients packed in w-bit fields
     (Kronecker substitution). Every Bareiss intermediate, pivots included,
@@ -662,21 +657,21 @@ def _det_bareiss_packed(rows: list[list[IntPolynomial]],
     norms) in absolute value. w is that bound's bit length plus 1, so every
     coefficient lies in (-2^(w-1), 2^(w-1)). A nonzero polynomial with such
     coefficients does not vanish at 2^w (its top term outweighs the rest),
-    so a pivot that is 0 at 2^w is the zero polynomial, and the pivot rule
-    is the one over Z[x]: the first nonzero entry below. Each division by
-    the previous pivot is exact in Z[x], so it is exact at 2^w. The
-    determinant has degree below the sum over rows of the largest entry
-    length; it is read back as signed w-bit digits, lowest first, each
-    field at or above 2^(w-1) borrowing one from the next.
+    so a pivot that is 0 at 2^w is the zero polynomial, both rings take the
+    same pivots, and each division by the previous pivot, exact in Z[x], is
+    exact at 2^w. The determinant has degree below the field count, the sum
+    over rows of the largest entry length; it is read back as signed w-bit
+    digits, lowest first, each field at or above 2^(w-1) borrowing one from
+    the next. The bound and the field count only grow row by row, so the
+    first row past the cost picks Z[x] before anything is packed.
     """
-    n = len(rows)
     bound, fields, w = 1, 1, 2
     for r in rows:
         bound *= max(1, sum([abs(c) for e in r for c in e.coeffs]))
         fields += max([len(e.coeffs) for e in r], default=0)
         w = bound.bit_length() + 1
-        if w * w * fields > max_cost:
-            return None
+        if w * w * fields > PACKED_MAX_COST:
+            return _bareiss([list(r) for r in rows], IntPolynomial([1]))
     m = []
     for r in rows:
         row = []
@@ -686,21 +681,7 @@ def _det_bareiss_packed(rows: list[list[IntPolynomial]],
                 v = (v << w) + c
             row.append(v)
         m.append(row)
-    sign, prev = 1, 1
-    for k in range(n - 1):
-        if not m[k][k]:
-            i = next((i for i in range(k + 1, n) if m[i][k]), None)
-            if i is None:
-                return IntPolynomial()
-            m[k], m[i] = m[i], m[k]
-            sign = -sign
-        p, top = m[k][k], m[k]
-        for i in range(k + 1, n):
-            row, a = m[i], m[i][k]
-            for j in range(k + 1, n):
-                row[j] = (row[j] * p - a * top[j]) // prev
-        prev = p
-    v = sign * m[n - 1][n - 1] if n else 1
+    v = _bareiss(m, 1)
     half, mask = 1 << (w - 1), (1 << w) - 1
     out = []
     while v:
@@ -712,29 +693,28 @@ def _det_bareiss_packed(rows: list[list[IntPolynomial]],
     return IntPolynomial(out)
 
 
-def _det_bareiss_zx(rows: list[list[IntPolynomial]]) -> IntPolynomial:
-    """Bareiss over Z[x] itself; the divisions are exact."""
-    m = [list(r) for r in rows]
+def _bareiss(m: list[list], one):
+    """Determinant of the square matrix m over Z or Z[x], `one` being the
+    ring's 1, by Bareiss's fraction-free elimination (Math. Comp. 22,
+    1968), which overwrites m: the pivot is the first nonzero entry at or
+    below the diagonal, each row swap flips the sign, and each update is
+    divided exactly by the previous pivot."""
     n = len(m)
-    if n == 0:
-        return IntPolynomial([1])
-    sign = 1
-    prev = IntPolynomial([1])
+    sign, prev = 1, one
     for k in range(n - 1):
-        if m[k][k].is_zero:
-            for i in range(k + 1, n):
-                if not m[i][k].is_zero:
-                    m[k], m[i] = m[i], m[k]
-                    sign = -sign
-                    break
-            else:
-                return IntPolynomial()
+        if not m[k][k]:
+            i = next((i for i in range(k + 1, n) if m[i][k]), None)
+            if i is None:
+                return m[k][k]  # 0: column k is zero from row k down
+            m[k], m[i] = m[i], m[k]
+            sign = -sign
+        p, top = m[k][k], m[k]
         for i in range(k + 1, n):
+            row, a = m[i], m[i][k]
             for j in range(k + 1, n):
-                m[i][j] = (m[i][j] * m[k][k] - m[i][k] * m[k][j]).div_exact(prev)
-            m[i][k] = IntPolynomial()
-        prev = m[k][k]
-    return sign * m[n - 1][n - 1]
+                row[j] = (row[j] * p - a * top[j]) // prev
+        prev = p
+    return sign * m[n - 1][n - 1] if n else one
 
 
 def resultant_y(A: list[IntPolynomial], B: list[IntPolynomial]) -> IntPolynomial:
@@ -742,11 +722,9 @@ def resultant_y(A: list[IntPolynomial], B: list[IntPolynomial]) -> IntPolynomial
 
     A and B are ascending coefficient lists in y whose entries are integer
     polynomials in x. Returns an element of Z[x]: the determinant of their
-    Sylvester matrix by `det_bareiss_poly`. Packed at x = 2^w, with w one
-    bit past the product over its rows of the summed l1 norms, a bound on
-    every coefficient of every minor, a pivot that is 0 at 2^w is the zero
-    polynomial and the digits of the result are its coefficients; past
-    `PACKED_MAX_COST` the elimination runs over Z[x].
+    Sylvester matrix by `det_bareiss_poly`, one Bareiss elimination, over
+    Z on the entries packed at x = 2^w or, past `PACKED_MAX_COST`, over
+    Z[x].
     """
     A = list(A)
     B = list(B)

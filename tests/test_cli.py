@@ -352,9 +352,6 @@ BAD_INPUT_CASES = [
      "error[dimension_cap_exceeded]: module dimension 9999"),
     ("combine_nonmonic", ["curvature", "combine", "--op", "sum", "[1,1]",
                           "[1,2]"], {}, 4, "error[nonmonic_input]"),
-    ("combine_zero_constant", ["curvature", "combine", "--op", "product",
-                               "[-2,1]", "[0,1]"], {}, 4,
-     "error[zero_constant_term]"),
 ]
 
 
@@ -433,6 +430,15 @@ def test_out_of_memory_gives_one_error_line():
                        OPENBLAS_NUM_THREADS="1")
     assert proc.returncode == 4 and proc.stdout == ""
     assert proc.stderr == "error[out_of_memory]: out of memory\n"
+
+
+def test_combine_product_with_a_zero_root():
+    """The product closure of x - 2 and x is x: a zero root of q needs no
+    special case, so the call exits 0."""
+    proc = cli_process(["curvature", "combine", "--op", "product", "[-2,1]",
+                        "[0,1]"])
+    assert proc.returncode == 0 and proc.stderr == "", proc.stderr
+    assert json.loads(proc.stdout)["result"] == [0, 1]
 
 
 def test_curvature_check_with_29_digit_constant_term():

@@ -218,6 +218,27 @@ def test_product_polynomial_golden():
     assert pp.div_exact(PHI_SQ) == poly(1, 2, 1)
 
 
+def test_product_polynomial_of_integer_roots_with_zero():
+    """For monic p and q with integer roots a_i and b_j, zero among them,
+    Res_y(q(y), y^m p(x/y)) is the product of x - a_i b_j over all pairs:
+    q(0) = 0 needs no special case."""
+    rng = random.Random(37)
+    for _ in range(60):
+        a = [rng.randint(-4, 4) for _ in range(rng.randint(1, 4))]
+        b = [0] + [rng.randint(-4, 4) for _ in range(rng.randint(0, 3))]
+        rng.shuffle(b)
+        want = poly(1)
+        for ai in a:
+            for bj in b:
+                want = want * poly(-ai * bj, 1)
+        p, q = poly(1), poly(1)
+        for ai in a:
+            p = p * poly(-ai, 1)
+        for bj in b:
+            q = q * poly(-bj, 1)
+        assert product_polynomial(p, q) == want, (a, b)
+
+
 def test_sum_polynomial_golden_sqrt2():
     sp = sum_polynomial(GOLDEN, poly(-2, 0, 1))
     assert sp == poly(-1, 6, -5, -2, 1)

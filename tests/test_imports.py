@@ -122,6 +122,16 @@ def test_one_root_bisection():
                    for n in ast.walk(certify))
 
 
+def test_one_elimination():
+    """Determinants over Z and over Z[x] are one Bareiss loop, `_bareiss`,
+    which only `det_bareiss_poly` calls, on the packed entries or on the
+    polynomials themselves; a second elimination is to be folded into it,
+    not added."""
+    files = sorted((ROOT / "src" / "syzcx").glob("*.py"))
+    assert len(files) > 10
+    assert callers_of("_bareiss", files) == {"det_bareiss_poly"}
+
+
 def cached_functions(files):
     """(path, function node, decorator name, maxsize arguments) for each
     function, method included, decorated with `functools.cache` or

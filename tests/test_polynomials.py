@@ -3,14 +3,15 @@ reals.
 
 Expected values are computed by hand (small determinants, explicit
 expansions), pinned against closed forms like the golden ratio, or taken
-from the references: the Sturm chain in `sturm.py` and the determinant
-eliminated over Z[x], `polynomials._det_bareiss_zx`."""
+from the references: the Sturm chain in `sturm.py`, and determinants of
+integer matrices by `conftest.det_bareiss_int`, taken at enough points to
+fix a polynomial determinant."""
 
 import random
 from collections import Counter
 from decimal import Decimal, ROUND_HALF_UP, localcontext
 from fractions import Fraction
-from math import ceil, inf
+from math import ceil
 
 import pytest
 
@@ -35,8 +36,7 @@ from syzcx.polynomials import (
     resultant_y,
 )
 from syzcx import polynomials
-from syzcx.polynomials import (PACKED_MAX_COST, _det_bareiss_packed,
-                               _det_bareiss_zx, _root_intervals)
+from syzcx.polynomials import IntPolynomial, _bareiss, _root_intervals
 from syzcx.errors import ZeroPolynomialError
 
 import sturm
@@ -116,6 +116,18 @@ def test_divmod_and_exact_division():
         poly(1, 0, 1).div_exact(poly(-1, 1))
     with pytest.raises(ZeroPolynomialError):
         num.divmod_q(poly())
+
+
+def test_truth_value_and_exact_floor_division():
+    # A polynomial is true when it is nonzero; // is div_exact, which
+    # refuses a remainder and a quotient that is not integral.
+    assert poly(0, 1) and poly(-3)
+    assert not poly() and not poly(0, 0)
+    assert poly(-1, 0, 1) // poly(-1, 1) == poly(1, 1)
+    with pytest.raises(ValueError):
+        poly(1, 0, 1) // poly(-1, 1)
+    with pytest.raises(ValueError):
+        poly(1, 1) // poly(2)
 
 
 def test_monomial_minus():
@@ -592,7 +604,29 @@ def test_resultant_y_degree_zero_operands():
     assert resultant_y([a, poly()], [b]) == poly(1)
 
 
-# -- the packed determinant against elimination over Z[x] --------------------
+# -- determinants on both rings against integer determinants ---------------
+
+def _agrees_at_points(det, rows):
+    """Whether det is the determinant of rows, square over Z[x]: it has
+    degree at most D, the sum over rows of the largest entry degree, which
+    bounds the determinant's degree, and equals `det_bareiss_int` of the
+    rows at x = 0, 1, ..., D."""
+    D = sum(max([0] + [e.degree for e in r]) for r in rows)
+    return det.degree <= D and all(
+        det.evaluate(t) == det_bareiss_int([[e.evaluate(t) for e in r]
+                                            for r in rows])
+        for t in range(D + 1))
+
+
+def test_bareiss_pivots_on_the_first_nonzero_row():
+    """On [[0, 1, 2], [3, 4, 5], [6, 7, 9]], whose determinant is -3 by
+    Laplace expansion, the first pivot is 3, from the first nonzero entry
+    of column 0, and the diagonal left behind is the leading principal
+    minors 3, 3 and 3 of the matrix with rows 0 and 1 swapped."""
+    m = [[0, 1, 2], [3, 4, 5], [6, 7, 9]]
+    assert _bareiss(m, 1) == -3
+    assert [m[k][k] for k in range(3)] == [3, 3, 3]
+
 
 def _random_entry(rng, huge=False):
     """A polynomial of degree <= 3 with signed coefficients, zero a third of
@@ -630,26 +664,45 @@ def _packed_det_corpus():
     return out
 
 
-def test_det_bareiss_poly_matches_elimination_over_zx():
-    """The packed determinant, with no size limit, and `det_bareiss_poly`
-    equal the Z[x] elimination on every matrix of the corpus. The corpus
-    has nonzero determinants with negative coefficients (the signed
-    read-back), ones far above the largest row norm (the product bound),
-    zero leading pivots of nonsingular matrices (the row swap) and
+def _record_rings(monkeypatch):
+    """A list to which the patched `_bareiss` appends the type of each
+    call's ring unit: int over Z, IntPolynomial over Z[x]."""
+    rings, bareiss = [], polynomials._bareiss
+
+    def recorded(m, one):
+        rings.append(type(one))
+        return bareiss(m, one)
+
+    monkeypatch.setattr(polynomials, "_bareiss", recorded)
+    return rings
+
+
+@pytest.mark.parametrize("max_cost", [0, 1 << 4096], ids=["zx", "packed"])
+def test_det_bareiss_poly_matches_integer_determinants(max_cost, monkeypatch):
+    """With `PACKED_MAX_COST` at 0 every nonempty matrix is eliminated over
+    Z[x], and with it at 2^4096 every one over Z at x = 2^w; either way
+    `det_bareiss_poly` is the determinant on every matrix of the corpus.
+    The corpus has nonzero determinants with negative coefficients (the
+    signed read-back), ones far above the largest row norm (the product
+    bound), zero leading pivots of nonsingular matrices (the row swap) and
     singular matrices (a zero pivot ends with 0)."""
+    monkeypatch.setattr(polynomials, "PACKED_MAX_COST", max_cost)
+    rings = _record_rings(monkeypatch)
+    ring = IntPolynomial if max_cost == 0 else int
     kinds = Counter()
     for kind, m in _packed_det_corpus():
-        want = _det_bareiss_zx(m)
-        assert _det_bareiss_packed(m, inf) == want, (kind, m)
-        assert det_bareiss_poly(m) == want, (kind, m)
-        if m and m[0][0].is_zero and not want.is_zero:
+        rings.clear()
+        got = det_bareiss_poly(m)
+        assert _agrees_at_points(got, m), (kind, m)
+        assert rings == [ring] or not m, rings
+        if m and m[0][0].is_zero and not got.is_zero:
             kinds["swap"] += 1
-        if want.is_zero:
+        if got.is_zero:
             kinds["singular"] += 1
-        elif any(c < 0 for c in want.coeffs):
+        elif any(c < 0 for c in got.coeffs):
             kinds["negative"] += 1
         norms = [sum(abs(c) for e in r for c in e.coeffs) for r in m]
-        if any(abs(c) > max(norms, default=0) for c in want.coeffs):
+        if any(abs(c) > max(norms, default=0) for c in got.coeffs):
             kinds["beyond_row_norm"] += 1
         if kind == 3 and any(abs(c) >> 200 for r in m for e in r for c in e.coeffs):
             kinds["huge"] += 1
@@ -663,23 +716,17 @@ def test_det_bareiss_poly_packs_below_the_cutoff_only(digits, packed,
     """The Sylvester matrix of the product closure of x^4 - x - c with
     itself, c = 10^digits + 7, has 25 fields and w = 267 at 10 digits,
     w = 799 at 30: w^2 times 25 is 1.8M and 16M, either side of
-    `PACKED_MAX_COST`. Below it the packed elimination runs and the Z[x]
-    one is not called; above it `_det_bareiss_packed` declines before any
-    elimination and the Z[x] one gives the determinant."""
+    `PACKED_MAX_COST`. `_bareiss` runs once, over Z below it and over
+    Z[x] above it, so nothing is eliminated twice."""
     c = 10 ** digits + 7
     q = [poly(-c), poly(-1), poly(), poly(), poly(1)]
     a = [poly(*([0] * (4 - j) + [cj])) for j, cj in enumerate((1, 0, 0, -1, -c))]
     rows = sylvester_rows(q, a)
-    want = _det_bareiss_zx(rows)
-    got = _det_bareiss_packed(rows, PACKED_MAX_COST)
-    assert (got is not None) == packed
-    assert _det_bareiss_packed(rows, inf) == want
-    calls = []
-    monkeypatch.setattr(polynomials, "_det_bareiss_zx",
-                        lambda m: calls.append(m) or want)
-    assert det_bareiss_poly(rows) == want
-    assert len(calls) == (0 if packed else 1)
-    assert want.degree == 16 and abs(want.coeffs[0]) == c ** 8
+    rings = _record_rings(monkeypatch)
+    got = det_bareiss_poly(rows)
+    assert rings == [int if packed else IntPolynomial]
+    assert _agrees_at_points(got, rows)
+    assert got.degree == 16 and abs(got.coeffs[0]) == c ** 8
 
 
 def _monic_operands(rng, count):
@@ -702,7 +749,7 @@ def _monic_operands(rng, count):
 def test_resultant_y_matches_sylvester_reference(monkeypatch):
     """Every resultant that the product, sum and power closures take, on
     seeded monic operands of degree <= 6 with repeated and zero roots,
-    equals the Z[x] elimination of the same Sylvester rows."""
+    is the determinant of the same Sylvester rows."""
     from syzcx import curvature, spectra
     from syzcx.curvature import product_polynomial, sum_polynomial
     from syzcx.spectra import algebraic_power
@@ -711,7 +758,7 @@ def test_resultant_y_matches_sylvester_reference(monkeypatch):
 
     def checked(A, B):
         got = resultant_y(A, B)
-        assert got == _det_bareiss_zx(sylvester_rows(A, B)), (A, B)
+        assert _agrees_at_points(got, sylvester_rows(A, B)), (A, B)
         seen[len(A) + len(B)] += 1
         return got
 
@@ -721,8 +768,7 @@ def test_resultant_y_matches_sylvester_reference(monkeypatch):
     ops = _monic_operands(rng, 120)
     for p, q in zip(ops[::2], ops[1::2]):
         sum_polynomial(p, q)
-        if q.coeffs[0]:
-            product_polynomial(p, q)
+        product_polynomial(p, q)
         r = largest_real_root(p)
         if r is not None and r.lo >= 0:
             algebraic_power(r, rng.randint(2, 3))
