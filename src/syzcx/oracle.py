@@ -21,8 +21,8 @@ support: its dimension where nonzero and its nonzero generator actions.
 Dimension sequences (dim_sequence) rest on the syzygy of a direct sum being
 the direct sum of the syzygies: a module is kept as a multiset of its
 coordinate blocks (the classes of coordinates that nonzero action entries
-link) in canonical form, each its own key in its table's memo, stepped once
-per table and prime with syzygy_rep and split again. Over a monomial algebra
+link) in canonical form, each numbered once by its table, stepped once per
+table and prime with syzygy_rep and split again. Over a monomial algebra
 every syzygy is a direct sum of small cyclic modules (Zimmermann Huisgen,
 Manuscripta Math. 70, 1991), so the modules of one algebra keep meeting the
 same few small blocks, and no syzygy that splits is materialized whole.
@@ -32,7 +32,7 @@ from __future__ import annotations
 
 import os
 from functools import cached_property, lru_cache
-from itertools import zip_longest
+from itertools import count, filterfalse, zip_longest
 from typing import NamedTuple
 
 import numpy as np
@@ -54,11 +54,13 @@ DEFAULT_DIM_CAP = 200_000
 def _dim_cap() -> int:
     raw = os.environ.get("SYZCX_DIM_CAP", DEFAULT_DIM_CAP)
     try:
-        return int(raw)
+        cap = int(raw)
     except ValueError:
+        cap = None
+    if cap is None or cap < 0:
         raise ValidationError(
-            f"SYZCX_DIM_CAP must be an integer, got {raw!r}"
-        ) from None
+            f"SYZCX_DIM_CAP must be a nonnegative integer, got {raw!r}")
+    return cap
 
 
 # -- sparse linear algebra mod p -----------------------------------------------
@@ -70,10 +72,11 @@ def _dim_cap() -> int:
 # that acts by a nonzero map stores one column per source coordinate, () for
 # a zero column; the images along the parent tree are built column by
 # column (_act); the top and each cover are eliminated as rows (_rref); each
-# kernel is kept row-major, so that a generator's new action is a scatter of
-# the kernel rows it touches, whose free rows are regrouped into its columns,
-# and the scattered rows are checked to lie in the target kernel exactly
-# (_in_kernel). No step allocates a dense matrix.
+# kernel keeps only its pivot rows, a free row being read as a unit row, so
+# that a generator's new action is a scatter of the kernel rows it touches,
+# whose free rows are regrouped into its columns, and the scattered rows are
+# checked to lie in the target kernel exactly (_in_kernel). No step
+# allocates a dense matrix.
 #
 # A step pays for its module's support, not the table. Through the table's
 # indexes it walks only the vertices where the module is nonzero and the
@@ -164,18 +167,20 @@ def _add(v: dict, f: int, pairs, p: int):
             del v[c]
 
 
-def _in_kernel(image: dict, krow: list, free: list, pivots: list, p: int):
+def _in_kernel(image: dict, kernel: tuple, p: int):
     """Check that the vectors with rows `image` (target row -> sparse row,
-    absent for zero) lie in the span of a kernel basis with rows `krow`,
-    whose rows at `free` are the identity: their coordinates are then their
-    rows at `free`, x, and at every pivot row q the vectors must equal
-    sum_f x_f * krow[q][f] mod p, exactly."""
-    for q in pivots:
-        if not krow[q] and not image.get(q):
+    absent for zero) lie in the span of a kernel (pos, pivots) (syzygy_rep),
+    whose free rows are the identity: their coordinates are then their rows
+    at the free rows c, x at pos[c], and at every pivot row q, in order,
+    the vectors must equal sum_f x_f * pivots[q][f] mod p, exactly."""
+    pos, pivots = kernel
+    x = {pos[c]: e for c, e in image.items() if c in pos} if pivots else {}
+    for q, row in pivots.items():
+        if not row and not image.get(q):
             continue
         want = {}
-        for f, w in krow[q]:
-            _add(want, w, image.get(free[f], ()), p)
+        for f, w in row:
+            _add(want, w, x.get(f, ()), p)
         if want != dict(image.get(q, ())):
             raise InternalInconsistencyError(
                 "a syzygy vector left the kernel span; representation"
@@ -202,9 +207,10 @@ class GradedTable:
     by_source[v], the basis elements from v in index order (v's idempotent
     first); checked_by_source[v], the triples (j, k, j * gens[k] or -1)
     with j from v that check_relations tests, all composable pairs but
-    those whose product has parent (j, k), by j and then by k. `block_memo`
-    maps each block (_blocks) that dim_sequence has stepped to its syzygy's
-    blocks (_step_blocks); it lives with the table."""
+    those whose product has parent (j, k), by j and then by k. block_ids
+    numbers each block (_blocks) that dim_sequence meets, once, and
+    blocks[id] is [block, total dimension, None until it is stepped, then
+    its syzygy's blocks as (id, count) pairs]; they live with the table."""
 
     def __init__(self, basis: tuple[str, ...], vertices: tuple[str, ...],
                  ends: tuple[tuple[int, int], ...], gens: tuple[int, ...],
@@ -216,7 +222,20 @@ class GradedTable:
         self.gens = gens
         self.parent = parent
         self.products_of = products_of
-        self.block_memo: dict = {}
+        self.block_ids: dict = {}
+        self.blocks: list = []
+
+    def intern(self, blocks: dict) -> tuple[tuple[int, int], ...]:
+        """The blocks {block: count} as (id, count) pairs, numbering a block
+        met for the first time next."""
+        out = []
+        for block, count in blocks.items():
+            i = self.block_ids.get(block)
+            if i is None:
+                i = self.block_ids[block] = len(self.blocks)
+                self.blocks.append([block, block.total_dim, None])
+            out.append((i, count))
+        return tuple(out)
 
     @cached_property
     def by_source(self) -> tuple[tuple[int, ...], ...]:
@@ -431,15 +450,17 @@ def _along_parents(T: GradedTable, cols: dict, p: int, starts: dict) -> dict:
     return out
 
 
-def _scatter(krow: list, blocks, p: int) -> dict:
+def _scatter(kernel: tuple, blocks, p: int) -> dict:
     """The rows b..b+c of the target, as {row: sparse row}, that take rows
-    a..a+c of a kernel kept row-major, for each block (a, b, c); only the
-    rows a block touches are read. Two blocks hit the same rows or disjoint
-    ones; a later one on the same rows (a colliding table product) adds."""
+    a..a+c of a kernel (pos, pivots) (syzygy_rep), for each block (a, b, c);
+    only the rows a block touches are read, a free row r as ((pos[r], 1),).
+    Two blocks hit the same rows or disjoint ones; a later one on the same
+    rows (a colliding table product) adds."""
+    pos, pivots = kernel
     out = {}
     for a, b, c in blocks:
         for i in range(c):
-            e = krow[a + i]
+            e = pivots[a + i] if a + i in pivots else ((pos[a + i], 1),)
             if not e:
                 continue
             if b + i not in out:
@@ -461,8 +482,10 @@ def syzygy_rep(R: "TableRepresentation") -> "TableRepresentation":
     lifted top vector at w, with basis (j, copy) for the j from w, graded by
     the target of j; it sends (j, copy) to the lift acted on by j, built
     along w's parent subtree. The kernel is read off one sparse rref of the
-    cover's rows per vertex where R is nonzero, and kept row-major: row
-    (j, copy) holds the kernel columns it is nonzero in. A generator g acts
+    cover's rows per vertex where R is nonzero, and kept as (pos, pivots):
+    pos numbers the free columns in order, and pivots maps each pivot
+    column, in _rref's order, to its row over those numbers; the row of a
+    free column c, ((pos[c], 1),), is not stored. A generator g acts
     on the cover by j -> j*g, so its new action is a scatter of the kernel
     rows of its blocks, the support's nonzero products (T.products_of): the
     rows at the target kernel's free rows are the new action, and those at
@@ -517,26 +540,23 @@ def syzygy_rep(R: "TableRepresentation") -> "TableRepresentation":
             raise InternalInconsistencyError(
                 f"projective cover is not surjective at vertex {T.vertices[v]}"
             )
-    # Each kernel row-major where the cover is nonzero: the basis vector of
-    # free column f is e_f minus red[q][f] at each pivot q, f in order.
+    # Each kernel where the cover is nonzero: the basis vector of free
+    # column f is e_f minus red[q][f] at each pivot q, f in order.
     kernels = {}
     for v, pd in pdims.items():
         red = reduced.get(v, {})
-        free = [c for c in range(pd) if c not in red]
-        pos = {c: f for f, c in enumerate(free)}
-        krow = [((pos[c], 1),) if c in pos else
-                [(pos[f], p - x) for f, x in red[c].items()]
-                for c in range(pd)]
-        kernels[v] = (krow, free, pos, list(red))
-    new_dims = {v: len(kernels[v][1]) for v in sorted(kernels)
-                if kernels[v][1]}
+        pos = dict(zip(filterfalse(red.__contains__, range(pd)), count()))
+        kernels[v] = pos, {q: [(pos[f], p - x) for f, x in row.items()]
+                           for q, row in red.items()}
+    new_dims = {v: len(kernels[v][0]) for v in sorted(kernels)
+                if kernels[v][0]}
 
     new_mats = []
     for k in sorted(blocks):
         s, t = T.ends[T.gens[k]]
-        krow, free, pos, pivots = kernels[t]
-        image = _scatter(kernels[s][0], blocks[k], p)
-        _in_kernel(image, krow, free, pivots, p)
+        image = _scatter(kernels[s], blocks[k], p)
+        _in_kernel(image, kernels[t], p)
+        pos = kernels[t][0]
         m = {}
         for b, e in image.items():
             if b in pos:
@@ -701,7 +721,8 @@ def _blocks(R: TableRepresentation) -> dict[TableRepresentation, int]:
     is in canonical form, with pairs only where it is nonzero: its
     coordinates renumbered in order at each vertex, its column entries
     sorted by row, and its generators in R's order; so equal blocks are
-    equal representations, each the size of its support."""
+    equal values, each the size of its support, and a table numbers each
+    distinct block once (GradedTable.intern)."""
     T = R.table
     off, n = {}, 0
     for v, d in R.dims:
@@ -745,29 +766,14 @@ def _blocks(R: TableRepresentation) -> dict[TableRepresentation, int]:
     return out
 
 
-def _step_blocks(blocks: dict) -> dict:
-    """The blocks of the syzygy of the direct sum `blocks`, {block:
-    multiplicity}: the syzygy of a direct sum is the direct sum of the
-    syzygies. Each block not yet in its table's block_memo is stepped once
-    with syzygy_rep and memoized as the result's blocks, written only once
-    both have returned. A block carries its table and prime, so it never
-    meets another table's or prime's entry."""
-    out: dict[TableRepresentation, int] = {}
-    for block, mult in blocks.items():
-        memo = block.table.block_memo
-        if block not in memo:
-            memo[block] = tuple(_blocks(syzygy_rep(block)).items())
-        for child, count in memo[block]:
-            out[child] = out.get(child, 0) + mult * count
-    return out
-
-
 def dim_sequence(R: TableRepresentation, N: int) -> list[int]:
     """[dim R, dim syzygy(R), ..., dim syzygy^N(R)]. R is handled as the
-    direct sum of its coordinate blocks (_blocks), a multiset of blocks,
-    and each distinct block is stepped once per table and prime, in this
-    call or an earlier one (_step_blocks); no syzygy that splits is
-    materialized whole. Refuses to take the syzygy of a representation
+    direct sum of its coordinate blocks (_blocks), a syzygy as {id:
+    multiplicity} over the blocks its table numbers (GradedTable), and each
+    distinct block is stepped once per table and prime, in this call or an
+    earlier one; its children are written once syzygy_rep and _blocks have
+    both returned. No block is hashed again once numbered, and no syzygy
+    that splits is materialized whole. Refuses the syzygy of a module
     whose total dimension is larger than the cap (default 200000, set only
     through the environment variable SYZCX_DIM_CAP), and reports a step
     that runs out of memory the same way; the partial list rides on the
@@ -775,8 +781,7 @@ def dim_sequence(R: TableRepresentation, N: int) -> list[int]:
     if N < 0:
         raise ValueError("N must be >= 0")
     limit = _dim_cap()
-    dims = [R.total_dim]
-    blocks = None
+    T, dims, mults = R.table, [R.total_dim], None
     for _ in range(N):
         if dims[-1] > limit:
             raise DimensionCapExceededError(
@@ -784,16 +789,23 @@ def dim_sequence(R: TableRepresentation, N: int) -> list[int]:
                 f"{limit}; dimensions so far {dims}", dims=dims,
             )
         try:
-            if blocks is None:
-                blocks = _blocks(R)
-            blocks = _step_blocks(blocks)
+            if mults is None:
+                mults = dict(T.intern(_blocks(R)))
+            out: dict[int, int] = {}
+            for i, mult in mults.items():
+                entry = T.blocks[i]
+                if entry[2] is None:
+                    entry[2] = T.intern(_blocks(syzygy_rep(entry[0])))
+                for c, count in entry[2]:
+                    out[c] = out.get(c, 0) + mult * count
+            mults = out
         except MemoryError:
             raise DimensionCapExceededError(
                 f"out of memory taking the syzygy of a representation of "
                 f"dimension {dims[-1]}; dimensions so far {dims}",
                 dims=dims,
             ) from None
-        dims.append(sum(mult * b.total_dim for b, mult in blocks.items()))
+        dims.append(sum(mult * T.blocks[i][1] for i, mult in mults.items()))
     return dims
 
 

@@ -340,6 +340,9 @@ BAD_INPUT_CASES = [
                        "--vertex", "0"], {}, 2, "error[json]"),
     ("dim_cap_not_int", ["oracle", "dims", FIB, "--module", "S1", "-n", "2"],
      {"SYZCX_DIM_CAP": "abc"}, 3, ""),
+    ("dim_cap_negative", ["oracle", "dims", FIB, "--module", "S1", "-n", "3"],
+     {"SYZCX_DIM_CAP": "-1"}, 3,
+     "error[validation_error]: SYZCX_DIM_CAP must be a nonnegative integer"),
     ("dim_cap_partial", ["oracle", "dims", FIB, "--module", "S1", "-n", "20"],
      {"SYZCX_DIM_CAP": "50"}, 4, "[1, 1, 2, 3, 5, 8, 13, 21, 34, 55]"),
     # A multiplicity past any index size: refused before anything is built.
@@ -398,10 +401,11 @@ def test_bad_input_gives_one_error_line(tmp_path, argv, env, code, needle):
 def test_memory_error_in_a_syzygy_step_keeps_the_partial_result(monkeypatch):
     from syzcx import oracle
 
-    # dim_sequence steps each distinct block once, so every step after the
-    # second is memo lookups: fail the fourth step itself, the one that
-    # would give the fifth dimension.
-    steps, real = [], oracle._step_blocks
+    # dim_sequence steps each distinct block once; each syzygy of xyz-local
+    # k meets one new block, so its n-th step calls syzygy_rep once, the
+    # n-th time: fail the fourth step itself, the one that would give the
+    # fifth dimension.
+    steps, real = [], oracle.syzygy_rep
 
     def step(*args):
         steps.append(len(steps))
@@ -409,11 +413,12 @@ def test_memory_error_in_a_syzygy_step_keeps_the_partial_result(monkeypatch):
             raise MemoryError
         return real(*args)
 
-    monkeypatch.setattr(oracle, "_step_blocks", step)
-    rc, out, err = run_cli(["oracle", "dims", FIB, "--module", "S1", "-n", "8"])
-    assert rc == 4 and out == ""
+    monkeypatch.setattr(oracle, "syzygy_rep", step)
+    rc, out, err = run_cli(["oracle", "dims", "--builtin", "xyz-local",
+                            "--module", "k", "-n", "8"])
+    assert rc == 4 and out == "" and len(steps) == 4
     assert err.startswith("error[dimension_cap_exceeded]: out of memory")
-    assert err.count("\n") == 1 and "[1, 1, 2, 3]" in err
+    assert err.count("\n") == 1 and "[1, 4, 11, 29]" in err
 
 
 def test_out_of_memory_gives_one_error_line():

@@ -289,14 +289,23 @@ def test_rref_takes_singleton_columns_as_pivots():
 def test_scatter_matches_the_dense_scatter():
     # Blocks of kernel rows added into target rows, as the syzygy step's
     # generator action, including blocks that collide, whose sums pass p
-    # and may cancel; only the rows a block touches are read.
+    # and may cancel; only the rows a block touches are read. The kernel
+    # stores its pivot rows, in any order, and a free row is read as the
+    # unit row at its coordinate.
     rng = np.random.default_rng(11)
     for p in PRIMES:
         for _ in range(200):
             rows, cols = int(rng.integers(1, 12)), int(rng.integers(1, 6))
+            free = sorted(int(c) for c in rng.choice(np.arange(2, 9), cols,
+                                                     replace=False))
             source = rng.integers(0, p, (9, cols)) * (rng.random((9, cols)) < 0.6)
             source[0] = p - 1
             source[1] = (p - source[0]) % p  # cancels row 0
+            source[free] = np.eye(cols, dtype=source.dtype)
+            pivots = [q for q in range(9) if q not in free]
+            rng.shuffle(pivots)
+            kernel = ({c: f for f, c in enumerate(free)},
+                      {q: sparse_rows(source[q:q + 1])[0] for q in pivots})
             starts = [0]
             while starts[-1] < rows:
                 starts.append(starts[-1] + int(rng.integers(1, 4)))
@@ -307,11 +316,12 @@ def test_scatter_matches_the_dense_scatter():
                     blocks.append((int(rng.integers(0, 10 - c)), b, c))
             blocks.append((0, 0, 1))
             blocks.append((1, 0, 1))
+            blocks.append((free[0], 0, 1))  # a free row onto a cancelled sum
             dense = np.zeros((rows, cols), dtype=np.int64)
             for a, b, c in blocks:
                 dense[b:b + c] += source[a:a + c]
             dense %= p
-            got = _scatter(sparse_rows(source), blocks, p)
+            got = _scatter(kernel, blocks, p)
             for b in range(rows):
                 assert all(v for _, v in got.get(b, ()))
                 assert dict(got.get(b, ())) == {c: v for c, v in
@@ -396,20 +406,22 @@ def _bump(row, c, p):
 def test_membership_check_fires_on_a_corrupted_pivot_row(monkeypatch):
     # The second syzygy step of xyz-local k scatters vectors onto target
     # kernels with pivot rows; one wrong value at a pivot row must be
-    # caught at either prime.
+    # caught at either prime, also at the first pivot row here, whose
+    # stored row is empty and whose scattered row is zero.
     import syzcx.oracle as oracle
 
     for p in PRIMES:
         r = table_rep(xyz_local_table(), "k", p).syzygy()
         corrupted = []
 
-        def check(image, krow, free, pivots, p):
-            if pivots and not corrupted:
-                q = pivots[0]
+        def check(image, kernel, p):
+            if kernel[1] and not corrupted:
+                q = next(iter(kernel[1]))
+                assert kernel[1][q] == [] and not image.get(q)
                 image = dict(image)
                 image[q] = _bump(image.get(q, ()), 0, p)
                 corrupted.append(True)
-            return _in_kernel(image, krow, free, pivots, p)
+            return _in_kernel(image, kernel, p)
 
         monkeypatch.setattr(oracle, "_in_kernel", check)
         with pytest.raises(InternalInconsistencyError):
@@ -420,23 +432,25 @@ def test_membership_check_fires_on_a_corrupted_pivot_row(monkeypatch):
 
 
 def test_membership_check_covers_the_cached_pivot_block(monkeypatch):
-    # Each target kernel's rows are built once per step and shared by every
-    # generator into it. One wrong entry at a pivot row, in a kernel column
-    # where the new action has a nonzero row, must be caught at either
-    # prime.
+    # Each target kernel's pivot rows are built once per step and shared by
+    # every generator into it. One wrong entry at a pivot row, in a kernel
+    # column where the new action has a nonzero row, must be caught at
+    # either prime.
     import syzcx.oracle as oracle
 
     for p in PRIMES:
         r = table_rep(xyz_local_table(), "k", p).syzygy()
         corrupted = []
 
-        def check(image, krow, free, pivots, p):
-            used = [f for f, b in enumerate(free) if image.get(b)]
+        def check(image, kernel, p):
+            pos, pivots = kernel
+            used = [f for c, f in pos.items() if image.get(c)]
             if pivots and used and not corrupted:
-                krow = list(krow)
-                krow[pivots[0]] = _bump(krow[pivots[0]], used[0], p)
+                q = next(iter(pivots))
+                pivots = dict(pivots)
+                pivots[q] = _bump(pivots[q], used[0], p)
                 corrupted.append(True)
-            return _in_kernel(image, krow, free, pivots, p)
+            return _in_kernel(image, (pos, pivots), p)
 
         monkeypatch.setattr(oracle, "_in_kernel", check)
         with pytest.raises(InternalInconsistencyError):
@@ -510,9 +524,9 @@ def test_step_reads_pivot_rows_in_row_order(monkeypatch):
 
     seen = []
 
-    def check(image, krow, free, pivots, p):
-        seen.append(any(image.get(q) for q in pivots))
-        return _in_kernel(image, krow, free, pivots, p)
+    def check(image, kernel, p):
+        seen.append(any(image.get(q) for q in kernel[1]))
+        return _in_kernel(image, kernel, p)
 
     # The whole module is stepped each time, so the check sees the step of
     # M itself, not of the blocks that dim_sequence cuts out of it.
@@ -651,7 +665,7 @@ def test_step_cost_follows_the_support():
     # The steps of S(v0) of copy 0, and the relation check of its
     # representation, read the by-source index only where the module lives,
     # so they visit as many basis elements over eight copies of LINE12 as
-    # over one; and the blocks the memo holds, keys and children, carry as
+    # over one; and the blocks the table numbers, stepped or not, carry as
     # many dims and mats pairs. The counts are of index reads and of pairs,
     # not of time.
     visits = {}
@@ -669,10 +683,9 @@ def test_step_cost_follows_the_support():
 
         T.by_source = Recorded(T.by_source)
         dims = dim_sequence(rep_of(singleton(simple_key(A, "v0_0")), A, P), 8)
-        held = [b for key, children in T.block_memo.items()
-                for b in (key, *(c for c, _ in children))]
-        slots = sum(len(b.dims) + len(b.mats) for b in held)
-        visits[n] = (dims, sum(seen), len(seen), len(T.block_memo), slots)
+        slots = sum(len(b.dims) + len(b.mats) for b, _, _ in T.blocks)
+        stepped = sum(kids is not None for _, _, kids in T.blocks)
+        visits[n] = (dims, sum(seen), len(seen), stepped, slots)
     assert visits[1][0] == [1, 2, 1, 2, 1, 2, 1, 2, 0]
     assert visits[1][1] > 0
     assert visits[1][3] == 8
@@ -1206,6 +1219,43 @@ def test_dim_sequence_matches_the_literal_iteration():
     assert split >= 20
 
 
+def test_interned_blocks_give_the_literal_dimensions():
+    # dim_sequence, which keeps a syzygy as multiplicities of the block ids
+    # of its table, against the literal iteration at both primes: the
+    # simples, projectives and sums with multiplicities of seeded draws,
+    # the KX4 module, and xyz-local k, whose syzygies hold one block many
+    # times. Afterwards
+    # every table holds each block under one id, with its dimension, and
+    # each stepped block's children add up to its syzygy's dimension.
+    algebras = random_monomial_algebras(59, 10)
+    tables, checked = set(), 0
+    for p in PRIMES:
+        cases = [table_rep(xyz_local_table(), "k", p), kx4_module(p)]
+        for A in algebras:
+            keys = [f(A, v) for v in A.quiver.vertices
+                    for f in (simple_key, projective_key)]
+            cases += [rep_of(singleton(key), A, p) for key in keys]
+            cases.append(rep_of(module_expr(
+                [(key, i % 3 + 1) for i, key in enumerate(keys)]), A, p))
+        for R in cases:
+            want = literal_dims(R, 7, bound=2000)
+            assert dim_sequence(R, len(want) - 1) == want
+            tables.add(R.table)
+            checked += 1
+    assert checked > 150
+    repeated = 0
+    for T in tables:
+        assert len(T.block_ids) == len(T.blocks)
+        assert len({b for b, _, _ in T.blocks}) == len(T.blocks)
+        for i, (b, dim, kids) in enumerate(T.blocks):
+            assert T.block_ids[b] == i and dim == b.total_dim and b.table is T
+            if kids is not None:
+                assert sum(n * T.blocks[c][1] for c, n in kids) == \
+                    syzygy_rep(b).total_dim
+                repeated += any(n > 1 for _, n in kids)
+    assert repeated >= 5
+
+
 def test_blocks_are_the_direct_summands_in_order():
     # The two KX3 blocks are found on interleaved coordinates, renumbered in
     # order, their column entries sorted; the KX4 module is one block, and
@@ -1270,7 +1320,7 @@ def test_crosscheck_mixed_module(fib):
 
 def test_crosscheck_compiles_each_table_once(monkeypatch):
     # Two algebras crosschecked alternately keep one table each, and the
-    # table, with the block memo the crosschecks filled, goes with its
+    # table, with the blocks the crosschecks numbered, goes with its
     # algebra.
     import syzcx.oracle as oracle
 
@@ -1297,15 +1347,15 @@ def test_crosscheck_compiles_each_table_once(monkeypatch):
     monkeypatch.undo()
     refs = [ref for held in tables.values() for ref in held.values()]
     assert len(refs) == 2 and all(ref() is not None for ref in refs)
-    assert all(ref().block_memo for ref in refs)
+    assert all(ref().blocks for ref in refs)
     del algebras, A
     gc.collect()
     assert all(ref() is None for ref in refs)
-    # A compile_table table, memo and all, goes with its representation.
+    # A compile_table table, blocks and all, goes with its representation.
     R = table_rep(xyz_local_table(), "k", P)
     assert dim_sequence(R, 6) == xyz_local_expected_dims(6)
     ref = weakref.ref(R.table)
-    assert ref().block_memo
+    assert ref().blocks
     del R
     gc.collect()
     assert ref() is None
@@ -1314,9 +1364,10 @@ def test_crosscheck_compiles_each_table_once(monkeypatch):
 def test_block_memo_steps_each_distinct_block_once_per_table_and_prime(
         monkeypatch):
     # Crosschecks of every simple of one benchmark family draw share the
-    # block memo of the algebra's table: over all calls syzygy_rep sees
+    # blocks the algebra's table numbers: over all calls syzygy_rep sees
     # each distinct block once, at each prime apart, and a second round
-    # steps nothing and gives the same sequences.
+    # steps nothing and gives the same sequences. The blocks each sequence
+    # met, step by step, are read back off the ids and children it left.
     import syzcx.oracle as oracle
 
     gen = family_gen()
@@ -1324,15 +1375,11 @@ def test_block_memo_steps_each_distinct_block_once_per_table_and_prime(
     A = make_algebra(gen.algebra_text("fam", alg))
     T = compile_paths(A)
     calls, stepped = [], []
-    sequence, step = oracle.dim_sequence, oracle._step_blocks
+    sequence = oracle.dim_sequence
 
     def counted_sequence(R, N):
-        calls.append((R.p, []))
+        calls.append((R, N))
         return sequence(R, N)
-
-    def counted_step(blocks):
-        calls[-1][1].extend(blocks)
-        return step(blocks)
 
     def counted(R):
         assert _blocks(R) == {R: 1}
@@ -1340,32 +1387,71 @@ def test_block_memo_steps_each_distinct_block_once_per_table_and_prime(
         return syzygy_rep(R)
 
     monkeypatch.setattr(oracle, "dim_sequence", counted_sequence)
-    monkeypatch.setattr(oracle, "_step_blocks", counted_step)
     monkeypatch.setattr(oracle, "syzygy_rep", counted)
     simples = [singleton(simple_key(A, v)) for v in A.quiver.vertices]
     reports = [crosscheck(A, M, 10) for M in simples]
     assert all(r.agree for r in reports)
-    assert [p for p, _ in calls] == list(PRIMES) * len(simples)
-    for p, met in calls:
-        assert all(b.table is T and b.p == p for b in met)
-    met = [b for _, blocks in calls for b in blocks]
+    assert [R.p for R, _ in calls] == list(PRIMES) * len(simples)
+    met = []
+    for R, N in calls:
+        mults = {T.block_ids[b]: n for b, n in _blocks(R).items()}
+        for _ in range(N):
+            blocks = [T.blocks[i][0] for i in mults]
+            assert all(b.table is T and b.p == R.p for b in blocks)
+            met += blocks
+            out = {}
+            for i, mult in mults.items():
+                for c, count in T.blocks[i][2]:
+                    out[c] = out.get(c, 0) + mult * count
+            mults = out
     assert len(stepped) == len(set(stepped)) and set(stepped) == set(met)
     assert {b.p for b in stepped} == set(PRIMES)
     assert len(met) > 10 * len(stepped)
-    assert set(T.block_memo) == set(stepped)
-    for key, children in T.block_memo.items():
-        assert all(c.table is key.table and c.p == key.p for c, _ in children)
+    assert {b for b, _, kids in T.blocks if kids is not None} == set(stepped)
+    for b, _, kids in T.blocks:
+        assert all(T.blocks[c][0].table is b.table and T.blocks[c][0].p == b.p
+                   for c, _ in kids or ())
     first = len(stepped)
     assert [crosscheck(A, M, 10) for M in simples] == reports
     assert len(stepped) == first
 
 
+def test_benchmark_oracle_pass_takes_at_most_166_steps(monkeypatch):
+    # The bound of the CI guard on the traced oracle pass at seed 1
+    # (oracle.syzygy_steps <= 166), counted without the tracer over the
+    # same inputs: xyz-local k stepped xyz_n times at each prime, then the
+    # crosscheck of every simple of each family draw at its depth, whose
+    # block steps call syzygy_rep.
+    import syzcx.oracle as oracle
+
+    inputs = family_gen().make_inputs("oracle", 1)
+    assert inputs["primes"] == len(PRIMES)
+    steps = []
+
+    def counted(R):
+        steps.append(R)
+        return syzygy_rep(R)
+
+    monkeypatch.setattr(oracle, "syzygy_rep", counted)
+    for p in PRIMES:
+        R = table_rep(xyz_local_table(), "k", p)
+        for _ in range(inputs["xyz_n"]):
+            R = counted(R)
+    assert len(steps) == 2 * inputs["xyz_n"] == 14
+    for fam in inputs["algebras"]:
+        A = make_algebra(fam["text"])
+        for simple in fam["simples"]:
+            M = resolve_module(A, simple["module"])
+            assert crosscheck(A, M, simple["depth"]).agree
+    assert len(steps) <= 166
+
+
 @pytest.mark.parametrize("k", [1, 4])
 def test_a_failed_block_step_leaves_no_memo_entry(monkeypatch, k):
     # syzygy_rep runs out of memory on the k-th block step: the error
-    # carries the partial dimensions, the memo holds the k - 1 blocks
-    # stepped before and not the failed one, and the next sequence over
-    # the same algebra is that of a freshly validated copy.
+    # carries the partial dimensions, the table holds children for the
+    # k - 1 blocks stepped before and not for the failed one, and the next
+    # sequence over the same algebra is that of a freshly validated copy.
     import syzcx.oracle as oracle
 
     gen = family_gen()
@@ -1384,9 +1470,9 @@ def test_a_failed_block_step_leaves_no_memo_entry(monkeypatch, k):
     with pytest.raises(DimensionCapExceededError) as err:
         dim_sequence(rep_of(M, A, P), 10)
     monkeypatch.undo()
-    memo = compile_paths(A).block_memo
-    assert len(seen) == k and seen[-1] not in memo
-    assert set(memo) == set(seen[:-1])
+    done = [b for b, _, kids in compile_paths(A).blocks if kids is not None]
+    assert len(seen) == k and seen[-1] not in done
+    assert set(done) == set(seen[:-1])
     fresh = make_algebra(text)
     want = dim_sequence(rep_of(M, fresh, P), 10)
     assert err.value.dims == want[:len(err.value.dims)]
