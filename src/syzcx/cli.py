@@ -112,8 +112,6 @@ def _parse_coeffs(text: str) -> list[int]:
 
 
 def _poly_display(p: IntPolynomial) -> str:
-    if p.is_zero:
-        return "0"
     parts = []
     for i in range(p.degree, -1, -1):
         c = p.coeffs[i]

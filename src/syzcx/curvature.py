@@ -241,8 +241,6 @@ def check_condition_c(p: IntPolynomial,
     while f.coeffs[0] == 0:
         f = f.div_exact(poly(0, 1))
     if sign == 0:
-        if f.degree == 0:
-            return CurvatureVerdict("realizable", best, "the zero base", irr)
         return CurvatureVerdict(
             "not_realizable", None,
             "a nonzero conjugate dominates the candidate 0", irr,

@@ -31,7 +31,7 @@ same few small blocks, and no syzygy that splits is materialized whole.
 from __future__ import annotations
 
 import os
-from functools import cached_property, lru_cache
+from functools import cached_property
 from itertools import count, filterfalse, zip_longest
 from typing import NamedTuple
 
@@ -313,38 +313,28 @@ def _path_table(A: MonomialAlgebra) -> GradedTable:
 class AlgebraTable(NamedTuple):
     """Finite-dimensional algebra given by a basis-multiplicative table:
     the product of two basis elements is a basis element or zero
-    (table entry -1). Only local tables (a single idempotent that is a
-    two-sided identity) are supported."""
+    (table entry -1). Only local tables are supported: one basis element is
+    a two-sided identity, and every other one is nilpotent."""
 
     name: str
     basis: tuple[str, ...]
     table: tuple[tuple[int, ...], ...]
-    idempotents: tuple[int, ...]
 
-    def product(self, i: int, j: int) -> int:
-        return self.table[i][j]
-
-    @property
-    def dim(self) -> int:
-        return len(self.basis)
-
-    def check(self):
-        n = self.dim
-        if len(self.idempotents) != 1:
-            raise ValidationError("only local multiplication tables are supported")
-        e = self.idempotents[0]
-        if self.product(e, e) != e:
-            raise ValidationError("the idempotent is not idempotent")
-        for i in range(n):
-            if self.product(e, i) != i or self.product(i, e) != i:
-                raise ValidationError("the idempotent is not a two-sided identity")
+    def check(self) -> int:
+        """The index of the identity, once the table is checked to have one,
+        to be associative and to be local, which on a multiplicative basis
+        means that every other basis element is nilpotent."""
+        t, n = self.table, len(self.basis)
+        e = next((e for e in range(n)
+                  if all(t[e][i] == i == t[i][e] for i in range(n))), None)
+        if e is None:
+            raise ValidationError("the table has no two-sided identity")
         for i in range(n):
             for j in range(n):
                 for k in range(n):
-                    ij = self.product(i, j)
-                    jk = self.product(j, k)
-                    left = self.product(ij, k) if ij >= 0 else -1
-                    right = self.product(i, jk) if jk >= 0 else -1
+                    ij, jk = t[i][j], t[j][k]
+                    left = t[ij][k] if ij >= 0 else -1
+                    right = t[i][jk] if jk >= 0 else -1
                     if left != right:
                         raise ValidationError(
                             f"table is not associative at "
@@ -357,42 +347,40 @@ class AlgebraTable(NamedTuple):
             for _ in range(n + 1):
                 if power == -1:
                     break
-                power = self.product(power, i)
+                power = t[power][i]
             if power != -1:
                 raise ValidationError(
                     f"basis element {self.basis[i]} is not nilpotent"
                 )
-
-    @property
-    def radical_indices(self) -> tuple[int, ...]:
-        return tuple(i for i in range(self.dim) if i not in self.idempotents)
+        return e
 
 
 def compile_table(t: AlgebraTable) -> GradedTable:
-    """A local table as a graded table with one vertex. The generators are
-    the radical elements that are not a product of two radical elements;
-    the basis is renumbered in breadth-first order from the identity, so
-    that parents come first."""
-    rad = t.radical_indices
-    products = {t.product(a, b) for a in rad for b in rad}
+    """A local table, checked, as a graded table with one vertex. The
+    generators are the radical elements that are not a product of two
+    radical elements; the basis is renumbered in breadth-first order from
+    the identity, so that parents come first."""
+    e = t.check()
+    rad = [i for i in range(len(t.basis)) if i != e]
+    products = {t.table[a][b] for a in rad for b in rad}
     gens = [i for i in rad if i not in products]
-    order = [t.idempotents[0]]
-    parent = {order[0]: None}
+    order = [e]
+    parent = {e: None}
     products_of = []
     for j in order:
         products_of.append([(k, jg) for k, jg in enumerate(
-            t.product(j, g) for g in gens) if jg >= 0])
+            t.table[j][g] for g in gens) if jg >= 0])
         for k, jg in products_of[-1]:
             if jg not in parent:
                 parent[jg] = (j, k)
                 order.append(jg)
-    if len(order) != t.dim:
+    if len(order) != len(t.basis):
         raise ValidationError("the radical generators do not span the table")
     pos = {j: i for i, j in enumerate(order)}
     return GradedTable(
         basis=tuple(t.basis[j] for j in order),
-        vertices=(t.basis[order[0]],),
-        ends=((0, 0),) * t.dim,
+        vertices=(t.basis[e],),
+        ends=((0, 0),) * len(order),
         gens=tuple(pos[g] for g in gens),
         parent=tuple(None if parent[j] is None
                      else (pos[parent[j][0]], parent[j][1]) for j in order),
@@ -401,7 +389,6 @@ def compile_table(t: AlgebraTable) -> GradedTable:
     )
 
 
-@lru_cache(maxsize=None)
 def xyz_local_table() -> AlgebraTable:
     """k[X,Y,Z] / (X^2, Y^2, Z^2, XZ, YZ): basis 1, x, y, z, xy."""
     basis = ("1", "x", "y", "z", "xy")
@@ -411,9 +398,7 @@ def xyz_local_table() -> AlgebraTable:
         t[0][i] = i
         t[i][0] = i
     t[1][2] = t[2][1] = 4  # x*y = y*x = xy
-    table = AlgebraTable("xyz-local", basis, tuple(tuple(r) for r in t), (0,))
-    table.check()
-    return table
+    return AlgebraTable("xyz-local", basis, tuple(tuple(r) for r in t))
 
 
 BUILTIN_TABLE_IDS = ("xyz-local",)

@@ -255,8 +255,6 @@ def compare_algebraic(r1: AlgebraicReal, r2: AlgebraicReal) -> int:
             return -1
         if b.hi < a.lo:
             return 1
-        if a.lo == a.hi and b.lo == b.hi:
-            return -1 if a.lo < b.lo else 1
         if a.hi - a.lo >= b.hi - b.lo:
             a = a.refined((a.hi - a.lo) / 16)
         else:

@@ -2,6 +2,7 @@
 seeded generator of radical-square-zero algebras (every length-2 path a
 relation)."""
 
+import importlib
 import os
 import random
 import subprocess
@@ -98,16 +99,19 @@ def clear_caches():
                     fn.cache_clear()
 
 
-def family_gen():
-    """The benchmark's seeded algebra generator (perfbench/gen.py), imported
-    read-only."""
+def perfbench_module(name):
+    """A module of the benchmark (perfbench/), imported read-only."""
     here = str(Path(__file__).resolve().parents[1] / "perfbench")
     sys.path.insert(0, here)
     try:
-        import gen
+        return importlib.import_module(name)
     finally:
         sys.path.remove(here)
-    return gen
+
+
+def family_gen():
+    """The benchmark's seeded algebra generator (perfbench/gen.py)."""
+    return perfbench_module("gen")
 
 
 def run_python(code, timeout=60):

@@ -116,6 +116,18 @@ def test_assume_irreducible_bypasses_factoring():
     assert v.irreducibility == "assumed"
 
 
+def test_assumed_irreducible_factor_loses_its_root_zero():
+    # x^3 - x^2 - x = x (x^2 - x - 1): judged on x^2 - x - 1 once x is split
+    # off, b is the golden ratio.
+    v = check_condition_c(poly(0, -1, -1, 1), assume_irreducible=True)
+    assert v.status == "realizable"
+    assert abs(v.b.as_float() - PHI) < 1e-9
+    # x^3 + x = x (x^2 + 1): the largest real root is 0, and i exceeds it.
+    v = check_condition_c(poly(0, 1, 0, 1), assume_irreducible=True)
+    assert v.status == "not_realizable" and v.b is None
+    assert v.reason == "a nonzero conjugate dominates the candidate 0"
+
+
 def test_verdict_json():
     doc = check_condition_c(GOLDEN).to_json()
     assert doc["status"] == "realizable"

@@ -197,8 +197,7 @@ def test_no_unbounded_cache():
 
 # Every function memo of the package, as module.function: a new memo fails
 # the test below until it is listed here on purpose.
-FUNCTION_MEMOS = {"oracle.xyz_local_table",
-                  "polynomials.count_real_roots_open",
+FUNCTION_MEMOS = {"polynomials.count_real_roots_open",
                   "polynomials.squarefree_part", "spectra.perron_root"}
 
 

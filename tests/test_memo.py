@@ -28,7 +28,8 @@ from syzcx.syzygy import (module_expr, projective_key, resolve_module,
                           simple_key, singleton)
 
 from conftest import (FIB_TEXT, clear_caches, family_gen, make_algebra,
-                      random_monomial_algebras, random_monomial_texts)
+                      perfbench_module, random_monomial_algebras,
+                      random_monomial_texts)
 
 # FIB_TEXT's quiver with g.g allowed: the same vertex and arrow names, hence
 # the same CyclicKeys, but other syzygies.
@@ -386,6 +387,66 @@ def test_perron_roots_of_a_large_draw_build_chains_only_where_needed(
         points += r.lo == r.hi
     assert max(r.poly.degree for r in roots) == 160
     assert calls["gcd"] <= not_squarefree and calls["isolate"] <= points
+
+
+def _benchmark_pass_counts(monkeypatch, workload) -> Counter:
+    """The counts behind the CI guards on a traced benchmark pass at seed 1,
+    taken without the tracer: the pass (perfbench/queries.py) runs its
+    queries in its own order on emptied function memos, and each count
+    wraps the function that its span wraps. A condensation counts only
+    inside module_complexity, whose algebras are counted too."""
+    queries = perfbench_module("queries")
+    clear_caches()
+    calls, algebras, open_calls = Counter(), {}, []
+
+    def counted(name, fn, inside=False):
+        def call(*args):
+            if open_calls or not inside:
+                calls[name] += 1
+            return fn(*args)
+        return call
+
+    def classed(A, M, fn=complexity.module_complexity):
+        algebras[id(A)] = A  # kept, so that no id is reused
+        open_calls.append(A)
+        try:
+            return fn(A, M)
+        finally:
+            open_calls.pop()
+
+    monkeypatch.setattr(polynomials, "isolate_largest_real_root", counted(
+        "isolate", polynomials.isolate_largest_real_root))
+    monkeypatch.setattr(spectra, "char_poly",
+                        counted("char_poly", spectra.char_poly))
+    monkeypatch.setattr(complexity, "scc_condense", counted(
+        "condense", complexity.scc_condense, inside=True))
+    monkeypatch.setattr(complexity, "module_complexity", classed)
+    run = queries.run_pass(workload, family_gen().make_inputs(workload, 1),
+                           syzcx, None, {})
+    monkeypatch.undo()
+    assert [q for q in run["queries"] if "error" in q] == []
+    calls["algebras"] = len(algebras)
+    return calls
+
+
+def test_benchmark_classify_pass_isolates_at_most_5_roots(monkeypatch):
+    # The CI guard polynomials.isolate_calls <= 5 (5 today): perron_root
+    # leaves to the isolation only the roots that end a cell, 0 and 1.
+    counts = _benchmark_pass_counts(monkeypatch, "classify")
+    assert counts["isolate"] <= 5
+
+
+def test_benchmark_realize_pass_stays_within_its_guards(monkeypatch):
+    # The CI guards complexity.condense_per_algebra <= 8 (5.0 today),
+    # spectra.char_poly_calls <= 4 and polynomials.isolate_calls <= 4 (4
+    # and 4 today): the box's simples after the first of each level are
+    # class memo lookups, its levels share one Perron root, and every
+    # largest_real_root tries the certified cell first.
+    counts = _benchmark_pass_counts(monkeypatch, "realize")
+    assert counts["algebras"] == 1
+    assert counts["condense"] / counts["algebras"] <= 8
+    assert counts["char_poly"] <= 4
+    assert counts["isolate"] <= 4
 
 
 def test_sturm_count_memo_changes_no_class(monkeypatch):

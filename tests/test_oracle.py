@@ -491,7 +491,7 @@ def _rightmost_rref(rows, cols, p):
 # xm, x^2 m, x^3 m, n and xn = x^2 m, which is one coordinate block.
 KX4 = AlgebraTable("kx4", ("1", "x", "x2", "x3"),
                    tuple(tuple(i + j if i + j < 4 else -1 for j in range(4))
-                         for i in range(4)), (0,))
+                         for i in range(4)))
 KX4_XN_X2M = (((1, 1),), ((2, 1),), ((3, 1),), (), ((2, 1),))
 
 
@@ -702,7 +702,7 @@ def _scanned_products(T, A=None, table=None) -> list:
         index = {name: i for i, name in enumerate(table.basis)}
 
         def product(j, g):
-            i = table.product(index[T.basis[j]], index[T.basis[g]])
+            i = table.table[index[T.basis[j]]][index[T.basis[g]]]
             return at[table.basis[i]] if i >= 0 else -1
 
         return [[product(j, g) for j in range(len(T.basis))] for g in T.gens]
@@ -906,19 +906,16 @@ def test_compile_paths_matches_the_arrow_tuple_lookup():
 def test_xyz_table_shape():
     t = xyz_local_table()
     assert t.basis == ("1", "x", "y", "z", "xy")
-    assert t.dim == 5
-    assert t.radical_indices == (1, 2, 3, 4)
     i = {b: k for k, b in enumerate(t.basis)}
-    assert t.product(i["x"], i["y"]) == i["xy"]
-    assert t.product(i["y"], i["x"]) == i["xy"]
-    assert t.product(i["x"], i["x"]) == -1
-    assert t.product(i["x"], i["z"]) == -1
-    t.check()
+    assert t.table[i["x"]][i["y"]] == i["xy"]
+    assert t.table[i["y"]][i["x"]] == i["xy"]
+    assert t.table[i["x"]][i["x"]] == -1
+    assert t.table[i["x"]][i["z"]] == -1
+    assert t.check() == 0
 
 
 # 1, x, y with x*x = y and everything longer zero: k[x]/(x^3).
-KX3 = AlgebraTable("kx3", ("1", "x", "y"), ((0, 1, 2), (1, 2, -1), (2, -1, -1)),
-                   (0,))
+KX3 = AlgebraTable("kx3", ("1", "x", "y"), ((0, 1, 2), (1, 2, -1), (2, -1, -1)))
 
 
 def test_table_check_accepts_truncated_polynomial_ring():
@@ -946,8 +943,7 @@ def test_table_and_path_compilations_agree(loop3):
 
 # 1, x, y, w with x*x = x*y = y*x = y*y = w: a table whose products collide.
 XXW = AlgebraTable("xxw", ("1", "x", "y", "w"),
-                   ((0, 1, 2, 3), (1, 3, 3, -1), (2, 3, 3, -1), (3, -1, -1, -1)),
-                   (0,))
+                   ((0, 1, 2, 3), (1, 3, 3, -1), (2, 3, 3, -1), (3, -1, -1, -1)))
 
 
 def test_colliding_table_products_accumulate():
@@ -969,16 +965,43 @@ def test_table_check_rejects_non_associative():
     bad = AlgebraTable(
         "bad", ("1", "x", "y"),
         ((0, 1, 2), (1, 2, 1), (2, -1, -1)),
-        (0,),
     )
     with pytest.raises(ValidationError):
         bad.check()
 
 
 def test_table_check_requires_local():
-    two = AlgebraTable("e2", ("e", "f"), ((0, -1), (-1, 1)), (0, 1))
-    with pytest.raises(ValidationError):
+    # Two orthogonal idempotents have no two-sided identity; beside an
+    # identity, a second idempotent e (e*e = e) is not nilpotent.
+    two = AlgebraTable("e2", ("e", "f"), ((0, -1), (-1, 1)))
+    with pytest.raises(ValidationError, match="no two-sided identity"):
         two.check()
+    idem = AlgebraTable("1e", ("1", "e"), ((0, 1), (1, 1)))
+    with pytest.raises(ValidationError, match="e is not nilpotent"):
+        idem.check()
+
+
+def test_table_rep_checks_the_table():
+    # 1, x, y, z with x*x = y, y*x = z and every other radical product 0:
+    # x generates and spans the table, but (x*x)*x = z and x*(x*x) = 0.
+    t = AlgebraTable("xyz-chain", ("1", "x", "y", "z"),
+                     ((0, 1, 2, 3), (1, 2, -1, -1), (2, 3, -1, -1),
+                      (3, -1, -1, -1)))
+    for p in PRIMES:
+        with pytest.raises(ValidationError, match="not associative"):
+            table_rep(t, "k", p)
+
+
+def test_table_identity_is_found_anywhere_in_the_basis():
+    # k[x]/(x^3) on the basis x, 1, x^2: the identity is index 1.
+    t = AlgebraTable("kx3-shuffled", ("x", "1", "y"),
+                     ((2, 0, -1), (0, 1, 2), (-1, 2, -1)))
+    assert t.check() == 1
+    assert compile_table(t).basis == KX3.basis
+    for p in PRIMES:
+        for module in ("k", "regular"):
+            assert (dim_sequence(table_rep(t, module, p), 6)
+                    == dim_sequence(table_rep(KX3, module, p), 6))
 
 
 def test_builtin_tables():

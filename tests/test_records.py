@@ -77,7 +77,7 @@ RECORDS = {
         FIB, resolve_module(FIB, "S1")),
     CurvatureVerdict: lambda: check_condition_c(poly(-1, -1, 1)),
     AlgebraTable: lambda: AlgebraTable(
-        "kx2", ("1", "x"), ((0, 1), (1, -1)), (0,)),
+        "kx2", ("1", "x"), ((0, 1), (1, -1))),
     CrosscheckReport: lambda: CrosscheckReport((1, 2), (1, 3), False, 1),
     TableRepresentation: lambda: rep_of(
         resolve_module(FIB, "Mix"), FIB, PRIMES[0]),
