@@ -6,7 +6,7 @@ strongly connected components with exact Perron roots (`spectra`), and read
 off the poly-exponential growth class (`complexity`). `curvature` decides
 which bases are realizable and constructs witnesses; `oracle` is the
 brute-force linear-algebra ground truth; `cli` is the command-line surface.
-`graph` holds the component and reachability traversals they share, and
+`graph` holds the strongly connected component traversal they share, and
 `errors` the exception hierarchy.
 
 Every public function or class of these modules is also `syzcx.<name>`,

@@ -242,8 +242,9 @@ class MonomialAlgebra:
     - `class_memo` maps each CyclicKey that a syzygy quiver has classed to a
       (Condensation, vertex) pair; complexity.module_complexity fills it and
       reads the class off it with vertex_complexity;
-    - `path_table` is the oracle's path table, with its block memo, or None
-      until oracle.compile_paths builds it.
+    - `path_table` is the oracle's path table, with the blocks it has
+      numbered (GradedTable.blocks), or None until oracle.compile_paths
+      builds it.
     """
 
     def __init__(self, name, quiver, relations, modules):

@@ -208,7 +208,7 @@ def module_complexity(A: MonomialAlgebra, M: ModuleExpr) -> ModuleComplexityRepo
     cond = scc_condense(*quiver.digraph(), quiver.labels)
     for i, ci in enumerate(cond.vertex_component):
         if not cond.mixed[ci]:
-            memo.setdefault(quiver.key_at(i), (cond, i))
+            memo.setdefault(quiver.labels[i], (cond, i))
     return _report_for(reduce(join, (vertex_complexity(cond, i)
                                      for i, _ in quiver.start)))
 

@@ -88,10 +88,6 @@ class TrailingZeroError(MathPreconditionError):
     code = "trailing_zero"
 
 
-class FiniteProjectiveDimensionError(MathPreconditionError):
-    code = "finite_projective_dimension"
-
-
 class InvalidPartialError(ValidationError):
     code = "invalid_partial"
 

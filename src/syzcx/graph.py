@@ -1,4 +1,4 @@
-"""Digraph traversals shared by the symbolic pipeline.
+"""Strongly connected components, shared by the symbolic pipeline.
 
 A digraph on vertices 0..n-1 is given by its successor lists: succ[v] lists
 the heads of the edges leaving v, parallel edges repeated.
@@ -62,14 +62,3 @@ def tarjan(succ) -> list[list[int]]:
                 comps.append(members)
     return comps
 
-
-def reachable(succ, starts) -> set[int]:
-    """Vertices reachable from any of `starts`, the starts included."""
-    seen = set(starts)
-    work = list(seen)
-    while work:
-        for w in succ[work.pop()]:
-            if w not in seen:
-                seen.add(w)
-                work.append(w)
-    return seen

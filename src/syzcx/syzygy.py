@@ -22,12 +22,7 @@ from operator import mul
 from typing import NamedTuple
 
 from .algebra import MonomialAlgebra, Path, PathZero
-from .errors import (
-    FiniteProjectiveDimensionError,
-    InvalidPartialError,
-    ZeroPathError,
-)
-from .graph import reachable, tarjan
+from .errors import InvalidPartialError, ZeroPathError
 
 
 class CyclicKey(NamedTuple):
@@ -107,10 +102,6 @@ def module_expr(pairs) -> ModuleExpr:
             acc[key] = acc.get(key, 0) + mult
     items = sorted(acc.items(), key=lambda kv: kv[0].sort_key())
     return ModuleExpr(tuple(items))
-
-
-def singleton(key: CyclicKey) -> ModuleExpr:
-    return ModuleExpr(((key, 1),))
 
 
 # -- canonical keys ----------------------------------------------------------
@@ -201,25 +192,18 @@ def syzygy_key(key: CyclicKey, A: MonomialAlgebra) -> ModuleExpr:
     return syz
 
 
-def syzygy_step(M: ModuleExpr, A: MonomialAlgebra) -> ModuleExpr:
-    """First syzygy of a direct sum, additively."""
-    return module_expr((k, c * mult) for key, mult in M.terms
-                       for k, c in syzygy_key(key, A).terms)
-
-
 class SyzygyQuiver(NamedTuple):
-    """Finite syzygy quiver: vertex labels are module expressions (single
-    CyclicKeys for built and loaded quivers, sums after `sinkfree_reduce`),
-    `arrows` lists one entry per multiplicity and is what every reader walks,
-    and `start` records the starting module's vertices with multiplicities.
+    """Finite syzygy quiver: each vertex is one cyclic module, labelled by
+    its CyclicKey; `arrows` lists one entry per multiplicity and is what
+    every reader walks, and `start` records the starting module's vertices
+    with multiplicities.
 
     When `partial` is false, each vertex's out-neighbor multiset equals the
     decomposition of the syzygy of its label; when true it is only a
-    sub-multiset (user-supplied truncations). JSON export needs single-key
-    labels."""
+    sub-multiset (user-supplied truncations)."""
 
     algebra: MonomialAlgebra
-    labels: tuple[ModuleExpr, ...]
+    labels: tuple[CyclicKey, ...]
     arrows: tuple[tuple[int, int], ...]
     start: tuple[tuple[int, int], ...] = ()
     partial: bool = False
@@ -228,15 +212,9 @@ class SyzygyQuiver(NamedTuple):
     def n_vertices(self) -> int:
         return len(self.labels)
 
-    def key_at(self, i: int) -> CyclicKey:
-        terms = self.labels[i].terms
-        if len(terms) == 1 and terms[0][1] == 1:
-            return terms[0][0]
-        raise ValueError(f"vertex {i} does not carry a single cyclic module")
-
     @property
     def dims(self) -> tuple[int, ...]:
-        return tuple(expr_dimension(lb, self.algebra) for lb in self.labels)
+        return tuple(key_dimension(k, self.algebra) for k in self.labels)
 
     def digraph(self) -> tuple[int, list[tuple[int, int]]]:
         return self.n_vertices, list(self.arrows)
@@ -246,13 +224,10 @@ class SyzygyQuiver(NamedTuple):
         multiplicities, grouped in one pass over the arrows."""
         terms: list[list] = [[] for _ in self.labels]
         for a, b in self.arrows:
-            terms[a].extend(self.labels[b].terms)
+            terms[a].append((self.labels[b], 1))
         return [module_expr(t) for t in terms]
 
     def to_json(self) -> dict:
-        """The exported schema; a label that is not a single cyclic module
-        raises key_at's ValueError."""
-        keys = [self.key_at(i) for i in range(self.n_vertices)]
         return {
             "algebra": self.algebra.name,
             "partial": self.partial,
@@ -260,7 +235,7 @@ class SyzygyQuiver(NamedTuple):
             "vertices": [
                 {"id": i, "vertex": key.vertex,
                  "killers": [k.literal() for k in key.killers], "dim": dim}
-                for i, (key, dim) in enumerate(zip(keys, self.dims))
+                for i, (key, dim) in enumerate(zip(self.labels, self.dims))
             ],
             "arrows": [{"from": a, "to": b} for a, b in self.arrows],
         }
@@ -269,8 +244,8 @@ class SyzygyQuiver(NamedTuple):
         if not self.labels:
             return "digraph G {}\n"
         lines = ["digraph G {"]
-        for i, lb in enumerate(self.labels):
-            lines.append(f'  n{i} [label="{lb.label()}"];')
+        for i, key in enumerate(self.labels):
+            lines.append(f'  n{i} [label="{key.label()}"];')
         for a, b in self.arrows:
             lines.append(f"  n{a} -> n{b};")
         lines.append("}")
@@ -302,8 +277,7 @@ def build_syzygy_quiver(M: ModuleExpr, A: MonomialAlgebra) -> SyzygyQuiver:
             j = vid(k2)
             arrows.extend([(qi, j)] * m)
         qi += 1
-    labels = tuple(singleton(k) for k in order)
-    return SyzygyQuiver(A, labels, tuple(arrows), start, partial=False)
+    return SyzygyQuiver(A, tuple(order), tuple(arrows), start, partial=False)
 
 
 def quiver_dim_sequence(Q: SyzygyQuiver, N: int) -> list[int]:
@@ -325,59 +299,6 @@ def quiver_dim_sequence(Q: SyzygyQuiver, N: int) -> list[int]:
     return out
 
 
-# -- sink-free reduction -----------------------------------------------------
-
-def sinkfree_reduce(Q: SyzygyQuiver, v: int) -> tuple[SyzygyQuiver, int]:
-    """Delete sinks until none remain, keeping the complexity class at v.
-
-    Each round deletes every sink, relabels each survivor by its syzygy, and
-    prepends a fresh chain vertex carrying the label the tracked vertex had
-    before the round; the chain re-creates the deleted syzygy steps, so the
-    growth class at the returned carrier equals that of v in Q. Requires some
-    cycle to be reachable from v; otherwise the module has finite projective
-    dimension and the iteration would erase the quiver."""
-    n = Q.n_vertices
-    if not 0 <= v < n:
-        raise ValueError(f"vertex {v} not in quiver")
-    succ: list[list[int]] = [[] for _ in range(n)]
-    for a, b in Q.arrows:
-        succ[a].append(b)
-    on_cycle = {x for comp in tarjan(succ) if len(comp) > 1 for x in comp}
-    if not any(x in on_cycle or x in succ[x] for x in reachable(succ, (v,))):
-        raise FiniteProjectiveDimensionError(
-            "no cycle is reachable: the module has finite projective dimension"
-        )
-    labels: list[ModuleExpr] = list(Q.labels)
-    arrows: list[tuple[int, int]] = list(Q.arrows)
-    alive = set(range(n))
-    carrier = v
-    while True:
-        with_out = {a for a, _ in arrows}
-        sinks = {x for x in alive if x not in with_out}
-        if not sinks:
-            break
-        survivors = alive - sinks
-        fresh = len(labels)
-        labels.append(labels[carrier])
-        for w in survivors:
-            labels[w] = syzygy_step(labels[w], Q.algebra)
-        arrows = [(a, b) for a, b in arrows
-                  if a in survivors and b in survivors]
-        arrows.append((fresh, carrier))
-        alive = survivors | {fresh}
-        carrier = fresh
-
-    keep = sorted(alive)
-    remap = {old: i for i, old in enumerate(keep)}
-    new_labels = tuple(labels[old] for old in keep)
-    new_arrows = tuple((remap[a], remap[b]) for a, b in arrows)
-    reduced = SyzygyQuiver(
-        Q.algebra, new_labels, new_arrows,
-        start=((remap[carrier], 1),), partial=False,
-    )
-    return reduced, remap[carrier]
-
-
 # -- partial syzygy quivers --------------------------------------------------
 
 def _is_sub_multiset(sub: ModuleExpr, sup: ModuleExpr) -> bool:
@@ -389,9 +310,9 @@ def validate_partial(Q: SyzygyQuiver) -> bool:
     """True iff each vertex's out-neighbor multiset is a sub-multiset of the
     decomposition of the syzygy of its label. True licenses lower bounds.
     The out-neighbor sums come from one grouping of the arrows (out_exprs),
-    so the check is linear in the arrows plus one syzygy_step per label."""
-    return all(_is_sub_multiset(out, syzygy_step(lb, Q.algebra))
-               for out, lb in zip(Q.out_exprs(), Q.labels))
+    so the check is linear in the arrows plus one syzygy_key per label."""
+    return all(_is_sub_multiset(out, syzygy_key(key, Q.algebra))
+               for out, key in zip(Q.out_exprs(), Q.labels))
 
 
 def syzygy_quiver_from_json(data: dict, A: MonomialAlgebra) -> SyzygyQuiver:
@@ -463,6 +384,6 @@ def syzygy_quiver_from_json(data: dict, A: MonomialAlgebra) -> SyzygyQuiver:
         start.append((i, m))
 
     return SyzygyQuiver(
-        A, tuple(singleton(keys[i]) for i in ids), tuple(arrows),
+        A, tuple(keys[i] for i in ids), tuple(arrows),
         tuple(start), partial=bool(data.get("partial", True)),
     )

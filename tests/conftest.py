@@ -14,6 +14,7 @@ import pytest
 import syzcx
 from syzcx.algebra import parse_algebra, validate_algebra
 from syzcx.polynomials import IntPolynomial
+from syzcx.syzygy import ModuleExpr, module_expr, syzygy_key
 
 # Two vertices; the only nonzero paths are the trivial ones and the three
 # arrows, so dim P(1) = 2, dim P(2) = 3 and the syzygy dimensions of S1
@@ -88,6 +89,17 @@ module S1 = S(1)
 
 def make_algebra(text):
     return validate_algebra(parse_algebra(text))
+
+
+def singleton(key):
+    """The cyclic module named by `key`, as a one-term ModuleExpr."""
+    return ModuleExpr(((key, 1),))
+
+
+def syzygy_step(M, A):
+    """First syzygy of a direct sum, additively."""
+    return module_expr((k, c * mult) for key, mult in M.terms
+                       for k, c in syzygy_key(key, A).terms)
 
 
 def clear_caches():

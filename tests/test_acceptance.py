@@ -48,10 +48,9 @@ from syzcx.syzygy import (
     build_syzygy_quiver,
     resolve_module,
     simple_key,
-    singleton,
 )
 
-from conftest import fibonacci_numbers, random_rsz_algebras
+from conftest import fibonacci_numbers, random_rsz_algebras, singleton
 from test_cli import GOLDEN, GOLDEN_CASES, run_cli
 from test_properties import _algebraic_pool
 
@@ -116,7 +115,7 @@ def test_criterion_2_radical_square_zero_fidelity():
             q = build_syzygy_quiver(M, A)
 
             # canonical vertex map: node i -> underlying quiver vertex
-            image = [q.key_at(i).vertex for i in range(len(q.labels))]
+            image = [key.vertex for key in q.labels]
             reach = _reachable(A.quiver, v)
             assert len(set(image)) == len(image)
             assert set(image) == reach

@@ -210,8 +210,8 @@ def test_every_function_memo_is_listed():
 
 # Public helpers that only tests call, each to check a claim of the paper.
 TEST_REFERENCE_HELPERS = {"algebraic_real", "contiguous_subpaths",
-                          "empirical_class_check", "sinkfree_reduce",
-                          "subdivide", "xyz_local_expected_dims"}
+                          "empirical_class_check", "subdivide",
+                          "xyz_local_expected_dims"}
 
 
 def unnamed_public_definitions(package, others) -> set[str]:
@@ -241,3 +241,13 @@ def test_public_definitions_are_used_or_test_references():
     others = sorted((ROOT / "perfbench").glob("*.py"))
     assert len(package) > 10 and len(others) > 5
     assert unnamed_public_definitions(package, others) == TEST_REFERENCE_HELPERS
+
+
+def test_test_reference_helpers_serve_an_acceptance_criterion():
+    """A helper that only tests call is kept for an acceptance criterion:
+    tests/test_acceptance.py imports each listed one."""
+    path = ROOT / "tests" / "test_acceptance.py"
+    tree = ast.parse(path.read_text(encoding="utf-8"), str(path))
+    imported = {alias.name for node in ast.walk(tree)
+                if isinstance(node, ast.ImportFrom) for alias in node.names}
+    assert TEST_REFERENCE_HELPERS <= imported

@@ -25,11 +25,11 @@ from syzcx.complexity import module_complexity, realize_class
 from syzcx.curvature import realize_companion
 from syzcx.polynomials import poly
 from syzcx.syzygy import (module_expr, projective_key, resolve_module,
-                          simple_key, singleton)
+                          simple_key)
 
 from conftest import (FIB_TEXT, clear_caches, family_gen, make_algebra,
                       perfbench_module, random_monomial_algebras,
-                      random_monomial_texts)
+                      random_monomial_texts, singleton)
 
 # FIB_TEXT's quiver with g.g allowed: the same vertex and arrow names, hence
 # the same CyclicKeys, but other syzygies.
@@ -161,8 +161,8 @@ def test_one_component_reached_in_two_orders_gets_one_root(monkeypatch):
                for v in ("0", "3")]
     monkeypatch.undo()
 
-    assert [[Q.key_at(i).vertex for i in range(Q.n_vertices)]
-            for Q in quivers] == [["0", "1", "2"], ["3", "2", "1"]]
+    assert [[key.vertex for key in Q.labels] for Q in quivers] == [
+        ["0", "1", "2"], ["3", "2", "1"]]
     cycles = [c for C in conds for c in C.components if not c.is_trivial]
     assert [len(c.vertices) for c in cycles] == [2, 2]
     assert cycles[0].matrix == cycles[1].matrix == (((1, 1),), ((0, 2),))
@@ -230,7 +230,7 @@ def test_box_simples_compute_each_syzygy_and_root_once(monkeypatch):
     assert set(char_calls) == matrices
     assert max(char_calls.values()) == 1
 
-    keys = {Q.key_at(i) for Q in quivers for i in range(Q.n_vertices)}
+    keys = {key for Q in quivers for key in Q.labels}
     killers = Counter(w for k in keys for w in k.killers)
     assert all(killer_calls[w] <= killers[w] for w in killer_calls)
     assert sum(killer_calls.values()) <= sum(killers.values())
@@ -298,8 +298,9 @@ def test_module_classes_independent_of_query_history(monkeypatch):
                 A.name, M.label())
             asked += 1
         built = [(Q, C) for Q, C in zip(quivers, conds) if Q.start]
-        mixed = {Q.key_at(i) for Q, C in built
-                 for i, ci in enumerate(C.vertex_component) if C.mixed[ci]}
+        mixed = {key for Q, C in built
+                 for key, ci in zip(Q.labels, C.vertex_component)
+                 if C.mixed[ci]}
         assert not mixed & set(A.class_memo)
         refused += len(mixed)
     assert asked == 1091

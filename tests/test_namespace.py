@@ -14,7 +14,7 @@ import pytest
 
 import syzcx
 
-from conftest import run_python
+from conftest import clear_caches, family_gen, perfbench_module, run_python
 
 MODULES = ("algebra", "complexity", "curvature", "errors", "graph", "oracle",
            "polynomials", "spectra", "syzygy")
@@ -53,6 +53,37 @@ def test_a_rebinding_in_the_module_shows_through(monkeypatch):
 
     monkeypatch.setattr(syzcx.spectra, "char_poly", wrapper)
     assert syzcx.char_poly is wrapper
+
+
+def _files_under(*dirs):
+    return {p: p.stat().st_mtime_ns for d in dirs for p in d.rglob("*")}
+
+
+@pytest.mark.parametrize("workload", ["classify", "realize", "oracle"])
+def test_benchmark_tracer_reaches_every_predicted_span(workload, monkeypatch):
+    # CI's span self-check, in process: perfbench/spans.py's tracer wraps
+    # every binding of its spans, a seed-1 pass answers every query, and
+    # each span the workload is predicted to reach is recorded, so a
+    # deleted or unreached public function fails here too. The tracer's
+    # setattr is monkeypatch's, so every rebinding is undone; no file
+    # under perfbench/ or .perfbench/ is written.
+    spans, queries = perfbench_module("spans"), perfbench_module("queries")
+    root = Path(__file__).resolve().parents[1]
+    written = _files_under(root / "perfbench", root / ".perfbench")
+    modules = [m for n, m in sys.modules.items() if n.startswith("syzcx.")]
+    bindings = [dict(vars(m)) for m in modules]
+    clear_caches()
+    monkeypatch.setattr(spans, "setattr", monkeypatch.setattr, raising=False)
+    tracer = spans.Tracer()
+    assert tracer.install(syzcx) > 0
+    run = queries.run_pass(workload, family_gen().make_inputs(workload, 1),
+                           syzcx, tracer, {})
+    monkeypatch.undo()
+    assert [q for q in run["queries"] if "error" in q] == []
+    recorded = {s[0] for s in tracer.spans}
+    assert [n for n in spans.PREDICTED[workload] if n not in recorded] == []
+    assert [dict(vars(m)) for m in modules] == bindings
+    assert _files_under(root / "perfbench", root / ".perfbench") == written
 
 
 def test_other_names_do_not_resolve():

@@ -28,7 +28,7 @@ from syzcx.complexity import (
     vertex_complexity,
     zero_class,
 )
-from syzcx.graph import reachable, tarjan
+from syzcx.graph import tarjan
 from syzcx.oracle import crosscheck
 from syzcx.polynomials import (
     IntPolynomial,
@@ -42,7 +42,6 @@ from syzcx.polynomials import (
     rational_algebraic,
     squarefree_part,
 )
-from syzcx.errors import FiniteProjectiveDimensionError
 from syzcx.spectra import (
     char_poly,
     compare_algebraic,
@@ -59,15 +58,13 @@ from syzcx.syzygy import (
     projective_key,
     quiver_dim_sequence,
     simple_key,
-    singleton,
-    sinkfree_reduce,
+    syzygy_key,
     syzygy_quiver_from_json,
-    syzygy_step,
 )
 
 from conftest import (det_bareiss_int, family_gen, make_algebra,
                       random_monomial_algebras, random_rsz_algebras,
-                      sparse_rows)
+                      singleton, sparse_rows)
 
 SEED = 0x5EED
 
@@ -108,21 +105,22 @@ def test_tarjan_and_reachable_match_transitive_closure():
         assert all(c == sorted(c) for c in comps)
         assert sorted(tuple(c) for c in comps) == sorted(classes)
 
+        # Reverse topological order: whatever u reaches comes no later.
         comp_of = {v: ci for ci, c in enumerate(comps) for v in c}
         for u in range(n):
-            for v in succ[u]:
-                assert comp_of[v] <= comp_of[u]
-            assert reachable(succ, [u]) == {v for v in range(n) if reach[u][v]}
+            assert all(comp_of[v] <= comp_of[u]
+                       for v in range(n) if reach[u][v])
 
 
 # -- vertex classes off the condensation --------------------------------------------
 
-def _reference_vertex_class(cond, v):
+def _reference_vertex_class(cond, v, closure):
     """The per-vertex algorithm: the exact max radius over the reachable
     components (the first in index order wins a tie), then the longest chain
-    of components of that radius, or the longest path when it is 0."""
+    of components of that radius, or the longest path when it is 0.
+    `closure` is `_closure(cond.succ)`."""
     c0 = cond.vertex_component[v]
-    reach = sorted(reachable(cond.succ, (c0,)))
+    reach = [ci for ci, r in enumerate(closure[c0]) if r]
     b = cond.components[reach[0]].rho
     for ci in reach[1:]:
         if compare_algebraic(cond.components[ci].rho, b) > 0:
@@ -185,14 +183,16 @@ def test_vertex_complexity_matches_per_vertex_reference():
         else:
             n, edges = _block_digraph(rng)
         cond = scc_condense(n, edges)
+        closure = _closure(cond.succ)
         for v in range(n):
             got = vertex_complexity(cond, v)
-            assert got.to_json() == _reference_vertex_class(cond, v).to_json()
+            want = _reference_vertex_class(cond, v, closure)
+            assert got.to_json() == want.to_json()
             if got.is_zero:
                 continue
-            reach = reachable(cond.succ, (cond.vertex_component[v],))
-            polys = {cond.components[ci].rho.poly for ci in reach
-                     if equal_radius(cond.components[ci].rho, got.base)}
+            reach = closure[cond.vertex_component[v]]
+            polys = {c.rho.poly for c, r in zip(cond.components, reach)
+                     if r and equal_radius(c.rho, got.base)}
             ties += len(polys) > 1
             deep += got.degree > 0
     assert ties >= 100 and deep >= 150
@@ -213,6 +213,27 @@ def test_module_classes_match_pinned_hash():
     text = json.dumps([c.to_json() for c in classes], sort_keys=True)
     assert len(classes) == 964
     assert hashlib.sha256(text.encode()).hexdigest()[:16] == "1a3f5446b38cb938"
+
+
+def test_key_labels_give_the_components_of_one_term_sums():
+    """scc_condense orders each component's members by label. On the corpus
+    of the pinned hash above, a built quiver's CyclicKey labels give the
+    same components, members and matrices as one-term ModuleExpr labels."""
+    built = 0
+    for A in random_monomial_algebras(5, 120):
+        vertices = A.quiver.vertices
+        modules = [singleton(f(A, v)) for v in vertices
+                   for f in (simple_key, projective_key)]
+        modules.append(module_expr((simple_key(A, v), 1) for v in vertices))
+        for M in modules:
+            q = build_syzygy_quiver(M, A)
+            got = scc_condense(*q.digraph(), q.labels)
+            want = scc_condense(*q.digraph(), [singleton(k) for k in q.labels])
+            assert got.vertex_component == want.vertex_component
+            assert ([(c.vertices, c.matrix) for c in got.components]
+                    == [(c.vertices, c.matrix) for c in want.components])
+            built += 1
+    assert built == 964
 
 
 # -- path arithmetic -------------------------------------------------------------
@@ -653,43 +674,11 @@ def test_out_expr_matches_syzygy_step_on_random_algebras():
     for A in random_rsz_algebras(seed=SEED + 2, count=5):
         v = A.quiver.vertices[-1]
         q = build_syzygy_quiver(singleton(simple_key(A, v)), A)
-        for out, label in zip(q.out_exprs(), q.labels):
-            assert out == syzygy_step(label, A)
+        for out, key in zip(q.out_exprs(), q.labels):
+            assert out == syzygy_key(key, A)
 
 
 # -- walks on syzygy quivers ---------------------------------------------------------
-
-def _sinkfree_reductions():
-    """(quiver, sinkfree_reduce result, carrier) for each simple of a seeded
-    corpus whose syzygy quiver has a sink and a cycle reachable from the
-    start. The reductions label vertices with sums of cyclic modules."""
-    out = []
-    for A in random_monomial_algebras(23, 150):
-        for v in A.quiver.vertices:
-            q = build_syzygy_quiver(singleton(simple_key(A, v)), A)
-            if len({a for a, _ in q.arrows}) == q.n_vertices:
-                continue
-            try:
-                reduced, carrier = sinkfree_reduce(q, 0)
-            except FiniteProjectiveDimensionError:
-                continue
-            out.append((q, reduced, carrier))
-    return out
-
-
-def test_sinkfree_reduce_deletes_sinks_and_keeps_the_class():
-    cases = _sinkfree_reductions()
-    assert len(cases) == 60
-    for q, reduced, carrier in cases:
-        assert {a for a, _ in reduced.arrows} == set(range(reduced.n_vertices))
-        assert reduced.start == ((carrier, 1),)
-        assert quiver_dim_sequence(reduced, 15) == quiver_dim_sequence(q, 15)
-        before = vertex_complexity(scc_condense(*q.digraph()), 0)
-        after = vertex_complexity(scc_condense(*reduced.digraph()), carrier)
-        assert compare(before, after) == 0
-    assert all(any(len(lb.terms) > 1 for lb in reduced.labels)
-               for _, reduced, _ in cases)
-
 
 def _dense_walk_dims(Q, N):
     """Reference for quiver_dim_sequence: the start vector times the powers
@@ -722,9 +711,6 @@ def test_quiver_dim_sequence_matches_dense_adjacency_powers():
             q = build_syzygy_quiver(M, A)
             assert quiver_dim_sequence(q, 12) == _dense_walk_dims(q, 12)
             checked += 1
-    for _, reduced, _ in _sinkfree_reductions():
-        assert quiver_dim_sequence(reduced, 15) == _dense_walk_dims(reduced, 15)
-        checked += 1
     assert checked >= 200
 
 
@@ -815,7 +801,7 @@ def test_pipelines_agree_at_family_scale_on_benchmark_family_draws():
     # projective, at both primes, as deep (up to 30) as the reference
     # dimensions stay <= 10^4, and in the symbolic class over the last nine
     # terms where the depth is >= 9. The crosschecks of one algebra share
-    # its table's block memo, and its classes share one Perron root per
+    # its table's numbered blocks, and its classes share one Perron root per
     # component, which keeps this affordable.
     gen, rng = family_gen(), random.Random(2210)
     modules, classed, deep = [], [], 0

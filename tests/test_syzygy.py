@@ -14,7 +14,6 @@ from syzcx.syzygy import (
     cyclic_key,
     ModuleExpr,
     module_expr,
-    singleton,
     projective_key,
     simple_key,
     minimal_killers,
@@ -23,22 +22,19 @@ from syzcx.syzygy import (
     expr_dimension,
     resolve_module,
     syzygy_key,
-    syzygy_step,
     build_syzygy_quiver,
     quiver_dim_sequence,
-    sinkfree_reduce,
     validate_partial,
     syzygy_quiver_from_json,
 )
 from syzcx.algebra import PathZero
 from syzcx.errors import (
-    FiniteProjectiveDimensionError,
     InvalidPartialError,
     ValidationError,
     ZeroPathError,
 )
 
-from conftest import fibonacci_numbers
+from conftest import fibonacci_numbers, singleton, syzygy_step
 
 
 # -- keys ------------------------------------------------------------------
@@ -159,7 +155,7 @@ def test_loop3_alternating_resolution(loop3):
 
 def test_build_fib_quiver(fib):
     q = build_syzygy_quiver(resolve_module(fib, "S1"), fib)
-    assert [lb.label() for lb in q.labels] == ["1|{a}", "2|{b,g}"]
+    assert [key.label() for key in q.labels] == ["1|{a}", "2|{b,g}"]
     assert q.arrows == ((0, 1), (1, 0), (1, 1))
     assert q.start == ((0, 1),)
     assert q.dims == (1, 1)
@@ -170,7 +166,7 @@ def test_build_quiver_keeps_projective_sinks(a2):
     q = build_syzygy_quiver(resolve_module(a2, "S1"), a2)
     # S(1) -> S(2) = P(2), a sink.
     assert len(q.labels) == 2
-    assert q.key_at(1).is_projective
+    assert q.labels[1].is_projective
     assert all(src != 1 for src, _ in q.arrows)
 
 
@@ -193,37 +189,6 @@ def test_quiver_dim_sequence_mixed_additive(fib):
     # dim P(2) = 3 and its syzygies vanish.
     expect = [2 * s1[n] + (3 if n == 0 else 0) for n in range(9)]
     assert quiver_dim_sequence(qm, 8) == expect
-
-
-def test_sinkfree_reduce_identity_on_sinkfree(fib):
-    q = build_syzygy_quiver(resolve_module(fib, "S1"), fib)
-    q2, v2 = sinkfree_reduce(q, 0)
-    assert v2 == 0
-    assert q2.arrows == q.arrows and q2.labels == q.labels
-
-
-def test_sinkfree_reduce_strips_projective_tail(fib, a2):
-    qa = build_syzygy_quiver(resolve_module(a2, "S1"), a2)
-    with pytest.raises(FiniteProjectiveDimensionError):
-        sinkfree_reduce(qa, 0)
-
-
-def test_sinkfree_reduce_mixed_component(chain):
-    # S(1) + P(2) over the chain algebra: P(2) is a sink off to the side,
-    # while S(1) reaches a cycle. Reduction deletes the sink and keeps the
-    # dimensions of S(1)'s syzygies at the carrier.
-    s1 = singleton(simple_key(chain, "1"))
-    q = build_syzygy_quiver(s1 + singleton(projective_key(chain, "2")), chain)
-    assert q.key_at(1).is_projective
-    assert all(src != 1 for src, _ in q.arrows)
-    q2, v2 = sinkfree_reduce(q, 0)
-    assert {src for src, _ in q2.arrows} == set(range(q2.n_vertices))
-    assert q2.start == ((v2, 1),)
-    expect = quiver_dim_sequence(build_syzygy_quiver(s1, chain), 10)
-    assert quiver_dim_sequence(q2, 10) == expect
-    # A relabelled vertex carries a sum, which the JSON schema cannot name.
-    with pytest.raises(ValueError, match="single cyclic module"):
-        q2.to_json()
 
 
 # -- partial quivers and JSON ---------------------------------------------------
@@ -304,5 +269,5 @@ def test_out_expr_matches_syzygy_step(fib):
     q = build_syzygy_quiver(resolve_module(fib, "S1"), fib)
     outs = q.out_exprs()
     assert len(outs) == q.n_vertices
-    for out, lb in zip(outs, q.labels):
-        assert out == syzygy_step(lb, fib)
+    for out, key in zip(outs, q.labels):
+        assert out == syzygy_key(key, fib)
