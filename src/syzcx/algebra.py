@@ -239,9 +239,9 @@ class MonomialAlgebra:
     names a module only inside its algebra:
     - `syzygy_memo` maps each CyclicKey to its syzygy; syzygy.syzygy_key
       fills it, so a key's syzygy is computed once per algebra;
-    - `class_memo` maps each CyclicKey that a syzygy quiver has classed to a
-      (Condensation, vertex) pair; complexity.module_complexity fills it and
-      reads the class off it with vertex_complexity;
+    - `class_memo` maps each vertex of every syzygy quiver that
+      complexity.module_complexity builds, a CyclicKey, to a (Condensation,
+      vertex) pair, and the class is read off it with vertex_complexity;
     - `path_table` is the oracle's path table, with the blocks it has
       numbered (GradedTable.blocks), or None until oracle.compile_paths
       builds it.
@@ -283,8 +283,9 @@ class MonomialAlgebra:
 
     def paths_from(self, *vertices: str):
         """Nonzero paths with a source among `vertices` (default: every
-        vertex), in `path_sort_key` order: breadth-first over the automaton's
-        moves, each path with its state."""
+        vertex), by length, then by the index of the source vertex, then by
+        the indices of the arrows: breadth-first over the automaton's moves,
+        each path with its state."""
         Q = self.quiver
         layer = [(Q.vertex_index[v], Path(v, v, ()))
                  for v in vertices or Q.vertices]
@@ -293,11 +294,6 @@ class MonomialAlgebra:
             layer = [(j, Path(p.source, Q.arrow_by_name[a].target,
                               p.arrows + (a,)))
                      for i, p in layer for a, j in self.moves[i].items()]
-
-    def path_sort_key(self, p: Path):
-        aidx = self.quiver.arrow_index
-        return (len(p.arrows), self.quiver.vertex_index[p.source],
-                tuple(aidx[n] for n in p.arrows))
 
     def state_after(self, p: Path) -> int | None:
         """The automaton's state after reading p from its source, or None

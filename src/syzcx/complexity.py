@@ -190,13 +190,11 @@ def module_complexity(A: MonomialAlgebra, M: ModuleExpr) -> ModuleComplexityRepo
     base (0 for the Zero class); for curvature exactly 1 the polynomial
     growth rate degree+1 is reported as well.
 
-    A key's class depends only on the components reachable from it, so
-    `A.class_memo` keeps, per CyclicKey, a condensation and vertex that
-    class it. When every summand is there, no quiver is built. Otherwise
-    the syzygy quiver of M is built and condensed, and each of its vertices
-    is recorded unless its component is `mixed`: there the lowest-numbered
-    top component, hence the base's defining polynomial, depends on the
-    closure order, and only a fresh closure of the module gives its bytes."""
+    A key's class depends only on the components reachable from it (see
+    `Condensation`), so `A.class_memo` keeps, per CyclicKey, a condensation
+    and vertex that class it. When every summand is there, no quiver is
+    built. Otherwise the syzygy quiver of M is built and condensed, and each
+    of its vertices is recorded."""
     memo = A.class_memo
     found = [memo.get(key) for key, _ in M.terms]
     if found and all(found):
@@ -206,9 +204,8 @@ def module_complexity(A: MonomialAlgebra, M: ModuleExpr) -> ModuleComplexityRepo
     if not quiver.start:
         return _report_for(zero_class(None))
     cond = scc_condense(*quiver.digraph(), quiver.labels)
-    for i, ci in enumerate(cond.vertex_component):
-        if not cond.mixed[ci]:
-            memo.setdefault(quiver.labels[i], (cond, i))
+    for i, key in enumerate(quiver.labels):
+        memo.setdefault(key, (cond, i))
     return _report_for(reduce(join, (vertex_complexity(cond, i)
                                      for i, _ in quiver.start)))
 

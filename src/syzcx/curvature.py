@@ -218,7 +218,8 @@ def check_condition_c(p: IntPolynomial,
     best: AlgebraicReal | None = None
     best_factor: IntPolynomial | None = None
     for f in factors:
-        r = largest_real_root(f)
+        r = (rational_algebraic(-f.coeffs[0]) if f.degree == 1
+             else largest_real_root(f))
         if r is None:
             continue
         if best is None or compare_algebraic(r, best) > 0:

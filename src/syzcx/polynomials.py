@@ -127,13 +127,6 @@ class IntPolynomial:
 
     __rmul__ = __mul__
 
-    def evaluate(self, x):
-        """Horner evaluation; exact for int/Fraction arguments."""
-        acc = 0
-        for c in reversed(self.coeffs):
-            acc = acc * x + c
-        return acc
-
     def sign_at(self, x) -> int:
         """Sign (-1, 0 or 1) of the value at a rational x, in integers."""
         return _sign_at(self.coeffs, x.numerator, x.denominator)

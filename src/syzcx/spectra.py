@@ -127,14 +127,13 @@ class Condensation(NamedTuple):
     visits each component after all of its successors. `succ[ci]` lists the
     successors of component ci, ascending.
 
-    `top[ci]` is the lowest-numbered component of the largest radius reachable
-    from ci (ci included), and `chain[ci]` the largest number of components of
-    that radius on one path from ci. `mixed[ci]` is true when the components
-    of that radius reachable from ci have more than one characteristic
-    polynomial: then which of them is `top[ci]`, and so the defining
-    polynomial of its radius, depends on the numbering of the vertices.
-    Otherwise the class read off `top[ci]` and `chain[ci]` depends only on
-    the part of the digraph reachable from ci."""
+    `top[ci]` is, among the components of the largest radius reachable from
+    ci (ci included), the one whose defining polynomial is least (degree
+    first, then the coefficient tuple), the lowest-numbered of those with
+    that polynomial; `chain[ci]` is the largest number of components of that
+    radius on one path from ci. So the class read off `top[ci]` and
+    `chain[ci]` depends only on the part of the digraph reachable from ci,
+    not on how its vertices are numbered."""
 
     n_vertices: int
     components: tuple[SCC, ...]
@@ -142,7 +141,6 @@ class Condensation(NamedTuple):
     succ: tuple[tuple[int, ...], ...]
     top: tuple[int, ...]
     chain: tuple[int, ...]
-    mixed: tuple[bool, ...]
 
 
 def scc_condense(n: int, edge_list, labels=None) -> Condensation:
@@ -152,6 +150,8 @@ def scc_condense(n: int, edge_list, labels=None) -> Condensation:
     and Tarjan's pop order yields the reverse-topological component list.
     Members are ascending ids, sorted stably by `labels` when given: a built
     syzygy quiver's labels fix its arrows, so one component is one matrix.
+    A tie of radii goes to the least polynomial, not to the lowest number,
+    so `top` and `chain` are the same under any renumbering.
     """
     adj: list[list[int]] = [[] for _ in range(n)]
     for u, v in edge_list:
@@ -183,32 +183,26 @@ def scc_condense(n: int, edge_list, labels=None) -> Condensation:
         matrix = adjacency_matrix(len(members), arrows)
         comps.append(SCC(tuple(members), matrix, perron_root(matrix)))
 
-    # Rank the distinct radii (equal radii share a rank), then one forward
-    # pass: everything reachable from ci is ci or reachable from a successor.
+    # Rank the distinct radii (equal radii share a rank). `order` puts first
+    # the largest radius, then the least polynomial, then the lowest number.
+    # One forward pass: all that ci reaches is ci or reached by a successor.
     values = sorted(dict.fromkeys(c.rho for c in comps),
                     key=cmp_to_key(compare_algebraic))
     value_rank = dict.fromkeys(values[:1], 0)
     for a, b in zip(values, values[1:]):
         value_rank[b] = value_rank[a] + (not equal_radius(a, b))
     rank = [value_rank[c.rho] for c in comps]
-    # The top-radius components reachable from ci are ci itself when it has
-    # that radius, and those reachable from each successor whose top has it.
+    order = [(-r, c.rho.poly.degree, c.rho.poly.coeffs, ci)
+             for ci, (r, c) in enumerate(zip(rank, comps))]
     top: list[int] = []
     chain: list[int] = []
-    mixed: list[bool] = []
     for ci, out in enumerate(succ):
-        t = max([ci] + [top[s] for s in out], key=lambda c: (rank[c], -c))
+        t = min([ci] + [top[s] for s in out], key=order.__getitem__)
         top.append(t)
-        same = [s for s in out if rank[top[s]] == rank[t]]
         chain.append((rank[ci] == rank[t]) + max(
-            (chain[s] for s in same), default=0))
-        poly = comps[t].rho.poly
-        mixed.append((rank[ci] == rank[t] and comps[ci].rho.poly != poly)
-                     or any(mixed[s] or comps[top[s]].rho.poly != poly
-                            for s in same))
+            (chain[s] for s in out if rank[top[s]] == rank[t]), default=0))
     return Condensation(n, tuple(comps), tuple(comp_of),
-                        tuple(tuple(s) for s in succ), tuple(top), tuple(chain),
-                        tuple(mixed))
+                        tuple(tuple(s) for s in succ), tuple(top), tuple(chain))
 
 
 # -- exact comparisons -------------------------------------------------------

@@ -36,10 +36,6 @@ class CyclicKey(NamedTuple):
     vertex: str
     killers: tuple[Path, ...]
 
-    @property
-    def is_projective(self) -> bool:
-        return not self.killers
-
     def sort_key(self):
         return (self.vertex, len(self.killers),
                 tuple((len(k.arrows), k.arrows) for k in self.killers))

@@ -102,6 +102,22 @@ def syzygy_step(M, A):
                        for k, c in syzygy_key(key, A).terms)
 
 
+def evaluate(p, x):
+    """p(x) by Horner's rule; exact for int and Fraction x."""
+    acc = 0
+    for c in reversed(p.coeffs):
+        acc = acc * x + c
+    return acc
+
+
+def path_sort_key(A, p):
+    """The order of `A.paths_from`: length, then the index of the source
+    vertex, then the indices of the arrows."""
+    aidx = A.quiver.arrow_index
+    return (len(p.arrows), A.quiver.vertex_index[p.source],
+            tuple(aidx[n] for n in p.arrows))
+
+
 def clear_caches():
     """Empty every function cache of every syzcx module."""
     for name, module in list(sys.modules.items()):

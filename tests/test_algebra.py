@@ -23,7 +23,8 @@ from syzcx.errors import (
     ValidationError,
 )
 
-from conftest import FIB_TEXT, LOOP3_TEXT, TWOSTEP_TEXT, make_algebra, run_python
+from conftest import (FIB_TEXT, LOOP3_TEXT, TWOSTEP_TEXT, make_algebra,
+                      path_sort_key, run_python)
 
 
 # -- quiver basics -------------------------------------------------------------
@@ -335,5 +336,5 @@ def test_path_sort_key_orders_basis():
     for text in (TWOSTEP_TEXT, SWAP_TEXT):
         A = make_algebra(text)
         basis = list(A.paths_from())
-        assert basis == sorted(basis, key=A.path_sort_key)
+        assert basis == sorted(basis, key=lambda p: path_sort_key(A, p))
     assert [p.literal() for p in basis] == ["e(u)", "e(v)", "a", "b"]

@@ -192,17 +192,27 @@ def _factoring_corpus():
     return polys
 
 
+@pytest.mark.parametrize("p, b, irreducibility", [
+    (poly(-2, 1), 2, "verified"),
+    (poly(-2, -1, 1), 2, "reducible_factored"),  # (x - 2)(x + 1)
+    (poly(-10 ** 80, 1), 10 ** 80, "verified"),
+], ids=["x-2", "x2-x-2", "x-10^80"])
+def test_integer_base_prints_as_the_integer(p, b, irreducibility):
+    v = check_condition_c(p)
+    assert (v.status, v.irreducibility) == ("realizable", irreducibility)
+    assert v.to_json()["b"]["interval"] == [str(b), str(b)]
+
+
 def test_verdicts_and_factors_match_pinned_hash():
     """Every verdict and every factor list of the corpus, pinned byte for
-    byte; the hash was taken when factoring still trial-divided the constant
-    term."""
+    byte; an integer base prints as the point interval [b, b]."""
     rows = []
     for p in _factoring_corpus():
         factors, complete = factor_monic_squarefree(squarefree_part(p))
         rows.append([check_condition_c(p).to_json(),
                      sorted(f.to_list() for f in factors), complete])
     text = json.dumps(rows, sort_keys=True)
-    assert hashlib.sha256(text.encode()).hexdigest()[:16] == "3b9609227f942b5a"
+    assert hashlib.sha256(text.encode()).hexdigest()[:16] == "71434bd3ad210625"
 
 
 @pytest.mark.parametrize("p, status, irreducibility, b_poly", [

@@ -213,17 +213,29 @@ TEST_REFERENCE_HELPERS = {"algebraic_real", "contiguous_subpaths",
                           "empirical_class_check", "subdivide",
                           "xyz_local_expected_dims"}
 
+# Public methods that only tests call: criterion 5 divides by `divmod_q`,
+# and `dense`, the one numpy view of an oracle action, is how tests read
+# actions until it goes with numpy.
+TEST_ONLY_MEMBERS = {"IntPolynomial.divmod_q", "TableRepresentation.dense"}
+
 
 def unnamed_public_definitions(package, others) -> set[str]:
-    """Module-level public functions and classes of `package` that no name,
-    attribute or import in `package` or `others` refers to."""
-    defined, named = set(), set()
+    """Module-level public functions and classes of `package`, and the
+    public methods and properties of its public classes (as `Class.name`),
+    that no name, attribute or import in `package` or `others` refers to."""
+    defined, named = {}, set()
     for path in [*package, *others]:
         tree = ast.parse(path.read_text(encoding="utf-8"), str(path))
         if path in package:
-            defined |= {n.name for n in tree.body
-                        if isinstance(n, (ast.FunctionDef, ast.ClassDef))
-                        and not n.name.startswith("_")}
+            for n in tree.body:
+                if (isinstance(n, (ast.FunctionDef, ast.ClassDef))
+                        and not n.name.startswith("_")):
+                    defined[n.name] = n.name
+                    if isinstance(n, ast.ClassDef):
+                        defined.update(
+                            (f"{n.name}.{m.name}", m.name) for m in n.body
+                            if isinstance(m, ast.FunctionDef)
+                            and not m.name.startswith("_"))
         for node in ast.walk(tree):
             if isinstance(node, ast.Name):
                 named.add(node.id)
@@ -231,16 +243,30 @@ def unnamed_public_definitions(package, others) -> set[str]:
                 named.add(node.attr)
             elif isinstance(node, ast.alias):
                 named.add(node.name)
-    return defined - named
+    return {where for where, name in defined.items() if name not in named}
+
+
+def test_unnamed_public_definitions_include_methods(tmp_path):
+    src = tmp_path / "defs.py"
+    src.write_text(
+        "class Used:\n"
+        "    def called(self): return self.prop\n"
+        "    @property\n    def prop(self): return 1\n"
+        "    @property\n    def unread(self): return 2\n"
+        "    def _private(self): pass\n"
+        "class _Hidden:\n    def never(self): pass\n"
+        "def unused(): return Used().called()\n", encoding="utf-8")
+    assert unnamed_public_definitions([src], []) == {"Used.unread", "unused"}
 
 
 def test_public_definitions_are_used_or_test_references():
-    """Delete what nothing uses: a new public helper that only tests call
-    fails here until it is deleted or listed above."""
+    """Delete what nothing uses: a new public helper, method or property that
+    only tests call fails here until it is deleted or listed above."""
     package = sorted((ROOT / "src" / "syzcx").glob("*.py"))
     others = sorted((ROOT / "perfbench").glob("*.py"))
     assert len(package) > 10 and len(others) > 5
-    assert unnamed_public_definitions(package, others) == TEST_REFERENCE_HELPERS
+    assert unnamed_public_definitions(package, others) == (
+        TEST_REFERENCE_HELPERS | TEST_ONLY_MEMBERS)
 
 
 def test_test_reference_helpers_serve_an_acceptance_criterion():

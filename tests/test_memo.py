@@ -281,14 +281,27 @@ def _corpus():
         yield A, text, modules
 
 
+def _tied_components(C):
+    """Components that reach several components of their top radius with
+    different characteristic polynomials."""
+    reach: list[set] = []
+    for ci, out in enumerate(C.succ):
+        reach.append({ci}.union(*(reach[s] for s in out)))
+    rho = [c.rho for c in C.components]
+    return {ci for ci, r in enumerate(reach)
+            if len({rho[c].poly for c in r
+                    if spectra.equal_radius(rho[c], rho[C.top[ci]])}) > 1}
+
+
 def test_module_classes_independent_of_query_history(monkeypatch):
     # Asked in a seeded order on one algebra, each module's report is the
-    # one a fresh copy of the algebra gives. A vertex whose top-radius
-    # components carry several characteristic polynomials is never
-    # memoized: its base's polynomial depends on the closure order.
+    # one a fresh copy of the algebra gives. Every vertex of every quiver
+    # built is memoized, those whose top-radius components carry several
+    # characteristic polynomials included: the least polynomial is the
+    # base's, whatever the closure order.
     quivers, conds = _record_closures(monkeypatch)
     rng = random.Random(2910)
-    asked = refused = 0
+    asked = tied = 0
     for A, text, modules in _corpus():
         quivers.clear()
         conds.clear()
@@ -298,13 +311,12 @@ def test_module_classes_independent_of_query_history(monkeypatch):
                 A.name, M.label())
             asked += 1
         built = [(Q, C) for Q, C in zip(quivers, conds) if Q.start]
-        mixed = {key for Q, C in built
-                 for key, ci in zip(Q.labels, C.vertex_component)
-                 if C.mixed[ci]}
-        assert not mixed & set(A.class_memo)
-        refused += len(mixed)
+        assert {key for Q, _ in built for key in Q.labels} <= set(A.class_memo)
+        for Q, C in built:
+            ties = _tied_components(C)
+            tied += sum(ci in ties for ci in C.vertex_component)
     assert asked == 1091
-    assert refused >= 1
+    assert tied >= 1
 
 
 def test_sturm_count_memo_keys_on_the_polynomial_and_both_ends():
@@ -440,9 +452,10 @@ def test_benchmark_classify_pass_isolates_at_most_5_roots(monkeypatch):
 def test_benchmark_realize_pass_stays_within_its_guards(monkeypatch):
     # The CI guards complexity.condense_per_algebra <= 8 (5.0 today),
     # spectra.char_poly_calls <= 4 and polynomials.isolate_calls <= 4 (4
-    # and 4 today): the box's simples after the first of each level are
-    # class memo lookups, its levels share one Perron root, and every
-    # largest_real_root tries the certified cell first.
+    # and 2 today): the box's simples after the first of each level are
+    # class memo lookups, its levels share one Perron root, every
+    # largest_real_root tries the certified cell first, and curvature reads
+    # the root of a linear factor off its coefficients.
     counts = _benchmark_pass_counts(monkeypatch, "realize")
     assert counts["algebras"] == 1
     assert counts["condense"] / counts["algebras"] <= 8

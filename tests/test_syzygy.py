@@ -47,8 +47,8 @@ def test_cyclic_key_invariants(fib):
         cyclic_key("1", [fib.quiver.trivial_path("1")])
     k = cyclic_key("1", [a])
     assert k.label() == "1|{a}"
-    assert not k.is_projective
-    assert projective_key(fib, "1").is_projective
+    assert k.killers
+    assert not projective_key(fib, "1").killers
 
 
 def test_prefix_antichain_rejected(twostep):
@@ -166,7 +166,7 @@ def test_build_quiver_keeps_projective_sinks(a2):
     q = build_syzygy_quiver(resolve_module(a2, "S1"), a2)
     # S(1) -> S(2) = P(2), a sink.
     assert len(q.labels) == 2
-    assert q.labels[1].is_projective
+    assert not q.labels[1].killers
     assert all(src != 1 for src, _ in q.arrows)
 
 
