@@ -4,10 +4,12 @@ A monomial path algebra is presented by a finite quiver together with a list of
 forbidden paths (the relations), each of length >= 2. A path is nonzero in the
 algebra iff it contains no relation as a contiguous factor, so the nonzero
 paths form a factor-avoiding language. The algebra is finite dimensional iff
-the forbidden-factor automaton (states: nonzero paths of length <= R-1, where
-R is the longest relation length) is acyclic; validation checks exactly that
-and counts the paths readable from each state, listing none. The algebra keeps
-the automaton and the counts: zero tests walk it, dimensions sum the counts.
+the forbidden-factor automaton is acyclic: an Aho-Corasick machine over the
+relation words, whose state is a vertex plus a trie node, the longest suffix
+of the path read that is a proper prefix of a relation. Validation checks
+exactly that and counts the paths readable from each state, listing none.
+The algebra keeps the automaton and the counts: zero tests walk it,
+dimensions sum the counts.
 Only `MonomialAlgebra.paths_from` lists the basis: by length, source, arrows.
 
 Composition is written in traversal order throughout: `a.b` means traverse `a`
@@ -120,22 +122,7 @@ class Quiver:
 
     def path(self, arrow_names) -> "Path":
         """Path from a nonempty arrow-name sequence, checking composability."""
-        names = tuple(arrow_names)
-        if not names:
-            raise AlgebraSyntaxError("empty path literal")
-        arrows = []
-        for n in names:
-            a = self.arrow_by_name.get(n)
-            if a is None:
-                raise AlgebraSyntaxError(f"unknown arrow {n!r} in path literal")
-            arrows.append(a)
-        for x, y in zip(arrows, arrows[1:]):
-            if x.target != y.source:
-                raise AlgebraSyntaxError(
-                    f"non-composable path literal: {x.name!r} ends at "
-                    f"{x.target!r} but {y.name!r} starts at {y.source!r}"
-                )
-        return Path(arrows[0].source, arrows[-1].target, names)
+        return _path_of(self.arrow_by_name, tuple(arrow_names))
 
     def parse_path_literal(self, text: str) -> "Path":
         m = re.match(r"e\(([A-Za-z0-9_]+)\)\Z", text.strip())
@@ -164,6 +151,28 @@ class Path(NamedTuple):
 
     def __repr__(self):
         return f"Path({self.literal()})"
+
+
+def _path_of(arrow_by_name: dict[str, Arrow], names: tuple[str, ...],
+             line: int | None = None) -> Path:
+    """The path of a nonempty arrow-name tuple: its arrows looked up by name
+    and checked to compose, in one pass. An error names `line`, if given."""
+    if not names:
+        raise AlgebraSyntaxError("empty path literal", line=line)
+    try:
+        arrows = list(map(arrow_by_name.__getitem__, names))
+    except KeyError as e:
+        raise AlgebraSyntaxError(
+            f"unknown arrow {e.args[0]!r} in path literal", line=line) from None
+    x = arrows[0]
+    for y in arrows[1:]:
+        if x.target != y.source:
+            raise AlgebraSyntaxError(
+                f"non-composable path literal: {x.name!r} ends at "
+                f"{x.target!r} but {y.name!r} starts at {y.source!r}", line=line
+            )
+        x = y
+    return Path(arrows[0].source, x.target, names)
 
 
 # NamedTuple's _make, which _replace calls, counts the fields with len(), but
@@ -226,14 +235,31 @@ class MonomialAlgebra:
     """Validated finite-dimensional monomial path algebra.
 
     Holds the normalized relation set, the longest relation length R and the
-    forbidden-factor automaton. A state of the automaton is a vertex plus the
-    last <= R-1 arrows of a nonzero path; `moves[state]` maps each arrow name
-    to the next state, in `arrows_from` order, and a path is zero exactly
-    when some arrow of it has no move. State i is the trivial path at the
-    i-th vertex. The automaton answers every zero test. `counts[state]`
-    numbers the paths readable from a state, so `counts[state_after(p)]`
-    nonzero paths have prefix p. No basis is stored; `paths_from` lists it
-    by (length, source vertex, arrow declaration indices).
+    forbidden-factor automaton, an Aho-Corasick machine over the relation
+    words (A. V. Aho & M. J. Corasick, CACM 18, 1975). A state is a vertex
+    plus a node of the trie of the relations: the longest suffix of the path
+    read that is a proper prefix of a relation. No state holds a word, and
+    there are never more states than pairs of a vertex and the last <= R-1
+    arrows of a nonzero path, which fix the node. `moves[state]` maps each
+    arrow name to the next state, in `arrows_from` order, and a path is
+    zero exactly when some arrow of it has no move. State i is the trivial
+    path at the i-th vertex. The automaton answers every zero test.
+
+    Reading arrow a at node n goes to the goto node g: the child a of the
+    first node on n's failure chain that has one, else the root (a failure
+    link points to the longest proper suffix that is a trie node). g is the
+    longest suffix of the path read that is a trie node, and a has no move
+    exactly when g ends a relation. That check suffices because the
+    relations are normalized, so no relation is a factor of another: a
+    relation ending on the failure chain of a node g that ends none would
+    be a proper suffix of g, and g a proper prefix of some relation, which
+    would then contain it as a proper factor. So no relation ends on the
+    failure chain of a node that ends none, and the goto node alone decides.
+
+    `counts[state]` numbers the paths readable from a state, so
+    `counts[state_after(p)]` nonzero paths have prefix p. No basis is
+    stored; `paths_from` lists it by (length, source vertex, arrow
+    declaration indices).
     Only validate_algebra builds one; the counts are 0 until it fills them.
     It owns three memos, each kept as long as it lives, since a CyclicKey
     names a module only inside its algebra:
@@ -253,24 +279,65 @@ class MonomialAlgebra:
         self.relations = relations
         self.modules = modules
         self.max_relation_length = max((len(r) for r in relations), default=1)
-        keep = self.max_relation_length - 1
-        words = {r.arrows for r in relations}
-        lengths = {len(w) for w in words}
-        index = {(v, ()): i for i, v in enumerate(quiver.vertices)}
-        states = list(index)
+        # The trie of the relation words: node 0 is the empty word, goto[n]
+        # maps an arrow name to the child of node n, and `ends` holds the
+        # nodes that end a relation.
+        goto: list[dict[str, int]] = [{}]
+        ends = set()
+        for r in relations:
+            n = 0
+            for a in r.arrows:
+                c = goto[n].get(a)
+                if c is None:
+                    c = goto[n][a] = len(goto)
+                    goto.append({})
+                n = c
+            ends.add(n)
+        fail = [0] * len(goto)
+
+        def step(n, a):
+            # The longest suffix of (word of n).a that is a trie node: the
+            # first node on n's failure chain with a child a, else the root.
+            # A miss is stored in goto along the chain, so each (node, arrow)
+            # pair is resolved once.
+            chain = []
+            while (c := goto[n].get(a)) is None and n:
+                chain.append(n)
+                n = fail[n]
+            c = c or 0
+            for m in chain:
+                goto[m][a] = c
+            return c
+
+        # Failure links, breadth first: a node's link comes from its
+        # parent's, which is shallower. The stored misses only ever go to
+        # nodes shallower than the one being scanned, so each node's goto
+        # still holds just its children when its turn comes. A node that
+        # ends a relation is a leaf, and no move reads its link.
+        order = [0]
+        for n in order:  # grows while it is scanned
+            for a, c in goto[n].items():
+                if c not in ends:
+                    fail[c] = step(fail[n], a) if n else 0
+                    order.append(c)
+
+        # A state is a (vertex, node) pair, keyed by its node, or by its
+        # vertex at the root: a node's last arrow fixes the vertex.
+        index: dict = {v: i for i, v in enumerate(quiver.vertices)}
+        states = [(v, 0) for v in quiver.vertices]
         self.moves: list[dict[str, int]] = []
-        for vertex, word in states:  # grows while it is scanned
+        for vertex, node in states:  # grows while it is scanned
             out = {}
             for a in quiver.arrows_from(vertex):
-                new = word + (a.name,)
-                if any(new[len(new) - k:] in words
-                       for k in lengths if k <= len(new)):
-                    continue  # new ends with a relation
-                key = (a.target, new[max(0, len(new) - keep):])
-                if key not in index:
-                    index[key] = len(states)
-                    states.append(key)
-                out[a.name] = index[key]
+                c = step(node, a.name)
+                if c in ends:
+                    continue  # the path read so far ends with a relation
+                key = c or a.target
+                i = index.get(key)
+                if i is None:
+                    i = index[key] = len(states)
+                    states.append((a.target, c))
+                out[a.name] = i
             self.moves.append(out)
         self.counts = [0] * len(self.moves)
         self.syzygy_memo: dict = {}
@@ -331,25 +398,27 @@ class MonomialAlgebra:
 def _normalize_relations(relations: tuple[Path, ...]) -> tuple[Path, ...]:
     """Minimal relation set: dedupe, then drop any relation containing another
     as a contiguous factor (same ideal, smaller generating set). Relations
-    are scanned shortest first, so only factors whose length is that of a
-    kept word are looked up among the kept words."""
-    uniq: list[Path] = []
-    seen = set()
+    are scanned shortest first, so every kept word is shorter than the
+    words of the next length: their factors of the kept lengths are cut
+    out by one list of slices per length, and looked up among the kept
+    words. The result has no relation that is a factor of another, which
+    the automaton of MonomialAlgebra relies on."""
+    first: dict[tuple[str, ...], Path] = {}
     for r in relations:
-        if r.arrows not in seen:
-            seen.add(r.arrows)
-            uniq.append(r)
-    uniq.sort(key=lambda r: len(r.arrows))
+        first.setdefault(r.arrows, r)
     kept: list[Path] = []
     kept_words: set[tuple[str, ...]] = set()
     kept_lengths: set[int] = set()
-    for r in uniq:
-        w = r.arrows
-        if not any(w[i:i + k] in kept_words
-                   for k in kept_lengths for i in range(len(w) - k + 1)):
-            kept.append(r)
+    n = -1
+    for w in sorted(first, key=len):
+        if len(w) != n:
+            n = len(w)
+            cuts = [slice(i, i + k) for k in kept_lengths
+                    for i in range(n - k + 1)]
+        if kept_words.isdisjoint(map(w.__getitem__, cuts)):
+            kept.append(first[w])
             kept_words.add(w)
-            kept_lengths.add(len(w))
+            kept_lengths.add(n)
     return tuple(kept)
 
 
@@ -421,14 +490,14 @@ def parse_algebra(text: str) -> MonomialAlgebraSpec:
     """
     name = None
     vertices: dict[str, None] = {}  # a set in declaration order
-    arrows: list[Arrow] = []
-    relations: list[tuple[Path, int]] = []
+    arrow_by_name: dict[str, Arrow] = {}  # in declaration order
+    relations: list[tuple[str, int]] = []
     raw_modules: list[tuple[str, str, int]] = []
     ids: set[str] = set()
     module_names: set[str] = set()
 
     for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
+        line = raw.partition("#")[0].strip()
         if not line:
             continue
         kind = line.split(None, 1)[0]
@@ -436,7 +505,9 @@ def parse_algebra(text: str) -> MonomialAlgebraSpec:
         m = rx.match(line) if rx else None
         if m is None:
             raise AlgebraSyntaxError(f"cannot parse declaration: {line!r}", line=lineno)
-        if kind == "algebra":
+        if kind == "relation":
+            relations.append((m.group(1), lineno))
+        elif kind == "algebra":
             if name is not None:
                 raise AlgebraSyntaxError("repeated algebra declaration", line=lineno)
             name = m.group(1)
@@ -456,9 +527,7 @@ def parse_algebra(text: str) -> MonomialAlgebraSpec:
                         f"unknown vertex {v!r} in arrow {an!r}", line=lineno
                     )
             ids.add(an)
-            arrows.append(Arrow(an, src, tgt))
-        elif kind == "relation":
-            relations.append((m.group(1), lineno))
+            arrow_by_name[an] = Arrow(an, src, tgt)
         elif kind == "module":
             mname = m.group(1)
             if mname in module_names:
@@ -468,15 +537,15 @@ def parse_algebra(text: str) -> MonomialAlgebraSpec:
 
     if name is None:
         raise AlgebraSyntaxError("missing algebra declaration")
-    quiver = Quiver(tuple(vertices), tuple(arrows))
+    quiver = Quiver(tuple(vertices), tuple(arrow_by_name.values()))
 
     def build_path(literal: str, lineno: int) -> Path:
-        try:
-            return quiver.path(n.strip() for n in literal.split("."))
-        except AlgebraSyntaxError as e:
-            raise AlgebraSyntaxError(e.message, line=lineno) from None
+        # Whitespace can only stand around the dots of a path literal.
+        names = tuple("".join(literal.split()).split("."))
+        return _path_of(arrow_by_name, names, lineno)
 
-    rel_paths = tuple(build_path(lit, ln) for lit, ln in relations)
+    # After the loop, since a relation may name an arrow declared below it.
+    rel_paths = tuple([build_path(lit, ln) for lit, ln in relations])
 
     modules: dict[str, tuple[ModuleTerm, ...]] = {}
     for mname, body, lineno in raw_modules:

@@ -36,10 +36,6 @@ class CyclicKey(NamedTuple):
     vertex: str
     killers: tuple[Path, ...]
 
-    def sort_key(self):
-        return (self.vertex, len(self.killers),
-                tuple((len(k.arrows), k.arrows) for k in self.killers))
-
     def label(self) -> str:
         return f"{self.vertex}|{{{','.join(k.literal() for k in self.killers)}}}"
 
@@ -51,7 +47,7 @@ def cyclic_key(vertex: str, killers) -> CyclicKey:
     """Build a CyclicKey with killers in canonical order, checking that each
     killer has positive length and starts at `vertex`, and that no killer
     is a prefix of another."""
-    ks = sorted(killers, key=lambda k: (len(k.arrows), k.arrows))
+    ks = sorted(killers, key=_killer_order)
     for k in ks:
         if k.is_trivial:
             raise ValueError("killers must have positive length")
@@ -65,6 +61,18 @@ def cyclic_key(vertex: str, killers) -> CyclicKey:
                     f"killer {a.literal()} is a prefix of {b.literal()}"
                 )
     return CyclicKey(vertex, tuple(ks))
+
+
+def _killer_order(k: Path):
+    return len(k.arrows), k.arrows
+
+
+def _term_order(term):
+    """The canonical order of a ModuleExpr's terms: by vertex, then number
+    of killers, then the killers in their canonical order."""
+    key = term[0]
+    return (key.vertex, len(key.killers),
+            [(len(k.arrows), k.arrows) for k in key.killers])
 
 
 class ModuleExpr(NamedTuple):
@@ -96,7 +104,9 @@ def module_expr(pairs) -> ModuleExpr:
             raise ValueError("multiplicity must be >= 0")
         if mult:
             acc[key] = acc.get(key, 0) + mult
-    items = sorted(acc.items(), key=lambda kv: kv[0].sort_key())
+    items = list(acc.items())
+    if len(items) > 1:
+        items.sort(key=_term_order)
     return ModuleExpr(tuple(items))
 
 
@@ -119,27 +129,40 @@ def minimal_killers(p: Path, A: MonomialAlgebra) -> tuple[Path, ...]:
 
     Search with an explicit stack over forward extensions w of p, pruned at
     zero paths; recording stops at the first zero product, which makes the
-    result an antichain. Every killer ends inside the relation that kills it, so killer
-    length is bounded by the longest relation length minus one, and the
-    search goes no deeper. It carries the automaton states of p.w and of w:
-    p.w.a is zero exactly when a has no move from the first, and w.a is a
-    killer only if a has a move from the second.
+    result an antichain. Every killer ends inside the relation that kills
+    it, so killer length is bounded by the longest relation length minus
+    one, and the search goes no deeper. It carries the automaton states of
+    p.w and of w: p.w.a is zero exactly when a has no move from the first,
+    and w.a is a killer only if a has a move from the second. The stack
+    holds each extension's depth and last arrow, and `word` the arrows of
+    the extension being expanded, cut back and extended as the search
+    backtracks, so a step costs O(1) and only a recorded killer's word is
+    built: the search is linear in the killers' total length plus the
+    extensions it visits.
     """
     state = None if isinstance(p, PathZero) else A.state_after(p)
     if state is None:
         raise ZeroPathError(f"path is zero in {A.name}")
+    moves, target_of = A.moves, A.quiver.arrow_by_name
+    deepest = A.max_relation_length - 1
     out: list[Path] = []
-    stack = [((), state, A.quiver.vertex_index[p.target])]
+    word: list[str] = []
+    stack = [(0, "", state, A.quiver.vertex_index[p.target])]
     while stack:
-        w, pw, s = stack.pop()
-        for a, t in A.moves[s].items():
-            wa = w + (a,)
-            u = A.moves[pw].get(a)
+        depth, last, pw, s = stack.pop()
+        if depth:
+            del word[depth - 1:]
+            word.append(last)
+        from_pw = moves[pw]
+        for a, t in moves[s].items():
+            u = from_pw.get(a)
             if u is None:
-                out.append(Path(p.target, A.quiver.arrow_by_name[a].target, wa))
-            elif len(wa) < A.max_relation_length - 1:
-                stack.append((wa, u, t))
-    return tuple(sorted(out, key=lambda k: (len(k.arrows), k.arrows)))
+                out.append(Path(p.target, target_of[a].target, (*word, a)))
+            elif depth + 1 < deepest:
+                stack.append((depth + 1, a, u, t))
+    if len(out) > 1:
+        out.sort(key=_killer_order)
+    return tuple(out)
 
 
 def path_key(p: Path, A: MonomialAlgebra) -> CyclicKey:
@@ -184,7 +207,7 @@ def syzygy_key(key: CyclicKey, A: MonomialAlgebra) -> ModuleExpr:
     memo = A.syzygy_memo
     syz = memo.get(key)
     if syz is None:
-        syz = memo[key] = module_expr((path_key(w, A), 1) for w in key.killers)
+        syz = memo[key] = module_expr([(path_key(w, A), 1) for w in key.killers])
     return syz
 
 

@@ -12,7 +12,7 @@ from pathlib import Path
 import pytest
 
 import syzcx
-from syzcx.algebra import parse_algebra, validate_algebra
+from syzcx.algebra import Path as QuiverPath, parse_algebra, validate_algebra
 from syzcx.polynomials import IntPolynomial
 from syzcx.syzygy import ModuleExpr, module_expr, syzygy_key
 
@@ -116,6 +116,83 @@ def path_sort_key(A, p):
     aidx = A.quiver.arrow_index
     return (len(p.arrows), A.quiver.vertex_index[p.source],
             tuple(aidx[n] for n in p.arrows))
+
+
+def word_window_moves(A):
+    """The forbidden-factor automaton of A as the word-window construction
+    builds it, the reference for the Aho-Corasick automaton: a state is a
+    vertex plus the last <= R-1 arrows of a nonzero path (R the longest
+    relation length), and an arrow has a move unless the word it ends ends
+    with a relation. moves[state] maps arrow names to states, in
+    arrows_from order; state i is the trivial path at the i-th vertex."""
+    Q = A.quiver
+    keep = A.max_relation_length - 1
+    words = {r.arrows for r in A.relations}
+    lengths = {len(w) for w in words}
+    index = {(v, ()): i for i, v in enumerate(Q.vertices)}
+    states = list(index)
+    moves = []
+    for vertex, word in states:  # grows while it is scanned
+        out = {}
+        for a in Q.arrows_from(vertex):
+            new = word + (a.name,)
+            if any(new[len(new) - k:] in words
+                   for k in lengths if k <= len(new)):
+                continue  # new ends with a relation
+            key = (a.target, new[max(0, len(new) - keep):])
+            if key not in index:
+                index[key] = len(states)
+                states.append(key)
+            out[a.name] = index[key]
+        moves.append(out)
+    return moves
+
+
+def reference_state(A, moves, p):
+    """The state of the reference automaton `moves` after reading p from
+    its source, or None when p is zero."""
+    state = A.quiver.vertex_index[p.source]
+    for name in p.arrows:
+        state = moves[state].get(name)
+        if state is None:
+            return None
+    return state
+
+
+def reference_paths(A, moves):
+    """The nonzero paths in paths_from order, breadth-first over `moves`."""
+    Q = A.quiver
+    layer = [(i, QuiverPath(v, v, ())) for i, v in enumerate(Q.vertices)]
+    out = []
+    while layer:
+        out += [p for _, p in layer]
+        layer = [(j, QuiverPath(p.source, Q.arrow_by_name[a].target,
+                                p.arrows + (a,)))
+                 for i, p in layer for a, j in moves[i].items()]
+    return out
+
+
+def reference_killers(A, moves, p):
+    """The minimal killers of a nonzero path p, from the reference zero test
+    alone: breadth first over the nonzero paths w from target(p), each
+    extended until p.w is zero, with no bound on the length of w."""
+    Q = A.quiver
+    out = []
+    layer = [QuiverPath(p.target, p.target, ())]
+    while layer:
+        nxt = []
+        for w in layer:
+            for a in Q.arrows_from(w.target):
+                wa = QuiverPath(w.source, a.target, w.arrows + (a.name,))
+                if reference_state(A, moves, wa) is None:
+                    continue
+                pwa = QuiverPath(p.source, a.target, p.arrows + wa.arrows)
+                if reference_state(A, moves, pwa) is None:
+                    out.append(wa)
+                else:
+                    nxt.append(wa)
+        layer = nxt
+    return tuple(sorted(out, key=lambda k: (len(k.arrows), k.arrows)))
 
 
 def clear_caches():

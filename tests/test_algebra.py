@@ -23,8 +23,13 @@ from syzcx.errors import (
     ValidationError,
 )
 
-from conftest import (FIB_TEXT, LOOP3_TEXT, TWOSTEP_TEXT, make_algebra,
-                      path_sort_key, run_python)
+from syzcx.syzygy import minimal_killers
+
+from conftest import (CHAIN_TEXT, FIB_TEXT, LOOP3_TEXT, TWOSTEP_TEXT,
+                      family_gen, make_algebra, path_sort_key,
+                      random_monomial_algebras, reference_killers,
+                      reference_paths, reference_state, run_python,
+                      word_window_moves)
 
 
 # -- quiver basics -------------------------------------------------------------
@@ -338,3 +343,69 @@ def test_path_sort_key_orders_basis():
         basis = list(A.paths_from())
         assert basis == sorted(basis, key=lambda p: path_sort_key(A, p))
     assert [p.literal() for p in basis] == ["e(u)", "e(v)", "a", "b"]
+
+
+# -- the Aho-Corasick automaton against the word-window one ---------------------
+
+def _one_vertex_text(loops, relations):
+    lines = ["algebra overlap", "vertex v"]
+    lines += [f"arrow {a} : v -> v" for a in loops]
+    lines += [f"relation {r}" for r in relations]
+    return "\n".join(lines) + "\n"
+
+
+def _corpus(name):
+    if name == "random":
+        return random_monomial_algebras(0xAC, 40)
+    if name == "family":
+        gen, rng = family_gen(), random.Random(1975)
+        return [make_algebra(gen.algebra_text(
+                    f"fam{nv}", gen.family_algebra(nv, rng)))
+                for nv in (12, 16, 20, 24, 28)]
+    if name == "fixtures":
+        return [make_algebra(t) for t in (FIB_TEXT, TWOSTEP_TEXT, CHAIN_TEXT,
+                                          LOOP3_TEXT)]
+    if name == "overlapping":
+        # Relations that overlap themselves and each other, so a move
+        # falls back along failure links: from a.b, reading b lands on
+        # b.b by way of the prefix b of b.a.b.
+        return [make_algebra(_one_vertex_text(loops, rels)) for loops, rels in [
+            ("ab", ["a.b.a", "b.a.b", "a.a", "b.b"]),
+            ("xy", ["x.x.x", "x.y.x", "y.y"]),
+            ("xy", ["x.y.x.y", "y.x.y.y", "x.x.y", "y.y.y", "x.x.x"]),
+            ("abc", ["a.b.c.a", "b.c.a.b", "c.a.b.c", "a.a", "b.b", "c.c",
+                     "a.c", "c.b", "b.a"]),
+        ]]
+    return [make_algebra(_one_vertex_text("x", [".".join(["x"] * L)]))
+            for L in (2, 7, 60)]
+
+
+def _every_path(Q, length):
+    """Every path of the quiver with at most `length` arrows."""
+    layer = [Q.trivial_path(v) for v in Q.vertices]
+    out = []
+    for _ in range(length + 1):
+        out += layer
+        layer = [Q.path(p.arrows + (a.name,)) for p in layer
+                 for a in Q.arrows_from(p.target)]
+    return out
+
+
+@pytest.mark.parametrize("corpus", ["random", "family", "fixtures",
+                                    "overlapping", "long_loop"])
+def test_automaton_matches_the_word_window_automaton(corpus):
+    """The Aho-Corasick automaton against the word-window construction it
+    replaced (conftest.word_window_moves): the same dimension and paths_from
+    list, the same zero test on every path of at most R + 1 arrows, the
+    same minimal killers of every nonzero path (against a search with no
+    length bound), and never more states."""
+    for A in _corpus(corpus):
+        ref = word_window_moves(A)
+        assert len(A.moves) <= len(ref)
+        paths = reference_paths(A, ref)
+        assert A.dimension == len(paths)
+        assert list(A.paths_from()) == paths
+        for p in _every_path(A.quiver, A.max_relation_length + 1):
+            assert A.is_nonzero(p) == (reference_state(A, ref, p) is not None)
+        for p in paths:
+            assert minimal_killers(p, A) == reference_killers(A, ref, p)

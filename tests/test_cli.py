@@ -8,12 +8,14 @@ import os
 import random
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import pytest
 
 import syzcx
 from syzcx import cli, errors
+from syzcx.algebra import parse_algebra, validate_algebra
 from syzcx.cli import main
 from syzcx.errors import (
     AlgebraSyntaxError,
@@ -585,12 +587,17 @@ def test_long_integer_is_read_and_printed(digits):
     assert doc["status"] == "realizable" and doc["b"]["poly"][0] == f"-{nines}"
 
 
+def _loop_text(length):
+    """One vertex, one loop x, the relation x^length and the simple S."""
+    return "\n".join(["algebra loop", "vertex v", "arrow x : v -> v",
+                      "relation " + ".".join(["x"] * length),
+                      "module S = S(v)"]) + "\n"
+
+
 def _loop_algebra(tmp_path, length):
-    """One vertex, one loop x, and the relation x^length."""
+    """_loop_text(length) as a file; returns its path."""
     f = tmp_path / f"loop{length}.alg"
-    f.write_text("\n".join(["algebra loop", "vertex v", "arrow x : v -> v",
-                            "relation " + ".".join(["x"] * length),
-                            "module S = S(v)"]) + "\n")
+    f.write_text(_loop_text(length))
     return str(f)
 
 
@@ -600,9 +607,10 @@ def _loop_algebra(tmp_path, length):
     (["oracle", "crosscheck", "--module", "S", "-n", "4"], 20),
 ], ids=["complexity", "syzquiver", "oracle_crosscheck"])
 def test_relation_of_length_3000(tmp_path, argv, timeout):
-    """A relation 3,000 arrows long: the killer search keeps its own stack
-    instead of recursing once per arrow, and the relation scans look only
-    at relation lengths. The syzygies of the simple alternate between
+    """A relation 3,000 arrows long: the automaton's states are trie nodes
+    of the relation, so no state copies a word, and the killer search
+    keeps one shared word on its own stack instead of recursing or copying
+    once per arrow. The syzygies of the simple alternate between
     dimensions 1 and 2,999, so its class is 1^n. The oracle builds the
     images of the 3,000 basis elements of each cover column by column, so a
     step of the 2,999-dimensional module costs its nonzeros, not 3,000
@@ -616,6 +624,46 @@ def test_relation_of_length_3000(tmp_path, argv, timeout):
         assert (base["approx"], doc["class"]["degree"]) == ("1.000000000000", 0)
     if argv[0] == "oracle":
         assert doc["agree"] and doc["oracle"] == [1, 2999, 1, 2999, 1]
+
+
+def test_validation_memory_is_linear_in_relation_length():
+    """Doubling the relation of the one-loop algebra from 2,000 to 4,000
+    arrows at most about doubles the memory validation allocates: the
+    automaton has one state per trie node, with no word copied into it.
+    The word-window automaton it replaced grew 3.9x (16.7 to 65.4 MB)."""
+    peaks = []
+    for length in (2000, 4000):
+        spec = parse_algebra(_loop_text(length))
+        tracemalloc.start()
+        try:
+            A = validate_algebra(spec)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+        assert A.dimension == length
+    assert peaks[1] <= 2.5 * peaks[0], peaks
+
+
+@pytest.mark.parametrize("argv", [["validate"], ["complexity", "--module", "S"]],
+                         ids=["validate", "complexity"])
+def test_relation_of_length_24000(tmp_path, argv):
+    """x^24000 through the CLI under a 1 GiB address-space limit, set in
+    the child only, and a 20 s timeout: the automaton and the killer search
+    are linear in the relation's length. The word-window automaton needed
+    about 2.3 GB."""
+    resource = pytest.importorskip("resource")
+
+    def limit():
+        resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
+
+    proc = cli_process(argv + [_loop_algebra(tmp_path, 24000)],
+                       preexec_fn=limit, timeout=20, OPENBLAS_NUM_THREADS="1")
+    assert proc.returncode == 0 and "Traceback" not in proc.stderr, proc.stderr
+    doc = json.loads(proc.stdout)
+    if argv[0] == "validate":
+        assert doc["dimension"] == 24000
+    else:
+        assert doc["class"]["degree"] == 0
 
 
 def test_out_of_memory_in_realize(monkeypatch):
