@@ -6,21 +6,21 @@ isolating rational interval containing exactly one distinct real root.
 Intervals are refined to width <= 2^-48 at construction so the printed
 12-decimal approximation is stable.
 
-Roots are counted on the squarefree part s of p. When p = x^k q with q
-squarefree, which a gcd modulo a prime shows, s is x q or q; otherwise s is
-p / gcd(p, p'), by `poly_gcd_q`. Roots are isolated and counted by one
-bisection, `_root_intervals`: Descartes' count of sign variations of s after
-a Moebius map of a cell onto (0, oo), halving every cell where it is 2 or
-more. The largest root, Perron roots above all, is first tried in one cell
-of that tree picked by a float guess and certified by exact tests
-(`certify_largest_root`). All of it but that guess runs on integers: one
-pseudo-division loop, one gcd loop, homogeneous Horner at rational points, a
-Taylor shift by a rational and one by 1 in running sums, one bisection form
-(integer numerators over a doubling denominator) in `_root_intervals` and in
-the sign-bisection loop `refine_interval`, decimals rounded by integer
-division at any size, and resultants by one Bareiss elimination loop,
-`_bareiss`, run over Z on entries packed at x = 2^w, unless the fields are
-too wide for that to pay, and then over Z[x] (`det_bareiss_poly`).
+Roots are counted on the squarefree part s = p / gcd(p, p') of p, the gcd
+taken as one integer gcd at x = 2^w (`poly_gcd_q`). Roots are isolated and
+counted by one bisection, `_root_intervals`: Descartes' count of sign
+variations of s after a Moebius map of a cell onto (0, oo), halving every
+cell where it is 2 or more. The largest root, Perron roots above all, is
+first tried in one cell of that tree picked by a float guess and certified
+by exact tests (`certify_largest_root`). All of it but that guess runs on
+integers: one pseudo-division loop, one pack at x = 2^w and one
+signed-digit reader, homogeneous Horner at rational points, a Taylor shift
+by a rational and one by 1 in running sums, one bisection form (integer
+numerators over a doubling denominator) in `_root_intervals` and in the
+sign-bisection loop `refine_interval`, decimals rounded by integer division
+at any size, and resultants by one Bareiss elimination loop, `_bareiss`,
+run over Z on entries packed at x = 2^w, unless the fields are too wide for
+that to pay, and then over Z[x] (`det_bareiss_poly`).
 """
 
 from __future__ import annotations
@@ -36,9 +36,6 @@ from .errors import ZeroPolynomialError
 DEFAULT_WIDTH = Fraction(1, 2 ** 48)
 # Entries per memo of the exact layer, so none grows without bound.
 _MEMO_SIZE = 4096
-# The prime of the squarefree test in `squarefree_part`, the largest below
-# 2^15: a product of two residues stays a small int.
-_PRIME = 32749
 
 
 class IntPolynomial:
@@ -241,56 +238,60 @@ def monomial_minus(m) -> IntPolynomial:
     return IntPolynomial([-f.numerator, f.denominator])
 
 
-def poly_gcd_q(a: IntPolynomial, b: IntPolynomial) -> IntPolynomial:
-    """Monic-free gcd over Q, returned primitive with positive leading coeff:
-    Euclid's algorithm on pseudo-remainders, each divided by its content, so
-    that coefficients stay near the size of the inputs."""
-    u, v = _content_free(a.coeffs), _content_free(b.coeffs)
+def _pack(cs, w: int) -> int:
+    """sum cs[i] x^i at x = 2^w: the coefficients as w-bit fields of one
+    integer (Kronecker substitution)."""
+    v = 0
+    for c in reversed(cs):
+        v = (v << w) + c
+    return v
+
+
+def _signed_digits(v: int, w: int) -> list[int]:
+    """The ascending coefficients, in [-2^(w-1), 2^(w-1)), of the polynomial
+    whose value at 2^w is v: v's w-bit digits, lowest first, each read as a
+    signed w-bit number, so a digit at or above 2^(w-1) borrows one from
+    the next."""
+    half, mask = 1 << (w - 1), (1 << w) - 1
+    out = []
     while v:
-        u, v = v, _content_free(_pseudo_divmod(u, v)[2])
-    return IntPolynomial(u).primitive()
+        out.append(((v & mask) ^ half) - half)
+        v = (v - out[-1]) >> w
+    return out
+
+
+def poly_gcd_q(a: IntPolynomial, b: IntPolynomial) -> IntPolynomial:
+    """Monic-free gcd over Q, returned primitive with positive leading coeff,
+    by the heuristic gcd (B. W. Char, K. O. Geddes & G. H. Gonnet, J.
+    Symbolic Comput. 7, 1989; H.-C. Liao & R. J. Fateman, ISSAC 1995).
+
+    With u and v the content-free a and b, neither zero nor u = v, and
+    xi = 2^w >= 2 min(|u|oo, |v|oo) + 2, the candidate is the content-free
+    part of the signed w-bit digits of gcd(u(xi), v(xi)). It is the gcd once
+    it divides u and v (ibid., Thm 1); otherwise w doubles. No fallback is
+    needed: write u = g u1 and v = g v1, g the gcd. As s u1 + t v1 =
+    Res(u1, v1) for some s, t in Z[x], the integer gcd is h |g(xi)| with h
+    dividing Res(u1, v1), so h does not grow with w, and once the
+    coefficients of h g lie in (-2^(w-1), 2^(w-1)) the candidate is +-g."""
+    u, v = _content_free(a.coeffs), _content_free(b.coeffs)
+    if not u or not v or u == v:
+        return IntPolynomial(u or v).primitive()
+    w = min(max(map(abs, u)), max(map(abs, v))).bit_length() + 1
+    while True:
+        g = _content_free(_signed_digits(gcd(_pack(u, w), _pack(v, w)), w))
+        if not (_pseudo_divmod(u, g)[2] or _pseudo_divmod(v, g)[2]):
+            return IntPolynomial(g).primitive()
+        w *= 2
 
 
 # -- root counting and isolation -------------------------------------------
 
-def _squarefree_mod(q, m: int) -> bool:
-    """Whether a test mod the prime m shows q (ascending ints) squarefree:
-    m does not divide lc(q), and gcd(q, q') mod m, by Euclid's algorithm on
-    residues held in descending order, has degree 0. True proves q
-    squarefree over Q: a factor f^2 of q, f primitive of degree >= 1, keeps
-    its degree mod m, as lc(f) divides lc(q), and f would divide that gcd.
-    False proves nothing."""
-    if not q or q[-1] % m == 0:
-        return False
-    u = [c % m for c in reversed(q)]
-    v = [i * c % m for i, c in reversed(list(enumerate(q)))][:-1]
-    while v and not v[0]:
-        del v[0]
-    while v:
-        inv, top, tail = pow(v[0], -1, m), len(v), v[1:]
-        while u and not u[0]:
-            del u[0]
-        while len(u) >= top:
-            f = u[0] * inv % m
-            u = [(a - f * b) % m for a, b in zip(u[1:top], tail)] + u[top:]
-            while u and not u[0]:
-                del u[0]
-        u, v = v, u
-    return len(u) == 1
-
-
 @lru_cache(maxsize=_MEMO_SIZE)
 def squarefree_part(p: IntPolynomial) -> IntPolynomial:
-    """p / gcd(p, p'), primitive with positive leading coefficient. Write
-    p = x^k q with q(0) != 0. When q is squarefree by the test mod the prime
-    _PRIME, the answer is x q, or q when k = 0, and no gcd is taken.
-    Otherwise the gcd is primitive, so the quotient is integral (Gauss)."""
+    """p / gcd(p, p'), primitive with positive leading coefficient. The gcd
+    is primitive, so the quotient is integral (Gauss)."""
     if p.is_zero:
         raise ZeroPolynomialError("squarefree part of the zero polynomial")
-    k = next(i for i, c in enumerate(p.coeffs) if c)
-    q = p.coeffs[k:]
-    if _squarefree_mod(q, _PRIME):
-        return IntPolynomial((0,) * min(k, 1) + q).primitive()
     return p.div_exact(poly_gcd_q(p, p.derivative())).primitive()
 
 
@@ -644,19 +645,19 @@ def det_bareiss_poly(rows: list[list[IntPolynomial]]) -> IntPolynomial:
     the same polynomial.
 
     Each entry becomes one integer, its coefficients packed in w-bit fields
-    (Kronecker substitution). Every Bareiss intermediate, pivots included,
-    is a minor of the row-permuted matrix, and every coefficient of a minor
-    is at most the product over rows of max(1, sum of the entries' l1
-    norms) in absolute value. w is that bound's bit length plus 1, so every
-    coefficient lies in (-2^(w-1), 2^(w-1)). A nonzero polynomial with such
-    coefficients does not vanish at 2^w (its top term outweighs the rest),
-    so a pivot that is 0 at 2^w is the zero polynomial, both rings take the
-    same pivots, and each division by the previous pivot, exact in Z[x], is
-    exact at 2^w. The determinant has degree below the field count, the sum
-    over rows of the largest entry length; it is read back as signed w-bit
-    digits, lowest first, each field at or above 2^(w-1) borrowing one from
-    the next. The bound and the field count only grow row by row, so the
-    first row past the cost picks Z[x] before anything is packed.
+    by `_pack`, as in `poly_gcd_q`. Every Bareiss intermediate, pivots
+    included, is a minor of the row-permuted matrix, and every coefficient
+    of a minor is at most the product over rows of max(1, sum of the
+    entries' l1 norms) in absolute value. w is that bound's bit length plus
+    1, so every coefficient lies in (-2^(w-1), 2^(w-1)). A nonzero
+    polynomial with such coefficients does not vanish at 2^w (its top term
+    outweighs the rest), so a pivot that is 0 at 2^w is the zero polynomial,
+    both rings take the same pivots, and each division by the previous
+    pivot, exact in Z[x], is exact at 2^w. The determinant has degree below
+    the field count, the sum over rows of the largest entry length;
+    `_signed_digits`, the reader of `poly_gcd_q`'s integer gcd, reads it
+    back. The bound and the field count only grow row by row, so the first
+    row past the cost picks Z[x] before anything is packed.
     """
     bound, fields, w = 1, 1, 2
     for r in rows:
@@ -665,25 +666,8 @@ def det_bareiss_poly(rows: list[list[IntPolynomial]]) -> IntPolynomial:
         w = bound.bit_length() + 1
         if w * w * fields > PACKED_MAX_COST:
             return _bareiss([list(r) for r in rows], IntPolynomial([1]))
-    m = []
-    for r in rows:
-        row = []
-        for e in r:
-            v = 0
-            for c in reversed(e.coeffs):
-                v = (v << w) + c
-            row.append(v)
-        m.append(row)
-    v = _bareiss(m, 1)
-    half, mask = 1 << (w - 1), (1 << w) - 1
-    out = []
-    while v:
-        d = v & mask
-        if d >= half:
-            d -= mask + 1
-        out.append(d)
-        v = (v - d) >> w
-    return IntPolynomial(out)
+    v = _bareiss([[_pack(e.coeffs, w) for e in r] for r in rows], 1)
+    return IntPolynomial(_signed_digits(v, w))
 
 
 def _bareiss(m: list[list], one):

@@ -217,9 +217,9 @@ def equal_radius(a: AlgebraicReal, b: AlgebraicReal) -> bool:
     so neither end of the intersection is a root of the gcd. The closing
     root count (`count_real_roots_open`: Descartes' count on the
     intersection, and a bisection only when that is 2 or more) is memoized,
-    so a tie proved again costs a lookup. Two values of one primitive
-    polynomial, the common tie, have that polynomial as their gcd, whose
-    squarefree part is already memoized.
+    so a tie proved again costs a lookup. Two values of one polynomial, the
+    common tie, are answered by `poly_gcd_q`'s line for equal inputs, with
+    no integer gcd; the squarefree part of their gcd is already memoized.
     """
     if a.hi < b.lo or b.hi < a.lo:
         return False

@@ -13,7 +13,7 @@ import pytest
 
 import syzcx
 from syzcx.algebra import Path as QuiverPath, parse_algebra, validate_algebra
-from syzcx.polynomials import IntPolynomial
+from syzcx.polynomials import IntPolynomial, _content_free, _pseudo_divmod
 from syzcx.syzygy import ModuleExpr, module_expr, syzygy_key
 
 # Two vertices; the only nonzero paths are the trivial ones and the three
@@ -219,14 +219,22 @@ def family_gen():
     return perfbench_module("gen")
 
 
-def run_python(code, timeout=60):
-    """Run `python -c code` in a child process that imports this checkout's
-    syzcx; raises subprocess.TimeoutExpired when it outlives `timeout`."""
+def python_process(args, preexec_fn=None, timeout=None, **env):
+    """Run `python args` in a child process that imports this checkout's
+    syzcx, with `env` added to its environment; raises
+    subprocess.TimeoutExpired when it outlives `timeout`."""
     src = str(Path(syzcx.__file__).resolve().parents[1])
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-        filter(None, [src, os.environ.get("PYTHONPATH")])))
-    return subprocess.run([sys.executable, "-c", code], capture_output=True,
-                          text=True, env=env, timeout=timeout)
+    full_env = dict(os.environ, **env)
+    full_env["PYTHONPATH"] = os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")]))
+    return subprocess.run([sys.executable, *args], capture_output=True,
+                          text=True, env=full_env, preexec_fn=preexec_fn,
+                          timeout=timeout)
+
+
+def run_python(code, timeout=60):
+    """`python -c code` in a child process, by `python_process`."""
+    return python_process(["-c", code], timeout=timeout)
 
 
 @pytest.fixture(scope="session")
@@ -278,6 +286,17 @@ def det_bareiss_int(rows: list[list[int]]) -> int:
             m[i][k] = 0
         prev = m[k][k]
     return sign * m[n - 1][n - 1]
+
+
+def gcd_by_remainders(a, b):
+    """The gcd over Q, primitive with positive leading coefficient, by
+    Euclid's algorithm on pseudo-remainders, each divided by its content:
+    the reference for `poly_gcd_q`, which this loop was until the gcd came
+    from one integer gcd."""
+    u, v = _content_free(a.coeffs), _content_free(b.coeffs)
+    while v:
+        u, v = v, _content_free(_pseudo_divmod(u, v)[2])
+    return IntPolynomial(u).primitive()
 
 
 def sylvester_rows(A, B):

@@ -4,16 +4,12 @@ diagnostics."""
 import contextlib
 import io
 import json
-import os
 import random
-import subprocess
-import sys
 import tracemalloc
 from pathlib import Path
 
 import pytest
 
-import syzcx
 from syzcx import cli, errors
 from syzcx.algebra import parse_algebra, validate_algebra
 from syzcx.cli import main
@@ -25,6 +21,8 @@ from syzcx.errors import (
     ValidationError,
 )
 
+from conftest import python_process
+
 HERE = Path(__file__).parent
 DATA = HERE / "data"
 GOLDEN = HERE / "golden"
@@ -35,14 +33,8 @@ A2 = str(DATA / "a2.alg")
 
 
 def cli_process(argv, preexec_fn=None, timeout=None, **env):
-    """Run `python -m syzcx.cli argv` with this checkout's syzcx importable."""
-    src = str(Path(syzcx.__file__).resolve().parents[1])
-    full_env = dict(os.environ, **env)
-    full_env["PYTHONPATH"] = os.pathsep.join(
-        filter(None, [src, os.environ.get("PYTHONPATH")]))
-    return subprocess.run([sys.executable, "-m", "syzcx.cli"] + argv,
-                          capture_output=True, text=True, env=full_env,
-                          preexec_fn=preexec_fn, timeout=timeout)
+    """`python -m syzcx.cli argv` in a child process, by `python_process`."""
+    return python_process(["-m", "syzcx.cli", *argv], preexec_fn, timeout, **env)
 
 
 def run_cli(argv):

@@ -1,8 +1,9 @@
 """Every imported name is used in its file, every private function is used
 in the package, every public function or class is used in the package or
 the benchmark or is a listed test-reference helper, no function in the
-package calls itself by name, only one bisection reads Descartes counts, and
-no cache in the package is unbounded. `from __future__` imports are
+package calls itself by name, only one bisection reads Descartes counts, one
+pack and one signed-digit reader serve the determinant and the gcd, and no
+cache in the package is unbounded. `from __future__` imports are
 directives, so they are exempt from the first."""
 
 import ast
@@ -130,6 +131,17 @@ def test_one_elimination():
     files = sorted((ROOT / "src" / "syzcx").glob("*.py"))
     assert len(files) > 10
     assert callers_of("_bareiss", files) == {"det_bareiss_poly"}
+
+
+def test_one_packing():
+    """Polynomials go to integers at x = 2^w by one `_pack` and come back by
+    one signed-digit reader, `_signed_digits`, which only `det_bareiss_poly`
+    and `poly_gcd_q` call; a third copy is to be folded into them, not
+    added."""
+    files = sorted((ROOT / "src" / "syzcx").glob("*.py"))
+    assert len(files) > 10
+    for name in ("_pack", "_signed_digits"):
+        assert callers_of(name, files) == {"det_bareiss_poly", "poly_gcd_q"}
 
 
 def cached_functions(files):

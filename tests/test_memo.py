@@ -360,46 +360,33 @@ def test_sturm_count_memo_answers_the_repeated_ties_of_a_large_draw():
 
 def test_perron_roots_of_a_large_draw_build_chains_only_where_needed(
         monkeypatch):
-    # Work, not time: squarefree_part takes the gcd of a component
-    # polynomial p = x^k q with p' only when q is not squarefree mod the
-    # prime, and largest_real_root isolates a root by bisection only when it
-    # is a point of the isolation tree (0 or 1 here), which the certified
-    # cell leaves to the isolation.
+    # Work, not time: largest_real_root isolates a root by bisection only
+    # when it is a point of the isolation tree (0 or 1 here), which the
+    # certified cell leaves to the isolation.
     gen = family_gen()
     A = make_algebra(gen.algebra_text(
         "fam", gen.family_algebra(120, random.Random(3))))
     clear_caches()
     roots, perron_root = set(), spectra.perron_root
     calls = Counter()
-    squarefree_mod = polynomials._squarefree_mod
     isolate = polynomials.isolate_largest_real_root
 
     def recorded(m):
         roots.add(perron_root(m))
         return perron_root(m)
 
-    def gcd_fallback(q, m):
-        calls["gcd"] += not squarefree_mod(q, m)
-        return squarefree_mod(q, m)
-
     def isolation(p):
         calls["isolate"] += 1
         return isolate(p)
 
     monkeypatch.setattr(spectra, "perron_root", recorded)
-    monkeypatch.setattr(polynomials, "_squarefree_mod", gcd_fallback)
     monkeypatch.setattr(polynomials, "isolate_largest_real_root", isolation)
     report = module_complexity(
         A, module_expr((simple_key(A, v), 1) for v in A.quiver.vertices))
     assert report.cls.label() == "2.644624271878^n"
-    not_squarefree = points = 0
-    for r in roots:
-        cs = r.poly.coeffs
-        q = cs[next(i for i, c in enumerate(cs) if c):]
-        not_squarefree += not squarefree_mod(q, polynomials._PRIME)
-        points += r.lo == r.hi
+    points = sum(r.lo == r.hi for r in roots)
     assert max(r.poly.degree for r in roots) == 160
-    assert calls["gcd"] <= not_squarefree and calls["isolate"] <= points
+    assert calls["isolate"] <= points
 
 
 def _benchmark_pass_counts(monkeypatch, workload) -> Counter:

@@ -40,7 +40,8 @@ from syzcx.polynomials import IntPolynomial, _bareiss, _root_intervals
 from syzcx.errors import ZeroPolynomialError
 
 import sturm
-from conftest import clear_caches, det_bareiss_int, evaluate, sylvester_rows
+from conftest import (clear_caches, det_bareiss_int, evaluate, gcd_by_remainders,
+                      run_python, sylvester_rows)
 
 PHI = (1 + 5 ** 0.5) / 2  # 1.6180339887498949
 
@@ -150,6 +151,82 @@ def test_squarefree_part():
         squarefree_part(poly())
     with pytest.raises(ZeroPolynomialError):
         largest_real_root(poly())
+
+
+def _gcd_pairs():
+    """3,000 seeded pairs: a planted common factor, often repeated, times
+    random cofactors, with powers of x, a content of up to 2^70 and a sign
+    on either side; coefficients of up to 10^30 on every 20th pair and of
+    4,000 digits on every 500th; and equal, negated and zero inputs."""
+    rng = random.Random(0x6CD)
+
+    def draw(degree, size):
+        return poly(*[rng.randint(-size, size) for _ in range(degree)],
+                    rng.randint(1, size))
+
+    for i in range(3000):
+        size = (10 ** 4000 if i % 500 == 0 else 10 ** 30 if i % 20 == 0
+                else rng.choice([1, 2, 3, 9, 99]))
+        top = 1 if size > 10 ** 30 else 3
+        g = _product([draw(rng.randint(1, top), size)] * rng.randint(1, top)
+                     if rng.random() < 0.7 else [])
+        a, b = (g * draw(rng.randint(0, 2 * top), size)
+                * poly(*[0] * rng.randint(0, 2), 1) for _ in range(2))
+        kind = i % 10
+        if kind == 0:
+            b = a
+        elif kind == 1:
+            b = -a
+        elif kind == 2:
+            b = poly()
+        for _ in range(2):
+            a, b = b, a * rng.choice([1, -1]) * rng.randint(1, 1 << 70)
+        yield a, b
+
+
+def test_gcd_equals_the_remainder_sequence(monkeypatch):
+    """On `_gcd_pairs`, the gcd in either order and the squarefree part of
+    each nonzero input equal those of the remainder sequence, and the
+    widths the digits are read at double, from the first width on, at
+    least 20 times."""
+    widths, digits = [], polynomials._signed_digits
+
+    def recorded(v, w):
+        widths.append(w)
+        return digits(v, w)
+
+    monkeypatch.setattr(polynomials, "_signed_digits", recorded)
+    clear_caches()
+    doublings = 0
+    for a, b in _gcd_pairs():
+        g = gcd_by_remainders(a, b)
+        for x, y in ((a, b), (b, a)):
+            widths.clear()
+            assert poly_gcd_q(x, y) == g, (x, y)
+            assert all(v == 2 * w for w, v in zip(widths, widths[1:])), widths
+            doublings += max(0, len(widths) - 1)
+        for p in (a, b):
+            if p:
+                sqf = p.div_exact(gcd_by_remainders(p, p.derivative()))
+                assert squarefree_part(p) == sqf.primitive(), p
+    assert doublings >= 20, doublings
+
+
+def test_gcd_and_squarefree_part_of_degree_200_end_in_seconds():
+    """gcd(f, f') and the squarefree part of s^2 r, both of degree 200
+    with 100-bit coefficients, in a child process under a 20 s timeout.
+    The remainder sequence took 38 to 62 s on f and f' alone."""
+    out = run_python(
+        "import random\n"
+        "from syzcx.polynomials import IntPolynomial, poly_gcd_q, squarefree_part\n"
+        "rng = random.Random(200)\n"
+        "def draw(n):\n"
+        "    return IntPolynomial([rng.getrandbits(100) - (1 << 99)\n"
+        "                          for _ in range(n)] + [1 << 99 | 1])\n"
+        "f, s, r = draw(200), draw(50), draw(100)\n"
+        "print(poly_gcd_q(f, f.derivative()).coeffs,\n"
+        "      squarefree_part(s * s * r) == (s * r).primitive())", timeout=20)
+    assert out.stdout == "(1,) True\n", out.stderr
 
 
 def test_count_real_roots_open():
@@ -781,10 +858,10 @@ def _clustered_corpus():
     """2,000 seeded polynomials with repeated and clustered roots: products
     of linear factors whose roots sit within 2^-k of a center, some of them
     repeated; near-double complex pairs (d x - n)^2 + e; powers of x times
-    a cofactor; and square factors whose leading coefficient the prime of
-    the squarefree test divides."""
+    a cofactor; and square factors whose leading coefficient 32,749
+    divides."""
     rng = random.Random(0xDE5C)
-    big = polynomials._PRIME
+    big = 32749
     for i in range(2000):
         kind = i % 5
         if kind == 0:
@@ -818,28 +895,18 @@ def _clustered_corpus():
             yield p
 
 
-def test_squarefree_part_equals_the_first_chain_entry(monkeypatch):
+def test_squarefree_part_equals_the_first_chain_entry():
     """squarefree_part gives the first entry of the reference's Sturm chain,
-    made primitive, on both corpora, and both of its branches are taken:
-    the shortcut where the test mod the prime shows p / x^k squarefree, and
-    the gcd where it does not."""
-    branches = Counter()
-    squarefree_mod = polynomials._squarefree_mod
-
-    def recorded(q, m):
-        branches[squarefree_mod(q, m)] += 1
-        return squarefree_mod(q, m)
-
-    monkeypatch.setattr(polynomials, "_squarefree_mod", recorded)
+    made primitive, on both corpora."""
     for p in [*_isolate_corpus(), *_clustered_corpus()]:
         clear_caches()
         assert squarefree_part(p) == poly(*sturm.sturm_chain(p)[0]).primitive(), p
-    assert branches[True] >= 1000 and branches[False] >= 700
 
 
-def test_squarefree_test_refuses_a_prime_dividing_the_leading_coefficient():
-    # (P x + 1)^2 (x - 2) is x - 2 mod P, squarefree there.
-    f = poly(1, polynomials._PRIME)
+def test_squarefree_part_of_a_square_whose_leading_coefficient_is_a_prime():
+    # (P x + 1)^2 (x - 2) is x - 2 mod P, squarefree there, so a squarefree
+    # test mod P must not stand in for the gcd.
+    f = poly(1, 32749)
     assert squarefree_part(f * f * poly(-2, 1)) == (f * poly(-2, 1)).primitive()
     assert squarefree_part(f * f) == f
 
