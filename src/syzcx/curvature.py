@@ -37,7 +37,7 @@ from .polynomials import (
     resultant_y,
     squarefree_part,
 )
-from .spectra import algebraic_power, compare_algebraic, equal_radius
+from .spectra import algebraic_square, compare_algebraic, equal_radius
 
 _ZERO = rational_algebraic(0)
 
@@ -109,9 +109,8 @@ def factor_monic_squarefree(p: IntPolynomial) -> tuple[list[IntPolynomial], bool
     factors: list[IntPolynomial] = []
     g = p
     for r in sorted(integer_roots(p), key=lambda t: (abs(t), t < 0)):
-        while g.sign_at(r) == 0:
-            factors.append(poly(-r, 1))
-            g = g.div_exact(poly(-r, 1))
+        factors.append(poly(-r, 1))
+        g = g.div_exact(factors[-1])
     split = _split_quartic(g) if g.degree == 4 else None
     if split is not None:
         return factors + list(split), True
@@ -120,25 +119,19 @@ def factor_monic_squarefree(p: IntPolynomial) -> tuple[list[IntPolynomial], bool
     return factors, g.degree <= 4
 
 
-def _refined_nonnegative(r: AlgebraicReal) -> AlgebraicReal:
-    """Shrink the isolating interval of a positive value until lo >= 0."""
-    while r.lo < 0:
-        r = r.refined((r.hi - r.lo) / 4)
-    return r
+def _eliminate(q: IntPolynomial, rows: list[IntPolynomial]) -> IntPolynomial:
+    """Res_y(q(y), sum_j rows[j] y^j), rows[j] in Z[x], with a positive
+    leading coefficient: the one elimination of the closures."""
+    res = resultant_y([IntPolynomial([c]) for c in q.coeffs], rows)
+    return -res if res.lc < 0 else res
 
 
 def product_polynomial(p: IntPolynomial, q: IntPolynomial) -> IntPolynomial:
     """Monic integer polynomial annihilating every product of a root of p
     with a root of q, via Res_y(q(y), y^m p(x/y))."""
     m = p.degree
-    a_coeffs = []
-    for j in range(m + 1):
-        cs = [0] * (m - j) + [p.coeffs[m - j]]
-        a_coeffs.append(IntPolynomial(cs))
-    res = resultant_y([IntPolynomial([c]) for c in q.coeffs], a_coeffs)
-    if res.lc < 0:
-        res = res * -1
-    return res
+    return _eliminate(q, [IntPolynomial([0] * (m - j) + [p.coeffs[m - j]])
+                          for j in range(m + 1)])
 
 
 def sum_polynomial(p: IntPolynomial, q: IntPolynomial) -> IntPolynomial:
@@ -151,10 +144,7 @@ def sum_polynomial(p: IntPolynomial, q: IntPolynomial) -> IntPolynomial:
         for i in range(j, m + 1):
             acc[i - j] = (-1) ** j * p.coeffs[i] * math.comb(i, j)
         b_coeffs.append(IntPolynomial(acc))
-    res = resultant_y([IntPolynomial([c]) for c in q.coeffs], b_coeffs)
-    if res.lc < 0:
-        res = res * -1
-    return res
+    return _eliminate(q, b_coeffs)
 
 
 def closure_combine(p: IntPolynomial, q: IntPolynomial, op: str,
@@ -239,18 +229,17 @@ def check_condition_c(p: IntPolynomial,
         return CurvatureVerdict(
             "realizable", best, "rational nonnegative integer root", irr
         )
-    while f.coeffs[0] == 0:
-        f = f.div_exact(poly(0, 1))
+    if f.coeffs[0] == 0:
+        f = IntPolynomial(f.coeffs[1:])
     if sign == 0:
         return CurvatureVerdict(
             "not_realizable", None,
             "a nonzero conjugate dominates the candidate 0", irr,
         )
-    b = _refined_nonnegative(best)
     mu = largest_real_root(product_polynomial(f, f))
-    if mu is not None and equal_radius(mu, algebraic_power(b, 2)):
+    if mu is not None and equal_radius(mu, algebraic_square(best)):
         return CurvatureVerdict(
-            "realizable", b,
+            "realizable", best,
             "no conjugate exceeds the dominant real root in modulus", irr,
         )
     return CurvatureVerdict(

@@ -25,40 +25,33 @@ def tarjan(succ) -> list[list[int]]:
     for root in range(n):
         if index_of[root] != -1:
             continue
-        work = [(root, 0)]
+        work = [(root, iter(succ[root]))]
         while work:
-            v, ptr = work[-1]
-            if ptr == 0:
+            v, it = work[-1]
+            if index_of[v] == -1:
                 index_of[v] = lowlink[v] = counter
                 counter += 1
                 stack.append(v)
                 on_stack[v] = True
-            advanced = False
-            out = succ[v]
-            for i in range(ptr, len(out)):
-                w = out[i]
+            for w in it:
                 if index_of[w] == -1:
-                    work[-1] = (v, i + 1)
-                    work.append((w, 0))
-                    advanced = True
+                    work.append((w, iter(succ[w])))
                     break
                 if on_stack[w]:
                     lowlink[v] = min(lowlink[v], index_of[w])
-            if advanced:
-                continue
-            work.pop()
-            if work:
-                parent = work[-1][0]
-                lowlink[parent] = min(lowlink[parent], lowlink[v])
-            if lowlink[v] == index_of[v]:
-                members = []
-                while True:
-                    w = stack.pop()
-                    on_stack[w] = False
-                    members.append(w)
-                    if w == v:
-                        break
-                members.sort()
-                comps.append(members)
+            else:
+                work.pop()
+                if work:
+                    parent = work[-1][0]
+                    lowlink[parent] = min(lowlink[parent], lowlink[v])
+                if lowlink[v] == index_of[v]:
+                    members = []
+                    while True:
+                        w = stack.pop()
+                        on_stack[w] = False
+                        members.append(w)
+                        if w == v:
+                            break
+                    members.sort()
+                    comps.append(members)
     return comps
-

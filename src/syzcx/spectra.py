@@ -19,7 +19,6 @@ from .polynomials import (
     largest_real_root,
     poly_gcd_q,
     rational_algebraic,
-    resultant_y,
     squarefree_part,
 )
 
@@ -256,33 +255,33 @@ def compare_algebraic(r1: AlgebraicReal, r2: AlgebraicReal) -> int:
     raise InternalInconsistencyError("compare_algebraic failed to separate values")
 
 
-def algebraic_power(r: AlgebraicReal, k: int) -> AlgebraicReal:
-    """r^k as a certified algebraic number, for nonnegative r and k >= 1.
+def algebraic_square(r: AlgebraicReal) -> AlgebraicReal:
+    """r^2 as a certified algebraic number, for nonnegative r.
 
-    Defining polynomial: Res_y(p(y), x - y^k), whose roots are the k-th powers
-    of the roots of p. The isolating interval [lo^k, hi^k] is validated by
-    a root count (`count_real_roots_open`) and the source interval is
-    refined until it isolates, or while an end of it is a root."""
-    if k < 1:
-        raise ValueError("power must be >= 1")
-    if r.lo < 0:
-        raise ValueError("algebraic_power requires a nonnegative value")
-    if r.lo == r.hi:
-        return rational_algebraic(r.lo ** k)
-    sf = squarefree_part(r.poly)
-    coeffs_a = [IntPolynomial([c]) for c in sf.coeffs]
-    coeffs_b = [IntPolynomial()] * (k + 1)
-    coeffs_b[0] = IntPolynomial([0, 1])  # x
-    coeffs_b[k] = IntPolynomial([-1])
-    q = resultant_y(coeffs_a, coeffs_b).primitive()
+    Defining polynomial by Graeffe's root squaring (Householder, Amer. Math.
+    Monthly 66, 1959): the primitive h with h(x^2) = s(x) s(-x), s the
+    squarefree part of r.poly, whose roots are the squares of those of s.
+    The source interval is refined until it lies in [0, oo) and
+    [lo^2, hi^2] isolates a root of h by `count_real_roots_open`, neither
+    end a root. An exact rational, or the root 0, is squared as it is; a
+    negative value raises ValueError."""
+    s = squarefree_part(r.poly)
+    s_neg = IntPolynomial(-c if i % 2 else c for i, c in enumerate(s.coeffs))
+    h = IntPolynomial((s * s_neg).coeffs[::2]).primitive()
+    if r.lo < 0 < r.hi and s.coeffs[0] == 0:  # the value is the root 0
+        return rational_algebraic(0)
     cur = r
     for _ in range(200):
-        lo, hi = cur.lo ** k, cur.hi ** k
+        if cur.lo == cur.hi or cur.hi <= 0:
+            if cur.lo < 0:
+                raise ValueError("algebraic_square requires a nonnegative value")
+            return rational_algebraic(cur.lo ** 2)
+        lo, hi = cur.lo ** 2, cur.hi ** 2
         try:
-            isolated = count_real_roots_open(q, lo, hi) == 1
-        except ValueError:  # an end is a root of q
+            isolated = cur.lo >= 0 and count_real_roots_open(h, lo, hi) == 1
+        except ValueError:  # an end is a root of h
             isolated = False
         if isolated:
-            return AlgebraicReal(q, lo, hi).refined(DEFAULT_WIDTH)
+            return AlgebraicReal(h, lo, hi).refined(DEFAULT_WIDTH)
         cur = cur.refined((cur.hi - cur.lo) / 4)
-    raise InternalInconsistencyError("algebraic_power failed to isolate")
+    raise InternalInconsistencyError("algebraic_square failed to isolate")

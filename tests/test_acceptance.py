@@ -38,7 +38,7 @@ from syzcx.oracle import builtin_table, crosscheck, dim_sequence, table_rep, xyz
 from syzcx.polynomials import algebraic_real, poly, rational_algebraic
 from syzcx.spectra import (
     adjacency_matrix,
-    algebraic_power,
+    algebraic_square,
     compare_algebraic,
     equal_radius,
     perron_root,
@@ -233,7 +233,7 @@ def test_criterion_5_closure_suite():
     fibq = REALIZE_TARGETS[2][1]
     sub = subdivide(fibq, 2)
     rho = perron_root(adjacency_matrix(*sub.digraph()))
-    assert equal_radius(algebraic_power(rho, 2), PHI)
+    assert equal_radius(algebraic_square(rho), PHI)
     _announce(5, "product divisible exactly, root polynomial factors "
                  "exactly, subdivision radius squares back")
 

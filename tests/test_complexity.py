@@ -268,8 +268,8 @@ def test_subdivide_square_root_of_radius():
     # Each arrow becomes a 2-path: vertex count 2 + 3, arrows 6.
     assert len(sub.vertices) == 5 and len(sub.arrows) == 6
     rho = perron_root(_adj(sub))
-    from syzcx.spectra import algebraic_power
-    assert equal_radius(algebraic_power(rho, 2), PHI)
+    from syzcx.spectra import algebraic_square
+    assert equal_radius(algebraic_square(rho), PHI)
     assert subdivide(fibq, 1) is fibq
     with pytest.raises(ValueError):
         subdivide(fibq, 0)

@@ -2,9 +2,10 @@
 in the package, every public function or class is used in the package or
 the benchmark or is a listed test-reference helper, no function in the
 package calls itself by name, only one bisection reads Descartes counts, one
-pack and one signed-digit reader serve the determinant and the gcd, and no
-cache in the package is unbounded. `from __future__` imports are
-directives, so they are exempt from the first."""
+pack and one signed-digit reader serve the determinant and the gcd, one
+function takes resultants, and no cache in the package is unbounded.
+`from __future__` imports are directives, so they are exempt from the
+first."""
 
 import ast
 from pathlib import Path
@@ -131,6 +132,17 @@ def test_one_elimination():
     files = sorted((ROOT / "src" / "syzcx").glob("*.py"))
     assert len(files) > 10
     assert callers_of("_bareiss", files) == {"det_bareiss_poly"}
+
+
+def test_one_resultant():
+    """Resultants are taken in one place: `_eliminate`, the tail that the
+    sum and product closures share, is the one caller of `resultant_y`; a
+    square is Graeffe's product s(x) s(-x), not an elimination."""
+    files = sorted((ROOT / "src" / "syzcx").glob("*.py"))
+    assert len(files) > 10
+    assert callers_of("resultant_y", files) == {"_eliminate"}
+    assert callers_of("_eliminate", files) == {"product_polynomial",
+                                               "sum_polynomial"}
 
 
 def test_one_packing():

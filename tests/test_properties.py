@@ -4,10 +4,12 @@ absorbing element, nonzero paths are closed under contiguous subwords,
 killers match their definition, exact comparisons form a total order,
 growth-class operations obey semiring-style laws, partial resolution data
 never overstates complexity, the graph traversals match a brute-force
-transitive closure, vertex classes match the per-vertex algorithm, module
-classes match a pinned hash, walk counts on syzygy quivers match dense
-adjacency powers, sink-free reduction keeps a module's class, and the two
-independent dimension pipelines agree."""
+transitive closure and the pointer walk they replaced, vertex classes match
+the per-vertex algorithm, module classes match a pinned hash, classes are
+invariant under the singularity equivalence of a quadratic monomial algebra
+with the radical-square-zero algebra on its relation quiver, walk counts on
+syzygy quivers match dense adjacency powers, and the two independent
+dimension pipelines agree."""
 
 import hashlib
 import json
@@ -62,7 +64,7 @@ from syzcx.syzygy import (
     syzygy_quiver_from_json,
 )
 
-from conftest import (det_bareiss_int, evaluate, family_gen, make_algebra,
+from conftest import (FIB_TEXT, det_bareiss_int, evaluate, family_gen, make_algebra,
                       path_sort_key, random_monomial_algebras,
                       random_rsz_algebras, singleton, sparse_rows)
 
@@ -110,6 +112,71 @@ def test_tarjan_and_reachable_match_transitive_closure():
         for u in range(n):
             assert all(comp_of[v] <= comp_of[u]
                        for v in range(n) if reach[u][v])
+
+
+def _tarjan_by_pointers(succ):
+    """Tarjan's walk with an index into succ[v] per stack frame, as
+    `graph.tarjan` kept it before it held one iterator per frame: the
+    reference the iterator walk must match, component for component."""
+    n = len(succ)
+    index_of = [-1] * n
+    lowlink = [0] * n
+    on_stack = [False] * n
+    stack, comps, counter = [], [], 0
+    for root in range(n):
+        if index_of[root] != -1:
+            continue
+        work = [(root, 0)]
+        while work:
+            v, ptr = work[-1]
+            if ptr == 0:
+                index_of[v] = lowlink[v] = counter
+                counter += 1
+                stack.append(v)
+                on_stack[v] = True
+            advanced = False
+            out = succ[v]
+            for i in range(ptr, len(out)):
+                w = out[i]
+                if index_of[w] == -1:
+                    work[-1] = (v, i + 1)
+                    work.append((w, 0))
+                    advanced = True
+                    break
+                if on_stack[w]:
+                    lowlink[v] = min(lowlink[v], index_of[w])
+            if advanced:
+                continue
+            work.pop()
+            if work:
+                parent = work[-1][0]
+                lowlink[parent] = min(lowlink[parent], lowlink[v])
+            if lowlink[v] == index_of[v]:
+                members = []
+                while True:
+                    w = stack.pop()
+                    on_stack[w] = False
+                    members.append(w)
+                    if w == v:
+                        break
+                members.sort()
+                comps.append(members)
+    return comps
+
+
+def test_tarjan_matches_the_pointer_walk():
+    rng = random.Random(SEED + 12)
+    for _ in range(3000):
+        n = rng.randint(1, 25)
+        succ = [[] for _ in range(n)]
+        for _ in range(rng.randint(0, 4 * n)):
+            succ[rng.randrange(n)].append(rng.randrange(n))
+        assert tarjan(succ) == _tarjan_by_pointers(succ), succ
+    # Deep walks: a chain and a cycle of 20,000 vertices.
+    n = 20_000
+    chain = [[v + 1] for v in range(n - 1)] + [[]]
+    assert tarjan(chain) == [[v] for v in reversed(range(n))]
+    assert tarjan([[(v + 1) % n] for v in range(n)]) == [list(range(n))]
 
 
 # -- vertex classes off the condensation --------------------------------------------
@@ -266,6 +333,83 @@ def test_key_labels_give_the_components_of_one_term_sums():
                     == [(c.vertices, c.matrix) for c in want.components])
             built += 1
     assert built == 964
+
+
+# -- invariance under a singularity equivalence ----------------------------------------
+
+def _quadratic_text(rng: random.Random, max_vertices=6):
+    """Random quadratic monomial algebra file: a random quiver, and as
+    relations every composable pair of arrows a.b but some with a before b
+    in a random order of the arrows, so every long enough path is zero."""
+    nv = rng.randint(1, max_vertices)
+    arrows = [(f"a{i}", rng.randrange(nv), rng.randrange(nv))
+              for i in range(rng.randint(1, nv + 3))]
+    rank = {a[0]: i for i, a in enumerate(rng.sample(arrows, len(arrows)))}
+    lines = ["algebra quad"]
+    lines += [f"vertex v{i}" for i in range(nv)]
+    lines += [f"arrow {n} : v{s} -> v{t}" for n, s, t in arrows]
+    lines += [f"relation {n1}.{n2}" for n1, _, t1 in arrows
+              for n2, s2, _ in arrows
+              if t1 == s2 and (rank[n1] >= rank[n2] or rng.random() < 0.5)]
+    return "\n".join(lines) + "\n"
+
+
+def _relation_quiver_text(text, reverse=False):
+    """B, the radical-square-zero algebra on the relation quiver R(A) of the
+    quadratic monomial algebra A written in `text`: a vertex per arrow of
+    A, an arrow a -> b per relation a.b, and every composable pair of
+    arrows of R(A) a relation. `reverse` turns the arrows of R(A) around,
+    a mutation that the invariance must catch."""
+    lines = text.splitlines()
+    names = [line.split()[1] for line in lines if line.startswith("arrow ")]
+    pairs = [tuple(line.split(None, 1)[1].replace(" ", "").split("."))
+             for line in lines if line.startswith("relation ")]
+    assert all(len(pair) == 2 for pair in pairs)
+    if reverse:
+        pairs = [(b, a) for a, b in pairs]
+    out = ["algebra relquiver"]
+    out += [f"vertex {n}" for n in names]
+    out += [f"arrow r{i} : {a} -> {b}" for i, (a, b) in enumerate(pairs)]
+    out += [f"relation r{i}.r{j}" for i, (_, b) in enumerate(pairs)
+            for j, (c, _) in enumerate(pairs) if b == c]
+    return "\n".join(out) + "\n"
+
+
+def _equivalence_mismatches(texts, reverse=False):
+    """(arrows checked, arrows a whose class of aA over A differs from the
+    class of S(a) over B, by `compare` or, for Zero classes, by pd)."""
+    checked = mismatched = 0
+    for text in texts:
+        A = make_algebra(text)
+        B = make_algebra(_relation_quiver_text(text, reverse))
+        for arrow in A.quiver.arrows:
+            over_a = module_complexity(
+                A, singleton(path_key(A.quiver.path([arrow.name]), A))).cls
+            over_b = module_complexity(
+                B, singleton(simple_key(B, arrow.name))).cls
+            checked += 1
+            mismatched += (compare(over_a, over_b) != 0
+                           or (over_a.is_zero and over_a.pd != over_b.pd))
+    return checked, mismatched
+
+
+def test_classes_are_invariant_under_the_relation_quiver_equivalence():
+    """The source paper's fourth claim, where the equivalence is a theorem:
+    a quadratic monomial algebra A is singularity-equivalent to B, the
+    radical-square-zero algebra on its relation quiver R(A) (X.-W. Chen,
+    D. Shen & G. Zhou, 2018). The syzygy of aA is the sum of the bA with
+    a.b a relation, and the syzygy of S(a) over B the sum of the S(b), so
+    for every arrow a, aA over A and S(a) over B have one class."""
+    rng = random.Random(SEED + 13)
+    texts = [FIB_TEXT]
+    while len(texts) < 121:
+        text = _quadratic_text(rng)
+        if "relation" in text:
+            texts.append(text)
+    checked, mismatched = _equivalence_mismatches(texts)
+    assert mismatched == 0 and checked >= 400, (checked, mismatched)
+    checked, mismatched = _equivalence_mismatches(texts, reverse=True)
+    assert mismatched >= 200, (checked, mismatched)
 
 
 # -- path arithmetic -------------------------------------------------------------

@@ -14,7 +14,12 @@ from syzcx.complexity import realize_class
 
 from syzcx.curvature import companion_polynomial, realize_companion
 from syzcx.polynomials import (
+    DEFAULT_WIDTH,
     AlgebraicReal,
+    _root_intervals,
+    count_real_roots_open,
+    resultant_y,
+    squarefree_part,
     poly,
     largest_real_root,
     rational_algebraic,
@@ -26,7 +31,7 @@ from syzcx.spectra import (
     scc_condense,
     equal_radius,
     compare_algebraic,
-    algebraic_power,
+    algebraic_square,
 )
 from syzcx.syzygy import (build_syzygy_quiver, module_expr, resolve_module,
                           simple_key)
@@ -372,26 +377,128 @@ def test_compare_algebraic_refines_values_closer_than_the_intervals():
         assert not equal_radius(sqrt2, other)
 
 
-def test_algebraic_power_golden_square():
+def test_algebraic_square_golden():
     # phi^2 = phi + 1 = (3+sqrt5)/2, the largest root of x^2 - 3x + 1.
     phi = largest_real_root(GOLDEN)
-    sq = algebraic_power(phi, 2)
+    sq = algebraic_square(phi)
     assert equal_radius(sq, largest_real_root(poly(1, -3, 1)))
     assert abs(sq.as_float() - PHI ** 2) < 1e-10
-    one = algebraic_power(phi, 1)
-    assert equal_radius(one, phi)
 
 
-def test_algebraic_power_refines_past_a_root_end():
+def test_algebraic_square_refines_past_a_root_end():
     # sqrt2 on (1, 3/2), as a root of (x^2 - 2)(x + 1): squared, the interval
     # (1, 9/4) ends at 1 = (-1)^2, a root of the defining polynomial, so the
     # source interval is refined before the count can succeed.
     r = AlgebraicReal(poly(-2, -2, 1, 1), Fraction(1), Fraction(3, 2))
-    sq = algebraic_power(r, 2)
+    sq = algebraic_square(r)
     assert sq.lo > 1
     assert equal_radius(sq, rational_algebraic(2))
 
 
-def test_algebraic_power_rational():
-    r = algebraic_power(rational_algebraic(2), 3)
-    assert equal_radius(r, rational_algebraic(8))
+def test_algebraic_square_rational():
+    for x, square in ((Fraction(3, 2), Fraction(9, 4)), (0, 0)):
+        r = algebraic_square(rational_algebraic(x))
+        assert r.lo == r.hi == square
+        assert equal_radius(r, rational_algebraic(square))
+    # 1 on (1/2, 3/2), as a root of (x - 1)(5x + 6)(x^2 - 3): (1/4, 9/4)
+    # also holds (-6/5)^2, and the refinement's first midpoint is 1 itself.
+    r = algebraic_square(AlgebraicReal(poly(-1, 1) * poly(6, 5) * poly(-3, 0, 1),
+                                       Fraction(1, 2), Fraction(3, 2)))
+    assert r.lo == r.hi == 1
+
+
+def _square_by_resultant(r):
+    """The square of a positive r by elimination: the source interval refined
+    to lo >= 0 first, then the defining polynomial Res_y(s(y), x - y^2), s
+    the squarefree part of r.poly, from a Sylvester determinant, and the
+    source interval refined until [lo^2, hi^2] isolates one of its roots or
+    a midpoint hits the value."""
+    while r.lo < 0:
+        r = r.refined((r.hi - r.lo) / 4)
+    s = squarefree_part(r.poly)
+    h = resultant_y([poly(c) for c in s.coeffs],
+                    [poly(0, 1), poly(), poly(-1)]).primitive()
+    while True:
+        if r.lo == r.hi:  # a bisection midpoint hit a rational value
+            return rational_algebraic(r.lo ** 2)
+        lo, hi = r.lo ** 2, r.hi ** 2
+        try:
+            if count_real_roots_open(h, lo, hi) == 1:
+                return AlgebraicReal(h, lo, hi).refined(DEFAULT_WIDTH)
+        except ValueError:  # an end is a root of h
+            pass
+        r = r.refined((r.hi - r.lo) / 4)
+
+
+def _squaring_corpus(count):
+    """Seeded polynomials of degree 2..9, mostly not monic (leading
+    coefficients from -4 to 9): products of linear factors d x + n,
+    quadratics, squared factors (repeated roots) and the factor x (a zero
+    root)."""
+    rng = random.Random(0x6AAE)
+    for _ in range(count):
+        p = poly(rng.choice([1, -1, 2, 3, -4, 6, 9]))
+        target = rng.randint(2, 9)
+        while p.degree < target:
+            kind = rng.randrange(4)
+            if kind == 0:
+                f = poly(rng.randint(-9, 9), rng.randint(1, 4))
+            elif kind == 1:
+                f = poly(rng.randint(-9, 9), rng.randint(-6, 6), 1)
+            elif kind == 2:
+                f = poly(rng.randint(-5, 5), rng.randint(1, 3))
+                f = f * f
+            else:
+                f = poly(0, 1)
+            if p.degree + f.degree <= 9:
+                p = p * f
+        yield p
+
+
+def test_algebraic_square_matches_resultant_reference():
+    """Graeffe's square is the same certified value, polynomial and interval,
+    as the elimination Res_y(s(y), x - y^2) gives, on every real root of a
+    seeded corpus with repeated and zero roots; each negative root raises."""
+    zero = rational_algebraic(0)
+    squared = negative = zeros = 0
+    for p in _squaring_corpus(400):
+        for lo, hi in _root_intervals(p):
+            r = AlgebraicReal(p, lo, hi)
+            sign = compare_algebraic(r, zero)
+            if sign < 0:
+                with pytest.raises(ValueError):
+                    algebraic_square(r)
+                negative += 1
+            elif sign == 0:
+                assert algebraic_square(r) == zero
+                zeros += 1
+            else:
+                assert algebraic_square(r) == _square_by_resultant(r), (p, lo, hi)
+                squared += 1
+    assert squared >= 500 and negative >= 500 and zeros >= 200, (
+        squared, negative, zeros)
+
+
+def test_algebraic_square_straddling_and_negative():
+    # sqrt2 - 1 on (-1, 1), as a root of x^2 + 2x - 1 (the other root is
+    # -1 - sqrt2): the interval straddles 0 and is refined past it.
+    r = AlgebraicReal(poly(-1, 2, 1), Fraction(-1), Fraction(1))
+    sq = algebraic_square(r)
+    assert sq.lo >= 0
+    assert abs(sq.as_float() - (2 ** 0.5 - 1) ** 2) < 1e-12
+    assert equal_radius(sq, AlgebraicReal(poly(1, -6, 1), Fraction(0),
+                                          Fraction(1)))
+    # The root 0 on (-1, 2), as a root of x(x - 5): 0 is a third of the
+    # way from -1, so no bisection midpoint is 0.
+    zero = algebraic_square(AlgebraicReal(poly(0, -5, 1), Fraction(-1),
+                                          Fraction(2)))
+    assert zero == rational_algebraic(0)
+    # 1 - sqrt2 on (-1, 1), as a root of x^2 - 2x - 1: negative.
+    with pytest.raises(ValueError):
+        algebraic_square(AlgebraicReal(poly(-1, -2, 1), Fraction(-1),
+                                       Fraction(1)))
+    with pytest.raises(ValueError):
+        algebraic_square(AlgebraicReal(poly(-2, 0, 1), Fraction(-2),
+                                       Fraction(-1)))
+    with pytest.raises(ValueError):
+        algebraic_square(rational_algebraic(Fraction(-1, 3)))
