@@ -263,8 +263,12 @@ class MonomialAlgebra:
     Only validate_algebra builds one; the counts are 0 until it fills them.
     It owns three memos, each kept as long as it lives, since a CyclicKey
     names a module only inside its algebra:
-    - `syzygy_memo` maps each CyclicKey to its syzygy; syzygy.syzygy_key
-      fills it, so a key's syzygy is computed once per algebra;
+    - the interned keys of the syzygy closure (see syzygy.py): `keys` lists
+      each CyclicKey met once, its id its position, and `key_ids` maps it
+      back; per id, `killer_states` holds the automaton state of each killer
+      and `syzygies` the syzygy as (id, multiplicity) pairs, or None until
+      it is taken. `state_ids` maps an automaton state to the id of the key
+      of every path read to it, so the killer search runs once per state;
     - `class_memo` maps each vertex of every syzygy quiver that
       complexity.module_complexity builds, a CyclicKey, to a (Condensation,
       vertex) pair, and the class is read off it with vertex_complexity;
@@ -340,7 +344,11 @@ class MonomialAlgebra:
                 out[a.name] = i
             self.moves.append(out)
         self.counts = [0] * len(self.moves)
-        self.syzygy_memo: dict = {}
+        self.keys: list = []
+        self.key_ids: dict = {}
+        self.killer_states: list[tuple] = []
+        self.syzygies: list = []
+        self.state_ids: dict[int, int] = {}
         self.class_memo: dict = {}
         self.path_table = None
 

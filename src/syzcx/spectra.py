@@ -67,7 +67,8 @@ def char_poly(m: IntMatrix) -> IntPolynomial:
     w = bound.bit_length() + 2
     half, mask = 1 << (w - 1), (1 << w) - 1
     offset = half * sum(1 << (w * j) for j in range(n))
-    # Unit counts, the common case, need an addition and no multiplication.
+    # Unit counts, the common case, need an addition and no multiplication;
+    # a row of units only skips the scaled sum.
     units = [[j for j, c in row if c == 1] for row in m]
     scaled = [[(j, c) for j, c in row if c not in (0, 1)] for row in m]
     packed = [1 << (w * i) for i in range(n)]  # the rows of M^0 = I
@@ -75,8 +76,8 @@ def char_poly(m: IntMatrix) -> IntPolynomial:
     power_sums: list[int] = []
     for k in range(1, n + 1):
         get = packed.__getitem__
-        packed = [sum(map(get, u), sum([c * get(j) for j, c in sc]))
-                  for u, sc in zip(units, scaled)]
+        packed = [sum(map(get, u), sum([c * get(j) for j, c in sc])) if sc
+                  else sum(map(get, u)) for u, sc in zip(units, scaled)]
         power_sums.append(sum(((x + offset) >> (w * i)) & mask
                               for i, x in enumerate(packed)) - n * half)
         s = sum(c * p for c, p in zip(coeffs_desc, reversed(power_sums)))

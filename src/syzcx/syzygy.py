@@ -14,6 +14,11 @@ generated by w, which is again cyclic:
 
 Closing a starting module under this rule gives a finite syzygy quiver whose
 weighted path counts reproduce the dimensions of all iterated syzygies.
+
+The killers of a nonzero path depend only on the automaton state after it
+(see MonomialAlgebra), so each algebra interns the keys it meets: the killer
+search runs once per state, every key met gets an integer id with the states
+of its killers and its syzygy over ids, and the closure runs on the ids.
 """
 
 from __future__ import annotations
@@ -30,7 +35,8 @@ class CyclicKey(NamedTuple):
 
     Killers are positive-length paths starting at `vertex`, none a prefix of
     another, stored sorted by (length, arrow-name sequence). `cyclic_key`
-    checks this for killers from outside; `path_key` builds it directly.
+    checks this for killers from outside; the killer search and
+    `simple_key` build it directly.
     """
 
     vertex: str
@@ -67,10 +73,10 @@ def _killer_order(k: Path):
     return len(k.arrows), k.arrows
 
 
-def _term_order(term):
-    """The canonical order of a ModuleExpr's terms: by vertex, then number
-    of killers, then the killers in their canonical order."""
-    key = term[0]
+def _key_order(key: CyclicKey):
+    """The canonical order of keys, and so of a ModuleExpr's terms: by
+    vertex, then number of killers, then the killers in their canonical
+    order."""
     return (key.vertex, len(key.killers),
             [(len(k.arrows), k.arrows) for k in key.killers])
 
@@ -106,7 +112,7 @@ def module_expr(pairs) -> ModuleExpr:
             acc[key] = acc.get(key, 0) + mult
     items = list(acc.items())
     if len(items) > 1:
-        items.sort(key=_term_order)
+        items.sort(key=lambda term: _key_order(term[0]))
     return ModuleExpr(tuple(items))
 
 
@@ -118,14 +124,23 @@ def projective_key(A: MonomialAlgebra, vertex: str) -> CyclicKey:
 
 
 def simple_key(A: MonomialAlgebra, vertex: str) -> CyclicKey:
-    """Simple at a vertex: everything past the generator is killed. At a
-    vertex with no outgoing arrows this coincides with the projective key."""
-    arrows = A.quiver.arrows_from(vertex)
-    return cyclic_key(vertex, [A.quiver.path([a.name]) for a in arrows])
+    """Simple at a vertex: everything past the generator is killed. Its
+    killers are the arrows out of the vertex, paths of length 1 and so an
+    antichain, in canonical order: by name, which an Arrow compares first
+    and no two share. At a vertex with no outgoing arrows this coincides
+    with the projective key."""
+    return CyclicKey(vertex, tuple(
+        Path(vertex, a.target, (a.name,))
+        for a in sorted(A.quiver.arrows_from(vertex))))
 
 
-def minimal_killers(p: Path, A: MonomialAlgebra) -> tuple[Path, ...]:
-    """Prefix-minimal nonzero paths w with p.w zero, in canonical order.
+def minimal_killers(p: Path, A: MonomialAlgebra, state: int | None = None
+                    ) -> tuple[tuple[Path, ...], tuple[int, ...]]:
+    """Prefix-minimal nonzero paths w with p.w zero, in canonical order, and
+    in the same order the automaton state of each w read from p's target.
+    `state` is p's own state, when the caller has it; else it is read off
+    p. The killers depend on that state alone: `_path_id`, the one caller
+    in the package, keeps one search per state.
 
     Search with an explicit stack over forward extensions w of p, pruned at
     zero paths; recording stops at the first zero product, which makes the
@@ -140,12 +155,13 @@ def minimal_killers(p: Path, A: MonomialAlgebra) -> tuple[Path, ...]:
     built: the search is linear in the killers' total length plus the
     extensions it visits.
     """
-    state = None if isinstance(p, PathZero) else A.state_after(p)
+    if state is None:
+        state = None if isinstance(p, PathZero) else A.state_after(p)
     if state is None:
         raise ZeroPathError(f"path is zero in {A.name}")
     moves, target_of = A.moves, A.quiver.arrow_by_name
     deepest = A.max_relation_length - 1
-    out: list[Path] = []
+    out: list[tuple[Path, int]] = []
     word: list[str] = []
     stack = [(0, "", state, A.quiver.vertex_index[p.target])]
     while stack:
@@ -157,27 +173,76 @@ def minimal_killers(p: Path, A: MonomialAlgebra) -> tuple[Path, ...]:
         for a, t in moves[s].items():
             u = from_pw.get(a)
             if u is None:
-                out.append(Path(p.target, target_of[a].target, (*word, a)))
+                out.append((Path(p.target, target_of[a].target, (*word, a)),
+                            t))
             elif depth + 1 < deepest:
                 stack.append((depth + 1, a, u, t))
     if len(out) > 1:
-        out.sort(key=_killer_order)
-    return tuple(out)
+        out.sort(key=lambda wt: _killer_order(wt[0]))
+    return tuple([w for w, _ in out]), tuple([t for _, t in out])
+
+
+# -- interned keys -----------------------------------------------------------
+
+def _key_id(A: MonomialAlgebra, key: CyclicKey, states: tuple = ()) -> int:
+    """The id of `key` in A. A new key keeps the states of its killers:
+    `states` when the search gives them, else read off the killers, None
+    for a zero one (a key from outside, such as a partial quiver's label)."""
+    i = A.key_ids.get(key)
+    if i is None:
+        i = A.key_ids[key] = len(A.keys)
+        A.keys.append(key)
+        A.killer_states.append(states or tuple(map(A.state_after,
+                                                   key.killers)))
+        A.syzygies.append(None)
+    return i
+
+
+def _path_id(A: MonomialAlgebra, p: Path, state: int | None) -> int:
+    """The id of the key of path p, whose automaton state is `state`: one
+    killer search per state, whatever path reaches it. A zero p (state
+    None) raises ZeroPathError."""
+    i = A.state_ids.get(state)
+    if i is None:
+        killers, states = minimal_killers(p, A, state)
+        i = A.state_ids[state] = _key_id(A, CyclicKey(p.target, killers),
+                                         states)
+    return i
+
+
+def _syzygy_ids(A: MonomialAlgebra, i: int) -> tuple[tuple[int, int], ...]:
+    """The syzygy of key i as (id, multiplicity) pairs in canonical term
+    order, taken once per id: each killer's key is read off its stored
+    state."""
+    syz = A.syzygies[i]
+    if syz is None:
+        acc: dict[int, int] = {}
+        for w, t in zip(A.keys[i].killers, A.killer_states[i]):
+            j = _path_id(A, w, t)
+            acc[j] = acc.get(j, 0) + 1
+        syz = list(acc.items())
+        if len(syz) > 1:
+            keys = A.keys
+            syz.sort(key=lambda jm: _key_order(keys[jm[0]]))
+        syz = A.syzygies[i] = tuple(syz)
+    return syz
 
 
 def path_key(p: Path, A: MonomialAlgebra) -> CyclicKey:
     """Key of the cyclic module generated by a nonzero path."""
-    return CyclicKey(p.target, minimal_killers(p, A))
+    state = None if isinstance(p, PathZero) else A.state_after(p)
+    return A.keys[_path_id(A, p, state)]
 
 
 def key_dimension(key: CyclicKey, A: MonomialAlgebra) -> int:
     """Dimension of the module named by `key`, the number of nonzero paths
     from its vertex with no killer prefix, counted: the paths from the
-    vertex less those that extend a nonzero killer; the killers are an
-    antichain, so none twice."""
-    states = (A.state_after(k) for k in key.killers)
-    return (A.counts[A.quiver.vertex_index[key.vertex]]
-            - sum(A.counts[s] for s in states if s is not None))
+    vertex less those that extend a nonzero killer, read off the stored
+    killer states; the killers are an antichain, so none twice."""
+    counts = A.counts
+    return (counts[A.quiver.vertex_index[key.vertex]]
+            - sum(counts[s] for s in A.killer_states[_key_id(A, key)]
+                  if s is not None))
 
 
 def expr_dimension(M: ModuleExpr, A: MonomialAlgebra) -> int:
@@ -202,13 +267,11 @@ def resolve_module(A: MonomialAlgebra, name: str) -> ModuleExpr:
 # -- the syzygy rule ---------------------------------------------------------
 
 def syzygy_key(key: CyclicKey, A: MonomialAlgebra) -> ModuleExpr:
-    """First syzygy of one cyclic module; zero for projectives. Kept in the
-    algebra's `syzygy_memo`: a key names a module only inside its algebra."""
-    memo = A.syzygy_memo
-    syz = memo.get(key)
-    if syz is None:
-        syz = memo[key] = module_expr([(path_key(w, A), 1) for w in key.killers])
-    return syz
+    """First syzygy of one cyclic module; zero for projectives. Read off the
+    key's interned syzygy: a key names a module only inside its algebra."""
+    keys = A.keys
+    return ModuleExpr(tuple((keys[j], m)
+                            for j, m in _syzygy_ids(A, _key_id(A, key))))
 
 
 class SyzygyQuiver(NamedTuple):
@@ -274,29 +337,30 @@ class SyzygyQuiver(NamedTuple):
 def build_syzygy_quiver(M: ModuleExpr, A: MonomialAlgebra) -> SyzygyQuiver:
     """Close a module under the syzygy rule, deduplicating by CyclicKey.
 
-    Breadth-first from M's summands in canonical order; projective keys stay
-    in the quiver as sinks (their syzygy is zero), so weighted path counts
-    from the start vertices reproduce dim of every iterated syzygy. The zero
-    module yields the empty quiver."""
-    order: list[CyclicKey] = []
-    index: dict[CyclicKey, int] = {}
+    Breadth-first from M's summands in canonical order, over the algebra's
+    interned key ids, each id's syzygy read off its memo; the labels are
+    looked up once the closure is done. Projective keys stay in the quiver
+    as sinks (their syzygy is zero), so weighted path counts from the start
+    vertices reproduce dim of every iterated syzygy. The zero module yields
+    the empty quiver."""
+    order: list[int] = []
+    index: dict[int, int] = {}
 
-    def vid(key: CyclicKey) -> int:
-        i = index.setdefault(key, len(order))
-        if i == len(order):
-            order.append(key)
-        return i
+    def vid(i: int) -> int:
+        n = index.setdefault(i, len(order))
+        if n == len(order):
+            order.append(i)
+        return n
 
-    start = tuple((vid(k), m) for k, m in M.terms)
+    start = tuple((vid(_key_id(A, k)), m) for k, m in M.terms)
     arrows: list[tuple[int, int]] = []
     qi = 0
     while qi < len(order):
-        key = order[qi]
-        for k2, m in syzygy_key(key, A).terms:
-            j = vid(k2)
-            arrows.extend([(qi, j)] * m)
+        for j, m in _syzygy_ids(A, order[qi]):
+            arrows.extend([(qi, vid(j))] * m)
         qi += 1
-    return SyzygyQuiver(A, tuple(order), tuple(arrows), start, partial=False)
+    labels = tuple(map(A.keys.__getitem__, order))
+    return SyzygyQuiver(A, labels, tuple(arrows), start, partial=False)
 
 
 def quiver_dim_sequence(Q: SyzygyQuiver, N: int) -> list[int]:

@@ -3,7 +3,8 @@ in the package, every public function or class is used in the package or
 the benchmark or is a listed test-reference helper, no function in the
 package calls itself by name, only one bisection reads Descartes counts, one
 pack and one signed-digit reader serve the determinant and the gcd, one
-function takes resultants, and no cache in the package is unbounded.
+function takes resultants, one table calls the killer search, and no cache
+in the package is unbounded.
 `from __future__` imports are directives, so they are exempt from the
 first."""
 
@@ -154,6 +155,16 @@ def test_one_packing():
     assert len(files) > 10
     for name in ("_pack", "_signed_digits"):
         assert callers_of(name, files) == {"det_bareiss_poly", "poly_gcd_q"}
+
+
+def test_one_killer_search():
+    """Killers are searched in one place: `_path_id`, the table from
+    automaton state to key, is the one caller of `minimal_killers`, so each
+    state is searched once; a second caller is to read the table, not
+    search again."""
+    files = sorted((ROOT / "src" / "syzcx").glob("*.py"))
+    assert len(files) > 10
+    assert callers_of("minimal_killers", files) == {"_path_id"}
 
 
 def cached_functions(files):

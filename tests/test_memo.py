@@ -213,9 +213,9 @@ def test_box_simples_compute_each_syzygy_and_root_once(monkeypatch):
         char_calls[m] += 1
         return char_poly(m)
 
-    def counting_minimal_killers(p, A):
-        killer_calls[p] += 1
-        return minimal_killers(p, A)
+    def counting_minimal_killers(p, A, state=None):
+        killer_calls[A.state_after(p)] += 1
+        return minimal_killers(p, A, state)
 
     monkeypatch.setattr(spectra, "char_poly", counting_char_poly)
     monkeypatch.setattr(syzygy, "minimal_killers", counting_minimal_killers)
@@ -230,10 +230,13 @@ def test_box_simples_compute_each_syzygy_and_root_once(monkeypatch):
     assert set(char_calls) == matrices
     assert max(char_calls.values()) == 1
 
+    # The search runs at most once per automaton state, and only on the
+    # states of the labels' killers; a count of 0 would mean the closure
+    # went round the counted search.
     keys = {key for Q in quivers for key in Q.labels}
-    killers = Counter(w for k in keys for w in k.killers)
-    assert all(killer_calls[w] <= killers[w] for w in killer_calls)
-    assert sum(killer_calls.values()) <= sum(killers.values())
+    assert killer_calls and max(killer_calls.values()) == 1
+    assert set(killer_calls) <= {A.state_after(w)
+                                 for k in keys for w in k.killers}
 
 
 def test_class_memo_belongs_to_its_algebra(monkeypatch):
@@ -394,10 +397,18 @@ def _benchmark_pass_counts(monkeypatch, workload) -> Counter:
     taken without the tracer: the pass (perfbench/queries.py) runs its
     queries in its own order on emptied function memos, and each count
     wraps the function that its span wraps. A condensation counts only
-    inside module_complexity, whose algebras are counted too."""
+    inside module_complexity, whose algebras are counted too. Killer
+    searches are counted beside the distinct (algebra, automaton state)
+    pairs they search."""
     queries = perfbench_module("queries")
     clear_caches()
     calls, algebras, open_calls = Counter(), {}, []
+    searched = {}
+
+    def search(p, A, *rest, fn=syzygy.minimal_killers):
+        calls["killer_searches"] += 1
+        searched[id(A), A.state_after(p)] = A  # kept, so no id is reused
+        return fn(p, A, *rest)
 
     def counted(name, fn, inside=False):
         def call(*args):
@@ -421,11 +432,13 @@ def _benchmark_pass_counts(monkeypatch, workload) -> Counter:
     monkeypatch.setattr(complexity, "scc_condense", counted(
         "condense", complexity.scc_condense, inside=True))
     monkeypatch.setattr(complexity, "module_complexity", classed)
+    monkeypatch.setattr(syzygy, "minimal_killers", search)
     run = queries.run_pass(workload, family_gen().make_inputs(workload, 1),
                            syzcx, None, {})
     monkeypatch.undo()
     assert [q for q in run["queries"] if "error" in q] == []
     calls["algebras"] = len(algebras)
+    calls["killer_states"] = len(searched)
     return calls
 
 
@@ -434,6 +447,13 @@ def test_benchmark_classify_pass_isolates_at_most_5_roots(monkeypatch):
     # leaves to the isolation only the roots that end a cell, 0 and 1.
     counts = _benchmark_pass_counts(monkeypatch, "classify")
     assert counts["isolate"] <= 5
+
+
+def test_benchmark_classify_pass_searches_each_state_once(monkeypatch):
+    # The killers of a path depend only on its automaton state, and the
+    # closure keeps one search per state.
+    counts = _benchmark_pass_counts(monkeypatch, "classify")
+    assert 0 < counts["killer_searches"] <= counts["killer_states"]
 
 
 def test_benchmark_realize_pass_stays_within_its_guards(monkeypatch):

@@ -473,7 +473,10 @@ def test_minimal_killers_match_definition():
                             for k in range(len(w.arrows)))
             ]
             kills.sort(key=lambda w: (len(w.arrows), w.arrows))
-            assert minimal_killers(p, A) == tuple(kills), (A.name, p)
+            killers, states = minimal_killers(p, A)
+            assert killers == tuple(kills), (A.name, p)
+            # Each killer comes with its own state, read from p's target.
+            assert states == tuple(map(A.state_after, kills)), (A.name, p)
             # The module generated by p is spanned by the nonzero p.w.
             span = sum(not isinstance(A.extend(p, w), PathZero)
                        for w in nonzero.values())

@@ -6,11 +6,13 @@ the two-vertex Fibonacci algebra dim P(1) = 2, dim P(2) = 3 force the
 Fibonacci recursion."""
 
 import json
+import random
 import time
 
 import pytest
 
 from syzcx.syzygy import (
+    CyclicKey,
     cyclic_key,
     ModuleExpr,
     module_expr,
@@ -34,7 +36,26 @@ from syzcx.errors import (
     ZeroPathError,
 )
 
-from conftest import fibonacci_numbers, singleton, syzygy_step
+from conftest import (A2_TEXT, CHAIN_TEXT, FIB_TEXT, LOOP3_TEXT,
+                      TWOSTEP_TEXT, family_gen, fibonacci_numbers,
+                      make_algebra, random_monomial_algebras, singleton,
+                      syzygy_step)
+
+
+def _key_corpus():
+    """Random monomial draws, benchmark family draws up to nv = 40, the
+    fixtures, and one vertex with a loop and two parallel arrows to a
+    sink, declared against name order."""
+    gen, rng = family_gen(), random.Random(4613)
+    family = [make_algebra(gen.algebra_text(f"fam{nv}",
+                                            gen.family_algebra(nv, rng)))
+              for nv in (12, 20, 28, 34, 40)]
+    fixtures = [make_algebra(t) for t in (FIB_TEXT, LOOP3_TEXT, TWOSTEP_TEXT,
+                                          A2_TEXT, CHAIN_TEXT)]
+    forks = make_algebra("algebra forks\nvertex 1\nvertex 2\n"
+                         "arrow z : 1 -> 2\narrow x : 1 -> 1\n"
+                         "arrow y : 1 -> 2\nrelation x.x\n")
+    return [*random_monomial_algebras(0x5E, 40), *family, *fixtures, forks]
 
 
 # -- keys ------------------------------------------------------------------
@@ -65,6 +86,52 @@ def test_simple_key_kills_every_arrow(fib):
     assert key_dimension(k, fib) == 1
 
 
+def test_simple_key_is_the_checked_key_of_the_arrows():
+    # simple_key builds its key without cyclic_key's checks: sinks, loops,
+    # parallel arrows and arrows declared out of name order all give the
+    # checked key.
+    seen = set()
+    for A in _key_corpus():
+        for v in A.quiver.vertices:
+            arrows = A.quiver.arrows_from(v)
+            key = simple_key(A, v)
+            assert key == cyclic_key(v, [A.quiver.path([a.name])
+                                         for a in arrows]), (A.name, v)
+            names = [a.name for a in arrows]
+            seen.add("sink" if not arrows else "arrows")
+            if any(a.target == v for a in arrows):
+                seen.add("loop")
+            if len({a.target for a in arrows}) < len(arrows):
+                seen.add("parallel")
+            if names != sorted(names):
+                seen.add("out of order")
+    assert seen == {"sink", "arrows", "loop", "parallel", "out of order"}
+
+
+def test_state_table_is_exact():
+    # The interned key of every nonzero path is the key of a fresh search
+    # on it, every path of one automaton state gets the same key object, and
+    # a key's syzygy, read off its killers' stored states, is the sum of the
+    # fresh keys of its killers.
+    paths = states = keys = 0
+    for A in _key_corpus():
+        by_state = {}
+        for p in A.paths_from():
+            key = path_key(p, A)
+            assert key == CyclicKey(p.target, minimal_killers(p, A)[0])
+            assert by_state.setdefault(A.state_after(p), key) is key
+            paths += 1
+        for key in set(by_state.values()):
+            fresh = module_expr(
+                (CyclicKey(w.target, minimal_killers(w, A)[0]), 1)
+                for w in key.killers)
+            assert syzygy_key(key, A) == fresh, (A.name, key)
+        states += len(by_state)
+        keys += len(set(by_state.values()))
+    # Some paths share a state, and some states share a key.
+    assert paths == 1685 and keys < states < paths
+
+
 def test_key_basis_and_dimension(loop3):
     x = loop3.quiver.path(["x"])
     xx = loop3.quiver.path(["x", "x"])
@@ -79,7 +146,7 @@ def test_key_basis_and_dimension(loop3):
 
 def test_minimal_killers(fib):
     a = fib.quiver.path(["a"])
-    ks = minimal_killers(a, fib)
+    ks, _ = minimal_killers(a, fib)
     assert [w.literal() for w in ks] == ["b", "g"]
     assert path_key(a, fib).label() == "2|{b,g}"
 
@@ -87,7 +154,7 @@ def test_minimal_killers(fib):
 def test_minimal_killers_longer_relation(twostep):
     # u.v.u.v is the relation: the killer of u is v.u.v.
     u = twostep.quiver.path(["u"])
-    ks = minimal_killers(u, twostep)
+    ks, _ = minimal_killers(u, twostep)
     assert [w.literal() for w in ks] == ["v.u.v"]
 
 
