@@ -55,3 +55,37 @@ def tarjan(succ) -> list[list[int]]:
                     members.sort()
                     comps.append(members)
     return comps
+
+
+def feedback_split(succ) -> tuple[list[int], list[int]]:
+    """A feedback vertex set F and an order of the rest R, by one
+    depth-first search with roots in vertex order and successors in list
+    order: F is the targets of the back edges (self-loops included),
+    ascending, and R the other vertices in reverse postorder. Every cycle
+    has a back edge, and every other edge goes to a vertex later in reverse
+    postorder, so each arc among R points forward and R is acyclic.
+    """
+    n = len(succ)
+    state = [0] * n  # 0 unseen, 1 on the search path, 2 finished
+    back = [False] * n
+    post: list[int] = []
+    for root in range(n):
+        if state[root]:
+            continue
+        state[root] = 1
+        work = [(root, iter(succ[root]))]
+        while work:
+            v, it = work[-1]
+            for w in it:
+                if not state[w]:
+                    state[w] = 1
+                    work.append((w, iter(succ[w])))
+                    break
+                if state[w] == 1:
+                    back[w] = True
+            else:
+                work.pop()
+                state[v] = 2
+                post.append(v)
+    return ([v for v in range(n) if back[v]],
+            [v for v in reversed(post) if not back[v]])

@@ -128,11 +128,12 @@ def test_one_root_bisection():
 def test_one_elimination():
     """Determinants over Z and over Z[x] are one Bareiss loop, `_bareiss`,
     which only `det_bareiss_poly` calls, on the packed entries or on the
-    polynomials themselves; a second elimination is to be folded into it,
-    not added."""
+    polynomials themselves, and `spectra.char_poly`, on the transfer
+    matrix packed at t = 2^w; a second elimination is to be folded into
+    it, not added."""
     files = sorted((ROOT / "src" / "syzcx").glob("*.py"))
     assert len(files) > 10
-    assert callers_of("_bareiss", files) == {"det_bareiss_poly"}
+    assert callers_of("_bareiss", files) == {"det_bareiss_poly", "char_poly"}
 
 
 def test_one_resultant():
@@ -148,13 +149,15 @@ def test_one_resultant():
 
 def test_one_packing():
     """Polynomials go to integers at x = 2^w by one `_pack` and come back by
-    one signed-digit reader, `_signed_digits`, which only `det_bareiss_poly`
-    and `poly_gcd_q` call; a third copy is to be folded into them, not
-    added."""
+    one signed-digit reader, `_signed_digits`, which only `det_bareiss_poly`,
+    `poly_gcd_q` and `spectra.char_poly` call (the last packs its walks by
+    shifts as it counts them, with no `_pack`); a second copy is to be
+    folded into them, not added."""
     files = sorted((ROOT / "src" / "syzcx").glob("*.py"))
     assert len(files) > 10
-    for name in ("_pack", "_signed_digits"):
-        assert callers_of(name, files) == {"det_bareiss_poly", "poly_gcd_q"}
+    assert callers_of("_pack", files) == {"det_bareiss_poly", "poly_gcd_q"}
+    assert callers_of("_signed_digits", files) == {"det_bareiss_poly",
+                                                   "poly_gcd_q", "char_poly"}
 
 
 def test_one_killer_search():
