@@ -585,11 +585,7 @@ def certify_largest_root(p: IntPolynomial):
     accepted only when s(lo) and s(hi) are nonzero of opposite signs (a
     root in the cell) and s(x + lo) has one sign variation (one root above
     lo, by Descartes): it then isolates rho with ends that are not roots.
-    Any failed test gives None. Bisection from there ends in the depth-D
-    cell that holds rho inside, so when the depth-D cell that holds the
-    guess has ends that are nonzero of opposite signs, it is that cell and
-    is returned as it is; else (rho at an end, or the guess in another
-    cell) `refine_interval` bisects the 18 levels.
+    Any failed test gives None.
     """
     s = squarefree_part(p)
     guess = _newton_guess(s.coeffs)
@@ -612,11 +608,6 @@ def certify_largest_root(p: IntPolynomial):
     if _sign_variations(_taylor_shift(s.coeffs, lo.numerator,
                                       lo.denominator)) != 1:
         return None
-    k = ((gn * bd + n * gd) << (depth + 18)) // (2 * n * gd)
-    d <<= 18
-    a = (2 * k - (1 << (depth + 18))) * n
-    if _sign_at(s.coeffs, a, d) * _sign_at(s.coeffs, a + 2 * n, d) < 0:
-        return AlgebraicReal(p, Fraction(a, d), Fraction(a + 2 * n, d))
     return AlgebraicReal(p, lo, hi).refined(DEFAULT_WIDTH)
 
 

@@ -38,10 +38,6 @@ def adjacency_matrix(graph, edges=None) -> IntMatrix:
     return tuple(tuple(sorted(row.items())) for row in rows)
 
 
-# The largest feedback vertex set that `char_poly` eliminates (see there).
-FEEDBACK_MAX = 19
-
-
 def char_poly(m: IntMatrix) -> IntPolynomial:
     """Monic characteristic polynomial det(xI - M), exact over the integers,
     of M in sparse rows (see IntMatrix).
@@ -67,21 +63,17 @@ def char_poly(m: IntMatrix) -> IntPolynomial:
     plus 1, so every coefficient lies in (-2^(w-1), 2^(w-1)), a pivot that
     vanishes at 2^w is zero, and each exact division stays exact.
 
-    When F has more than `FEEDBACK_MAX` vertices, `_power_sum_char_poly`
-    takes the polynomial instead; both give the same polynomial. The
-    elimination grows as |F|^3 and w with the walk counts. Side by side,
-    the walks were 1.2-33x faster than the power sums on the 86 components
-    of 3 or more vertices of the classify and realize passes at seeds 0
-    and 1 (|F| <= 13), 0.15-6.8x their time on 21 family components of |F|
-    10-28 (nv 30-100, draws 0-5), and 24-68x on the nv = 120/160/240
-    components (|F| 42, 58, 76). On those components the bound 19 never
-    picked a kernel more than 1.5x slower than the other, and 16 picked
-    one 1.8x slower.
+    The walks take |F| passes over the arcs, and the elimination about
+    |F|^3 / 3 exact divisions of integers of about n w bits, quadratic in
+    CPython. That is milliseconds when F is small: rings, companion
+    quivers, and the components of random algebras of up to 28 vertices
+    (|F| <= 13). It is slow when F is large: on the 160-, 204- and
+    277-vertex components of the random family (|F| 42, 58, 76) it took
+    5-7, 15-17 and 88-97 s, where the packed power sums it replaced took
+    0.2, 0.4 and 1.4-1.5 s (ROADMAP item 14).
     """
     n = len(m)
     feedback, rest = feedback_split([[j for j, _ in row] for row in m])
-    if len(feedback) > FEEDBACK_MAX:
-        return _power_sum_char_poly(m)
     r, order = len(rest), rest + feedback
     slot = [0] * n  # R's vertices by rank, then F's
     for i, v in enumerate(order):
@@ -113,59 +105,6 @@ def char_poly(m: IntMatrix) -> IntPolynomial:
         raise InternalInconsistencyError(
             "transfer-matrix determinant lost its constant term")
     return IntPolynomial([0] * (n + 1 - len(digits)) + digits[::-1])
-
-
-def _power_sum_char_poly(m: IntMatrix) -> IntPolynomial:
-    """det(xI - M) of M in sparse rows, for `char_poly` when its feedback
-    vertex set is large.
-
-    From the power sums p_k = tr(M^k), k = 1..n, by Newton's identities
-    k c_k = -(p_k + c_1 p_(k-1) + ... + c_(k-1) p_1), whose divisions are
-    exact; each is asserted. Each row of M^k is packed into one integer with
-    w bits per entry (Kronecker substitution), so row i of M^k is one
-    big-integer multiply-add per pair (j, c) of row i of M: the sum of c
-    times packed row j of M^(k-1). Every entry of M^k, k <= n, has absolute
-    value below 2^(w-2), so the fields never overlap, and a field plus
-    2^(w-1) lies in [0, 2^w): a signed entry reads back after that offset
-    is added to every field. The bound: |(M^k)_ij| <= (|M|^k)_ij, |M| taken
-    entrywise. Take x = (|M| + I)^2 1 >= 1 and h = max (|M|x)_i / x_i; by
-    induction |M|^k x <= h^k x, so (|M|^k)_ij x_j <= h^k x_i and every
-    entry is at most max(1, h)^n max x / min x, a far smaller bound than
-    the n-th power of the largest row sum when rows differ in weight; w is
-    the bit length of its ceiling, plus 2.
-    """
-    n = len(m)
-    y = [1 + sum(abs(c) for _, c in row) for row in m]
-    v = [yi + sum(abs(c) * y[j] for j, c in row) for yi, row in zip(y, m)]
-    hn = hd = 1  # max(1, h) = hn / hd, with x = v
-    for vi, row in zip(v, m):
-        mv = sum(abs(c) * v[j] for j, c in row)
-        if mv * hd > hn * vi:
-            hn, hd = mv, vi
-    bound = -(-hn ** n * max(v, default=1) // (hd ** n * min(v, default=1)))
-    w = bound.bit_length() + 2
-    half, mask = 1 << (w - 1), (1 << w) - 1
-    offset = half * sum(1 << (w * j) for j in range(n))
-    # Unit counts, the common case, need an addition and no multiplication;
-    # a row of units only skips the scaled sum.
-    units = [[j for j, c in row if c == 1] for row in m]
-    scaled = [[(j, c) for j, c in row if c not in (0, 1)] for row in m]
-    packed = [1 << (w * i) for i in range(n)]  # the rows of M^0 = I
-    coeffs_desc = [1]
-    power_sums: list[int] = []
-    for k in range(1, n + 1):
-        get = packed.__getitem__
-        packed = [sum(map(get, u), sum([c * get(j) for j, c in sc])) if sc
-                  else sum(map(get, u)) for u, sc in zip(units, scaled)]
-        power_sums.append(sum(((x + offset) >> (w * i)) & mask
-                              for i, x in enumerate(packed)) - n * half)
-        s = sum(c * p for c, p in zip(coeffs_desc, reversed(power_sums)))
-        if s % k:
-            raise InternalInconsistencyError(
-                "characteristic polynomial Newton identity lost exactness"
-            )
-        coeffs_desc.append(-s // k)
-    return IntPolynomial(reversed(coeffs_desc))
 
 
 @lru_cache(maxsize=_MEMO_SIZE)

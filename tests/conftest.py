@@ -12,10 +12,8 @@ from pathlib import Path
 import pytest
 
 import syzcx
-from syzcx import polynomials
 from syzcx.algebra import Path as QuiverPath, parse_algebra, validate_algebra
-from syzcx.polynomials import (AlgebraicReal, IntPolynomial, _content_free,
-                               _pseudo_divmod, cauchy_bound, squarefree_part)
+from syzcx.polynomials import IntPolynomial, _content_free, _pseudo_divmod
 from syzcx.syzygy import ModuleExpr, module_expr, syzygy_key
 
 # Two vertices; the only nonzero paths are the trivial ones and the three
@@ -204,42 +202,6 @@ def clear_caches():
             for fn in vars(module).values():
                 if hasattr(fn, "cache_clear"):
                     fn.cache_clear()
-
-
-def bisected_root_cell(r):
-    """The cell that bisection reaches for the certified root r: the cell
-    of the tree of (-B, B), B the Cauchy bound of r.poly's squarefree part,
-    18 levels above r's cell, refined by `refine_interval` to the default
-    width."""
-    B = cauchy_bound(squarefree_part(r.poly))
-    w = (r.hi - r.lo) * 2 ** 18
-    lo = -B + (r.lo + B) // w * w
-    return AlgebraicReal(r.poly, lo, lo + w).refined(polynomials.DEFAULT_WIDTH)
-
-
-def certified_against_bisection(polys, monkeypatch):
-    """(direct, bisected): how many of the certified roots of polys, each
-    equal to the bisection's cell (`bisected_root_cell`), were read
-    straight off the guess and how many bisected from 18 levels up."""
-    calls, refine = [], polynomials.refine_interval
-
-    def counted(*args):
-        calls.append(args)
-        return refine(*args)
-
-    monkeypatch.setattr(polynomials, "refine_interval", counted)
-    direct = bisected = 0
-    for p in polys:
-        clear_caches()
-        calls.clear()
-        got = polynomials.certify_largest_root(p)
-        if got is None:
-            continue
-        direct += not calls
-        bisected += bool(calls)
-        assert got.lo < got.hi and got.hi - got.lo <= polynomials.DEFAULT_WIDTH, p
-        assert got == bisected_root_cell(got), p
-    return direct, bisected
 
 
 def perfbench_module(name):

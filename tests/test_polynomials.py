@@ -40,8 +40,8 @@ from syzcx.polynomials import IntPolynomial, _bareiss, _root_intervals
 from syzcx.errors import ZeroPolynomialError
 
 import sturm
-from conftest import (certified_against_bisection, clear_caches, det_bareiss_int,
-                      evaluate, gcd_by_remainders, run_python, sylvester_rows)
+from conftest import (clear_caches, det_bareiss_int, evaluate, gcd_by_remainders,
+                      run_python, sylvester_rows)
 
 PHI = (1 + 5 ** 0.5) / 2  # 1.6180339887498949
 
@@ -990,23 +990,6 @@ def test_certified_largest_root_is_the_sturm_root():
               poly(-2, 0, 1) * poly(10 ** 10, 1) * poly(-3, 0, 1)):
         assert cauchy_bound(p) > 10 ** 10
         assert certify_largest_root(p) == sturm.largest_root(p)
-
-
-def test_certified_cell_is_the_bisection_cell(monkeypatch):
-    """On the root corpora the certified cell is the one the bisection
-    reaches from 18 levels up, whether read straight off the guess or
-    bisected; a guess one cell off bisects to the same cell."""
-    polys = [*_largest_roots_corpus(), *_clustered_corpus(),
-             *_close_roots_corpus(), *_random_monic_corpus()]
-    direct, bisected = certified_against_bisection(polys, monkeypatch)
-    assert direct >= 1500 and bisected >= 200, (direct, bisected)
-    p = poly(-2, 0, 1)
-    clear_caches()
-    r = certify_largest_root(p)
-    for off in (-1, 1):
-        guess = float(r.midpoint + off * (r.hi - r.lo))
-        monkeypatch.setattr(polynomials, "_newton_guess", lambda cs: guess)
-        assert certified_against_bisection([p], monkeypatch) == (0, 1)
 
 
 def test_newton_guess_never_raises():

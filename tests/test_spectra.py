@@ -39,8 +39,8 @@ from syzcx.syzygy import (build_syzygy_quiver, module_expr, resolve_module,
                           simple_key)
 
 import sturm
-from conftest import (certified_against_bisection, clear_caches, det_bareiss_int,
-                      evaluate, family_gen, run_python, sparse_rows)
+from conftest import (clear_caches, det_bareiss_int, evaluate, family_gen,
+                      run_python, sparse_rows)
 
 GOLDEN = poly(-1, -1, 1)
 PHI = (1 + 5 ** 0.5) / 2
@@ -83,7 +83,7 @@ def test_char_poly_monic_and_trace():
     assert p.coeffs[2] == -4
 
 
-# -- the packed power-sum kernel ---------------------------------------------
+# -- char_poly against the trace recursion -----------------------------------
 
 def _trace_recursion(m):
     """Reference characteristic polynomial of a dense matrix by the trace
@@ -197,19 +197,7 @@ def test_char_poly_matches_trace_recursion_on_family_components():
     assert max(sizes) >= 15 and len(sizes) > 50
 
 
-# -- the feedback kernel against the power sums -----------------------------
-
-def _both_kernels(m, monkeypatch):
-    """char_poly(m) by the feedback kernel and by the power sums, the
-    threshold `FEEDBACK_MAX` set so that each runs in turn: len(m) bounds
-    every feedback vertex set, and no set has fewer than 0 vertices."""
-    monkeypatch.setattr(spectra, "FEEDBACK_MAX", len(m))
-    feedback = char_poly(m)
-    monkeypatch.setattr(spectra, "FEEDBACK_MAX", -1)
-    power_sums = char_poly(m)
-    monkeypatch.undo()
-    return feedback, power_sums
-
+# -- the transfer-matrix kernel on every size of feedback vertex set --------
 
 def _feedback_size(m):
     return len(feedback_split([[j for j, _ in row] for row in m])[0])
@@ -224,59 +212,53 @@ def _dense(m):
     return dense
 
 
-def test_char_poly_kernels_agree_on_family_components(monkeypatch):
-    """Every component of the syzygy quivers of the sums of simples of
-    seeded family draws, nv 16 to 40, on both sides of `FEEDBACK_MAX`: the
-    two kernels agree, and with the trace recursion up to 30 vertices."""
+def test_char_poly_on_family_components_with_large_feedback_sets():
+    """Every component of the syzygy quivers of the sums of simples of two
+    larger family draws, nv 30 and 40, whose feedback vertex sets reach 20
+    vertices and more: char_poly equals the trace recursion."""
     gen = family_gen()
     sizes = []
-    for nv, seed in [(16 + 2 * d, d) for d in range(6)] + [(30, 2), (40, 0)]:
+    for nv, seed in [(30, 2), (40, 0)]:
         alg = gen.family_algebra(nv, random.Random(seed))
         body = " + ".join(f"S({v})" for v in alg["vertices"])
         A = validate_algebra(parse_algebra(
             gen.algebra_text(f"fam{nv}", alg, [("Sum", body)])))
         n, arrows = build_syzygy_quiver(resolve_module(A, "Sum"), A).digraph()
         for comp in scc_condense(n, arrows).components:
-            feedback, power_sums = _both_kernels(comp.matrix, monkeypatch)
-            assert feedback == power_sums == char_poly(comp.matrix)
-            if len(comp.matrix) <= 30:
-                assert feedback == _trace_recursion(_dense(comp.matrix))
+            assert char_poly(comp.matrix) == _trace_recursion(_dense(comp.matrix))
             sizes.append(_feedback_size(comp.matrix))
-    assert min(sizes) == 0 and max(sizes) > spectra.FEEDBACK_MAX
-    assert sum(0 < f <= spectra.FEEDBACK_MAX for f in sizes) >= 15
+    assert min(sizes) == 0 and max(sizes) >= 20
 
 
-def test_char_poly_kernels_agree_on_companion_quivers(monkeypatch):
-    """Companion quivers of s <= 96 seeded counts, and of 1, 2, ..., 97:
-    both kernels give the companion polynomial."""
+def test_char_poly_of_companion_quivers():
+    """Companion quivers of s <= 96 seeded counts, and of 1, 2, ..., 97 (one
+    feedback vertex each): char_poly is the companion polynomial."""
     gen, rng = family_gen(), random.Random(96)
     counts = [gen.companion_counts(s, rng) for s in (1, 2, 3, 8, 32, 48, 64, 96)]
     for c in counts + [list(range(1, 98))]:
         m = adjacency_matrix(realize_companion(c))
-        assert _both_kernels(m, monkeypatch) == (companion_polynomial(c),) * 2
+        assert _feedback_size(m) == 1
+        assert char_poly(m) == companion_polynomial(c)
 
 
-def test_char_poly_kernels_agree_on_rings(monkeypatch):
-    """Directed rings of n vertices, both ways round, give x^n - 1; a ring
-    has one feedback vertex. The power sums, quadratic per power, are run
-    up to 500 vertices, the trace recursion up to 30."""
+def test_char_poly_of_rings():
+    """Directed rings of up to 4,000 vertices, both ways round, give
+    x^n - 1, and the trace recursion agrees up to 30; a ring has one
+    feedback vertex."""
     for n in (1, 2, 3, 10, 30, 100, 500, 1000, 4000):
         for step in (1, -1):
             m = adjacency_matrix(n, [(i, (i + step) % n) for i in range(n)])
             want = poly(-1, *[0] * (n - 1), 1)
             assert _feedback_size(m) == 1
-            if n <= 500:
-                assert _both_kernels(m, monkeypatch) == (want, want)
-            else:
-                assert char_poly(m) == want
+            assert char_poly(m) == want
             if n <= 30:
                 assert _trace_recursion(_dense(m)) == want
 
 
-def test_char_poly_kernels_agree_on_signed_matrices(monkeypatch):
+def test_char_poly_on_signed_sparse_rows():
     """Seeded signed sparse rows with self-loops, repeated columns (parallel
     arrows) and explicit zero entries, up to 14 vertices, and every matrix
-    of size 0 and 1: both kernels and the trace recursion agree."""
+    of size 0 and 1: char_poly equals the trace recursion."""
     rng = random.Random(0xFEED)
     cases = [(), ((),), (((0, 0),),), (((0, 1),),), (((0, -5), (0, 2)),)]
     for _ in range(400):
@@ -289,8 +271,7 @@ def test_char_poly_kernels_agree_on_signed_matrices(monkeypatch):
             for _ in range(n)))
     loops = zero_entries = repeats = 0
     for m in cases:
-        feedback, power_sums = _both_kernels(m, monkeypatch)
-        assert feedback == power_sums == _trace_recursion(_dense(m)), m
+        assert char_poly(m) == _trace_recursion(_dense(m)), m
         loops += any(j == i for i, row in enumerate(m) for j, _ in row)
         zero_entries += any(c == 0 for row in m for _, c in row)
         repeats += any(len({j for j, _ in row}) < len(row) for row in m)
@@ -316,7 +297,7 @@ def test_char_poly_refuses_a_feedback_set_that_leaves_a_cycle(monkeypatch):
 
 def test_char_poly_of_a_long_ring():
     """The 4,000-vertex ring in a child process, in under a second: one
-    walk pass around it. The power sums took about 12 s."""
+    walk pass around it."""
     out = run_python(
         "from time import perf_counter\n"
         "from syzcx.spectra import adjacency_matrix, char_poly\n"
@@ -391,15 +372,6 @@ def test_perron_root_equals_the_sturm_root(monkeypatch):
     assert len(matrices) >= 75 and max(map(len, matrices)) >= 100
     assert len(isolated) <= 8
     assert all(r.lo == r.hi and r.lo in (0, 1) for r in isolated), isolated
-
-
-def test_certified_perron_cells_are_the_bisection_cells(monkeypatch):
-    """Every Perron root of the component corpus that `certify_largest_root`
-    certifies is the cell the bisection reaches from 18 levels up; most are
-    read straight off the guess."""
-    polys = {char_poly(m) for m in _perron_corpus()}
-    direct, bisected = certified_against_bisection(polys, monkeypatch)
-    assert direct >= 50 and direct + bisected >= 60, (direct, bisected)
 
 
 def test_scc_condense_two_components():
